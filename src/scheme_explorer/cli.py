@@ -28,7 +28,7 @@ from . import noether
 from . import proj as pj
 from . import sheaf as sh
 from . import spectrum as sp
-from .errors import DslSyntaxError, SchemeError
+from .errors import DslSyntaxError, InfiniteSpectrum, SchemeError
 
 SCHEMA_VERSION = 1
 
@@ -343,6 +343,8 @@ def _parse_finite_ring(text):
         text = text[5:-1]
     expr = dsl.parse_ring_text(text)
     if expr.domain.kind == "Zmod" and not expr.names:
+        if expr.domain.modulus == 0:
+            raise InfiniteSpectrum("spec(ZZ/0) is Spec ZZ, which is infinite")
         return sh.ZmodFinite(expr.domain.modulus)
     if expr.domain.kind in ("GF",) and expr.names and len(expr.names) == 1:
         base = sh.ZmodFinite(expr.domain.modulus)
@@ -386,7 +388,7 @@ def _sheaf(cmd, env):
         f = cmd.flag("at", 1)
         if isinstance(f, str):
             raise SchemeError("--at expects a ring element written as an integer")
-        elem = f % getattr(ring, "n", f + 1) if isinstance(ring, sh.ZmodFinite) else f
+        elem = ring.from_int(f)
         d = report.basic_open(elem)
         loc = report.localization(elem)
         return {
@@ -401,22 +403,26 @@ def _sheaf(cmd, env):
     if action == "twist":
         cover_text = cmd.flag("cover", "X,X")
         unit_val = cmd.flag("cocycle", 1)
+        if isinstance(unit_val, str):
+            raise SchemeError("--cocycle expects a ring element written as an integer")
         cover = []
         for part in cover_text.split(","):
             part = part.strip()
             if part == "X":
                 cover.append(frozenset(report.space.points))
             elif part.startswith("D(") and part.endswith(")"):
-                cover.append(report.basic_open(int(part[2:-1])))
+                try:
+                    f = int(part[2:-1])
+                except ValueError:
+                    raise SchemeError(f"bad cover member {part!r}") from None
+                cover.append(report.basic_open(ring.from_int(f)))
             else:
                 raise SchemeError(f"bad cover member {part!r}")
         if len(cover) != 2:
             raise SchemeError("twist covers use exactly two opens")
         w = cover[0] & cover[1]
         rw = report.local_rings[w]
-        unit = rw.make(rw.ring.one() if unit_val == 1 else rw.ring.neg(rw.ring.one()))
-        if unit_val not in (1, -1):
-            unit = rw.make(unit_val % rw.ring.n)
+        unit = rw.make(rw.ring.from_int(unit_val))
         units = {
             (0, 0): report.local_rings[cover[0]].one(),
             (1, 1): report.local_rings[cover[1]].one(),

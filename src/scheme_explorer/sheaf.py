@@ -16,6 +16,7 @@ element by element.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .errors import InfiniteSpectrum, NonInvertibleUnit, Unsupported
 
@@ -173,6 +174,10 @@ class FinitePresheaf:
 
     def _sheaf_condition_at(self, u):
         for cover in self.space.covers_of(u):
+            maps = [self.restrict_map(u, v) for v in cover]
+            gluings = Counter(
+                tuple(m[s] for m in maps) for s in self.sections[u]
+            )
             families = itertools.product(*(self.sections[v] for v in cover))
             for family in families:
                 ok = True
@@ -183,17 +188,7 @@ class FinitePresheaf:
                     if self.restrict(si, vi, w) != self.restrict(sj, vj, w):
                         ok = False
                         break
-                if not ok:
-                    continue
-                gluings = [
-                    s
-                    for s in self.sections[u]
-                    if all(
-                        self.restrict(s, u, v) == fv
-                        for v, fv in zip(cover, family)
-                    )
-                ]
-                if len(gluings) != 1:
+                if ok and gluings[family] != 1:
                     return False
         return True
 
@@ -368,6 +363,17 @@ class FiniteRing:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def from_int(self, n):
+        """The image n*1 of the integer n under ZZ -> A."""
+        out, step = self.zero(), self.one() if n >= 0 else self.neg(self.one())
+        n = abs(n)
+        while n:
+            if n & 1:
+                out = self.add(out, step)
+            step = self.add(step, step)
+            n >>= 1
+        return out
+
     def is_unit(self, a):
         one = self.one()
         return any(self.mul(a, b) == one for b in self.elements())
@@ -520,53 +526,66 @@ class ProductRing(FiniteRing):
         return f"{self.left} x {self.right}"
 
 
+def _localize(ring, gens, elements, scale):
+    """Fraction classes (x, s) for x in ``elements``, s in the family S
+    generated by ``gens``, with ``scale(r, x)`` the action of the ring.
+
+    Some power e of the product of S is idempotent, every s in S divides
+    it, and S^{-1}A = eA (Atiyah-Macdonald, ch. 3): r x = 0 for some r in
+    S iff e x = 0, and e s has an inverse e t_s in eA.  So x/s = y/t iff
+    e t_s x = e t_t y, and ``scale(e t_s, x)`` is a canonical key.  Pairs
+    are visited with S sorted by str, then ``elements`` in order; the first
+    pair with a given key represents its class.
+
+    Returns (family, e, canon, classes), canon mapping pairs to their
+    class representatives.
+    """
+    one = ring.one()
+    fam = {one}
+    frontier = [one]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = ring.mul(x, g)
+            if y not in fam:
+                fam.add(y)
+                frontier.append(y)
+    family = sorted(fam, key=str)
+    prod = one
+    for s in family:
+        prod = ring.mul(prod, s)
+    e = prod
+    while ring.mul(e, e) != e:
+        e = ring.mul(e, prod)
+    reps = {}
+    canon = {}
+    for s in family:
+        es = ring.mul(e, s)
+        et = ring.mul(e, next(t for t in ring.elements() if ring.mul(es, t) == e))
+        for x in elements:
+            pair = (x, s)
+            canon[pair] = reps.setdefault(scale(et, x), pair)
+    return family, e, canon, list(reps.values())
+
+
 class LocalizedFiniteRing(FiniteRing):
     """S^{-1}A for a finite ring A, S the family generated by given elems.
 
-    Fraction equality is the quantified rule r(at - bs) = 0; internally the
-    kernel K = {a : ra = 0 for some r in S} makes images of S
-    non-zero-divisors, so classes reduce to a plain cross-product test.
+    Fraction equality is the quantified rule r(at - bs) = 0 for some r in
+    S.  With e the idempotent power of the product of S, S^{-1}A = eA: the
+    kernel K = {a : ra = 0 for some r in S} is Ann(e), and a/s has the
+    canonical key e t_s a, where e s t_s = e (see ``_localize``).
     """
 
     def __init__(self, ring: FiniteRing, gens):
         self.ring = ring
-        fam = {ring.one()}
-        frontier = [ring.one()]
-        for g in gens:
-            if g not in fam:
-                fam.add(g)
-                frontier.append(g)
-        while frontier:
-            x = frontier.pop()
-            for g in list(fam):
-                y = ring.mul(x, g)
-                if y not in fam:
-                    fam.add(y)
-                    frontier.append(y)
-        self.family = sorted(fam, key=str)
+        self.family, e, self._canon, self._class_list = _localize(
+            ring, gens, ring.elements(), ring.mul
+        )
         zero = ring.zero()
         self.kernel = frozenset(
-            a
-            for a in ring.elements()
-            if any(ring.mul(r, a) == zero for r in self.family)
+            a for a in ring.elements() if ring.mul(e, a) == zero
         )
-        self._canon = {}
-        classes = []
-        for s in self.family:
-            for a in ring.elements():
-                pair = (a, s)
-                rep = next((c for c in classes if self._equiv(pair, c)), None)
-                if rep is None:
-                    classes.append(pair)
-                    rep = pair
-                self._canon[pair] = rep
-        self._class_list = classes
-
-    def _equiv(self, p1, p2):
-        a, s = p1
-        b, t = p2
-        cross = self.ring.sub(self.ring.mul(a, t), self.ring.mul(b, s))
-        return cross in self.kernel
 
     def make(self, a, s=None):
         s = self.ring.one() if s is None else s
@@ -989,42 +1008,19 @@ def module_presheaf(ring, module, report=None):
 
 
 class _LocalizedModule:
+    """S^{-1}M for a finite module M over a finite ring A.
+
+    m/s = m'/s' iff r(s'm - sm') = 0 for some r in S.  With e the idempotent
+    power of the product of S, S^{-1}M = eM, and m/s has the canonical key
+    e t_s m, where e s t_s = e (see ``_localize``).
+    """
+
     def __init__(self, ring, module, gens):
         self.ring = ring
         self.module = module
-        fam = {ring.one()}
-        frontier = [g for g in gens if g not in fam]
-        fam.update(frontier)
-        while frontier:
-            x = frontier.pop()
-            for g in list(fam):
-                y = ring.mul(x, g)
-                if y not in fam:
-                    fam.add(y)
-                    frontier.append(y)
-        self.family = sorted(fam, key=str)
-        zero = module.zero()
-        self._canon = {}
-        classes = []
-        for s in self.family:
-            for m in module.elements():
-                pair = (m, s)
-                rep = next((c for c in classes if self._equiv(pair, c)), None)
-                if rep is None:
-                    classes.append(pair)
-                    rep = pair
-                self._canon[pair] = rep
-        self._class_list = classes
-
-    def _equiv(self, p1, p2):
-        m, s = p1
-        m2, s2 = p2
-        diff = self.module.add(
-            self.module.smul(s2, m),
-            self.module.smul(self.ring.neg(s), m2),
+        self.family, _, self._canon, self._class_list = _localize(
+            ring, gens, module.elements(), module.smul
         )
-        zero = self.module.zero()
-        return any(self.module.smul(r, diff) == zero for r in self.family)
 
     def make(self, m, s=None):
         s = self.ring.one() if s is None else s

@@ -151,3 +151,36 @@ def test_quoted_ring_positional_from_argv():
     a = dsl.parse('spec describe "ZZ[T]" --bound 3;')
     b = dsl.parse("spec describe ZZ[T] --bound 3;")
     assert a == b
+
+
+def test_sheaf_integers_map_into_quotient_rings():
+    """--at and D(n) name the image n*1 of an integer in the finite ring."""
+    records, had_error = run_script(dsl.parse(
+        'sheaf sections --space "spec(GF(5)[e]/(e^2-1))" --at 2;'
+        'sheaf twist --space "spec(GF(5)[e]/(e^2-1))" --cover "X,X" --cocycle 2;'
+    ))
+    assert not had_error, records
+    data = records[0]["data"]
+    assert data["gamma_size"] == data["localization_size"] == 25
+    assert data["isomorphic"] is True
+    assert records[1]["data"]["round_trip_class_ok"] is True
+
+
+def test_sheaf_twist_cover_reads_integers_mod_n():
+    records, had_error = run_script(dsl.parse(
+        'sheaf twist --space "spec(ZZ/12)" --cover "D(2),D(2)";'
+        'sheaf twist --space "spec(ZZ/12)" --cover "D(14),D(-10)";'
+        'sheaf twist --space "spec(ZZ/12)" --cover "X,D(x)";'
+    ))
+    assert had_error
+    sections = [r["data"]["sections_global"] for r in records[:2]]
+    assert sections == [3, 3]
+    assert records[2]["error"]["message"] == "bad cover member 'D(x)'"
+
+
+def test_sheaf_on_zz0_is_a_typed_error():
+    proc = run_cli(["exec", 'sheaf check --space "spec(ZZ/0)";', "--format", "json"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    error = json.loads(proc.stdout)["results"][0]["error"]
+    assert error["code"] == "infinite-spectrum"

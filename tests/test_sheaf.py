@@ -258,11 +258,8 @@ def test_stalks_are_local_rings():
     assert sizes == [3, 4]  # Z/12 localized at (3) and at (2)
 
 
-def test_module_sheaf_exactness_matches_stalks():
-    """0 -> 2*Z/12 -> Z/12 -> Z/12 / (2) -> 0 is exact on stalks and on the
-    sheaf level; dropping the kernel breaks exactness in the same places."""
-    ring = sh.ZmodFinite(12)
-    rep = sh.structure_sheaf(ring)
+def z12_modules(ring):
+    """2*Z/12, Z/12 and Z/12 / (2) = Z/2 as modules over ``ring`` = Z/12."""
 
     def module_from_subset(elements):
         return sh.FiniteModule(
@@ -274,13 +271,21 @@ def test_module_sheaf_exactness_matches_stalks():
 
     sub = module_from_subset([0, 2, 4, 6, 8, 10])
     total = module_from_subset(list(range(12)))
-    quot_elements = [0, 1]  # Z/12 / (2) = Z/2
     quot = sh.FiniteModule(
-        ring, quot_elements,
+        ring, [0, 1],
         add=lambda a, b: (a + b) % 2,
         smul=lambda r, a: (r * a) % 2,
         zero=0,
     )
+    return sub, total, quot
+
+
+def test_module_sheaf_exactness_matches_stalks():
+    """0 -> 2*Z/12 -> Z/12 -> Z/12 / (2) -> 0 is exact on stalks and on the
+    sheaf level; dropping the kernel breaks exactness in the same places."""
+    ring = sh.ZmodFinite(12)
+    rep = sh.structure_sheaf(ring)
+    sub, total, quot = z12_modules(ring)
     F_sub, loc_sub = sh.module_presheaf(ring, sub, rep)
     F_tot, loc_tot = sh.module_presheaf(ring, total, rep)
     F_quot, loc_quot = sh.module_presheaf(ring, quot, rep)
@@ -383,3 +388,128 @@ def test_product_identification_d_e_is_one_factor():
     assert f in rep.primes[x_e]
     assert len(rep.gamma(de)) == 7
     assert len(rep.gamma(df)) == 5
+
+
+def _brute_family(ring, gens):
+    family = {ring.one()}
+    while True:
+        grown = family | {ring.mul(x, g) for x in family for g in gens}
+        if grown == family:
+            return family
+        family = grown
+
+
+def assert_fraction_classes(loc, ring, gens, elements, scale, cross, zero):
+    """Oracle for a localization built from ``gens``: the classes are those
+    of the rule r * cross(p, q) = 0 for some r in S, and each class is
+    represented by its first pair (S sorted by str, then ``elements``)."""
+    family = _brute_family(ring, gens)
+    assert loc.family == sorted(family, key=str)
+
+    def equiv(p, q):
+        d = cross(p, q)
+        return any(scale(r, d) == zero for r in family)
+
+    firsts = []
+    for s in loc.family:
+        for x in elements:
+            pair = (x, s)
+            rep = loc.make(x, s)
+            assert equiv(pair, rep), (pair, rep)
+            if rep not in firsts:
+                assert rep == pair, (pair, rep)
+                firsts.append(rep)
+    assert list(loc.elements()) == firsts
+    for p, q in itertools.combinations(firsts, 2):
+        assert not equiv(p, q), (p, q)
+
+
+def _oracle_rings():
+    F5, F3, F2 = sh.ZmodFinite(5), sh.ZmodFinite(3), sh.ZmodFinite(2)
+    yield from (sh.ZmodFinite(n) for n in range(1, 61))
+    yield sh.QuotientPolyRing(F5, (0, 0, 1))     # e^2: non-reduced
+    yield sh.QuotientPolyRing(F5, (4, 0, 1))     # e^2 - 1: two points
+    yield sh.QuotientPolyRing(F5, (2, 0, 1))     # e^2 + 2: GF(25)
+    yield sh.QuotientPolyRing(F3, (0, 0, 0, 1))  # e^3
+    yield sh.QuotientPolyRing(F2, (0, 1, 0, 1))  # e^3 + e = e(e + 1)^2
+    yield sh.ProductRing(sh.ZmodFinite(4), sh.ZmodFinite(6))
+    yield sh.ProductRing(sh.QuotientPolyRing(F2, (0, 0, 1)), F3)
+
+
+def test_localization_matches_brute_force_oracle():
+    for ring in _oracle_rings():
+        rng = random.Random(str(ring))
+        elems = ring.elements()
+        gen_sets = [[], list(elems)] + [
+            rng.sample(elems, rng.randrange(1, min(3, len(elems)) + 1))
+            for _ in range(3)
+        ]
+        zero = ring.zero()
+        for gens in gen_sets:
+            loc = sh.LocalizedFiniteRing(ring, gens)
+            family = _brute_family(ring, gens)
+            assert loc.kernel == {
+                a for a in elems if any(ring.mul(r, a) == zero for r in family)
+            }
+            assert_fraction_classes(
+                loc, ring, gens, elems, ring.mul,
+                lambda p, q: ring.sub(ring.mul(p[0], q[1]), ring.mul(q[0], p[1])),
+                zero,
+            )
+
+
+def test_module_localization_matches_brute_force_oracle():
+    ring = sh.ZmodFinite(12)
+    rep = sh.structure_sheaf(ring)
+    for module in z12_modules(ring):
+
+        def cross(p, q, module=module):
+            (m, s), (m2, s2) = p, q
+            return module.add(module.smul(s2, m), module.smul(ring.neg(s), m2))
+
+        _, localized = sh.module_presheaf(ring, module, rep)
+        for u, loc in localized.items():
+            gens = [
+                f for f in ring.elements()
+                if all(f not in rep.primes[x] for x in u)
+            ]
+            assert_fraction_classes(
+                loc, ring, gens, module.elements(), module.smul, cross,
+                module.zero(),
+            )
+
+
+def _two_point_presheaf(global_sections, to_a, to_b, local=(0, 1)):
+    """Presheaf on the discrete space {a, b} with the given global sections
+    and their restrictions to {a} and {b}; {a} and {b} carry ``local``."""
+    space = sh.discrete_space(["a", "b"])
+    empty, a, b = frozenset(), frozenset(["a"]), frozenset(["b"])
+    whole = a | b
+    sections = {empty: [()], a: list(local), b: list(local), whole: global_sections}
+    restrictions = {
+        (whole, a): {s: to_a(s) for s in global_sections},
+        (whole, b): {s: to_b(s) for s in global_sections},
+        (whole, empty): {s: () for s in global_sections},
+        (a, empty): {s: () for s in local},
+        (b, empty): {s: () for s in local},
+    }
+    return sh.FinitePresheaf(space, sections, restrictions)
+
+
+@pytest.mark.parametrize(
+    "global_sections, to_a, to_b, expected",
+    [
+        # the compatible family (1, 1) has no gluing
+        ([(0, 0), (0, 1), (1, 0)], lambda s: s[0], lambda s: s[1], False),
+        # every compatible family has two gluings
+        ([(x, y, t) for x in (0, 1) for y in (0, 1) for t in "uv"],
+         lambda s: s[0], lambda s: s[1], False),
+        # pairs of local sections: exactly one gluing each
+        ([(x, y) for x in (0, 1) for y in (0, 1)],
+         lambda s: s[0], lambda s: s[1], True),
+    ],
+    ids=["no-gluing", "two-gluings", "sheaf"],
+)
+def test_gluing_check_counts_gluings(global_sections, to_a, to_b, expected):
+    F = _two_point_presheaf(global_sections, to_a, to_b)
+    assert F.is_sheaf() is expected
