@@ -16,9 +16,11 @@ Univariate polynomials at this level are dense coefficient tuples, low degree
 first, with no trailing zeros.  Factorization:
 
     * finite fields: squarefree split + distinct degree + Cantor-Zassenhaus
-      equal-degree splitting (deterministically seeded);
-    * QQ: content/primitive + Yun squarefree + Zassenhaus (good prime,
-      quadratic Hensel lifting, subset recombination), degree capped at 24;
+      equal-degree splitting (seeded from the coefficients alone);
+    * QQ: content/primitive, then integer-only: a modular squarefree
+      certificate (integer Yun only without one), a modular irreducibility
+      certificate, else Zassenhaus (quadratic Hensel lifting, subset
+      recombination), degree capped at 24;
     * number fields over QQ: Trager norm descent to QQ.
 """
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import zlib
 from fractions import Fraction
 
 from .errors import (
@@ -154,6 +157,18 @@ class Domain:
 class IntegerRing(Domain):
     char = 0
 
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def is_zero(self, a):
+        return a == 0
+
+    def sub(self, a, b):
+        return a - b
+
     def from_int(self, n):
         return n
 
@@ -186,9 +201,25 @@ class IntegerRing(Domain):
         return "ZZ"
 
 
+_QQ_ZERO = Fraction(0)
+_QQ_ONE = Fraction(1)
+
+
 class RationalField(Domain):
     is_field = True
     char = 0
+
+    def zero(self):
+        return _QQ_ZERO
+
+    def one(self):
+        return _QQ_ONE
+
+    def is_zero(self, a):
+        return a == 0
+
+    def sub(self, a, b):
+        return a - b
 
     def from_int(self, n):
         return Fraction(n)
@@ -233,6 +264,18 @@ class Zmod(Domain):
         self.n = n
         self.is_field = is_prime(n)
         self.char = n
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def is_zero(self, a):
+        return a == 0
+
+    def sub(self, a, b):
+        return (a - b) % self.n
 
     def from_int(self, k):
         return k % self.n
@@ -770,8 +813,17 @@ def _random_elem(dom, rng):
     raise UnsupportedDomain(f"cannot sample from {dom}")
 
 
+def _cz_rng(f):
+    """Cantor-Zassenhaus generator seeded from the coefficient tuple of f.
+
+    The seed does not depend on ``PYTHONHASHSEED``, so the random draws, and
+    with them the work done, are the same in every process.
+    """
+    return random.Random(zlib.crc32(repr(tuple(f)).encode()))
+
+
 def _factor_finite_field(f, dom):
-    rng = random.Random(0x5EED ^ (len(f) * 1000003) ^ hash(str(f)) % (1 << 30))
+    rng = _cz_rng(f)
     unit = f[-1]
     out = []
     for g, mult in squarefree_decomposition(f, dom):
@@ -967,45 +1019,88 @@ def _next_prime(p):
     return p
 
 
-def _zassenhaus(g):
-    """Factor a primitive squarefree integer polynomial with lc > 0."""
-    n = up_deg(g)
-    if n == 1:
-        return [g]
+_SQUAREFREE_TRIES = 4  # primes 5, 7, 11, 13 searched for a squarefree certificate
+_CERTIFICATE_PRIMES = 3  # good primes given distinct-degree factorization
+
+
+def _prime_images(g):
+    """Yield (p, image) for p = 5, 7, 11, ... in turn.
+
+    ``image`` is g mod p made monic when p is a good prime for g (p does not
+    divide lc(g) and g mod p is squarefree), else None.  A squarefree g has
+    finitely many bad primes: those dividing lc(g) * disc(g).
+    """
     p = 3
     while True:
         p = _next_prime(p)
-        if g[-1] % p == 0:
-            continue
-        Dp = Zmod(p)
-        gp = up_norm(Dp, tuple(c % p for c in g))
-        if up_deg(gp) != n:
-            continue
-        if up_deg(up_gcd(Dp, gp, up_deriv(Dp, gp))) == 0:
-            break
-    Dp = Zmod(p)
-    _, fac = _factor_finite_field(up_norm(Dp, tuple(c % p for c in g)), Dp)
-    mods = sorted(f for f, _ in fac)
-    if len(mods) == 1:
+        image = None
+        if g[-1] % p:
+            Dp = Zmod(p)
+            gp = up_monic(Dp, tuple(c % p for c in g))
+            if up_deg(up_gcd(Dp, gp, up_deriv(Dp, gp))) == 0:
+                image = gp
+        yield p, image
+
+
+def _zassenhaus(g, images):
+    """Factor a primitive squarefree integer polynomial with lc > 0.
+
+    ``images`` is a ``_prime_images(g)`` search, possibly already begun.
+    Distinct-degree factorization runs on the images of up to
+    _CERTIFICATE_PRIMES good primes.  Irreducibility certificate: if some
+    g mod p is irreducible, g is irreducible over QQ, since a factorization
+    over ZZ would reduce to one mod p with the same degrees (p does not
+    divide lc(g)); then [g] is returned with no lifting.  Otherwise only the
+    image with the fewest modular factors is split (Cantor-Zassenhaus),
+    Hensel-lifted and recombined.
+    """
+    n = up_deg(g)
+    if n == 1:
         return [g]
+    best = None
+    good = ((p, gp) for p, gp in images if gp is not None)
+    for p, gp in itertools.islice(good, _CERTIFICATE_PRIMES):
+        by_degree = _distinct_degree(gp, Zmod(p))
+        count = sum(up_deg(h) // d for h, d in by_degree)
+        if count == 1:
+            return [g]
+        if best is None or count < best[0]:
+            best = (count, p, gp, by_degree)
+    _, p, gp, by_degree = best
+    Dp = Zmod(p)
+    rng = _cz_rng(gp)
+    mods = sorted(irr for h, d in by_degree for irr in _equal_degree(h, d, Dp, rng))
     threshold = 2 * _int_poly_bound(g) + 1
     final = p
     while final < threshold:
         final = final * final
-    lifted = _lift_factorization(p, g, [tuple(int(c) for c in m) for m in mods], final)
-    return _recombine(g, lifted, final)
+    return _recombine(g, _lift_factorization(p, g, mods, final), final)
 
 
 def _factor_rationals(f):
-    """(unit in QQ, [(monic factor tuple over QQ, mult)])."""
+    """(unit in QQ, [(monic factor tuple over QQ, mult)]).
+
+    A good prime among the first _SQUAREFREE_TRIES certifies the primitive
+    part squarefree (see ``factor_dense``) and starts the search that
+    ``_zassenhaus`` continues; only without one does integer Yun run.
+    """
     if up_deg(f) > _QQ_DEGREE_CAP:
         raise Unsupported(f"rational factorization capped at degree {_QQ_DEGREE_CAP}")
     scale, ints = _rat_to_int_poly(f)
     content, prim = _int_content_primitive(ints)
     unit = Fraction(content) * scale
+    images = _prime_images(prim)
+    first = next(
+        (pg for pg in itertools.islice(images, _SQUAREFREE_TRIES) if pg[1] is not None),
+        None,
+    )
+    if first is None:
+        parts = [(g, m, _prime_images(g)) for g, m in _yun_int(prim)]
+    else:
+        parts = [(prim, 1, itertools.chain([first], images))]
     out = []
-    for sqf, mult in _yun_int(prim):
-        for fac in _zassenhaus(sqf):
+    for sqf, mult, sqf_images in parts:
+        for fac in _zassenhaus(sqf, sqf_images):
             fq = tuple(Fraction(c) for c in fac)
             lc = fq[-1]
             unit *= lc ** mult
@@ -1013,11 +1108,57 @@ def _factor_rationals(f):
     return unit, out
 
 
-def _yun_int(prim):
-    fq = tuple(Fraction(c) for c in prim)
+def _int_prem(a, b):
+    """Pseudo-remainder of integer polynomials: lc(b)^k * a mod b."""
+    r = list(a)
+    lb, nb = b[-1], len(b)
+    while len(r) >= nb:
+        c, k = r[-1], len(r) - nb
+        r = [x * lb for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
+
+
+def _int_gcd(a, b):
+    """Primitive gcd (lc > 0) of integer polynomials, a nonzero, by the
+    primitive remainder sequence."""
+    while b:
+        b = _int_content_primitive(b)[1]
+        a, b = b, _int_prem(a, b)
+    return _int_content_primitive(a)[1]
+
+
+def _int_exact_div(a, b):
+    q, r = _try_divide_int(a, b)
+    assert r == ()
+    return q
+
+
+def _yun_int(f):
+    """Yun's squarefree decomposition of a primitive integer polynomial.
+
+    Gcds are primitive and every division is exact over ZZ (Gauss's lemma),
+    so no rational arithmetic is needed; the factors come back primitive
+    with lc > 0.
+    """
     out = []
-    for g, m in _yun(up_monic(QQ, fq), QQ):
-        out.append((_int_content_primitive(_rat_to_int_poly(g)[1])[1], m))
+    df = up_deriv(ZZ, f)
+    a = _int_gcd(f, df)
+    b = _int_exact_div(f, a)
+    c = _int_exact_div(df, a)
+    d = up_sub(ZZ, c, up_deriv(ZZ, b))
+    i = 1
+    while up_deg(b) > 0:
+        g = _int_gcd(b, d)
+        if up_deg(g) > 0:
+            out.append((g, i))
+        b = _int_exact_div(b, g)
+        c = _int_exact_div(d, g)
+        d = up_sub(ZZ, c, up_deriv(ZZ, b))
+        i += 1
     return out
 
 
@@ -1113,6 +1254,19 @@ def factor_dense(f, dom):
 
     Returns (unit, [(monic irreducible tuple, multiplicity)]) with factors
     sorted by (degree, printed form), so the output order is deterministic.
+
+    Over QQ the work runs on the primitive integer part, and a good prime p
+    (p does not divide the leading coefficient, the image mod p is
+    squarefree) decides as much as it can:
+
+    * squarefree certificate: a good prime proves the input squarefree, as
+      a square factor over ZZ keeps its degree mod p and stays a square
+      there; only without one does integer Yun run;
+    * irreducibility certificate: an image irreducible mod a good prime
+      proves the factor irreducible, as a factorization over ZZ reduces to
+      one mod p with the same degrees;
+    * otherwise Zassenhaus: Hensel lifting of the modular factors of the
+      best good prime, then recombination of subsets.
     """
     f = up_norm(dom, tuple(f))
     if not f:

@@ -28,7 +28,7 @@ from . import noether
 from . import proj as pj
 from . import sheaf as sh
 from . import spectrum as sp
-from .errors import DslSyntaxError, InfiniteSpectrum, SchemeError
+from .errors import DslSyntaxError, InfiniteSpectrum, InvalidArgument, SchemeError
 
 SCHEMA_VERSION = 1
 
@@ -128,11 +128,19 @@ def _run_command(cmd, env):
     raise SchemeError(f"unknown command {group} {action}")
 
 
+def _count_flag(cmd, name, default):
+    """The value of a flag that must be a nonnegative integer."""
+    value = cmd.flag(name, default)
+    if not isinstance(value, int) or value < 0:
+        raise InvalidArgument(f"--{name} expects a nonnegative integer, got {value!r}")
+    return value
+
+
 def _spec_describe(cmd, env):
     if not cmd.positional:
         raise SchemeError("spec describe needs a ring")
     algebra = env.resolve_ring(cmd.positional[0])
-    bound = cmd.flag("bound", 10)
+    bound = _count_flag(cmd, "bound", 10)
     cat = sp.SpecCatalogue.recognize(algebra)
     points = sp.enumerate_points(cat, bound)
     return {
@@ -150,7 +158,7 @@ def _spec_closure(cmd, env):
     point_text = cmd.flag("point")
     if point_text is None:
         raise SchemeError("spec closure needs --point")
-    fibers = cmd.flag("fibers", 0)
+    fibers = _count_flag(cmd, "fibers", 0)
     label, poly_text = point_text.split(",", 1)
     poly_ast = dsl.parse_poly_text(poly_text.strip().strip("()"))
     P0 = dsl.eval_poly(poly_ast, algebra.ring)
@@ -176,7 +184,9 @@ def _spec_closure(cmd, env):
 
 
 def _parse_map(text, env):
-    left, right = text.split("->")
+    left, sep, right = text.partition("->")
+    if not sep:
+        raise InvalidArgument(f"--map expects \"A->B\", got {text!r}")
     source = env.resolve_ring(dsl.parse_ring_text(left.strip()))
     target = env.resolve_ring(dsl.parse_ring_text(right.strip()))
     images = [target.ring.gen(n) for n in source.names]
@@ -190,9 +200,11 @@ def _fiber(cmd, env):
     phi = _parse_map(map_text, env)
     at = cmd.flag("at", "p=2")
     key, _, val = at.partition("=")
-    bound = cmd.flag("bound", 6)
+    bound = _count_flag(cmd, "bound", 6)
     src_cat = sp.SpecCatalogue.recognize(phi.source)
     if key == "p":
+        if not (val.isdigit() and arith.is_prime(int(val))):
+            raise InvalidArgument(f"--at p={val}: p must be a prime number")
         p = int(val)
         point = sp.SpecPoint(src_cat, ("principal", p), arith.Zmod(p), label=f"x_{p}")
     else:
@@ -223,15 +235,20 @@ def _parse_raw_coords(text, field):
     body = text.strip().strip("[]")
     coords = []
     for part in body.split(":"):
-        part = part.strip()
-        if "/" in part:
-            num, den = part.split("/")
-            value = field.mul(
-                field.from_int(int(num)), field.inv(field.from_int(int(den)))
-            )
-        else:
-            value = field.from_int(int(part))
-        coords.append(value)
+        num, _, den = part.strip().partition("/")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:
+            raise InvalidArgument(f"bad coordinate {part.strip()!r} in {text!r}") from None
+        coords.append(field.mul(field.from_int(num), field.inv(field.from_int(den))))
+    return coords
+
+
+def _parse_line_point(text, field):
+    """The two coordinates of a point of P^1."""
+    coords = _parse_raw_coords(text, field)
+    if len(coords) != 2:
+        raise InvalidArgument(f"expected a point [s0:s1] of P^1, got {text!r}")
     return coords
 
 
@@ -286,7 +303,7 @@ def _proj(cmd, env):
         }
     if action == "conic":
         k = field
-        s0, s1 = _parse_raw_coords(cmd.flag("p", "[1:0]"), k)
+        s0, s1 = _parse_line_point(cmd.flag("p", "[1:0]"), k)
         raw = [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s1)]
         image = pj.point_normalize(k, raw)
         check = k.sub(k.mul(raw[0], raw[2]), k.mul(raw[1], raw[1]))
@@ -299,7 +316,7 @@ def _proj(cmd, env):
         }
     if action == "veronese":
         k = field
-        s0, s1 = _parse_raw_coords(cmd.flag("p", "[1:0]"), k)
+        s0, s1 = _parse_line_point(cmd.flag("p", "[1:0]"), k)
         raw = [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s0), k.mul(s1, s1)]
         image = pj.point_normalize(k, raw)
         sym = k.sub(raw[1], raw[2])
@@ -313,7 +330,7 @@ def _proj(cmd, env):
             "quadric_check": field.format(quad),
         }
     if action == "sections":
-        n = cmd.flag("n", 1)
+        n = _count_flag(cmd, "n", 1)
         d = cmd.flag("d", 1)
         sections = pj.twist_sections(n, d, field)
         return {

@@ -96,6 +96,10 @@ class NotInvertible(SchemeError):
     code = "not-invertible"
 
 
+class InvalidArgument(SchemeError):
+    code = "invalid-argument"
+
+
 class DslSyntaxError(SchemeError):
     code = "syntax-error"
 

@@ -210,10 +210,14 @@ def fiber(phi: RingMorphism, x: sp.SpecPoint, bound=10):
     is a catalogued polynomial inclusion handled symbolically.
     """
     kappa = x.residue
-    if isinstance(kappa, FracField):
-        return _symbolic_fiber(phi, x, bound)
     if kappa is None:
         raise ResidueFieldNotRepresentable("opaque residue field")
+    if _tensor_vanishes(phi.target.base, kappa):
+        ring = PolyRing(kappa, phi.target.names, phi.target.ring.order)
+        zero_ring = alg.PresentedAlgebra(kappa, ring.names, [ring.one()], ring.order)
+        return FiberDescription(x, zero_ring, [])
+    if isinstance(kappa, FracField):
+        return _symbolic_fiber(phi, x, bound)
     fiber_algebra = _base_change_to_residue(phi, x, kappa)
     points = None
     try:
@@ -222,6 +226,18 @@ def fiber(phi: RingMorphism, x: sp.SpecPoint, bound=10):
     except NotCatalogued:
         points = None
     return FiberDescription(x, fiber_algebra, points)
+
+
+def _tensor_vanishes(base, kappa):
+    """True when base ⊗_ZZ kappa = 0, so every fiber over kappa is empty.
+
+    A field of characteristic 0 (QQ, a number field, QQ(S)) inverts the
+    residue characteristic p > 0; ZZ/n becomes ZZ/gcd(n, p) over a field of
+    characteristic p, and 0 over one of characteristic 0.
+    """
+    if base.char == 0:
+        return base.is_field and kappa.char > 0
+    return kappa.char == 0 or base.char % kappa.char != 0
 
 
 def _flatten_extension(algebra: alg.PresentedAlgebra):

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .arith import ZZ, Domain, up_gcd, up_norm
-from .errors import NotHomogeneous, ZeroPolynomial
+from .errors import InvalidArgument, NotHomogeneous, ZeroPolynomial
 
 
 class TermOrder:
@@ -83,7 +83,7 @@ class PolyRing:
         self.domain = domain
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names in {self.names}")
+            raise InvalidArgument(f"duplicate variable names in {self.names}")
         self.order = order
         self._index = {n: i for i, n in enumerate(self.names)}
 

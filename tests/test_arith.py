@@ -294,3 +294,60 @@ def test_random_integer_products_reassemble_over_qq():
             for _ in range(m):
                 rebuilt = up_mul(QQ, rebuilt, g)
         assert rebuilt == product
+
+
+
+def test_constant_domain_operations_agree_with_from_int():
+    for dom in (ZZ, QQ, Zmod(12), GF(7)):
+        zero, one = dom.zero(), dom.one()
+        assert (zero, one) == (dom.from_int(0), dom.from_int(1))
+        assert type(zero) is type(dom.from_int(0))
+        assert dom.is_zero(zero) and not dom.is_zero(one)
+        assert dom.sub(one, dom.from_int(3)) == dom.add(one, dom.neg(dom.from_int(3)))
+    assert QQ.zero() is QQ.zero()
+
+_DRAW_COUNTER = """
+import sys
+from scheme_explorer import arith, cli, dsl
+
+draws = 0
+random_elem = arith._random_elem
+
+
+def counted(dom, rng):
+    global draws
+    draws += 1
+    return random_elem(dom, rng)
+
+
+arith._random_elem = counted
+with open(sys.argv[1], encoding="utf-8") as handle:
+    records, _ = cli.run_script(dsl.parse(handle.read()))
+roots = (3, 14, 15, 92, 65, 35, 89, 79)
+f = (1,)
+for r in roots:
+    f = arith.up_mul(arith.GF(101), f, (101 - r, 1))
+sys.stdout.write(cli.render_json(records) + repr(arith.factor_dense(f, arith.GF(101))))
+sys.stdout.write("\\ndraws %d\\n" % draws)
+"""
+
+
+def test_cantor_zassenhaus_draws_do_not_depend_on_the_hash_seed():
+    """Same output bytes and the same number of random draws under two
+    PYTHONHASHSEED values: the splitting RNG is seeded from coefficients."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parent.parent
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DRAW_COUNTER, str(repo / "scripts" / "spec_zt_atlas.scm")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert int(outputs[0].rsplit("draws ", 1)[1]) > 0

@@ -184,3 +184,28 @@ def test_sheaf_on_zz0_is_a_typed_error():
     assert "Traceback" not in proc.stdout + proc.stderr
     error = json.loads(proc.stdout)["results"][0]["error"]
     assert error["code"] == "infinite-spectrum"
+
+
+@pytest.mark.parametrize("statement", [
+    "spec describe ZZ[T] --bound -3;",
+    'spec closure --ring "ZZ[T]" --point "eta,(2*T-1)" --fibers -5;',
+    'fiber --map "ZZ->ZZ[T]" --at p=4;',
+    "ideal I = (X) in QQ[X,X];",
+    'proj veronese --p "[2:3:1]";',
+    "proj sections --n -1 --d 2;",
+])
+def test_out_of_domain_arguments_are_typed_errors(statement):
+    proc = run_cli(["exec", statement, "--format", "json"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    error = json.loads(proc.stdout)["results"][0]["error"]
+    assert error["code"] == "invalid-argument"
+
+
+def test_fiber_of_a_field_of_characteristic_zero_over_a_prime_is_empty():
+    """QQ[T] ⊗_ZZ F_5 = 0: no points, the zero ring."""
+    records, had_error = run_script(dsl.parse('fiber --map "ZZ->QQ[T]" --at p=5;'))
+    assert not had_error
+    data = records[0]["data"]
+    assert data["points"] == []
+    assert data["fiber_ring"] == "GF(5)[T]/(1)"

@@ -199,3 +199,20 @@ def test_fiber_counts_match_oracle_up_to_100():
         minus_one_square = any(a * a % p == p - 1 for a in range(p))
         expected = 1 if p == 2 else (2 if minus_one_square else 1)
         assert len(fib.points) == expected, p
+
+
+def test_fiber_is_empty_when_the_base_change_kills_the_prime():
+    """QQ[T], GF(5)[T] and ZZ/6[T] over x_p: nonempty only for ZZ/6 at 2, 3."""
+    Az = PresentedAlgebra(ZZ, ())
+    cat = sp.SpecCatalogue.recognize(Az)
+    for base, alive in ((QQ, ()), (Zmod(5), (5,)), (Zmod(6), (2, 3))):
+        target = PresentedAlgebra(base, ("T",))
+        phi = mor.RingMorphism(Az, target, [])
+        for p in (2, 3, 5, 7):
+            x = sp.SpecPoint(cat, ("principal", p), Zmod(p), label=f"x_{p}")
+            fib = mor.fiber(phi, x, bound=1)
+            if p in alive:
+                assert repr(fib.fiber_algebra) == f"GF({p})[T]"
+            else:
+                assert fib.points == []
+                assert repr(fib.fiber_algebra) == f"GF({p})[T]/(1)"
