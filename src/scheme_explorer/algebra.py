@@ -11,6 +11,7 @@ silently answering over QQ.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .arith import QQ, ZZ, Domain, Zmod, prime_factors
@@ -262,13 +263,13 @@ class PresentedAlgebra:
 
     def classify_univariate(self):
         """Shape of base[X]/(f) over a field: the five possible verdicts."""
-        from .arith import _poly_to_dense, factor_dense, up_deg
+        from .arith import factor_dense, poly_to_dense, up_deg
 
         if len(self.names) != 1 or len(self.relations) > 1 or not self.base.is_field:
             raise UndecidableContext("classification needs one variable, one relation")
         if not self.relations:
             return {"kind": "polynomial-ring"}
-        dense = _poly_to_dense(self.relations[0])
+        dense = poly_to_dense(self.relations[0])
         if up_deg(dense) == 0:
             return {"kind": "zero-ring"}
         unit, fac = factor_dense(dense, self.base)
@@ -370,50 +371,10 @@ def _integer_unit_combination(relations, ring, max_degree=8):
         if const_key not in index:
             continue
         rhs[index[const_key]] = Fraction(1)
-        sol = _solve_rational(matrix, rhs)
+        sol = _solve_field(matrix, rhs, QQ)
         if sol is not None:
-            den = 1
-            for v in sol:
-                den = den * v.denominator // _gcd_int(den, v.denominator)
-            return abs(den)
+            return math.lcm(*(v.denominator for v in sol))
     return None
-
-
-def _gcd_int(a, b):
-    import math
-
-    return math.gcd(a, b)
-
-
-def _solve_rational(matrix, rhs):
-    """Gaussian elimination over QQ; one solution or None."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[r]) + [rhs[r]] for r in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols]
-    return sol
 
 
 def unit_partition_zmod(n, elems):
@@ -422,8 +383,6 @@ def unit_partition_zmod(n, elems):
     Solved over ZZ: gcd(f_1, ..., f_r, n) must be 1; the Bezout chain gives
     an integral combination which reduces mod n.
     """
-    import math
-
     g = n
     for f in elems:
         g = math.gcd(g, f)

@@ -6,7 +6,7 @@ equality.  Supported domains:
 
     ZZ              integers
     QQ              rationals
-    Zmod(n)         integers mod n (field iff n prime)
+    Zmod(n)         integers mod n (field iff n prime, zero ring for n = 1)
     GF(p)           prime field, primality certified
     ExtField(k, f)  k[t]/(f) for a field k and monic irreducible f
                     (finite fields GF(p^r) and number fields like QQ(i))
@@ -97,7 +97,12 @@ def prime_factors(n):
 
 
 class Domain:
-    """Base class for coefficient domains; elements are opaque values."""
+    """Base class for exact rings; elements are opaque hashable values.
+
+    A subclass defines ``from_int``, ``add``, ``neg`` and ``mul``; a finite
+    one also defines ``elements``, which gives it ``inv`` (a search) and
+    ``domain_units``.
+    """
 
     is_field = False
     char = 0
@@ -128,6 +133,13 @@ class Domain:
             a = self.mul(a, a)
             n >>= 1
         return r
+
+    def inv(self, a):
+        one = self.one()
+        for b in self.elements():
+            if self.mul(a, b) == one:
+                return b
+        raise NotInvertible(f"{self.format(a)} is not invertible")
 
     def is_unit(self, a):
         if self.is_field:
@@ -256,20 +268,24 @@ class RationalField(Domain):
 
 
 class Zmod(Domain):
-    """Integers modulo n; a field exactly when n is prime."""
+    """Integers modulo n; a field exactly when n is prime, the zero ring
+    when n = 1."""
+
+    _elements = None
 
     def __init__(self, n):
-        if n < 2:
-            raise UnsupportedDomain("modulus must be >= 2")
+        if n < 1:
+            raise UnsupportedDomain("modulus must be >= 1")
         self.n = n
         self.is_field = is_prime(n)
         self.char = n
+        self._one = 1 % n
 
     def zero(self):
         return 0
 
     def one(self):
-        return 1
+        return self._one
 
     def is_zero(self, a):
         return a == 0
@@ -295,7 +311,9 @@ class Zmod(Domain):
         return pow(a, -1, self.n)
 
     def elements(self):
-        return list(range(self.n))
+        if self._elements is None:
+            self._elements = list(range(self.n))
+        return self._elements
 
     def order(self):
         return self.n
@@ -1315,17 +1333,24 @@ class UniFactorization:
         return f"UniFactorization(unit={self.ring.domain.format(self.unit)}, {ps})"
 
 
-def _poly_to_dense(f):
+def poly_to_dense(f, dom=None, var=None):
+    """Dense coefficients of f in ``var``, mapped into ``dom``.
+
+    ``dom`` defaults to the domain of f.  Without ``var`` the ring of f must
+    be univariate; with it, f must involve no other variable.
+    """
     ring = f.ring
-    if len(ring.names) != 1:
-        raise UnsupportedDomain("expected a univariate polynomial")
-    dom = ring.domain
-    if not f.terms:
-        return ()
-    coeffs = [dom.zero()] * (f.total_degree() + 1)
+    if var is None:
+        if len(ring.names) != 1:
+            raise UnsupportedDomain("expected a univariate polynomial")
+        var = ring.names[0]
+    src = ring.domain
+    dom = src if dom is None else dom
+    i = ring._index[var]
+    dense = [dom.zero()] * (f.degree_in(var) + 1)
     for exps, c in f.terms:
-        coeffs[exps[0]] = c
-    return up_norm(dom, tuple(coeffs))
+        dense[exps[i]] = c if dom is src else dom.coerce(src, c)
+    return up_norm(dom, tuple(dense))
 
 
 def _dense_to_poly(ring, coeffs):
@@ -1338,7 +1363,7 @@ def factor_univariate(f):
     The coefficient domain must be QQ, a finite field, or a number field
     over QQ; factors come back monic in a deterministic order.
     """
-    dense = _poly_to_dense(f)
+    dense = poly_to_dense(f)
     if not dense:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     unit, fac = factor_dense(dense, f.ring.domain)
@@ -1349,7 +1374,7 @@ def factor_univariate(f):
 
 def is_irreducible(f):
     """True iff a nonconstant univariate polynomial is irreducible."""
-    dense = _poly_to_dense(f)
+    dense = poly_to_dense(f)
     if up_deg(dense) < 1:
         raise ConstantPolynomial("irreducibility needs a nonconstant input")
     return _is_irreducible_dense(dense, f.ring.domain)
@@ -1357,10 +1382,4 @@ def is_irreducible(f):
 
 def domain_units(dom):
     """Invertible elements of a finite domain, paired with their inverses."""
-    if isinstance(dom, Zmod):
-        return [
-            (a, pow(a, -1, dom.n)) for a in range(1, dom.n) if math.gcd(a, dom.n) == 1
-        ]
-    if isinstance(dom, ExtField) and dom.char > 0:
-        return [(a, dom.inv(a)) for a in dom.elements() if a != ()]
-    raise InfiniteDomain(f"{dom} has infinitely many elements")
+    return [(a, dom.inv(a)) for a in dom.elements() if dom.is_unit(a)]

@@ -28,7 +28,14 @@ from . import noether
 from . import proj as pj
 from . import sheaf as sh
 from . import spectrum as sp
-from .errors import DslSyntaxError, InfiniteSpectrum, InvalidArgument, SchemeError
+from .errors import (
+    DslSyntaxError,
+    InfiniteSpectrum,
+    InvalidArgument,
+    NonInvertibleUnit,
+    NotInvertible,
+    SchemeError,
+)
 
 SCHEMA_VERSION = 1
 
@@ -159,7 +166,9 @@ def _spec_closure(cmd, env):
     if point_text is None:
         raise SchemeError("spec closure needs --point")
     fibers = _count_flag(cmd, "fibers", 0)
-    label, poly_text = point_text.split(",", 1)
+    label, comma, poly_text = point_text.partition(",")
+    if not comma:
+        raise InvalidArgument(f"--point expects \"LABEL,(POLY)\", got {point_text!r}")
     poly_ast = dsl.parse_poly_text(poly_text.strip().strip("()"))
     P0 = dsl.eval_poly(poly_ast, algebra.ring)
     record = {
@@ -344,14 +353,13 @@ def _proj(cmd, env):
 
 
 def _parse_proj_space(text):
-    # P^n(DOMAIN)
+    """P^n(DOMAIN) with n a nonnegative integer."""
     text = text.strip()
-    if not text.startswith("P^") or not text.endswith(")"):
-        raise SchemeError(f"bad projective space {text!r}")
-    caret, rest = text[2:].split("(", 1)
-    n = int(caret)
+    caret, paren, rest = text[2:].partition("(")
+    if not (text.startswith("P^") and caret.isdecimal() and rest.endswith(")")):
+        raise InvalidArgument(f"--space expects \"P^n(DOMAIN)\", got {text!r}")
     domain = dsl.build_domain(dsl.parse_ring_text(rest[:-1]).domain)
-    return n, domain
+    return int(caret), domain
 
 
 def _parse_finite_ring(text):
@@ -362,19 +370,16 @@ def _parse_finite_ring(text):
     if expr.domain.kind == "Zmod" and not expr.names:
         if expr.domain.modulus == 0:
             raise InfiniteSpectrum("spec(ZZ/0) is Spec ZZ, which is infinite")
-        return sh.ZmodFinite(expr.domain.modulus)
+        return arith.Zmod(expr.domain.modulus)
     if expr.domain.kind in ("GF",) and expr.names and len(expr.names) == 1:
-        base = sh.ZmodFinite(expr.domain.modulus)
         from .multipoly import PolyRing
 
-        ring = PolyRing(arith.GF(expr.domain.modulus), expr.names)
+        base = arith.GF(expr.domain.modulus)
+        ring = PolyRing(base, expr.names)
         if len(expr.relations) != 1:
             raise SchemeError("finite quotient needs exactly one relation")
-        rel = dsl.eval_poly(expr.relations[0], ring)
-        dense = [0] * (rel.total_degree() + 1)
-        for e, c in rel.terms:
-            dense[e[0]] = int(c)
-        return sh.QuotientPolyRing(base, tuple(dense), var=expr.names[0])
+        dense = arith.poly_to_dense(dsl.eval_poly(expr.relations[0], ring))
+        return sh.QuotientPolyRing(base, dense, var=expr.names[0])
     raise SchemeError(f"unsupported sheaf space {text!r}")
 
 
@@ -439,12 +444,16 @@ def _sheaf(cmd, env):
             raise SchemeError("twist covers use exactly two opens")
         w = cover[0] & cover[1]
         rw = report.local_rings[w]
-        unit = rw.make(rw.ring.from_int(unit_val))
+        unit = rw.from_int(unit_val)
+        try:
+            inverse = rw.inv(unit)
+        except NotInvertible as err:
+            raise NonInvertibleUnit(str(err)) from None
         units = {
             (0, 0): report.local_rings[cover[0]].one(),
             (1, 1): report.local_rings[cover[1]].one(),
             (0, 1): unit,
-            (1, 0): rw.inverse(unit),
+            (1, 0): inverse,
         }
         cocycle = sh.UnitCocycle(report, cover, units)
         twisted = sh.twist_structure_sheaf(cocycle)
@@ -514,7 +523,7 @@ def _text_block(data, indent):
 # ---------------------------------------------------------------------------
 
 _USAGE = (
-    "usage: scheme-explorer [--format text|json] [--seed N] "
+    "usage: scheme-explorer [--format text|json] "
     "(run --script FILE | exec TEXT | <statement words...>)"
 )
 
@@ -543,9 +552,6 @@ def main(argv=None):
             return 2
         fmt = argv[k + 1]
         del argv[k:k + 2]
-    if "--seed" in argv:
-        k = argv.index("--seed")
-        del argv[k:k + 2]  # reserved for randomized subcommands
     if not argv or argv[0] in ("-h", "--help"):
         print(_USAGE, file=sys.stderr)
         return 2 if not argv else 0

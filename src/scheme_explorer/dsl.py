@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DslSyntaxError
+from .errors import DslSyntaxError, UnsupportedDomain
 
 _SYMBOLS = ("->", "--", "=", ";", ",", "(", ")", "[", "]", ":", "^", "*", "+", "-", "/")
 _KEYWORDS = {
@@ -600,6 +600,9 @@ def build_domain(expr: DomainExpr):
     if expr.kind == "QQ":
         return arith.QQ
     if expr.kind == "Zmod":
+        if expr.modulus < 2:
+            # Zmod(1) is the zero ring; ring expressions keep it and ZZ/0 out
+            raise UnsupportedDomain("modulus must be >= 2")
         return arith.Zmod(expr.modulus)
     if expr.kind == "GF":
         return arith.GF(expr.modulus)
@@ -615,11 +618,8 @@ def build_domain(expr: DomainExpr):
     from .multipoly import PolyRing
 
     ring = PolyRing(base, (names[0],))
-    poly = eval_poly(expr.poly, ring)
-    dense = [base.zero()] * (poly.total_degree() + 1)
-    for e, c in poly.terms:
-        dense[e[0]] = c
-    return arith.ExtField(base, tuple(dense), var=names[0])
+    dense = arith.poly_to_dense(eval_poly(expr.poly, ring))
+    return arith.ExtField(base, dense, var=names[0])
 
 
 def _poly_vars(node):

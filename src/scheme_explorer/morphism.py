@@ -16,6 +16,7 @@ from .arith import (
     FracField,
     Zmod,
     factor_dense,
+    poly_to_dense,
     up_deg,
     up_norm,
 )
@@ -457,7 +458,7 @@ def _first_point_of_univariate_quotient(algebra):
         return None
     if not algebra.relations:
         return None
-    dense = sp._poly_to_dense_over(algebra.relations[0], algebra.base)
+    dense = poly_to_dense(algebra.relations[0])
     if up_deg(dense) < 1:
         return None
     _, fac = factor_dense(dense, algebra.base)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+from .arith import Domain, Zmod, domain_units
 from .errors import InfiniteSpectrum, NonInvertibleUnit, Unsupported
 
 
@@ -332,128 +333,36 @@ def sheaf_image(phi: PresheafMorphism):
 # finite rings
 # ---------------------------------------------------------------------------
 
-class FiniteRing:
-    """Element-enumerable commutative ring; elements are hashable values."""
-
-    _elements_cache = None
-
-    def elements(self):
-        if self._elements_cache is None:
-            self._elements_cache = self._list_elements()
-        return self._elements_cache
-
-    def _list_elements(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def from_int(self, n):
-        """The image n*1 of the integer n under ZZ -> A."""
-        out, step = self.zero(), self.one() if n >= 0 else self.neg(self.one())
-        n = abs(n)
-        while n:
-            if n & 1:
-                out = self.add(out, step)
-            step = self.add(step, step)
-            n >>= 1
-        return out
-
-    def is_unit(self, a):
-        one = self.one()
-        return any(self.mul(a, b) == one for b in self.elements())
-
-    def units(self):
-        return [a for a in self.elements() if self.is_unit(a)]
-
-    def inverse(self, a):
-        one = self.one()
-        for b in self.elements():
-            if self.mul(a, b) == one:
-                return b
-        raise NonInvertibleUnit(f"{self.format(a)} is not invertible")
-
-    def is_nilpotent(self, a):
-        zero = self.zero()
-        x = a
-        for _ in range(len(self.elements()) + 1):
-            if x == zero:
-                return True
-            x = self.mul(x, a)
-        return False
-
-    def format(self, a):
-        return str(a)
+ZmodFinite = Zmod  # the older name of the integers mod n, kept for callers
 
 
-class ZmodFinite(FiniteRing):
-    def __init__(self, n):
-        self.n = n
-
-    def _list_elements(self):
-        return list(range(self.n))
-
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def mul(self, a, b):
-        return (a * b) % self.n
-
-    def neg(self, a):
-        return (-a) % self.n
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.n
-
-    def __repr__(self):
-        return f"ZZ/{self.n}"
-
-
-class QuotientPolyRing(FiniteRing):
+class QuotientPolyRing(Domain):
     """k[T]/(f) for a finite coefficient ring k, f monic.
 
     Elements are coefficient tuples of length deg(f), low degree first.
     """
 
+    _elements = None
+
     def __init__(self, coeff_ring, modulus, var="e"):
         self.k = coeff_ring
         self.modulus = tuple(modulus)
-        if self.modulus[-1] != self.k.one():
+        if self.modulus[-1:] != (self.k.one(),):
             raise Unsupported("modulus must be monic")
         self.deg = len(self.modulus) - 1
         self.var = var
 
-    def _list_elements(self):
-        return [
-            tuple(c) for c in itertools.product(self.k.elements(), repeat=self.deg)
-        ]
+    def elements(self):
+        if self._elements is None:
+            self._elements = list(
+                itertools.product(self.k.elements(), repeat=self.deg)
+            )
+        return self._elements
 
-    def zero(self):
-        return tuple(self.k.zero() for _ in range(self.deg))
-
-    def one(self):
-        out = [self.k.zero()] * self.deg
-        if self.deg:
-            out[0] = self.k.one()
-        return tuple(out)
+    def from_int(self, n):
+        return tuple(
+            self.k.from_int(n) if i == 0 else self.k.zero() for i in range(self.deg)
+        )
 
     def add(self, a, b):
         return tuple(self.k.add(x, y) for x, y in zip(a, b))
@@ -496,13 +405,22 @@ class QuotientPolyRing(FiniteRing):
         return f"{self.k}[{self.var}]/(deg {self.deg})"
 
 
-class ProductRing(FiniteRing):
+class ProductRing(Domain):
+    _elements = None
+
     def __init__(self, left, right):
         self.left = left
         self.right = right
 
-    def _list_elements(self):
-        return [(a, b) for a in self.left.elements() for b in self.right.elements()]
+    def elements(self):
+        if self._elements is None:
+            self._elements = [
+                (a, b) for a in self.left.elements() for b in self.right.elements()
+            ]
+        return self._elements
+
+    def from_int(self, n):
+        return (self.left.from_int(n), self.right.from_int(n))
 
     def add(self, a, b):
         return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))
@@ -512,12 +430,6 @@ class ProductRing(FiniteRing):
 
     def neg(self, a):
         return (self.left.neg(a[0]), self.right.neg(a[1]))
-
-    def zero(self):
-        return (self.left.zero(), self.right.zero())
-
-    def one(self):
-        return (self.left.one(), self.right.one())
 
     def format(self, a):
         return f"({self.left.format(a[0])}, {self.right.format(a[1])})"
@@ -568,7 +480,7 @@ def _localize(ring, gens, elements, scale):
     return family, e, canon, list(reps.values())
 
 
-class LocalizedFiniteRing(FiniteRing):
+class LocalizedFiniteRing(Domain):
     """S^{-1}A for a finite ring A, S the family generated by given elems.
 
     Fraction equality is the quantified rule r(at - bs) = 0 for some r in
@@ -577,7 +489,7 @@ class LocalizedFiniteRing(FiniteRing):
     canonical key e t_s a, where e s t_s = e (see ``_localize``).
     """
 
-    def __init__(self, ring: FiniteRing, gens):
+    def __init__(self, ring: Domain, gens):
         self.ring = ring
         self.family, e, self._canon, self._class_list = _localize(
             ring, gens, ring.elements(), ring.mul
@@ -591,8 +503,11 @@ class LocalizedFiniteRing(FiniteRing):
         s = self.ring.one() if s is None else s
         return self._canon[(a, s)]
 
-    def _list_elements(self):
-        return list(self._class_list)
+    def elements(self):
+        return self._class_list
+
+    def from_int(self, n):
+        return self.make(self.ring.from_int(n))
 
     def add(self, x, y):
         (a, s), (b, t) = x, y
@@ -605,12 +520,6 @@ class LocalizedFiniteRing(FiniteRing):
 
     def neg(self, x):
         return self.make(self.ring.neg(x[0]), x[1])
-
-    def zero(self):
-        return self.make(self.ring.zero())
-
-    def one(self):
-        return self.make(self.ring.one())
 
     def format(self, x):
         a, s = x
@@ -626,7 +535,7 @@ class LocalizedFiniteRing(FiniteRing):
 # Spec of a finite ring and its structure sheaf
 # ---------------------------------------------------------------------------
 
-def finite_spectrum_points(ring: FiniteRing):
+def finite_spectrum_points(ring: Domain):
     """Prime ideals of a finite commutative ring, as frozensets of elements.
 
     Candidates p_e = {a : a*e nilpotent} for idempotents e, kept when the
@@ -634,12 +543,15 @@ def finite_spectrum_points(ring: FiniteRing):
     exactly the primes (all of which are maximal).
     """
     elems = ring.elements()
+    zero = ring.zero()
+    # the nonzero powers of a nilpotent element are distinct, so a^|A| = 0
+    nilradical = frozenset(a for a in elems if ring.pow(a, len(elems)) == zero)
     idempotents = [a for a in elems if ring.mul(a, a) == a]
     primes = set()
     for e in idempotents:
-        if ring.is_nilpotent(e):
+        if e in nilradical:
             continue
-        p = frozenset(a for a in elems if ring.is_nilpotent(ring.mul(a, e)))
+        p = frozenset(a for a in elems if ring.mul(a, e) in nilradical)
         if ring.one() in p:
             continue
         comp = [a for a in elems if a not in p]
@@ -648,7 +560,7 @@ def finite_spectrum_points(ring: FiniteRing):
     return sorted(primes, key=lambda p: sorted(map(str, p)))
 
 
-def zariski_space(ring: FiniteRing):
+def zariski_space(ring: Domain):
     """Spec of a finite ring as a FiniteSpace over prime indices.
 
     Opens are generization-closed: if y lies in U and p_x <= p_y then x
@@ -669,7 +581,7 @@ def zariski_space(ring: FiniteRing):
     return FiniteSpace(idx, opens), primes
 
 
-def structure_presheaf(ring: FiniteRing):
+def structure_presheaf(ring: Domain):
     """U -> S(U)^{-1}A with S(U) the elements vanishing nowhere on U."""
     space, primes = zariski_space(ring)
     elems = ring.elements()
@@ -734,7 +646,7 @@ class StructureSheafReport:
         return f"StructureSheaf({self.ring}; {len(self.primes)} points)"
 
 
-def structure_sheaf(ring: FiniteRing):
+def structure_sheaf(ring: Domain):
     """The structure sheaf of a finite ring with all comparison data."""
     size = len(ring.elements())
     if size > 4000:
@@ -824,7 +736,7 @@ def coboundary_cocycle(report, cover, unit_choices):
             rw = report.local_rings[w]
             ai = rw.make(*unit_choices[i])
             aj = rw.make(*unit_choices[j])
-            units[(i, j)] = rw.mul(ai, rw.inverse(aj))
+            units[(i, j)] = rw.mul(ai, rw.inv(aj))
     return UnitCocycle(report, cover, units)
 
 
@@ -905,7 +817,7 @@ def cocycles_equal_mod_coboundary(report, cover, c1: UnitCocycle, c2: UnitCocycl
     """Whether c1 and c2 differ by a coboundary (a_i / a_j), by unit scan."""
     cover = [frozenset(u) for u in cover]
     rings = [report.local_rings[u] for u in cover]
-    unit_lists = [r.units() for r in rings]
+    unit_lists = [[a for a, _ in domain_units(r)] for r in rings]
     n = len(cover)
     for combo in itertools.product(*unit_lists):
         ok = True
@@ -941,12 +853,12 @@ def cocycles_on_cover(report, cover):
     w = u0 & u1
     rw = report.local_rings[w]
     out = []
-    for f01 in rw.units():
+    for f01, f10 in domain_units(rw):
         units = {
             (0, 0): report.local_rings[u0].one(),
             (1, 1): report.local_rings[u1].one(),
             (0, 1): f01,
-            (1, 0): rw.inverse(f01),
+            (1, 0): f10,
         }
         out.append(UnitCocycle(report, [u0, u1], units))
     return out
@@ -957,7 +869,7 @@ def cocycles_on_cover(report, cover):
 # ---------------------------------------------------------------------------
 
 class FiniteModule:
-    """A finite module over a FiniteRing: explicit elements and actions."""
+    """A finite module over a finite ring: explicit elements and actions."""
 
     def __init__(self, ring, elements, add, smul, zero):
         self.ring = ring

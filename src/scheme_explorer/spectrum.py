@@ -21,8 +21,11 @@ from .arith import (
     Zmod,
     factor_dense,
     is_prime,
+    poly_to_dense,
     prime_factors,
     up_deg,
+    up_eval,
+    up_mod,
     up_norm,
 )
 from .errors import (
@@ -314,7 +317,7 @@ def _enumerate_quotient(cat, bound):
         # enumerable over any supported field regardless of the bound
         k = inner.data["field"]
         ring = inner.algebra.ring
-        dense = _poly_to_dense_over(ideal_gens[0], k)
+        dense = poly_to_dense(ideal_gens[0], k)
         _, fac = factor_dense(dense, k)
         out = []
         for g, _ in fac:
@@ -370,60 +373,42 @@ def evaluate(f, point: SpecPoint):
         k = owner.data["field"]
         if desc[0] == "generic":
             K = point.residue
-            return K.from_poly(_poly_to_dense_over(f, k))
+            return K.from_poly(poly_to_dense(f, k))
         P = desc[1]
-        dense = _poly_to_dense_over(f, k)
-        modulus = _poly_to_dense_over(P, k)
+        dense = poly_to_dense(f, k)
+        modulus = poly_to_dense(P, k)
         if up_deg(modulus) == 1:
             root = k.neg(modulus[0])
-            from .arith import up_eval
-
             return up_eval(k, dense, root)
-        K = point.residue
-        return up_norm(k, _dense_mod(k, dense, modulus))
+        return up_mod(k, dense, modulus)
     if kind == "ZZT":
         return _evaluate_zzt(f, point)
     raise NotCatalogued(f"evaluation not catalogued for {kind}")
-
-
-def _poly_to_dense_over(f: Poly, k):
-    dense = [k.zero()] * (f.total_degree() + 1 if f.terms else 0)
-    for e, c in f.terms:
-        dense[e[0]] = k.coerce(f.ring.domain, c)
-    return up_norm(k, tuple(dense))
-
-
-def _dense_mod(k, dense, modulus):
-    from .arith import up_mod
-
-    return up_mod(k, dense, modulus)
 
 
 def _evaluate_zzt(f, point):
     desc = point.description
     if desc[0] == "generic":
         K = point.residue  # QQ(T)
-        return K.from_poly(_poly_to_dense_over(f, QQ))
+        return K.from_poly(poly_to_dense(f, QQ))
     if desc[0] == "principal" and isinstance(desc[1], int):
         p = desc[1]
         K = point.residue  # GF(p)(T)
-        return K.from_poly(_poly_to_dense_over(f, Zmod(p)))
+        return K.from_poly(poly_to_dense(f, Zmod(p)))
     if desc[0] == "principal":
         # height-one: reduce modulo the irreducible P over QQ
         P = desc[1]
         K = point.residue
-        dense = _poly_to_dense_over(f, QQ)
-        return up_norm(QQ, _dense_mod(QQ, dense, K.modulus))
+        dense = poly_to_dense(f, QQ)
+        return up_mod(QQ, dense, K.modulus)
     if desc[0] == "mixed":
         p, lift = desc[1], desc[2]
         k = Zmod(p)
-        dense = _poly_to_dense_over(f, k)
-        modulus = _poly_to_dense_over(lift, k)
+        dense = poly_to_dense(f, k)
+        modulus = poly_to_dense(lift, k)
         if up_deg(modulus) == 1:
-            from .arith import up_eval
-
             return up_eval(k, dense, k.neg(modulus[0]))
-        return up_norm(k, _dense_mod(k, dense, modulus))
+        return up_mod(k, dense, modulus)
     raise NotCatalogued(f"evaluation at {desc!r}")
 
 
@@ -531,7 +516,7 @@ def _generic_residue(owner):
 def _principal_residue(owner, gen):
     if owner.kind == "kT":
         k = owner.data["field"]
-        dense = _poly_to_dense_over(gen, k)
+        dense = poly_to_dense(gen, k)
         return k if up_deg(dense) == 1 else ExtField(k, dense, check=False)
     return None
 
@@ -604,7 +589,7 @@ def _factor_bivariate(f):
     out = []
     if not content.is_constant():
         uni_ring = PolyRing(ring.domain, (other,), ring.order)
-        dense = _poly_to_dense_over_var(content, other)
+        dense = poly_to_dense(content, var=other)
         _, fac = factor_dense(dense, ring.domain)
         for g, _ in fac:
             lifted = ring.from_dict(
@@ -619,15 +604,6 @@ def _exps_for(ring, var, k):
     exps = [0] * ring.nvars
     exps[ring._index[var]] = k
     return tuple(exps)
-
-
-def _poly_to_dense_over_var(f, var):
-    k = f.ring.domain
-    i = f.ring._index[var]
-    dense = [k.zero()] * (f.degree_in(var) + 1 if f.terms else 0)
-    for e, c in f.terms:
-        dense[e[i]] = c
-    return up_norm(k, tuple(dense))
 
 
 def _factor_primitive_bivariate(f, main, other):
@@ -719,7 +695,7 @@ def _monic_divisors(poly, var):
     """Monic divisors (in k[S]) of a polynomial in the single variable var."""
     ring = poly.ring
     k = ring.domain
-    dense = _poly_to_dense_over_var(poly, var)
+    dense = poly_to_dense(poly, var=var)
     _, fac = factor_dense(dense, k)
     divisors = [ring.one()]
     for g, mult in fac:
@@ -827,7 +803,7 @@ def closure_fiber_points(P0: Poly, p: int):
     nonzero constant.  Returns a list of (SpecPoint-like record, mult).
     """
     k = Zmod(p)
-    dense = _poly_to_dense_over(P0, k)
+    dense = poly_to_dense(P0, k)
     if not dense:
         raise Undecidable(f"{P0} vanishes mod {p}: the whole fiber")
     if up_deg(dense) == 0:

@@ -238,6 +238,7 @@ def test_domain_units_z12_by_gcd_scan():
 def test_domain_units_field_and_infinite():
     assert len(domain_units(GF(7))) == 6
     assert [u for u, _ in domain_units(Zmod(2))] == [1]
+    assert domain_units(Zmod(1)) == [(0, 0)]  # the zero ring: 0 = 1 is a unit
     with pytest.raises(InfiniteDomain):
         domain_units(ZZ)
 

@@ -193,6 +193,10 @@ def test_sheaf_on_zz0_is_a_typed_error():
     "ideal I = (X) in QQ[X,X];",
     'proj veronese --p "[2:3:1]";',
     "proj sections --n -1 --d 2;",
+    'spec closure --ring "ZZ[T]" --point "eta";',
+    'proj points --space "P^x(GF(2))";',
+    'proj points --space "P^2GF(2))";',
+    'proj points --space "P^-3(GF(2))";',
 ])
 def test_out_of_domain_arguments_are_typed_errors(statement):
     proc = run_cli(["exec", statement, "--format", "json"])
@@ -209,3 +213,39 @@ def test_fiber_of_a_field_of_characteristic_zero_over_a_prime_is_empty():
     data = records[0]["data"]
     assert data["points"] == []
     assert data["fiber_ring"] == "GF(5)[T]/(1)"
+
+
+def test_finite_ring_edge_cases_keep_their_answers():
+    records, _ = run_script(dsl.parse(
+        'sheaf check --space "spec(ZZ/1)";'
+        "ring A = ZZ/1[X];"
+        "ring B = ZZ/0[X];"
+        'sheaf twist --space "spec(ZZ/12)" --cover "X,D(2)" --cocycle 0;'
+    ))
+    assert records[0]["data"] == {
+        "kind": "sheaf-check",
+        "space": "spec(ZZ/1)",
+        "topology": {"points": [], "opens": [[]]},
+        "is_sheaf": True,
+        "stalks_preserved": True,
+        "sections_per_open": [{"open": [], "count": 1}],
+    }
+    assert [r["error"] for r in records[1:]] == [
+        {"code": "unsupported-domain", "message": "modulus must be >= 2"},
+        {"code": "unsupported-domain", "message": "modulus must be >= 2"},
+        {"code": "non-invertible-unit", "message": "0 is not invertible"},
+    ]
+
+
+def test_sheaf_space_with_a_zero_relation_is_a_typed_error():
+    records, _ = run_script(dsl.parse('sheaf check --space "spec(GF(5)[e]/(0))";'))
+    assert records[0]["error"] == {"code": "unsupported", "message": "modulus must be monic"}
+
+
+def test_closure_fibers_need_a_univariate_ring():
+    """Read by its first variable alone, T + 30*S reduced to the constant 1
+    mod 2, 3 and 5, and every fiber came back empty."""
+    records, _ = run_script(dsl.parse(
+        'spec closure --ring "ZZ[S,T]" --point "eta,(T+30*S)" --fibers 5;'
+    ))
+    assert records[0]["error"]["code"] == "unsupported-domain"
