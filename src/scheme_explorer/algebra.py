@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .arith import QQ, ZZ, Domain, Zmod, prime_factors
 from .errors import (
@@ -343,63 +342,54 @@ def _monomials_up_to(ring, degree):
     return out
 
 
-def _integer_unit_combination(relations, ring, max_degree=8):
-    """Search sum(a_i * g_i) = constant with rational a_i of bounded degree.
+def _integer_unit_combination(relations, ring):
+    """A positive integer in the ideal, or None.
 
-    Returns a positive integer in the ideal (the scaled constant), or None.
+    Solves sum(a_i * g_i) = 1 over QQ (``unit_partition``); the lcm of the
+    denominators of the a_i scales it into an integral combination.
     """
     ring_q = PolyRing(QQ, ring.names, ring.order)
     gens = [g.map_coefficients(ring_q) for g in relations]
     if not gens:
         return None
-    for bound in range(0, max_degree + 1):
-        monos = _monomials_up_to(ring_q, bound)
-        cols = []
-        for g in gens:
-            for m in monos:
-                cols.append(ring_q.monomial(m) * g)
-        target_monos = sorted(
-            {e for c in cols for e, _ in c.terms}, key=ring_q.order.key
-        )
-        index = {e: i for i, e in enumerate(target_monos)}
-        matrix = [[Fraction(0)] * len(cols) for _ in target_monos]
-        for j, c in enumerate(cols):
-            for e, coeff in c.terms:
-                matrix[index[e]][j] = coeff
-        rhs = [Fraction(0)] * len(target_monos)
-        const_key = (0,) * ring_q.nvars
-        if const_key not in index:
-            continue
-        rhs[index[const_key]] = Fraction(1)
-        sol = _solve_field(matrix, rhs, QQ)
-        if sol is not None:
-            return math.lcm(*(v.denominator for v in sol))
-    return None
+    coeffs = unit_partition(None, gens)
+    if coeffs is None:
+        return None
+    return math.lcm(*(c.denominator for a in coeffs for _, c in a.terms))
+
+
+def unit_partition_zz(values):
+    """Integers a_i with sum(a_i * v_i) = 1, or None when gcd(v) != 1.
+
+    Iterated extended gcd: after step i the coefficients combine
+    v_0, ..., v_i into their gcd.
+    """
+    if math.gcd(*values) != 1:
+        return None
+    if len(values) == 1:
+        return [values[0]]  # 1 or -1, its own inverse
+    coeffs = [0] * len(values)
+    coeffs[0] = 1
+    g = values[0]
+    for idx in range(1, len(values)):
+        g, u, v = _ext_gcd_int(g, values[idx])
+        for i in range(idx):
+            coeffs[i] *= u
+        coeffs[idx] = v
+        if g == 1:
+            break
+    return coeffs
 
 
 def unit_partition_zmod(n, elems):
     """Coefficients a_i in ZZ/n with sum(a_i * f_i) = 1, or None.
 
-    Solved over ZZ: gcd(f_1, ..., f_r, n) must be 1; the Bezout chain gives
-    an integral combination which reduces mod n.
+    The Bezout combination of (f_1, ..., f_r, n) over ZZ, reduced mod n.
     """
-    g = n
-    for f in elems:
-        g = math.gcd(g, f)
-    if g != 1:
+    coeffs = unit_partition_zz(list(elems) + [n])
+    if coeffs is None:
         return None
-    # iterated extended gcd over (f_1, ..., f_r, n)
-    values = list(elems) + [n]
-    g = values[0]
-    table = [[1 if i == 0 else 0 for i in range(len(values))]]
-    for idx in range(1, len(values)):
-        new_g, u, v = _ext_gcd_int(g, values[idx])
-        row = [u * c for c in table[-1]]
-        row[idx] += v
-        table.append(row)
-        g = new_g
-    final = table[-1]
-    return [c % n for c in final[: len(elems)]]
+    return [c % n for c in coeffs[: len(elems)]]
 
 
 def _ext_gcd_int(a, b):

@@ -100,8 +100,8 @@ class Domain:
     """Base class for exact rings; elements are opaque hashable values.
 
     A subclass defines ``from_int``, ``add``, ``neg`` and ``mul``; a finite
-    one also defines ``elements``, which gives it ``inv`` (a search) and
-    ``domain_units``.
+    one also defines ``elements``, which gives it ``order``, ``inv`` (a
+    search) and ``domain_units``.
     """
 
     is_field = False
@@ -152,6 +152,10 @@ class Domain:
 
     def elements(self):
         raise InfiniteDomain(f"{self} is not finite")
+
+    def order(self):
+        """Number of elements; subclasses that know it avoid listing them."""
+        return len(self.elements())
 
     def coerce(self, other, a):
         """Map an element of ``other`` into self along the canonical arrow."""
@@ -400,16 +404,6 @@ def up_mul(dom, a, b):
         for j, y in enumerate(b):
             out[i + j] = dom.add(out[i + j], dom.mul(x, y))
     return up_norm(dom, out)
-
-
-def up_pow(dom, a, n):
-    r = (dom.one(),)
-    while n:
-        if n & 1:
-            r = up_mul(dom, r, a)
-        a = up_mul(dom, a, a)
-        n >>= 1
-    return r
 
 
 def up_divmod(dom, a, b):

@@ -212,10 +212,9 @@ def _fiber(cmd, env):
     bound = _count_flag(cmd, "bound", 6)
     src_cat = sp.SpecCatalogue.recognize(phi.source)
     if key == "p":
-        if not (val.isdigit() and arith.is_prime(int(val))):
+        if not (val.isdecimal() and arith.is_prime(int(val))):
             raise InvalidArgument(f"--at p={val}: p must be a prime number")
-        p = int(val)
-        point = sp.SpecPoint(src_cat, ("principal", p), arith.Zmod(p), label=f"x_{p}")
+        point = sp.prime_point(src_cat, int(val))
     else:
         raise SchemeError(f"unsupported fiber location {at!r}")
     description = mor.fiber(phi, point, bound=bound)
@@ -263,10 +262,6 @@ def _parse_line_point(text, field):
 
 def _coords_str(field, coords):
     return "[" + ":".join(field.format(c) for c in coords) + "]"
-
-
-def _parse_proj_point(text, field):
-    return pj.point_normalize(field, _parse_raw_coords(text, field))
 
 
 def _proj(cmd, env):

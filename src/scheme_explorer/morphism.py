@@ -8,6 +8,8 @@ point sets of univariate fibers come from factorization.
 
 from __future__ import annotations
 
+import math
+
 from . import algebra as alg
 from . import spectrum as sp
 from .arith import (
@@ -80,19 +82,18 @@ def preimage_point(phi: RingMorphism, q: sp.SpecPoint):
     kind = src_cat.kind
     kappa = q.residue
     if kind in ("field",):
-        return sp.enumerate_points(src_cat)[0]
+        return sp.generic_point(src_cat)
     if kind == "ZZ":
         char = _residue_characteristic(kappa)
         if char == 0:
-            return sp.SpecPoint(src_cat, ("generic",), QQ, label="eta")
-        return sp.SpecPoint(src_cat, ("principal", char), Zmod(char),
-                            label=f"x_{char}")
+            return sp.generic_point(src_cat)
+        return sp.prime_point(src_cat, char)
     if kind in ("kT", "ZZT"):
         return _preimage_in_poly_ring(phi, q, src_cat)
     if kind == "kST":
         # only the generic-to-generic case is catalogued here
         if q.is_generic():
-            return sp.SpecPoint(src_cat, ("generic",), None, label="eta")
+            return sp.generic_point(src_cat)
         raise NotCatalogued("closed-point preimages in k[S,T] are not catalogued")
     raise NotCatalogued(f"preimages for source {kind}")
 
@@ -119,44 +120,24 @@ def _preimage_in_poly_ring(phi, q, src_cat):
             if up_deg(num) <= 0 and up_deg(den) == 0:
                 raise NotCatalogued("algebraic value inside a function field")
             if char == 0:
-                return sp.SpecPoint(src_cat, ("generic",), FracField(QQ, var),
-                                    label="xi_eta")
-            return sp.SpecPoint(src_cat, ("principal", char),
-                                FracField(Zmod(char), var), label=f"xi_{char}")
+                return sp.generic_point(src_cat)
+            return sp.prime_point(src_cat, char)
         if char > 0:
             minpoly = _min_poly_of_value(value, kappa, Zmod(char))
-            lift = phi.source.ring.from_dict(
-                {(i,): int(c) for i, c in enumerate(minpoly)}
-            )
-            res = Zmod(char) if up_deg(minpoly) == 1 else ExtField(
-                Zmod(char), minpoly, check=False
-            )
-            return sp.SpecPoint(src_cat, ("mixed", char, lift), res,
-                                label=f"y_({char},{lift})")
+            return sp.mixed_point(src_cat, char, minpoly)
+        # the kernel is generated by the primitive integer multiple of minpoly
         minpoly = _min_poly_of_value(value, kappa, QQ)
-        lift = phi.source.ring.from_dict(
-            {(i,): _frac_to_int(c) for i, c in enumerate(minpoly)}
-        )
-        res = ExtField(QQ, minpoly, check=False)
-        return sp.SpecPoint(src_cat, ("principal", lift), res, label=f"y_(eta,{lift})")
+        d = math.lcm(*(c.denominator for c in minpoly))
+        return sp.height_one_point(src_cat, [int(c * d) for c in minpoly])
     # kT over a field k
     k = src_cat.data["field"]
     if isinstance(kappa, FracField) and kappa.base == k:
         num, den = value
         if up_deg(num) > 0 or up_deg(den) > 0:
-            return sp.SpecPoint(src_cat, ("generic",), FracField(k, var), label="eta")
+            return sp.generic_point(src_cat)
         value = num[0] if num else k.zero()
         kappa = k
-    minpoly = _min_poly_of_value(value, kappa, k)
-    P = phi.source.ring.from_dict({(i,): c for i, c in enumerate(minpoly)})
-    res = k if up_deg(minpoly) == 1 else ExtField(k, minpoly, check=False)
-    return sp.SpecPoint(src_cat, ("principal", P), res, label=f"x_({P})")
-
-
-def _frac_to_int(c):
-    if c.denominator != 1:
-        raise NotCatalogued("kernel lift has true denominators")
-    return int(c)
+    return sp.closed_point(src_cat, _min_poly_of_value(value, kappa, k))
 
 
 def _min_poly_of_value(value, kappa, k):
@@ -286,15 +267,18 @@ def _base_change_to_residue(phi, x, kappa):
     coefficients into kappa, and pin each source variable to its value."""
     target, aux = _flatten_extension(phi.target)
     ring = PolyRing(kappa, target.names, target.ring.order)
-    rels = [_push_coeffs(rel, ring, kappa) for rel in target.relations]
+    rels = [rel.map_coefficients(ring) for rel in target.relations]
+    if aux is not None and phi.source.base == phi.target.base:
+        # the source's coefficient extension is pinned in kappa like a variable
+        ext = phi.target.base
+        rels.append(ring.gen(aux) - ring.const(kappa.coerce(ext, ext.gen())))
     for name, image in zip(phi.source.names, phi.images):
         value = sp.evaluate(phi.source.ring.gen(name), x)
         if aux is None:
             image_flat = image.relabel(target.ring)
         else:
             image_flat = _expand_ext_coeffs(image, target.ring, phi.target.base)
-        image_up = _push_coeffs(image_flat, ring, kappa)
-        rels.append(image_up - ring.const(_into(kappa, value)))
+        rels.append(image_flat.map_coefficients(ring) - ring.const(value))
     rels = [r for r in rels if not r.is_zero()]
     fiber_algebra = alg.PresentedAlgebra(kappa, target.names, rels, target.ring.order)
     return _substitute_pinned(fiber_algebra)
@@ -347,26 +331,6 @@ def _pinned_form(rel):
     if len(rel.terms) > 2:
         return None
     return name, const
-
-
-def _push_coeffs(poly, ring, kappa):
-    d = {}
-    for e, c in poly.terms:
-        v = kappa.coerce(poly.ring.domain, c)
-        if not kappa.is_zero(v):
-            d[e] = v
-    return ring.from_dict(d)
-
-
-def _into(kappa, value):
-    """Normalize an evaluation result into a kappa element."""
-    if isinstance(kappa, Zmod):
-        return value % kappa.n
-    if isinstance(kappa, ExtField):
-        if isinstance(value, tuple):
-            return value
-        return kappa.from_base(value)
-    return value
 
 
 def _symbolic_fiber(phi, x, bound):
@@ -464,10 +428,7 @@ def _first_point_of_univariate_quotient(algebra):
     _, fac = factor_dense(dense, algebra.base)
     if not fac:
         return None
-    g = fac[0][0]
     cat = sp.SpecCatalogue.recognize(
         alg.PresentedAlgebra(algebra.base, algebra.names)
     )
-    P = cat.algebra.ring.from_dict({(i,): c for i, c in enumerate(g)})
-    kappa = algebra.base if up_deg(g) == 1 else ExtField(algebra.base, g, check=False)
-    return sp.SpecPoint(cat, ("principal", P), kappa, label=f"x_({P})")
+    return sp.closed_point(cat, fac[0][0])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import ZZ, Domain, up_gcd, up_norm
+from .arith import QQ, ZZ, Domain, up_gcd, up_norm
 from .errors import InvalidArgument, NotHomogeneous, ZeroPolynomial
 
 
@@ -232,7 +232,7 @@ class Poly:
         if isinstance(other, int):
             return self.ring.from_int(other)
         if isinstance(other, Fraction):
-            return self.ring.const(self.ring.domain.coerce(_frac_dom, other))
+            return self.ring.const(self.ring.domain.coerce(QQ, other))
         return NotImplemented
 
     def __add__(self, other):
@@ -420,19 +420,6 @@ class Poly:
 
 def _atomic_coeff(body):
     return all(ch not in body for ch in "+- ")
-
-
-_frac_dom = None  # set below to avoid import cycle with arith
-
-
-def _init_frac_dom():
-    global _frac_dom
-    from .arith import QQ
-
-    _frac_dom = QQ
-
-
-_init_frac_dom()
 
 
 # ---------------------------------------------------------------------------

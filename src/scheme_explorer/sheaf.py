@@ -359,6 +359,9 @@ class QuotientPolyRing(Domain):
             )
         return self._elements
 
+    def order(self):
+        return self.k.order() ** self.deg
+
     def from_int(self, n):
         return tuple(
             self.k.from_int(n) if i == 0 else self.k.zero() for i in range(self.deg)
@@ -418,6 +421,9 @@ class ProductRing(Domain):
                 (a, b) for a in self.left.elements() for b in self.right.elements()
             ]
         return self._elements
+
+    def order(self):
+        return self.left.order() * self.right.order()
 
     def from_int(self, n):
         return (self.left.from_int(n), self.right.from_int(n))
@@ -648,7 +654,7 @@ class StructureSheafReport:
 
 def structure_sheaf(ring: Domain):
     """The structure sheaf of a finite ring with all comparison data."""
-    size = len(ring.elements())
+    size = ring.order()
     if size > 4000:
         raise InfiniteSpectrum(f"ring too large to enumerate ({size} elements)")
     presheaf, space, primes, local_rings = structure_presheaf(ring)

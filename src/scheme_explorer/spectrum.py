@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import algebra as alg
+from . import proj as pj
 from .arith import (
     QQ,
     ZZ,
@@ -30,6 +31,7 @@ from .arith import (
 )
 from .errors import (
     FactorizationUnavailable,
+    InvalidArgument,
     NotCatalogued,
     Undecidable,
     Unsupported,
@@ -108,6 +110,10 @@ class SpecPoint:
                                           coefficients in [0, p)
         ("embedded", tag, inner_point)    catalogue point seen through a
                                           quotient/localization/product
+
+    The constructors below (``generic_point``, ``prime_point``,
+    ``closed_point``, ``mixed_point``, ``height_one_point``) are the one
+    place that pairs each description with its label and residue field.
     """
 
     def __init__(self, owner, description, residue, label=""):
@@ -198,6 +204,85 @@ def _monic_irreducibles(field, max_degree):
     return out
 
 
+def generic_point(cat: SpecCatalogue):
+    """The zero ideal of a catalogued domain; k(S,T) has no residue object."""
+    kind = cat.kind
+    if kind == "field":
+        return SpecPoint(cat, ("generic",), cat.data["field"], label="point")
+    if kind == "ZZ":
+        return SpecPoint(cat, ("generic",), QQ, label="eta")
+    if kind == "kT":
+        kappa = FracField(cat.data["field"], cat.data["var"])
+        return SpecPoint(cat, ("generic",), kappa, label="eta")
+    if kind == "ZZT":
+        kappa = FracField(QQ, cat.data["var"])
+        return SpecPoint(cat, ("generic",), kappa, label="xi_eta")
+    if kind == "kST":
+        return SpecPoint(cat, ("generic",), None, label="eta")
+    raise NotCatalogued(f"no generic point catalogued for {kind}")
+
+
+def prime_point(cat: SpecCatalogue, p):
+    """The point over the prime number p.
+
+    (p) itself in ZZ, in ZZ/n for p | n, and in a field of characteristic p;
+    the generic point xi_p of the fiber over p in ZZ[T]; the generic point of
+    k[T] or k[S,T] when char k = p, where (p) = 0.  Where p is a unit no point
+    lies over it, and that is an InvalidArgument.
+    """
+    kind = cat.kind
+    if kind == "ZZT":
+        kappa = FracField(Zmod(p), cat.data["var"])
+        return SpecPoint(cat, ("principal", p), kappa, label=f"xi_{p}")
+    if kind == "ZZ":
+        return SpecPoint(cat, ("principal", p), Zmod(p), label=f"x_{p}")
+    if kind not in ("Zmod", "field", "kT", "kST"):
+        raise NotCatalogued(f"the point over p={p} is not catalogued for {kind}")
+    base = cat.algebra.base
+    if base.char == 0 or base.char % p:
+        ring = cat.algebra if cat.algebra.names else base
+        raise InvalidArgument(f"{p} is a unit in {ring!r}: no point lies over p={p}")
+    if kind in ("kT", "kST"):
+        return generic_point(cat)
+    kappa = base if kind == "field" else Zmod(p)
+    return SpecPoint(cat, ("principal", p), kappa, label=f"x_{p}")
+
+
+def closed_point(cat: SpecCatalogue, g):
+    """The closed point (g) of k[T], g monic irreducible dense over k."""
+    k = cat.data["field"]
+    P = cat.algebra.ring.from_dict({(i,): c for i, c in enumerate(g)})
+    kappa = k if up_deg(g) == 1 else ExtField(k, g, check=False)
+    return SpecPoint(cat, ("principal", P), kappa, label=f"x_({P})")
+
+
+def mixed_point(cat: SpecCatalogue, p, g):
+    """The closed point (p, g) of ZZ[T], g monic irreducible dense over GF(p);
+    the lift keeps g's coefficients in [0, p)."""
+    k = Zmod(p)
+    lift = cat.algebra.ring.from_dict({(i,): int(c) for i, c in enumerate(g)})
+    kappa = k if up_deg(g) == 1 else ExtField(k, g, check=False)
+    return SpecPoint(cat, ("mixed", p, lift), kappa, label=f"y_({p},{lift})")
+
+
+def height_one_point(cat: SpecCatalogue, coeffs):
+    """The height-one prime (P) of ZZ[T] over the generic point of Spec ZZ.
+
+    ``coeffs`` are P's integer coefficients, low degree first; P has content
+    one and is irreducible over QQ, and its residue field is QQ[t]/(P).
+    """
+    P = cat.algebra.ring.from_dict({(i,): c for i, c in enumerate(coeffs)})
+    kappa = ExtField(QQ, tuple(Fraction(c) for c in coeffs), check=False)
+    return SpecPoint(cat, ("principal", P), kappa, label=f"y_(eta,{P})")
+
+
+def _embedded_point(cat: SpecCatalogue, tag, pt):
+    """A point of an inner catalogue seen through a quotient, a localization
+    or one side ("left"/"right") of a product."""
+    label = f"{tag}:{pt.label}" if tag in ("left", "right") else pt.label
+    return SpecPoint(cat, ("embedded", tag, pt), pt.residue, label)
+
+
 def enumerate_points(cat: SpecCatalogue, bound=10):
     """Complete list of points whose invariants fall under ``bound``.
 
@@ -210,32 +295,17 @@ def enumerate_points(cat: SpecCatalogue, bound=10):
     """
     kind = cat.kind
     if kind == "field":
-        k = cat.data["field"]
-        return [SpecPoint(cat, ("generic",), k, label="point")]
+        return [generic_point(cat)]
     if kind == "ZZ":
-        pts = [SpecPoint(cat, ("generic",), QQ, label="eta")]
-        for p in _primes_upto(bound):
-            pts.append(SpecPoint(cat, ("principal", p), Zmod(p), label=f"x_{p}"))
-        return pts
+        return [generic_point(cat)] + [prime_point(cat, p) for p in _primes_upto(bound)]
     if kind == "Zmod":
-        n = cat.data["n"]
-        return [
-            SpecPoint(cat, ("principal", p), Zmod(p), label=f"x_{p}")
-            for p, _ in prime_factors(n)
-        ]
+        return [prime_point(cat, p) for p, _ in prime_factors(cat.data["n"])]
     if kind == "kT":
         k = cat.data["field"]
-        var = cat.data["var"]
-        ring = cat.algebra.ring
-        pts = [SpecPoint(cat, ("generic",), FracField(k, var), label="eta")]
         if isinstance(k, Zmod) or (isinstance(k, ExtField) and k.char > 0):
-            for poly in _monic_irreducibles(k, bound):
-                P = ring.from_dict({(i,): c for i, c in enumerate(poly)})
-                kappa = k if up_deg(poly) == 1 else ExtField(k, poly, check=False)
-                pts.append(
-                    SpecPoint(cat, ("principal", P), kappa, label=f"x_({P})")
-                )
-            return pts
+            return [generic_point(cat)] + [
+                closed_point(cat, g) for g in _monic_irreducibles(k, bound)
+            ]
         raise NotCatalogued(
             "closed points of k[T] are only enumerable over a finite field"
         )
@@ -246,35 +316,20 @@ def enumerate_points(cat: SpecCatalogue, bound=10):
     if kind == "localization":
         return _enumerate_localization(cat, bound)
     if kind == "product":
-        left = enumerate_points(cat.data["left"], bound)
-        right = enumerate_points(cat.data["right"], bound)
-        out = []
-        for pt in left:
-            out.append(SpecPoint(cat, ("embedded", "left", pt), pt.residue,
-                                 label=f"left:{pt.label}"))
-        for pt in right:
-            out.append(SpecPoint(cat, ("embedded", "right", pt), pt.residue,
-                                 label=f"right:{pt.label}"))
-        return out
+        return [
+            _embedded_point(cat, side, pt)
+            for side in ("left", "right")
+            for pt in enumerate_points(cat.data[side], bound)
+        ]
     raise NotCatalogued(f"cannot enumerate {kind}")
 
 
 def _enumerate_zzt(cat, bound, max_degree=2):
-    ring = cat.algebra.ring
-    var = cat.data["var"]
-    pts = [SpecPoint(cat, ("generic",), FracField(QQ, var), label="xi_eta")]
+    pts = [generic_point(cat)]
     for p in _primes_upto(bound):
-        pts.append(
-            SpecPoint(cat, ("principal", p), FracField(Zmod(p), var),
-                      label=f"xi_{p}")
-        )
-        field = Zmod(p)
-        for poly in _monic_irreducibles(field, max_degree):
-            lift = ring.from_dict({(i,): int(c) for i, c in enumerate(poly)})
-            kappa = field if up_deg(poly) == 1 else ExtField(field, poly, check=False)
-            pts.append(
-                SpecPoint(cat, ("mixed", p, lift), kappa, label=f"y_({p},{lift})")
-            )
+        pts.append(prime_point(cat, p))
+        for g in _monic_irreducibles(Zmod(p), max_degree):
+            pts.append(mixed_point(cat, p, g))
     # height-one primes: content-one polynomials irreducible over QQ, small
     import itertools
     from math import gcd
@@ -295,11 +350,7 @@ def _enumerate_zzt(cat, bound, max_degree=2):
                 continue
             if not _is_irreducible_dense(dense, QQ):
                 continue
-            P = ring.from_dict({(i,): int(c) for i, c in enumerate(coeffs)})
-            kappa = ExtField(QQ, dense, check=False)
-            pts.append(
-                SpecPoint(cat, ("principal", P), kappa, label=f"y_(eta,{P})")
-            )
+            pts.append(height_one_point(cat, coeffs))
     return pts
 
 
@@ -315,113 +366,56 @@ def _enumerate_quotient(cat, bound):
     ):
         # V(f) in Spec k[T] is the finite set of irreducible factors of f,
         # enumerable over any supported field regardless of the bound
-        k = inner.data["field"]
-        ring = inner.algebra.ring
-        dense = poly_to_dense(ideal_gens[0], k)
-        _, fac = factor_dense(dense, k)
-        out = []
-        for g, _ in fac:
-            P = ring.from_dict({(i,): c for i, c in enumerate(g)})
-            kappa = k if up_deg(g) == 1 else ExtField(k, g, check=False)
-            pt = SpecPoint(inner, ("principal", P), kappa, label=f"x_({P})")
-            out.append(SpecPoint(cat, ("embedded", "quotient", pt), kappa, pt.label))
-        return out
-    out = []
-    for pt in enumerate_points(inner, bound):
-        if all(_vanishes_at(g, pt) for g in ideal_gens):
-            out.append(
-                SpecPoint(cat, ("embedded", "quotient", pt), pt.residue, pt.label)
-            )
-    return out
+        _, fac = factor_dense(poly_to_dense(ideal_gens[0]), inner.data["field"])
+        return [
+            _embedded_point(cat, "quotient", closed_point(inner, g)) for g, _ in fac
+        ]
+    return [
+        _embedded_point(cat, "quotient", pt)
+        for pt in enumerate_points(inner, bound)
+        if all(_vanishes_at(g, pt) for g in ideal_gens)
+    ]
 
 
 def _enumerate_localization(cat, bound):
     """Points of S^{-1}A: the points where the inverted element survives."""
-    inner_cat = cat.data["inner"]
     f = cat.data["element"]
-    out = []
-    for pt in enumerate_points(inner_cat, bound):
-        if not _vanishes_at(f, pt):
-            out.append(
-                SpecPoint(cat, ("embedded", "localization", pt), pt.residue, pt.label)
-            )
-    return out
+    return [
+        _embedded_point(cat, "localization", pt)
+        for pt in enumerate_points(cat.data["inner"], bound)
+        if not _vanishes_at(f, pt)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # evaluation f(x) in kappa(x)
 # ---------------------------------------------------------------------------
 
-def evaluate(f, point: SpecPoint):
-    """Image of a ring element under A -> kappa(x)."""
-    desc = point.description
-    owner = point.owner
-    if desc[0] == "embedded":
-        return evaluate(f, desc[2])
-    kind = owner.kind
-    if kind == "field":
-        return f.constant_value() if isinstance(f, Poly) else f
-    if kind == "ZZ":
-        n = f.constant_value() if isinstance(f, Poly) else f
-        if desc[0] == "generic":
-            return Fraction(n)
-        return n % desc[1]
-    if kind == "Zmod":
-        n = f.constant_value() if isinstance(f, Poly) else f
-        return n % desc[1]
-    if kind == "kT":
-        k = owner.data["field"]
-        if desc[0] == "generic":
-            K = point.residue
-            return K.from_poly(poly_to_dense(f, k))
-        P = desc[1]
-        dense = poly_to_dense(f, k)
-        modulus = poly_to_dense(P, k)
-        if up_deg(modulus) == 1:
-            root = k.neg(modulus[0])
-            return up_eval(k, dense, root)
-        return up_mod(k, dense, modulus)
-    if kind == "ZZT":
-        return _evaluate_zzt(f, point)
-    raise NotCatalogued(f"evaluation not catalogued for {kind}")
+def evaluate(f: Poly, point: SpecPoint):
+    """Image of a ring element under A -> kappa(x), an element of the residue.
 
-
-def _evaluate_zzt(f, point):
-    desc = point.description
-    if desc[0] == "generic":
-        K = point.residue  # QQ(T)
-        return K.from_poly(poly_to_dense(f, QQ))
-    if desc[0] == "principal" and isinstance(desc[1], int):
-        p = desc[1]
-        K = point.residue  # GF(p)(T)
-        return K.from_poly(poly_to_dense(f, Zmod(p)))
-    if desc[0] == "principal":
-        # height-one: reduce modulo the irreducible P over QQ
-        P = desc[1]
-        K = point.residue
-        dense = poly_to_dense(f, QQ)
-        return up_mod(QQ, dense, K.modulus)
-    if desc[0] == "mixed":
-        p, lift = desc[1], desc[2]
-        k = Zmod(p)
-        dense = poly_to_dense(f, k)
-        modulus = poly_to_dense(lift, k)
-        if up_deg(modulus) == 1:
-            return up_eval(k, dense, k.neg(modulus[0]))
-        return up_mod(k, dense, modulus)
-    raise NotCatalogued(f"evaluation at {desc!r}")
+    The residue field decides: a constant maps along the canonical arrow; a
+    rational function field takes f as a fraction; a simple extension
+    generated by the class of T reduces f modulo its modulus; the coefficient
+    field itself receives f at the root of the point's linear generator.
+    """
+    if point.description[0] == "embedded":
+        return evaluate(f, point.description[2])
+    kappa = point.residue
+    if kappa is None:
+        raise NotCatalogued(f"evaluation not catalogued for {point.owner.kind}")
+    if not f.ring.names:
+        return kappa.coerce(f.ring.domain, f.constant_value())
+    if isinstance(kappa, FracField):
+        return kappa.from_poly(poly_to_dense(f, kappa.base))
+    if isinstance(kappa, ExtField) and kappa != f.ring.domain:
+        return up_mod(kappa.base, poly_to_dense(f, kappa.base), kappa.modulus)
+    root = kappa.neg(poly_to_dense(point.description[-1], kappa)[0])
+    return up_eval(kappa, poly_to_dense(f, kappa), root)
 
 
 def _vanishes_at(f, point):
-    value = evaluate(f, point)
-    residue = point.residue
-    if isinstance(residue, (Zmod,)):
-        return value % residue.n == 0
-    if isinstance(residue, FracField):
-        return value[0] == ()
-    if isinstance(residue, ExtField):
-        return up_norm(residue.base, value if isinstance(value, tuple) else (value,)) == ()
-    return value == 0
+    return point.residue.is_zero(evaluate(f, point))
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +437,14 @@ class ZariskiClosed:
             pt for pt in enumerate_points(self.owner, bound) if self.contains(pt)
         ]
 
-    def equals(self, other, field_ambient=True):
+    def equals(self, other):
         """V(I) = V(J) iff the generators are mutually radical members."""
         mine = self.owner.algebra
         if mine is None or not mine.base.is_field:
             raise Undecidable("closed-set equality needs a field-based ambient")
-        I = alg.IdealHandle(mine, list(self.generators))
-        J = alg.IdealHandle(mine, list(other.generators))
-        return all(alg.radical_membership(g, J) for g in self.generators) and all(
-            alg.radical_membership(g, I) for g in other.generators
+        return pj.ideals_equal_up_to_radical(
+            alg.IdealHandle(mine, list(self.generators)),
+            alg.IdealHandle(mine, list(other.generators)),
         )
 
     def __repr__(self):
@@ -484,41 +477,23 @@ def is_irreducible_closed(z: ZariskiClosed):
     owner = z.owner
     if not z.generators:
         if owner.kind in ("field", "ZZ", "kT", "ZZT", "kST"):
-            return True, SpecPoint(owner, ("generic",), _generic_residue(owner))
+            return True, generic_point(owner)
         raise Undecidable(f"V(0) irreducibility not catalogued for {owner.kind}")
     if len(z.generators) == 1:
-        g = z.generators[0]
         comps = irreducible_components(z)
-        if len(comps) == 1:
-            gen = comps[0].generators[0]
-            return True, SpecPoint(
-                owner, ("principal", gen), _principal_residue(owner, gen)
-            )
-        return False, None
+        if len(comps) != 1:
+            return False, None
+        gen = comps[0].generators[0]
+        if owner.kind == "kT":
+            return True, closed_point(owner, poly_to_dense(gen))
+        return True, _hypersurface_point(owner, gen)
     raise Undecidable("irreducibility beyond principal closed sets")
 
 
-def _generic_residue(owner):
-    kind = owner.kind
-    if kind == "field":
-        return owner.data["field"]
-    if kind == "ZZ":
-        return QQ
-    if kind == "kT":
-        return FracField(owner.data["field"], owner.data["var"])
-    if kind == "ZZT":
-        return FracField(QQ, owner.data["var"])
-    if kind == "kST":
-        return None  # k(S,T): descriptor only
-    return None
-
-
-def _principal_residue(owner, gen):
-    if owner.kind == "kT":
-        k = owner.data["field"]
-        dense = poly_to_dense(gen, k)
-        return k if up_deg(dense) == 1 else ExtField(k, dense, check=False)
-    return None
+def _hypersurface_point(cat: SpecCatalogue, g):
+    """The prime (g) for an irreducible g in two or more variables; its
+    residue field, the function field of V(g), has no domain object."""
+    return SpecPoint(cat, ("principal", g), None)
 
 
 def irreducible_components(z: ZariskiClosed, supplied_factors=None):
@@ -812,13 +787,7 @@ def closure_fiber_points(P0: Poly, p: int):
     cat = SpecCatalogue.recognize(
         alg.PresentedAlgebra(ZZ, P0.ring.names, (), P0.ring.order)
     )
-    out = []
-    for g, mult in fac:
-        lift = P0.ring.from_dict({(i,): int(c) for i, c in enumerate(g)})
-        kappa = k if up_deg(g) == 1 else ExtField(k, g, check=False)
-        pt = SpecPoint(cat, ("mixed", p, lift), kappa, label=f"y_({p},{lift})")
-        out.append((pt, mult))
-    return out
+    return [(mixed_point(cat, p, g), mult) for g, mult in fac]
 
 
 def partition_of_unity(algebra: alg.PresentedAlgebra, elems):
@@ -830,37 +799,13 @@ def partition_of_unity(algebra: alg.PresentedAlgebra, elems):
     """
     base = algebra.base
     if base == ZZ and not algebra.names:
-        return _bezout_over_zz([f.constant_value() for f in elems])
+        return alg.unit_partition_zz([f.constant_value() for f in elems])
     if isinstance(base, Zmod) and not algebra.names:
         values = [f.constant_value() for f in elems]
         return alg.unit_partition_zmod(base.n, values)
     if base.is_field:
         return alg.unit_partition(None, list(elems))
     raise Undecidable(f"no partition-of-unity route for {algebra}")
-
-
-def _bezout_over_zz(values):
-    import math
-
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    if g != 1:
-        return None
-    if len(values) == 1:
-        return [values[0]]  # value is 1 or -1 here
-    coeffs = [0] * len(values)
-    coeffs[0] = 1
-    g = values[0]
-    for idx in range(1, len(values)):
-        new_g, u, v = alg._ext_gcd_int(g, values[idx])
-        for i in range(idx):
-            coeffs[i] *= u
-        coeffs[idx] = v
-        g = new_g
-        if g == 1:
-            break
-    return coeffs
 
 
 def nilpotents_by_scan(n):

@@ -197,6 +197,10 @@ def test_sheaf_on_zz0_is_a_typed_error():
     'proj points --space "P^x(GF(2))";',
     'proj points --space "P^2GF(2))";',
     'proj points --space "P^-3(GF(2))";',
+    'fiber --map "ZZ->ZZ[T]" --at "p=²";',
+    'fiber --map "QQ->QQ[T]" --at p=5;',
+    'fiber --map "QQ[T]->QQ[T]" --at p=5;',
+    'fiber --map "ZZ/6->ZZ/6[T]" --at p=5;',
 ])
 def test_out_of_domain_arguments_are_typed_errors(statement):
     proc = run_cli(["exec", statement, "--format", "json"])
@@ -213,6 +217,28 @@ def test_fiber_of_a_field_of_characteristic_zero_over_a_prime_is_empty():
     data = records[0]["data"]
     assert data["points"] == []
     assert data["fiber_ring"] == "GF(5)[T]/(1)"
+
+
+@pytest.mark.parametrize("map_text, base_point, residue, fiber_ring", [
+    ("ZZ[T]->ZZ[T,U]", "xi_5", "GF(5)(T)", "GF(5)(T)[U]"),
+    ("GF(5)[T]->GF(5)[T,U]", "eta", "GF(5)(T)", "GF(5)(T)[U]"),
+    ("GF(25,t^2+2)->GF(25,t^2+2)[T]", "x_5", "GF(25,t^2 + 2)", "GF(25,t^2 + 2)[T]"),
+    ("GF(5)->GF(5)[T]", "x_5", "GF(5)", "GF(5)[T]"),
+    ("ZZ/10->ZZ/10[T]", "x_5", "GF(5)", "GF(5)[T]"),
+    ("ZZ->ZZ[T]", "x_5", "GF(5)", "GF(5)[T]"),
+])
+def test_fiber_at_p_is_taken_over_the_point_over_p(map_text, base_point, residue,
+                                                    fiber_ring):
+    """ZZ[T] lies over p at xi_p, k[T] of characteristic p at its generic
+    point; the source's own extension field stays one copy in the fiber."""
+    records, had_error = run_script(
+        dsl.parse(f'fiber --map "{map_text}" --at p=5 --bound 1;')
+    )
+    assert not had_error
+    data = records[0]["data"]
+    assert data["base_point"]["description"] == base_point
+    assert data["base_point"]["residue_field"] == residue
+    assert data["fiber_ring"] == fiber_ring
 
 
 def test_finite_ring_edge_cases_keep_their_answers():

@@ -59,6 +59,20 @@ def test_identity_preimage_is_identity():
     assert back.description[1] == T ** 2 + 1
 
 
+def test_identity_preimage_returns_every_zzt_point():
+    """Every family of Spec ZZ[T], including height-one primes with a
+    non-monic generator such as 2T - 1, comes back as the same point."""
+    A = PresentedAlgebra(ZZ, ("T",))
+    phi = mor.RingMorphism(A, A, [A.ring.gen("T")])
+    pts = sp.enumerate_points(sp.SpecCatalogue.recognize(A), 3)
+    assert {p.label for p in pts} >= {"xi_eta", "xi_2", "y_(2,T^2 + T + 1)",
+                                      "y_(3,T + 1)", "y_(eta,2*T - 1)"}
+    for pt in pts:
+        back = mor.preimage_point(phi, pt)
+        assert back == pt, pt
+        assert (back.label, back.residue) == (pt.label, pt.residue)
+
+
 def test_generic_to_generic_in_plane():
     src = PresentedAlgebra(QQ, ("S",))
     tgt = PresentedAlgebra(QQ, ("S", "T"))

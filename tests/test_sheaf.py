@@ -530,3 +530,15 @@ def _two_point_presheaf(global_sections, to_a, to_b, local=(0, 1)):
 def test_gluing_check_counts_gluings(global_sections, to_a, to_b, expected):
     F = _two_point_presheaf(global_sections, to_a, to_b)
     assert F.is_sheaf() is expected
+
+
+@pytest.mark.parametrize("ring", [
+    sh.QuotientPolyRing(Zmod(5), (0,) * 8 + (1,)),  # GF(5)[e]/(e^8): 5^8 elements
+    sh.ProductRing(Zmod(70), Zmod(70)),
+], ids=["quotient", "product"])
+def test_structure_sheaf_refuses_a_large_ring_before_listing_it(ring):
+    from scheme_explorer.errors import InfiniteSpectrum
+
+    with pytest.raises(InfiniteSpectrum, match=f"{ring.order()} elements"):
+        sh.structure_sheaf(ring)
+    assert ring._elements is None

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from scheme_explorer.arith import GF, QQ, ZZ, Zmod
+from scheme_explorer.arith import GF, GFq, QQ, ZZ, Zmod
 from scheme_explorer.algebra import PresentedAlgebra, localize
 from scheme_explorer.errors import FactorizationUnavailable, NotCatalogued
 from scheme_explorer.multipoly import PolyRing
@@ -322,3 +322,48 @@ def test_partition_of_unity_dispatcher():
     for c, f in zip(coeffs, (X, 1 - X * Y)):
         total = total + c * f
     assert total == Axy.ring.one()
+
+
+def _catalogue(name):
+    if name == "product":
+        return sp.SpecCatalogue.product(_catalogue("ZZ"), _catalogue("GF(2)[T]"))
+    T = PolyRing(ZZ, ("T",)).gen("T")
+    gf4 = GFq(4, (1, 1, 1))
+    algebra = {
+        "field": PresentedAlgebra(gf4, ()),
+        "ZZ": PresentedAlgebra(ZZ, ()),
+        "ZZ/n": PresentedAlgebra(Zmod(360), ()),
+        "GF(2)[T]": PresentedAlgebra(GF(2), ("T",)),
+        "GF(4)[T]": PresentedAlgebra(gf4, ("T",)),
+        "ZZ[T]": PresentedAlgebra(ZZ, ("T",)),
+        "quotient": PresentedAlgebra(ZZ, ("T",), [T ** 2 + 1]),
+        "localization": localize(PresentedAlgebra(ZZ, ("T",)), 2 * T + 2),
+    }[name]
+    return sp.SpecCatalogue.recognize(algebra)
+
+
+def _innermost(pt):
+    while pt.description[0] == "embedded":
+        pt = pt.description[2]
+    return pt
+
+
+@pytest.mark.parametrize("name", [
+    "field", "ZZ", "ZZ/n", "GF(2)[T]", "GF(4)[T]", "ZZ[T]", "quotient",
+    "localization", "product",
+])
+def test_points_lie_on_their_closure_with_canonical_values(name):
+    cat = _catalogue(name)
+    pts = sp.enumerate_points(cat, 3)
+    assert pts
+    for pt in pts:
+        kappa = pt.residue
+        ring = _innermost(pt).owner.algebra.ring
+        probes = list(sp.closure(pt).generators)
+        probes += [ring.from_int(6), sum(ring.gens(), ring.from_int(-5))]
+        for g in probes:
+            v = sp.evaluate(g, pt)
+            assert kappa.add(v, kappa.zero()) == v, (pt, g)
+        for g in sp.closure(pt).generators:
+            assert kappa.is_zero(sp.evaluate(g, pt)), (pt, g)
+        assert sp.closure(pt).contains(pt)
