@@ -1,8 +1,10 @@
 """Finitely presented algebras: quotients, localization, tensor products.
 
-The Gröbner engine is a plain Buchberger loop with the coprime-lead and
-chain criteria, producing the unique reduced basis for the ring's term
-order, so normal forms decide equality in the quotient.  Ideal arithmetic
+The Gröbner engine is Buchberger's algorithm on a heap of pairs, smallest
+lcm first, pruned by the Gebauer–Möller update; a normal form keeps its
+remainder sorted and merges in each reducer's shifted tail, so no step
+re-sorts. It produces the unique reduced basis for the ring's term order,
+so normal forms decide equality in the quotient.  Ideal arithmetic
 over a non-field base is deliberately restricted: over ZZ only the moves the
 workbench can certify are offered, and everything else raises rather than
 silently answering over QQ.
@@ -10,8 +12,11 @@ silently answering over QQ.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import math
+from operator import add, itemgetter, le, sub
 
 from .arith import QQ, ZZ, Domain, Zmod, prime_factors
 from .errors import (
@@ -28,41 +33,119 @@ from .multipoly import GREVLEX, BlockOrder, Poly, PolyRing
 # ---------------------------------------------------------------------------
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _lcm_exp(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def _coprime(e1, e2):
-    return all(a == 0 or b == 0 for a, b in zip(e1, e2))
+    return not any(map(min, e1, e2))
+
+
+def _sub_shifted(rem, tail, shift, c, key, dom):
+    """rem -= c * x^shift * tail, in place and without sorting.
+
+    ``rem`` is a list of (order key, exps, coeff) in ascending key order, so
+    its leading term is last, and ``tail`` a descending tuple of
+    (exps, coeff). Multiplying by a monomial keeps every term order: each
+    shifted term costs one order key and one binary search below the
+    position of the previous one.
+    """
+    mul, dsub, is_zero = dom.mul, dom.sub, dom.is_zero
+    hi = len(rem)
+    for e, gc in tail:
+        e = tuple(map(add, e, shift))
+        k = key(e)
+        i = bisect.bisect_left(rem, k, 0, hi, key=itemgetter(0))
+        if i < hi and rem[i][0] == k:
+            v = dsub(rem[i][2], mul(c, gc))
+            if is_zero(v):
+                del rem[i]
+            else:
+                rem[i] = (k, e, v)
+        else:
+            rem.insert(i, (k, e, dom.neg(mul(c, gc))))
+        hi = i
 
 
 def normal_form_list(f: Poly, basis):
-    """Fully reduce f against a list of polynomials (field coefficients)."""
+    """Fully reduce f against a list of polynomials (field coefficients).
+
+    Each step subtracts from the remainder the shifted tail of the first
+    reducer whose leading monomial divides the leading one; the remainder
+    stays sorted (``_sub_shifted``) and nothing is re-sorted.
+    """
     ring = f.ring
     dom = ring.domain
-    result = ring.zero()
-    rem = f
-    lts = [(g.leading_monomial(), g.leading_coeff(), g) for g in basis if not g.is_zero()]
-    while not rem.is_zero():
-        le, lc = rem.leading_term()
-        for ge, gc, g in lts:
-            if _divides(ge, le):
-                exps = tuple(a - b for a, b in zip(le, ge))
-                c = dom.div(lc, gc)
-                rem = rem - ring.monomial(exps, c) * g
+    key = ring.order.key
+    reducers = [(g.terms[0][0], dom.inv(g.terms[0][1]), g.terms[1:])
+                for g in basis if g.terms]
+    rem = [(key(e), e, c) for e, c in reversed(f.terms)]
+    out = []
+    while rem:
+        _, lead, lc = rem.pop()
+        for ge, ginv, tail in reducers:
+            if _divides(ge, lead):
+                _sub_shifted(rem, tail, tuple(map(sub, lead, ge)),
+                             dom.mul(lc, ginv), key, dom)
                 break
         else:
-            mono = ring.monomial(le, lc)
-            result = result + mono
-            rem = rem - mono
-    return result
+            out.append((lead, lc))
+    return Poly(ring, tuple(out))
+
+
+def _s_polynomial(gi, gj, lcm):
+    """x^u*gi - x^v*gj for monic gi, gj with x^u*lm(gi) = x^v*lm(gj) = lcm."""
+    ring = gi.ring
+    key, dom = ring.order.key, ring.domain
+    rem = []
+    for g, c in ((gi, dom.neg(dom.one())), (gj, dom.one())):
+        shift = tuple(map(sub, lcm, g.terms[0][0]))
+        _sub_shifted(rem, g.terms[1:], shift, c, key, dom)
+    return Poly(ring, tuple((e, c) for _, e, c in reversed(rem)))
+
+
+def _update(pairs, live, lms, new, key):
+    """Gebauer–Möller update of the pair heap and the live basis for ``new``.
+
+    ``pairs`` is a heap of (order key of lcm, i, j, lcm); ``live`` lists the
+    basis indices whose leading monomial no newer element divides.
+    """
+    h = lms[new]
+    cands = [(_lcm_exp(h, lms[g]), g) for g in live]
+    # M and F: drop (new, g) when the lcm of another new pair divides its
+    # lcm (of pairs with equal lcms one stays); coprime pairs stay for now,
+    # as witnesses that drop the pairs they dominate
+    kept = []
+    for idx, (lcm, g) in enumerate(cands):
+        if _coprime(h, lms[g]) or not (
+            any(_divides(other, lcm) for other, _ in cands[idx + 1:])
+            or any(_divides(other, lcm) for other, _ in kept)
+        ):
+            kept.append((lcm, g))
+    # B: an old pair (i, j) goes when lm(new) divides its lcm and neither
+    # lcm(i, new) nor lcm(j, new) equals it
+    pairs[:] = [
+        p for p in pairs
+        if not _divides(h, p[3])
+        or _lcm_exp(lms[p[1]], h) == p[3]
+        or _lcm_exp(lms[p[2]], h) == p[3]
+    ]
+    # Buchberger's first criterion: coprime pairs reduce to zero
+    pairs += [(key(lcm), new, g, lcm) for lcm, g in kept if not _coprime(h, lms[g])]
+    heapq.heapify(pairs)
+    live[:] = [g for g in live if not _divides(h, lms[g])] + [new]
 
 
 def groebner_basis(gens, ring=None):
-    """Reduced Gröbner basis for the ring's term order; deterministic."""
+    """Reduced Gröbner basis for the ring's term order; deterministic.
+
+    Buchberger's algorithm with the normal selection strategy (the pair of
+    smallest lcm first) and the Gebauer–Möller pair update; S-polynomials
+    reduce against the live basis only.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if ring is None:
         if not gens:
@@ -70,63 +153,32 @@ def groebner_basis(gens, ring=None):
         ring = gens[0].ring
     if not ring.domain.is_field:
         raise NonFieldBase(f"Gröbner bases need a field base, got {ring.domain}")
-    basis = []
+    key = ring.order.key
+    basis, lms, live, pairs = [], [], [], []
+    reducers = []
+
+    def insert(h):
+        basis.append(h.monic())
+        lms.append(h.leading_monomial())
+        _update(pairs, live, lms, len(basis) - 1, key)
+        reducers[:] = [basis[k] for k in live]
+
     for g in gens:
-        h = normal_form_list(g, basis)
+        h = normal_form_list(g, reducers)
         if not h.is_zero():
-            basis.append(h.monic())
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    order_key = ring.order.key
-
-    def lcm_of(i, j):
-        return _lcm_exp(basis[i].leading_monomial(), basis[j].leading_monomial())
-
+            insert(h)
     while pairs:
-        pairs.sort(key=lambda ij: order_key(lcm_of(*ij)), reverse=True)
-        i, j = pairs.pop()
-        ei = basis[i].leading_monomial()
-        ej = basis[j].leading_monomial()
-        if _coprime(ei, ej):
-            continue
-        lcm = _lcm_exp(ei, ej)
-        # chain criterion: skip when some other lead divides the lcm and both
-        # linking pairs were already treated
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(basis[k].leading_monomial(), lcm):
-                a = (max(i, k), min(i, k))
-                b = (max(j, k), min(j, k))
-                if a not in pairs and b not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        dom = ring.domain
-        mi = ring.monomial(tuple(l - a for l, a in zip(lcm, ei)))
-        mj = ring.monomial(tuple(l - a for l, a in zip(lcm, ej)))
-        s = mi * basis[i] - mj * basis[j].scale(
-            dom.div(basis[i].leading_coeff(), basis[j].leading_coeff())
-        )
-        h = normal_form_list(s, basis)
+        _, i, j, lcm = heapq.heappop(pairs)
+        h = normal_form_list(_s_polynomial(basis[i], basis[j], lcm), reducers)
         if not h.is_zero():
-            basis.append(h.monic())
-            new = len(basis) - 1
-            pairs.extend((new, k) for k in range(new))
-    # auto-reduce
-    reduced = []
-    for i, g in enumerate(basis):
-        others = [basis[k] for k in range(len(basis)) if k != i]
-        h = normal_form_list(g, others)
-        if not h.is_zero():
-            reduced.append(h.monic())
-    # drop duplicates, sort by leading monomial for a canonical output
-    seen = {}
-    for g in reduced:
-        seen[g.terms] = g
-    out = sorted(seen.values(), key=lambda g: order_key(g.leading_monomial()))
-    return out
+            insert(h)
+    # the live elements form a minimal basis: reducing each against the
+    # others keeps its leading term and reduces its tail
+    reduced = [
+        normal_form_list(g, reducers[:k] + reducers[k + 1:])
+        for k, g in enumerate(reducers)
+    ]
+    return sorted(reduced, key=lambda g: key(g.leading_monomial()))
 
 
 class GroebnerBasis:
@@ -164,14 +216,7 @@ class GroebnerBasis:
             for j in range(i):
                 gi, gj = self.polys[i], self.polys[j]
                 lcm = _lcm_exp(gi.leading_monomial(), gj.leading_monomial())
-                mi = self.ring.monomial(
-                    tuple(l - a for l, a in zip(lcm, gi.leading_monomial()))
-                )
-                mj = self.ring.monomial(
-                    tuple(l - a for l, a in zip(lcm, gj.leading_monomial()))
-                )
-                s = mi * gi - mj * gj
-                if not self.normal_form(s).is_zero():
+                if not self.normal_form(_s_polynomial(gi, gj, lcm)).is_zero():
                     return False
         self.certified = True
         return True
@@ -352,7 +397,7 @@ def _integer_unit_combination(relations, ring):
     gens = [g.map_coefficients(ring_q) for g in relations]
     if not gens:
         return None
-    coeffs = unit_partition(None, gens)
+    coeffs = unit_partition(gens)
     if coeffs is None:
         return None
     return math.lcm(*(c.denominator for a in coeffs for _, c in a.terms))
@@ -406,12 +451,16 @@ def _ext_gcd_int(a, b):
     return old_r, old_s, old_t
 
 
-def unit_partition(relations_or_ring, elems):
+def unit_partition(elems):
     """Certify 1 in (elems): coefficients a_i with sum(a_i * f_i) = 1.
 
     ``elems`` are Poly values over a field base; uses ascending-degree linear
-    solves, so the certificate is explicit and verifiable.
+    solves, so the certificate is explicit and verifiable. None when no
+    certificate of degree <= 8 exists, and for the empty family, which
+    generates the zero ideal.
     """
+    if not elems:
+        return None
     ring = elems[0].ring
     for bound in range(0, 9):
         monos = _monomials_up_to(ring, bound)
@@ -510,14 +559,6 @@ class IdealHandle:
 
     def is_unit_ideal(self):
         return self.groebner().is_unit_ideal()
-
-    def quotient_algebra(self):
-        return PresentedAlgebra(
-            self.ambient.base,
-            self.ambient.names,
-            list(self.ambient.relations) + list(self.generators),
-            self.ambient.ring.order,
-        )
 
     def __repr__(self):
         return f"({', '.join(str(g) for g in self.generators)}) in {self.ambient}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import neg
 
 from .arith import QQ, ZZ, Domain, up_gcd, up_norm
 from .errors import InvalidArgument, NotHomogeneous, ZeroPolynomial
@@ -30,17 +31,17 @@ class TermOrder:
         return self.name
 
     def __eq__(self, other):
-        return repr(self) == repr(other)
+        return type(other) is type(self)
 
     def __hash__(self):
-        return hash(repr(self))
+        return hash(type(self))
 
 
 class GrevlexOrder(TermOrder):
     name = "grevlex"
 
     def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), tuple(map(neg, exps[::-1])))
 
 
 class LexOrder(TermOrder):
@@ -62,6 +63,16 @@ class BlockOrder(TermOrder):
         self.sizes = tuple(sizes)
         self.inner = tuple(inner) if inner else tuple(GrevlexOrder() for _ in sizes)
         self.name = f"block{self.sizes}"
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other.sizes == self.sizes
+            and other.inner == self.inner
+        )
+
+    def __hash__(self):
+        return hash((type(self), self.sizes, self.inner))
 
     def key(self, exps):
         parts = []
@@ -126,12 +137,6 @@ class PolyRing:
     def with_order(self, order):
         return PolyRing(self.domain, self.names, order)
 
-    def with_names(self, names):
-        return PolyRing(self.domain, names, self.order)
-
-    def with_domain(self, domain):
-        return PolyRing(domain, self.names, self.order)
-
     def monomial(self, exps, c=None):
         c = self.domain.one() if c is None else c
         if self.domain.is_zero(c):
@@ -139,7 +144,7 @@ class PolyRing:
         return Poly(self, ((tuple(exps), c),))
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, PolyRing)
             and other.domain == self.domain
             and other.names == self.names

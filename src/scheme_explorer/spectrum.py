@@ -35,6 +35,7 @@ from .errors import (
     NotCatalogued,
     Undecidable,
     Unsupported,
+    UnsupportedDomain,
 )
 from .multipoly import Poly, PolyRing
 
@@ -777,6 +778,8 @@ def closure_fiber_points(P0: Poly, p: int):
     Reduces P0 modulo p and factors over GF(p); empty iff the reduction is a
     nonzero constant.  Returns a list of (SpecPoint-like record, mult).
     """
+    if P0.ring.domain != ZZ:
+        raise UnsupportedDomain(f"closure fibers need a point of ZZ[T], got {P0.ring}")
     k = Zmod(p)
     dense = poly_to_dense(P0, k)
     if not dense:
@@ -804,7 +807,7 @@ def partition_of_unity(algebra: alg.PresentedAlgebra, elems):
         values = [f.constant_value() for f in elems]
         return alg.unit_partition_zmod(base.n, values)
     if base.is_field:
-        return alg.unit_partition(None, list(elems))
+        return alg.unit_partition(list(elems))
     raise Undecidable(f"no partition-of-unity route for {algebra}")
 
 

@@ -356,7 +356,7 @@ def test_unit_partition_produces_certificate():
     R = PolyRing(QQ, ("x", "y"))
     x, y = R.gens()
     elems = [x, 1 - x * y, y ** 2]
-    coeffs = unit_partition(None, elems)
+    coeffs = unit_partition(elems)
     assert coeffs is not None
     total = R.zero()
     for a, f in zip(coeffs, elems):

@@ -275,3 +275,14 @@ def test_closure_fibers_need_a_univariate_ring():
         'spec closure --ring "ZZ[S,T]" --point "eta,(T+30*S)" --fibers 5;'
     ))
     assert records[0]["error"]["code"] == "unsupported-domain"
+
+
+def test_closure_fibers_need_a_base_of_integers():
+    """Over GF(5) there is no fiber over p; the error must not be about a
+    map GF(5) -> GF(2) that the statement never asked for."""
+    proc = run_cli(["exec", 'spec closure --ring "GF(5)[T]" --point "eta,(T^2+1)" --fibers 3;',
+                    "--format", "json"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    error = json.loads(proc.stdout)["results"][0]["error"]
+    assert error["code"] == "unsupported-domain"

@@ -187,6 +187,20 @@ def test_block_order_eliminates():
     assert f.leading_monomial() == (1, 0)     # x-block dominates
 
 
+def test_term_order_equality_is_by_class_and_blocks():
+    from scheme_explorer.multipoly import GrevlexOrder, LexOrder
+
+    assert GrevlexOrder() == GREVLEX and hash(GrevlexOrder()) == hash(GREVLEX)
+    assert LexOrder() == LEX and LEX != GREVLEX
+    assert BlockOrder((1, 2)) == BlockOrder((1, 2), (GREVLEX, GREVLEX))
+    assert hash(BlockOrder((1, 2))) == hash(BlockOrder((1, 2)))
+    assert BlockOrder((1, 2)) != BlockOrder((2, 1))
+    assert BlockOrder((1, 2)) != BlockOrder((1, 2), (LEX, GREVLEX))
+    assert BlockOrder((1, 1)) != GREVLEX and GREVLEX != "grevlex"
+    assert PolyRing(QQ, ("x", "y"), BlockOrder((1, 1))) == PolyRing(
+        QQ, ("x", "y"), BlockOrder((1, 1)))
+
+
 def test_exact_divide():
     R = PolyRing(QQ, ("x", "y"))
     x, y = R.gens()

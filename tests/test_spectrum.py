@@ -270,7 +270,7 @@ def test_quasicompactness_partition_of_unity():
     R = PolyRing(GF(7), ("x", "y"))
     x, y = R.gens()
     elems = [x - 1, x]
-    coeffs = unit_partition(None, elems)
+    coeffs = unit_partition(elems)
     total = R.zero()
     for a, f in zip(coeffs, elems):
         total = total + a * f
@@ -367,3 +367,8 @@ def test_points_lie_on_their_closure_with_canonical_values(name):
         for g in sp.closure(pt).generators:
             assert kappa.is_zero(sp.evaluate(g, pt)), (pt, g)
         assert sp.closure(pt).contains(pt)
+
+
+def test_partition_of_unity_of_the_empty_family_is_none():
+    """The empty family generates the zero ideal, so no partition exists."""
+    assert sp.partition_of_unity(PresentedAlgebra(GF(7), ("T",)), []) is None
