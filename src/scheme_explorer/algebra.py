@@ -20,12 +20,14 @@ from operator import add, itemgetter, le, sub
 
 from .arith import QQ, ZZ, Domain, Zmod, prime_factors
 from .errors import (
+    InvalidArgument,
     NoCanonicalMap,
     NonFieldBase,
     Undecidable,
     UndecidableContext,
 )
 from .multipoly import GREVLEX, BlockOrder, Poly, PolyRing
+from .sheaf import LocalizedFiniteRing
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +207,12 @@ class GroebnerBasis:
         for i, g in enumerate(self.polys):
             if not dom.is_one(g.leading_coeff()):
                 return False
-            for j, h in enumerate(self.polys):
-                if i != j and _divides(h.leading_monomial(), g.leading_monomial()):
-                    return False
-                if i != j:
-                    others = [p for k, p in enumerate(self.polys) if k != i]
-                    if normal_form_list(g, others) != g:
-                        return False
+            others = self.polys[:i] + self.polys[i + 1:]
+            lead = g.leading_monomial()
+            if any(_divides(h.leading_monomial(), lead) for h in others):
+                return False
+            if normal_form_list(g, others) != g:
+                return False
         for i in range(len(self.polys)):
             for j in range(i):
                 gi, gj = self.polys[i], self.polys[j]
@@ -603,6 +604,20 @@ def _fresh_name(stem, taken):
     return f"{stem}{k}"
 
 
+def _kept_part(ring, gb, keep):
+    """(gb) ∩ base[keep] for a basis ``gb`` under an order that eliminates
+    the other variables of ``ring``: its elements that use only ``keep``,
+    re-indexed into base[keep]."""
+    take = [ring._index[n] for n in keep]
+    kept = PolyRing(ring.domain, tuple(keep), GREVLEX)
+    out = [
+        kept.from_dict({tuple(e[i] for i in take): c for e, c in g.terms})
+        for g in gb
+        if g.variables_used() <= set(keep)
+    ]
+    return IdealHandle(PresentedAlgebra(ring.domain, tuple(keep)), out)
+
+
 def elimination_ideal(ideal: IdealHandle, keep):
     """Generators of I ∩ base[keep], via a block elimination order."""
     ambient = ideal.ambient
@@ -616,23 +631,7 @@ def elimination_ideal(ideal: IdealHandle, keep):
     pos = [names.index(n) for n in ambient.names]
     gens = [g.relabel(ring, pos) for g in ambient.relations]
     gens += [g.relabel(ring, pos) for g in ideal.generators]
-    gb = groebner_basis(gens, ring)
-    kept_ring = PolyRing(ambient.base, tuple(keep), GREVLEX)
-    out = []
-    dropset = set(drop)
-    for g in gb:
-        if g.variables_used() & dropset:
-            continue
-        filtered = {}
-        for e, c in g.terms:
-            key = [0] * len(keep)
-            for i, k in enumerate(e):
-                if k:
-                    key[kept_ring._index[names[i]]] = k
-            filtered[tuple(key)] = c
-        out.append(kept_ring.from_dict(filtered))
-    target = PresentedAlgebra(ambient.base, tuple(keep))
-    return IdealHandle(target, out)
+    return _kept_part(ring, groebner_basis(gens, ring), keep)
 
 
 def morphism_kernel(source_names, images, target_algebra):
@@ -658,23 +657,7 @@ def morphism_kernel(source_names, images, target_algebra):
     gens = [g.relabel(ring, pos_t) for g in tgt.relations]
     for v, img in zip(source_names, images):
         gens.append(ring.gen(v) - img.relabel(ring, pos_t))
-    gb = groebner_basis(gens, ring)
-    src_ring = PolyRing(base, tuple(source_names), GREVLEX)
-    out = []
-    tgtset = set(out_names)
-    for g in gb:
-        if g.variables_used() & tgtset:
-            continue
-        d = {}
-        for e, c in g.terms:
-            key = [0] * len(source_names)
-            for i, k in enumerate(e):
-                if k:
-                    key[src_ring._index[names[i]]] = k
-            d[tuple(key)] = c
-        out.append(src_ring.from_dict(d))
-    src = PresentedAlgebra(base, tuple(source_names))
-    return IdealHandle(src, out)
+    return _kept_part(ring, groebner_basis(gens, ring), source_names)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +780,8 @@ class LocalizationContext:
 
     @classmethod
     def over_zmod(cls, n, gens):
-        return cls("zmod", Zmod(n), tuple(g % n for g in gens))
+        gens = tuple(g % n for g in gens)
+        return cls("zmod", LocalizedFiniteRing(Zmod(n), gens), gens)
 
     @classmethod
     def over_integral_poly_ring(cls, ring, gens):
@@ -805,28 +789,23 @@ class LocalizationContext:
             raise UndecidableContext("integral-domain rule needs a domain base")
         return cls("domain", ring, tuple(gens))
 
-    def family(self, bound=64):
+    def family(self):
         """The multiplicative family, enumerated (finite for zmod)."""
         if self.kind == "zmod":
-            n = self.data.n
-            fam = {1 % n}
-            frontier = [1 % n]
-            while frontier:
-                x = frontier.pop()
-                for g in self.family_gens:
-                    y = x * g % n
-                    if y not in fam:
-                        fam.add(y)
-                        frontier.append(y)
-            return sorted(fam)
+            return sorted(self.data.family)
         raise UndecidableContext("only ZZ/n families are enumerated")
 
     def fraction_equal(self, a, s, b, t):
-        """a/s = b/t in the localization."""
+        """a/s = b/t in the localization.
+
+        Over ZZ/n the canonical keys of ``sheaf.LocalizedFiniteRing`` are
+        compared, so both denominators must lie in the family.
+        """
         if self.kind == "zmod":
-            n = self.data.n
-            cross = (a * t - b * s) % n
-            return any(r * cross % n == 0 for r in self.family())
+            loc, n = self.data, self.data.ring.n
+            if s % n not in loc.family or t % n not in loc.family:
+                raise InvalidArgument("denominator outside the multiplicative family")
+            return loc.make(a % n, s % n) == loc.make(b % n, t % n)
         if self.kind == "zz":
             if 0 in self.family_gens:
                 return True  # the zero ring

@@ -301,9 +301,8 @@ class Poly:
 
     def scale(self, c):
         dom = self.ring.domain
-        if dom.is_zero(c):
-            return self.ring.zero()
-        return Poly(self.ring, tuple((e, dom.mul(k, c)) for e, k in self.terms))
+        terms = ((e, dom.mul(k, c)) for e, k in self.terms)
+        return Poly(self.ring, tuple(t for t in terms if not dom.is_zero(t[1])))
 
     def monic(self):
         return self.scale(self.ring.domain.inv(self.leading_coeff()))

@@ -20,6 +20,7 @@ import itertools
 from .algebra import (
     GroebnerBasis,
     IdealHandle,
+    _divides,
     _solve_field,
     groebner_basis,
 )
@@ -246,13 +247,9 @@ def _quotient_basis(gb: GroebnerBasis, ring: PolyRing):
     basis = [
         exps
         for exps in itertools.product(*(range(c) for c in caps))
-        if not any(_divides_exp(lead, exps) for lead in leads)
+        if not any(_divides(lead, exps) for lead in leads)
     ]
     return basis, None
-
-
-def _divides_exp(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
 
 
 def is_maximal(ideal: IdealHandle):

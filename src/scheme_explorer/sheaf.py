@@ -7,10 +7,12 @@ construction, which on a finite space only needs the minimal open
 neighborhood of each point; the stalk at x is the value on that minimal
 open.
 
-The structure sheaf of a finite ring lives on the spectrum computed from
-idempotents, with sections obtained by localizing at the elements invertible
-on each open, so the classical comparison Gamma(D(f)) = A_f can be checked
-element by element.
+A finite ring A is the product of the local rings eA over its primitive
+idempotents e (Atiyah-Macdonald, Thm 8.7).  So its primes are the
+p_e = {a : ae nilpotent}, all of them maximal, and Spec A is discrete.  The
+structure sheaf takes each open U to the localization at S(U), the elements
+vanishing nowhere on U, so the classical comparison Gamma(D(f)) = A_f can be
+checked element by element.
 """
 
 from __future__ import annotations
@@ -194,6 +196,18 @@ class FinitePresheaf:
         return True
 
 
+def _presheaf(space, sections, restriction, check=False):
+    """The presheaf with ``sections`` whose map from U to an open V < U is
+    the function ``restriction(u, v)`` on sections."""
+    restrictions = {}
+    for u in space.opens:
+        for v in space.opens:
+            if v < u:
+                r = restriction(u, v)
+                restrictions[(u, v)] = {s: r(s) for s in sections[u]}
+    return FinitePresheaf(space, sections, restrictions, check)
+
+
 def sheafify(F: FinitePresheaf):
     """Compatible-germ-family sheaf plus the comparison morphism.
 
@@ -227,17 +241,13 @@ def sheafify(F: FinitePresheaf):
             if ok:
                 families.append(combo)
         sections[u] = families
-    restrictions = {}
-    for u in space.opens:
+
+    def restriction(u, v):
         ptsu = sorted(u, key=str)
-        for v in space.opens:
-            if not v < u:
-                continue
-            pick = [ptsu.index(y) for y in sorted(v, key=str)]
-            restrictions[(u, v)] = {
-                fam: tuple(fam[i] for i in pick) for fam in sections[u]
-            }
-    sheaf = FinitePresheaf(space, sections, restrictions, check=False)
+        pick = [ptsu.index(y) for y in sorted(v, key=str)]
+        return lambda fam: tuple(fam[i] for i in pick)
+
+    sheaf = _presheaf(space, sections, restriction)
     pi = {}
     for u in space.opens:
         ptsu = sorted(u, key=str)
@@ -291,14 +301,9 @@ def presheaf_image(phi: PresheafMorphism):
         u: sorted({phi.maps[u][s] for s in src.sections[u]}, key=str)
         for u in space.opens
     }
-    restrictions = {}
-    for u in space.opens:
-        for v in space.opens:
-            if v < u:
-                restrictions[(u, v)] = {
-                    t: tgt.restrict(t, u, v) for t in sections[u]
-                }
-    return FinitePresheaf(space, sections, restrictions)
+    return _presheaf(
+        space, sections, lambda u, v: tgt.restrict_map(u, v).__getitem__, check=True
+    )
 
 
 def sheaf_image(phi: PresheafMorphism):
@@ -319,14 +324,9 @@ def sheaf_image(phi: PresheafMorphism):
             if ok:
                 out.append(t)
         sections[u] = out
-    restrictions = {}
-    for u in space.opens:
-        for v in space.opens:
-            if v < u:
-                restrictions[(u, v)] = {
-                    t: tgt.restrict(t, u, v) for t in sections[u]
-                }
-    return FinitePresheaf(space, sections, restrictions)
+    return _presheaf(
+        space, sections, lambda u, v: tgt.restrict_map(u, v).__getitem__, check=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +444,8 @@ class ProductRing(Domain):
         return f"{self.left} x {self.right}"
 
 
-def _localize(ring, gens, elements, scale):
-    """Fraction classes (x, s) for x in ``elements``, s in the family S
-    generated by ``gens``, with ``scale(r, x)`` the action of the ring.
-
-    Some power e of the product of S is idempotent, every s in S divides
-    it, and S^{-1}A = eA (Atiyah-Macdonald, ch. 3): r x = 0 for some r in
-    S iff e x = 0, and e s has an inverse e t_s in eA.  So x/s = y/t iff
-    e t_s x = e t_t y, and ``scale(e t_s, x)`` is a canonical key.  Pairs
-    are visited with S sorted by str, then ``elements`` in order; the first
-    pair with a given key represents its class.
-
-    Returns (family, e, canon, classes), canon mapping pairs to their
-    class representatives.
-    """
+def multiplicative_closure(ring, gens):
+    """The multiplicative family generated by ``gens`` and 1, sorted by str."""
     one = ring.one()
     fam = {one}
     frontier = [one]
@@ -468,49 +456,77 @@ def _localize(ring, gens, elements, scale):
             if y not in fam:
                 fam.add(y)
                 frontier.append(y)
-    family = sorted(fam, key=str)
-    prod = one
-    for s in family:
-        prod = ring.mul(prod, s)
-    e = prod
-    while ring.mul(e, e) != e:
-        e = ring.mul(e, prod)
-    reps = {}
-    canon = {}
-    for s in family:
-        es = ring.mul(e, s)
-        et = ring.mul(e, next(t for t in ring.elements() if ring.mul(es, t) == e))
-        for x in elements:
-            pair = (x, s)
-            canon[pair] = reps.setdefault(scale(et, x), pair)
-    return family, e, canon, list(reps.values())
+    return sorted(fam, key=str)
 
 
-class LocalizedFiniteRing(Domain):
+class _Fractions:
+    """Fraction classes (x, s) for x in ``elements``, s in a multiplicative
+    family S that is closed and sorted by str, with ``scale(r, x)`` the
+    action of the ring.
+
+    Some power e of the product of S is idempotent, every s in S divides
+    it, and S^{-1}A = eA (Atiyah-Macdonald, ch. 3): r x = 0 for some r in
+    S iff e x = 0, and e s has an inverse e t_s in eA.  So x/s = y/t iff
+    e t_s x = e t_t y, and ``scale(e t_s, x)`` is a canonical key.  Pairs
+    are visited in the order of S, then ``elements`` in order; the first
+    pair with a given key represents its class.
+    """
+
+    def __init__(self, ring, family, elements, scale):
+        self.ring = ring
+        self.family = family
+        prod = ring.one()
+        for s in family:
+            prod = ring.mul(prod, s)
+        e = prod
+        while ring.mul(e, e) != e:
+            e = ring.mul(e, prod)
+        self._e = e
+        reps = {}
+        self._canon = {}
+        for s in family:
+            es = ring.mul(e, s)
+            et = ring.mul(e, next(t for t in ring.elements() if ring.mul(es, t) == e))
+            for x in elements:
+                pair = (x, s)
+                self._canon[pair] = reps.setdefault(scale(et, x), pair)
+        self._class_list = list(reps.values())
+
+    def make(self, x, s=None):
+        s = self.ring.one() if s is None else s
+        return self._canon[(x, s)]
+
+    def elements(self):
+        return self._class_list
+
+
+class LocalizedFiniteRing(_Fractions, Domain):
     """S^{-1}A for a finite ring A, S the family generated by given elems.
 
     Fraction equality is the quantified rule r(at - bs) = 0 for some r in
     S.  With e the idempotent power of the product of S, S^{-1}A = eA: the
     kernel K = {a : ra = 0 for some r in S} is Ann(e), and a/s has the
-    canonical key e t_s a, where e s t_s = e (see ``_localize``).
+    canonical key e t_s a, where e s t_s = e (see ``_Fractions``).
     """
 
     def __init__(self, ring: Domain, gens):
-        self.ring = ring
-        self.family, e, self._canon, self._class_list = _localize(
-            ring, gens, ring.elements(), ring.mul
-        )
-        zero = ring.zero()
-        self.kernel = frozenset(
-            a for a in ring.elements() if ring.mul(e, a) == zero
+        super().__init__(
+            ring, multiplicative_closure(ring, gens), ring.elements(), ring.mul
         )
 
-    def make(self, a, s=None):
-        s = self.ring.one() if s is None else s
-        return self._canon[(a, s)]
+    @classmethod
+    def of_family(cls, ring: Domain, family):
+        """S^{-1}A for a family S that is already closed and sorted by str."""
+        loc = cls.__new__(cls)
+        _Fractions.__init__(loc, ring, family, ring.elements(), ring.mul)
+        return loc
 
-    def elements(self):
-        return self._class_list
+    @property
+    def kernel(self):
+        zero = self.ring.zero()
+        return frozenset(
+            a for a in self.ring.elements() if self.ring.mul(self._e, a) == zero
+        )
 
     def from_int(self, n):
         return self.make(self.ring.from_int(n))
@@ -544,71 +560,58 @@ class LocalizedFiniteRing(Domain):
 def finite_spectrum_points(ring: Domain):
     """Prime ideals of a finite commutative ring, as frozensets of elements.
 
-    Candidates p_e = {a : a*e nilpotent} for idempotents e, kept when the
-    complement is multiplicatively closed; for a finite ring this yields
-    exactly the primes (all of which are maximal).
+    A finite ring is the product of the local rings eA over its primitive
+    idempotents e, the nonzero idempotents with no other nonzero idempotent
+    f where ef = f (Atiyah-Macdonald, Thm 8.7).  So its primes are the
+    p_e = {a : a*e nilpotent}, one for each primitive e, all maximal.
     """
     elems = ring.elements()
     zero = ring.zero()
     # the nonzero powers of a nilpotent element are distinct, so a^|A| = 0
     nilradical = frozenset(a for a in elems if ring.pow(a, len(elems)) == zero)
-    idempotents = [a for a in elems if ring.mul(a, a) == a]
-    primes = set()
-    for e in idempotents:
-        if e in nilradical:
-            continue
-        p = frozenset(a for a in elems if ring.mul(a, e) in nilradical)
-        if ring.one() in p:
-            continue
-        comp = [a for a in elems if a not in p]
-        if all(ring.mul(a, b) not in p for a in comp for b in comp):
-            primes.add(p)
+    idempotents = [a for a in elems if a != zero and ring.mul(a, a) == a]
+    primes = [
+        frozenset(a for a in elems if ring.mul(a, e) in nilradical)
+        for e in idempotents
+        if not any(f != e and ring.mul(e, f) == f for f in idempotents)
+    ]
     return sorted(primes, key=lambda p: sorted(map(str, p)))
 
 
 def zariski_space(ring: Domain):
     """Spec of a finite ring as a FiniteSpace over prime indices.
 
-    Opens are generization-closed: if y lies in U and p_x <= p_y then x
-    belongs to U as well.
+    Every prime of a finite ring is maximal, so no prime generizes another:
+    Spec is discrete and every subset is open.
     """
     primes = finite_spectrum_points(ring)
-    idx = list(range(len(primes)))
-    opens = []
-    for r in range(len(idx) + 1):
-        for combo in itertools.combinations(idx, r):
-            s = frozenset(combo)
-            if all(
-                not (y in s and primes[x] <= primes[y] and x not in s)
-                for x in idx
-                for y in idx
-            ):
-                opens.append(s)
-    return FiniteSpace(idx, opens), primes
+    return discrete_space(range(len(primes))), primes
+
+
+def _nowhere_vanishing(ring, primes, u):
+    """S(U), the elements outside every prime of U, sorted by str.  As the
+    complement of a union of primes it is multiplicatively closed."""
+    return sorted(
+        (f for f in ring.elements() if not any(f in primes[x] for x in u)),
+        key=str,
+    )
+
+
+def _localized_presheaf(ring, space, primes, localize):
+    """U -> localize(S(U)), restricting a fraction by the ``make`` of the
+    smaller open; returns the presheaf and the localization on each open."""
+    local = {u: localize(_nowhere_vanishing(ring, primes, u)) for u in space.opens}
+    sections = {u: loc.elements() for u, loc in local.items()}
+    presheaf = _presheaf(space, sections, lambda u, v: lambda x: local[v].make(*x))
+    return presheaf, local
 
 
 def structure_presheaf(ring: Domain):
     """U -> S(U)^{-1}A with S(U) the elements vanishing nowhere on U."""
     space, primes = zariski_space(ring)
-    elems = ring.elements()
-    sections = {}
-    restrictions = {}
-    local_rings = {}
-    for u in space.opens:
-        if u:
-            s_u = [f for f in elems if all(f not in primes[x] for x in u)]
-        else:
-            s_u = list(elems)  # the vanish-nowhere condition is vacuous
-        loc = LocalizedFiniteRing(ring, s_u)
-        local_rings[u] = loc
-        sections[u] = loc.elements()
-    for u in space.opens:
-        for v in space.opens:
-            if not v < u:
-                continue
-            lv = local_rings[v]
-            restrictions[(u, v)] = {x: lv.make(x[0], x[1]) for x in sections[u]}
-    presheaf = FinitePresheaf(space, sections, restrictions, check=False)
+    presheaf, local_rings = _localized_presheaf(
+        ring, space, primes, lambda fam: LocalizedFiniteRing.of_family(ring, fam)
+    )
     return presheaf, space, primes, local_rings
 
 
@@ -776,19 +779,12 @@ def twist_structure_sheaf(cocycle: UnitCocycle):
             if ok:
                 families.append(tuple(combo))
         sections[u] = families
-    restrictions = {}
-    for u in space.opens:
-        for v in space.opens:
-            if not v < u:
-                continue
-            maps = {}
-            for fam in sections[u]:
-                out = tuple(
-                    report.local_rings[v & cover[i]].make(*fam[i]) for i in range(n)
-                )
-                maps[fam] = out
-            restrictions[(u, v)] = maps
-    return FinitePresheaf(space, sections, restrictions, check=False)
+
+    def restriction(u, v):
+        makes = [report.local_rings[v & c].make for c in cover]
+        return lambda fam: tuple(make(*x) for make, x in zip(makes, fam))
+
+    return _presheaf(space, sections, restriction)
 
 
 def recover_cocycle(twisted: FinitePresheaf, report, cover):
@@ -903,46 +899,7 @@ def module_presheaf(ring, module, report=None):
     Fractions m/s with m/s = m'/s' iff r(s'm - sm') = 0 for some r in S.
     """
     report = report or structure_sheaf(ring)
-    space = report.space
-    primes = report.primes
-    sections = {}
-    restrictions = {}
-    localized = {}
-    for u in space.opens:
-        if u:
-            s_u = [f for f in ring.elements() if all(f not in primes[x] for x in u)]
-        else:
-            s_u = list(ring.elements())
-        localized[u] = _LocalizedModule(ring, module, s_u)
-        sections[u] = localized[u].elements()
-    for u in space.opens:
-        for v in space.opens:
-            if v < u:
-                lv = localized[v]
-                restrictions[(u, v)] = {
-                    x: lv.make(x[0], x[1]) for x in sections[u]
-                }
-    return FinitePresheaf(space, sections, restrictions, check=False), localized
-
-
-class _LocalizedModule:
-    """S^{-1}M for a finite module M over a finite ring A.
-
-    m/s = m'/s' iff r(s'm - sm') = 0 for some r in S.  With e the idempotent
-    power of the product of S, S^{-1}M = eM, and m/s has the canonical key
-    e t_s m, where e s t_s = e (see ``_localize``).
-    """
-
-    def __init__(self, ring, module, gens):
-        self.ring = ring
-        self.module = module
-        self.family, _, self._canon, self._class_list = _localize(
-            ring, gens, module.elements(), module.smul
-        )
-
-    def make(self, m, s=None):
-        s = self.ring.one() if s is None else s
-        return self._canon[(m, s)]
-
-    def elements(self):
-        return list(self._class_list)
+    return _localized_presheaf(
+        ring, report.space, report.primes,
+        lambda fam: _Fractions(ring, fam, module.elements(), module.smul),
+    )

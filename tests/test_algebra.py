@@ -5,7 +5,9 @@ import random
 import pytest
 
 from scheme_explorer.arith import GF, QQ, ZZ, FracField, Zmod
+from scheme_explorer import algebra
 from scheme_explorer.algebra import (
+    GroebnerBasis,
     IdealHandle,
     LocalizationContext,
     LocalizedElement,
@@ -22,7 +24,7 @@ from scheme_explorer.algebra import (
     unit_partition,
     verify_isomorphism,
 )
-from scheme_explorer.errors import NonFieldBase, UndecidableContext
+from scheme_explorer.errors import InvalidArgument, NonFieldBase, UndecidableContext
 from scheme_explorer.multipoly import LEX, PolyRing
 
 
@@ -338,11 +340,65 @@ def test_fraction_equality_rules():
     assert fraction_equal(a, b)
 
 
+def test_zmod_fraction_equality_matches_the_quantified_rule():
+    rng = random.Random(12)
+    for n in range(1, 37):
+        gens = rng.sample(range(n), min(n, rng.randrange(3)))
+        ctx = LocalizationContext.over_zmod(n, gens)
+        family = ctx.family()
+        for _ in range(40):
+            a, b = rng.randrange(n), rng.randrange(n)
+            s, t = rng.choice(family), rng.choice(family)
+            rule = any(r * (a * t - b * s) % n == 0 for r in family)
+            assert ctx.fraction_equal(a, s, b, t) == rule, (n, gens, a, s, b, t)
+    ctx = LocalizationContext.over_zmod(12, [2])
+    with pytest.raises(InvalidArgument):
+        ctx.fraction_equal(1, 3, 0, 1)
+
+
 def test_fraction_contexts_do_not_mix():
     c1 = LocalizationContext.over_zmod(12, [2])
     c2 = LocalizationContext.over_zmod(12, [3])
     with pytest.raises(UndecidableContext):
         fraction_equal(LocalizedElement(c1, 1, 1), LocalizedElement(c2, 1, 1))
+
+
+def _katsura(ring, n):
+    x = ring.gens()
+
+    def u(i):
+        return x[abs(i)] if abs(i) <= n else ring.zero()
+
+    eqs = [
+        sum((u(l) * u(m - l) for l in range(-n, n + 1)), ring.zero()) - x[m]
+        for m in range(n)
+    ]
+    return eqs + [x[0] + 2 * sum(x[1:], ring.zero()) - 1]
+
+
+def test_verify_reduces_each_element_once(monkeypatch):
+    """One auto-reduction per element plus one reduction per S-pair."""
+    ring = PolyRing(GF(32003), tuple(f"x{i}" for i in range(5)))
+    gb = GroebnerBasis(ring, groebner_basis(_katsura(ring, 4), ring))
+    calls = []
+    real = algebra.normal_form_list
+
+    def counted(f, basis):
+        calls.append(f)
+        return real(f, basis)
+
+    monkeypatch.setattr(algebra, "normal_form_list", counted)
+    assert gb.verify()
+    k = len(gb)
+    assert k == 13 and len(calls) == k + k * (k - 1) // 2
+
+
+def test_verify_rejects_a_basis_that_is_not_auto_reduced():
+    R = PolyRing(QQ, ("x", "y"))
+    x, y = R.gens()
+    assert GroebnerBasis(R, [x, y]).verify()
+    # same leading terms and S-pairs, but the tail y of x + y reduces
+    assert not GroebnerBasis(R, [x + y, y]).verify()
 
 
 def test_groebner_requires_field():

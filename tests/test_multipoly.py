@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from scheme_explorer.arith import GF, QQ, ZZ
+from scheme_explorer.arith import GF, QQ, ZZ, Zmod
 from scheme_explorer.errors import NotHomogeneous, ZeroPolynomial
 from scheme_explorer.multipoly import (
     GREVLEX,
@@ -216,3 +216,13 @@ def test_printing_is_canonical_and_stable():
     f = Y * X ** 2 - 3
     assert str(f) == "X^2*Y - 3"
     assert str(R.zero()) == "0"
+
+
+def test_scale_by_a_zero_divisor_drops_zero_terms():
+    R = PolyRing(Zmod(6), ("x",))
+    x, = R.gens()
+    p = (2 * x + 3).scale(2)
+    assert p.terms == (((1,), 4),)
+    assert str(p) == "4*x"
+    assert p == (2 * x + 3) * 2
+    assert (2 * x + 3).scale(0) == R.zero()

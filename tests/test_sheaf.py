@@ -496,6 +496,53 @@ def test_module_localization_matches_brute_force_oracle():
             )
 
 
+def _brute_ideals(ring):
+    """Every ideal, as the sums of principal ideals closed under sums."""
+    elems = ring.elements()
+    ideals = {frozenset(ring.mul(r, a) for r in elems) for a in elems}
+    fresh = ideals
+    while fresh:
+        sums = {
+            frozenset(ring.add(i, j) for i in a for j in b)
+            for a in fresh for b in ideals
+            if not (a <= b or b <= a)
+        }
+        fresh = sums - ideals
+        ideals |= fresh
+    return ideals
+
+
+def _brute_primes(ring):
+    """The definition: proper ideals whose complement is multiplicatively
+    closed."""
+    out = []
+    for p in _brute_ideals(ring):
+        comp = [a for a in ring.elements() if a not in p]
+        if comp and all(ring.mul(a, b) not in p for a in comp for b in comp):
+            out.append(p)
+    return sorted(out, key=lambda p: sorted(map(str, p)))
+
+
+def _brute_opens(primes):
+    """The definition: subsets of Spec closed under generization."""
+    idx = range(len(primes))
+    return {
+        frozenset(s)
+        for r in range(len(primes) + 1)
+        for s in itertools.combinations(idx, r)
+        if all(x in s for y in s for x in idx if primes[x] <= primes[y])
+    }
+
+
+def test_spectrum_matches_brute_force_oracle():
+    for ring in _oracle_rings():
+        primes = _brute_primes(ring)
+        assert sh.finite_spectrum_points(ring) == primes, ring
+        space, space_primes = sh.zariski_space(ring)
+        assert space_primes == primes
+        assert space.opens == _brute_opens(primes), ring
+
+
 def _two_point_presheaf(global_sections, to_a, to_b, local=(0, 1)):
     """Presheaf on the discrete space {a, b} with the given global sections
     and their restrictions to {a} and {b}; {a} and {b} carry ``local``."""
