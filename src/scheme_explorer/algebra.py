@@ -12,11 +12,10 @@ silently answering over QQ.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
-from operator import add, itemgetter, le, sub
+from operator import le, sub
 
 from .arith import QQ, ZZ, Domain, Zmod, prime_factors
 from .errors import (
@@ -26,7 +25,15 @@ from .errors import (
     Undecidable,
     UndecidableContext,
 )
-from .multipoly import GREVLEX, BlockOrder, Poly, PolyRing
+from .multipoly import (
+    GREVLEX,
+    BlockOrder,
+    Poly,
+    PolyRing,
+    _ascending,
+    _from_ascending,
+    _sub_shifted,
+)
 from .sheaf import LocalizedFiniteRing
 
 
@@ -46,45 +53,20 @@ def _coprime(e1, e2):
     return not any(map(min, e1, e2))
 
 
-def _sub_shifted(rem, tail, shift, c, key, dom):
-    """rem -= c * x^shift * tail, in place and without sorting.
-
-    ``rem`` is a list of (order key, exps, coeff) in ascending key order, so
-    its leading term is last, and ``tail`` a descending tuple of
-    (exps, coeff). Multiplying by a monomial keeps every term order: each
-    shifted term costs one order key and one binary search below the
-    position of the previous one.
-    """
-    mul, dsub, is_zero = dom.mul, dom.sub, dom.is_zero
-    hi = len(rem)
-    for e, gc in tail:
-        e = tuple(map(add, e, shift))
-        k = key(e)
-        i = bisect.bisect_left(rem, k, 0, hi, key=itemgetter(0))
-        if i < hi and rem[i][0] == k:
-            v = dsub(rem[i][2], mul(c, gc))
-            if is_zero(v):
-                del rem[i]
-            else:
-                rem[i] = (k, e, v)
-        else:
-            rem.insert(i, (k, e, dom.neg(mul(c, gc))))
-        hi = i
-
-
 def normal_form_list(f: Poly, basis):
-    """Fully reduce f against a list of polynomials (field coefficients).
+    """Fully reduce f against a list of polynomials with unit leading
+    coefficients (any nonzero one over a field).
 
     Each step subtracts from the remainder the shifted tail of the first
     reducer whose leading monomial divides the leading one; the remainder
-    stays sorted (``_sub_shifted``) and nothing is re-sorted.
+    stays sorted (``multipoly._sub_shifted``) and nothing is re-sorted.
     """
     ring = f.ring
     dom = ring.domain
     key = ring.order.key
     reducers = [(g.terms[0][0], dom.inv(g.terms[0][1]), g.terms[1:])
                 for g in basis if g.terms]
-    rem = [(key(e), e, c) for e, c in reversed(f.terms)]
+    rem = _ascending(f)
     out = []
     while rem:
         _, lead, lc = rem.pop()
@@ -106,7 +88,7 @@ def _s_polynomial(gi, gj, lcm):
     for g, c in ((gi, dom.neg(dom.one())), (gj, dom.one())):
         shift = tuple(map(sub, lcm, g.terms[0][0]))
         _sub_shifted(rem, g.terms[1:], shift, c, key, dom)
-    return Poly(ring, tuple((e, c) for _, e, c in reversed(rem)))
+    return _from_ascending(ring, rem)
 
 
 def _update(pairs, live, lms, new, key):
@@ -337,43 +319,23 @@ class PresentedAlgebra:
 
 
 def _reduce_by_monic(f, relations):
-    """Reduction when every relation is monic univariate in its own variable.
+    """Normal form when every relation is monic in a variable of its own.
 
-    This covers quotients such as ZZ[T]/(T^2+1) where division by a monic
-    polynomial stays inside the base ring; returns None when not applicable.
+    Such relations have pairwise coprime leading monomials, so they form a
+    Gröbner basis over any base ring (Buchberger's first criterion) and the
+    remainder is unique.  This covers quotients such as ZZ[T]/(T^2+1);
+    returns None when not applicable.
     """
-    ring = f.ring
-    main = {}
+    names = []
     for r in relations:
         used = r.variables_used()
-        if len(used) != 1:
+        # a relation in one variable leads with its top power
+        if len(used) != 1 or not f.ring.domain.is_one(r.leading_coeff()):
             return None
-        v = used.pop()
-        i = ring._index[v]
-        lead_exp = r.degree_in(v)
-        lc = r.coeff(tuple(lead_exp if j == i else 0 for j in range(ring.nvars)))
-        if not ring.domain.is_one(lc) or v in main:
-            return None
-        main[v] = r
-    rem = f
-    changed = True
-    while changed:
-        changed = False
-        for v, r in main.items():
-            i = ring._index[v]
-            d = r.degree_in(v)
-            while rem.degree_in(v) >= d if not rem.is_zero() else False:
-                # subtract (leading slice) * r
-                target = rem.degree_in(v)
-                slice_terms = {
-                    tuple(k - d if j == i else k for j, k in enumerate(e)): c
-                    for e, c in rem.terms
-                    if e[i] == target
-                }
-                mult = ring.from_dict(slice_terms)
-                rem = rem - mult * r
-                changed = True
-    return rem
+        names += used
+    if len(set(names)) != len(names):
+        return None
+    return normal_form_list(f, relations)
 
 
 def _monomials_up_to(ring, degree):
@@ -608,14 +570,11 @@ def _kept_part(ring, gb, keep):
     """(gb) ∩ base[keep] for a basis ``gb`` under an order that eliminates
     the other variables of ``ring``: its elements that use only ``keep``,
     re-indexed into base[keep]."""
-    take = [ring._index[n] for n in keep]
-    kept = PolyRing(ring.domain, tuple(keep), GREVLEX)
-    out = [
-        kept.from_dict({tuple(e[i] for i in take): c for e, c in g.terms})
-        for g in gb
-        if g.variables_used() <= set(keep)
-    ]
-    return IdealHandle(PresentedAlgebra(ring.domain, tuple(keep)), out)
+    keep = tuple(keep)
+    kept = PolyRing(ring.domain, keep, GREVLEX)
+    pos = [keep.index(n) if n in keep else None for n in ring.names]
+    out = [g.relabel(kept, pos) for g in gb if g.variables_used() <= set(keep)]
+    return IdealHandle(PresentedAlgebra(ring.domain, keep), out)
 
 
 def elimination_ideal(ideal: IdealHandle, keep):

@@ -1334,10 +1334,7 @@ def poly_to_dense(f, dom=None, var=None):
     be univariate; with it, f must involve no other variable.
     """
     ring = f.ring
-    if var is None:
-        if len(ring.names) != 1:
-            raise UnsupportedDomain("expected a univariate polynomial")
-        var = ring.names[0]
+    var = _dense_var(ring, var)
     src = ring.domain
     dom = src if dom is None else dom
     i = ring._index[var]
@@ -1347,8 +1344,18 @@ def poly_to_dense(f, dom=None, var=None):
     return up_norm(dom, tuple(dense))
 
 
-def _dense_to_poly(ring, coeffs):
-    return ring.from_dict({(i,): c for i, c in enumerate(coeffs)})
+def dense_to_poly(ring, coeffs, var=None):
+    """sum(coeffs[k] * var^k) in ``ring``: the inverse of ``poly_to_dense``."""
+    unit = ring.gen(_dense_var(ring, var)).leading_monomial()
+    return ring.from_dict({tuple(k * a for a in unit): c for k, c in enumerate(coeffs)})
+
+
+def _dense_var(ring, var):
+    if var is not None:
+        return var
+    if len(ring.names) != 1:
+        raise UnsupportedDomain("expected a univariate polynomial")
+    return ring.names[0]
 
 
 def factor_univariate(f):
@@ -1362,7 +1369,7 @@ def factor_univariate(f):
         raise ZeroPolynomial("cannot factor the zero polynomial")
     unit, fac = factor_dense(dense, f.ring.domain)
     return UniFactorization(
-        unit, [(_dense_to_poly(f.ring, c), m) for c, m in fac], f.ring
+        unit, [(dense_to_poly(f.ring, c), m) for c, m in fac], f.ring
     )
 
 

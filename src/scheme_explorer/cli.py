@@ -292,8 +292,8 @@ def _proj(cmd, env):
         }
     if action == "segre":
         k = field
-        p_raw = _parse_raw_coords(cmd.flag("p", "[1:0]"), k)
-        q_raw = _parse_raw_coords(cmd.flag("q", "[1:0]"), k)
+        p_raw = _parse_line_point(cmd.flag("p", "[1:0]"), k)
+        q_raw = _parse_line_point(cmd.flag("q", "[1:0]"), k)
         raw = [k.mul(a, b) for a in p_raw for b in q_raw]
         image = pj.point_normalize(k, raw)
         check = k.sub(k.mul(raw[0], raw[3]), k.mul(raw[1], raw[2]))
@@ -336,6 +336,8 @@ def _proj(cmd, env):
     if action == "sections":
         n = _count_flag(cmd, "n", 1)
         d = cmd.flag("d", 1)
+        if not isinstance(d, int):
+            raise InvalidArgument(f"--d expects an integer, got {d!r}")
         sections = pj.twist_sections(n, d, field)
         return {
             "kind": "proj-sections",

@@ -96,7 +96,9 @@ class NotInvertible(SchemeError):
     code = "not-invertible"
 
 
-class InvalidArgument(SchemeError):
+class InvalidArgument(SchemeError, ValueError):
+    """An argument outside the domain of the call; also a ValueError."""
+
     code = "invalid-argument"
 
 

@@ -17,6 +17,7 @@ from .arith import (
     ExtField,
     FracField,
     Zmod,
+    dense_to_poly,
     factor_dense,
     poly_to_dense,
     up_deg,
@@ -24,6 +25,7 @@ from .arith import (
 )
 from .errors import (
     IntegralityNotWitnessed,
+    InvalidArgument,
     NotCatalogued,
     ResidueFieldNotRepresentable,
     Undecidable,
@@ -40,10 +42,10 @@ class RingMorphism:
         self.target = target
         self.images = list(images)
         if len(self.images) != len(source.names):
-            raise ValueError("one image per source variable required")
+            raise InvalidArgument("one image per source variable required")
         for rel in source.relations:
             if not self._maps_to_zero(rel):
-                raise ValueError(f"relation {rel} does not map to zero")
+                raise InvalidArgument(f"relation {rel} does not map to zero")
 
     def _maps_to_zero(self, rel):
         image = self.apply(rel)
@@ -236,30 +238,21 @@ def _flatten_extension(algebra: alg.PresentedAlgebra):
     aux = alg._fresh_name(base.var if base.var not in algebra.names else "w", algebra.names)
     names = (aux,) + algebra.names
     ring = PolyRing(k0, names, algebra.ring.order)
-    rels = [ring.from_dict({
-        tuple([i] + [0] * len(algebra.names)): c
-        for i, c in enumerate(base.modulus)
-    })]
+    rels = [dense_to_poly(ring, base.modulus, aux)]
     for rel in algebra.relations:
-        rels.append(_expand_ext_coeffs(rel, ring, base))
+        rels.append(_expand_ext_coeffs(rel, ring))
     flat = alg.PresentedAlgebra(k0, names, rels, algebra.ring.order)
     if isinstance(k0, ExtField):
         raise ResidueFieldNotRepresentable("towers of extensions in fibers")
     return flat, aux
 
 
-def _expand_ext_coeffs(poly, ring, ext):
+def _expand_ext_coeffs(poly, ring):
     """Transport a polynomial with ExtField coefficients into ring, writing
     each coefficient tuple as a polynomial in the adjoined first variable."""
-    d = {}
-    zero = ring.domain.zero()
-    for e, c in poly.terms:
-        for i, ci in enumerate(c):
-            if ring.domain.is_zero(ci):
-                continue
-            key = (i,) + tuple(e)
-            d[key] = ring.domain.add(d[key], ci) if key in d else ci
-    return ring.from_dict({k: v for k, v in d.items() if v != zero})
+    return ring.from_dict({
+        (i,) + e: ci for e, c in poly.terms for i, ci in enumerate(c)
+    })
 
 
 def _base_change_to_residue(phi, x, kappa):
@@ -277,7 +270,7 @@ def _base_change_to_residue(phi, x, kappa):
         if aux is None:
             image_flat = image.relabel(target.ring)
         else:
-            image_flat = _expand_ext_coeffs(image, target.ring, phi.target.base)
+            image_flat = _expand_ext_coeffs(image, target.ring)
         rels.append(image_flat.map_coefficients(ring) - ring.const(value))
     rels = [r for r in rels if not r.is_zero()]
     fiber_algebra = alg.PresentedAlgebra(kappa, target.names, rels, target.ring.order)
@@ -320,17 +313,10 @@ def _pinned_form(rel):
     if len(used) != 1:
         return None
     name = used.pop()
-    if rel.degree_in(name) != 1:
+    coeffs = rel.coeffs_in(name)
+    if len(coeffs) != 2 or coeffs[1] != 1:
         return None
-    i = ring._index[name]
-    lin = tuple(1 if j == i else 0 for j in range(ring.nvars))
-    lc = rel.coeff(lin)
-    if not ring.domain.is_one(lc):
-        return None
-    const = ring.domain.neg(rel.coeff((0,) * ring.nvars))
-    if len(rel.terms) > 2:
-        return None
-    return name, const
+    return name, ring.domain.neg(coeffs[0].constant_value())
 
 
 def _symbolic_fiber(phi, x, bound):
@@ -407,13 +393,8 @@ def going_up_check(phi: RingMorphism, witnesses, bound=50):
 
 
 def _is_monic_in(poly, name):
-    d = poly.degree_in(name)
-    if d <= 0:
-        return False
-    ring = poly.ring
-    i = ring._index[name]
-    lead = poly.coeff(tuple(d if j == i else 0 for j in range(ring.nvars)))
-    return ring.domain.is_one(lead)
+    coeffs = poly.coeffs_in(name)
+    return len(coeffs) > 1 and coeffs[-1] == 1
 
 
 def _first_point_of_univariate_quotient(algebra):

@@ -5,17 +5,25 @@ A PolyRing fixes the domain, an ordered variable list, and a term order
 for elimination).  Polynomials are immutable; terms are kept sorted in
 descending order, leading term first, so printing is canonical.
 
-Variable identity is by name inside one ring; moving a polynomial between
-rings is always an explicit substitution or relabeling, never implicit.
+This module owns the term format.  Every sum, difference, product and
+quotient merges through one kernel, ``_sub_shifted``, which subtracts a
+scaled, shifted copy of a sorted term list from a sorted remainder; since
+multiplying by a monomial keeps every term order, nothing is re-sorted.
+The kernel finds terms by their order key, so the key must be injective on
+exponent vectors: a block order must cover every variable.  Other modules
+read a polynomial one variable at a time through ``Poly.coeffs_in`` and
+``arith.dense_to_poly``, and move it between rings through
+``Poly.relabel`` or ``Poly.substitute``, never implicitly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from operator import neg
+from operator import add, itemgetter, neg, sub
 
-from .arith import QQ, ZZ, Domain, up_gcd, up_norm
+from .arith import QQ, ZZ, Domain, dense_to_poly, poly_to_dense, up_gcd
 from .errors import InvalidArgument, NotHomogeneous, ZeroPolynomial
 
 
@@ -95,6 +103,10 @@ class PolyRing:
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise InvalidArgument(f"duplicate variable names in {self.names}")
+        if isinstance(order, BlockOrder) and sum(order.sizes) != len(self.names):
+            raise InvalidArgument(
+                f"{order} orders {sum(order.sizes)} variables, not {len(self.names)}"
+            )
         self.order = order
         self._index = {n: i for i, n in enumerate(self.names)}
 
@@ -117,6 +129,8 @@ class PolyRing:
         return self.const(self.domain.from_int(n))
 
     def gen(self, name):
+        if name not in self._index:
+            raise InvalidArgument(f"{self} has no variable {name!r}")
         i = self._index[name]
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Poly(self, ((exps, self.domain.one()),))
@@ -244,15 +258,9 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        dom = self.ring.domain
-        d = dict(self.terms)
-        for e, c in other.terms:
-            s = dom.add(d.get(e, dom.zero()), c)
-            if dom.is_zero(s):
-                d.pop(e, None)
-            else:
-                d[e] = s
-        return Poly(self.ring, self.ring._sorted(d.items()))
+        # merge the shorter operand into the longer
+        big, small = (other, self) if len(other.terms) > len(self.terms) else (self, other)
+        return big._sub_scaled(small, self.ring.domain.neg(self.ring.domain.one()))
 
     __radd__ = __add__
 
@@ -264,26 +272,30 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._sub_scaled(other, self.ring.domain.one())
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _sub_scaled(self, other, c):
+        """self - c*other, merged by the kernel."""
+        ring = self.ring
+        rem = _ascending(self)
+        _sub_shifted(rem, other.terms, (0,) * ring.nvars, c, ring.order.key, ring.domain)
+        return _from_ascending(ring, rem)
+
     def __mul__(self, other):
+        """The sum of the longer factor shifted by each term of the shorter."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        dom = self.ring.domain
-        d = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = dom.add(d.get(e, dom.zero()), dom.mul(c1, c2))
-                if dom.is_zero(s):
-                    d.pop(e, None)
-                else:
-                    d[e] = s
-        return Poly(self.ring, self.ring._sorted(d.items()))
+        ring = self.ring
+        dom, key = ring.domain, ring.order.key
+        big, small = (other, self) if len(other.terms) > len(self.terms) else (self, other)
+        rem = []
+        for e, c in small.terms:
+            _sub_shifted(rem, big.terms, e, dom.neg(c), key, dom)
+        return _from_ascending(ring, rem)
 
     __rmul__ = __mul__
 
@@ -356,20 +368,36 @@ class Poly:
                 d[e] = v
         return target_ring.from_dict(d)
 
+    def coeffs_in(self, name):
+        """The coefficients of self in ``name``, low degree first: polynomials
+        c_k free of ``name`` with self = sum(c_k * name^k); [] for zero."""
+        i = self.ring._index[name]
+        parts = [[] for _ in range(self.degree_in(name) + 1)]
+        for e, c in self.terms:
+            # dividing by name^k keeps the order of the terms that have it
+            parts[e[i]].append((e[:i] + (0,) + e[i + 1:], c))
+        return [Poly(self.ring, tuple(p)) for p in parts]
+
     def relabel(self, target_ring, position_map=None):
-        """Transport by variable position into a ring with as many variables."""
+        """Transport by variable position: variable i becomes variable
+        ``position_map[i]`` of ``target_ring`` (the same position by default).
+
+        A None position marks a variable that must not occur: ValueError if
+        it does, so nothing is dropped silently.
+        """
         if position_map is None:
-            position_map = list(range(self.ring.nvars))
-        dom = target_ring.domain
+            position_map = range(self.ring.nvars)
+        moved = [(i, j) for i, j in enumerate(position_map) if j is not None]
+        dropped = [i for i, j in enumerate(position_map) if j is None]
+        src, dom = self.ring.domain, target_ring.domain
         d = {}
         for e, c in self.terms:
+            if any(e[i] for i in dropped):
+                raise ValueError(f"{self} uses a variable that {target_ring} lacks")
             exps = [0] * target_ring.nvars
-            for i, k in enumerate(e):
-                if k:
-                    exps[position_map[i]] = k
-            key = tuple(exps)
-            v = dom.coerce(self.ring.domain, c)
-            d[key] = dom.add(d[key], v) if key in d else v
+            for i, j in moved:
+                exps[j] = e[i]
+            d[tuple(exps)] = dom.coerce(src, c)
         return target_ring.from_dict(d)
 
     def resort(self, order):
@@ -435,7 +463,7 @@ def homogeneous_components(f: Poly):
     buckets = {}
     for e, c in f.terms:
         buckets.setdefault(sum(e), []).append((e, c))
-    return {d: f.ring.from_dict(dict(ts)) for d, ts in buckets.items()}
+    return {d: Poly(f.ring, tuple(ts)) for d, ts in buckets.items()}
 
 
 def homogenize(f: Poly, new_var: str, position: int = 0, rename=None):
@@ -499,7 +527,7 @@ def content_primitive(f: Poly, main_var=None):
             g = math.gcd(g, abs(c))
         if f.leading_coeff() < 0:
             g = -g
-        prim = f.ring.from_dict({e: c // g for e, c in f.terms})
+        prim = Poly(f.ring, tuple((e, c // g) for e, c in f.terms))
         return g, prim
     return _content_primitive_bivariate(f, main_var)
 
@@ -509,29 +537,13 @@ def _content_primitive_bivariate(f, main_var):
     if ring.nvars != 2 or not ring.domain.is_field:
         raise ValueError("coefficient content needs 2 variables over a field")
     other = [n for n in ring.names if n != main_var][0]
-    mi = ring._index[main_var]
-    oi = ring._index[other]
     dom = ring.domain
-    coeffs = {}
-    for e, c in f.terms:
-        coeffs.setdefault(e[mi], {})[e[oi]] = c
-    dense = []
-    for d, mono in coeffs.items():
-        size = max(mono) + 1
-        vec = [dom.zero()] * size
-        for k, c in mono.items():
-            vec[k] = c
-        dense.append(up_norm(dom, tuple(vec)))
     g = ()
-    for vec in dense:
-        g = up_gcd(dom, g, vec) if g else up_norm(dom, vec)
-    cd = {}
-    for i, c in enumerate(g):
-        if not dom.is_zero(c):
-            exps = [0, 0]
-            exps[oi] = i
-            cd[tuple(exps)] = c
-    content = ring.from_dict(cd)
+    for c in f.coeffs_in(main_var):
+        if c.terms:
+            vec = poly_to_dense(c, var=other)
+            g = up_gcd(dom, g, vec) if g else vec
+    content = dense_to_poly(ring, g, other)
     prim = exact_divide(f, content)
     return content, prim
 
@@ -542,22 +554,20 @@ def exact_divide(f: Poly, g: Poly):
     dom = ring.domain
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    out = {}
-    rem = f
-    gkey = ring.order.key(g.leading_monomial())
-    while not rem.is_zero():
-        le, lc = rem.leading_term()
-        ge, gc = g.leading_term()
-        exps = tuple(a - b for a, b in zip(le, ge))
+    (ge, gc), tail = g.terms[0], g.terms[1:]
+    key = ring.order.key
+    rem = _ascending(f)
+    out = []
+    while rem:
+        _, le, lc = rem.pop()
+        exps = tuple(map(sub, le, ge))
         if any(e < 0 for e in exps):
             raise ValueError(f"{g} does not divide {f}")
-        if dom.is_field:
-            c = dom.div(lc, gc)
-        else:
-            c = _exact_coeff_div(dom, lc, gc)
-        out[exps] = c
-        rem = rem - ring.monomial(exps, c) * g
-    return ring.from_dict(out)
+        c = dom.div(lc, gc) if dom.is_field else _exact_coeff_div(dom, lc, gc)
+        # quotient terms come out in descending order, like the remainder's
+        out.append((exps, c))
+        _sub_shifted(rem, tail, exps, c, key, dom)
+    return Poly(ring, tuple(out))
 
 
 def _exact_coeff_div(dom, a, b):
@@ -566,3 +576,45 @@ def _exact_coeff_div(dom, a, b):
             raise ValueError("coefficient division is not exact")
         return a // b
     return dom.mul(a, dom.inv(b))
+
+
+# ---------------------------------------------------------------------------
+# the merge kernel
+# ---------------------------------------------------------------------------
+
+def _ascending(f):
+    """The terms of f as a remainder for ``_sub_shifted``."""
+    key = f.ring.order.key
+    return [(key(e), e, c) for e, c in reversed(f.terms)]
+
+
+def _from_ascending(ring, rem):
+    return Poly(ring, tuple((e, c) for _, e, c in reversed(rem)))
+
+
+def _sub_shifted(rem, tail, shift, c, key, dom):
+    """rem -= c * x^shift * tail, in place and without sorting.
+
+    ``rem`` is a list of (order key, exps, coeff) in ascending key order, so
+    its leading term is last, and ``tail`` a descending tuple of
+    (exps, coeff). Multiplying by a monomial keeps every term order: each
+    shifted term costs one order key and one binary search below the
+    position of the previous one. A product c * gc that is zero (ZZ/n has
+    zero divisors) adds no term.
+    """
+    mul, dsub, is_zero = dom.mul, dom.sub, dom.is_zero
+    hi = len(rem)
+    for e, gc in tail:
+        e = tuple(map(add, e, shift))
+        k = key(e)
+        i = bisect_left(rem, k, 0, hi, key=itemgetter(0))
+        p = mul(c, gc)
+        if i < hi and rem[i][0] == k:
+            v = dsub(rem[i][2], p)
+            if is_zero(v):
+                del rem[i]
+            else:
+                rem[i] = (k, e, v)
+        elif not is_zero(p):
+            rem.insert(i, (k, e, dom.neg(p)))
+        hi = i

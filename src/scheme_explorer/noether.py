@@ -49,13 +49,8 @@ class NormalizationStep:
             assignment[f"Z@{idx}"] = ring.gen(names[idx - 1]) + x1 ** r
         if not self.certificate.substitute(assignment, ring).is_zero():
             return False
-        cert = self.certificate
-        d = cert.degree_in("X@")
-        if d <= 0:
-            return False
-        i = cert.ring._index["X@"]
-        lead = cert.coeff(tuple(d if j == i else 0 for j in range(cert.ring.nvars)))
-        return cert.ring.domain.is_one(lead)
+        coeffs = self.certificate.coeffs_in("X@")
+        return len(coeffs) > 1 and coeffs[-1] == 1
 
     def as_record(self):
         return {
@@ -165,11 +160,8 @@ def _normalize_level(ring: PolyRing, gens):
     elim_ring = PolyRing(ring.domain, (names[0],) + z_names, BlockOrder((1, n - 1)))
     gb = groebner_basis([g.relabel(elim_ring) for g in moved], elim_ring)
     sub_ring = PolyRing(ring.domain, z_names, ring.order)
-    lowered = []
-    for g in gb:
-        if names[0] in g.variables_used():
-            continue
-        lowered.append(sub_ring.from_dict({e[1:]: c for e, c in g.terms}))
+    pos = [None] + list(range(n - 1))
+    lowered = [g.relabel(sub_ring, pos) for g in gb if names[0] not in g.variables_used()]
     sub_y, sub_steps = _normalize_level(sub_ring, lowered)
 
     lift = {}
@@ -188,16 +180,9 @@ def _build_certificate(ring, moved_P, n):
     """
     cert_names = ("X@",) + tuple(f"Z@{i}" for i in range(1, n + 1))
     cring = PolyRing(ring.domain, cert_names, GREVLEX)
-    d = {}
-    for e, c in moved_P.terms:
-        exps = [0] * (n + 1)
-        exps[0] = e[0]
-        for i in range(1, n):
-            exps[i + 1] = e[i]
-        d[tuple(exps)] = c
-    moved_cert = cring.from_dict(d)
-    N = moved_cert.degree_in("X@")
-    alpha = moved_cert.coeff(tuple([N] + [0] * n))
+    moved_cert = moved_P.relabel(cring, [0] + list(range(2, n + 1)))
+    # distinct weighted degrees make the leading coefficient in X@ a constant
+    alpha = moved_cert.coeffs_in("X@")[-1].constant_value()
     return (moved_cert - cring.gen("Z@1")).scale(ring.domain.inv(alpha))
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NonFieldBase,
     NotHomogeneous,
 )
-from .multipoly import Poly, PolyRing, dehomogenize, homogenize
+from .multipoly import Poly, PolyRing, dehomogenize, exact_divide, homogenize
 
 
 class GradedAlgebra:
@@ -209,21 +209,11 @@ def _cancel_monomials(num, den):
     ring = num.ring
     if num.is_zero():
         return num, den
-    mins = []
-    for idx in range(ring.nvars):
-        m = min(e[idx] for e, _ in num.terms)
-        m = min(m, min(e[idx] for e, _ in den.terms))
-        mins.append(m)
+    mins = [min(col) for col in zip(*(e for e, _ in num.terms + den.terms))]
     if not any(mins):
         return num, den
-    shift = tuple(mins)
-
-    def strip(p):
-        return ring.from_dict(
-            {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms}
-        )
-
-    return strip(num), strip(den)
+    mono = ring.monomial(mins)
+    return exact_divide(num, mono), exact_divide(den, mono)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,14 @@ from .arith import (
     ExtField,
     FracField,
     Zmod,
+    dense_to_poly,
     factor_dense,
     is_prime,
     poly_to_dense,
     prime_factors,
     up_deg,
     up_eval,
+    up_gcd,
     up_mod,
     up_norm,
 )
@@ -37,7 +39,7 @@ from .errors import (
     Unsupported,
     UnsupportedDomain,
 )
-from .multipoly import Poly, PolyRing
+from .multipoly import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ def prime_point(cat: SpecCatalogue, p):
 def closed_point(cat: SpecCatalogue, g):
     """The closed point (g) of k[T], g monic irreducible dense over k."""
     k = cat.data["field"]
-    P = cat.algebra.ring.from_dict({(i,): c for i, c in enumerate(g)})
+    P = dense_to_poly(cat.algebra.ring, g)
     kappa = k if up_deg(g) == 1 else ExtField(k, g, check=False)
     return SpecPoint(cat, ("principal", P), kappa, label=f"x_({P})")
 
@@ -261,7 +263,7 @@ def mixed_point(cat: SpecCatalogue, p, g):
     """The closed point (p, g) of ZZ[T], g monic irreducible dense over GF(p);
     the lift keeps g's coefficients in [0, p)."""
     k = Zmod(p)
-    lift = cat.algebra.ring.from_dict({(i,): int(c) for i, c in enumerate(g)})
+    lift = dense_to_poly(cat.algebra.ring, [int(c) for c in g])
     kappa = k if up_deg(g) == 1 else ExtField(k, g, check=False)
     return SpecPoint(cat, ("mixed", p, lift), kappa, label=f"y_({p},{lift})")
 
@@ -272,7 +274,7 @@ def height_one_point(cat: SpecCatalogue, coeffs):
     ``coeffs`` are P's integer coefficients, low degree first; P has content
     one and is irreducible over QQ, and its residue field is QQ[t]/(P).
     """
-    P = cat.algebra.ring.from_dict({(i,): c for i, c in enumerate(coeffs)})
+    P = dense_to_poly(cat.algebra.ring, coeffs)
     kappa = ExtField(QQ, tuple(Fraction(c) for c in coeffs), check=False)
     return SpecPoint(cat, ("principal", P), kappa, label=f"y_(eta,{P})")
 
@@ -564,22 +566,10 @@ def _factor_bivariate(f):
     content, primitive = content_primitive(f, main_var=main)
     out = []
     if not content.is_constant():
-        uni_ring = PolyRing(ring.domain, (other,), ring.order)
-        dense = poly_to_dense(content, var=other)
-        _, fac = factor_dense(dense, ring.domain)
-        for g, _ in fac:
-            lifted = ring.from_dict(
-                {_exps_for(ring, other, i): c for i, c in enumerate(g)}
-            )
-            out.append(lifted)
+        _, fac = factor_dense(poly_to_dense(content, var=other), ring.domain)
+        out.extend(dense_to_poly(ring, g, other) for g, _ in fac)
     out.extend(_factor_primitive_bivariate(primitive, main, other))
     return _dedupe(out)
-
-
-def _exps_for(ring, var, k):
-    exps = [0] * ring.nvars
-    exps[ring._index[var]] = k
-    return tuple(exps)
 
 
 def _factor_primitive_bivariate(f, main, other):
@@ -639,32 +629,20 @@ def _rational_function_root(f, main, other):
     """
     ring = f.ring
     k = ring.domain
-    d = f.degree_in(main)
-    lead = _coeff_in(f, main, d)
-    trail = _coeff_in(f, main, 0)
+    coeffs = f.coeffs_in(main)
+    lead, trail = coeffs[-1], coeffs[0]
     if trail.is_zero():
         return ring.zero(), ring.one()  # T divides f
     lead_divs = _monic_divisors(lead, other)
     trail_divs = _monic_divisors(trail, other)
     for den in lead_divs:
         for num in trail_divs:
-            sols = _solve_scalar(f, main, other, num, den, d)
+            sols = _solve_scalar(coeffs, other, num, den)
             for c in sols:
                 if k.is_zero(c):
                     continue
                 return num.scale(c), den
     return None
-
-
-def _coeff_in(f, var, power):
-    ring = f.ring
-    i = ring._index[var]
-    d = {}
-    for e, c in f.terms:
-        if e[i] == power:
-            key = tuple(0 if j == i else k for j, k in enumerate(e))
-            d[key] = c
-    return ring.from_dict(d)
 
 
 def _monic_divisors(poly, var):
@@ -675,7 +653,7 @@ def _monic_divisors(poly, var):
     _, fac = factor_dense(dense, k)
     divisors = [ring.one()]
     for g, mult in fac:
-        lifted = ring.from_dict({_exps_for(ring, var, i): c for i, c in enumerate(g)})
+        lifted = dense_to_poly(ring, g, var)
         new = []
         for d0 in divisors:
             for e in range(mult + 1):
@@ -684,48 +662,31 @@ def _monic_divisors(poly, var):
     return _dedupe(divisors)
 
 
-def _solve_scalar(f, main, other, num, den, d):
-    """Scalars c in k with f(T = c*num/den) = 0, exactly."""
-    ring = f.ring
-    k = ring.domain
-    # P(c, S) = sum_j f_j(S) (c*num)^j den^(d-j) must vanish identically in S
-    scalar_ring = PolyRing(k, ("c@",))
-    acc = {}
-    for j in range(d + 1):
-        cj = _coeff_in(f, main, j)
-        if cj.is_zero():
-            continue
-        body = cj * num ** j * den ** (d - j)
-        for e, coeff in body.terms:
-            s_deg = e[ring._index[other]]
-            key = (s_deg, j)
-            acc[key] = coeff
-    by_sdeg = {}
-    for (s_deg, j), coeff in acc.items():
-        by_sdeg.setdefault(s_deg, {})[j] = coeff
+def _solve_scalar(coeffs, other, num, den):
+    """Scalars c in k with f(T = c*num/den) = 0, exactly; ``coeffs`` are the
+    coefficients of f in T."""
+    k = num.ring.domain
+    d = len(coeffs) - 1
+    # P(c, S) = sum_j f_j(S) (c*num)^j den^(d-j) must vanish identically in
+    # S; column j holds the S-coefficients of its j-th summand
+    columns = [
+        (cj * num ** j * den ** (d - j)).coeffs_in(other) for j, cj in enumerate(coeffs)
+    ]
     # each S-degree gives a univariate condition in c; intersect via gcd
-    from .arith import up_gcd
-
     g = ()
-    for s_deg, coeffs in by_sdeg.items():
-        size = max(coeffs) + 1
-        vec = [k.zero()] * size
-        for j, c in coeffs.items():
-            vec[j] = c
-        dense = up_norm(k, tuple(vec))
-        g = dense if not g else up_gcd(k, g, dense)
+    for s in range(max(map(len, columns))):
+        row = up_norm(k, tuple(
+            col[s].constant_value() if s < len(col) else k.zero() for col in columns
+        ))
+        if not row:
+            continue
+        g = up_gcd(k, g, row) if g else row
         if g == (k.one(),):
             return []
-    if not g:
-        return []
-    if up_deg(g) == 0:
+    if not g or up_deg(g) == 0:
         return []
     _, fac = factor_dense(g, k)
-    roots = []
-    for h, _ in fac:
-        if up_deg(h) == 1:
-            roots.append(k.neg(h[0]))
-    return roots
+    return [k.neg(h[0]) for h, _ in fac if up_deg(h) == 1]
 
 
 # ---------------------------------------------------------------------------

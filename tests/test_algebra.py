@@ -480,3 +480,14 @@ def test_frobenius_tensor_nilpotency_order_p3():
     assert not T.nf(nu).is_zero()
     assert not T.nf(nu * nu).is_zero()
     assert T.nf(nu * nu * nu).is_zero()
+
+
+def test_localizing_a_block_ordered_algebra_needs_a_covering_order():
+    """The block order (1, 1) has no room for T_inv: an order key that
+    ignores T_inv would merge x*T_inv and x into 2*x."""
+    from scheme_explorer.multipoly import BlockOrder
+
+    A = PresentedAlgebra(QQ, ("x", "y"), order=BlockOrder((1, 1)))
+    x, y = A.gens()
+    with pytest.raises(InvalidArgument):
+        localize(A, x)

@@ -286,3 +286,17 @@ def test_closure_fibers_need_a_base_of_integers():
     assert "Traceback" not in proc.stdout + proc.stderr
     error = json.loads(proc.stdout)["results"][0]["error"]
     assert error["code"] == "unsupported-domain"
+
+
+@pytest.mark.parametrize("statement", [
+    'fiber --map "QQ[X,Y]->QQ[X]" --at p=5;',
+    'fiber --map "GF(5)[X]/(X)->GF(5)[X]" --at p=5;',
+])
+def test_maps_that_are_not_morphisms_are_typed_errors(statement):
+    """A source variable missing from the target, or a relation that does
+    not map to zero, is an invalid argument, not a traceback."""
+    proc = run_cli(["exec", statement, "--format", "json"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    error = json.loads(proc.stdout)["results"][0]["error"]
+    assert error["code"] == "invalid-argument"

@@ -230,3 +230,18 @@ def test_fiber_is_empty_when_the_base_change_kills_the_prime():
             else:
                 assert fib.points == []
                 assert repr(fib.fiber_algebra) == f"GF({p})[T]/(1)"
+
+
+def test_going_up_reads_the_leading_coefficient_in_the_variable():
+    """(T^2 + 1)(U + 1) vanishes in ZZ[T,U]/(T^2+1, U^2-2), but its leading
+    coefficient in T is U + 1, not the coefficient 1 of the pure power T^2."""
+    Az = PresentedAlgebra(ZZ, ())
+    R = PresentedAlgebra(ZZ, ("T", "U"))
+    T, U = R.gens()
+    B = PresentedAlgebra(ZZ, ("T", "U"), [T ** 2 + 1, U ** 2 - 2])
+    phi = mor.RingMorphism(Az, B, [])
+    Tb, Ub = B.gens()
+    witness = Tb ** 2 * Ub + Tb ** 2 + Ub + 1
+    assert B.nf(witness).is_zero()
+    with pytest.raises(IntegralityNotWitnessed):
+        mor.going_up_check(phi, [witness, Ub ** 2 - 2], bound=5)

@@ -226,3 +226,113 @@ def test_scale_by_a_zero_divisor_drops_zero_terms():
     assert str(p) == "4*x"
     assert p == (2 * x + 3) * 2
     assert (2 * x + 3).scale(0) == R.zero()
+
+
+# -- the merge kernel against the dict-and-sort arithmetic it replaced --------
+
+def reference_add(f, g):
+    """Reference sum: accumulate in a dict, then sort."""
+    dom = f.ring.domain
+    d = dict(f.terms)
+    for e, c in g.terms:
+        s = dom.add(d.get(e, dom.zero()), c)
+        if dom.is_zero(s):
+            d.pop(e, None)
+        else:
+            d[e] = s
+    return f.ring.from_dict(d)
+
+
+def reference_mul(f, g):
+    """Reference product: every product of terms into one dict, then sort."""
+    dom = f.ring.domain
+    d = {}
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = dom.add(d.get(e, dom.zero()), dom.mul(c1, c2))
+            if dom.is_zero(s):
+                d.pop(e, None)
+            else:
+                d[e] = s
+    return f.ring.from_dict(d)
+
+
+def reference_neg(f):
+    dom = f.ring.domain
+    return f.ring.from_dict({e: dom.neg(c) for e, c in f.terms})
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder((1, 2))],
+                         ids=["grevlex", "lex", "block12"])
+@pytest.mark.parametrize("domain", [QQ, GF(32003), ZZ, Zmod(6)],
+                         ids=["QQ", "GF32003", "ZZ", "ZZ6"])
+def test_arithmetic_matches_the_dict_and_sort_reference(domain, order):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ring = PolyRing(domain, ("x", "y", "z"), order)
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    coeff = st.integers(-7, 7)
+    if domain == QQ:
+        coeff = st.fractions(min_value=-7, max_value=7, max_denominator=5)
+    terms = st.dictionaries(exps, coeff, max_size=6)
+
+    def poly(d):
+        if domain == QQ:
+            return ring.from_dict(d)
+        return ring.from_dict({e: domain.from_int(c) for e, c in d.items()})
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(terms, terms)
+    def check(fd, gd):
+        f, g = poly(fd), poly(gd)
+        assert f + g == reference_add(f, g)
+        assert f - g == reference_add(f, reference_neg(g))
+        assert f * g == reference_mul(f, g)
+        if domain == Zmod(6) and g.terms:
+            # exact division needs a unit leading coefficient here
+            g = g + ring.monomial(tuple(a + 1 for a in g.leading_monomial()))
+        if g.terms:
+            assert exact_divide(f * g, g) == f
+
+    check()
+
+
+def test_normal_form_drops_a_zero_product_over_zmod6():
+    """2 * (T^2 + 3) = 2*T^2 over ZZ/6: subtracting it must leave no term,
+    not a term with coefficient 0."""
+    from scheme_explorer.algebra import PresentedAlgebra
+
+    T, = PolyRing(Zmod(6), ("T",)).gens()
+    A = PresentedAlgebra(Zmod(6), ("T",), [T ** 2 + 3])
+    r = A.nf(2 * T ** 2)
+    assert r.is_zero() and r.terms == ()
+
+
+def test_block_order_must_cover_every_variable():
+    from scheme_explorer.errors import InvalidArgument
+
+    with pytest.raises(InvalidArgument):
+        PolyRing(QQ, ("x", "y", "z"), BlockOrder((1, 1)))
+    with pytest.raises(InvalidArgument):
+        PolyRing(QQ, ("x",), BlockOrder((1, 1)))
+
+
+def test_coeffs_in_reads_one_variable_at_a_time():
+    R = PolyRing(ZZ, ("T", "U"))
+    T, U = R.gens()
+    f = T ** 2 * U + T ** 2 + 3 * U - 1
+    assert f.coeffs_in("T") == [3 * U - 1, R.zero(), U + 1]
+    assert f.coeffs_in("U") == [T ** 2 - 1, T ** 2 + 3]
+    assert R.zero().coeffs_in("T") == []
+    assert sum((c * T ** k for k, c in enumerate(f.coeffs_in("T"))), R.zero()) == f
+
+
+def test_relabel_refuses_to_drop_a_variable_that_occurs():
+    R = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = R.gens()
+    S = PolyRing(QQ, ("b", "a"))
+    a, b = S.gen("a"), S.gen("b")
+    assert (x ** 2 * z + 3).relabel(S, [1, None, 0]) == a ** 2 * b + 3
+    with pytest.raises(ValueError):
+        (x + y).relabel(S, [1, None, 0])

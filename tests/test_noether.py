@@ -182,3 +182,20 @@ def test_has_common_zero_random_consistency():
         gb = groebner_basis(polys, R)
         unit = any(g.is_constant() and not g.is_zero() for g in gb)
         assert has_common_zero(polys, R) == (not unit)
+
+
+def test_certificate_with_a_nonconstant_leading_coefficient_fails_to_verify():
+    """Times 1 + Z@2 the certificate still vanishes under the substitution,
+    and its pure power of X@ still has coefficient 1, but it is no longer
+    monic in X@."""
+    from scheme_explorer.noether import NormalizationStep
+
+    A = PresentedAlgebra(QQ, ("X", "Y"))
+    X, Y = A.gens()
+    step = noether_normalize(IdealHandle(A, [X * Y - 1])).trace[0]
+    assert step.verify()
+    cert = step.certificate
+    scaled = cert * (1 + cert.ring.gen("Z@2"))
+    bad = NormalizationStep(step.level_names, step.chosen, step.p,
+                            step.r_exponents, scaled)
+    assert not bad.verify()
