@@ -10,7 +10,8 @@ Usage:
     scheme-explorer proj segre --p "[1:2]" --q "[3:5]"
     scheme-explorer sheaf check --space "spec(ZZ/12)"
 
-Exit status: 0 on success, 1 if any query errored, 2 on a parse error.
+Exit status: 0 on success, 1 if any query errored, 2 on a parse error, an
+unknown --format or a script file that cannot be read.
 JSON reports carry a stable top-level {"schema": 1} tag and sorted keys, so
 byte-identical output is reproducible across runs.
 """
@@ -32,8 +33,6 @@ from .errors import (
     DslSyntaxError,
     InfiniteSpectrum,
     InvalidArgument,
-    NonInvertibleUnit,
-    NotInvertible,
     SchemeError,
 )
 
@@ -99,7 +98,7 @@ def _execute(stmt, env):
     if isinstance(stmt, dsl.SpecializeCmd):
         return _run_specialize(stmt, env)
     if isinstance(stmt, dsl.Command):
-        return _run_command(stmt, env)
+        return _COMMANDS[stmt.group, stmt.action](stmt, env)
     raise SchemeError(f"unhandled statement {stmt!r}")
 
 
@@ -118,36 +117,9 @@ def _run_specialize(stmt, env):
     return {"kind": "specialization-table", "source": repr(source), "table": table}
 
 
-def _run_command(cmd, env):
-    group, action = cmd.group, cmd.action
-    if group == "spec" and action == "describe":
-        return _spec_describe(cmd, env)
-    if group == "spec" and action == "closure":
-        return _spec_closure(cmd, env)
-    if group == "fiber":
-        return _fiber(cmd, env)
-    if group == "normalize":
-        return _normalize(cmd, env)
-    if group == "proj":
-        return _proj(cmd, env)
-    if group == "sheaf":
-        return _sheaf(cmd, env)
-    raise SchemeError(f"unknown command {group} {action}")
-
-
-def _count_flag(cmd, name, default):
-    """The value of a flag that must be a nonnegative integer."""
-    value = cmd.flag(name, default)
-    if not isinstance(value, int) or value < 0:
-        raise InvalidArgument(f"--{name} expects a nonnegative integer, got {value!r}")
-    return value
-
-
 def _spec_describe(cmd, env):
-    if not cmd.positional:
-        raise SchemeError("spec describe needs a ring")
     algebra = env.resolve_ring(cmd.positional[0])
-    bound = _count_flag(cmd, "bound", 10)
+    bound = cmd.flag("bound")
     cat = sp.SpecCatalogue.recognize(algebra)
     points = sp.enumerate_points(cat, bound)
     return {
@@ -160,12 +132,9 @@ def _spec_describe(cmd, env):
 
 
 def _spec_closure(cmd, env):
-    ring_text = cmd.flag("ring", "ZZ[T]")
-    algebra = env.resolve_ring(dsl.parse_ring_text(ring_text))
+    algebra = env.resolve_ring(dsl.parse_ring_text(cmd.flag("ring")))
     point_text = cmd.flag("point")
-    if point_text is None:
-        raise SchemeError("spec closure needs --point")
-    fibers = _count_flag(cmd, "fibers", 0)
+    fibers = cmd.flag("fibers")
     label, comma, poly_text = point_text.partition(",")
     if not comma:
         raise InvalidArgument(f"--point expects \"LABEL,(POLY)\", got {point_text!r}")
@@ -204,12 +173,10 @@ def _parse_map(text, env):
 
 def _fiber(cmd, env):
     map_text = cmd.flag("map")
-    if map_text is None:
-        raise SchemeError("fiber needs --map \"A->B\"")
     phi = _parse_map(map_text, env)
-    at = cmd.flag("at", "p=2")
+    at = cmd.flag("at")
     key, _, val = at.partition("=")
-    bound = _count_flag(cmd, "bound", 6)
+    bound = cmd.flag("bound")
     src_cat = sp.SpecCatalogue.recognize(phi.source)
     if key == "p":
         if not (val.isdecimal() and arith.is_prime(int(val))):
@@ -222,10 +189,7 @@ def _fiber(cmd, env):
 
 
 def _normalize(cmd, env):
-    ring_text = cmd.flag("ring")
-    ideal_text = cmd.flag("ideal")
-    if ring_text is None or ideal_text is None:
-        raise SchemeError("normalize needs --ring and --ideal")
+    ring_text, ideal_text = cmd.flag("ring"), cmd.flag("ideal")
     ambient = env.resolve_ring(dsl.parse_ring_text(ring_text))
     gens = []
     for part in ideal_text.strip().strip("()").split(","):
@@ -239,22 +203,16 @@ def _normalize(cmd, env):
     return record
 
 
-def _parse_raw_coords(text, field):
-    body = text.strip().strip("[]")
+def _parse_line_point(text, field):
+    """The two coordinates of a point of P^1."""
     coords = []
-    for part in body.split(":"):
+    for part in text.strip().strip("[]").split(":"):
         num, _, den = part.strip().partition("/")
         try:
             num, den = int(num), int(den or 1)
         except ValueError:
             raise InvalidArgument(f"bad coordinate {part.strip()!r} in {text!r}") from None
         coords.append(field.mul(field.from_int(num), field.inv(field.from_int(den))))
-    return coords
-
-
-def _parse_line_point(text, field):
-    """The two coordinates of a point of P^1."""
-    coords = _parse_raw_coords(text, field)
     if len(coords) != 2:
         raise InvalidArgument(f"expected a point [s0:s1] of P^1, got {text!r}")
     return coords
@@ -264,89 +222,82 @@ def _coords_str(field, coords):
     return "[" + ":".join(field.format(c) for c in coords) + "]"
 
 
-def _proj(cmd, env):
-    action = cmd.action
-    field = dsl.build_domain(dsl.parse_ring_text(cmd.flag("field", "QQ")).domain)
-    if action == "charts":
-        graded_text = cmd.flag("graded")
-        if graded_text is None:
-            raise SchemeError("proj charts needs --graded")
-        expr = dsl.parse_ring_text(graded_text)
-        algebra = dsl.build_ring(expr)
-        graded = pj.GradedAlgebra(algebra.base, algebra.names, algebra.relations)
-        charts = []
-        for i in range(len(graded.names)):
-            chart = pj.proj_chart(graded, i)
-            charts.append({"index": i, "ring": repr(chart.algebra)})
-        return {"kind": "proj-charts", "graded": repr(graded), "charts": charts}
-    if action == "points":
-        space_text = cmd.flag("space", "P^1(GF(2))")
-        n, field = _parse_proj_space(space_text)
-        points = pj.enumerate_points(field, n)
-        return {
-            "kind": "proj-points",
-            "space": space_text,
-            "count": len(points),
-            "expected": (field.order() ** (n + 1) - 1) // (field.order() - 1),
-            "points": [repr(p) for p in points],
-        }
-    if action == "segre":
-        k = field
-        p_raw = _parse_line_point(cmd.flag("p", "[1:0]"), k)
-        q_raw = _parse_line_point(cmd.flag("q", "[1:0]"), k)
-        raw = [k.mul(a, b) for a in p_raw for b in q_raw]
-        image = pj.point_normalize(k, raw)
-        check = k.sub(k.mul(raw[0], raw[3]), k.mul(raw[1], raw[2]))
-        return {
-            "kind": "proj-segre",
-            "p": repr(pj.point_normalize(k, p_raw)),
-            "q": repr(pj.point_normalize(k, q_raw)),
-            "raw_image": _coords_str(k, raw),
-            "image": repr(image),
-            "quadric_check": field.format(check),
-        }
-    if action == "conic":
-        k = field
-        s0, s1 = _parse_line_point(cmd.flag("p", "[1:0]"), k)
-        raw = [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s1)]
-        image = pj.point_normalize(k, raw)
-        check = k.sub(k.mul(raw[0], raw[2]), k.mul(raw[1], raw[1]))
-        return {
-            "kind": "proj-conic",
-            "p": repr(pj.point_normalize(k, [s0, s1])),
-            "raw_image": _coords_str(k, raw),
-            "image": repr(image),
-            "conic_check": field.format(check),
-        }
-    if action == "veronese":
-        k = field
-        s0, s1 = _parse_line_point(cmd.flag("p", "[1:0]"), k)
-        raw = [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s0), k.mul(s1, s1)]
-        image = pj.point_normalize(k, raw)
-        sym = k.sub(raw[1], raw[2])
-        quad = k.sub(k.mul(raw[0], raw[3]), k.mul(raw[1], raw[2]))
-        return {
-            "kind": "proj-veronese",
-            "p": repr(pj.point_normalize(k, [s0, s1])),
-            "raw_image": _coords_str(k, raw),
-            "image": repr(image),
-            "symmetry_check": field.format(sym),
-            "quadric_check": field.format(quad),
-        }
-    if action == "sections":
-        n = _count_flag(cmd, "n", 1)
-        d = cmd.flag("d", 1)
-        if not isinstance(d, int):
-            raise InvalidArgument(f"--d expects an integer, got {d!r}")
-        sections = pj.twist_sections(n, d, field)
-        return {
-            "kind": "proj-sections",
-            "n": n,
-            "d": d,
-            "rank": sections.rank,
-            "basis": sections.basis_strings(),
-        }
-    raise SchemeError(f"unknown proj action {action!r}")
+def _field(cmd):
+    return dsl.build_domain(dsl.parse_ring_text(cmd.flag("field")).domain)
+
+
+def _proj_charts(cmd, env):
+    expr = dsl.parse_ring_text(cmd.flag("graded"))
+    algebra = dsl.build_ring(expr)
+    graded = pj.GradedAlgebra(algebra.base, algebra.names, algebra.relations)
+    charts = []
+    for i in range(len(graded.names)):
+        chart = pj.proj_chart(graded, i)
+        charts.append({"index": i, "ring": repr(chart.algebra)})
+    return {"kind": "proj-charts", "graded": repr(graded), "charts": charts}
+
+
+def _proj_points(cmd, env):
+    space_text = cmd.flag("space")
+    n, field = _parse_proj_space(space_text)
+    points = pj.enumerate_points(field, n)
+    return {
+        "kind": "proj-points",
+        "space": space_text,
+        "count": len(points),
+        "expected": (field.order() ** (n + 1) - 1) // (field.order() - 1),
+        "points": [repr(p) for p in points],
+    }
+
+
+def _map_record(kind, k, points, raw, **checks):
+    """A point map's report: its arguments, raw and normalized image, and
+    the checks that vanish on the image."""
+    record = {"kind": kind, "image": repr(pj.point_normalize(k, raw)),
+              "raw_image": _coords_str(k, raw)}
+    record.update({name: repr(pj.point_normalize(k, pt)) for name, pt in points.items()})
+    record.update({name: k.format(value) for name, value in checks.items()})
+    return record
+
+
+def _proj_segre(cmd, env):
+    k = _field(cmd)
+    p = _parse_line_point(cmd.flag("p"), k)
+    q = _parse_line_point(cmd.flag("q"), k)
+    raw = [k.mul(a, b) for a in p for b in q]
+    quad = k.sub(k.mul(raw[0], raw[3]), k.mul(raw[1], raw[2]))
+    return _map_record("proj-segre", k, {"p": p, "q": q}, raw, quadric_check=quad)
+
+
+def _proj_conic(cmd, env):
+    k = _field(cmd)
+    s0, s1 = p = _parse_line_point(cmd.flag("p"), k)
+    raw = [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s1)]
+    conic = k.sub(k.mul(raw[0], raw[2]), k.mul(raw[1], raw[1]))
+    return _map_record("proj-conic", k, {"p": p}, raw, conic_check=conic)
+
+
+def _proj_veronese(cmd, env):
+    k = _field(cmd)
+    s0, s1 = p = _parse_line_point(cmd.flag("p"), k)
+    raw = [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s0), k.mul(s1, s1)]
+    sym = k.sub(raw[1], raw[2])
+    quad = k.sub(k.mul(raw[0], raw[3]), k.mul(raw[1], raw[2]))
+    return _map_record("proj-veronese", k, {"p": p}, raw, symmetry_check=sym,
+                       quadric_check=quad)
+
+
+def _proj_sections(cmd, env):
+    field = _field(cmd)
+    n, d = cmd.flag("n"), cmd.flag("d")
+    sections = pj.twist_sections(n, d, field)
+    return {
+        "kind": "proj-sections",
+        "n": n,
+        "d": d,
+        "rank": sections.rank,
+        "basis": sections.basis_strings(),
+    }
 
 
 def _parse_proj_space(text):
@@ -380,95 +331,105 @@ def _parse_finite_ring(text):
     raise SchemeError(f"unsupported sheaf space {text!r}")
 
 
-def _sheaf(cmd, env):
-    action = cmd.action
-    space_text = cmd.flag("space", "spec(ZZ/12)")
+def _sheaf_report(cmd):
+    """The --space text, its finite ring and the ring's structure sheaf."""
+    space_text = cmd.flag("space")
     ring = _parse_finite_ring(space_text)
-    report = sh.structure_sheaf(ring)
-    if action == "check":
-        opens = report.space.opens_sorted()
-        return {
-            "kind": "sheaf-check",
-            "space": space_text,
-            "topology": {
-                "points": [str(x) for x in report.space.points],
-                "opens": [sorted(map(str, u)) for u in opens],
-            },
-            "is_sheaf": report.sheaf.is_sheaf(),
-            "stalks_preserved": sh.stalks_preserved(
-                report.presheaf, report.sheaf, report.pi
-            ),
-            "sections_per_open": [
-                {"open": sorted(map(str, u)), "count": len(report.sheaf.sections[u])}
-                for u in opens
-            ],
-        }
-    if action == "sections":
-        f = cmd.flag("at", 1)
-        if isinstance(f, str):
-            raise SchemeError("--at expects a ring element written as an integer")
-        elem = ring.from_int(f)
-        d = report.basic_open(elem)
-        loc = report.localization(elem)
-        return {
-            "kind": "sheaf-sections",
-            "space": space_text,
-            "at": f,
-            "basic_open": sorted(map(str, d)),
-            "gamma_size": len(report.gamma(d)),
-            "localization_size": len(loc.elements()),
-            "isomorphic": report.compare_gamma_with_localization(elem),
-        }
-    if action == "twist":
-        cover_text = cmd.flag("cover", "X,X")
-        unit_val = cmd.flag("cocycle", 1)
-        if isinstance(unit_val, str):
-            raise SchemeError("--cocycle expects a ring element written as an integer")
-        cover = []
-        for part in cover_text.split(","):
-            part = part.strip()
-            if part == "X":
-                cover.append(frozenset(report.space.points))
-            elif part.startswith("D(") and part.endswith(")"):
-                try:
-                    f = int(part[2:-1])
-                except ValueError:
-                    raise SchemeError(f"bad cover member {part!r}") from None
-                cover.append(report.basic_open(ring.from_int(f)))
-            else:
-                raise SchemeError(f"bad cover member {part!r}")
-        if len(cover) != 2:
-            raise SchemeError("twist covers use exactly two opens")
-        w = cover[0] & cover[1]
-        rw = report.local_rings[w]
-        unit = rw.from_int(unit_val)
-        try:
-            inverse = rw.inv(unit)
-        except NotInvertible as err:
-            raise NonInvertibleUnit(str(err)) from None
-        units = {
-            (0, 0): report.local_rings[cover[0]].one(),
-            (1, 1): report.local_rings[cover[1]].one(),
-            (0, 1): unit,
-            (1, 0): inverse,
-        }
-        cocycle = sh.UnitCocycle(report, cover, units)
-        twisted = sh.twist_structure_sheaf(cocycle)
-        recovered = sh.recover_cocycle(twisted, report, cover)
-        return {
-            "kind": "sheaf-twist",
-            "space": space_text,
-            "cover": cover_text,
-            "cocycle": unit_val,
-            "sections_global": len(
-                twisted.sections[frozenset(report.space.points)]
-            ),
-            "is_coboundary": sh.is_coboundary(report, cover, cocycle),
-            "round_trip_class_ok": sh.cocycles_equal_mod_coboundary(
-                report, cover, cocycle, recovered
-            ),
-        }
-    raise SchemeError(f"unknown sheaf action {action!r}")
+    return space_text, ring, sh.structure_sheaf(ring)
+
+
+def _sheaf_check(cmd, env):
+    space_text, _, report = _sheaf_report(cmd)
+    opens = report.space.opens_sorted()
+    return {
+        "kind": "sheaf-check",
+        "space": space_text,
+        "topology": {
+            "points": [str(x) for x in report.space.points],
+            "opens": [sorted(map(str, u)) for u in opens],
+        },
+        "is_sheaf": report.sheaf.is_sheaf(),
+        "stalks_preserved": sh.stalks_preserved(
+            report.presheaf, report.sheaf, report.pi
+        ),
+        "sections_per_open": [
+            {"open": sorted(map(str, u)), "count": len(report.sheaf.sections[u])}
+            for u in opens
+        ],
+    }
+
+
+def _sheaf_sections(cmd, env):
+    space_text, ring, report = _sheaf_report(cmd)
+    f = cmd.flag("at")
+    elem = ring.from_int(f)
+    d = report.basic_open(elem)
+    loc = report.localization(elem)
+    return {
+        "kind": "sheaf-sections",
+        "space": space_text,
+        "at": f,
+        "basic_open": sorted(map(str, d)),
+        "gamma_size": len(report.gamma(d)),
+        "localization_size": len(loc.elements()),
+        "isomorphic": report.compare_gamma_with_localization(elem),
+    }
+
+
+def _sheaf_twist(cmd, env):
+    space_text, ring, report = _sheaf_report(cmd)
+    cover_text = cmd.flag("cover")
+    unit_val = cmd.flag("cocycle")
+    cover = []
+    for part in cover_text.split(","):
+        part = part.strip()
+        if part == "X":
+            cover.append(frozenset(report.space.points))
+        elif part.startswith("D(") and part.endswith(")"):
+            try:
+                f = int(part[2:-1])
+            except ValueError:
+                raise SchemeError(f"bad cover member {part!r}") from None
+            cover.append(report.basic_open(ring.from_int(f)))
+        else:
+            raise SchemeError(f"bad cover member {part!r}")
+    if len(cover) != 2:
+        raise SchemeError("twist covers use exactly two opens")
+    unit = report.local_rings[cover[0] & cover[1]].from_int(unit_val)
+    cocycle = sh.two_open_cocycle(report, cover, unit)
+    twisted = sh.twist_structure_sheaf(cocycle)
+    recovered = sh.recover_cocycle(twisted, report, cover)
+    return {
+        "kind": "sheaf-twist",
+        "space": space_text,
+        "cover": cover_text,
+        "cocycle": unit_val,
+        "sections_global": len(
+            twisted.sections[frozenset(report.space.points)]
+        ),
+        "is_coboundary": sh.is_coboundary(report, cover, cocycle),
+        "round_trip_class_ok": sh.cocycles_equal_mod_coboundary(
+            report, cover, cocycle, recovered
+        ),
+    }
+
+
+# (group, action) -> handler; the parser admits exactly the pairs of dsl.COMMANDS
+_COMMANDS = {
+    ("spec", "describe"): _spec_describe,
+    ("spec", "closure"): _spec_closure,
+    ("fiber", ""): _fiber,
+    ("normalize", ""): _normalize,
+    ("proj", "charts"): _proj_charts,
+    ("proj", "points"): _proj_points,
+    ("proj", "segre"): _proj_segre,
+    ("proj", "conic"): _proj_conic,
+    ("proj", "veronese"): _proj_veronese,
+    ("proj", "sections"): _proj_sections,
+    ("sheaf", "check"): _sheaf_check,
+    ("sheaf", "sections"): _sheaf_sections,
+    ("sheaf", "twist"): _sheaf_twist,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +510,9 @@ def main(argv=None):
             return 2
         fmt = argv[k + 1]
         del argv[k:k + 2]
+        if fmt not in ("text", "json"):
+            print(f"unknown format {fmt!r}\n{_USAGE}", file=sys.stderr)
+            return 2
     if not argv or argv[0] in ("-h", "--help"):
         print(_USAGE, file=sys.stderr)
         return 2 if not argv else 0
@@ -557,8 +521,12 @@ def main(argv=None):
         if len(argv) < 3 or argv[1] != "--script":
             print("usage: scheme-explorer run --script FILE", file=sys.stderr)
             return 2
-        with open(argv[2], "r", encoding="utf-8") as handle:
-            source = handle.read()
+        try:
+            with open(argv[2], "r", encoding="utf-8") as handle:
+                source = handle.read()
+        except (OSError, UnicodeDecodeError) as err:
+            print(f"cannot read the script: {err}", file=sys.stderr)
+            return 2
     elif mode == "exec":
         source = argv[1] if len(argv) > 1 else ""
     else:

@@ -6,19 +6,27 @@ Statements end with ';' and come in a fixed set of shapes:
     ideal I = (X*Y-1) in QQ[X,Y];
     poly QQ[X,Y] : X^2*Y - 3;
     specialize A over QQ, GF(2), GF(3), GF(5), GF(11);
-    spec describe ZZ[T] --bound 7;
-    spec closure --ring ZZ[T] --point "eta,(2*T-1)" --fibers 50;
-    fiber --map "ZZ->ZZ[T]" --at p=7;
-    normalize --ring QQ[X,Y] --ideal "(X*Y-1)";
-    proj charts --graded "QQ[T0,T1,T2]/(T0*T2-T1^2)";
-    proj points --space "P^2(GF(5))";
-    proj segre --p "[1:2]" --q "[3:5]";
-    proj conic --p "[2:3]";
-    proj veronese --p "[2:3]";
-    proj sections --n 2 --d 2;
-    sheaf check --space "spec(ZZ/12)";
-    sheaf sections --space "spec(ZZ/12)" --at 2;
-    sheaf twist --space "spec(ZZ/36)" --cover "X,D(2)" --cocycle -1;
+
+The commands are ``COMMANDS``.  A flag's value is a COUNT (a nonnegative
+integer), an INT or TEXT; a flag shown without a default is required:
+
+    spec describe RING --bound COUNT 10
+    spec closure   --ring TEXT "ZZ[T]" --point TEXT --fibers COUNT 0
+    fiber          --map TEXT --at TEXT "p=2" --bound COUNT 6
+    normalize      --ring TEXT --ideal TEXT
+    proj charts    --graded TEXT
+    proj points    --space TEXT "P^1(GF(2))"
+    proj segre     --field TEXT "QQ" --p TEXT "[1:0]" --q TEXT "[1:0]"
+    proj conic     --field TEXT "QQ" --p TEXT "[1:0]"
+    proj veronese  --field TEXT "QQ" --p TEXT "[1:0]"
+    proj sections  --field TEXT "QQ" --n COUNT 1 --d INT 1
+    sheaf check    --space TEXT "spec(ZZ/12)"
+    sheaf sections --space TEXT "spec(ZZ/12)" --at INT 1
+    sheaf twist    --space TEXT "spec(ZZ/12)" --cover TEXT "X,X" --cocycle INT 1
+
+The parser rejects an unknown action, an unknown or repeated flag, and a
+positional argument anywhere but after ``spec describe``, which needs its
+ring.  ``Command.flag`` checks a value's kind when the command reads it.
 
 Domain literals: ZZ, QQ, ZZ/12, GF(7), GF(49,t^2+1).  Projective points
 are written [a:b:c].  Parsing is total on this grammar and printing a parsed
@@ -27,15 +35,57 @@ script reparses to the same abstract syntax.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .errors import DslSyntaxError, UnsupportedDomain
+from .errors import DslSyntaxError, InvalidArgument, UnsupportedDomain
 
-_SYMBOLS = ("->", "--", "=", ";", ",", "(", ")", "[", "]", ":", "^", "*", "+", "-", "/")
-_KEYWORDS = {
-    "ring", "ideal", "poly", "in", "over", "specialize",
-    "spec", "fiber", "normalize", "proj", "sheaf",
+# flag kinds, each named by the phrase its error message uses
+COUNT = "a nonnegative integer"
+INT = "an integer"
+TEXT = "text"
+_FIELD = {"field": (TEXT, "QQ")}
+_POINT = {"p": (TEXT, "[1:0]")}
+_SPACE = {"space": (TEXT, "spec(ZZ/12)")}
+
+# group -> action word ("" for a group without one) -> flag -> (kind, default);
+# a default of None makes the flag required.
+COMMANDS = {
+    "spec": {
+        "describe": {"bound": (COUNT, 10)},
+        "closure": {"ring": (TEXT, "ZZ[T]"), "point": (TEXT, None), "fibers": (COUNT, 0)},
+    },
+    "fiber": {"": {"map": (TEXT, None), "at": (TEXT, "p=2"), "bound": (COUNT, 6)}},
+    "normalize": {"": {"ring": (TEXT, None), "ideal": (TEXT, None)}},
+    "proj": {
+        "charts": {"graded": (TEXT, None)},
+        "points": {"space": (TEXT, "P^1(GF(2))")},
+        "segre": {**_FIELD, **_POINT, "q": (TEXT, "[1:0]")},
+        "conic": {**_FIELD, **_POINT},
+        "veronese": {**_FIELD, **_POINT},
+        "sections": {**_FIELD, "n": (COUNT, 1), "d": (INT, 1)},
+    },
+    "sheaf": {
+        "check": _SPACE,
+        "sections": {**_SPACE, "at": (INT, 1)},
+        "twist": {**_SPACE, "cover": (TEXT, "X,X"), "cocycle": (INT, 1)},
+    },
 }
+# the one command that takes a positional argument, a ring it cannot do without
+_RING_POSITIONAL = ("spec", "describe")
+
+# One alternative per token kind, tried in order.  \d is the decimal digits
+# that int() reads; \w is str.isalnum() plus "_".
+_TOKEN = re.compile(r"""
+    (?P<NEWLINE>\n)
+  | (?P<SKIP>[ \t\r]+|\#[^\n]*)
+  | "(?P<STRING>[^"]*)"
+  | --(?P<FLAG>[^\W\d_][\w-]*)
+  | (?P<INT>\d+)
+  | (?P<NAME>[^\W\d]\w*)
+  | (?P<SYM>->|[=;,()\[\]:^*+\-/])
+  | (?P<ERROR>.)
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -48,70 +98,23 @@ class Token:
 
 def tokenize(source):
     tokens = []
-    i = 0
-    line, col = 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                j += 1
-            if j >= n:
-                raise DslSyntaxError("unterminated string", line, col)
-            tokens.append(Token("STRING", source[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if source.startswith("--", i) and i + 2 < n and source[i + 2].isalpha():
-            j = i + 2
-            while j < n and (source[j].isalnum() or source[j] in "_-"):
-                j += 1
-            tokens.append(Token("FLAG", source[i + 2:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if source.startswith("->", i):
-            tokens.append(Token("SYM", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "=;,()[]:^*+-/":
-            tokens.append(Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group(m.lastgroup)
+        column = m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "ERROR" or kind in ("NAME", "FLAG") and not (
+                text[0].isalpha() or text[0].isdigit() or text[0] == "_"):
+            # a word may not start with a numeric character that is not a digit,
+            # such as '½', though \w matches one
+            bad = m.start(kind)
+            message = ("unterminated string" if text == '"'
+                       else f"unexpected character {source[bad]!r}")
+            raise DslSyntaxError(message, line, bad - line_start + 1)
+        elif kind != "SKIP":
+            tokens.append(Token(kind, text, line, column))
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -269,13 +272,21 @@ class Command:
     group: str
     action: str
     positional: tuple = ()
-    flags: tuple = ()  # sorted (name, value) pairs; values str or int
+    flags: tuple = ()  # (name, value) pairs in source order; values str or int
 
-    def flag(self, name, default=None):
-        for k, v in self.flags:
-            if k == name:
-                return v
-        return default
+    def flag(self, name):
+        """The value of --name, or its default in ``COMMANDS``.
+
+        Raises InvalidArgument when a required flag is missing or a value
+        is not of the flag's kind.
+        """
+        kind, default = COMMANDS[self.group][self.action][name]
+        value = dict(self.flags).get(name, default)
+        if value is None:
+            raise InvalidArgument(f"{self.group} {self.action}".rstrip() + f" needs --{name}")
+        if isinstance(value, str) != (kind == TEXT) or (kind == COUNT and value < 0):
+            raise InvalidArgument(f"--{name} expects {kind}, got {value!r}")
+        return value
 
     def to_text(self):
         parts = [self.group]
@@ -316,10 +327,10 @@ class Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind, text=None):
+    def expect(self, kind, text=None, expected=None):
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            expected = [text or kind]
+            expected = expected or [text or kind]
             raise DslSyntaxError(
                 f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.column, expected
             )
@@ -329,6 +340,21 @@ class Parser:
         tok = self.peek()
         return tok.kind == "SYM" and tok.text == text
 
+    def slash_int(self):
+        """The n of a following '/ n', consumed only when n is an integer."""
+        if self.at_sym("/") and self.tokens[self.pos + 1].kind == "INT":
+            self.pos += 2
+            return int(self.tokens[self.pos - 1].text)
+        return None
+
+    def comma_list(self, rule):
+        """One or more of ``rule``, separated by commas."""
+        items = [rule()]
+        while self.at_sym(","):
+            self.advance()
+            items.append(rule())
+        return tuple(items)
+
     def parse_script(self):
         statements = []
         while self.peek().kind != "EOF":
@@ -337,25 +363,11 @@ class Parser:
 
     def parse_statement(self):
         tok = self.peek()
-        if tok.kind != "NAME":
-            raise DslSyntaxError(
-                f"expected a statement keyword, got {tok.text!r}",
-                tok.line, tok.column, sorted(_KEYWORDS),
-            )
-        if tok.text == "ring":
-            return self.parse_ring_def()
-        if tok.text == "ideal":
-            return self.parse_ideal_def()
-        if tok.text == "poly":
-            return self.parse_poly_stmt()
-        if tok.text == "specialize":
-            return self.parse_specialize()
-        if tok.text in ("spec", "fiber", "normalize", "proj", "sheaf"):
-            return self.parse_command()
-        raise DslSyntaxError(
-            f"unknown statement {tok.text!r}", tok.line, tok.column,
-            sorted(_KEYWORDS),
-        )
+        rule = _STATEMENTS.get(tok.text) if tok.kind == "NAME" else None
+        if rule is None:
+            raise DslSyntaxError(f"unknown statement {tok.text!r}", tok.line, tok.column,
+                                 sorted(_STATEMENTS))
+        return rule(self)
 
     def parse_ring_def(self):
         self.expect("NAME", "ring")
@@ -370,15 +382,12 @@ class Parser:
         name = self.expect("NAME").text
         self.expect("SYM", "=")
         self.expect("SYM", "(")
-        gens = [self.parse_poly_expr()]
-        while self.at_sym(","):
-            self.advance()
-            gens.append(self.parse_poly_expr())
+        gens = self.comma_list(self.parse_poly_expr)
         self.expect("SYM", ")")
         self.expect("NAME", "in")
         ring = self.parse_ring_ref()
         self.expect("SYM", ";")
-        return IdealDef(name, tuple(gens), ring)
+        return IdealDef(name, gens, ring)
 
     def parse_poly_stmt(self):
         self.expect("NAME", "poly")
@@ -392,56 +401,63 @@ class Parser:
         self.expect("NAME", "specialize")
         ring = self.parse_ring_ref()
         self.expect("NAME", "over")
-        domains = [self.parse_domain_expr()]
-        while self.at_sym(","):
-            self.advance()
-            domains.append(self.parse_domain_expr())
+        domains = self.comma_list(self.parse_domain_expr)
         self.expect("SYM", ";")
-        return SpecializeCmd(ring, tuple(domains))
+        return SpecializeCmd(ring, domains)
 
     def parse_command(self):
-        group = self.expect("NAME").text
+        group = self.advance().text
+        actions = COMMANDS[group]
         action = ""
-        positional = []
-        if self.peek().kind == "NAME" and group in ("spec", "proj", "sheaf"):
-            action = self.advance().text
-        # optional one positional ring reference (spec describe ZZ[T] ...),
-        # bare or quoted
-        if self.peek().kind == "NAME":
-            positional.append(self.parse_ring_ref())
-        elif self.peek().kind == "STRING":
-            text = self.advance().text
-            if text.isidentifier():
-                positional.append(text)
-            else:
-                positional.append(parse_ring_text(text))
-        flags = []
-        while self.peek().kind == "FLAG":
-            fname = self.advance().text
+        if "" not in actions:
             tok = self.peek()
-            if tok.kind == "INT":
-                self.advance()
-                flags.append((fname, int(tok.text)))
-            elif tok.kind == "SYM" and tok.text == "-":
-                self.advance()
-                val = self.expect("INT")
-                flags.append((fname, -int(val.text)))
-            elif tok.kind == "STRING":
-                self.advance()
-                flags.append((fname, tok.text))
+            if tok.kind != "NAME" or tok.text not in actions:
+                raise DslSyntaxError(f"unknown {group} action {tok.text!r}",
+                                     tok.line, tok.column, sorted(actions))
+            action = self.advance().text
+        allowed = actions[action]
+        label = f"{group} {action}".rstrip()
+        positional = ()
+        tok = self.peek()
+        if (group, action) == _RING_POSITIONAL:
+            if tok.kind == "STRING":
+                text = self.advance().text
+                positional = (text if text.isidentifier() else parse_ring_text(text),)
             elif tok.kind == "NAME":
-                # bare word or key=value
-                word = self.advance().text
-                if self.at_sym("="):
-                    self.advance()
-                    val = self.expect("INT")
-                    flags.append((fname, f"{word}={val.text}"))
-                else:
-                    flags.append((fname, word))
+                positional = (self.parse_ring_ref(),)
             else:
-                flags.append((fname, ""))
-        self.expect("SYM", ";")
-        return Command(group, action, tuple(positional), tuple(flags))
+                raise DslSyntaxError(f"{label} needs a ring", tok.line, tok.column, ["ring"])
+        flags = {}
+        while self.peek().kind == "FLAG":
+            tok = self.advance()
+            if tok.text not in allowed or tok.text in flags:
+                problem = "repeated" if tok.text in flags else "unknown"
+                raise DslSyntaxError(f"{problem} flag --{tok.text} for {label}",
+                                     tok.line, tok.column, [f"--{n}" for n in sorted(allowed)])
+            flags[tok.text] = self.parse_flag_value()
+        # a positional argument fails here too: only spec describe takes one
+        self.expect("SYM", ";", [";", *(f"--{n}" for n in sorted(allowed))])
+        return Command(group, action, positional, tuple(flags.items()))
+
+    def parse_flag_value(self):
+        tok = self.peek()
+        if tok.kind == "INT":
+            self.advance()
+            return int(tok.text)
+        if tok.kind == "SYM" and tok.text == "-":
+            self.advance()
+            return -int(self.expect("INT").text)
+        if tok.kind == "STRING":
+            self.advance()
+            return tok.text
+        if tok.kind == "NAME":
+            # bare word or key=value
+            word = self.advance().text
+            if self.at_sym("="):
+                self.advance()
+                return f"{word}={self.expect('INT').text}"
+            return word
+        return ""
 
     def parse_ring_ref(self):
         tok = self.peek()
@@ -456,34 +472,20 @@ class Parser:
         relations = ()
         if self.at_sym("["):
             self.advance()
-            out = [self.expect("NAME").text]
-            while self.at_sym(","):
-                self.advance()
-                out.append(self.expect("NAME").text)
+            names = self.comma_list(lambda: self.expect("NAME").text)
             self.expect("SYM", "]")
-            names = tuple(out)
         if self.at_sym("/") and names:
             self.advance()
             self.expect("SYM", "(")
-            rels = [self.parse_poly_expr()]
-            while self.at_sym(","):
-                self.advance()
-                rels.append(self.parse_poly_expr())
+            relations = self.comma_list(self.parse_poly_expr)
             self.expect("SYM", ")")
-            relations = tuple(rels)
         return RingExpr(domain, names, relations)
 
     def parse_domain_expr(self):
         tok = self.expect("NAME")
         if tok.text == "ZZ":
-            if self.at_sym("/"):
-                save = self.pos
-                self.advance()
-                if self.peek().kind == "INT":
-                    n = int(self.advance().text)
-                    return DomainExpr("Zmod", n)
-                self.pos = save
-            return DomainExpr("ZZ")
+            n = self.slash_int()
+            return DomainExpr("ZZ") if n is None else DomainExpr("Zmod", n)
         if tok.text == "QQ":
             return DomainExpr("QQ")
         if tok.text == "GF":
@@ -542,14 +544,8 @@ class Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            if self.at_sym("/"):
-                save = self.pos
-                self.advance()
-                if self.peek().kind == "INT":
-                    den = int(self.advance().text)
-                    return FracLit(int(tok.text), den)
-                self.pos = save
-            return IntLit(int(tok.text))
+            den = self.slash_int()
+            return IntLit(int(tok.text)) if den is None else FracLit(int(tok.text), den)
         if tok.kind == "NAME":
             self.advance()
             return Var(tok.text)
@@ -564,28 +560,36 @@ class Parser:
         )
 
 
+_STATEMENTS = {
+    "ring": Parser.parse_ring_def,
+    "ideal": Parser.parse_ideal_def,
+    "poly": Parser.parse_poly_stmt,
+    "specialize": Parser.parse_specialize,
+    **dict.fromkeys(COMMANDS, Parser.parse_command),
+}
+
+
 def parse(source):
     """Parse a script; raises DslSyntaxError with position on bad input."""
     return Parser(source).parse_script()
 
 
-def parse_poly_text(text):
-    """Parse a standalone polynomial expression."""
+def _parse_whole(text, rule):
     p = Parser(text)
-    node = p.parse_poly_expr()
-    if p.peek().kind != "EOF":
-        tok = p.peek()
+    node = rule(p)
+    tok = p.peek()
+    if tok.kind != "EOF":
         raise DslSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column)
     return node
 
 
+def parse_poly_text(text):
+    """Parse a standalone polynomial expression."""
+    return _parse_whole(text, Parser.parse_poly_expr)
+
+
 def parse_ring_text(text):
-    p = Parser(text)
-    ring = p.parse_ring_expr()
-    if p.peek().kind != "EOF":
-        tok = p.peek()
-        raise DslSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return ring
+    return _parse_whole(text, Parser.parse_ring_expr)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,12 @@ class NotInvertible(SchemeError):
     code = "not-invertible"
 
 
+class BudgetExceeded(SchemeError):
+    """An exhaustive enumeration would go over its size budget."""
+
+    code = "budget-exceeded"
+
+
 class InvalidArgument(SchemeError, ValueError):
     """An argument outside the domain of the call; also a ValueError."""
 

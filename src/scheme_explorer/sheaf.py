@@ -21,7 +21,7 @@ import itertools
 from collections import Counter
 
 from .arith import Domain, Zmod, domain_units
-from .errors import InfiniteSpectrum, NonInvertibleUnit, Unsupported
+from .errors import InfiniteSpectrum, NonInvertibleUnit, NotInvertible, Unsupported
 
 
 class FiniteSpace:
@@ -847,23 +847,28 @@ def is_coboundary(report, cover, cocycle: UnitCocycle):
     )
 
 
+def two_open_cocycle(report, cover, unit):
+    """The cocycle on a cover (U_0, U_1) with f_01 = unit and f_10 = unit^-1."""
+    u0, u1 = frozenset(cover[0]), frozenset(cover[1])
+    try:
+        inverse = report.local_rings[u0 & u1].inv(unit)
+    except NotInvertible as err:
+        raise NonInvertibleUnit(str(err)) from None
+    units = {
+        (0, 0): report.local_rings[u0].one(),
+        (1, 1): report.local_rings[u1].one(),
+        (0, 1): unit,
+        (1, 0): inverse,
+    }
+    return UnitCocycle(report, [u0, u1], units)
+
+
 def cocycles_on_cover(report, cover):
     """All unit cocycles on a 2-element cover (exhaustive)."""
     if len(cover) != 2:
         raise Unsupported("exhaustive cocycles only for 2-element covers")
-    u0, u1 = frozenset(cover[0]), frozenset(cover[1])
-    w = u0 & u1
-    rw = report.local_rings[w]
-    out = []
-    for f01, f10 in domain_units(rw):
-        units = {
-            (0, 0): report.local_rings[u0].one(),
-            (1, 1): report.local_rings[u1].one(),
-            (0, 1): f01,
-            (1, 0): f10,
-        }
-        out.append(UnitCocycle(report, [u0, u1], units))
-    return out
+    rw = report.local_rings[frozenset(cover[0]) & frozenset(cover[1])]
+    return [two_open_cocycle(report, cover, a) for a in rw.elements() if rw.is_unit(a)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .arith import (
     up_norm,
 )
 from .errors import (
+    BudgetExceeded,
     FactorizationUnavailable,
     InvalidArgument,
     NotCatalogued,
@@ -189,12 +190,25 @@ def _primes_upto(n):
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 
+# Candidates _monic_irreducibles may test.  The largest enumeration the README
+# shows, `fiber --map "ZZ->ZZ[T]" --at p=7` under the default --bound 6, has
+# 7 + 7^2 + ... + 7^6 = 137,256 of them.
+_CANDIDATE_BUDGET = 150_000
+
+
 def _monic_irreducibles(field, max_degree):
-    """All monic irreducible dense polynomials over a finite field."""
+    """All monic irreducible dense polynomials over a finite field; raises
+    BudgetExceeded, before testing any, when there are too many candidates."""
     import itertools
 
     from .arith import _is_irreducible_dense
 
+    candidates = 0
+    for d in range(1, max_degree + 1):
+        candidates += field.order() ** d
+        if candidates > _CANDIDATE_BUDGET:
+            raise BudgetExceeded(f"monic candidates of degree <= {max_degree} over {field} "
+                                 f"exceed the budget of {_CANDIDATE_BUDGET}")
     elems = field.elements()
     out = []
     for d in range(1, max_degree + 1):

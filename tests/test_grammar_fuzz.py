@@ -103,3 +103,75 @@ def test_every_failure_is_a_typed_error(source):
     failures = [r["error"]["code"] for r in records if not r["ok"]]
     assert had_error == bool(failures)
     assert set(failures) <= CODES, source
+
+
+# Well-formed commands as (head, flags); the mutations below drop, misspell,
+# repeat or retype one flag.  Dropping a flag brings in its default, so each
+# base keeps enumerations small even then (GF(2)[T] under the default bound
+# 10 has 2,046 candidates).
+COMMANDS = [
+    ("spec describe GF(2)[T]", [("bound", "2")]),
+    ("spec closure", [("ring", '"ZZ[T]"'), ("point", '"eta,(2*T-1)"'), ("fibers", "3")]),
+    ("fiber", [("map", '"ZZ->ZZ[T]"'), ("at", "p=3"), ("bound", "1")]),
+    ("normalize", [("ring", '"QQ[X,Y]"'), ("ideal", '"(X*Y-1)"')]),
+    ("proj charts", [("graded", '"QQ[T0,T1,T2]/(T0*T2-T1^2)"')]),
+    ("proj points", [("space", '"P^1(GF(3))"')]),
+    ("proj segre", [("field", '"GF(5)"'), ("p", '"[1:2]"'), ("q", '"[3:1]"')]),
+    ("proj conic", [("p", '"[2:3]"')]),
+    ("proj veronese", [("field", "QQ"), ("p", '"[1:2]"')]),
+    ("proj sections", [("n", "2"), ("d", "2")]),
+    ("sheaf check", [("space", '"spec(ZZ/12)"')]),
+    ("sheaf sections", [("space", '"spec(ZZ/12)"'), ("at", "2")]),
+    ("sheaf twist", [("space", '"spec(ZZ/12)"'), ("cover", '"X,D(2)"'), ("cocycle", "-1")]),
+]
+
+
+def misspell(name, k):
+    i = k % len(name)
+    edits = [name[:i] + name[i + 1:], name[:i] + name[i] + name[i:],
+             name[:i] + "x" + name[i + 1:], name + "s"]
+    return edits[k % len(edits)] or "x"
+
+
+def retype(value, k):
+    if value.lstrip("-").isdigit():
+        return ['"' + value + '"', "word", "p=3", "-" + value.lstrip("-") + "1"][k % 4]
+    return ["5", "-2", "0", '""'][k % 4]
+
+
+def mutate(base, how, k):
+    head, flags = base
+    flags = list(flags)
+    i = k % len(flags)
+    name, value = flags[i]
+    if how == "drop":
+        del flags[i]
+    elif how == "misspell":
+        flags[i] = (misspell(name, k), value)
+    elif how == "repeat":
+        flags.insert(i + 1, (name, value))
+    else:
+        flags[i] = (name, retype(value, k))
+    return head + "".join(f" --{n} {v}" for n, v in flags) + ";"
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(st.sampled_from(COMMANDS),
+                  st.sampled_from(["drop", "misspell", "repeat", "retype"]),
+                  st.integers(0, 11))
+def test_mutated_flags_are_parse_errors_or_typed_errors(base, how, k):
+    source = mutate(base, how, k)
+    try:
+        script = dsl.parse(source)
+    except errors.DslSyntaxError:
+        return
+    cmd = script.statements[0]
+    assert how != "repeat", source
+    # a misspelling parses only when it is another flag of the same command
+    if how == "misspell":
+        assert misspell(base[1][k % len(base[1])][0], k) in dict(cmd.flags), source
+    records, had_error = run_script(script)
+    assert len(records) == 1
+    failures = [r["error"]["code"] for r in records if not r["ok"]]
+    assert had_error == bool(failures)
+    assert set(failures) <= CODES, source
