@@ -100,12 +100,14 @@ class Domain:
     """Base class for exact rings; elements are opaque hashable values.
 
     A subclass defines ``from_int``, ``add``, ``neg`` and ``mul``; a finite
-    one also defines ``elements``, which gives it ``order``, ``inv`` (a
-    search) and ``domain_units``.
+    one also defines ``elements``, which gives it ``order``, ``inv`` and
+    ``domain_units`` (lookups in a table of units that the first ``inv``
+    builds from power orbits, see ``_unit_table``).
     """
 
     is_field = False
     char = 0
+    _inverses = None
 
     def zero(self):
         return self.from_int(0)
@@ -135,11 +137,12 @@ class Domain:
         return r
 
     def inv(self, a):
-        one = self.one()
-        for b in self.elements():
-            if self.mul(a, b) == one:
-                return b
-        raise NotInvertible(f"{self.format(a)} is not invertible")
+        if self._inverses is None:
+            self._inverses = _unit_table(self)
+        b = self._inverses.get(a)
+        if b is None:
+            raise NotInvertible(f"{self.format(a)} is not invertible")
+        return b
 
     def is_unit(self, a):
         if self.is_field:
@@ -168,6 +171,33 @@ class Domain:
 
     def __ne__(self, other):
         return not self.__eq__(other)
+
+
+def _unit_table(dom):
+    """{unit: inverse} for a finite domain, one power orbit at a time.
+
+    The powers 1, a, a^2, ... of a repeat within |A| steps, and they return
+    to 1 iff a is a unit; then a^k = 1 for the orbit length k, and a^i has
+    the inverse a^(k-i).  Every power a^i (i >= 1) of a non-unit is a
+    non-unit.  So each orbit classifies all of its members, and a later
+    orbit skips them or stops on meeting a known non-unit.
+    """
+    one = dom.one()
+    inverses, nonunits = {}, set()
+    for a in dom.elements():
+        if a in inverses or a in nonunits:
+            continue
+        orbit, seen, p = [one], {one}, a
+        while p not in seen and p not in nonunits:
+            orbit.append(p)
+            seen.add(p)
+            p = dom.mul(p, a)
+        if p == one:
+            for i, b in enumerate(orbit):
+                inverses[b] = orbit[-i]
+        else:
+            nonunits.update(orbit[1:])
+    return inverses
 
 
 class IntegerRing(Domain):

@@ -51,6 +51,11 @@ class Environment:
             return self.rings[ref]
         return dsl.build_ring(ref)
 
+    def ring_from_text(self, text):
+        """A ring-valued flag: the name of a defined ring, or ring text."""
+        text = text.strip()
+        return self.resolve_ring(text if text in self.rings else dsl.parse_ring_text(text))
+
 
 def run_script(script: dsl.Script):
     """Execute statements in order; returns (records, had_error)."""
@@ -132,7 +137,7 @@ def _spec_describe(cmd, env):
 
 
 def _spec_closure(cmd, env):
-    algebra = env.resolve_ring(dsl.parse_ring_text(cmd.flag("ring")))
+    algebra = env.ring_from_text(cmd.flag("ring"))
     point_text = cmd.flag("point")
     fibers = cmd.flag("fibers")
     label, comma, poly_text = point_text.partition(",")
@@ -165,8 +170,8 @@ def _parse_map(text, env):
     left, sep, right = text.partition("->")
     if not sep:
         raise InvalidArgument(f"--map expects \"A->B\", got {text!r}")
-    source = env.resolve_ring(dsl.parse_ring_text(left.strip()))
-    target = env.resolve_ring(dsl.parse_ring_text(right.strip()))
+    source = env.ring_from_text(left)
+    target = env.ring_from_text(right)
     images = [target.ring.gen(n) for n in source.names]
     return mor.RingMorphism(source, target, images)
 
@@ -190,7 +195,7 @@ def _fiber(cmd, env):
 
 def _normalize(cmd, env):
     ring_text, ideal_text = cmd.flag("ring"), cmd.flag("ideal")
-    ambient = env.resolve_ring(dsl.parse_ring_text(ring_text))
+    ambient = env.ring_from_text(ring_text)
     gens = []
     for part in ideal_text.strip().strip("()").split(","):
         gens.append(dsl.eval_poly(dsl.parse_poly_text(part.strip()), ambient.ring))
@@ -227,8 +232,7 @@ def _field(cmd):
 
 
 def _proj_charts(cmd, env):
-    expr = dsl.parse_ring_text(cmd.flag("graded"))
-    algebra = dsl.build_ring(expr)
+    algebra = env.ring_from_text(cmd.flag("graded"))
     graded = pj.GradedAlgebra(algebra.base, algebra.names, algebra.relations)
     charts = []
     for i in range(len(graded.names)):

@@ -18,10 +18,30 @@ checked element by element.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 from .arith import Domain, Zmod, domain_units
-from .errors import InfiniteSpectrum, NonInvertibleUnit, NotInvertible, Unsupported
+from .errors import (
+    BudgetExceeded,
+    InfiniteSpectrum,
+    NonInvertibleUnit,
+    NotInvertible,
+    Unsupported,
+)
+
+# Sizes of the exhaustive enumerations, checked before each one starts.  The
+# shipped scripts and the benchmark decks localize rings of at most 36
+# elements, try at most 42 germ families on one open in ``sheafify`` and
+# 1,156 section families in ``twist_structure_sheaf``; the test suite goes
+# up to 60 elements and 314,928 germ families.
+_RING_BUDGET = 100_000
+_FAMILY_BUDGET = 1_000_000
+
+
+def _check_budget(size, budget, what):
+    if size > budget:
+        raise BudgetExceeded(f"{size} {what} exceed the budget of {budget}")
 
 
 class FiniteSpace:
@@ -223,6 +243,7 @@ def sheafify(F: FinitePresheaf):
             sections[u] = [()]
             continue
         stalks = [F.stalk(x) for x in pts]
+        _check_budget(math.prod(map(len, stalks)), _FAMILY_BUDGET, "germ families")
         families = []
         for combo in itertools.product(*stalks):
             ok = True
@@ -459,6 +480,18 @@ def multiplicative_closure(ring, gens):
     return sorted(fam, key=str)
 
 
+def _orbit_inverse(ring, e, u):
+    """The inverse of u in eA.  The powers u, u^2, ... of a unit of eA return
+    to its identity e within |A| steps, and u^k = e gives the inverse
+    u^(k-1) (with u^0 = e); they never return if u is no unit."""
+    prev, power = e, u
+    for _ in range(ring.order()):
+        if power == e:
+            return prev
+        prev, power = power, ring.mul(power, u)
+    raise NotInvertible(f"{ring.format(u)} is not a unit of eA")
+
+
 class _Fractions:
     """Fraction classes (x, s) for x in ``elements``, s in a multiplicative
     family S that is closed and sorted by str, with ``scale(r, x)`` the
@@ -467,14 +500,18 @@ class _Fractions:
     Some power e of the product of S is idempotent, every s in S divides
     it, and S^{-1}A = eA (Atiyah-Macdonald, ch. 3): r x = 0 for some r in
     S iff e x = 0, and e s has an inverse e t_s in eA.  So x/s = y/t iff
-    e t_s x = e t_t y, and ``scale(e t_s, x)`` is a canonical key.  Pairs
-    are visited in the order of S, then ``elements`` in order; the first
-    pair with a given key represents its class.
+    e t_s x = e t_t y, and ``scale(e t_s, x)`` is a canonical key.  A class
+    is represented by its first pair when pairs are visited in the order of
+    S, then ``elements`` in order.  As e t_s is a unit of eA, the pairs over
+    the first s0 of S already meet every key, so one pass over ``elements``
+    lists the classes, each as some (x, s0).  ``make`` finds e t_s from the
+    powers of e s the first time it meets s, and remembers each pair's class.
     """
 
     def __init__(self, ring, family, elements, scale):
         self.ring = ring
         self.family = family
+        self._scale = scale
         prod = ring.one()
         for s in family:
             prod = ring.mul(prod, s)
@@ -482,19 +519,31 @@ class _Fractions:
         while ring.mul(e, e) != e:
             e = ring.mul(e, prod)
         self._e = e
+        self._units = dict.fromkeys(family)  # s -> e t_s, filled on demand
+        s0 = family[0]
+        unit = self._unit(s0)
         reps = {}
-        self._canon = {}
-        for s in family:
-            es = ring.mul(e, s)
-            et = ring.mul(e, next(t for t in ring.elements() if ring.mul(es, t) == e))
-            for x in elements:
-                pair = (x, s)
-                self._canon[pair] = reps.setdefault(scale(et, x), pair)
+        for x in elements:
+            reps.setdefault(scale(unit, x), (x, s0))
+        self._reps = reps
         self._class_list = list(reps.values())
+        self._canon = {}
+
+    def _unit(self, s):
+        """e t_s; a KeyError for s outside S."""
+        unit = self._units[s]
+        if unit is None:
+            es = self.ring.mul(self._e, s)
+            unit = self._units[s] = _orbit_inverse(self.ring, self._e, es)
+        return unit
 
     def make(self, x, s=None):
-        s = self.ring.one() if s is None else s
-        return self._canon[(x, s)]
+        pair = (x, self.ring.one() if s is None else s)
+        rep = self._canon.get(pair)
+        if rep is None:
+            rep = self._reps[self._scale(self._unit(pair[1]), x)]
+            self._canon[pair] = rep
+        return rep
 
     def elements(self):
         return self._class_list
@@ -506,10 +555,13 @@ class LocalizedFiniteRing(_Fractions, Domain):
     Fraction equality is the quantified rule r(at - bs) = 0 for some r in
     S.  With e the idempotent power of the product of S, S^{-1}A = eA: the
     kernel K = {a : ra = 0 for some r in S} is Ann(e), and a/s has the
-    canonical key e t_s a, where e s t_s = e (see ``_Fractions``).
+    canonical key e t_s a, where e s t_s = e (see ``_Fractions``).  Every
+    operation returns a canonical class; ``inv`` looks its argument up in
+    the unit table of ``Domain`` after canonicalizing it.
     """
 
     def __init__(self, ring: Domain, gens):
+        _check_budget(ring.order(), _RING_BUDGET, f"elements of {ring} to localize")
         super().__init__(
             ring, multiplicative_closure(ring, gens), ring.elements(), ring.mul
         )
@@ -542,6 +594,9 @@ class LocalizedFiniteRing(_Fractions, Domain):
 
     def neg(self, x):
         return self.make(self.ring.neg(x[0]), x[1])
+
+    def inv(self, x):
+        return super().inv(self.make(*x))
 
     def format(self, x):
         a, s = x
@@ -761,9 +816,10 @@ def twist_structure_sheaf(cocycle: UnitCocycle):
     n = len(cover)
     sections = {}
     for u in space.opens:
-        pieces = [report.local_rings[u & cover[i]] for i in range(n)]
+        pieces = [report.local_rings[u & cover[i]].elements() for i in range(n)]
+        _check_budget(math.prod(map(len, pieces)), _FAMILY_BUDGET, "section families")
         families = []
-        for combo in itertools.product(*(p.elements() for p in pieces)):
+        for combo in itertools.product(*pieces):
             ok = True
             for i in range(n):
                 for j in range(i + 1, n):

@@ -269,7 +269,15 @@ def closed_point(cat: SpecCatalogue, g):
     """The closed point (g) of k[T], g monic irreducible dense over k."""
     k = cat.data["field"]
     P = dense_to_poly(cat.algebra.ring, g)
-    kappa = k if up_deg(g) == 1 else ExtField(k, g, check=False)
+    if up_deg(g) == 1:
+        kappa = k
+    else:
+        # a generator name that no field of k's tower already uses
+        taken, field = set(), k
+        while isinstance(field, ExtField):
+            taken.add(field.var)
+            field = field.base
+        kappa = ExtField(k, g, var=alg._fresh_name("t", taken), check=False)
     return SpecPoint(cat, ("principal", P), kappa, label=f"x_({P})")
 
 

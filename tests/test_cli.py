@@ -300,3 +300,41 @@ def test_maps_that_are_not_morphisms_are_typed_errors(statement):
     assert "Traceback" not in proc.stdout + proc.stderr
     error = json.loads(proc.stdout)["results"][0]["error"]
     assert error["code"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("definition, named, literal", [
+    ("ring A = QQ[T];",
+     'normalize --ring A --ideal "(T)";',
+     'normalize --ring "QQ[T]" --ideal "(T)";'),
+    ("ring A = ZZ[T];",
+     'spec closure --ring A --point "eta,(T)" --fibers 3;',
+     'spec closure --ring "ZZ[T]" --point "eta,(T)" --fibers 3;'),
+    ("ring A = ZZ[T];",
+     'fiber --map "ZZ->A" --at p=3 --bound 1;',
+     'fiber --map "ZZ->ZZ[T]" --at p=3 --bound 1;'),
+    ("ring G = QQ[X,Y,Z]/(X*Z-Y^2);",
+     "proj charts --graded G;",
+     'proj charts --graded "QQ[X,Y,Z]/(X*Z-Y^2)";'),
+], ids=["ring", "closure-ring", "map", "graded"])
+def test_ring_flags_accept_defined_ring_names(definition, named, literal):
+    records, had_error = run_script(dsl.parse(definition + named))
+    expected, expected_error = run_script(dsl.parse(literal))
+    assert not had_error and not expected_error
+    data = {k: v for k, v in records[1]["data"].items() if k != "map"}
+    assert data == {k: v for k, v in expected[0]["data"].items() if k != "map"}
+
+
+def test_sheaf_script_output_does_not_depend_on_the_hash_seed():
+    """The unit tables and memos of the finite rings leak no set order."""
+    golden = (GOLDEN / "sheaf_checks.json").read_bytes()
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "scheme_explorer.cli", "--format", "json",
+             "run", "--script", str(SCRIPTS / "sheaf_checks.scm")],
+            capture_output=True,
+            cwd=REPO,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+                 "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == golden

@@ -589,3 +589,176 @@ def test_structure_sheaf_refuses_a_large_ring_before_listing_it(ring):
     with pytest.raises(InfiniteSpectrum, match=f"{ring.order()} elements"):
         sh.structure_sheaf(ring)
     assert ring._elements is None
+
+
+# ---------------------------------------------------------------------------
+# one-pass localizations and the unit table against the earlier algorithms
+# ---------------------------------------------------------------------------
+
+def _reference_fractions(ring, family, elements, scale):
+    """The |A|·|S| construction: t_s by a search of the ring for each s in
+    S, then a key for every pair; returns the class list and every pair's
+    class."""
+    prod = ring.one()
+    for s in family:
+        prod = ring.mul(prod, s)
+    e = prod
+    while ring.mul(e, e) != e:
+        e = ring.mul(e, prod)
+    reps, canon = {}, {}
+    for s in family:
+        es = ring.mul(e, s)
+        et = ring.mul(e, next(t for t in ring.elements() if ring.mul(es, t) == e))
+        for x in elements:
+            canon[(x, s)] = reps.setdefault(scale(et, x), (x, s))
+    return list(reps.values()), canon
+
+
+def _reference_units(dom):
+    """Each unit with the first element of ``dom`` that inverts it."""
+    one = dom.one()
+    units = []
+    for a in dom.elements():
+        inverse = next((b for b in dom.elements() if dom.mul(a, b) == one), None)
+        if inverse is not None:
+            units.append((a, inverse))
+    return units
+
+
+def _assert_matches_reference(loc, ring, elements, scale):
+    classes, canon = _reference_fractions(ring, loc.family, elements, scale)
+    assert loc.elements() == classes
+    for (x, s), rep in canon.items():
+        assert loc.make(x, s) == rep, (x, s)
+
+
+def test_one_pass_localization_matches_the_reference():
+    for ring in _oracle_rings():
+        rng = random.Random(_oracle_seed(ring))
+        elems = ring.elements()
+        gen_sets = [[], list(elems)] + [
+            rng.sample(elems, rng.randrange(1, min(3, len(elems)) + 1))
+            for _ in range(3)
+        ]
+        for gens in gen_sets:
+            loc = sh.LocalizedFiniteRing(ring, gens)
+            units = domain_units(loc)  # on a fresh instance, before any make
+            _assert_matches_reference(loc, ring, elems, ring.mul)
+            assert units == _reference_units(loc), (ring, gens)
+        assert domain_units(ring) == _reference_units(ring), ring
+
+
+def test_one_pass_module_localization_matches_the_reference():
+    ring = Zmod(12)
+    rep = sh.structure_sheaf(ring)
+    for module in z12_modules(ring):
+        _, localized = sh.module_presheaf(ring, module, rep)
+        for loc in localized.values():
+            _assert_matches_reference(loc, ring, module.elements(), module.smul)
+
+
+def test_localization_lists_the_ring_once():
+    ring = sh.QuotientPolyRing(Zmod(3), (1, 0, 0, 1))  # e^3 + 1 = (e + 1)^3
+    calls = []
+    listed = ring.elements
+
+    def counted():
+        calls.append(1)
+        return listed()
+
+    ring.elements = counted
+    loc = sh.LocalizedFiniteRing(ring, [(2, 1, 0), (0, 1, 1)])
+    assert len(loc.family) > 1 and len(calls) == 1
+
+
+@pytest.mark.parametrize("ring, unit, non_unit", [
+    (sh.QuotientPolyRing(Zmod(5), (0, 0, 1)), (2, 1), (0, 3)),
+    (sh.ProductRing(Zmod(4), Zmod(6)), (3, 5), (2, 1)),
+], ids=["quotient", "product"])
+def test_unit_table_inverts_units_and_refuses_non_units(ring, unit, non_unit):
+    from scheme_explorer.errors import NotInvertible
+
+    inverse = ring.inv(unit)
+    assert ring.mul(unit, inverse) == ring.one()
+    assert (unit, inverse) in _reference_units(ring)
+    with pytest.raises(NotInvertible):
+        ring.inv(non_unit)
+    assert ring.is_unit(unit) and not ring.is_unit(non_unit)
+
+
+def test_unit_table_is_built_once_per_ring(monkeypatch):
+    from scheme_explorer import arith
+
+    built = []
+    real = arith._unit_table
+    monkeypatch.setattr(arith, "_unit_table", lambda dom: built.append(dom) or real(dom))
+    first, second = sh.ProductRing(Zmod(4), Zmod(6)), sh.ProductRing(Zmod(4), Zmod(6))
+    for ring in (first, second, first):
+        domain_units(ring)
+        ring.is_unit((2, 1))
+    assert built == [first, second]
+
+
+def test_unit_table_needs_a_finite_domain():
+    from scheme_explorer.arith import Domain
+    from scheme_explorer.errors import InfiniteDomain
+
+    class Integers(Domain):
+        def from_int(self, n):
+            return n
+
+        def mul(self, a, b):
+            return a * b
+
+    with pytest.raises(InfiniteDomain):
+        Integers().inv(3)
+
+
+def test_localized_inverse_canonicalizes_its_argument():
+    from scheme_explorer.errors import NotInvertible
+
+    loc = sh.LocalizedFiniteRing(Zmod(12), [2])  # Z/12[1/2] = Z/3
+    half = (1, 2)
+    assert half not in loc.elements()
+    assert loc.inv(half) == loc.make(2)
+    assert loc.mul(loc.inv(half), loc.make(*half)) == loc.one()
+    assert loc.inv((5, 4)) == loc.inv(loc.make(5, 4))
+    for non_unit in ((3, 1), (6, 4), (0, 2)):  # 3 = 0 in Z/3
+        with pytest.raises(NotInvertible):
+            loc.inv(non_unit)
+
+
+# ---------------------------------------------------------------------------
+# size budgets of the exhaustive enumerations
+# ---------------------------------------------------------------------------
+
+def test_localization_refuses_a_large_ring_before_listing_it():
+    from scheme_explorer.algebra import LocalizationContext
+    from scheme_explorer.errors import BudgetExceeded
+
+    ring = sh.QuotientPolyRing(Zmod(5), (0,) * 8 + (1,))  # 5^8 elements
+    with pytest.raises(BudgetExceeded, match="390625 elements"):
+        sh.LocalizedFiniteRing(ring, [(1,) + (0,) * 7])
+    assert ring._elements is None
+    with pytest.raises(BudgetExceeded):
+        LocalizationContext.over_zmod(10 ** 12, [2])
+
+
+def test_sheafify_refuses_too_many_germ_families():
+    from scheme_explorer.errors import BudgetExceeded
+
+    F = constant_presheaf(sh.discrete_space(["a", "b", "c"]), range(101))
+    with pytest.raises(BudgetExceeded, match="1030301 germ families"):
+        sh.sheafify(F)
+
+
+def test_twist_refuses_too_many_section_families():
+    from scheme_explorer import dsl
+    from scheme_explorer.cli import run_script
+
+    records, had_error = run_script(dsl.parse(
+        'sheaf twist --space "spec(ZZ/1009)" --cover "X,X" --cocycle 1;'
+    ))
+    assert had_error
+    assert records[0]["error"]["code"] == "budget-exceeded"
+    assert "1018081 section families" in records[0]["error"]["message"]

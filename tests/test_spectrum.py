@@ -372,3 +372,14 @@ def test_points_lie_on_their_closure_with_canonical_values(name):
 def test_partition_of_unity_of_the_empty_family_is_none():
     """The empty family generates the zero ideal, so no partition exists."""
     assert sp.partition_of_unity(PresentedAlgebra(GF(7), ("T",)), []) is None
+
+
+def test_residue_field_over_an_extension_gets_a_fresh_generator():
+    from scheme_explorer import dsl
+    from scheme_explorer.cli import run_script
+
+    records, had_error = run_script(dsl.parse("spec describe GF(9,t^2+1)[X] --bound 2;"))
+    assert not had_error
+    residues = {pt["residue_field"] for pt in records[0]["data"]["points"]}
+    assert "GF(9,t^2 + 1)[t2]/(t2^2 + t*t2 + t)" in residues
+    assert not any("[t]" in r for r in residues)
