@@ -33,7 +33,11 @@ from .errors import (
     DslSyntaxError,
     InfiniteSpectrum,
     InvalidArgument,
+    InvalidCover,
     SchemeError,
+    UndefinedRing,
+    UnsupportedLocation,
+    UnsupportedSpace,
 )
 
 SCHEMA_VERSION = 1
@@ -47,7 +51,7 @@ class Environment:
     def resolve_ring(self, ref):
         if isinstance(ref, str):
             if ref not in self.rings:
-                raise SchemeError(f"undefined ring {ref!r}")
+                raise UndefinedRing(f"undefined ring {ref!r}")
             return self.rings[ref]
         return dsl.build_ring(ref)
 
@@ -188,7 +192,7 @@ def _fiber(cmd, env):
             raise InvalidArgument(f"--at p={val}: p must be a prime number")
         point = sp.prime_point(src_cat, int(val))
     else:
-        raise SchemeError(f"unsupported fiber location {at!r}")
+        raise UnsupportedLocation(f"unsupported fiber location {at!r}")
     description = mor.fiber(phi, point, bound=bound)
     return {"kind": "fiber", "map": map_text, **description.as_record()}
 
@@ -329,10 +333,12 @@ def _parse_finite_ring(text):
         base = arith.GF(expr.domain.modulus)
         ring = PolyRing(base, expr.names)
         if len(expr.relations) != 1:
-            raise SchemeError("finite quotient needs exactly one relation")
+            raise UnsupportedSpace("finite quotient needs exactly one relation")
+        # over a field the relation generates the ideal of its monic multiple;
+        # a unit relation gives the zero ring, and 0 stays an error
         dense = arith.poly_to_dense(dsl.eval_poly(expr.relations[0], ring))
-        return sh.QuotientPolyRing(base, dense, var=expr.names[0])
-    raise SchemeError(f"unsupported sheaf space {text!r}")
+        return sh.QuotientPolyRing(base, arith.up_monic(base, dense), var=expr.names[0])
+    raise UnsupportedSpace(f"unsupported sheaf space {text!r}")
 
 
 def _sheaf_report(cmd):
@@ -393,12 +399,12 @@ def _sheaf_twist(cmd, env):
             try:
                 f = int(part[2:-1])
             except ValueError:
-                raise SchemeError(f"bad cover member {part!r}") from None
+                raise InvalidCover(f"bad cover member {part!r}") from None
             cover.append(report.basic_open(ring.from_int(f)))
         else:
-            raise SchemeError(f"bad cover member {part!r}")
+            raise InvalidCover(f"bad cover member {part!r}")
     if len(cover) != 2:
-        raise SchemeError("twist covers use exactly two opens")
+        raise InvalidCover("twist covers use exactly two opens")
     unit = report.local_rings[cover[0] & cover[1]].from_int(unit_val)
     cocycle = sh.two_open_cocycle(report, cover, unit)
     twisted = sh.twist_structure_sheaf(cocycle)

@@ -96,6 +96,30 @@ class NotInvertible(SchemeError):
     code = "not-invertible"
 
 
+class UndefinedRing(SchemeError):
+    """A statement names a ring that no earlier ``ring`` statement defined."""
+
+    code = "undefined-ring"
+
+
+class UnsupportedLocation(SchemeError):
+    """A fiber location other than ``p=N``."""
+
+    code = "unsupported-location"
+
+
+class UnsupportedSpace(SchemeError):
+    """A sheaf space that is not spec(ZZ/n) or spec(GF(p)[x]/(f))."""
+
+    code = "unsupported-space"
+
+
+class InvalidCover(SchemeError):
+    """A twist cover that is not two members, each X or D(n)."""
+
+    code = "invalid-cover"
+
+
 class BudgetExceeded(SchemeError):
     """An exhaustive enumeration would go over its size budget."""
 

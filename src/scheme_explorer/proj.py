@@ -17,6 +17,7 @@ from . import algebra as alg
 from .arith import Domain
 from .errors import (
     AllZero,
+    BudgetExceeded,
     DenominatorVanishes,
     NilpotentCoordinate,
     NonFieldBase,
@@ -254,8 +255,21 @@ def point_normalize(field, coords):
     return ProjPoint(field, tuple(field.mul(c, inv) for c in coords))
 
 
+# Coordinate tuples ``enumerate_points`` may normalize.  The scripts, the
+# benchmark decks and the tests list at most P^2(GF(5)), 125 tuples.
+_TUPLE_BUDGET = 150_000
+
+
 def enumerate_points(field, n):
-    """All points of P^n over a finite field, by exhaustive normalization."""
+    """All points of P^n over a finite field, by exhaustive normalization;
+    raises BudgetExceeded, before listing any, when there are too many
+    coordinate tuples."""
+    q, size = field.order(), 1
+    for _ in range(n + 1):
+        size *= q
+        if size > _TUPLE_BUDGET:
+            raise BudgetExceeded(f"{q}^{n + 1} coordinate tuples of P^{n}({field}) "
+                                 f"exceed the budget of {_TUPLE_BUDGET}")
     pts = set()
     elems = field.elements()
     for coords in itertools.product(elems, repeat=n + 1):

@@ -17,6 +17,7 @@ checked element by element.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -32,9 +33,9 @@ from .errors import (
 
 # Sizes of the exhaustive enumerations, checked before each one starts.  The
 # shipped scripts and the benchmark decks localize rings of at most 36
-# elements, try at most 42 germ families on one open in ``sheafify`` and
-# 1,156 section families in ``twist_structure_sheaf``; the test suite goes
-# up to 60 elements and 314,928 germ families.
+# elements and search at most 42 germ, 294 gluing, 1,156 section and 576
+# unit families in one ``_glued`` call; the test suite goes up to 60
+# elements and 314,928 germ families.
 _RING_BUDGET = 100_000
 _FAMILY_BUDGET = 1_000_000
 
@@ -42,6 +43,30 @@ _FAMILY_BUDGET = 1_000_000
 def _check_budget(size, budget, what):
     if size > budget:
         raise BudgetExceeded(f"{size} {what} exceed the budget of {budget}")
+
+
+def _glued(choices, pair, what):
+    """The tuples of ``itertools.product(*choices)`` whose entries pass every
+    pairwise test, lazily and in the product's order.  ``pair(j, i)`` for
+    j < i is None or a test (s_j, s_i) -> bool; it runs as soon as s_i is
+    chosen, so a prefix that fails it is never extended."""
+    _check_budget(math.prod(map(len, choices)), _FAMILY_BUDGET, what)
+    families = iter([()])
+    for i, here in enumerate(choices):
+        tests = [(j, t) for j in range(i) if (t := pair(j, i)) is not None]
+        families = _extend(families, here, tests)
+    return families
+
+
+def _extend(families, here, tests):
+    # a function of its own, so that each level binds its own here and tests
+    for family in families:
+        for s in here:
+            for j, test in tests:
+                if not test(family[j], s):
+                    break
+            else:
+                yield family + (s,)
 
 
 class FiniteSpace:
@@ -201,19 +226,17 @@ class FinitePresheaf:
             gluings = Counter(
                 tuple(m[s] for m in maps) for s in self.sections[u]
             )
-            families = itertools.product(*(self.sections[v] for v in cover))
-            for family in families:
-                ok = True
-                for (vi, si), (vj, sj) in itertools.combinations(
-                    zip(cover, family), 2
-                ):
-                    w = vi & vj
-                    if self.restrict(si, vi, w) != self.restrict(sj, vj, w):
-                        ok = False
-                        break
-                if ok and gluings[family] != 1:
-                    return False
+            families = _glued([self.sections[v] for v in cover],
+                              lambda j, i: self._agree(cover[j], cover[i]),
+                              "gluing families")
+            if any(gluings[family] != 1 for family in families):
+                return False
         return True
+
+    def _agree(self, v, w):
+        """The test that sections on v and w restrict alike to v & w."""
+        to_v, to_w = self.restrict_map(v, v & w), self.restrict_map(w, v & w)
+        return lambda s, t: to_v[s] == to_w[t]
 
 
 def _presheaf(space, sections, restriction, check=False):
@@ -236,44 +259,30 @@ def sheafify(F: FinitePresheaf):
     open of x.  Returns (sheaf, pi) with pi a per-open dict s -> germ tuple.
     """
     space = F.space
-    sections = {}
+
+    def germ_test(x, y):
+        # x in U_y and y in U_x make U_x = U_y: then one test covers both
+        ux, uy = space.minimal_open(x), space.minimal_open(y)
+        if x in uy:
+            down = F.restrict_map(uy, ux)
+            return lambda gx, gy: down[gy] == gx
+        if y in ux:
+            down = F.restrict_map(ux, uy)
+            return lambda gx, gy: down[gx] == gy
+
+    sections, pi = {}, {}
     for u in space.opens:
         pts = sorted(u, key=str)
-        if not pts:
-            sections[u] = [()]
-            continue
-        stalks = [F.stalk(x) for x in pts]
-        _check_budget(math.prod(map(len, stalks)), _FAMILY_BUDGET, "germ families")
-        families = []
-        for combo in itertools.product(*stalks):
-            ok = True
-            for i, x in enumerate(pts):
-                ux = space.minimal_open(x)
-                for j, y in enumerate(pts):
-                    if y != x and y in ux:
-                        expected = F.restrict(
-                            combo[i], ux, space.minimal_open(y)
-                        )
-                        if combo[j] != expected:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                families.append(combo)
-        sections[u] = families
+        sections[u] = list(_glued([F.stalk(x) for x in pts],
+                                  lambda j, i: germ_test(pts[j], pts[i]), "germ families"))
+        pi[u] = {s: tuple(F.germ(s, u, x) for x in pts) for s in F.sections[u]}
 
     def restriction(u, v):
         ptsu = sorted(u, key=str)
         pick = [ptsu.index(y) for y in sorted(v, key=str)]
         return lambda fam: tuple(fam[i] for i in pick)
 
-    sheaf = _presheaf(space, sections, restriction)
-    pi = {}
-    for u in space.opens:
-        ptsu = sorted(u, key=str)
-        pi[u] = {s: tuple(F.germ(s, u, x) for x in ptsu) for s in F.sections[u]}
-    return sheaf, pi
+    return _presheaf(space, sections, restriction), pi
 
 
 def stalks_preserved(F: FinitePresheaf, sheaf, pi):
@@ -813,28 +822,21 @@ def twist_structure_sheaf(cocycle: UnitCocycle):
     report = cocycle.report
     space = report.space
     cover = cocycle.cover
-    n = len(cover)
+
+    def transition_test(u, pieces, j, i):
+        # s_j = f_ji s_i on u & U_j & U_i, each side computed once
+        w = u & cover[j] & cover[i]
+        rw = report.local_rings[w]
+        fji = cocycle.restricted(j, i, w)
+        left = {s: rw.make(*s) for s in pieces[j]}
+        right = {s: rw.mul(fji, rw.make(*s)) for s in pieces[i]}
+        return lambda sj, si: left[sj] == right[si]
+
     sections = {}
     for u in space.opens:
-        pieces = [report.local_rings[u & cover[i]].elements() for i in range(n)]
-        _check_budget(math.prod(map(len, pieces)), _FAMILY_BUDGET, "section families")
-        families = []
-        for combo in itertools.product(*pieces):
-            ok = True
-            for i in range(n):
-                for j in range(i + 1, n):
-                    w = u & cover[i] & cover[j]
-                    rw = report.local_rings[w]
-                    si = rw.make(*combo[i])
-                    sj = rw.make(*combo[j])
-                    if si != rw.mul(cocycle.restricted(i, j, w), sj):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                families.append(tuple(combo))
-        sections[u] = families
+        pieces = [report.local_rings[u & c].elements() for c in cover]
+        sections[u] = list(_glued(pieces, lambda j, i: transition_test(u, pieces, j, i),
+                                  "section families"))
 
     def restriction(u, v):
         makes = [report.local_rings[v & c].make for c in cover]
@@ -872,29 +874,23 @@ def recover_cocycle(twisted: FinitePresheaf, report, cover):
 
 
 def cocycles_equal_mod_coboundary(report, cover, c1: UnitCocycle, c2: UnitCocycle):
-    """Whether c1 and c2 differ by a coboundary (a_i / a_j), by unit scan."""
+    """Whether c1 and c2 differ by a coboundary (a_i / a_j), by a search for
+    units with c1_ij a_j = c2_ij a_i; f_ii = 1 settles the diagonal."""
     cover = [frozenset(u) for u in cover]
-    rings = [report.local_rings[u] for u in cover]
-    unit_lists = [[a for a, _ in domain_units(r)] for r in rings]
-    n = len(cover)
-    for combo in itertools.product(*unit_lists):
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                w = cover[i] & cover[j]
-                rw = report.local_rings[w]
-                ai = rw.make(*combo[i])
-                aj = rw.make(*combo[j])
-                lhs = rw.mul(rw.make(*c1.units[(i, j)]), aj)
-                rhs = rw.mul(rw.make(*c2.units[(i, j)]), ai)
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    unit_lists = [[a for a, _ in domain_units(report.local_rings[u])] for u in cover]
+
+    def scaled(c, i, j):
+        # a -> c_ij a on U_i & U_j, each product formed once
+        rw = report.local_rings[cover[i] & cover[j]]
+        cij = rw.make(*c.units[(i, j)])
+        return functools.cache(lambda a: rw.mul(cij, rw.make(*a)))
+
+    def pair(j, i):
+        lij, rij, lji, rji = (scaled(c1, i, j), scaled(c2, i, j),
+                              scaled(c1, j, i), scaled(c2, j, i))
+        return lambda aj, ai: lij(aj) == rij(ai) and lji(ai) == rji(aj)
+
+    return next(_glued(unit_lists, pair, "unit families"), None) is not None
 
 
 def is_coboundary(report, cover, cocycle: UnitCocycle):

@@ -29,6 +29,7 @@ from .arith import (
     up_eval,
     up_gcd,
     up_mod,
+    up_mul,
     up_norm,
 )
 from .errors import (
@@ -190,18 +191,20 @@ def _primes_upto(n):
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 
-# Candidates _monic_irreducibles may test.  The largest enumeration the README
+# Candidates _monic_irreducibles may list.  The largest enumeration the README
 # shows, `fiber --map "ZZ->ZZ[T]" --at p=7` under the default --bound 6, has
 # 7 + 7^2 + ... + 7^6 = 137,256 of them.
 _CANDIDATE_BUDGET = 150_000
 
 
 def _monic_irreducibles(field, max_degree):
-    """All monic irreducible dense polynomials over a finite field; raises
-    BudgetExceeded, before testing any, when there are too many candidates."""
-    import itertools
+    """All monic irreducible dense polynomials over a finite field, by degree
+    and then in the order of their coefficient tuples; raises BudgetExceeded,
+    before listing any, when there are too many candidates.
 
-    from .arith import _is_irreducible_dense
+    A sieve: a monic polynomial of degree d is reducible iff it is f*g with f
+    monic irreducible of degree k <= d/2 and g monic of degree d - k."""
+    import itertools
 
     candidates = 0
     for d in range(1, max_degree + 1):
@@ -209,16 +212,16 @@ def _monic_irreducibles(field, max_degree):
         if candidates > _CANDIDATE_BUDGET:
             raise BudgetExceeded(f"monic candidates of degree <= {max_degree} over {field} "
                                  f"exceed the budget of {_CANDIDATE_BUDGET}")
-    elems = field.elements()
-    out = []
+    elems, one = field.elements(), (field.one(),)
+    monic, irreducible = {}, {}
     for d in range(1, max_degree + 1):
-        for tail in itertools.product(elems, repeat=d):
-            poly = up_norm(field, tuple(tail) + (field.one(),))
-            if up_deg(poly) != d:
-                continue
-            if _is_irreducible_dense(poly, field):
-                out.append(poly)
-    return out
+        monic[d] = [tail + one for tail in itertools.product(elems, repeat=d)]
+        reducible = {
+            up_mul(field, f, g)
+            for k in range(1, d // 2 + 1) for f in irreducible[k] for g in monic[d - k]
+        }
+        irreducible[d] = [f for f in monic[d] if f not in reducible]
+    return [f for d in range(1, max_degree + 1) for f in irreducible[d]]
 
 
 def generic_point(cat: SpecCatalogue):
@@ -349,7 +352,17 @@ def enumerate_points(cat: SpecCatalogue, bound=10):
     raise NotCatalogued(f"cannot enumerate {kind}")
 
 
+# Height-one candidates of ZZ[T], coefficient tuples with entries in
+# [-bound, bound].  The scripts, the benchmark decks and the tests go up to
+# the default bound 10: 21^2 + 21^3 = 9,702 of them.
+_HEIGHT_ONE_BUDGET = 20_000
+
+
 def _enumerate_zzt(cat, bound, max_degree=2):
+    candidates = sum((2 * bound + 1) ** (deg + 1) for deg in range(1, max_degree + 1))
+    if candidates > _HEIGHT_ONE_BUDGET:
+        raise BudgetExceeded(f"{candidates} height-one candidates of ZZ[T] under bound "
+                             f"{bound} exceed the budget of {_HEIGHT_ONE_BUDGET}")
     pts = [generic_point(cat)]
     for p in _primes_upto(bound):
         pts.append(prime_point(cat, p))

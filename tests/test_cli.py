@@ -268,6 +268,35 @@ def test_sheaf_space_with_a_zero_relation_is_a_typed_error():
     assert records[0]["error"] == {"code": "unsupported", "message": "modulus must be monic"}
 
 
+def test_sheaf_space_relation_is_made_monic_over_the_prime_field():
+    """2*e^2 + 1 and e^2 + 3 generate one ideal of GF(5)[e]; a unit relation
+    gives the zero ring, answered as spec(ZZ/1) is."""
+    records, had_error = run_script(dsl.parse(
+        'sheaf check --space "spec(GF(5)[e]/(2*e^2+1))";'
+        'sheaf check --space "spec(GF(5)[e]/(e^2+3))";'
+        'sheaf check --space "spec(GF(5)[e]/(3))";'
+        'sheaf check --space "spec(ZZ/1)";'
+    ))
+    assert not had_error, records
+    data = [dict(r["data"], space=None) for r in records]
+    assert data[0] == data[1]
+    assert data[2] == data[3]
+
+
+@pytest.mark.parametrize("statement, code", [
+    ("spec describe B;", "undefined-ring"),
+    ('fiber --map "ZZ->ZZ[T]" --at q=3;', "unsupported-location"),
+    ('sheaf check --space "spec(QQ)";', "unsupported-space"),
+    ('sheaf check --space "spec(GF(5)[e]/(e^2, e))";', "unsupported-space"),
+    ('sheaf twist --space "spec(ZZ/6)" --cover "X,Y" --cocycle 1;', "invalid-cover"),
+    ('sheaf twist --space "spec(ZZ/6)" --cover "X" --cocycle 1;', "invalid-cover"),
+])
+def test_cli_input_errors_carry_specific_codes(statement, code):
+    records, had_error = run_script(dsl.parse(statement))
+    assert had_error
+    assert records[0]["error"]["code"] == code
+
+
 def test_closure_fibers_need_a_univariate_ring():
     """Read by its first variable alone, T + 30*S reduced to the constant 1
     mod 2, 3 and 5, and every fiber came back empty."""

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from scheme_explorer import arith, cli, dsl
+from scheme_explorer import cli, dsl
 from scheme_explorer.cli import run_script
 from scheme_explorer.errors import DslSyntaxError
 
@@ -150,15 +150,27 @@ def test_budget_is_checked_before_summing_every_degree():
     assert records[0]["error"]["code"] == "budget-exceeded"
 
 
-def test_the_readme_fiber_example_is_within_the_budget(monkeypatch):
-    """Its default --bound 6 gives 137,256 candidates over GF(7).  They take
-    about a minute to test, so the irreducibility test is stubbed here."""
+@pytest.mark.parametrize("statement", [
+    'proj points --space "P^3(GF(31))";',  # 31^4 coordinate tuples
+    "spec describe ZZ[T] --bound 40;",  # 81^2 + 81^3 height-one candidates
+], ids=["proj-points", "zzt-height-one"])
+def test_exhaustive_enumerations_refuse_before_listing(statement):
+    start = time.perf_counter()
+    records, had_error = run_script(dsl.parse(statement))
+    assert time.perf_counter() - start < 1.0
+    assert had_error
+    assert records[0]["error"]["code"] == "budget-exceeded"
+
+
+def test_the_readme_fiber_example_is_within_the_budget():
+    """Its default --bound 6 gives 137,256 candidates over GF(7): the generic
+    point and, by Gauss's count, 7 + 21 + 112 + 588 + 3,360 + 19,544 closed
+    points."""
     statement = 'fiber --map "ZZ->ZZ[T]" --at p=7;'
     assert statement in (REPO / "README.md").read_text(encoding="utf-8")
-    monkeypatch.setattr(arith, "_is_irreducible_dense", lambda f, dom: arith.up_deg(f) == 1)
     records, had_error = run_script(dsl.parse(statement))
     assert not had_error, records
-    assert len(records[0]["data"]["points"]) == 1 + 7
+    assert len(records[0]["data"]["points"]) == 23_633
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,18 @@ rings of at most 36 elements, and no polynomial ring over a field with more
 than 11 elements.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from scheme_explorer import dsl, errors
 from scheme_explorer.cli import run_script
+
+REPO = Path(__file__).resolve().parent.parent
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -175,3 +183,26 @@ def test_mutated_flags_are_parse_errors_or_typed_errors(base, how, k):
     failures = [r["error"]["code"] for r in records if not r["ok"]]
     assert had_error == bool(failures)
     assert set(failures) <= CODES, source
+
+
+# Each example starts a process (about 0.15 s), so there are few of them.
+@hypothesis.settings(max_examples=10, deadline=None, derandomize=True)
+@hypothesis.given(st.lists(STATEMENTS, min_size=3, max_size=5).map(" ".join))
+def test_the_cli_process_exits_0_1_or_2_without_a_traceback(tmp_path_factory, source):
+    path = tmp_path_factory.mktemp("fuzz") / "script.scm"
+    path.write_text(source, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "scheme_explorer.cli", "--format", "json",
+         "run", "--script", str(path)],
+        capture_output=True, text=True, cwd=REPO, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+    )
+    assert "Traceback" not in proc.stderr, source
+    try:
+        script = dsl.parse(source)
+    except errors.DslSyntaxError:
+        assert (proc.returncode, proc.stdout) == (2, ""), source
+        return
+    records = json.loads(proc.stdout)["results"]
+    assert len(records) == len(script.statements)
+    assert proc.returncode == (0 if all(r["ok"] for r in records) else 1), source

@@ -4,6 +4,7 @@ cocycle twisting."""
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -762,3 +763,153 @@ def test_twist_refuses_too_many_section_families():
     assert had_error
     assert records[0]["error"]["code"] == "budget-exceeded"
     assert "1018081 section families" in records[0]["error"]["message"]
+
+
+# ---------------------------------------------------------------------------
+# the gluing search against the product filters it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_sheafify_sections(F):
+    """Filter the whole product of stalks on each open, pair by pair."""
+    space = F.space
+    sections = {}
+    for u in space.opens:
+        pts = sorted(u, key=str)
+        families = []
+        for combo in itertools.product(*(F.stalk(x) for x in pts)):
+            ok = True
+            for i, x in enumerate(pts):
+                ux = space.minimal_open(x)
+                for j, y in enumerate(pts):
+                    if y != x and y in ux:
+                        if combo[j] != F.restrict(combo[i], ux, space.minimal_open(y)):
+                            ok = False
+                            break
+                if not ok:
+                    break
+            if ok:
+                families.append(combo)
+        sections[u] = families
+    return sections
+
+
+def _reference_is_sheaf(F):
+    if len(F.sections[frozenset()]) != 1:
+        return False
+    for u in F.space.opens:
+        for cover in F.space.covers_of(u):
+            maps = [F.restrict_map(u, v) for v in cover]
+            gluings = Counter(tuple(m[s] for m in maps) for s in F.sections[u])
+            for family in itertools.product(*(F.sections[v] for v in cover)):
+                ok = all(
+                    F.restrict(si, vi, vi & vj) == F.restrict(sj, vj, vi & vj)
+                    for (vi, si), (vj, sj) in itertools.combinations(zip(cover, family), 2)
+                )
+                if ok and gluings[family] != 1:
+                    return False
+    return True
+
+
+def _reference_twist_sections(cocycle):
+    report, cover = cocycle.report, cocycle.cover
+    n = len(cover)
+    sections = {}
+    for u in report.space.opens:
+        pieces = [report.local_rings[u & c].elements() for c in cover]
+        families = []
+        for combo in itertools.product(*pieces):
+            ok = True
+            for i in range(n):
+                for j in range(i + 1, n):
+                    w = u & cover[i] & cover[j]
+                    rw = report.local_rings[w]
+                    si, sj = rw.make(*combo[i]), rw.make(*combo[j])
+                    if si != rw.mul(cocycle.restricted(i, j, w), sj):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                families.append(combo)
+        sections[u] = families
+    return sections
+
+
+def _reference_equal_mod_coboundary(report, cover, c1, c2):
+    """Scan every family of units, testing every ordered pair of opens."""
+    unit_lists = [[a for a, _ in domain_units(report.local_rings[u])] for u in cover]
+    n = len(cover)
+    for combo in itertools.product(*unit_lists):
+        ok = True
+        for i in range(n):
+            for j in range(n):
+                rw = report.local_rings[cover[i] & cover[j]]
+                ai, aj = rw.make(*combo[i]), rw.make(*combo[j])
+                lhs = rw.mul(rw.make(*c1.units[(i, j)]), aj)
+                rhs = rw.mul(rw.make(*c2.units[(i, j)]), ai)
+                if lhs != rhs:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
+def _two_open_covers(rep):
+    whole = frozenset(rep.space.points)
+    opens = [u for u in rep.space.opens_sorted() if u]
+    return [[u0, u1] for u0 in opens for u1 in opens if u0 | u1 == whole]
+
+
+def test_sheafify_lists_the_reference_families_in_order():
+    rng = random.Random(2024)
+    for _ in range(60):
+        space = random_space(rng, max_points=4)
+        F = random_projection_presheaf(space, rng)
+        G, _ = sh.sheafify(F)
+        assert G.sections == {
+            u: tuple(fams) for u, fams in _reference_sheafify_sections(F).items()
+        }
+        assert F.is_sheaf() == _reference_is_sheaf(F)
+
+
+def test_twist_lists_the_reference_families_in_order():
+    for ring in _oracle_rings():
+        rep = sh.structure_sheaf(ring)
+        for cover in _two_open_covers(rep):
+            c = sh.cocycles_on_cover(rep, cover)[-1]
+            assert sh.twist_structure_sheaf(c).sections == {
+                u: tuple(fams) for u, fams in _reference_twist_sections(c).items()
+            }, (ring, cover)
+
+
+def test_coboundary_search_matches_the_reference():
+    for ring in (Zmod(12), Zmod(30), sh.ProductRing(Zmod(7), Zmod(5)),
+                 sh.QuotientPolyRing(Zmod(2), (0, 1, 0, 1))):
+        rep = sh.structure_sheaf(ring)
+        for cover in _two_open_covers(rep):
+            cocycles = sh.cocycles_on_cover(rep, cover)
+            for c1, c2 in itertools.product(cocycles[:6], repeat=2):
+                assert sh.cocycles_equal_mod_coboundary(rep, cover, c1, c2) == (
+                    _reference_equal_mod_coboundary(rep, cover, c1, c2)
+                ), (ring, cover)
+
+
+def test_coboundary_search_refuses_too_many_unit_families():
+    from scheme_explorer.errors import BudgetExceeded
+
+    rep = sh.structure_sheaf(Zmod(1009))
+    X = frozenset(rep.space.points)
+    c = sh.trivial_cocycle(rep, [X, X])
+    with pytest.raises(BudgetExceeded, match="1016064 unit families"):
+        sh.cocycles_equal_mod_coboundary(rep, [X, X], c, c)
+
+
+def test_gluing_check_refuses_too_many_gluing_families():
+    from scheme_explorer.errors import BudgetExceeded
+
+    F = _two_point_presheaf([(0, 0)], lambda s: s[0], lambda s: s[1], range(1001))
+    with pytest.raises(BudgetExceeded, match="1002001 gluing families"):
+        F.is_sheaf()

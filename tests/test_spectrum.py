@@ -1,5 +1,6 @@
 """Catalogued spectra: points, evaluation, closures, components, dimension."""
 
+import itertools
 import random
 
 import pytest
@@ -383,3 +384,60 @@ def test_residue_field_over_an_extension_gets_a_fresh_generator():
     residues = {pt["residue_field"] for pt in records[0]["data"]["points"]}
     assert "GF(9,t^2 + 1)[t2]/(t2^2 + t*t2 + t)" in residues
     assert not any("[t]" in r for r in residues)
+
+
+# ---------------------------------------------------------------------------
+# closed points of k[T]: the product sieve against a test per candidate
+# ---------------------------------------------------------------------------
+
+def _reference_monic_irreducibles(field, max_degree):
+    """Every monic candidate in order, kept when the Rabin test accepts it."""
+    from scheme_explorer.arith import _is_irreducible_dense
+
+    out = []
+    for d in range(1, max_degree + 1):
+        for tail in itertools.product(field.elements(), repeat=d):
+            poly = tuple(tail) + (field.one(),)
+            if _is_irreducible_dense(poly, field):
+                out.append(poly)
+    return out
+
+
+def _gauss_count(q, d):
+    """(1/d) sum over k | d of mu(d/k) q^k, the monic irreducibles of degree d."""
+    def mobius(n):
+        sign, p = 1, 2
+        while n > 1:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    return sum(mobius(d // k) * q ** k for k in range(1, d + 1) if d % k == 0) // d
+
+
+_SIEVE_FIELDS = [
+    (GF(2), 8), (GF(3), 5), (GF(7), 3), (GFq(4, (1, 1, 1)), 3), (GFq(9, (1, 0, 1)), 2),
+]
+
+
+@pytest.mark.parametrize("field, max_degree", _SIEVE_FIELDS, ids=repr)
+def test_sieve_lists_the_reference_irreducibles_in_order(field, max_degree):
+    assert sp._monic_irreducibles(field, max_degree) == (
+        _reference_monic_irreducibles(field, max_degree)
+    )
+
+
+@pytest.mark.parametrize("field, max_degree", [
+    (GF(2), 11), (GF(3), 7), (GF(5), 5), (GF(7), 4), (GFq(4, (1, 1, 1)), 5),
+    (GFq(25, (2, 0, 1)), 2),
+], ids=repr)
+def test_sieve_counts_match_gauss(field, max_degree):
+    polys = sp._monic_irreducibles(field, max_degree)
+    degrees = [len(f) - 1 for f in polys]
+    assert degrees == sorted(degrees)
+    for d in range(1, max_degree + 1):
+        assert degrees.count(d) == _gauss_count(field.order(), d), d
