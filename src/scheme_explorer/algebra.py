@@ -3,9 +3,14 @@
 The Gröbner engine is Buchberger's algorithm on a heap of pairs, smallest
 lcm first, pruned by the Gebauer–Möller update; a normal form keeps its
 remainder sorted and merges in each reducer's shifted tail, so no step
-re-sorts. It produces the unique reduced basis for the ring's term order,
-so normal forms decide equality in the quotient.  Ideal arithmetic
-over a non-field base is deliberately restricted: over ZZ only the moves the
+re-sorts. It works on packed terms (``multipoly``) throughout: a
+divisibility test, an lcm and a coprimality test are a few integer
+operations, and no intermediate polynomial is decoded. It produces the
+unique reduced basis for the ring's term order, so normal forms decide
+equality in the quotient. ``GroebnerBasis.verify`` reduces only the S-pairs
+that the Gebauer–Möller update keeps: by Buchberger's criterion with the
+product and chain criteria, they suffice.  Ideal arithmetic over a
+non-field base is deliberately restricted: over ZZ only the moves the
 workbench can certify are offered, and everything else raises rather than
 silently answering over QQ.
 """
@@ -15,7 +20,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from operator import le, sub
 
 from .arith import QQ, ZZ, Domain, Zmod, prime_factors
 from .errors import (
@@ -41,18 +45,6 @@ from .sheaf import LocalizedFiniteRing
 # Buchberger
 # ---------------------------------------------------------------------------
 
-def _divides(e1, e2):
-    return all(map(le, e1, e2))
-
-
-def _lcm_exp(e1, e2):
-    return tuple(map(max, e1, e2))
-
-
-def _coprime(e1, e2):
-    return not any(map(min, e1, e2))
-
-
 def normal_form_list(f: Poly, basis):
     """Fully reduce f against a list of polynomials with unit leading
     coefficients (any nonzero one over a field).
@@ -60,67 +52,75 @@ def normal_form_list(f: Poly, basis):
     Each step subtracts from the remainder the shifted tail of the first
     reducer whose leading monomial divides the leading one; the remainder
     stays sorted (``multipoly._sub_shifted``) and nothing is re-sorted.
+    Terms stay packed throughout (``PolyRing.packer``).
     """
     ring = f.ring
-    dom = ring.domain
-    key = ring.order.key
-    reducers = [(g.terms[0][0], dom.inv(g.terms[0][1]), g.terms[1:])
-                for g in basis if g.terms]
+    dom, pk = ring.domain, ring.packer
+    divides, mul = pk.divides, dom.mul
+    reducers = [g.reducer() for g in basis if not g.is_zero()]
+    if not reducers:
+        return f
     rem = _ascending(f)
-    out = []
-    while rem:
-        _, lead, lc = rem.pop()
-        for ge, ginv, tail in reducers:
-            if _divides(ge, lead):
-                _sub_shifted(rem, tail, tuple(map(sub, lead, ge)),
-                             dom.mul(lc, ginv), key, dom)
+    keys, exps, coeffs = rem
+    ok, oe, oc = [], [], []
+    while keys:
+        k, e, lc = keys.pop(), exps.pop(), coeffs.pop()
+        for ge, gk, ginv, tail in reducers:
+            if divides(ge, e):
+                _sub_shifted(rem, zip(*tail), k - gk, e - ge, mul(lc, ginv), dom, pk)
                 break
         else:
-            out.append((lead, lc))
-    return Poly(ring, tuple(out))
+            ok.append(k)
+            oe.append(e)
+            oc.append(lc)
+    return Poly(ring, (tuple(ok), tuple(oe), tuple(oc)))
 
 
-def _s_polynomial(gi, gj, lcm):
-    """x^u*gi - x^v*gj for monic gi, gj with x^u*lm(gi) = x^v*lm(gj) = lcm."""
+def _s_polynomial(gi, gj, klcm, lcm):
+    """x^u*gi - x^v*gj for monic gi, gj with x^u*lm(gi) = x^v*lm(gj) = lcm,
+    where ``lcm`` is packed and ``klcm`` is its order key."""
     ring = gi.ring
-    key, dom = ring.order.key, ring.domain
-    rem = []
+    dom = ring.domain
+    rem = [[], [], []]
     for g, c in ((gi, dom.neg(dom.one())), (gj, dom.one())):
-        shift = tuple(map(sub, lcm, g.terms[0][0]))
-        _sub_shifted(rem, g.terms[1:], shift, c, key, dom)
+        keys, exps, coeffs = g.packed()
+        _sub_shifted(rem, zip(keys[1:], exps[1:], coeffs[1:]),
+                     klcm - keys[0], lcm - exps[0], c, dom, ring.packer)
     return _from_ascending(ring, rem)
 
 
-def _update(pairs, live, lms, new, key):
+def _update(pairs, live, lms, new, pk):
     """Gebauer–Möller update of the pair heap and the live basis for ``new``.
 
     ``pairs`` is a heap of (order key of lcm, i, j, lcm); ``live`` lists the
-    basis indices whose leading monomial no newer element divides.
+    basis indices whose leading monomial no newer element divides. Leading
+    monomials and lcms are packed (``multipoly._Packer``).
     """
+    divides, lcm_of, coprime = pk.divides, pk.lcm, pk.coprime
     h = lms[new]
-    cands = [(_lcm_exp(h, lms[g]), g) for g in live]
+    cands = [(lcm_of(h, lms[g]), g) for g in live]
     # M and F: drop (new, g) when the lcm of another new pair divides its
     # lcm (of pairs with equal lcms one stays); coprime pairs stay for now,
     # as witnesses that drop the pairs they dominate
     kept = []
     for idx, (lcm, g) in enumerate(cands):
-        if _coprime(h, lms[g]) or not (
-            any(_divides(other, lcm) for other, _ in cands[idx + 1:])
-            or any(_divides(other, lcm) for other, _ in kept)
+        if coprime(h, lms[g]) or not (
+            any(divides(other, lcm) for other, _ in cands[idx + 1:])
+            or any(divides(other, lcm) for other, _ in kept)
         ):
             kept.append((lcm, g))
     # B: an old pair (i, j) goes when lm(new) divides its lcm and neither
     # lcm(i, new) nor lcm(j, new) equals it
     pairs[:] = [
         p for p in pairs
-        if not _divides(h, p[3])
-        or _lcm_exp(lms[p[1]], h) == p[3]
-        or _lcm_exp(lms[p[2]], h) == p[3]
+        if not divides(h, p[3])
+        or lcm_of(lms[p[1]], h) == p[3]
+        or lcm_of(lms[p[2]], h) == p[3]
     ]
     # Buchberger's first criterion: coprime pairs reduce to zero
-    pairs += [(key(lcm), new, g, lcm) for lcm, g in kept if not _coprime(h, lms[g])]
+    pairs += [(pk.key_of(lcm), new, g, lcm) for lcm, g in kept if not coprime(h, lms[g])]
     heapq.heapify(pairs)
-    live[:] = [g for g in live if not _divides(h, lms[g])] + [new]
+    live[:] = [g for g in live if not divides(h, lms[g])] + [new]
 
 
 def groebner_basis(gens, ring=None):
@@ -137,14 +137,14 @@ def groebner_basis(gens, ring=None):
         ring = gens[0].ring
     if not ring.domain.is_field:
         raise NonFieldBase(f"Gröbner bases need a field base, got {ring.domain}")
-    key = ring.order.key
+    pk = ring.packer
     basis, lms, live, pairs = [], [], [], []
     reducers = []
 
     def insert(h):
         basis.append(h.monic())
-        lms.append(h.leading_monomial())
-        _update(pairs, live, lms, len(basis) - 1, key)
+        lms.append(h.packed()[1][0])
+        _update(pairs, live, lms, len(basis) - 1, pk)
         reducers[:] = [basis[k] for k in live]
 
     for g in gens:
@@ -152,8 +152,8 @@ def groebner_basis(gens, ring=None):
         if not h.is_zero():
             insert(h)
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        h = normal_form_list(_s_polynomial(basis[i], basis[j], lcm), reducers)
+        klcm, i, j, lcm = heapq.heappop(pairs)
+        h = normal_form_list(_s_polynomial(basis[i], basis[j], klcm, lcm), reducers)
         if not h.is_zero():
             insert(h)
     # the live elements form a minimal basis: reducing each against the
@@ -162,7 +162,7 @@ def groebner_basis(gens, ring=None):
         normal_form_list(g, reducers[:k] + reducers[k + 1:])
         for k, g in enumerate(reducers)
     ]
-    return sorted(reduced, key=lambda g: key(g.leading_monomial()))
+    return sorted(reduced, key=lambda g: g.packed()[0][0])
 
 
 class GroebnerBasis:
@@ -184,23 +184,31 @@ class GroebnerBasis:
 
     def verify(self):
         """Re-check the defining invariants: pairwise non-divisible leading
-        terms, auto-reduction, and vanishing S-polynomial reductions."""
+        terms, auto-reduction, and vanishing S-polynomial reductions.
+
+        Only the pairs that the Gebauer–Möller update keeps are reduced:
+        Buchberger's criterion with the chain and product criteria is a
+        theorem, so the check stays complete.
+        """
         dom = self.ring.domain
+        pk = self.ring.packer
+        if any(g.is_zero() for g in self.polys):
+            return False
+        lms = [g.packed()[1][0] for g in self.polys]
         for i, g in enumerate(self.polys):
             if not dom.is_one(g.leading_coeff()):
                 return False
-            others = self.polys[:i] + self.polys[i + 1:]
-            lead = g.leading_monomial()
-            if any(_divides(h.leading_monomial(), lead) for h in others):
+            if any(pk.divides(h, lms[i]) for h in lms[:i] + lms[i + 1:]):
                 return False
-            if normal_form_list(g, others) != g:
+            if normal_form_list(g, self.polys[:i] + self.polys[i + 1:]) != g:
                 return False
-        for i in range(len(self.polys)):
-            for j in range(i):
-                gi, gj = self.polys[i], self.polys[j]
-                lcm = _lcm_exp(gi.leading_monomial(), gj.leading_monomial())
-                if not self.normal_form(_s_polynomial(gi, gj, lcm)).is_zero():
-                    return False
+        pairs, live = [], []
+        for new in range(len(lms)):
+            _update(pairs, live, lms, new, pk)
+        for klcm, i, j, lcm in pairs:
+            s = _s_polynomial(self.polys[i], self.polys[j], klcm, lcm)
+            if not self.normal_form(s).is_zero():
+                return False
         self.certified = True
         return True
 

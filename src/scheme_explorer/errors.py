@@ -126,6 +126,12 @@ class BudgetExceeded(SchemeError):
     code = "budget-exceeded"
 
 
+class ExponentOverflow(SchemeError):
+    """A monomial with an exponent past the packed field width (2^31)."""
+
+    code = "exponent-overflow"
+
+
 class InvalidArgument(SchemeError, ValueError):
     """An argument outside the domain of the call; also a ValueError."""
 

@@ -5,35 +5,79 @@ A PolyRing fixes the domain, an ordered variable list, and a term order
 for elimination).  Polynomials are immutable; terms are kept sorted in
 descending order, leading term first, so printing is canonical.
 
-This module owns the term format.  Every sum, difference, product and
-quotient merges through one kernel, ``_sub_shifted``, which subtracts a
-scaled, shifted copy of a sorted term list from a sorted remainder; since
-multiplying by a monomial keeps every term order, nothing is re-sorted.
-The kernel finds terms by their order key, so the key must be injective on
-exponent vectors: a block order must cover every variable.  Other modules
-read a polynomial one variable at a time through ``Poly.coeffs_in`` and
-``arith.dense_to_poly``, and move it between rings through
-``Poly.relabel`` or ``Poly.substitute``, never implicitly.
+This module owns the term format.  A term is packed into two ints and a
+coefficient: the order key and the exponents.
+
+- Every order is a nonnegative integer weight matrix: grevlex is the total
+  degree followed by the prefix sums x1+...+x_{n-1}, ..., x1, lex is the
+  identity, and a block order is the block-diagonal of its blocks' matrices.
+  The key holds the rows of the matrix times the exponent vector, first row
+  most significant, so comparing keys compares terms, and it is the one
+  sort key (``TermOrder.key``).  A block order must cover every variable.
+- The exponents hold one 32-bit field per variable.  The top bit of each
+  field is a guard bit, clear in every valid monomial, so an exponent is
+  below 2^31.  A product adds both ints, a quotient subtracts them, and a
+  monomial divides another iff their difference has no guard bit set.
+- A product whose exponent reaches 2^31 sets a guard bit; the arithmetic
+  checks each new term and raises ``ExponentOverflow`` instead of carrying
+  into the next field.  Key fields are wide enough for the sum of two valid
+  monomials, so a term that overflows never matches an existing key.
+
+Every sum, difference, product and quotient merges through one kernel,
+``_sub_shifted``, which subtracts a scaled, shifted copy of a sorted term
+list from a sorted remainder; since multiplying by a monomial keeps every
+term order, nothing is re-sorted, and the binary search runs on plain ints.
+``Poly.packed()`` is the view the arithmetic uses; ``Poly.terms``, the
+(exps tuple, coeff) pairs, is decoded from it on first read and cached.
+Other modules read a polynomial one variable at a time through
+``Poly.coeffs_in`` and ``arith.dense_to_poly``, and move it between rings
+through ``Poly.relabel`` or ``Poly.substitute``, never implicitly.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_left
 from fractions import Fraction
-from operator import add, itemgetter, neg, sub
+from functools import reduce
+from operator import itemgetter, mul, or_
 
 from .arith import QQ, ZZ, Domain, dense_to_poly, poly_to_dense, up_gcd
-from .errors import InvalidArgument, NotHomogeneous, ZeroPolynomial
+from .errors import ExponentOverflow, InvalidArgument, NotHomogeneous, ZeroPolynomial
+
+
+# Exponents live in 32-bit fields of one int; the top bit of each field is
+# its guard bit, clear in every valid monomial.
+_FIELD = 32
 
 
 class TermOrder:
-    """Monomial order as a sort key on exponent tuples (larger = leading)."""
+    """Monomial order given by a nonnegative integer weight matrix: the rows
+    are compared in turn, larger = leading.
+
+    ``key`` packs the rows of an exponent tuple into one int, first row most
+    significant, so comparing keys compares terms. The packed format of
+    each variable count is built once per order (``packer``).
+    """
 
     name = "?"
 
-    def key(self, exps):
+    def __init__(self):
+        self._packers = {}
+
+    def rows(self, n):
+        """The weight matrix on n variables, one tuple per row."""
         raise NotImplementedError
+
+    def packer(self, n):
+        pk = self._packers.get(n)
+        if pk is None:
+            pk = self._packers[n] = _Packer(self.rows(n), n)
+        return pk
+
+    def key(self, exps):
+        return self.packer(len(exps)).key(exps)
 
     def __repr__(self):
         return self.name
@@ -46,17 +90,20 @@ class TermOrder:
 
 
 class GrevlexOrder(TermOrder):
+    """Total degree, then the prefix sums x1+...+x_{n-1}, ..., x1: of two
+    terms of one degree the one with the smaller last exponent leads."""
+
     name = "grevlex"
 
-    def key(self, exps):
-        return (sum(exps), tuple(map(neg, exps[::-1])))
+    def rows(self, n):
+        return [(1,) * (n - r) + (0,) * r for r in range(n)]
 
 
 class LexOrder(TermOrder):
     name = "lex"
 
-    def key(self, exps):
-        return tuple(exps)
+    def rows(self, n):
+        return [tuple(int(i == r) for i in range(n)) for r in range(n)]
 
 
 class BlockOrder(TermOrder):
@@ -64,10 +111,11 @@ class BlockOrder(TermOrder):
 
     ``sizes`` splits the exponent tuple; earlier blocks dominate, so placing
     the variables to eliminate in the first block yields an elimination
-    order for the remaining ones.
+    order for the remaining ones. The weight matrix is block-diagonal.
     """
 
     def __init__(self, sizes, inner=None):
+        super().__init__()
         self.sizes = tuple(sizes)
         self.inner = tuple(inner) if inner else tuple(GrevlexOrder() for _ in sizes)
         self.name = f"block{self.sizes}"
@@ -82,13 +130,79 @@ class BlockOrder(TermOrder):
     def __hash__(self):
         return hash((type(self), self.sizes, self.inner))
 
-    def key(self, exps):
-        parts = []
+    def rows(self, n):
+        if sum(self.sizes) != n:
+            raise InvalidArgument(f"{self} orders {sum(self.sizes)} variables, not {n}")
+        out = []
         pos = 0
         for size, order in zip(self.sizes, self.inner):
-            parts.append(order.key(tuple(exps[pos:pos + size])))
+            out += [(0,) * pos + r + (0,) * (n - pos - size) for r in order.rows(size)]
             pos += size
-        return tuple(parts)
+        return out
+
+
+class _Packer:
+    """The packed monomials of one term order on n variables.
+
+    The exponents of a monomial are E = sum(e_i << 32*i), one 32-bit field
+    per variable whose top bit (``guard``) is clear: every exponent is below
+    2^31. Products add, quotients subtract, and e1 divides e2 iff
+    ``(E2 - E1) & guard == 0``. The order key is a dot product with the
+    columns of the weight matrix; its fields hold a row of a sum of two
+    valid monomials without carrying, so key(x^a * x^b) = key(a) + key(b)
+    and equal keys mean equal monomials even when the sum overflows.
+    """
+
+    __slots__ = ("nvars", "weights", "guard", "_pack", "_unpack", "_nbytes", "_lows")
+
+    def __init__(self, rows, n):
+        width = (max((sum(r) for r in rows), default=1) << _FIELD).bit_length()
+        top = len(rows) - 1
+        self.nvars = n
+        self.weights = tuple(
+            sum(r[i] << (width * (top - j)) for j, r in enumerate(rows))
+            for i in range(n)
+        )
+        self._lows = sum(1 << (_FIELD * i) for i in range(n))
+        self.guard = self._lows << (_FIELD - 1)
+        fields = struct.Struct(f"<{n}I")
+        self._pack, self._unpack = fields.pack, fields.unpack
+        self._nbytes = 4 * n
+
+    def key(self, exps):
+        return sum(map(mul, exps, self.weights))
+
+    def pack(self, exps):
+        try:
+            e = int.from_bytes(self._pack(*exps), "little")
+        except struct.error:
+            e = None
+        if e is None or e & self.guard:
+            if len(exps) != self.nvars or not all(isinstance(k, int) and k >= 0 for k in exps):
+                raise InvalidArgument(f"{exps} is not a monomial in {self.nvars} variables")
+            raise ExponentOverflow(f"{exps} has an exponent of 2^31 or more")
+        return e
+
+    def unpack(self, e):
+        return self._unpack(e.to_bytes(self._nbytes, "little"))
+
+    def key_of(self, e):
+        return self.key(self.unpack(e))
+
+    def divides(self, a, b):
+        """Whether the monomial a divides b."""
+        return not (b - a) & self.guard
+
+    def lcm(self, a, b):
+        # the guard bit of a field of (a | guard) - b survives iff a_i >= b_i
+        mask = (((a | self.guard) - b) & self.guard) >> (_FIELD - 1)
+        mask *= (1 << _FIELD) - 1
+        return b ^ ((a ^ b) & mask)
+
+    def coprime(self, a, b):
+        # (x | guard) - lows keeps the guard bit of exactly the fields x_i > 0
+        guard, lows = self.guard, self._lows
+        return not ((a | guard) - lows) & ((b | guard) - lows) & guard
 
 
 GREVLEX = GrevlexOrder()
@@ -103,11 +217,8 @@ class PolyRing:
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise InvalidArgument(f"duplicate variable names in {self.names}")
-        if isinstance(order, BlockOrder) and sum(order.sizes) != len(self.names):
-            raise InvalidArgument(
-                f"{order} orders {sum(order.sizes)} variables, not {len(self.names)}"
-            )
         self.order = order
+        self.packer = order.packer(len(self.names))
         self._index = {n: i for i, n in enumerate(self.names)}
 
     @property
@@ -115,7 +226,7 @@ class PolyRing:
         return len(self.names)
 
     def zero(self):
-        return Poly(self, ())
+        return Poly(self, ((), (), ()), ())
 
     def one(self):
         return self.const(self.domain.one())
@@ -123,7 +234,7 @@ class PolyRing:
     def const(self, c):
         if self.domain.is_zero(c):
             return self.zero()
-        return Poly(self, (((0,) * self.nvars, c),))
+        return Poly(self, ((0,), (0,), (c,)), (((0,) * self.nvars, c),))
 
     def from_int(self, n):
         return self.const(self.domain.from_int(n))
@@ -132,21 +243,32 @@ class PolyRing:
         if name not in self._index:
             raise InvalidArgument(f"{self} has no variable {name!r}")
         i = self._index[name]
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Poly(self, ((exps, self.domain.one()),))
+        one = self.domain.one()
+        exps = tuple(int(j == i) for j in range(self.nvars))
+        return Poly(self, ((self.packer.weights[i],), (1 << (_FIELD * i),), (one,)),
+                    ((exps, one),))
 
     def gens(self):
         return [self.gen(n) for n in self.names]
 
     def from_dict(self, d):
-        terms = []
-        for exps, c in d.items():
-            if not self.domain.is_zero(c):
-                terms.append((tuple(exps), c))
-        return Poly(self, self._sorted(terms))
+        is_zero = self.domain.is_zero
+        return self._from_terms([(tuple(e), c) for e, c in d.items() if not is_zero(c)])
 
-    def _sorted(self, terms):
-        return tuple(sorted(terms, key=lambda t: self.order.key(t[0]), reverse=True))
+    def _from_terms(self, terms):
+        """The polynomial of distinct (exps, coeff) terms in any order,
+        packed and sorted by the order keys.
+
+        The terms are kept as the decoded view. Packing checks every
+        exponent against the field width (``_Packer.pack``).
+        """
+        if not terms:
+            return self.zero()
+        pk = self.packer
+        exps = [e for e, _ in terms]
+        rows = zip(map(pk.pack, exps), map(pk.key, exps), terms)
+        packed, keys, terms = zip(*sorted(rows, key=itemgetter(1), reverse=True))
+        return Poly(self, (keys, packed, tuple([c for _, c in terms])), terms)
 
     def with_order(self, order):
         return PolyRing(self.domain, self.names, order)
@@ -155,7 +277,7 @@ class PolyRing:
         c = self.domain.one() if c is None else c
         if self.domain.is_zero(c):
             return self.zero()
-        return Poly(self, ((tuple(exps), c),))
+        return self._from_terms(((tuple(exps), c),))
 
     def __eq__(self, other):
         return other is self or (
@@ -173,21 +295,51 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable sparse polynomial; terms sorted descending, leading first."""
+    """Immutable sparse polynomial; terms sorted descending, leading first.
 
-    __slots__ = ("ring", "terms")
+    The terms are packed (``packed()``): three parallel tuples of order
+    keys, packed exponents and coefficients, which the arithmetic reads and
+    writes. ``terms``, the (exps tuple, coeff) pairs that everything else
+    reads, is decoded from them on first read and cached.
+    """
 
-    def __init__(self, ring, terms):
+    __slots__ = ("ring", "_packed", "_terms", "_reducer")
+
+    def __init__(self, ring, packed, terms=None):
         self.ring = ring
-        self.terms = terms  # tuple of (exps, coeff), order-descending
+        self._packed = packed  # (keys, exps, coeffs), order-descending
+        self._terms = terms  # the decoded (exps, coeff) pairs, once read
+        self._reducer = None
+
+    @property
+    def terms(self):
+        terms = self._terms
+        if terms is None:
+            _, exps, coeffs = self._packed
+            terms = self._terms = tuple(zip(map(self.ring.packer.unpack, exps), coeffs))
+        return terms
+
+    def packed(self):
+        return self._packed
+
+    def reducer(self):
+        """(packed leading exponents, leading key, inverse of the leading
+        coefficient, packed tail) of a polynomial with a unit leading
+        coefficient, made once for every normal form it reduces."""
+        red = self._reducer
+        if red is None:
+            keys, exps, coeffs = self.packed()
+            red = self._reducer = (exps[0], keys[0], self.ring.domain.inv(coeffs[0]),
+                                   (keys[1:], exps[1:], coeffs[1:]))
+        return red
 
     # -- basic structure ----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._packed[0]
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
+        return self._packed[1] in ((), (0,))
 
     def constant_value(self):
         if not self.terms:
@@ -208,15 +360,18 @@ class Poly:
         return max(e[i] for e, _ in self.terms)
 
     def leading_term(self):
-        if not self.terms:
+        if self.is_zero():
             raise ZeroPolynomial("zero polynomial has no leading term")
-        return self.terms[0]
+        _, exps, coeffs = self._packed
+        return self.ring.packer.unpack(exps[0]), coeffs[0]
 
     def leading_monomial(self):
         return self.leading_term()[0]
 
     def leading_coeff(self):
-        return self.leading_term()[1]
+        if self.is_zero():
+            raise ZeroPolynomial("zero polynomial has no leading term")
+        return self._packed[2][0]
 
     def coeff(self, exps):
         exps = tuple(exps)
@@ -259,14 +414,15 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         # merge the shorter operand into the longer
-        big, small = (other, self) if len(other.terms) > len(self.terms) else (self, other)
+        big, small = self, other
+        if len(other._packed[0]) > len(self._packed[0]):
+            big, small = other, self
         return big._sub_scaled(small, self.ring.domain.neg(self.ring.domain.one()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        dom = self.ring.domain
-        return Poly(self.ring, tuple((e, dom.neg(c)) for e, c in self.terms))
+        return self._map_coeffs(self.ring.domain.neg)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -281,7 +437,7 @@ class Poly:
         """self - c*other, merged by the kernel."""
         ring = self.ring
         rem = _ascending(self)
-        _sub_shifted(rem, other.terms, (0,) * ring.nvars, c, ring.order.key, ring.domain)
+        _sub_shifted(rem, zip(*other._packed), 0, 0, c, ring.domain, ring.packer)
         return _from_ascending(ring, rem)
 
     def __mul__(self, other):
@@ -290,11 +446,17 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
-        dom, key = ring.domain, ring.order.key
-        big, small = (other, self) if len(other.terms) > len(self.terms) else (self, other)
-        rem = []
-        for e, c in small.terms:
-            _sub_shifted(rem, big.terms, e, dom.neg(c), key, dom)
+        dom = ring.domain
+        big, small = self, other
+        if len(other._packed[0]) > len(self._packed[0]):
+            big, small = other, self
+        small = small._packed
+        if len(small[0]) == 1:
+            return _shifted(big, small[0][0], small[1][0], small[2][0])
+        big = big._packed
+        rem = [[], [], []]
+        for k, e, c in zip(*small):
+            _sub_shifted(rem, zip(*big), k, e, dom.neg(c), dom, ring.packer)
         return _from_ascending(ring, rem)
 
     __rmul__ = __mul__
@@ -307,29 +469,34 @@ class Poly:
         while n:
             if n & 1:
                 r = r * a
-            a = a * a
             n >>= 1
+            if n:
+                a = a * a
         return r
 
+    def _map_coeffs(self, fn):
+        """The terms with coefficients fn(c), zeros dropped."""
+        keys, exps, coeffs = self._packed
+        return _nonzero(self.ring, keys, exps, tuple(map(fn, coeffs)))
+
     def scale(self, c):
-        dom = self.ring.domain
-        terms = ((e, dom.mul(k, c)) for e, k in self.terms)
-        return Poly(self.ring, tuple(t for t in terms if not dom.is_zero(t[1])))
+        mul = self.ring.domain.mul
+        return self._map_coeffs(lambda k: mul(k, c))
 
     def monic(self):
-        return self.scale(self.ring.domain.inv(self.leading_coeff()))
+        dom = self.ring.domain
+        lc = self.leading_coeff()
+        return self if dom.is_one(lc) else self.scale(dom.inv(lc))
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.ring.from_int(other)
-        return (
-            isinstance(other, Poly)
-            and other.ring == self.ring
-            and other.terms == self.terms
-        )
+        if not isinstance(other, Poly) or other.ring != self.ring:
+            return False
+        return other._packed[1:] == self._packed[1:]
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, self._packed[1], self._packed[2]))
 
     # -- substitution and transport ------------------------------------------
 
@@ -374,9 +541,8 @@ class Poly:
         i = self.ring._index[name]
         parts = [[] for _ in range(self.degree_in(name) + 1)]
         for e, c in self.terms:
-            # dividing by name^k keeps the order of the terms that have it
             parts[e[i]].append((e[:i] + (0,) + e[i + 1:], c))
-        return [Poly(self.ring, tuple(p)) for p in parts]
+        return [self.ring._from_terms(p) for p in parts]
 
     def relabel(self, target_ring, position_map=None):
         """Transport by variable position: variable i becomes variable
@@ -402,7 +568,7 @@ class Poly:
 
     def resort(self, order):
         ring = self.ring.with_order(order)
-        return Poly(ring, ring._sorted(self.terms))
+        return ring._from_terms(self.terms)
 
     def evaluate(self, values):
         """Full evaluation: values is a name -> domain element map."""
@@ -463,7 +629,7 @@ def homogeneous_components(f: Poly):
     buckets = {}
     for e, c in f.terms:
         buckets.setdefault(sum(e), []).append((e, c))
-    return {d: Poly(f.ring, tuple(ts)) for d, ts in buckets.items()}
+    return {d: f.ring._from_terms(ts) for d, ts in buckets.items()}
 
 
 def homogenize(f: Poly, new_var: str, position: int = 0, rename=None):
@@ -527,8 +693,7 @@ def content_primitive(f: Poly, main_var=None):
             g = math.gcd(g, abs(c))
         if f.leading_coeff() < 0:
             g = -g
-        prim = Poly(f.ring, tuple((e, c // g) for e, c in f.terms))
-        return g, prim
+        return g, f._map_coeffs(lambda c: c // g)
     return _content_primitive_bivariate(f, main_var)
 
 
@@ -554,20 +719,25 @@ def exact_divide(f: Poly, g: Poly):
     dom = ring.domain
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    (ge, gc), tail = g.terms[0], g.terms[1:]
-    key = ring.order.key
+    gk, ge, gc = g._packed
+    tail = gk[1:], ge[1:], gc[1:]
+    gk, ge, gc = gk[0], ge[0], gc[0]
+    pk = ring.packer
     rem = _ascending(f)
-    out = []
-    while rem:
-        _, le, lc = rem.pop()
-        exps = tuple(map(sub, le, ge))
-        if any(e < 0 for e in exps):
+    keys, exps, coeffs = rem
+    qk, qe, qc = [], [], []
+    while keys:
+        k, e = keys.pop() - gk, exps.pop() - ge
+        if e & pk.guard:
             raise ValueError(f"{g} does not divide {f}")
+        lc = coeffs.pop()
         c = dom.div(lc, gc) if dom.is_field else _exact_coeff_div(dom, lc, gc)
         # quotient terms come out in descending order, like the remainder's
-        out.append((exps, c))
-        _sub_shifted(rem, tail, exps, c, key, dom)
-    return Poly(ring, tuple(out))
+        qk.append(k)
+        qe.append(e)
+        qc.append(c)
+        _sub_shifted(rem, zip(*tail), k, e, c, dom, pk)
+    return Poly(ring, (tuple(qk), tuple(qe), tuple(qc)))
 
 
 def _exact_coeff_div(dom, a, b):
@@ -583,38 +753,73 @@ def _exact_coeff_div(dom, a, b):
 # ---------------------------------------------------------------------------
 
 def _ascending(f):
-    """The terms of f as a remainder for ``_sub_shifted``."""
-    key = f.ring.order.key
-    return [(key(e), e, c) for e, c in reversed(f.terms)]
+    """The packed terms of f as a remainder for ``_sub_shifted``."""
+    return [list(reversed(v)) for v in f._packed]
 
 
 def _from_ascending(ring, rem):
-    return Poly(ring, tuple((e, c) for _, e, c in reversed(rem)))
+    keys, exps, coeffs = rem
+    return Poly(ring, (tuple(reversed(keys)), tuple(reversed(exps)), tuple(reversed(coeffs))))
 
 
-def _sub_shifted(rem, tail, shift, c, key, dom):
+def _shifted(f, kshift, eshift, c):
+    """c * x^shift * f: the product by a monomial keeps the term order, so
+    the terms stay where they are."""
+    ring = f.ring
+    if not eshift and ring.domain.is_one(c):
+        return f
+    keys, exps, coeffs = f._packed
+    exps = tuple([e + eshift for e in exps])
+    if reduce(or_, exps, 0) & ring.packer.guard:
+        raise ExponentOverflow("a product has an exponent of 2^31 or more")
+    mul = ring.domain.mul
+    return _nonzero(ring, tuple([k + kshift for k in keys]), exps,
+                    tuple([mul(c, x) for x in coeffs]))
+
+
+def _nonzero(ring, keys, exps, coeffs):
+    """The polynomial of packed terms, those with a zero coefficient (ZZ/n
+    has zero divisors) dropped."""
+    is_zero = ring.domain.is_zero
+    if any(map(is_zero, coeffs)):
+        keep = [i for i, c in enumerate(coeffs) if not is_zero(c)]
+        keys, exps, coeffs = (tuple([v[i] for i in keep]) for v in (keys, exps, coeffs))
+    return Poly(ring, (keys, exps, coeffs))
+
+
+def _sub_shifted(rem, tail, kshift, eshift, c, dom, pk):
     """rem -= c * x^shift * tail, in place and without sorting.
 
-    ``rem`` is a list of (order key, exps, coeff) in ascending key order, so
-    its leading term is last, and ``tail`` a descending tuple of
-    (exps, coeff). Multiplying by a monomial keeps every term order: each
-    shifted term costs one order key and one binary search below the
-    position of the previous one. A product c * gc that is zero (ZZ/n has
-    zero divisors) adds no term.
+    ``rem`` is three lists, the order keys, packed exponents and
+    coefficients of a remainder in ascending key order, so its leading term
+    is last; ``tail`` iterates over (key, exps, coeff) in descending order,
+    and the shift x^shift has the key ``kshift`` and the exponents
+    ``eshift``, in the format of the packer ``pk``. Multiplying by a
+    monomial adds to key and exponents and keeps every term order: each
+    shifted term costs one binary search on plain ints below the position of
+    the previous one. A key already present is a valid monomial
+    (``_Packer``), so only a new term is checked against the guard bits. A
+    product c * gc that is zero (ZZ/n has zero divisors) adds no term.
     """
+    keys, exps, coeffs = rem
     mul, dsub, is_zero = dom.mul, dom.sub, dom.is_zero
-    hi = len(rem)
-    for e, gc in tail:
-        e = tuple(map(add, e, shift))
-        k = key(e)
-        i = bisect_left(rem, k, 0, hi, key=itemgetter(0))
+    guard = pk.guard
+    hi = len(keys)
+    for k, e, gc in tail:
+        k += kshift
+        i = bisect_left(keys, k, 0, hi)
         p = mul(c, gc)
-        if i < hi and rem[i][0] == k:
-            v = dsub(rem[i][2], p)
+        if i < hi and keys[i] == k:
+            v = dsub(coeffs[i], p)
             if is_zero(v):
-                del rem[i]
+                del keys[i], exps[i], coeffs[i]
             else:
-                rem[i] = (k, e, v)
+                coeffs[i] = v
         elif not is_zero(p):
-            rem.insert(i, (k, e, dom.neg(p)))
+            e += eshift
+            if e & guard:
+                raise ExponentOverflow("a product has an exponent of 2^31 or more")
+            keys.insert(i, k)
+            exps.insert(i, e)
+            coeffs.insert(i, dom.neg(p))
         hi = i

@@ -20,7 +20,6 @@ import itertools
 from .algebra import (
     GroebnerBasis,
     IdealHandle,
-    _divides,
     _solve_field,
     groebner_basis,
 )
@@ -215,6 +214,7 @@ class MaximalityCertificate:
 def _quotient_basis(gb: GroebnerBasis, ring: PolyRing):
     """Monomials under the staircase; (None, variable) if infinite."""
     leads = [g.leading_monomial() for g in gb]
+    pk = ring.packer
     for i, name in enumerate(ring.names):
         if not any(
             e[i] > 0 and all(k == 0 for j, k in enumerate(e) if j != i)
@@ -229,11 +229,12 @@ def _quotient_basis(gb: GroebnerBasis, ring: PolyRing):
         )
         for i in range(ring.nvars)
     ]
-    basis = [
-        exps
-        for exps in itertools.product(*(range(c) for c in caps))
-        if not any(_divides(lead, exps) for lead in leads)
-    ]
+    packed_leads = [pk.pack(lead) for lead in leads]
+    basis = []
+    for exps in itertools.product(*(range(c) for c in caps)):
+        e = pk.pack(exps)
+        if not any(pk.divides(lead, e) for lead in packed_leads):
+            basis.append(exps)
     return basis, None
 
 

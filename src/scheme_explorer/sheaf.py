@@ -91,12 +91,15 @@ class FiniteSpace:
             if m not in self.opens:
                 raise ValueError(f"minimal neighborhood of {x} is not open")
             self._minimal[x] = m
+        self._sorted = tuple(sorted(self.opens, key=lambda u: (len(u), sorted(map(str, u)))))
 
     def minimal_open(self, x):
         return self._minimal[x]
 
     def opens_sorted(self):
-        return sorted(self.opens, key=lambda u: (len(u), sorted(map(str, u))))
+        """The opens by size, then by their points' names: the order every
+        walk over the opens takes, so no result depends on the hash seed."""
+        return self._sorted
 
     def covers_of(self, u):
         """Covers of u where every member keeps a private point.
@@ -215,7 +218,7 @@ class FinitePresheaf:
         """Exhaustive gluing check (covers with private points suffice)."""
         if len(self.sections[frozenset()]) != 1:
             return False
-        for u in self.space.opens:
+        for u in self.space.opens_sorted():
             if not self._sheaf_condition_at(u):
                 return False
         return True
@@ -243,8 +246,9 @@ def _presheaf(space, sections, restriction, check=False):
     """The presheaf with ``sections`` whose map from U to an open V < U is
     the function ``restriction(u, v)`` on sections."""
     restrictions = {}
-    for u in space.opens:
-        for v in space.opens:
+    opens = space.opens_sorted()
+    for u in opens:
+        for v in opens:
             if v < u:
                 r = restriction(u, v)
                 restrictions[(u, v)] = {s: r(s) for s in sections[u]}
@@ -271,7 +275,7 @@ def sheafify(F: FinitePresheaf):
             return lambda gx, gy: down[gx] == gy
 
     sections, pi = {}, {}
-    for u in space.opens:
+    for u in space.opens_sorted():
         pts = sorted(u, key=str)
         sections[u] = list(_glued([F.stalk(x) for x in pts],
                                   lambda j, i: germ_test(pts[j], pts[i]), "germ families"))
@@ -664,7 +668,7 @@ def _nowhere_vanishing(ring, primes, u):
 def _localized_presheaf(ring, space, primes, localize):
     """U -> localize(S(U)), restricting a fraction by the ``make`` of the
     smaller open; returns the presheaf and the localization on each open."""
-    local = {u: localize(_nowhere_vanishing(ring, primes, u)) for u in space.opens}
+    local = {u: localize(_nowhere_vanishing(ring, primes, u)) for u in space.opens_sorted()}
     sections = {u: loc.elements() for u, loc in local.items()}
     presheaf = _presheaf(space, sections, lambda u, v: lambda x: local[v].make(*x))
     return presheaf, local
@@ -833,7 +837,7 @@ def twist_structure_sheaf(cocycle: UnitCocycle):
         return lambda sj, si: left[sj] == right[si]
 
     sections = {}
-    for u in space.opens:
+    for u in space.opens_sorted():
         pieces = [report.local_rings[u & c].elements() for c in cover]
         sections[u] = list(_glued(pieces, lambda j, i: transition_test(u, pieces, j, i),
                                   "section families"))

@@ -1,6 +1,7 @@
 """Presented algebras: Groebner engine, quotients, tensors, localization."""
 
 import random
+from operator import le, sub
 
 import pytest
 
@@ -25,7 +26,9 @@ from scheme_explorer.algebra import (
     verify_isomorphism,
 )
 from scheme_explorer.errors import InvalidArgument, NonFieldBase, UndecidableContext
-from scheme_explorer.multipoly import LEX, PolyRing
+from scheme_explorer.multipoly import GREVLEX, LEX, BlockOrder, PolyRing
+
+from helpers_kernel import ref_ascending, ref_sub_shifted, ref_terms, tuple_key
 
 
 def test_groebner_single_linear():
@@ -377,7 +380,8 @@ def _katsura(ring, n):
 
 
 def test_verify_reduces_each_element_once(monkeypatch):
-    """One auto-reduction per element plus one reduction per S-pair."""
+    """One auto-reduction per element plus one reduction per S-pair that the
+    Gebauer–Möller update keeps: 26 of the 78 pairs on katsura-4."""
     ring = PolyRing(GF(32003), tuple(f"x{i}" for i in range(5)))
     gb = GroebnerBasis(ring, groebner_basis(_katsura(ring, 4), ring))
     calls = []
@@ -390,7 +394,11 @@ def test_verify_reduces_each_element_once(monkeypatch):
     monkeypatch.setattr(algebra, "normal_form_list", counted)
     assert gb.verify()
     k = len(gb)
-    assert k == 13 and len(calls) == k + k * (k - 1) // 2
+    pairs, live = [], []
+    lms = [g.packed()[1][0] for g in gb]
+    for new in range(k):
+        algebra._update(pairs, live, lms, new, ring.packer)
+    assert k == 13 and len(pairs) == 26 and len(calls) == k + len(pairs) == 39
 
 
 def test_verify_rejects_a_basis_that_is_not_auto_reduced():
@@ -399,6 +407,13 @@ def test_verify_rejects_a_basis_that_is_not_auto_reduced():
     assert GroebnerBasis(R, [x, y]).verify()
     # same leading terms and S-pairs, but the tail y of x + y reduces
     assert not GroebnerBasis(R, [x + y, y]).verify()
+
+
+def test_verify_rejects_a_basis_holding_the_zero_polynomial():
+    R = PolyRing(QQ, ("x", "y"))
+    x, _ = R.gens()
+    assert not GroebnerBasis(R, [R.zero(), x]).verify()
+    assert not GroebnerBasis(R, [x, R.zero()]).verify()
 
 
 def test_groebner_requires_field():
@@ -491,3 +506,190 @@ def test_localizing_a_block_ordered_algebra_needs_a_covering_order():
     x, y = A.gens()
     with pytest.raises(InvalidArgument):
         localize(A, x)
+
+
+# -- packed normal forms and bases against the tuple-key ones they replaced ----
+
+def ref_normal_form(f, basis):
+    """The terms of the tuple-key normal form of f against ``basis``."""
+    ring = f.ring
+    dom, key = ring.domain, tuple_key(ring.order)
+    reducers = [(g.terms[0][0], dom.inv(g.terms[0][1]), g.terms[1:])
+                for g in basis if g.terms]
+    rem = ref_ascending(f.terms, key)
+    out = []
+    while rem:
+        _, lead, lc = rem.pop()
+        for ge, ginv, tail in reducers:
+            if all(map(le, ge, lead)):
+                ref_sub_shifted(rem, tail, tuple(map(sub, lead, ge)),
+                                dom.mul(lc, ginv), key, dom)
+                break
+        else:
+            out.append((lead, lc))
+    return tuple(out)
+
+
+def ref_s_polynomial(gi, gj):
+    ring = gi.ring
+    dom, key = ring.domain, tuple_key(ring.order)
+    lcm = tuple(map(max, gi.terms[0][0], gj.terms[0][0]))
+    rem = []
+    for g, c in ((gi, dom.neg(dom.one())), (gj, dom.one())):
+        ref_sub_shifted(rem, g.terms[1:], tuple(map(sub, lcm, g.terms[0][0])), c, key, dom)
+    return ring.from_dict(dict(ref_terms(rem)))
+
+
+def ref_reduced_basis(gens, ring):
+    """The terms of the reduced basis by Buchberger's algorithm on every
+    pair, with no criterion, in the tuple-key kernel."""
+    dom, key = ring.domain, tuple_key(ring.order)
+
+    def monic(terms):
+        inv = dom.inv(terms[0][1])
+        return ring.from_dict({e: dom.mul(c, inv) for e, c in terms})
+
+    basis = []
+    for g in gens:
+        h = ref_normal_form(g, basis)
+        if h:
+            basis.append(monic(h))
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        h = ref_normal_form(ref_s_polynomial(basis[i], basis[j]), basis)
+        if h:
+            basis.append(monic(h))
+            pairs += [(k, len(basis) - 1) for k in range(len(basis) - 1)]
+    basis.sort(key=lambda g: key(g.terms[0][0]))
+    minimal = []
+    for g in basis:
+        if not any(all(map(le, h.terms[0][0], g.terms[0][0])) for h in minimal):
+            minimal.append(g)
+    return [ref_normal_form(g, minimal[:k] + minimal[k + 1:]) for k, g in enumerate(minimal)]
+
+
+ORDERS = pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder((1, 2))],
+                                 ids=["grevlex", "lex", "block12"])
+FIELDS = pytest.mark.parametrize("domain", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+
+
+def polys(ring, max_exp, max_size):
+    st = pytest.importorskip("hypothesis.strategies")
+    dom = ring.domain
+    exps = st.tuples(*[st.integers(0, max_exp)] * ring.nvars)
+    if dom == QQ:
+        coeff = st.fractions(min_value=-7, max_value=7, max_denominator=5)
+    else:
+        coeff = st.integers(-7, 7).map(dom.from_int)
+    return st.dictionaries(exps, coeff, max_size=max_size).map(ring.from_dict)
+
+
+@ORDERS
+@FIELDS
+def test_packed_normal_forms_match_the_tuple_key_ones(domain, order):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ring = PolyRing(domain, ("x", "y", "z"), order)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(polys(ring, 4, 8), st.lists(polys(ring, 2, 3), max_size=3))
+    def check(f, basis):
+        assert normal_form_list(f, basis).terms == ref_normal_form(f, basis)
+
+    check()
+
+
+@ORDERS
+def test_monic_reduction_over_zmod6_matches_the_tuple_key_one(order):
+    """ZZ/6 has no Gröbner engine: relations monic in a variable each reduce
+    through ``_reduce_by_monic``."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    dom = Zmod(6)
+    ring = PolyRing(dom, ("x", "y", "z"), order)
+    x, _, z = ring.gens()
+
+    def monic_in(v):
+        return st.lists(st.integers(0, 5), min_size=1, max_size=3).map(
+            lambda cs: v ** len(cs) + sum((dom.from_int(c) * v ** k for k, c in enumerate(cs)),
+                                          ring.zero()))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(polys(ring, 4, 8), monic_in(x), monic_in(z))
+    def check(f, rx, rz):
+        reduced = algebra._reduce_by_monic(f, [rx, rz])
+        assert reduced.terms == ref_normal_form(f, [rx, rz])
+
+    check()
+
+
+@ORDERS
+@FIELDS
+def test_packed_reduced_bases_match_the_tuple_key_ones(domain, order):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ring = PolyRing(domain, ("x", "y", "z"), order)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(polys(ring, 2, 3), max_size=3))
+    def check(gens):
+        got = [g.terms for g in groebner_basis(gens, ring)]
+        assert got == ref_reduced_basis(gens, ring)
+
+    check()
+
+
+def verify_on_every_pair(gb):
+    """``GroebnerBasis.verify`` with every S-pair reduced, in the tuple-key
+    kernel."""
+    dom = gb.ring.domain
+    polys = gb.polys
+    for i, g in enumerate(polys):
+        others = polys[:i] + polys[i + 1:]
+        lead = g.terms[0][0]
+        if not dom.is_one(g.terms[0][1]):
+            return False
+        if any(all(map(le, h.terms[0][0], lead)) for h in others):
+            return False
+        if ref_normal_form(g, others) != g.terms:
+            return False
+    return all(
+        not ref_normal_form(ref_s_polynomial(polys[i], polys[j]), polys)
+        for i in range(len(polys)) for j in range(i)
+    )
+
+
+def test_kept_pair_verification_agrees_with_every_pair():
+    """On correct bases, on bases with a tail coefficient changed and on
+    bases with an element dropped, reducing only the pairs the
+    Gebauer–Möller update keeps gives the verdict of reducing all."""
+    rng = random.Random(2024)
+    verdicts = []
+    for domain in (GF(32003), QQ):
+        for trial in range(12):
+            nvars = rng.choice((3, 4))
+            ring = PolyRing(domain, tuple(f"x{i}" for i in range(nvars)))
+            gens = [
+                ring.from_dict({
+                    tuple(rng.randrange(3) for _ in range(nvars)): domain.from_int(rng.randint(-5, 5))
+                    for _ in range(rng.randint(2, 4))
+                })
+                for _ in range(rng.randint(2, 3))
+            ]
+            basis = groebner_basis(gens, ring)
+            variants = [basis]
+            if len(basis) > 1:
+                variants.append(basis[:-1])
+            for k, g in enumerate(basis):
+                if len(g.terms) > 1:
+                    (lead, lc), (te, tc), *rest = g.terms
+                    bent = ring.from_dict({lead: lc, te: domain.add(tc, domain.one()),
+                                           **dict(rest)})
+                    variants.append(basis[:k] + [bent] + basis[k + 1:])
+                    break
+            for polys in variants:
+                full = verify_on_every_pair(GroebnerBasis(ring, polys))
+                assert GroebnerBasis(ring, polys).verify() == full
+                verdicts.append(full)
+    assert True in verdicts and False in verdicts

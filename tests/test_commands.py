@@ -153,13 +153,21 @@ def test_budget_is_checked_before_summing_every_degree():
 @pytest.mark.parametrize("statement", [
     'proj points --space "P^3(GF(31))";',  # 31^4 coordinate tuples
     "spec describe ZZ[T] --bound 40;",  # 81^2 + 81^3 height-one candidates
-], ids=["proj-points", "zzt-height-one"])
+    "spec describe ZZ --bound 1000000000;",  # 10^9 integers to sieve
+], ids=["proj-points", "zzt-height-one", "zz-primes"])
 def test_exhaustive_enumerations_refuse_before_listing(statement):
     start = time.perf_counter()
     records, had_error = run_script(dsl.parse(statement))
     assert time.perf_counter() - start < 1.0
     assert had_error
     assert records[0]["error"]["code"] == "budget-exceeded"
+
+
+def test_spec_zz_past_the_sieve_budget_exits_1(capsys):
+    start = time.perf_counter()
+    status, record = run_json("spec describe ZZ --bound 1000000000;", capsys)
+    assert time.perf_counter() - start < 1.0
+    assert status == 1 and record["error"]["code"] == "budget-exceeded"
 
 
 def test_the_readme_fiber_example_is_within_the_budget():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from scheme_explorer.arith import GF, QQ, ZZ, Zmod
-from scheme_explorer.errors import NotHomogeneous, ZeroPolynomial
+from scheme_explorer.errors import ExponentOverflow, NotHomogeneous, SchemeError, ZeroPolynomial
 from scheme_explorer.multipoly import (
     GREVLEX,
     LEX,
@@ -17,6 +17,8 @@ from scheme_explorer.multipoly import (
     homogeneous_components,
     homogenize,
 )
+
+from helpers_kernel import ref_ascending, ref_sub_shifted, ref_terms, tuple_key
 
 
 @pytest.fixture
@@ -336,3 +338,130 @@ def test_relabel_refuses_to_drop_a_variable_that_occurs():
     assert (x ** 2 * z + 3).relabel(S, [1, None, 0]) == a ** 2 * b + 3
     with pytest.raises(ValueError):
         (x + y).relabel(S, [1, None, 0])
+
+
+# -- the packed kernel against the tuple-key kernel it replaced ---------------
+
+def ref_sub_scaled(f, g, c):
+    """The terms of f - c*g through the tuple-key kernel."""
+    key = tuple_key(f.ring.order)
+    rem = ref_ascending(f.terms, key)
+    ref_sub_shifted(rem, g.terms, (0,) * f.ring.nvars, c, key, f.ring.domain)
+    return ref_terms(rem)
+
+
+def ref_product(f, g):
+    dom, key = f.ring.domain, tuple_key(f.ring.order)
+    rem = []
+    for e, c in g.terms:
+        ref_sub_shifted(rem, f.terms, e, dom.neg(c), key, dom)
+    return ref_terms(rem)
+
+
+def ref_exact_divide(f, g):
+    dom, key = f.ring.domain, tuple_key(f.ring.order)
+    (ge, gc), tail = g.terms[0], g.terms[1:]
+    rem = ref_ascending(f.terms, key)
+    out = []
+    while rem:
+        _, le, lc = rem.pop()
+        exps = tuple(a - b for a, b in zip(le, ge))
+        assert min(exps, default=0) >= 0
+        c = dom.mul(lc, dom.inv(gc))
+        out.append((exps, c))
+        ref_sub_shifted(rem, tail, exps, c, key, dom)
+    return tuple(out)
+
+
+ORDERS = pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder((1, 2))],
+                                 ids=["grevlex", "lex", "block12"])
+
+
+def term_dicts(domain, max_exp=3, max_size=6):
+    st = pytest.importorskip("hypothesis.strategies")
+    exps = st.tuples(*[st.integers(0, max_exp)] * 3)
+    coeff = st.integers(-7, 7)
+    if domain == QQ:
+        coeff = st.fractions(min_value=-7, max_value=7, max_denominator=5)
+    return st.dictionaries(exps, coeff, max_size=max_size)
+
+
+def poly_of(ring, d):
+    dom = ring.domain
+    return ring.from_dict({e: c if dom == QQ else dom.from_int(c) for e, c in d.items()})
+
+
+@ORDERS
+@pytest.mark.parametrize("domain", [QQ, GF(32003), Zmod(6)], ids=["QQ", "GF32003", "ZZ6"])
+def test_packed_arithmetic_matches_the_tuple_key_kernel(domain, order):
+    hypothesis = pytest.importorskip("hypothesis")
+    ring = PolyRing(domain, ("x", "y", "z"), order)
+    terms = term_dicts(domain)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(terms, terms)
+    def check(fd, gd):
+        f, g = poly_of(ring, fd), poly_of(ring, gd)
+        one = domain.one()
+        assert (f + g).terms == ref_sub_scaled(f, g, domain.neg(one))
+        assert (f - g).terms == ref_sub_scaled(f, g, one)
+        assert (f * g).terms == ref_product(f, g)
+        if g.terms and not domain.is_field:
+            # exact division needs a unit leading coefficient here
+            g = g + ring.monomial(tuple(a + 1 for a in g.leading_monomial()))
+        if g.terms:
+            fg = f * g
+            assert exact_divide(fg, g).terms == ref_exact_divide(fg, g)
+
+    check()
+
+
+def test_the_packed_key_sorts_like_the_tuple_key():
+    rng = random.Random(5)
+    for order in (GREVLEX, LEX, BlockOrder((1, 2)), BlockOrder((2, 1), (LEX, GREVLEX))):
+        monos = [tuple(rng.randrange(6) for _ in range(3)) for _ in range(200)]
+        monos = sorted(set(monos))
+        assert sorted(monos, key=order.key) == sorted(monos, key=tuple_key(order))
+
+
+def test_packed_lcm_coprimality_and_divisibility_match_the_tuples():
+    rng = random.Random(6)
+    pk = PolyRing(QQ, ("x", "y", "z")).packer
+    for _ in range(300):
+        a, b = (tuple(rng.randrange(4) for _ in range(3)) for _ in range(2))
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+        assert pk.unpack(pk.lcm(pa, pb)) == tuple(map(max, a, b))
+        assert pk.coprime(pa, pb) == (not any(map(min, a, b)))
+
+
+def test_packed_terms_decode_to_the_exponent_tuples():
+    R = PolyRing(GF(7), ("x", "y", "z"))
+    x, y, z = R.gens()
+    f = (x * y ** 3 + 2 * z ** 5 - 1) * (y + z)
+    assert f._terms is None  # a product is packed only
+    assert f.terms == R.from_dict(dict(f.terms)).terms
+    assert f == R.from_dict(dict(f.terms))
+    assert hash(f) == hash(R.from_dict(dict(f.terms)))
+
+
+def test_an_exponent_past_the_field_width_is_a_typed_error():
+    """Exponents are packed in 31 bits: a product past them raises instead
+    of carrying into the next variable's field."""
+    R = PolyRing(QQ, ("x", "y"))
+    x, y = R.gens()
+    big = 2 ** 30
+    assert str(x ** (2 ** 31 - 1)) == "x^2147483647"
+    assert (x ** big * x ** (big - 1)).terms == (((2 ** 31 - 1, 0), 1),)
+    for make in (
+        lambda: x ** (2 ** 40),
+        lambda: R.monomial((2 ** 40, 0)),
+        lambda: x ** big * x ** big,
+        lambda: (x ** big * y + 1) * (x ** big + y),
+        lambda: R.from_dict({(2 ** 40, 0): 1}) * R.from_dict({(2 ** 40, 0): 1}),
+    ):
+        with pytest.raises(ExponentOverflow) as err:
+            make()
+        assert isinstance(err.value, SchemeError) and err.value.code == "exponent-overflow"
+    # an exponent near the limit leaves the next variable's field alone
+    assert (y * x ** big).terms == (((big, 1), 1),)

@@ -913,3 +913,43 @@ def test_gluing_check_refuses_too_many_gluing_families():
     F = _two_point_presheaf([(0, 0)], lambda s: s[0], lambda s: s[1], range(1001))
     with pytest.raises(BudgetExceeded, match="1002001 gluing families"):
         F.is_sheaf()
+
+
+_FIRST_BUDGET_ERROR = """
+import random
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from helpers_sheaf import random_projection_presheaf, random_space
+from scheme_explorer import sheaf as sh
+from scheme_explorer.errors import BudgetExceeded
+
+rng = random.Random(31337)
+for _ in range(56):
+    space = random_space(rng)
+    presheaf = random_projection_presheaf(space, rng)
+try:
+    sh.sheafify(presheaf)
+except BudgetExceeded as err:
+    sys.stdout.write(str(err))
+"""
+
+
+def test_the_first_budget_error_does_not_depend_on_the_hash_seed():
+    """The 56th random space of the seed (5 points): its opens are walked in
+    ``opens_sorted`` order, so the same open trips the germ-family budget
+    under every PYTHONHASHSEED."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).resolve().parent
+    messages = []
+    for hash_seed in ("1", "4"):
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", _FIRST_BUDGET_ERROR, str(tests)],
+                              capture_output=True, text=True, env=env, check=True)
+        messages.append(proc.stdout)
+    assert messages[0] == messages[1]
+    assert "germ families exceed the budget" in messages[0]

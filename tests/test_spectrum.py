@@ -441,3 +441,12 @@ def test_sieve_counts_match_gauss(field, max_degree):
     assert degrees == sorted(degrees)
     for d in range(1, max_degree + 1):
         assert degrees.count(d) == _gauss_count(field.order(), d), d
+
+
+def test_the_prime_sieve_matches_trial_primality():
+    from scheme_explorer.arith import is_prime
+
+    primes = sp._primes_upto(10 ** 4)
+    assert len(primes) == 1229
+    assert primes == [p for p in range(10 ** 4 + 1) if is_prime(p)]
+    assert sp._primes_upto(1) == [] and sp._primes_upto(2) == [2]
