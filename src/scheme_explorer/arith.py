@@ -21,7 +21,12 @@ first, with no trailing zeros.  Factorization:
       certificate (integer Yun only without one), a modular irreducibility
       certificate, else Zassenhaus (quadratic Hensel lifting, subset
       recombination), degree capped at 24;
-    * number fields over QQ: Trager norm descent to QQ.
+    * number fields over QQ: Trager norm descent to QQ, the norm
+      Res_t(modulus, f) taken as the determinant of multiplication by f on
+      QQ[x][t]/(modulus), by fraction-free (Bareiss) elimination over QQ[x].
+
+Exhaustive paths check their size first and raise BudgetExceeded: subset
+recombination (_RECOMBINATION_BUDGET) and ExtField.elements (_ELEMENTS_BUDGET).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import zlib
 from fractions import Fraction
 
 from .errors import (
+    BudgetExceeded,
     ConstantPolynomial,
     InfiniteDomain,
     NoCanonicalMap,
@@ -437,14 +443,15 @@ def up_mul(dom, a, b):
 
 
 def up_divmod(dom, a, b):
-    """Euclidean division; needs the leading coefficient of b invertible."""
+    """Euclidean division; needs the leading coefficient of b invertible,
+    and inverts it only when b is not monic."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    lb = dom.inv(b[-1])
+    lb = None if dom.is_one(b[-1]) else dom.inv(b[-1])
     q = [dom.zero()] * max(len(a) - len(b) + 1, 0)
     r = list(a)
     while len(r) >= len(b) and r:
-        c = dom.mul(r[-1], lb)
+        c = r[-1] if lb is None else dom.mul(r[-1], lb)
         k = len(r) - len(b)
         q[k] = c
         for i, y in enumerate(b):
@@ -509,6 +516,12 @@ def up_pow_mod(dom, a, n, m):
     return r
 
 
+# Elements ExtField.elements may list.  The scripts, the benchmark decks and
+# the tests list at most GF(49); the k[T] candidate budget of ``spectrum``
+# and the coordinate-tuple budget of ``proj`` are the same size.
+_ELEMENTS_BUDGET = 150_000
+
+
 class ExtField(Domain):
     """Simple field extension base[t]/(modulus), modulus monic irreducible.
 
@@ -565,6 +578,10 @@ class ExtField(Domain):
         return self.base.order() ** self.degree
 
     def elements(self):
+        size = self.order()
+        if size > _ELEMENTS_BUDGET:
+            raise BudgetExceeded(f"the {size} elements of {self!r} exceed the budget "
+                                 f"of {_ELEMENTS_BUDGET}")
         base_elems = self.base.elements()
         out = []
         for tup in itertools.product(base_elems, repeat=self.degree):
@@ -697,6 +714,8 @@ def _dense_str(dom, coeffs, var):
         if dom.is_zero(c):
             continue
         cs = dom.format(c)
+        if " + " in cs:
+            cs = f"({cs})"
         if i == 0:
             parts.append(cs)
         elif cs == "1":
@@ -1024,13 +1043,29 @@ def _try_divide_int(a, b):
     return up_norm(ZZ, tuple(qq)), up_norm(ZZ, tuple(r))
 
 
+# Subsets _recombine may try.  A degree-24 input (the cap of _QQ_DEGREE_CAP)
+# that stays irreducible with 12 modular factors needs 2,509; the
+# Swinnerton-Dyer polynomial of degree 16 (8 factors) needs 162.
+_RECOMBINATION_BUDGET = 1 << 16
+
+
 def _recombine(g, lifted, modulus):
-    """Search subsets of the lifted modular factors for true factors of g."""
+    """Search subsets of the lifted modular factors for true factors of g.
+
+    Each size of subset is counted before its subsets are tried (in full,
+    though a hit ends the round early), and BudgetExceeded is raised when
+    the count would pass _RECOMBINATION_BUDGET: with r factors and no hit
+    the search tries about 2^(r-1) subsets.
+    """
     factors = []
     remaining = list(range(len(lifted)))
     current = g
-    size = 1
+    size, tried = 1, 0
     while 2 * size <= len(remaining):
+        tried += math.comb(len(remaining), size)
+        if tried > _RECOMBINATION_BUDGET:
+            raise BudgetExceeded(f"{tried} recombination subsets of {len(lifted)} modular "
+                                 f"factors exceed the budget of {_RECOMBINATION_BUDGET}")
         hit = False
         for combo in itertools.combinations(remaining, size):
             cand = (current[-1],)
@@ -1208,23 +1243,6 @@ def _yun_int(f):
 # factorization over number fields: Trager's norm descent
 # ---------------------------------------------------------------------------
 
-def _resultant(dom, a, b):
-    """Resultant of a and b via the Euclidean remainder sequence."""
-    if not a or not b:
-        return dom.zero()
-    res = dom.one()
-    while True:
-        if up_deg(b) == 0:
-            return dom.mul(res, dom.pow(b[0], up_deg(a)))
-        r = up_mod(dom, a, b)
-        if not r:
-            return dom.zero() if up_deg(b) > 0 else res
-        if (up_deg(a) * up_deg(b)) % 2 == 1:
-            res = dom.neg(res)
-        res = dom.mul(res, dom.pow(b[-1], up_deg(a) - up_deg(r)))
-        a, b = b, r
-
-
 def _compose_shift(dom, f, c):
     """f(x + c) over dom."""
     x_plus_c = up_norm(dom, (c, dom.one()))
@@ -1235,23 +1253,49 @@ def _compose_shift(dom, f, c):
 
 
 def _norm_to_base(dom, f):
-    """Norm Res_t(modulus(t), f) of f in ExtField(base)[x] down to base[x]."""
-    base = dom.base
-    K = FracField(base, var="@x")
-    modulus = up_norm(K, tuple(K.from_poly((c,)) for c in dom.modulus))
-    max_t = max((len(cf) for cf in f if cf), default=0)
-    poly_t = []
-    for k in range(max_t):
-        coeffs_x = tuple(
-            (f[j][k] if k < len(f[j]) else base.zero()) for j in range(len(f))
-        )
-        poly_t.append(K.from_poly(coeffs_x))
-    res = _resultant(K, modulus, up_norm(K, tuple(poly_t)))
-    num, den = res
-    if up_deg(den) != 0:
-        raise Unsupported("norm computation produced a true fraction")
-    inv = base.inv(den[0])
-    return up_norm(base, tuple(base.mul(c, inv) for c in num))
+    """Norm Res_t(modulus(t), f) of f in ExtField(base)[x] down to base[x].
+
+    The modulus is monic of degree n, so the resultant is the determinant of
+    multiplication by f on the free base[x]-module base[x][t]/(modulus), with
+    basis 1, t, ..., t^(n-1).  Row k holds the coordinates of t^k * f.
+    """
+    base, modulus = dom.base, dom.modulus
+    row = [
+        up_norm(base, tuple(c[k] if k < len(c) else base.zero() for c in f))
+        for k in range(dom.degree)
+    ]
+    rows = []
+    for _ in range(dom.degree):
+        rows.append(row)
+        top = row[-1]  # t^n = -(m_0 + m_1 t + ... + m_(n-1) t^(n-1))
+        row = [
+            up_sub(base, row[i - 1] if i else (), up_scale(base, top, modulus[i]))
+            for i in range(dom.degree)
+        ]
+    return _bareiss_det(base, rows)
+
+
+def _bareiss_det(dom, rows):
+    """Determinant of a square matrix over dom[x], dom a field, by Bareiss's
+    fraction-free elimination (Bareiss 1968, Math. Comp. 22): step k divides
+    exactly by the pivot of step k - 1; a zero pivot swaps in a lower row
+    and flips the sign."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, None
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return ()
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                cross = up_sub(dom, up_mul(dom, m[i][j], pivot), up_mul(dom, m[i][k], m[k][j]))
+                m[i][j] = cross if prev is None else up_divmod(dom, cross, prev)[0]
+        prev = pivot
+    return m[-1][-1] if sign > 0 else up_neg(dom, m[-1][-1])
 
 
 def _trager_squarefree(g, dom):

@@ -10,6 +10,7 @@ localizations, and binary products of catalogued rings.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .arith import (
     Zmod,
     dense_to_poly,
     factor_dense,
+    factor_univariate,
     poly_to_dense,
     prime_factors,
     up_deg,
@@ -41,7 +43,7 @@ from .errors import (
     Unsupported,
     UnsupportedDomain,
 )
-from .multipoly import Poly
+from .multipoly import Poly, content_primitive, exact_divide
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +224,6 @@ def _monic_irreducibles(field, max_degree):
 
     A sieve: a monic polynomial of degree d is reducible iff it is f*g with f
     monic irreducible of degree k <= d/2 and g monic of degree d - k."""
-    import itertools
-
     candidates = 0
     for d in range(1, max_degree + 1):
         candidates += field.order() ** d
@@ -338,6 +338,10 @@ def enumerate_points(cat: SpecCatalogue, bound=10):
       irreducibles of degree <= bound;  ZZT: generic, (p), mixed maximals
       (p, P) with p <= bound and deg P <= 2, and content-one height-one
       primes of degree <= 2 with coefficients bounded by ``bound``.
+
+    Neither closed points of k[T] nor height-one primes of ZZ[T] are tested
+    one by one: both come from product sieves that drop the products of
+    smaller candidates (``_monic_irreducibles``, ``_enumerate_zzt``).
     """
     kind = cat.kind
     if kind == "field":
@@ -370,43 +374,49 @@ def enumerate_points(cat: SpecCatalogue, bound=10):
     raise NotCatalogued(f"cannot enumerate {kind}")
 
 
-# Height-one candidates of ZZ[T], coefficient tuples with entries in
-# [-bound, bound].  The scripts, the benchmark decks and the tests go up to
-# the default bound 10: 21^2 + 21^3 = 9,702 of them.
+# Height-one candidates of ZZ[T], coefficient tuples of degree 1 and 2 with
+# entries in [-bound, bound].  The scripts, the benchmark decks and the tests
+# go up to the default bound 10: 21^2 + 21^3 = 9,702 of them.
 _HEIGHT_ONE_BUDGET = 20_000
 
 
-def _enumerate_zzt(cat, bound, max_degree=2):
-    candidates = sum((2 * bound + 1) ** (deg + 1) for deg in range(1, max_degree + 1))
+def _enumerate_zzt(cat, bound):
+    """The points of Spec ZZ[T] that ``enumerate_points`` lists; raises
+    BudgetExceeded, before listing any, past _HEIGHT_ONE_BUDGET height-one
+    candidates.
+
+    The height-one primes are listed in the order of their coefficient
+    tuples, linears first, by a product sieve.  Every content-one linear with
+    lc > 0 is kept.  A content-one quadratic a2*T^2 + a1*T + a0 with a2 > 0 is
+    reducible over QQ iff it is u*v for content-one linears u, v with
+    u1, v1 > 0 (Gauss's lemma), and then u and v lie in the same box:
+    u1*v1 = a2 <= bound bounds u1 and v1; if a0 != 0, then |u0| and |v0| are
+    at most |a0| <= bound; if a0 = 0, one factor is T and the other is
+    a2*T + a1.  So the quadratics dropped are exactly the products of two
+    listed linears.  The argument fails in degree 3:
+    (T - 1)(T^2 + 2T + 1) = T^3 + T^2 - T - 1 at bound 1 needs the factor
+    coefficient 2.
+    """
+    width = 2 * bound + 1
+    candidates = width ** 2 + width ** 3
     if candidates > _HEIGHT_ONE_BUDGET:
         raise BudgetExceeded(f"{candidates} height-one candidates of ZZ[T] under bound "
                              f"{bound} exceed the budget of {_HEIGHT_ONE_BUDGET}")
     pts = [generic_point(cat)]
     for p in _primes_upto(bound):
         pts.append(prime_point(cat, p))
-        for g in _monic_irreducibles(Zmod(p), max_degree):
-            pts.append(mixed_point(cat, p, g))
-    # height-one primes: content-one polynomials irreducible over QQ, small
-    import itertools
-    from math import gcd
-
-    from .arith import _is_irreducible_dense
-
-    for deg in range(1, max_degree + 1):
-        for coeffs in itertools.product(range(-bound, bound + 1), repeat=deg + 1):
-            if coeffs[-1] <= 0:
-                continue
-            g = 0
-            for c in coeffs:
-                g = gcd(g, abs(c))
-            if g != 1:
-                continue
-            dense = tuple(Fraction(c) for c in coeffs)
-            if up_deg(up_norm(QQ, dense)) != deg:
-                continue
-            if not _is_irreducible_dense(dense, QQ):
-                continue
-            pts.append(height_one_point(cat, coeffs))
+        pts.extend(mixed_point(cat, p, g) for g in _monic_irreducibles(Zmod(p), 2))
+    box = range(-bound, bound + 1)
+    linears = [c for c in itertools.product(box, repeat=2) if c[1] > 0 and math.gcd(*c) == 1]
+    reducible = {
+        (u0 * v0, u0 * v1 + u1 * v0, u1 * v1)
+        for (u0, u1), (v0, v1) in itertools.combinations_with_replacement(linears, 2)
+    }
+    quadratics = [
+        c for c in itertools.product(box, repeat=3)
+        if c[2] > 0 and math.gcd(*c) == 1 and c not in reducible
+    ]
+    pts.extend(height_one_point(cat, c) for c in linears + quadratics)
     return pts
 
 
@@ -575,8 +585,6 @@ def irreducible_components(z: ZariskiClosed, supplied_factors=None):
         return [ZariskiClosed(owner, [g]) for g in _dedupe(supplied_factors)]
     ring = f.ring
     if ring.nvars == 1 and ring.domain.is_field:
-        from .arith import factor_univariate
-
         fac = factor_univariate(f)
         return [ZariskiClosed(owner, [g]) for g, _ in fac.factors]
     if ring.nvars == 2 and ring.domain.is_field:
@@ -609,8 +617,6 @@ def _dedupe(polys):
 
 def _factor_bivariate(f):
     """Distinct irreducible factors of f in k[S,T], via content and roots."""
-    from .multipoly import content_primitive
-
     ring = f.ring
     main = ring.names[1]
     other = ring.names[0]
@@ -628,8 +634,6 @@ def _factor_bivariate(f):
 def _factor_primitive_bivariate(f, main, other):
     """Split a primitive f in k[S][T]: linear T-factors via root search in
     k(S); degree 2 or 3 leftovers are irreducible iff they have no root."""
-    from .multipoly import exact_divide
-
     ring = f.ring
     out = []
     current = f
@@ -658,14 +662,11 @@ def _factor_primitive_bivariate(f, main, other):
 
 def _primitive_linear(lin, main, other):
     """Strip the k[S]-content of a linear-in-T polynomial."""
-    from .multipoly import content_primitive
-
     content, prim = content_primitive(lin, main_var=main)
     return prim
 
 
 def _divides_poly(f, g):
-    from .multipoly import exact_divide
 
     try:
         exact_divide(f, g)

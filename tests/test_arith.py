@@ -24,6 +24,7 @@ from scheme_explorer.arith import (
     up_scale,
 )
 from scheme_explorer.errors import (
+    BudgetExceeded,
     ConstantPolynomial,
     InfiniteDomain,
     UnsupportedDomain,
@@ -352,3 +353,146 @@ def test_cantor_zassenhaus_draws_do_not_depend_on_the_hash_seed():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert int(outputs[0].rsplit("draws ", 1)[1]) > 0
+
+
+# ---------------------------------------------------------------------------
+# Trager norms: the Bareiss determinant against a resultant over QQ(x)
+# ---------------------------------------------------------------------------
+
+def _reference_resultant(dom, a, b):
+    """Resultant of a and b via the Euclidean remainder sequence."""
+    from scheme_explorer.arith import up_mod
+
+    if not a or not b:
+        return dom.zero()
+    res = dom.one()
+    while True:
+        if up_deg(b) == 0:
+            return dom.mul(res, dom.pow(b[0], up_deg(a)))
+        r = up_mod(dom, a, b)
+        if not r:
+            return dom.zero() if up_deg(b) > 0 else res
+        if (up_deg(a) * up_deg(b)) % 2 == 1:
+            res = dom.neg(res)
+        res = dom.mul(res, dom.pow(b[-1], up_deg(a) - up_deg(r)))
+        a, b = b, r
+
+
+def _reference_norm_to_base(dom, f):
+    """Res_t(modulus(t), f) taken over the rational function field base(x)."""
+    base = dom.base
+    K = FracField(base, var="@x")
+    modulus = up_norm(K, tuple(K.from_poly((c,)) for c in dom.modulus))
+    max_t = max((len(cf) for cf in f if cf), default=0)
+    poly_t = []
+    for k in range(max_t):
+        coeffs_x = tuple(
+            (f[j][k] if k < len(f[j]) else base.zero()) for j in range(len(f))
+        )
+        poly_t.append(K.from_poly(coeffs_x))
+    num, den = _reference_resultant(K, modulus, up_norm(K, tuple(poly_t)))
+    assert up_deg(den) == 0
+    inv = base.inv(den[0])
+    return up_norm(base, tuple(base.mul(c, inv) for c in num))
+
+
+@pytest.mark.parametrize("modulus, max_degree", [
+    ((1, 0, 1), 4),          # QQ(i)
+    ((-2, 0, 1), 4),         # QQ(sqrt 2)
+    ((-2, 0, 0, 1), 3),      # QQ(cbrt 2)
+    ((1, 0, -10, 0, 1), 1),  # QQ(sqrt 2 + sqrt 3)
+], ids=["i", "sqrt2", "cbrt2", "quartic"])
+def test_norm_determinant_matches_the_resultant_over_qq_x(modulus, max_degree):
+    from scheme_explorer.arith import _compose_shift, _norm_to_base
+
+    K = ExtField(QQ, tuple(Fraction(c) for c in modulus))
+    rng = random.Random(sum(modulus) + 31 * len(modulus))
+    samples = [(K.gen(), K.gen())]  # alpha*x + alpha: the first pivot is zero
+    for _ in range(3):
+        samples.append(tuple(
+            up_norm(QQ, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                               for _ in range(K.degree)))
+            for _ in range(rng.randint(1, max_degree))
+        ) + (K.one(),))
+    for f in samples:
+        for shift in range(3):
+            g = _compose_shift(K, f, K.mul(K.from_int(shift), K.gen()))
+            assert _norm_to_base(K, g) == _reference_norm_to_base(K, g), (f, shift)
+
+
+def test_number_field_factorization_builds_no_function_field(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("FracField built during factorization")
+
+    monkeypatch.setattr(FracField, "__init__", refuse)
+    F = Fraction
+    Qi = ExtField(QQ, (F(1), F(0), F(1)))
+    cbrt2 = ExtField(QQ, (F(-2), F(0), F(0), F(1)))
+    for K, f in [(Qi, (Qi.one(), Qi.zero(), Qi.zero(), Qi.zero(), Qi.one())),
+                 (cbrt2, (cbrt2.from_int(-2), cbrt2.zero(), cbrt2.zero(), cbrt2.one()))]:
+        unit, fac = factor_dense(f, K)
+        rebuilt = (unit,)
+        for g, m in fac:
+            rebuilt = up_mul(K, rebuilt, g)
+        assert rebuilt == f and all(m == 1 for _, m in fac) and len(fac) == 2
+
+
+# ---------------------------------------------------------------------------
+# Euclidean division by a monic divisor needs no inverse
+# ---------------------------------------------------------------------------
+
+def _reference_up_divmod(dom, a, b):
+    """Euclidean division that always multiplies by the inverse of lc(b)."""
+    lb = dom.inv(b[-1])
+    q = [dom.zero()] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b) and r:
+        c = dom.mul(r[-1], lb)
+        k = len(r) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] = dom.sub(r[k + i], dom.mul(c, y))
+        while r and dom.is_zero(r[-1]):
+            r.pop()
+    return up_norm(dom, q), up_norm(dom, r)
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_monic_division_over_zmod_matches_the_inverting_kernel(n):
+    from scheme_explorer.arith import up_add, up_divmod
+
+    dom, rng = Zmod(n), random.Random(n)
+    for _ in range(200):
+        a = up_norm(dom, tuple(rng.randrange(n) for _ in range(rng.randint(0, 8))))
+        b = tuple(rng.randrange(n) for _ in range(rng.randint(0, 4))) + (1,)
+        q, r = up_divmod(dom, a, b)
+        assert (q, r) == _reference_up_divmod(dom, a, b)
+        assert up_add(dom, up_mul(dom, q, b), r) == a and up_deg(r) < up_deg(b)
+
+
+# ---------------------------------------------------------------------------
+# size budgets: Zassenhaus recombination and the elements of an extension
+# ---------------------------------------------------------------------------
+
+def test_recombination_is_budgeted_before_subsets_are_tried(monkeypatch):
+    from scheme_explorer import arith, cli
+
+    x4p1 = tuple(Fraction(c) for c in (1, 0, 0, 0, 1))  # >= 2 factors mod every p
+    monkeypatch.setattr(arith, "_RECOMBINATION_BUDGET", 1)
+    with pytest.raises(BudgetExceeded):
+        factor_dense(x4p1, QQ)
+    assert cli.main(["exec", "ring A = ZZ[X]/(X^4+1); specialize A over QQ;"]) == 1
+    monkeypatch.setattr(arith, "_RECOMBINATION_BUDGET", 2)
+    assert [up_deg(g) for g, _ in factor_dense(x4p1, QQ)[1]] == [4]
+
+
+def test_extension_elements_are_budgeted_before_listing(monkeypatch):
+    from scheme_explorer import arith, cli
+
+    F9 = GFq(9, (1, 0, 1))
+    monkeypatch.setattr(arith, "_ELEMENTS_BUDGET", 8)
+    with pytest.raises(BudgetExceeded):
+        F9.elements()
+    assert cli.main(["exec", "spec describe GF(9,t^2+1)[X] --bound 1;"]) == 1
+    monkeypatch.setattr(arith, "_ELEMENTS_BUDGET", 9)
+    assert len(F9.elements()) == 9

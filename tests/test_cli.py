@@ -367,3 +367,27 @@ def test_sheaf_script_output_does_not_depend_on_the_hash_seed():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == golden
+
+
+def test_residue_fields_parenthesize_coefficients_of_several_terms():
+    proc = run_cli(["exec", "spec describe GF(9,t^2+1)[X] --bound 2;"])
+    assert proc.returncode == 0, proc.stderr
+    assert "residue_field: GF(9,t^2 + 1)[t2]/(t2^2 + (2*t + 1)*t2 + 1)\n" in proc.stdout
+    assert "2*t + 1*t2" not in proc.stdout
+
+
+def test_spec_zzt_output_does_not_depend_on_the_hash_seed():
+    """The sieve's set of reducible quadratics never decides the order."""
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "scheme_explorer.cli", "--format", "json",
+             "exec", "spec describe ZZ[T] --bound 10;"],
+            capture_output=True,
+            cwd=REPO,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+                 "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

@@ -450,3 +450,100 @@ def test_the_prime_sieve_matches_trial_primality():
     assert len(primes) == 1229
     assert primes == [p for p in range(10 ** 4 + 1) if is_prime(p)]
     assert sp._primes_upto(1) == [] and sp._primes_upto(2) == [2]
+
+
+# ---------------------------------------------------------------------------
+# height-one primes of ZZ[T]: the product sieve against a test per candidate
+# ---------------------------------------------------------------------------
+
+def _reference_enumerate_zzt(cat, bound):
+    """Every content-one candidate of degree <= 2 with lc > 0, in order, kept
+    when factorization over QQ finds it irreducible."""
+    from fractions import Fraction
+    from math import gcd
+
+    from scheme_explorer.arith import _is_irreducible_dense, up_deg, up_norm
+
+    pts = [sp.generic_point(cat)]
+    for p in sp._primes_upto(bound):
+        pts.append(sp.prime_point(cat, p))
+        for g in sp._monic_irreducibles(Zmod(p), 2):
+            pts.append(sp.mixed_point(cat, p, g))
+    for deg in (1, 2):
+        for coeffs in itertools.product(range(-bound, bound + 1), repeat=deg + 1):
+            if coeffs[-1] <= 0:
+                continue
+            g = 0
+            for c in coeffs:
+                g = gcd(g, abs(c))
+            if g != 1:
+                continue
+            dense = tuple(Fraction(c) for c in coeffs)
+            if up_deg(up_norm(QQ, dense)) != deg:
+                continue
+            if not _is_irreducible_dense(dense, QQ):
+                continue
+            pts.append(sp.height_one_point(cat, coeffs))
+    return pts
+
+
+@pytest.fixture
+def spec_zzt():
+    return sp.SpecCatalogue.recognize(PresentedAlgebra(ZZ, ("T",)))
+
+
+def test_zzt_sieve_lists_the_reference_points_in_order(spec_zzt, monkeypatch):
+    import functools
+
+    from scheme_explorer import arith
+
+    # each candidate is tested once, though it lies in the box of many bounds
+    monkeypatch.setattr(arith, "_is_irreducible_dense",
+                        functools.cache(arith._is_irreducible_dense))
+    for bound in range(11):
+        new = [pt.as_record() for pt in sp._enumerate_zzt(spec_zzt, bound)]
+        assert new == [pt.as_record() for pt in _reference_enumerate_zzt(spec_zzt, bound)]
+
+
+def test_zzt_height_one_quadratics_are_the_non_square_discriminants(spec_zzt):
+    """Gauss: a content-one quadratic is irreducible over QQ iff its
+    discriminant is not a square."""
+    import math
+
+    bound = 10
+    box = range(-bound, bound + 1)
+    expected = [c for c in itertools.product(box, repeat=2) if c[1] > 0 and math.gcd(*c) == 1]
+    for a0, a1, a2 in itertools.product(box, repeat=3):
+        disc = a1 * a1 - 4 * a2 * a0
+        square = disc >= 0 and math.isqrt(disc) ** 2 == disc
+        if a2 > 0 and math.gcd(a0, a1, a2) == 1 and not square:
+            expected.append((a0, a1, a2))
+    height_one = [
+        pt.description[1] for pt in sp._enumerate_zzt(spec_zzt, bound)
+        if pt.label.startswith("y_(eta,")
+    ]
+    assert [
+        tuple(int(c) for c in sp.poly_to_dense(P, ZZ)) for P in height_one
+    ] == expected
+
+
+def test_zzt_describe_factors_nothing(monkeypatch):
+    """No height-one candidate goes through factorization any more."""
+    import sys
+
+    from scheme_explorer import arith, dsl
+    from scheme_explorer.cli import run_script
+
+    calls = []
+    original = arith.factor_dense
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scheme_explorer") and getattr(module, "factor_dense", None) is original:
+            monkeypatch.setattr(module, "factor_dense", counted)
+    records, had_error = run_script(dsl.parse("spec describe ZZ[T] --bound 10;"))
+    assert not had_error and len(records[0]["data"]["points"]) > 3000
+    assert calls == []
