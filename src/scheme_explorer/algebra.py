@@ -1,18 +1,42 @@
 """Finitely presented algebras: quotients, localization, tensor products.
 
-The Gröbner engine is Buchberger's algorithm on a heap of pairs, smallest
-lcm first, pruned by the Gebauer–Möller update; a normal form keeps its
-remainder sorted and merges in each reducer's shifted tail, so no step
-re-sorts. It works on packed terms (``multipoly``) throughout: a
-divisibility test, an lcm and a coprimality test are a few integer
-operations, and no intermediate polynomial is decoded. It produces the
-unique reduced basis for the ring's term order, so normal forms decide
-equality in the quotient. ``GroebnerBasis.verify`` reduces only the S-pairs
-that the Gebauer–Möller update keeps: by Buchberger's criterion with the
-product and chain criteria, they suffice.  Ideal arithmetic over a
-non-field base is deliberately restricted: over ZZ only the moves the
-workbench can certify are offered, and everything else raises rather than
-silently answering over QQ.
+The Gröbner engine is signature-based (Gao, Volny & Wang 2016; Eder &
+Faugère 2017), so it reduces few S-pairs to zero. Every element g of the
+basis carries a signature u*e_i, the leading term of some sum a_1*f_1 +
+... + a_m*f_m = g of the generators, in the Schreyer order: first key(u) +
+key(lm f_i), then the index i. Packed keys are additive, so a signature is
+one int and an index, and the packed monomial u*lm(f_i) decides
+divisibility; it is checked against the guard bits like any product.
+Pairs are taken in increasing signature, and a J-pair (the element of
+larger signature, times lcm/lm) is dropped unreduced when
+
+- a syzygy signature of its index divides its signature (syzygy
+  criterion); each index keeps a minimal set of them, from reductions to
+  zero and from the Koszul syzygies lm(g_j)*s_n - lm(g_n)*s_j whose two
+  terms differ;
+- an element added later has a signature dividing its signature (rewrite
+  criterion, the later element being the one that rewrites).
+
+A pair that survives is reduced regularly: a term is reduced by x^m*g only
+when the signature of x^m*g is smaller, so the remainder keeps the
+signature. A nonzero remainder is always added, even when it is only
+singularly top-reducible (by some x^m*g of the same signature): under the
+rewrite-by-latest-addition criterion that element is what rewrites the
+later multiples of its signature, and discarding it returns sets that are
+not Gröbner bases (two such lex ideals are pinned in the tests). The
+minimal basis among the elements is then inter-reduced.
+
+Normal forms keep their remainder sorted and merge in each reducer's
+shifted tail, so no step re-sorts. Everything works on packed terms
+(``multipoly``): a divisibility test, an lcm and a coprimality test are a
+few integer operations, and no intermediate polynomial is decoded. The
+engine produces the unique reduced basis for the ring's term order, so
+normal forms decide equality in the quotient. ``GroebnerBasis.verify`` is
+an independent check: it reduces the S-pairs that the Gebauer–Möller
+update keeps, which by Buchberger's criterion with the product and chain
+criteria suffice.  Ideal arithmetic over a non-field base is deliberately
+restricted: over ZZ only the moves the workbench can certify are offered,
+and everything else raises rather than silently answering over QQ.
 """
 
 from __future__ import annotations
@@ -20,9 +44,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 
 from .arith import QQ, ZZ, Domain, Zmod, prime_factors
 from .errors import (
+    ExponentOverflow,
     InvalidArgument,
     NoCanonicalMap,
     NonFieldBase,
@@ -36,13 +62,14 @@ from .multipoly import (
     PolyRing,
     _ascending,
     _from_ascending,
+    _shifted,
     _sub_shifted,
 )
 from .sheaf import LocalizedFiniteRing
 
 
 # ---------------------------------------------------------------------------
-# Buchberger
+# Gröbner bases
 # ---------------------------------------------------------------------------
 
 def normal_form_list(f: Poly, basis):
@@ -90,7 +117,8 @@ def _s_polynomial(gi, gj, klcm, lcm):
 
 
 def _update(pairs, live, lms, new, pk):
-    """Gebauer–Möller update of the pair heap and the live basis for ``new``.
+    """Gebauer–Möller update of the pair heap and the live basis for ``new``,
+    for the pairs that ``GroebnerBasis.verify`` reduces.
 
     ``pairs`` is a heap of (order key of lcm, i, j, lcm); ``live`` lists the
     basis indices whose leading monomial no newer element divides. Leading
@@ -123,12 +151,45 @@ def _update(pairs, live, lms, new, pk):
     live[:] = [g for g in live if not divides(h, lms[g])] + [new]
 
 
+def _regular_reduce(f, skey, sidx, ratios, reducers, width):
+    """Reduce f, of signature (skey, sidx), by multiples x^u*g of smaller
+    signature only; the remainder keeps the signature of f.
+
+    ``reducers`` holds the basis elements as ``Poly.reducer`` tuples, in
+    ascending order of ``ratios``: (signature key - leading key) * width +
+    index, with ``width`` above every index. x^u*g has the signature key of
+    the term it reduces plus the ratio of g, so the regular reducers of a
+    term of key k are the prefix of ratio below (skey - k) * width + sidx;
+    the first of them whose leading monomial divides the term reduces it.
+    """
+    if not reducers:
+        return f
+    ring = f.ring
+    dom, pk = ring.domain, ring.packer
+    mul, guard = dom.mul, pk.guard
+    rem = _ascending(f)
+    keys, exps, coeffs = rem
+    ok, oe, oc = [], [], []
+    while keys:
+        k, e, lc = keys.pop(), exps.pop(), coeffs.pop()
+        for r in range(bisect_left(ratios, (skey - k) * width + sidx)):
+            ge, gk, ginv, tail = reducers[r]
+            if not (e - ge) & guard:
+                _sub_shifted(rem, zip(*tail), k - gk, e - ge, mul(lc, ginv), dom, pk)
+                break
+        else:
+            ok.append(k)
+            oe.append(e)
+            oc.append(lc)
+    return Poly(ring, (tuple(ok), tuple(oe), tuple(oc)))
+
+
 def groebner_basis(gens, ring=None):
     """Reduced Gröbner basis for the ring's term order; deterministic.
 
-    Buchberger's algorithm with the normal selection strategy (the pair of
-    smallest lcm first) and the Gebauer–Möller pair update; S-polynomials
-    reduce against the live basis only.
+    The signature-based engine of the module docstring: pairs are taken in
+    increasing signature, and no pair whose signature a syzygy or a later
+    element accounts for is reduced.
     """
     gens = [g for g in gens if not g.is_zero()]
     if ring is None:
@@ -138,31 +199,83 @@ def groebner_basis(gens, ring=None):
     if not ring.domain.is_field:
         raise NonFieldBase(f"Gröbner bases need a field base, got {ring.domain}")
     pk = ring.packer
-    basis, lms, live, pairs = [], [], [], []
-    reducers = []
-
-    def insert(h):
-        basis.append(h.monic())
-        lms.append(h.packed()[1][0])
-        _update(pairs, live, lms, len(basis) - 1, pk)
-        reducers[:] = [basis[k] for k in live]
-
-    for g in gens:
-        h = normal_form_list(g, reducers)
-        if not h.is_zero():
-            insert(h)
+    guard, coprime, key_of, lcm_of = pk.guard, pk.coprime, pk.key_of, pk.lcm
+    one = ring.domain.one()
+    width = len(gens)
+    # element n: polys[n], and in els[n] its leading monomial, signature
+    # index and monomial, signature key minus leading key, ratio and leading key
+    polys, els = [], []
+    ratios, reducers = [], []  # ascending ratio, for ``_regular_reduce``
+    by_index = [[] for _ in gens]  # (element, signature monomial) per index
+    syz = [[] for _ in gens]  # minimal syzygy signature monomials per index
+    # a pair is (signature key, index, 1 for the generator itself or -n for
+    # element n, signature monomial, shift key, shift exponents): of two
+    # pairs of one signature the one from the later element comes first
+    pairs = [(g.packed()[0][0], i, 1, g.packed()[1][0], 0, 0) for i, g in enumerate(gens)]
+    heapq.heapify(pairs)
     while pairs:
-        klcm, i, j, lcm = heapq.heappop(pairs)
-        h = normal_form_list(_s_polynomial(basis[i], basis[j], klcm, lcm), reducers)
-        if not h.is_zero():
-            insert(h)
-    # the live elements form a minimal basis: reducing each against the
-    # others keeps its leading term and reduces its tail
-    reduced = [
-        normal_form_list(g, reducers[:k] + reducers[k + 1:])
-        for k, g in enumerate(reducers)
-    ]
-    return sorted(reduced, key=lambda g: g.packed()[0][0])
+        skey, i, src, smon, tk, te = heapq.heappop(pairs)
+        if any(not (smon - z) & guard for z in syz[i]):
+            continue
+        if src > 0:
+            f = gens[i]
+        elif any(l > -src and not (smon - s) & guard for l, s in by_index[i]):
+            continue
+        else:
+            f = _shifted(polys[-src], tk, te, one)
+        h = _regular_reduce(f, skey, i, ratios, reducers, width)
+        if h.is_zero():
+            syz[i] = [z for z in syz[i] if (z - smon) & guard] + [smon]
+            continue
+        if h.is_constant():
+            return [ring.one()]  # a unit: the reduced basis of (1)
+        h = h.monic()
+        n = len(polys)
+        lk, lm = h.packed()[0][0], h.packed()[1][0]
+        d = skey - lk
+        rat = d * width + i
+        new = []
+        for j, (lj, ij, sj, dj, rj, lkj) in enumerate(els):
+            if rat == rj:
+                continue
+            # the syzygy lm(g_j)*s_n - lm(g_n)*s_j leads with the signature
+            # from the element of larger ratio; the J-pair of n and j is that
+            # element times lcm/lm
+            if rat > rj:
+                z, source = lj + smon, (n, i, lm, smon, d, lk)
+            else:
+                z, source = lm + sj, (j, ij, lj, sj, dj, lkj)
+            idx = source[1]
+            if not z & guard and not any(not (z - y) & guard for y in syz[idx]):
+                syz[idx] = [y for y in syz[idx] if (y - z) & guard] + [z]
+            # coprime leading monomials: that syzygy divides the J-pair
+            if not coprime(lm, lj):
+                new.append((lcm_of(lm, lj), source))
+        polys.append(h)
+        els.append((lm, i, smon, d, rat, lk))
+        by_index[i].append((n, smon))
+        pos = bisect_right(ratios, rat)
+        ratios.insert(pos, rat)
+        reducers.insert(pos, h.reducer())
+        for lcm, (src, idx, ls, s, ds, lks) in new:
+            te = lcm - ls
+            sm = te + s
+            if sm & guard:
+                raise ExponentOverflow("a signature has an exponent of 2^31 or more")
+            if any(not (sm - z) & guard for z in syz[idx]):
+                continue
+            if src < n and any(l > src and not (sm - s) & guard for l, s in by_index[idx]):
+                continue
+            klcm = key_of(lcm)
+            heapq.heappush(pairs, (klcm + ds, idx, -src, sm, klcm - lks, te))
+    # a minimal basis: no leading monomial divides another, or equals an
+    # earlier one; reducing each element by the others reduces its tail
+    minimal = []
+    for g in sorted(polys, key=lambda g: g.packed()[0][0]):
+        e = g.packed()[1][0]
+        if not any(not (e - h.packed()[1][0]) & guard for h in minimal):
+            minimal.append(g)
+    return [normal_form_list(g, minimal[:k] + minimal[k + 1:]) for k, g in enumerate(minimal)]
 
 
 class GroebnerBasis:
@@ -232,13 +345,15 @@ class PresentedAlgebra:
     def __init__(self, base: Domain, names, relations=(), order=GREVLEX,
                  localized_from=None):
         self.base = base
-        self.ring = PolyRing(base, tuple(names), order)
-        rels = []
+        names, relations = tuple(names), tuple(relations)
+        ring = None  # the relations' own ring object when it is this ring
         for r in relations:
-            if isinstance(r, Poly):
-                rels.append(r if r.ring == self.ring else r.relabel(self.ring))
-            else:
+            if not isinstance(r, Poly):
                 raise TypeError("relations must be Poly values")
+            if ring is None and (r.ring.names, r.ring.domain, r.ring.order) == (names, base, order):
+                ring = r.ring
+        self.ring = ring if ring is not None else PolyRing(base, names, order)
+        rels = [r if r.ring == self.ring else r.relabel(self.ring) for r in relations]
         self.relations = tuple(r for r in rels if not r.is_zero())
         self.localized_from = localized_from  # (algebra, element) marker
         self._gb = None

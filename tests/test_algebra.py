@@ -1,5 +1,7 @@
 """Presented algebras: Groebner engine, quotients, tensors, localization."""
 
+import heapq
+import math
 import random
 from operator import le, sub
 
@@ -25,7 +27,12 @@ from scheme_explorer.algebra import (
     unit_partition,
     verify_isomorphism,
 )
-from scheme_explorer.errors import InvalidArgument, NonFieldBase, UndecidableContext
+from scheme_explorer.errors import (
+    ExponentOverflow,
+    InvalidArgument,
+    NonFieldBase,
+    UndecidableContext,
+)
 from scheme_explorer.multipoly import GREVLEX, LEX, BlockOrder, PolyRing
 
 from helpers_kernel import ref_ascending, ref_sub_shifted, ref_terms, tuple_key
@@ -255,6 +262,14 @@ def test_localize_adds_inverse_relation():
     assert not L.is_zero_ring()
 
 
+def test_presented_algebra_keeps_the_ring_of_its_relations():
+    A = PresentedAlgebra(QQ, ("x", "y"), order=LEX)
+    B = PresentedAlgebra(Zmod(12), ())
+    for alg in (localize(A, A.ring.gen("x")), localize(B, B.ring.from_int(5)),
+                specialize(localize(B, B.ring.from_int(5)), GF(3))):
+        assert alg.relations and all(alg.ring is rel.ring for rel in alg.relations)
+
+
 def test_localize_zero_ring_iff_nilpotent_over_zmod():
     for n in range(2, 201):
         ring = PresentedAlgebra(Zmod(n), ())
@@ -377,6 +392,15 @@ def _katsura(ring, n):
         for m in range(n)
     ]
     return eqs + [x[0] + 2 * sum(x[1:], ring.zero()) - 1]
+
+
+def _cyclic(ring, n):
+    x = ring.gens()
+    eqs = []
+    for d in range(1, n):
+        eqs.append(sum((math.prod(x[(i + j) % n] for j in range(d)) for i in range(n)),
+                       ring.zero()))
+    return eqs + [math.prod(x) - 1]
 
 
 def test_verify_reduces_each_element_once(monkeypatch):
@@ -693,3 +717,147 @@ def test_kept_pair_verification_agrees_with_every_pair():
                 assert GroebnerBasis(ring, polys).verify() == full
                 verdicts.append(full)
     assert True in verdicts and False in verdicts
+
+
+# -- the signature engine against the pair-heap Buchberger it replaced --------
+
+def buchberger_reference(gens, ring):
+    """Reduced basis by the pair-heap Buchberger engine that the signature
+    engine replaced: the pair of smallest lcm first, the Gebauer–Möller
+    update, and reductions against the live basis."""
+    gens = [g for g in gens if not g.is_zero()]
+    pk = ring.packer
+    basis, lms, live, pairs, reducers = [], [], [], [], []
+
+    def insert(h):
+        basis.append(h.monic())
+        lms.append(h.packed()[1][0])
+        algebra._update(pairs, live, lms, len(basis) - 1, pk)
+        reducers[:] = [basis[k] for k in live]
+
+    for g in gens:
+        h = normal_form_list(g, reducers)
+        if not h.is_zero():
+            insert(h)
+    while pairs:
+        klcm, i, j, lcm = heapq.heappop(pairs)
+        h = normal_form_list(algebra._s_polynomial(basis[i], basis[j], klcm, lcm), reducers)
+        if not h.is_zero():
+            insert(h)
+    reduced = [normal_form_list(g, reducers[:k] + reducers[k + 1:])
+               for k, g in enumerate(reducers)]
+    return sorted(reduced, key=lambda g: g.packed()[0][0])
+
+
+def assert_matches_reference(gens, ring):
+    got = groebner_basis(gens, ring)
+    assert [g.terms for g in got] == [g.terms for g in buchberger_reference(gens, ring)]
+    assert GroebnerBasis(ring, got).verify()
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(2), GF(7), GF(32003)],
+                         ids=["QQ", "GF2", "GF7", "GF32003"])
+@pytest.mark.parametrize("order", ["grevlex", "lex", "block"])
+def test_signature_engine_matches_buchberger_on_seeded_ideals(domain, order):
+    """Exponents below 3 and at most 4 generators of at most 3 terms keep
+    every example small, lex included."""
+    rng = random.Random(f"signature-oracle:{domain}:{order}")
+    for _ in range(60):
+        nvars = rng.choice((2, 3, 4))
+        term_order = {"grevlex": GREVLEX, "lex": LEX, "block": BlockOrder((1, nvars - 1))}[order]
+        ring = PolyRing(domain, tuple(f"x{i}" for i in range(nvars)), term_order)
+        gens = [
+            ring.from_dict({
+                tuple(rng.randrange(3) for _ in range(nvars)): domain.from_int(rng.randint(-4, 4))
+                for _ in range(rng.randint(1, 3))
+            })
+            for _ in range(rng.randint(1, 4))
+        ]
+        assert_matches_reference(gens, ring)
+
+
+@pytest.mark.parametrize("system", ["katsura5", "cyclic5"])
+@pytest.mark.parametrize("domain", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_signature_engine_matches_buchberger_on_standard_systems(system, domain):
+    nvars = 6 if system == "katsura5" else 5
+    ring = PolyRing(domain, tuple(f"x{i}" for i in range(nvars)))
+    gens = _katsura(ring, 5) if system == "katsura5" else _cyclic(ring, 5)
+    assert_matches_reference(gens, ring)
+
+
+def test_signature_engine_keeps_singularly_top_reducible_elements():
+    """Two lex ideals on which dropping an element that is only singularly
+    top-reducible, under the rewrite-by-latest-addition criterion, returns
+    a set that is not a Gröbner basis."""
+    ring = PolyRing(GF(32003), ("x0", "x1", "x2"), LEX)
+    x0, x1, x2 = ring.gens()
+    assert_matches_reference([
+        4 * x0 * x1 * x2 ** 2 + 5 * x0 * x1 * x2 + 2 * x1 + 31998 * x2 ** 2,
+        31998 * x0 ** 2 * x1 ** 2 * x2 ** 2 + 32001 * x0 * x1 * x2 + 31999 * x2 ** 2,
+    ], ring)
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"), LEX)
+    x0, x1, x2, x3 = ring.gens()
+    assert_matches_reference([
+        -4 * x0 ** 2 * x1 * x2 * x3 ** 2 + 4 * x1 * x2 ** 2,
+        2 * x0 ** 2 * x1 ** 2 * x2 * x3 + 2 * x0 ** 2 - x0 * x3 - 4 * x1 * x2,
+        -x0 * x2 ** 2,
+        3 * x0 ** 2 * x1 ** 2 * x2 ** 2 * x3 ** 2 + 2 * x0 ** 2 * x1 - 3 * x0 * x1 * x3
+        + 4 * x2 * x3 ** 2,
+    ], ring)
+
+
+@pytest.mark.parametrize("n, most", [(4, 4), (5, 7)])
+def test_few_regular_reductions_reach_zero_on_katsura(monkeypatch, n, most):
+    """The pair-heap engine reduced 20 of 35 generators and S-pairs to zero
+    on katsura-4 and 50 of 74 on katsura-5 mod 32003."""
+    ring = PolyRing(GF(32003), tuple(f"x{i}" for i in range(n + 1)))
+    results = []
+    real = algebra._regular_reduce
+
+    def counted(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(algebra, "_regular_reduce", counted)
+    assert_matches_reference(_katsura(ring, n), ring)
+    zeros = sum(h.is_zero() for h in results)
+    assert 0 < len(results) and zeros <= most
+
+
+def test_signature_monomials_are_checked_for_overflow():
+    """Exponents near 2^30: a signature monomial x^u*lm(f_i) may pass 2^31
+    though no polynomial does; that is ``exponent-overflow``, never a
+    signature whose key field carried into the next row."""
+    big = 1 << 30
+    for order in (LEX, GREVLEX):
+        ring = PolyRing(GF(32003), ("x", "y", "z"), order)
+        x, y, z = ring.gens()
+        # the signatures stay below 2^31: the reference's basis
+        assert_matches_reference([x ** (big - 1) * y - z, y ** 2 - z], ring)
+        # y^2, the second generator reduced by the first, keeps the
+        # signature x^(2^30 + 1)*e_1; its pair with x^(2^30 - 1)*y has the
+        # signature x^(2^30 - 1) * x^(2^30 + 1)*e_1, though every
+        # S-polynomial of the reference divides x^(2^30 + 1)*y^2
+        gens = [x ** (big + 1), x ** (big + 1) + y ** 2, x ** (big - 1) * y]
+        assert len(buchberger_reference(gens, ring)) == 3
+        with pytest.raises(ExponentOverflow) as err:
+            groebner_basis(gens, ring)
+        assert err.value.code == "exponent-overflow"
+    ring = PolyRing(GF(32003), ("x", "y", "z"), GREVLEX)
+    x, y, z = ring.gens()
+    assert_matches_reference([x ** big + y ** 2, x ** big, y * z - x], ring)
+
+
+def test_groebner_edge_cases_keep_their_answers():
+    ring = PolyRing(GF(3), ("x",))
+    x, = ring.gens()
+    assert groebner_basis([ring.zero()], ring) == []
+    assert groebner_basis([], ring) == []
+    assert [str(g) for g in groebner_basis([ring.one()], ring)] == ["1"]
+    assert [str(g) for g in groebner_basis([x, x, 2 * x], ring)] == ["x"]
+    assert groebner_basis([3 * x], ring) == []
+    with pytest.raises(ValueError):
+        groebner_basis([])
+    zmod6 = PolyRing(Zmod(6), ("x",))
+    with pytest.raises(NonFieldBase):
+        groebner_basis([zmod6.gen("x")], zmod6)

@@ -391,3 +391,30 @@ def test_spec_zzt_output_does_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+def test_groebner_edge_cases_print_as_before():
+    """The zero ideal, the unit ideal, repeated generators, a generator that
+    vanishes over GF(3), and a non-field base: the text the pair-heap
+    engine printed, byte for byte."""
+    script = ('ideal I = (0) in GF(3)[x]; ideal I = (1) in GF(3)[x]; '
+              'ideal I = (x, x, 2*x) in GF(3)[x]; ideal I = (3*x) in GF(3)[x]; '
+              'ideal I = (x) in ZZ/6[x]; normalize --ring "ZZ/6[x]" --ideal "(x)";')
+    proc = run_cli(["exec", script])
+    assert proc.returncode == 1
+    assert proc.stdout == (
+        "$ ideal I = (0) in GF(3)[x];\n"
+        "  ambient: GF(3)[x]\n  generators:\n  groebner_basis:\n  kind: ideal-def\n  name: I\n"
+        "$ ideal I = (1) in GF(3)[x];\n"
+        "  ambient: GF(3)[x]\n  generators:\n    - 1\n  groebner_basis:\n    - 1\n"
+        "  kind: ideal-def\n  name: I\n"
+        "$ ideal I = (x, x, 2*x) in GF(3)[x];\n"
+        "  ambient: GF(3)[x]\n  generators:\n    - x\n    - x\n    - 2*x\n"
+        "  groebner_basis:\n    - x\n  kind: ideal-def\n  name: I\n"
+        "$ ideal I = (3*x) in GF(3)[x];\n"
+        "  ambient: GF(3)[x]\n  generators:\n  groebner_basis:\n  kind: ideal-def\n  name: I\n"
+        "$ ideal I = (x) in ZZ/6[x];\n"
+        "  ambient: ZZ/6[x]\n  generators:\n    - x\n  kind: ideal-def\n  name: I\n"
+        '$ normalize --ring "ZZ/6[x]" --ideal "(x)";\n'
+        "  error [non-field-base]: normalization needs a field base\n"
+    )
