@@ -26,6 +26,17 @@ later multiples of its signature, and discarding it returns sets that are
 not Gröbner bases (two such lex ideals are pinned in the tests). The
 minimal basis among the elements is then inter-reduced.
 
+Over QQ the engine works fraction-free, on integer polynomials in the ring
+over ZZ with the same names and order. Each generator is cleared of
+denominators and content, with a positive leading coefficient. A reduction
+step is rem <- a*rem - b*x^m*g, where a*c = b*lc(g) for the coefficient c
+it cancels: over ZZ, a and b are lc(g) and c divided by their gcd; over a
+field every reducer is monic, so a = 1 and b = c. Each remainder loses its
+content once, after its reduction. A nonzero constant factor keeps a
+signature, so the criteria drop the same pairs as over QQ. The final
+inter-reduction also runs on integers; only then is the reduced basis made
+monic over QQ.
+
 Normal forms keep their remainder sorted and merge in each reducer's
 shifted tail, so no step re-sorts. Everything works on packed terms
 (``multipoly``): a divisibility test, an lcm and a coprimality test are a
@@ -45,6 +56,7 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 from .arith import QQ, ZZ, Domain, Zmod, prime_factors
 from .errors import (
@@ -64,6 +76,7 @@ from .multipoly import (
     _from_ascending,
     _shifted,
     _sub_shifted,
+    content_primitive,
 )
 from .sheaf import LocalizedFiniteRing
 
@@ -73,17 +86,19 @@ from .sheaf import LocalizedFiniteRing
 # ---------------------------------------------------------------------------
 
 def normal_form_list(f: Poly, basis):
-    """Fully reduce f against a list of polynomials with unit leading
-    coefficients (any nonzero one over a field).
+    """Fully reduce f against a list of polynomials.
 
-    Each step subtracts from the remainder the shifted tail of the first
-    reducer whose leading monomial divides the leading one; the remainder
-    stays sorted (``multipoly._sub_shifted``) and nothing is re-sorted.
-    Terms stay packed throughout (``PolyRing.packer``).
+    Each step cancels the leading term of the remainder by the first
+    reducer whose leading monomial divides it (``_reduce_term``); the
+    remainder stays sorted (``multipoly._sub_shifted``) and nothing is
+    re-sorted. Terms stay packed throughout (``PolyRing.packer``). The
+    leading coefficients must be units, except over ZZ, where the result is
+    then a nonzero integer multiple of the normal form over QQ, a positive
+    one when every leading coefficient is positive.
     """
     ring = f.ring
     dom, pk = ring.domain, ring.packer
-    divides, mul = pk.divides, dom.mul
+    guard = pk.guard
     reducers = [g.reducer() for g in basis if not g.is_zero()]
     if not reducers:
         return f
@@ -91,16 +106,39 @@ def normal_form_list(f: Poly, basis):
     keys, exps, coeffs = rem
     ok, oe, oc = [], [], []
     while keys:
-        k, e, lc = keys.pop(), exps.pop(), coeffs.pop()
-        for ge, gk, ginv, tail in reducers:
-            if divides(ge, e):
-                _sub_shifted(rem, zip(*tail), k - gk, e - ge, mul(lc, ginv), dom, pk)
+        k, e, c = keys.pop(), exps.pop(), coeffs.pop()
+        for red in reducers:
+            if not (e - red[0]) & guard:
+                _reduce_term(rem, oc, k, e, c, red, dom, pk)
                 break
         else:
             ok.append(k)
             oe.append(e)
-            oc.append(lc)
+            oc.append(c)
     return Poly(ring, (tuple(ok), tuple(oe), tuple(oc)))
+
+
+def _reduce_term(rem, kept, k, e, c, reducer, dom, pk):
+    """One reduction step, rem <- a*rem - b*x^m*g with a*c = b*gc: it
+    cancels the term c*x^m*lm(g), of key k and exponents e, just popped from
+    ``rem``, by g, given as its ``Poly.reducer``, of leading coefficient gc.
+
+    Over a field a = 1 and b = c/gc, so a monic g needs b = c alone. Over
+    ZZ, a and b are gc and c divided by their gcd, and an a other than 1
+    also scales ``kept``, the coefficients of the terms taken out of the
+    remainder so far.
+    """
+    ge, gk, gc, tail = reducer
+    if not dom.is_one(gc):
+        if dom != ZZ:
+            c = dom.div(c, gc)
+        else:
+            d = math.gcd(c, gc)
+            a, c = gc // d, c // d
+            if a != 1:
+                rem[2][:] = [a * v for v in rem[2]]
+                kept[:] = [a * v for v in kept]
+    _sub_shifted(rem, zip(*tail), k - gk, e - ge, c, dom, pk)
 
 
 def _s_polynomial(gi, gj, klcm, lcm):
@@ -166,21 +204,20 @@ def _regular_reduce(f, skey, sidx, ratios, reducers, width):
         return f
     ring = f.ring
     dom, pk = ring.domain, ring.packer
-    mul, guard = dom.mul, pk.guard
+    guard = pk.guard
     rem = _ascending(f)
     keys, exps, coeffs = rem
     ok, oe, oc = [], [], []
     while keys:
-        k, e, lc = keys.pop(), exps.pop(), coeffs.pop()
+        k, e, c = keys.pop(), exps.pop(), coeffs.pop()
         for r in range(bisect_left(ratios, (skey - k) * width + sidx)):
-            ge, gk, ginv, tail = reducers[r]
-            if not (e - ge) & guard:
-                _sub_shifted(rem, zip(*tail), k - gk, e - ge, mul(lc, ginv), dom, pk)
+            if not (e - reducers[r][0]) & guard:
+                _reduce_term(rem, oc, k, e, c, reducers[r], dom, pk)
                 break
         else:
             ok.append(k)
             oe.append(e)
-            oc.append(lc)
+            oc.append(c)
     return Poly(ring, (tuple(ok), tuple(oe), tuple(oc)))
 
 
@@ -189,7 +226,8 @@ def groebner_basis(gens, ring=None):
 
     The signature-based engine of the module docstring: pairs are taken in
     increasing signature, and no pair whose signature a syzygy or a later
-    element accounts for is reduced.
+    element accounts for is reduced. Over QQ it runs on primitive integer
+    polynomials, and only the reduced basis is made monic over QQ.
     """
     gens = [g for g in gens if not g.is_zero()]
     if ring is None:
@@ -198,9 +236,13 @@ def groebner_basis(gens, ring=None):
         ring = gens[0].ring
     if not ring.domain.is_field:
         raise NonFieldBase(f"Gröbner bases need a field base, got {ring.domain}")
+    work = ring
+    if ring.domain == QQ:
+        work = PolyRing(ZZ, ring.names, ring.order)
+        gens = [_integral(g, work) for g in gens]
     pk = ring.packer
     guard, coprime, key_of, lcm_of = pk.guard, pk.coprime, pk.key_of, pk.lcm
-    one = ring.domain.one()
+    one = work.domain.one()
     width = len(gens)
     # element n: polys[n], and in els[n] its leading monomial, signature
     # index and monomial, signature key minus leading key, ratio and leading key
@@ -229,7 +271,7 @@ def groebner_basis(gens, ring=None):
             continue
         if h.is_constant():
             return [ring.one()]  # a unit: the reduced basis of (1)
-        h = h.monic()
+        h = _normalized(h)
         n = len(polys)
         lk, lm = h.packed()[0][0], h.packed()[1][0]
         d = skey - lk
@@ -275,7 +317,32 @@ def groebner_basis(gens, ring=None):
         e = g.packed()[1][0]
         if not any(not (e - h.packed()[1][0]) & guard for h in minimal):
             minimal.append(g)
-    return [normal_form_list(g, minimal[:k] + minimal[k + 1:]) for k, g in enumerate(minimal)]
+    basis = [normal_form_list(g, minimal[:k] + minimal[k + 1:]) for k, g in enumerate(minimal)]
+    if work is not ring:
+        basis = [_monic_over_qq(g, ring) for g in basis]
+    return basis
+
+
+def _normalized(h):
+    """h monic over a field; over ZZ primitive, with a positive leading
+    coefficient."""
+    return content_primitive(h)[1] if h.ring.domain == ZZ else h.monic()
+
+
+def _integral(f, zring):
+    """The primitive integer multiple of f over QQ with a positive leading
+    coefficient, in ``zring``, the ring over ZZ with the same packer."""
+    keys, exps, coeffs = f.packed()
+    d = math.lcm(*[c.denominator for c in coeffs])
+    ints = tuple([c.numerator * (d // c.denominator) for c in coeffs])
+    return content_primitive(Poly(zring, (keys, exps, ints)))[1]
+
+
+def _monic_over_qq(f, qring):
+    """The monic polynomial over QQ in ``qring`` of the integer f."""
+    keys, exps, coeffs = f.packed()
+    lc = coeffs[0]
+    return Poly(qring, (keys, exps, tuple([Fraction(c, lc) for c in coeffs])))
 
 
 class GroebnerBasis:

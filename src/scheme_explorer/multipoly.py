@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, mul, or_
 
-from .arith import QQ, ZZ, Domain, dense_to_poly, poly_to_dense, up_gcd
+from .arith import QQ, ZZ, Domain, IntegerRing, Zmod, dense_to_poly, poly_to_dense, up_gcd
 from .errors import ExponentOverflow, InvalidArgument, NotHomogeneous, ZeroPolynomial
 
 
@@ -323,13 +323,12 @@ class Poly:
         return self._packed
 
     def reducer(self):
-        """(packed leading exponents, leading key, inverse of the leading
-        coefficient, packed tail) of a polynomial with a unit leading
-        coefficient, made once for every normal form it reduces."""
+        """(packed leading exponents, leading key, leading coefficient,
+        packed tail), made once for every normal form it reduces."""
         red = self._reducer
         if red is None:
             keys, exps, coeffs = self.packed()
-            red = self._reducer = (exps[0], keys[0], self.ring.domain.inv(coeffs[0]),
+            red = self._reducer = (exps[0], keys[0], coeffs[0],
                                    (keys[1:], exps[1:], coeffs[1:]))
         return red
 
@@ -688,12 +687,13 @@ def content_primitive(f: Poly, main_var=None):
     if main_var is None:
         if f.ring.domain != ZZ:
             raise ValueError("plain content is defined over ZZ")
-        g = 0
-        for _, c in f.terms:
-            g = math.gcd(g, abs(c))
-        if f.leading_coeff() < 0:
+        keys, exps, coeffs = f._packed
+        g = math.gcd(*coeffs)
+        if coeffs[0] < 0:
             g = -g
-        return g, f._map_coeffs(lambda c: c // g)
+        if g == 1:
+            return g, f
+        return g, Poly(f.ring, (keys, exps, tuple([c // g for c in coeffs])))
     return _content_primitive_bivariate(f, main_var)
 
 
@@ -766,15 +766,18 @@ def _shifted(f, kshift, eshift, c):
     """c * x^shift * f: the product by a monomial keeps the term order, so
     the terms stay where they are."""
     ring = f.ring
-    if not eshift and ring.domain.is_one(c):
+    one = ring.domain.is_one(c)
+    if not eshift and one:
         return f
     keys, exps, coeffs = f._packed
     exps = tuple([e + eshift for e in exps])
     if reduce(or_, exps, 0) & ring.packer.guard:
         raise ExponentOverflow("a product has an exponent of 2^31 or more")
+    keys = tuple([k + kshift for k in keys])
+    if one:
+        return Poly(ring, (keys, exps, coeffs))
     mul = ring.domain.mul
-    return _nonzero(ring, tuple([k + kshift for k in keys]), exps,
-                    tuple([mul(c, x) for x in coeffs]))
+    return _nonzero(ring, keys, exps, tuple([mul(c, x) for x in coeffs]))
 
 
 def _nonzero(ring, keys, exps, coeffs):
@@ -799,27 +802,62 @@ def _sub_shifted(rem, tail, kshift, eshift, c, dom, pk):
     shifted term costs one binary search on plain ints below the position of
     the previous one. A key already present is a valid monomial
     (``_Packer``), so only a new term is checked against the guard bits. A
-    product c * gc that is zero (ZZ/n has zero divisors) adds no term.
+    product c * gc that is zero (ZZ/n has zero divisors) adds no term, and a
+    difference that is zero deletes one.
+
+    Over ZZ and ZZ/n, whose elements are plain ints, each term is one
+    inline int update, v = old - c*gc, reduced mod n over ZZ/n; a zero v
+    deletes the term or adds none. Every other domain (``ExtField``,
+    ``FracField``, the finite rings of ``sheaf``) goes through its
+    ``Domain`` methods. Over QQ the Gröbner engine runs on integer
+    polynomials in a ZZ ring, so its reductions take the int update too:
+    a step rem <- a*rem - b*x^m*g scales rem by a itself and passes b as c.
     """
     keys, exps, coeffs = rem
-    mul, dsub, is_zero = dom.mul, dom.sub, dom.is_zero
     guard = pk.guard
     hi = len(keys)
+    n = dom.n if isinstance(dom, Zmod) else 0 if isinstance(dom, IntegerRing) else None
+    if n is None:
+        mul, dsub, is_zero = dom.mul, dom.sub, dom.is_zero
+        for k, e, gc in tail:
+            k += kshift
+            i = bisect_left(keys, k, 0, hi)
+            p = mul(c, gc)
+            if i < hi and keys[i] == k:
+                v = dsub(coeffs[i], p)
+                if is_zero(v):
+                    del keys[i], exps[i], coeffs[i]
+                else:
+                    coeffs[i] = v
+            elif not is_zero(p):
+                e += eshift
+                if e & guard:
+                    raise ExponentOverflow("a product has an exponent of 2^31 or more")
+                keys.insert(i, k)
+                exps.insert(i, e)
+                coeffs.insert(i, dom.neg(p))
+            hi = i
+        return
     for k, e, gc in tail:
         k += kshift
         i = bisect_left(keys, k, 0, hi)
-        p = mul(c, gc)
         if i < hi and keys[i] == k:
-            v = dsub(coeffs[i], p)
-            if is_zero(v):
-                del keys[i], exps[i], coeffs[i]
-            else:
+            v = coeffs[i] - c * gc
+            if n:
+                v %= n
+            if v:
                 coeffs[i] = v
-        elif not is_zero(p):
-            e += eshift
-            if e & guard:
-                raise ExponentOverflow("a product has an exponent of 2^31 or more")
-            keys.insert(i, k)
-            exps.insert(i, e)
-            coeffs.insert(i, dom.neg(p))
+            else:
+                del keys[i], exps[i], coeffs[i]
+        else:
+            v = -c * gc
+            if n:
+                v %= n
+            if v:
+                e += eshift
+                if e & guard:
+                    raise ExponentOverflow("a product has an exponent of 2^31 or more")
+                keys.insert(i, k)
+                exps.insert(i, e)
+                coeffs.insert(i, v)
         hi = i

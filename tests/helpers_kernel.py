@@ -1,9 +1,11 @@
 """The tuple-key merge kernel that preceded packed monomials, kept as a
-reference for the packed one."""
+reference for the packed one, and the packed kernel with a ``Domain`` call
+per coefficient operation, kept as a reference for its int update."""
 
 from bisect import bisect_left
 from operator import add, itemgetter
 
+from scheme_explorer.errors import ExponentOverflow
 from scheme_explorer.multipoly import LEX, BlockOrder
 
 
@@ -51,3 +53,28 @@ def ref_ascending(terms, key):
 
 def ref_terms(rem):
     return tuple((e, c) for _, e, c in reversed(rem))
+
+
+def generic_sub_shifted(rem, tail, kshift, eshift, c, dom, pk):
+    """``multipoly._sub_shifted`` with ``dom.mul``, ``dom.sub`` and
+    ``dom.is_zero`` for every term, whatever the domain."""
+    keys, exps, coeffs = rem
+    hi = len(keys)
+    for k, e, gc in tail:
+        k += kshift
+        i = bisect_left(keys, k, 0, hi)
+        p = dom.mul(c, gc)
+        if i < hi and keys[i] == k:
+            v = dom.sub(coeffs[i], p)
+            if dom.is_zero(v):
+                del keys[i], exps[i], coeffs[i]
+            else:
+                coeffs[i] = v
+        elif not dom.is_zero(p):
+            e += eshift
+            if e & pk.guard:
+                raise ExponentOverflow("a product has an exponent of 2^31 or more")
+            keys.insert(i, k)
+            exps.insert(i, e)
+            coeffs.insert(i, dom.neg(p))
+        hi = i

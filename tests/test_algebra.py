@@ -3,11 +3,12 @@
 import heapq
 import math
 import random
+from fractions import Fraction
 from operator import le, sub
 
 import pytest
 
-from scheme_explorer.arith import GF, QQ, ZZ, FracField, Zmod
+from scheme_explorer.arith import GF, QQ, ZZ, FracField, RationalField, Zmod
 from scheme_explorer import algebra
 from scheme_explorer.algebra import (
     GroebnerBasis,
@@ -783,6 +784,83 @@ def test_signature_engine_matches_buchberger_on_standard_systems(system, domain)
     ring = PolyRing(domain, tuple(f"x{i}" for i in range(nvars)))
     gens = _katsura(ring, 5) if system == "katsura5" else _cyclic(ring, 5)
     assert_matches_reference(gens, ring)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", "block"])
+def test_signature_engine_over_qq_returns_the_basis_over_qq(order):
+    """The engine reduces over QQ on integers: on fractional generators
+    (denominators 2 to 6, both signs) it returns the reference's basis, in
+    the ring asked for, with every coefficient a ``Fraction``."""
+    rng = random.Random(f"signature-oracle:fractions:{order}")
+    for _ in range(40):
+        nvars = rng.choice((2, 3, 4))
+        term_order = {"grevlex": GREVLEX, "lex": LEX, "block": BlockOrder((1, nvars - 1))}[order]
+        ring = PolyRing(QQ, tuple(f"x{i}" for i in range(nvars)), term_order)
+        gens = [
+            ring.from_dict({
+                tuple(rng.randrange(3) for _ in range(nvars)):
+                    Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 6))
+                for _ in range(rng.randint(1, 3))
+            })
+            for _ in range(rng.randint(1, 4))
+        ]
+        got = groebner_basis(gens, ring)
+        assert [g.terms for g in got] == [g.terms for g in buchberger_reference(gens, ring)]
+        assert GroebnerBasis(ring, got).verify()
+        assert all(g.ring is ring for g in got)
+        assert all(type(c) is Fraction for g in got for c in g.packed()[2])
+
+
+def test_integer_pseudo_reduction_matches_the_normal_form_over_qq():
+    """Over ZZ a reduction step is rem <- a*rem - b*x^m*g, so the remainder
+    is a nonzero rational multiple of the normal form over QQ, whatever the
+    signs and sizes of the leading coefficients. ``_regular_reduce`` with a
+    signature above every term's may use every reducer, in ratio order, and
+    then reduces as ``normal_form_list`` does."""
+    rng = random.Random("pseudo-reduction")
+    names = ("x", "y", "z")
+
+    def rand_int_poly(ring, max_exp, size):
+        return ring.from_dict({
+            tuple(rng.randrange(max_exp) for _ in names): rng.choice((-1, 1)) * rng.randint(1, 9)
+            for _ in range(rng.randint(1, size))
+        })
+
+    for order in (GREVLEX, LEX, BlockOrder((1, 2))):
+        zring, qring = PolyRing(ZZ, names, order), PolyRing(QQ, names, order)
+        for _ in range(60):
+            f = rand_int_poly(zring, 4, 8)
+            basis = [rand_int_poly(zring, 3, 3) for _ in range(rng.randint(1, 3))]
+            want = normal_form_list(f.map_coefficients(qring),
+                                    [g.map_coefficients(qring) for g in basis])
+            got = normal_form_list(f, basis)
+            assert got.is_zero() == want.is_zero()
+            if not want.is_zero():
+                ratio = Fraction(got.leading_coeff()) / want.leading_coeff()
+                assert got.map_coefficients(qring) == want.scale(ratio)
+            regular = algebra._regular_reduce(f, 1 << 512, 0, list(range(len(basis))),
+                                              [g.reducer() for g in basis], 1)
+            assert regular == got
+
+
+def test_katsura4_over_qq_makes_no_rational_arithmetic_in_its_reductions(monkeypatch):
+    """A guard by count, not by time: the reductions run on integers, so
+    ``RationalField.mul`` and ``sub`` run at most once per term of the
+    result, for the final monic scaling."""
+    ring = PolyRing(QQ, tuple(f"x{i}" for i in range(5)))
+    gens = _katsura(ring, 4)
+    calls = []
+    for name in ("mul", "sub"):
+        real = getattr(RationalField, name)
+
+        def counted(self, a, b, real=real, name=name):
+            calls.append(name)
+            return real(self, a, b)
+
+        monkeypatch.setattr(RationalField, name, counted)
+    gb = groebner_basis(gens, ring)
+    assert len(gb) == 13
+    assert len(calls) <= sum(len(g.packed()[0]) for g in gb)
 
 
 def test_signature_engine_keeps_singularly_top_reducible_elements():

@@ -16,9 +16,12 @@ from scheme_explorer.multipoly import (
     exact_divide,
     homogeneous_components,
     homogenize,
+    _ascending,
+    _from_ascending,
+    _sub_shifted,
 )
 
-from helpers_kernel import ref_ascending, ref_sub_shifted, ref_terms, tuple_key
+from helpers_kernel import generic_sub_shifted, ref_ascending, ref_sub_shifted, ref_terms, tuple_key
 
 
 @pytest.fixture
@@ -465,3 +468,63 @@ def test_an_exponent_past_the_field_width_is_a_typed_error():
         assert isinstance(err.value, SchemeError) and err.value.code == "exponent-overflow"
     # an exponent near the limit leaves the next variable's field alone
     assert (y * x ** big).terms == (((big, 1), 1),)
+
+
+# -- the int update of the kernel against its Domain calls --------------------
+
+INT_DOMAINS = pytest.mark.parametrize("domain", [ZZ, Zmod(6), GF(2), GF(32003)],
+                                      ids=["ZZ", "ZZ6", "GF2", "GF32003"])
+
+
+def both_kernels(f, g, shift, c):
+    """f - c*x^shift*g through ``_sub_shifted`` and ``generic_sub_shifted``."""
+    ring = f.ring
+    pk = ring.packer
+    out = []
+    for kernel in (_sub_shifted, generic_sub_shifted):
+        rem = _ascending(f)
+        kernel(rem, zip(*g.packed()), pk.key(shift), pk.pack(shift), c, ring.domain, pk)
+        out.append(_from_ascending(ring, rem))
+    return out
+
+
+@INT_DOMAINS
+def test_the_int_update_matches_the_domain_calls(domain):
+    """Over ZZ and ZZ/n each term is one int update; seeded merges with
+    overlapping supports, so terms are updated, cancelled and inserted."""
+    rng = random.Random(f"int-update:{domain}")
+    ring = PolyRing(domain, ("x", "y", "z"))
+    for _ in range(200):
+        f, g = (rand_poly(ring, rng, max_deg=4, terms=8) for _ in range(2))
+        shift = tuple(rng.randrange(2) for _ in range(3))
+        c = domain.from_int(rng.randrange(-6, 7) or 1)
+        got, want = both_kernels(f, g, shift, c)
+        assert got.packed() == want.packed()
+        assert not any(domain.is_zero(v) for v in got.packed()[2])
+    f = rand_poly(ring, rng, max_deg=4, terms=8)
+    got, want = both_kernels(f, f, (0, 0, 0), domain.one())
+    assert got.is_zero() and want.is_zero()
+
+
+def test_the_int_update_over_zmod6_drops_zero_products_and_differences():
+    ring = PolyRing(Zmod(6), ("x", "y"))
+    x, y = ring.gens()
+    # 2 * 3y = 0: no y term is added
+    got, want = both_kernels(x + 1, 3 * y, (0, 0), 2)
+    assert got == want == x + 1
+    # 4x - 2 * 2x = 0 and 1 - 5 * 5 = -24 = 0: both terms go
+    got, want = both_kernels(4 * x + 1, 2 * x, (0, 0), 2)
+    assert got == want == ring.one()
+    got, want = both_kernels(x + y, 5 * y, (0, 0), 5)
+    assert got == want == x
+
+
+@INT_DOMAINS
+def test_the_int_update_refuses_an_inserted_term_past_the_exponent_width(domain):
+    ring = PolyRing(domain, ("x", "y"))
+    x, y = ring.gens()
+    for kernel in (_sub_shifted, generic_sub_shifted):
+        rem = _ascending(y)
+        with pytest.raises(ExponentOverflow):
+            kernel(rem, zip(*(x ** (2 ** 30)).packed()), ring.packer.key((2 ** 30, 0)),
+                   ring.packer.pack((2 ** 30, 0)), domain.one(), domain, ring.packer)
