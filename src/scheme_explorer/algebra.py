@@ -142,12 +142,17 @@ def _reduce_term(rem, kept, k, e, c, reducer, dom, pk):
 
 
 def _s_polynomial(gi, gj, klcm, lcm):
-    """x^u*gi - x^v*gj for monic gi, gj with x^u*lm(gi) = x^v*lm(gj) = lcm,
-    where ``lcm`` is packed and ``klcm`` is its order key."""
+    """a*x^u*gi - b*x^v*gj with x^u*lm(gi) = x^v*lm(gj) = lcm, where
+    ``lcm`` is packed and ``klcm`` is its order key: a = b = 1 for monic gi
+    and gj, and over ZZ a and b are lc(gj) and lc(gi) divided by their gcd."""
     ring = gi.ring
     dom = ring.domain
+    a, b = gj.leading_coeff(), gi.leading_coeff()
+    if dom == ZZ:
+        d = math.gcd(a, b)
+        a, b = a // d, b // d
     rem = [[], [], []]
-    for g, c in ((gi, dom.neg(dom.one())), (gj, dom.one())):
+    for g, c in ((gi, dom.neg(a)), (gj, b)):
         keys, exps, coeffs = g.packed()
         _sub_shifted(rem, zip(keys[1:], exps[1:], coeffs[1:]),
                      klcm - keys[0], lcm - exps[0], c, dom, ring.packer)
@@ -369,25 +374,34 @@ class GroebnerBasis:
         Only the pairs that the Gebauer–Möller update keeps are reduced:
         Buchberger's criterion with the chain and product criteria is a
         theorem, so the check stays complete.
+
+        Over QQ the checks run on the primitive integer multiples of the
+        elements (``_integral``), as ``groebner_basis`` computes: a zero or
+        nonzero verdict is all they need, and integer pseudo-reduction gives
+        a nonzero multiple of the normal form over QQ.  On an auto-reduced
+        basis the auto-reduction check is a divisibility test per term and
+        makes no arithmetic.
         """
         dom = self.ring.domain
         pk = self.ring.packer
-        if any(g.is_zero() for g in self.polys):
+        polys = self.polys
+        if any(g.is_zero() or not dom.is_one(g.leading_coeff()) for g in polys):
             return False
-        lms = [g.packed()[1][0] for g in self.polys]
-        for i, g in enumerate(self.polys):
-            if not dom.is_one(g.leading_coeff()):
-                return False
+        if dom == QQ:
+            work = PolyRing(ZZ, self.ring.names, self.ring.order)
+            polys = [_integral(g, work) for g in polys]
+        lms = [g.packed()[1][0] for g in polys]
+        for i, g in enumerate(polys):
             if any(pk.divides(h, lms[i]) for h in lms[:i] + lms[i + 1:]):
                 return False
-            if normal_form_list(g, self.polys[:i] + self.polys[i + 1:]) != g:
+            if normal_form_list(g, polys[:i] + polys[i + 1:]) != g:
                 return False
         pairs, live = [], []
         for new in range(len(lms)):
             _update(pairs, live, lms, new, pk)
         for klcm, i, j, lcm in pairs:
-            s = _s_polynomial(self.polys[i], self.polys[j], klcm, lcm)
-            if not self.normal_form(s).is_zero():
+            s = _s_polynomial(polys[i], polys[j], klcm, lcm)
+            if not normal_form_list(s, polys).is_zero():
                 return False
         self.certified = True
         return True

@@ -13,7 +13,23 @@ equality.  Supported domains:
     FracField(k, S) rational function field k(S)
 
 Univariate polynomials at this level are dense coefficient tuples, low degree
-first, with no trailing zeros.  Factorization:
+first, with no trailing zeros.  Their arithmetic lives in the Domain: the
+``dense_*`` methods (add, sub, scale, monic, derivative, product, division
+with remainder, product mod m) default to loops with one domain call per
+coefficient, the ``up_*`` helpers delegate to them, and the domains override
+them with kernels:
+
+    * Zmod(n), prime or composite n: ints with one reduction per output
+      coefficient, products by Kronecker substitution, no inverse for a
+      monic divisor;
+    * ZZ: int products;
+    * QQ: products and divisions on integer numerators over one common
+      denominator, one Fraction per output coefficient;
+    * ExtField over a prime field of order q <= _LOG_TABLE_BUDGET (1,024):
+      products and inverses through log/antilog tables built on the first
+      product, at most 0.2 MB; elements stay coefficient tuples.
+
+Factorization:
 
     * finite fields: squarefree split + distinct degree + Cantor-Zassenhaus
       equal-degree splitting (seeded from the coefficients alone);
@@ -23,7 +39,9 @@ first, with no trailing zeros.  Factorization:
       recombination), degree capped at 24;
     * number fields over QQ: Trager norm descent to QQ, the norm
       Res_t(modulus, f) taken as the determinant of multiplication by f on
-      QQ[x][t]/(modulus), by fraction-free (Bareiss) elimination over QQ[x].
+      QQ[x][t]/(modulus), by fraction-free (Bareiss) elimination over QQ[x];
+      its squarefree test is the modular certificate of QQ, and the integer
+      gcd only without one.
 
 Exhaustive paths check their size first and raise BudgetExceeded: subset
 recombination (_RECOMBINATION_BUDGET) and ExtField.elements (_ELEMENTS_BUDGET).
@@ -178,6 +196,68 @@ class Domain:
     def __ne__(self, other):
         return not self.__eq__(other)
 
+    # -- dense univariate arithmetic ------------------------------------------
+    # Coefficient tuples, low degree first, without trailing zeros.  These
+    # are the generic loops, one domain call per coefficient operation; the
+    # ``up_*`` helpers delegate here, and a domain whose elements are ints or
+    # Fractions overrides them with integer kernels.
+
+    def dense_add(self, a, b):
+        zero = self.zero()
+        return up_norm(self, [
+            self.add(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
+            for i in range(max(len(a), len(b)))
+        ])
+
+    def dense_sub(self, a, b):
+        return self.dense_add(a, up_neg(self, b))
+
+    def dense_scale(self, a, s):
+        if self.is_zero(s):
+            return ()
+        return up_norm(self, [self.mul(x, s) for x in a])
+
+    def dense_monic(self, a):
+        if not a or self.is_one(a[-1]):
+            return tuple(a)
+        return self.dense_scale(a, self.inv(a[-1]))
+
+    def dense_mul(self, a, b):
+        if not a or not b:
+            return ()
+        out = [self.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if self.is_zero(x):
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return up_norm(self, out)
+
+    def dense_divmod(self, a, b):
+        """Euclidean division; needs the leading coefficient of b invertible,
+        and inverts it only when b is not monic."""
+        if not b:
+            raise ZeroDivisionError("division by zero polynomial")
+        lb = None if self.is_one(b[-1]) else self.inv(b[-1])
+        q = [self.zero()] * max(len(a) - len(b) + 1, 0)
+        r = list(a)
+        while len(r) >= len(b) and r:
+            c = r[-1] if lb is None else self.mul(r[-1], lb)
+            k = len(r) - len(b)
+            q[k] = c
+            for i, y in enumerate(b):
+                r[k + i] = self.sub(r[k + i], self.mul(c, y))
+            while r and self.is_zero(r[-1]):
+                r.pop()
+        return up_norm(self, q), up_norm(self, r)
+
+    def dense_mulmod(self, a, b, m):
+        """a*b mod m."""
+        return self.dense_divmod(self.dense_mul(a, b), m)[1]
+
+    def dense_deriv(self, a):
+        return up_norm(self, [self.mul(a[i], self.from_int(i)) for i in range(1, len(a))])
+
 
 def _unit_table(dom):
     """{unit: inverse} for a finite domain, one power orbit at a time.
@@ -206,7 +286,111 @@ def _unit_table(dom):
     return inverses
 
 
-class IntegerRing(Domain):
+# ---------------------------------------------------------------------------
+# integer kernels for dense arithmetic over ZZ, QQ and Z/n
+# ---------------------------------------------------------------------------
+
+def _trimmed(c):
+    """The list c of ints or Fractions as a tuple without trailing zeros."""
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _int_product(a, b):
+    """The coefficients of a*b for int sequences a and b, both nonempty."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _kronecker_product(a, b, n):
+    """The coefficients of a*b mod n for a and b with entries in [0, n), by
+    Kronecker substitution (Harvey 2009, J. Symb. Comp. 44): each factor is
+    packed into one int, a slot per coefficient wide enough for every sum
+    of products, and one int product holds all the sums."""
+    bits = (min(len(a), len(b)) * (n - 1) ** 2).bit_length() or 1
+    x = 0
+    for c in reversed(a):
+        x = (x << bits) | c
+    if a is b:
+        y = x
+    else:
+        y = 0
+        for c in reversed(b):
+            y = (y << bits) | c
+    z, mask, out = x * y, (1 << bits) - 1, []
+    for _ in range(len(a) + len(b) - 1):
+        out.append((z & mask) % n)
+        z >>= bits
+    return out
+
+
+def _common_denominator(a):
+    """(numerators, d) with a[i] = numerators[i] / d for Fractions a."""
+    d = math.lcm(*[c.denominator for c in a])
+    return [c.numerator * (d // c.denominator) for c in a], d
+
+
+def _qq_product(a, b):
+    """(numerators, d) of a*b for nonempty Fraction tuples a and b."""
+    na, da = _common_denominator(a)
+    nb, db = (na, da) if a is b else _common_denominator(b)
+    return _int_product(na, nb), da * db
+
+
+def _qq_divmod(num, den, b, want_quotient=True):
+    """(q, r) over QQ for the polynomial num/den, num a list of ints, and a
+    nonzero b = bnum/bden.  The steps run on integer numerators over one
+    common denominator: a step that cancels c/den times x^k needs
+    q_k = c*bden/(den*lc(bnum)) and multiplies the remainder and den by
+    lc(bnum) (by nothing when b is monic with integer coefficients).  Each
+    output coefficient is one Fraction."""
+    bnum, bden = _common_denominator(b)
+    db, lead = len(b) - 1, bnum[-1]
+    tail, q = bnum[:-1], []
+    for k in range(len(num) - db - 1, -1, -1):
+        c = num.pop()
+        if want_quotient:
+            q.append(Fraction(c * bden, den * lead) if c else _QQ_ZERO)
+        if c:
+            if lead != 1:
+                num = [x * lead for x in num]
+                den *= lead
+            for i, y in enumerate(tail, k):
+                num[i] -= c * y
+    r = _trimmed(num)
+    return tuple(reversed(q)), tuple([Fraction(x, den) for x in r])
+
+
+class _NumberDense:
+    """Dense linear operations for domains whose elements are Python
+    numbers (int or Fraction) in canonical form."""
+
+    def dense_add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        return _trimmed([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    def dense_sub(self, a, b):
+        out = [x - y for x, y in zip(a, b)]
+        if len(a) >= len(b):
+            out += a[len(b):]
+        else:
+            out += [-y for y in b[len(a):]]
+        return _trimmed(out)
+
+    def dense_scale(self, a, s):
+        return _trimmed([x * s for x in a]) if s else ()
+
+    def dense_deriv(self, a):
+        return _trimmed([a[i] * i for i in range(1, len(a))])
+
+
+class IntegerRing(_NumberDense, Domain):
     char = 0
 
     def zero(self):
@@ -238,6 +422,9 @@ class IntegerRing(Domain):
             return a
         raise NotInvertible(f"{a} is not a unit in ZZ")
 
+    def dense_mul(self, a, b):
+        return _trimmed(_int_product(a, b)) if a and b else ()
+
     def coerce(self, other, a):
         if isinstance(other, IntegerRing):
             return a
@@ -257,7 +444,7 @@ _QQ_ZERO = Fraction(0)
 _QQ_ONE = Fraction(1)
 
 
-class RationalField(Domain):
+class RationalField(_NumberDense, Domain):
     is_field = True
     char = 0
 
@@ -289,6 +476,30 @@ class RationalField(Domain):
         if a == 0:
             raise NotInvertible("0 is not invertible")
         return 1 / Fraction(a)
+
+    def dense_mul(self, a, b):
+        if not a or not b:
+            return ()
+        num, den = _qq_product(a, b)
+        return tuple([Fraction(c, den) for c in num])
+
+    def dense_monic(self, a):
+        if not a or a[-1] == 1:
+            return tuple(a)
+        nums = _common_denominator(a)[0]
+        return tuple([Fraction(c, nums[-1]) for c in nums])
+
+    def dense_divmod(self, a, b):
+        if not b:
+            raise ZeroDivisionError("division by zero polynomial")
+        return _qq_divmod(*_common_denominator(a), b)
+
+    def dense_mulmod(self, a, b, m):
+        if not m:
+            raise ZeroDivisionError("division by zero polynomial")
+        if not a or not b:
+            return ()
+        return _qq_divmod(*_qq_product(a, b), m, want_quotient=False)[1]
 
     def coerce(self, other, a):
         if isinstance(other, RationalField):
@@ -350,6 +561,61 @@ class Zmod(Domain):
             raise NotInvertible(f"{a} is not a unit mod {self.n}")
         return pow(a, -1, self.n)
 
+    # dense arithmetic on ints in [0, n): one reduction per output
+    # coefficient, for prime and composite n alike
+
+    def dense_add(self, a, b):
+        n = self.n
+        if len(a) < len(b):
+            a, b = b, a
+        return _trimmed([(x + y) % n for x, y in zip(a, b)] + list(a[len(b):]))
+
+    def dense_sub(self, a, b):
+        n = self.n
+        out = [(x - y) % n for x, y in zip(a, b)]
+        if len(a) >= len(b):
+            out += a[len(b):]
+        else:
+            out += [-y % n for y in b[len(a):]]
+        return _trimmed(out)
+
+    def dense_scale(self, a, s):
+        n = self.n
+        return _trimmed([x * s % n for x in a]) if s else ()
+
+    def dense_deriv(self, a):
+        n = self.n
+        return _trimmed([a[i] * i % n for i in range(1, len(a))])
+
+    def dense_mul(self, a, b):
+        if not a or not b:
+            return ()
+        if len(a) == 1 or len(b) == 1:
+            n = self.n
+            return _trimmed([c % n for c in _int_product(a, b)])
+        return _trimmed(_kronecker_product(a, b, self.n))
+
+    def dense_divmod(self, a, b):
+        """Euclidean division, the remainder kept unreduced until the end;
+        the leading coefficient of b is inverted only when it is not 1."""
+        if not b:
+            raise ZeroDivisionError("division by zero polynomial")
+        n, db = self.n, len(b) - 1
+        inv = None if b[-1] == self._one else self.inv(b[-1])
+        if len(a) <= db:
+            return (), tuple(a)
+        r, q, tail = list(a), [], b[:-1]
+        for k in range(len(r) - db - 1, -1, -1):
+            c = r.pop() % n
+            if c and inv is not None:
+                c = c * inv % n
+            q.append(c)
+            if c:
+                for i, y in enumerate(tail, k):
+                    r[i] -= c * y
+        q.reverse()
+        return tuple(q), _trimmed([x % n for x in r])
+
     def elements(self):
         if self._elements is None:
             self._elements = list(range(self.n))
@@ -407,13 +673,7 @@ def up_const(dom, v):
 
 
 def up_add(dom, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else dom.zero()
-        y = b[i] if i < len(b) else dom.zero()
-        out.append(dom.add(x, y))
-    return up_norm(dom, out)
+    return dom.dense_add(a, b)
 
 
 def up_neg(dom, a):
@@ -421,54 +681,27 @@ def up_neg(dom, a):
 
 
 def up_sub(dom, a, b):
-    return up_add(dom, a, up_neg(dom, b))
+    return dom.dense_sub(a, b)
 
 
 def up_scale(dom, a, s):
-    if dom.is_zero(s):
-        return ()
-    return up_norm(dom, [dom.mul(x, s) for x in a])
+    return dom.dense_scale(a, s)
 
 
 def up_mul(dom, a, b):
-    if not a or not b:
-        return ()
-    out = [dom.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if dom.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = dom.add(out[i + j], dom.mul(x, y))
-    return up_norm(dom, out)
+    return dom.dense_mul(a, b)
 
 
 def up_divmod(dom, a, b):
-    """Euclidean division; needs the leading coefficient of b invertible,
-    and inverts it only when b is not monic."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    lb = None if dom.is_one(b[-1]) else dom.inv(b[-1])
-    q = [dom.zero()] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b) and r:
-        c = r[-1] if lb is None else dom.mul(r[-1], lb)
-        k = len(r) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            r[k + i] = dom.sub(r[k + i], dom.mul(c, y))
-        while r and dom.is_zero(r[-1]):
-            r.pop()
-    return up_norm(dom, q), up_norm(dom, r)
+    return dom.dense_divmod(a, b)
 
 
 def up_mod(dom, a, b):
-    return up_divmod(dom, a, b)[1]
+    return dom.dense_divmod(a, b)[1]
 
 
 def up_monic(dom, a):
-    if not a:
-        return a
-    return up_scale(dom, a, dom.inv(a[-1]))
+    return dom.dense_monic(a)
 
 
 def up_gcd(dom, a, b):
@@ -495,7 +728,7 @@ def up_ext_gcd(dom, a, b):
 
 
 def up_deriv(dom, a):
-    return up_norm(dom, [dom.mul(a[i], dom.from_int(i)) for i in range(1, len(a))])
+    return dom.dense_deriv(a)
 
 
 def up_eval(dom, a, x):
@@ -510,9 +743,10 @@ def up_pow_mod(dom, a, n, m):
     a = up_mod(dom, a, m)
     while n:
         if n & 1:
-            r = up_mod(dom, up_mul(dom, r, a), m)
-        a = up_mod(dom, up_mul(dom, a, a), m)
+            r = dom.dense_mulmod(r, a, m)
         n >>= 1
+        if n:
+            a = dom.dense_mulmod(a, a, m)
     return r
 
 
@@ -520,6 +754,13 @@ def up_pow_mod(dom, a, n, m):
 # the tests list at most GF(49); the k[T] candidate budget of ``spectrum``
 # and the coordinate-tuple budget of ``proj`` are the same size.
 _ELEMENTS_BUDGET = 150_000
+
+
+# Order up to which an ExtField over a prime field multiplies and inverts
+# through log/antilog tables, built on its first multiplication: 0.08 MB for
+# GF(31^2) and 0.2 MB for GF(2^10) (tracemalloc).  The benchmark decks and
+# the tests multiply in GF(4) to GF(169).
+_LOG_TABLE_BUDGET = 1024
 
 
 class ExtField(Domain):
@@ -530,6 +771,7 @@ class ExtField(Domain):
     """
 
     is_field = True
+    _tables = None  # see _log_tables
 
     def __init__(self, base, modulus, var="t", check=True):
         if not base.is_field:
@@ -543,8 +785,18 @@ class ExtField(Domain):
         self.degree = up_deg(modulus)
         self.var = var
         self.char = base.char
+        self._one = (base.one(),)
         if check and self.degree > 1 and not _is_irreducible_dense(modulus, base):
             raise UnsupportedDomain("extension modulus must be irreducible")
+
+    def zero(self):
+        return ()
+
+    def one(self):
+        return self._one
+
+    def is_zero(self, a):
+        return not a
 
     def from_int(self, n):
         return up_const(self.base, self.base.from_int(n))
@@ -558,21 +810,60 @@ class ExtField(Domain):
         return (self.base.zero(), self.base.one())
 
     def add(self, a, b):
-        return up_add(self.base, a, b)
+        return self.base.dense_add(a, b)
+
+    def sub(self, a, b):
+        return self.base.dense_sub(a, b)
 
     def neg(self, a):
         return up_neg(self.base, a)
 
     def mul(self, a, b):
-        return up_mod(self.base, up_mul(self.base, a, b), self.modulus)
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = self._log_tables()
+        if tables:
+            if not a or not b:
+                return ()
+            log, exp = tables
+            la, lb = log.get(a), log.get(b)
+            if la is not None and lb is not None:
+                return exp[la + lb]
+        return self.base.dense_mulmod(a, b, self.modulus)
 
     def inv(self, a):
         if not a:
             raise NotInvertible("0 is not invertible")
+        if self._tables and a in self._tables[0]:
+            log, exp = self._tables
+            return exp[len(log) - log[a]]
         g, u, _ = up_ext_gcd(self.base, a, self.modulus)
         if up_deg(g) != 0:
             raise NotInvertible("element shares a factor with the modulus")
         return up_scale(self.base, u, self.base.inv(g[0]))
+
+    def _log_tables(self):
+        """(log, exp) for GF(q), q <= _LOG_TABLE_BUDGET, over a prime field,
+        else False.  For a generator g of the multiplicative group, exp[k] is
+        g^k for 0 <= k < 2(q - 1) and log maps each nonzero element to its
+        exponent below q - 1, so a product is exp[log a + log b] and an
+        inverse exp[(q - 1) - log a]."""
+        base = self.base
+        if not isinstance(base, Zmod) or self.order() > _LOG_TABLE_BUDGET:
+            return False
+        p, m, one = base.n, self.order() - 1, self.one()
+        cofactors = [m // r for r, _ in prime_factors(m)] if m > 1 else []
+        # t, t + 1, ... first: a constant generates GF(q) only when q = p
+        for i in itertools.chain(range(p, m + 1), range(1, p)):
+            g = _trimmed([i // p ** j % p for j in range(self.degree)])
+            if all(up_pow_mod(base, g, e, self.modulus) != one for e in cofactors):
+                break
+        exp, log, a = [], {}, one
+        for k in range(m):
+            exp.append(a)
+            log[a] = k
+            a = base.dense_mulmod(a, g, self.modulus)
+        return log, exp + exp
 
     def order(self):
         return self.base.order() ** self.degree
@@ -1154,6 +1445,22 @@ def _zassenhaus(g, images):
     return _recombine(g, _lift_factorization(p, g, mods, final), final)
 
 
+def _check_degree_cap(f):
+    if up_deg(f) > _QQ_DEGREE_CAP:
+        raise Unsupported(f"rational factorization capped at degree {_QQ_DEGREE_CAP}")
+
+
+def _certified_images(g):
+    """A ``_prime_images(g)`` search that starts at a good prime among the
+    first _SQUAREFREE_TRIES, which certifies g squarefree; None without one."""
+    images = _prime_images(g)
+    first = next(
+        (pg for pg in itertools.islice(images, _SQUAREFREE_TRIES) if pg[1] is not None),
+        None,
+    )
+    return None if first is None else itertools.chain([first], images)
+
+
 def _factor_rationals(f):
     """(unit in QQ, [(monic factor tuple over QQ, mult)]).
 
@@ -1161,20 +1468,15 @@ def _factor_rationals(f):
     part squarefree (see ``factor_dense``) and starts the search that
     ``_zassenhaus`` continues; only without one does integer Yun run.
     """
-    if up_deg(f) > _QQ_DEGREE_CAP:
-        raise Unsupported(f"rational factorization capped at degree {_QQ_DEGREE_CAP}")
+    _check_degree_cap(f)
     scale, ints = _rat_to_int_poly(f)
     content, prim = _int_content_primitive(ints)
     unit = Fraction(content) * scale
-    images = _prime_images(prim)
-    first = next(
-        (pg for pg in itertools.islice(images, _SQUAREFREE_TRIES) if pg[1] is not None),
-        None,
-    )
-    if first is None:
+    images = _certified_images(prim)
+    if images is None:
         parts = [(g, m, _prime_images(g)) for g, m in _yun_int(prim)]
     else:
-        parts = [(prim, 1, itertools.chain([first], images))]
+        parts = [(prim, 1, images)]
     out = []
     for sqf, mult, sqf_images in parts:
         for fac in _zassenhaus(sqf, sqf_images):
@@ -1299,27 +1601,34 @@ def _bareiss_det(dom, rows):
 
 
 def _trager_squarefree(g, dom):
-    base = dom.base
+    """The monic irreducible factors of a squarefree monic g over a number
+    field: g(x + s*alpha) for the first shift s whose norm N is squarefree,
+    then one factor gcd(g(x + s*alpha), N_j) per irreducible factor N_j of N
+    over QQ, shifted back.  N is tested on its primitive integer part: a
+    good prime certifies it squarefree, and only without one does the
+    integer gcd with its derivative decide."""
     alpha = dom.gen()
     for shift_scalar in range(41):
         shift = dom.mul(dom.from_int(shift_scalar), alpha)
         shifted = _compose_shift(dom, g, shift)
-        norm = _norm_to_base(dom, shifted)
-        if up_deg(up_gcd(base, norm, up_deriv(base, norm))) == 0:
+        norm = _int_content_primitive(_rat_to_int_poly(_norm_to_base(dom, shifted))[1])[1]
+        images = _certified_images(norm)
+        if images is None and up_deg(_int_gcd(norm, up_deriv(ZZ, norm))) == 0:
+            images = _prime_images(norm)
+        if images is not None:
             break
     else:
         raise Unsupported("no squarefree norm shift found")
-    _, base_factors = factor_dense(norm, base)
+    _check_degree_cap(norm)
+    norm_factors = _zassenhaus(norm, images)
     out = []
     rest = shifted
-    for nf, _ in base_factors:
-        lifted = up_norm(dom, tuple(dom.from_base(c) for c in nf))
-        h = up_gcd(dom, rest, lifted)
-        if up_deg(h) > 0:
-            rest = up_divmod(dom, rest, h)[0]
-            h = _compose_shift(dom, h, dom.neg(shift))
-            out.append(up_monic(dom, h))
-    return out
+    for nf in norm_factors[:-1]:
+        h = up_gcd(dom, rest, tuple(dom.from_base(Fraction(c)) for c in nf))
+        rest = up_divmod(dom, rest, h)[0]
+        out.append(h)
+    out.append(rest)  # what is left of g(x + s*alpha) is the factor of the last N_j
+    return [_compose_shift(dom, h, dom.neg(shift)) for h in out]
 
 
 def _factor_number_field(f, dom):

@@ -300,16 +300,18 @@ class Poly:
     The terms are packed (``packed()``): three parallel tuples of order
     keys, packed exponents and coefficients, which the arithmetic reads and
     writes. ``terms``, the (exps tuple, coeff) pairs that everything else
-    reads, is decoded from them on first read and cached.
+    reads, is decoded from them on first read and cached, and so is the
+    printed form.
     """
 
-    __slots__ = ("ring", "_packed", "_terms", "_reducer")
+    __slots__ = ("ring", "_packed", "_terms", "_reducer", "_str")
 
     def __init__(self, ring, packed, terms=None):
         self.ring = ring
         self._packed = packed  # (keys, exps, coeffs), order-descending
         self._terms = terms  # the decoded (exps, coeff) pairs, once read
         self._reducer = None
+        self._str = None
 
     @property
     def terms(self):
@@ -584,6 +586,11 @@ class Poly:
     # -- printing --------------------------------------------------------------
 
     def __str__(self):
+        if self._str is None:
+            self._str = self._format()
+        return self._str
+
+    def _format(self):
         if not self.terms:
             return "0"
         dom = self.ring.domain

@@ -1,6 +1,8 @@
 """The tuple-key merge kernel that preceded packed monomials, kept as a
-reference for the packed one, and the packed kernel with a ``Domain`` call
-per coefficient operation, kept as a reference for its int update."""
+reference for the packed one; the packed kernel with a ``Domain`` call
+per coefficient operation, kept as a reference for its int update; and the
+dense univariate loops with a ``Domain`` call per coefficient operation,
+kept as references for the integer and table kernels of the domains."""
 
 from bisect import bisect_left
 from operator import add, itemgetter
@@ -78,3 +80,70 @@ def generic_sub_shifted(rem, tail, kshift, eshift, c, dom, pk):
             exps.insert(i, e)
             coeffs.insert(i, dom.neg(p))
         hi = i
+
+
+def ref_norm(dom, c):
+    c = list(c)
+    while c and dom.is_zero(c[-1]):
+        c.pop()
+    return tuple(c)
+
+
+def ref_add(dom, a, b):
+    out = []
+    for i in range(max(len(a), len(b))):
+        x = a[i] if i < len(a) else dom.zero()
+        y = b[i] if i < len(b) else dom.zero()
+        out.append(dom.add(x, y))
+    return ref_norm(dom, out)
+
+
+def ref_sub(dom, a, b):
+    return ref_add(dom, a, tuple(dom.neg(x) for x in b))
+
+
+def ref_scale(dom, a, s):
+    if dom.is_zero(s):
+        return ()
+    return ref_norm(dom, [dom.mul(x, s) for x in a])
+
+
+def ref_monic(dom, a):
+    if not a:
+        return a
+    return ref_scale(dom, a, dom.inv(a[-1]))
+
+
+def ref_mul(dom, a, b):
+    if not a or not b:
+        return ()
+    out = [dom.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if dom.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = dom.add(out[i + j], dom.mul(x, y))
+    return ref_norm(dom, out)
+
+
+def ref_divmod(dom, a, b):
+    """Euclidean division; needs the leading coefficient of b invertible."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    lb = None if dom.is_one(b[-1]) else dom.inv(b[-1])
+    q = [dom.zero()] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b) and r:
+        c = r[-1] if lb is None else dom.mul(r[-1], lb)
+        k = len(r) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] = dom.sub(r[k + i], dom.mul(c, y))
+        while r and dom.is_zero(r[-1]):
+            r.pop()
+    return ref_norm(dom, q), ref_norm(dom, r)
+
+
+def ref_ext_mul(field, a, b):
+    """The product of an ExtField by polynomial product and remainder."""
+    return ref_divmod(field.base, ref_mul(field.base, a, b), field.modulus)[1]

@@ -181,6 +181,22 @@ def test_the_readme_fiber_example_is_within_the_budget():
     assert len(records[0]["data"]["points"]) == 23_633
 
 
+def test_the_gf4_line_at_bound_7_lists_gauss_count():
+    """The generic point and, by Gauss's count, 4 + 6 + 20 + 60 + 204 + 670 +
+    2,340 closed points: one per monic irreducible of degree <= 7 over
+    GF(4), each listed once, by degree."""
+    records, had_error = run_script(dsl.parse("spec describe GF(4,t^2+t+1)[X] --bound 7;"))
+    assert not had_error, records
+    points = records[0]["data"]["points"]
+    assert len(points) == 3_305
+    assert points[0]["description"] == "eta"
+    gens = [pt["ideal_generators"][0] for pt in points[1:]]
+    assert len(set(gens)) == len(gens)
+    degrees = [1 if g.split(" ")[0] == "X" else int(g.split(" ")[0][2:]) for g in gens]
+    assert degrees == sorted(degrees)
+    assert [degrees.count(d) for d in range(1, 8)] == [4, 6, 20, 60, 204, 670, 2_340]
+
+
 # ---------------------------------------------------------------------------
 # argv failures of main
 # ---------------------------------------------------------------------------
