@@ -13,16 +13,18 @@ equality.  Supported domains:
     FracField(k, S) rational function field k(S)
 
 Univariate polynomials at this level are dense coefficient tuples, low degree
-first, with no trailing zeros.  Their arithmetic lives in the Domain: the
-``dense_*`` methods (add, sub, scale, monic, derivative, product, division
-with remainder, product mod m) default to loops with one domain call per
-coefficient, the ``up_*`` helpers delegate to them, and the domains override
+first, with no trailing zeros.  Their arithmetic is the Domain's ``dense_*``
+methods (add, sub, scale, monic, derivative, product, division with
+remainder, product mod m, gcd), which callers use directly.  The defaults
+are loops with one domain call per coefficient, and the domains override
 them with kernels:
 
     * Zmod(n), prime or composite n: ints with one reduction per output
       coefficient, products by Kronecker substitution, no inverse for a
       monic divisor;
-    * ZZ: int products;
+    * ZZ: int products, division by exact integer quotients (NotInvertible
+      at the first step that lc(b) does not divide), and a primitive gcd
+      with lc > 0 by the primitive remainder sequence;
     * QQ: products and divisions on integer numerators over one common
       denominator, one Fraction per output coefficient;
     * ExtField over a prime field of order q <= _LOG_TABLE_BUDGET (1,024):
@@ -34,14 +36,17 @@ Factorization:
     * finite fields: squarefree split + distinct degree + Cantor-Zassenhaus
       equal-degree splitting (seeded from the coefficients alone);
     * QQ: content/primitive, then integer-only: a modular squarefree
-      certificate (integer Yun only without one), a modular irreducibility
+      certificate (Yun over ZZ only without one), a modular irreducibility
       certificate, else Zassenhaus (quadratic Hensel lifting, subset
       recombination), degree capped at 24;
     * number fields over QQ: Trager norm descent to QQ, the norm
       Res_t(modulus, f) taken as the determinant of multiplication by f on
       QQ[x][t]/(modulus), by fraction-free (Bareiss) elimination over QQ[x];
-      its squarefree test is the modular certificate of QQ, and the integer
-      gcd only without one.
+      its squarefree test is the modular certificate of QQ, and
+      ``ZZ.dense_gcd`` with its derivative only without one.
+
+One Yun (``_yun``) serves ZZ, with primitive gcds and exact quotients, and
+the fields of characteristic 0, with monic gcds.
 
 Exhaustive paths check their size first and raise BudgetExceeded: subset
 recombination (_RECOMBINATION_BUDGET) and ExtField.elements (_ELEMENTS_BUDGET).
@@ -198,9 +203,9 @@ class Domain:
 
     # -- dense univariate arithmetic ------------------------------------------
     # Coefficient tuples, low degree first, without trailing zeros.  These
-    # are the generic loops, one domain call per coefficient operation; the
-    # ``up_*`` helpers delegate here, and a domain whose elements are ints or
-    # Fractions overrides them with integer kernels.
+    # are the generic loops, one domain call per coefficient operation, and
+    # the one interface to dense arithmetic; a domain whose elements are
+    # ints or Fractions overrides them with integer kernels.
 
     def dense_add(self, a, b):
         zero = self.zero()
@@ -258,6 +263,12 @@ class Domain:
     def dense_deriv(self, a):
         return up_norm(self, [self.mul(a[i], self.from_int(i)) for i in range(1, len(a))])
 
+    def dense_gcd(self, a, b):
+        """Monic gcd over a field, by Euclid's algorithm."""
+        while b:
+            a, b = b, self.dense_divmod(a, b)[1]
+        return self.dense_monic(a)
+
 
 def _unit_table(dom):
     """{unit: inverse} for a finite domain, one power orbit at a time.
@@ -305,6 +316,20 @@ def _int_product(a, b):
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
+
+
+def _int_prem(a, b):
+    """Pseudo-remainder of integer polynomials: lc(b)^k * a mod b."""
+    r = list(a)
+    lb, nb = b[-1], len(b)
+    while len(r) >= nb:
+        c, k = r[-1], len(r) - nb
+        r = [x * lb for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
 
 
 def _kronecker_product(a, b, n):
@@ -424,6 +449,37 @@ class IntegerRing(_NumberDense, Domain):
 
     def dense_mul(self, a, b):
         return _trimmed(_int_product(a, b)) if a and b else ()
+
+    def dense_divmod(self, a, b):
+        """Division with remainder by exact integer quotients: each quotient
+        coefficient is a step's leading coefficient over lc(b), and
+        NotInvertible is raised at the first step that lc(b) does not
+        divide."""
+        if not b:
+            raise ZeroDivisionError("division by zero polynomial")
+        db, lead = len(b) - 1, b[-1]
+        if len(a) <= db:
+            return (), tuple(a)
+        r, q, tail = list(a), [], b[:-1]
+        for k in range(len(r) - db - 1, -1, -1):
+            top = r.pop()
+            c, rem = divmod(top, lead)
+            if rem:
+                raise NotInvertible(f"{lead} does not divide {top} in ZZ")
+            q.append(c)
+            if c:
+                for i, y in enumerate(tail, k):
+                    r[i] -= c * y
+        q.reverse()
+        return tuple(q), _trimmed(r)
+
+    def dense_gcd(self, a, b):
+        """Primitive gcd with lc > 0, by the primitive remainder sequence;
+        the zero polynomial for a = b = 0."""
+        while b:
+            b = _int_content_primitive(b)[1]
+            a, b = b, _int_prem(a, b)
+        return _int_content_primitive(a)[1] if a else ()
 
     def coerce(self, other, a):
         if isinstance(other, IntegerRing):
@@ -672,43 +728,14 @@ def up_const(dom, v):
     return (v,) if not dom.is_zero(v) else ()
 
 
-def up_add(dom, a, b):
-    return dom.dense_add(a, b)
-
-
 def up_neg(dom, a):
     return tuple(dom.neg(x) for x in a)
 
 
-def up_sub(dom, a, b):
-    return dom.dense_sub(a, b)
-
-
-def up_scale(dom, a, s):
-    return dom.dense_scale(a, s)
-
-
 def up_mul(dom, a, b):
+    # kept as a public name for the dense product, which the acceptance
+    # tests import; the package itself calls dom.dense_mul
     return dom.dense_mul(a, b)
-
-
-def up_divmod(dom, a, b):
-    return dom.dense_divmod(a, b)
-
-
-def up_mod(dom, a, b):
-    return dom.dense_divmod(a, b)[1]
-
-
-def up_monic(dom, a):
-    return dom.dense_monic(a)
-
-
-def up_gcd(dom, a, b):
-    """Monic gcd over a field."""
-    while b:
-        a, b = b, up_mod(dom, a, b)
-    return up_monic(dom, a)
 
 
 def up_ext_gcd(dom, a, b):
@@ -717,18 +744,14 @@ def up_ext_gcd(dom, a, b):
     s0, s1 = (dom.one(),), ()
     t0, t1 = (), (dom.one(),)
     while r1:
-        q, r = up_divmod(dom, r0, r1)
+        q, r = dom.dense_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, up_sub(dom, s0, up_mul(dom, q, s1))
-        t0, t1 = t1, up_sub(dom, t0, up_mul(dom, q, t1))
+        s0, s1 = s1, dom.dense_sub(s0, dom.dense_mul(q, s1))
+        t0, t1 = t1, dom.dense_sub(t0, dom.dense_mul(q, t1))
     if not r0:
         return (), s0, t0
     c = dom.inv(r0[-1])
-    return up_scale(dom, r0, c), up_scale(dom, s0, c), up_scale(dom, t0, c)
-
-
-def up_deriv(dom, a):
-    return dom.dense_deriv(a)
+    return dom.dense_scale(r0, c), dom.dense_scale(s0, c), dom.dense_scale(t0, c)
 
 
 def up_eval(dom, a, x):
@@ -740,7 +763,7 @@ def up_eval(dom, a, x):
 
 def up_pow_mod(dom, a, n, m):
     r = (dom.one(),)
-    a = up_mod(dom, a, m)
+    a = dom.dense_divmod(a, m)[1]
     while n:
         if n & 1:
             r = dom.dense_mulmod(r, a, m)
@@ -779,7 +802,7 @@ class ExtField(Domain):
         modulus = up_norm(base, tuple(modulus))
         if up_deg(modulus) < 1:
             raise UnsupportedDomain("extension modulus must be nonconstant")
-        modulus = up_monic(base, modulus)
+        modulus = base.dense_monic(modulus)
         self.base = base
         self.modulus = modulus
         self.degree = up_deg(modulus)
@@ -840,7 +863,7 @@ class ExtField(Domain):
         g, u, _ = up_ext_gcd(self.base, a, self.modulus)
         if up_deg(g) != 0:
             raise NotInvertible("element shares a factor with the modulus")
-        return up_scale(self.base, u, self.base.inv(g[0]))
+        return self.base.dense_scale(u, self.base.inv(g[0]))
 
     def _log_tables(self):
         """(log, exp) for GF(q), q <= _LOG_TABLE_BUDGET, over a prime field,
@@ -927,15 +950,15 @@ class FracField(Domain):
     def _make(self, num, den):
         if not num:
             return ((), (self.base.one(),))
-        g = up_gcd(self.base, num, den)
+        g = self.base.dense_gcd(num, den)
         if up_deg(g) > 0:
-            num = up_divmod(self.base, num, g)[0]
-            den = up_divmod(self.base, den, g)[0]
+            num = self.base.dense_divmod(num, g)[0]
+            den = self.base.dense_divmod(den, g)[0]
         lc = den[-1]
         if not self.base.is_one(lc):
             c = self.base.inv(lc)
-            num = up_scale(self.base, num, c)
-            den = up_scale(self.base, den, c)
+            num = self.base.dense_scale(num, c)
+            den = self.base.dense_scale(den, c)
         return (num, den)
 
     def from_int(self, n):
@@ -949,15 +972,15 @@ class FracField(Domain):
 
     def add(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        num = up_add(self.base, up_mul(self.base, n1, d2), up_mul(self.base, n2, d1))
-        return self._make(num, up_mul(self.base, d1, d2))
+        num = self.base.dense_add(self.base.dense_mul(n1, d2), self.base.dense_mul(n2, d1))
+        return self._make(num, self.base.dense_mul(d1, d2))
 
     def neg(self, a):
         return (up_neg(self.base, a[0]), a[1])
 
     def mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        return self._make(up_mul(self.base, n1, n2), up_mul(self.base, d1, d2))
+        return self._make(self.base.dense_mul(n1, n2), self.base.dense_mul(d1, d2))
 
     def inv(self, a):
         num, den = a
@@ -1051,7 +1074,7 @@ def _pth_root_dense(f, dom):
 
 def squarefree_decomposition(f, dom):
     """List of (squarefree monic factor, multiplicity), unit dropped."""
-    f = up_monic(dom, f)
+    f = dom.dense_monic(f)
     if up_deg(f) < 1:
         return []
     if dom.char == 0:
@@ -1060,40 +1083,54 @@ def squarefree_decomposition(f, dom):
 
 
 def _yun(f, dom):
+    """Yun's squarefree decomposition [(g_i, i)] of f over ZZ or a field of
+    characteristic 0 (Yun 1976).
+
+    The gcds are ``dom.dense_gcd``: monic over a field, primitive with
+    lc > 0 over ZZ, where f is primitive.  Every division is exact (over ZZ
+    by Gauss's lemma, so ``ZZ.dense_divmod`` needs no rational arithmetic),
+    and each is checked to leave no remainder.
+    """
+
+    def exact(a, b):
+        q, r = dom.dense_divmod(a, b)
+        assert not r, "an inexact division in Yun's algorithm"
+        return q
+
     out = []
-    df = up_deriv(dom, f)
-    a = up_gcd(dom, f, df)
-    b = up_divmod(dom, f, a)[0]
-    c = up_divmod(dom, df, a)[0]
-    d = up_sub(dom, c, up_deriv(dom, b))
+    df = dom.dense_deriv(f)
+    a = dom.dense_gcd(f, df)
+    b = exact(f, a)
+    c = exact(df, a)
+    d = dom.dense_sub(c, dom.dense_deriv(b))
     i = 1
     while up_deg(b) > 0:
-        g = up_gcd(dom, b, d)
+        g = dom.dense_gcd(b, d)
         if up_deg(g) > 0:
             out.append((g, i))
-        b = up_divmod(dom, b, g)[0]
-        c = up_divmod(dom, d, g)[0]
-        d = up_sub(dom, c, up_deriv(dom, b))
+        b = exact(b, g)
+        c = exact(d, g)
+        d = dom.dense_sub(c, dom.dense_deriv(b))
         i += 1
     return out
 
 
 def _sqf_char_p(f, dom, mult):
     out = []
-    df = up_deriv(dom, f)
+    df = dom.dense_deriv(f)
     if not df:
         root = _pth_root_dense(f, dom)
         return _sqf_char_p(root, dom, mult * dom.char)
-    a = up_gcd(dom, f, df)
-    b = up_divmod(dom, f, a)[0]
+    a = dom.dense_gcd(f, df)
+    b = dom.dense_divmod(f, a)[0]
     i = 1
     while up_deg(b) > 0:
-        c = up_gcd(dom, a, b)
-        g = up_divmod(dom, b, c)[0]
+        c = dom.dense_gcd(a, b)
+        g = dom.dense_divmod(b, c)[0]
         if up_deg(g) > 0:
             out.append((g, i * mult))
         b = c
-        a = up_divmod(dom, a, c)[0]
+        a = dom.dense_divmod(a, c)[0]
         i += 1
     if up_deg(a) > 0:
         out.extend(_sqf_char_p(a, dom, mult))
@@ -1117,11 +1154,11 @@ def _distinct_degree(f, dom):
             out.append((f, up_deg(f)))
             break
         h = up_pow_mod(dom, h, q, f)
-        g = up_gcd(dom, up_sub(dom, h, x), f)
+        g = dom.dense_gcd(dom.dense_sub(h, x), f)
         if up_deg(g) > 0:
             out.append((g, d))
-            f = up_divmod(dom, f, g)[0]
-            h = up_mod(dom, h, f)
+            f = dom.dense_divmod(f, g)[0]
+            h = dom.dense_divmod(h, f)[1]
     return out
 
 
@@ -1135,23 +1172,21 @@ def _equal_degree(f, d, dom, rng):
         h = up_norm(dom, tuple(_random_elem(dom, rng) for _ in range(n)))
         if up_deg(h) < 1:
             continue
-        g = up_gcd(dom, h, f)
+        g = dom.dense_gcd(h, f)
         if not 0 < up_deg(g) < n:
             if q % 2 == 1:
                 e = (q ** d - 1) // 2
-                g = up_gcd(
-                    dom, up_sub(dom, up_pow_mod(dom, h, e, f), (dom.one(),)), f
-                )
+                g = dom.dense_gcd(dom.dense_sub(up_pow_mod(dom, h, e, f), (dom.one(),)), f)
             else:
-                t = up_mod(dom, h, f)
+                t = dom.dense_divmod(h, f)[1]
                 acc = t
                 k = q.bit_length() - 1  # q = 2^k
                 for _ in range(k * d - 1):
-                    t = up_mod(dom, up_mul(dom, t, t), f)
-                    acc = up_add(dom, acc, t)
-                g = up_gcd(dom, acc, f)
+                    t = dom.dense_mulmod(t, t, f)
+                    acc = dom.dense_add(acc, t)
+                g = dom.dense_gcd(acc, f)
         if 0 < up_deg(g) < n:
-            rest = up_divmod(dom, f, g)[0]
+            rest = dom.dense_divmod(f, g)[0]
             return _equal_degree(g, d, dom, rng) + _equal_degree(rest, d, dom, rng)
 
 
@@ -1181,7 +1216,7 @@ def _factor_finite_field(f, dom):
     for g, mult in squarefree_decomposition(f, dom):
         for h, d in _distinct_degree(g, dom):
             for irr in _equal_degree(h, d, dom, rng):
-                out.append((up_monic(dom, irr), mult))
+                out.append((dom.dense_monic(irr), mult))
     return unit, out
 
 
@@ -1204,15 +1239,6 @@ def _int_content_primitive(coeffs):
         prim = tuple(-c for c in prim)
         g = -g
     return g, prim
-
-
-def _rat_to_int_poly(f):
-    """Clear denominators: (scale, integer tuple) with f = scale * tuple."""
-    den = 1
-    for c in f:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = tuple(int(c * den) for c in f)
-    return Fraction(1, den), ints
 
 
 def _int_poly_bound(g):
@@ -1242,14 +1268,14 @@ def _hensel_step(m, f, g, h, s, t):
         return up_norm(D, tuple(c % m2 for c in poly))
 
     fD, gD, hD, sD, tD = red(f), red(g), red(h), red(s), red(t)
-    e = up_sub(D, fD, up_mul(D, gD, hD))
-    q, r = up_divmod(D, up_mul(D, sD, e), hD)
-    g1 = up_add(D, gD, up_add(D, up_mul(D, tD, e), up_mul(D, q, gD)))
-    h1 = up_add(D, hD, r)
-    b = up_sub(D, up_add(D, up_mul(D, sD, g1), up_mul(D, tD, h1)), (D.one(),))
-    c, d = up_divmod(D, up_mul(D, sD, b), h1)
-    s1 = up_sub(D, sD, d)
-    t1 = up_sub(D, tD, up_add(D, up_mul(D, tD, b), up_mul(D, c, g1)))
+    e = D.dense_sub(fD, D.dense_mul(gD, hD))
+    q, r = D.dense_divmod(D.dense_mul(sD, e), hD)
+    g1 = D.dense_add(gD, D.dense_add(D.dense_mul(tD, e), D.dense_mul(q, gD)))
+    h1 = D.dense_add(hD, r)
+    b = D.dense_sub(D.dense_add(D.dense_mul(sD, g1), D.dense_mul(tD, h1)), (D.one(),))
+    c, d = D.dense_divmod(D.dense_mul(sD, b), h1)
+    s1 = D.dense_sub(sD, d)
+    t1 = D.dense_sub(tD, D.dense_add(D.dense_mul(tD, b), D.dense_mul(c, g1)))
     return (
         _sym_tuple(g1, m2),
         _sym_tuple(h1, m2),
@@ -1264,10 +1290,10 @@ def _hensel_lift_pair(p, f, g0, h0, final):
     gp = up_norm(Dp, tuple(c % p for c in g0))
     hp = up_norm(Dp, tuple(c % p for c in h0))
     _, s_raw, _ = up_ext_gcd(Dp, gp, hp)
-    s = up_mod(Dp, s_raw, hp)
+    s = Dp.dense_divmod(s_raw, hp)[1]
     # t = (1 - s*g)/h exactly over GF(p)
-    num = up_sub(Dp, (Dp.one(),), up_mul(Dp, s, gp))
-    t, rem = up_divmod(Dp, num, hp)
+    num = Dp.dense_sub((Dp.one(),), Dp.dense_mul(s, gp))
+    t, rem = Dp.dense_divmod(num, hp)
     assert not rem
     g, h = _sym_tuple(gp, p), _sym_tuple(hp, p)
     s, t = _sym_tuple(s, p), _sym_tuple(t, p)
@@ -1293,12 +1319,12 @@ def _lift_factorization(p, f, leaves, final):
         Dp = Zmod(p)
         prod_left = (Dp.one(),)
         for leaf in left:
-            prod_left = up_mul(Dp, prod_left, up_norm(Dp, tuple(c % p for c in leaf)))
+            prod_left = Dp.dense_mul(prod_left, up_norm(Dp, tuple(c % p for c in leaf)))
         prod_right = (Dp.one(),)
         for leaf in right:
-            prod_right = up_mul(Dp, prod_right, up_norm(Dp, tuple(c % p for c in leaf)))
+            prod_right = Dp.dense_mul(prod_right, up_norm(Dp, tuple(c % p for c in leaf)))
         lc = f_node[-1] % p
-        g0 = up_scale(Dp, prod_left, lc)
+        g0 = Dp.dense_scale(prod_left, lc)
         G, H = _hensel_lift_pair(p, f_node, g0, prod_right, final)
         return rec(G, left) + rec(H, right)
 
@@ -1307,31 +1333,9 @@ def _lift_factorization(p, f, leaves, final):
     out = []
     for fac in lifted:
         fm = up_norm(Dm, tuple(c % final for c in fac))
-        fm = up_scale(Dm, fm, Dm.inv(fm[-1]))
+        fm = Dm.dense_scale(fm, Dm.inv(fm[-1]))
         out.append(_sym_tuple(fm, final))
     return out
-
-
-def _try_divide_int(a, b):
-    """Exact division of integer polynomials; (None, None) on failure."""
-    if not b:
-        return None, None
-    q = {}
-    r = list(a)
-    while len(r) >= len(b) and r:
-        if r[-1] % b[-1] != 0:
-            return None, None
-        c = r[-1] // b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-        while r and r[-1] == 0:
-            r.pop()
-    qq = [0] * (max(q) + 1 if q else 0)
-    for k, c in q.items():
-        qq[k] = c
-    return up_norm(ZZ, tuple(qq)), up_norm(ZZ, tuple(r))
 
 
 # Subsets _recombine may try.  A degree-24 input (the cap of _QQ_DEGREE_CAP)
@@ -1361,13 +1365,16 @@ def _recombine(g, lifted, modulus):
         for combo in itertools.combinations(remaining, size):
             cand = (current[-1],)
             for i in combo:
-                cand = up_mul(ZZ, cand, lifted[i])
+                cand = ZZ.dense_mul(cand, lifted[i])
             cand = _sym_tuple(tuple(c % modulus for c in cand), modulus)
             if not cand:
                 continue
             cand = _int_content_primitive(cand)[1]
-            quo, rem = _try_divide_int(current, cand)
-            if rem is not None and not rem and quo:
+            try:
+                quo, rem = ZZ.dense_divmod(current, cand)
+            except NotInvertible:
+                continue
+            if not rem and quo:
                 factors.append(cand)
                 current = quo
                 remaining = [i for i in remaining if i not in combo]
@@ -1404,8 +1411,8 @@ def _prime_images(g):
         image = None
         if g[-1] % p:
             Dp = Zmod(p)
-            gp = up_monic(Dp, tuple(c % p for c in g))
-            if up_deg(up_gcd(Dp, gp, up_deriv(Dp, gp))) == 0:
+            gp = Dp.dense_monic(tuple(c % p for c in g))
+            if up_deg(Dp.dense_gcd(gp, Dp.dense_deriv(gp))) == 0:
                 image = gp
         yield p, image
 
@@ -1466,15 +1473,17 @@ def _factor_rationals(f):
 
     A good prime among the first _SQUAREFREE_TRIES certifies the primitive
     part squarefree (see ``factor_dense``) and starts the search that
-    ``_zassenhaus`` continues; only without one does integer Yun run.
+    ``_zassenhaus`` continues; only without one does Yun run: the same
+    ``_yun`` as over a number field, here on ``ZZ.dense_gcd`` and
+    ``ZZ.dense_divmod``.
     """
     _check_degree_cap(f)
-    scale, ints = _rat_to_int_poly(f)
-    content, prim = _int_content_primitive(ints)
-    unit = Fraction(content) * scale
+    nums, den = _common_denominator(f)
+    content, prim = _int_content_primitive(nums)
+    unit = Fraction(content, den)
     images = _certified_images(prim)
     if images is None:
-        parts = [(g, m, _prime_images(g)) for g, m in _yun_int(prim)]
+        parts = [(g, m, _prime_images(g)) for g, m in _yun(prim, ZZ)]
     else:
         parts = [(prim, 1, images)]
     out = []
@@ -1483,62 +1492,8 @@ def _factor_rationals(f):
             fq = tuple(Fraction(c) for c in fac)
             lc = fq[-1]
             unit *= lc ** mult
-            out.append((up_scale(QQ, fq, 1 / lc), mult))
+            out.append((QQ.dense_scale(fq, 1 / lc), mult))
     return unit, out
-
-
-def _int_prem(a, b):
-    """Pseudo-remainder of integer polynomials: lc(b)^k * a mod b."""
-    r = list(a)
-    lb, nb = b[-1], len(b)
-    while len(r) >= nb:
-        c, k = r[-1], len(r) - nb
-        r = [x * lb for x in r]
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(r)
-
-
-def _int_gcd(a, b):
-    """Primitive gcd (lc > 0) of integer polynomials, a nonzero, by the
-    primitive remainder sequence."""
-    while b:
-        b = _int_content_primitive(b)[1]
-        a, b = b, _int_prem(a, b)
-    return _int_content_primitive(a)[1]
-
-
-def _int_exact_div(a, b):
-    q, r = _try_divide_int(a, b)
-    assert r == ()
-    return q
-
-
-def _yun_int(f):
-    """Yun's squarefree decomposition of a primitive integer polynomial.
-
-    Gcds are primitive and every division is exact over ZZ (Gauss's lemma),
-    so no rational arithmetic is needed; the factors come back primitive
-    with lc > 0.
-    """
-    out = []
-    df = up_deriv(ZZ, f)
-    a = _int_gcd(f, df)
-    b = _int_exact_div(f, a)
-    c = _int_exact_div(df, a)
-    d = up_sub(ZZ, c, up_deriv(ZZ, b))
-    i = 1
-    while up_deg(b) > 0:
-        g = _int_gcd(b, d)
-        if up_deg(g) > 0:
-            out.append((g, i))
-        b = _int_exact_div(b, g)
-        c = _int_exact_div(d, g)
-        d = up_sub(ZZ, c, up_deriv(ZZ, b))
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1550,7 +1505,7 @@ def _compose_shift(dom, f, c):
     x_plus_c = up_norm(dom, (c, dom.one()))
     res = ()
     for coeff in reversed(f):
-        res = up_add(dom, up_mul(dom, res, x_plus_c), up_const(dom, coeff))
+        res = dom.dense_add(dom.dense_mul(res, x_plus_c), up_const(dom, coeff))
     return res
 
 
@@ -1571,7 +1526,7 @@ def _norm_to_base(dom, f):
         rows.append(row)
         top = row[-1]  # t^n = -(m_0 + m_1 t + ... + m_(n-1) t^(n-1))
         row = [
-            up_sub(base, row[i - 1] if i else (), up_scale(base, top, modulus[i]))
+            base.dense_sub(row[i - 1] if i else (), base.dense_scale(top, modulus[i]))
             for i in range(dom.degree)
         ]
     return _bareiss_det(base, rows)
@@ -1594,8 +1549,9 @@ def _bareiss_det(dom, rows):
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                cross = up_sub(dom, up_mul(dom, m[i][j], pivot), up_mul(dom, m[i][k], m[k][j]))
-                m[i][j] = cross if prev is None else up_divmod(dom, cross, prev)[0]
+                cross = dom.dense_sub(
+                    dom.dense_mul(m[i][j], pivot), dom.dense_mul(m[i][k], m[k][j]))
+                m[i][j] = cross if prev is None else dom.dense_divmod(cross, prev)[0]
         prev = pivot
     return m[-1][-1] if sign > 0 else up_neg(dom, m[-1][-1])
 
@@ -1605,15 +1561,15 @@ def _trager_squarefree(g, dom):
     field: g(x + s*alpha) for the first shift s whose norm N is squarefree,
     then one factor gcd(g(x + s*alpha), N_j) per irreducible factor N_j of N
     over QQ, shifted back.  N is tested on its primitive integer part: a
-    good prime certifies it squarefree, and only without one does the
-    integer gcd with its derivative decide."""
+    good prime certifies it squarefree, and only without one does
+    ``ZZ.dense_gcd`` with its derivative decide."""
     alpha = dom.gen()
     for shift_scalar in range(41):
         shift = dom.mul(dom.from_int(shift_scalar), alpha)
         shifted = _compose_shift(dom, g, shift)
-        norm = _int_content_primitive(_rat_to_int_poly(_norm_to_base(dom, shifted))[1])[1]
+        norm = _int_content_primitive(_common_denominator(_norm_to_base(dom, shifted))[0])[1]
         images = _certified_images(norm)
-        if images is None and up_deg(_int_gcd(norm, up_deriv(ZZ, norm))) == 0:
+        if images is None and up_deg(ZZ.dense_gcd(norm, ZZ.dense_deriv(norm))) == 0:
             images = _prime_images(norm)
         if images is not None:
             break
@@ -1624,8 +1580,8 @@ def _trager_squarefree(g, dom):
     out = []
     rest = shifted
     for nf in norm_factors[:-1]:
-        h = up_gcd(dom, rest, tuple(dom.from_base(Fraction(c)) for c in nf))
-        rest = up_divmod(dom, rest, h)[0]
+        h = dom.dense_gcd(rest, tuple(dom.from_base(Fraction(c)) for c in nf))
+        rest = dom.dense_divmod(rest, h)[0]
         out.append(h)
     out.append(rest)  # what is left of g(x + s*alpha) is the factor of the last N_j
     return [_compose_shift(dom, h, dom.neg(shift)) for h in out]
@@ -1656,7 +1612,8 @@ def factor_dense(f, dom):
 
     * squarefree certificate: a good prime proves the input squarefree, as
       a square factor over ZZ keeps its degree mod p and stays a square
-      there; only without one does integer Yun run;
+      there; only without one does Yun run over ZZ, the same ``_yun`` as
+      over a number field, on ``ZZ.dense_gcd`` and ``ZZ.dense_divmod``;
     * irreducibility certificate: an image irreducible mod a good prime
       proves the factor irreducible, as a factorization over ZZ reduces to
       one mod p with the same degrees;

@@ -337,7 +337,7 @@ def _parse_finite_ring(text):
         # over a field the relation generates the ideal of its monic multiple;
         # a unit relation gives the zero ring, and 0 stays an error
         dense = arith.poly_to_dense(dsl.eval_poly(expr.relations[0], ring))
-        return sh.QuotientPolyRing(base, arith.up_monic(base, dense), var=expr.names[0])
+        return sh.QuotientPolyRing(base, base.dense_monic(dense), var=expr.names[0])
     raise UnsupportedSpace(f"unsupported sheaf space {text!r}")
 
 

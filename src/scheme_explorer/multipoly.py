@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, mul, or_
 
-from .arith import QQ, ZZ, Domain, IntegerRing, Zmod, dense_to_poly, poly_to_dense, up_gcd
+from .arith import QQ, ZZ, Domain, IntegerRing, Zmod, dense_to_poly, poly_to_dense
 from .errors import ExponentOverflow, InvalidArgument, NotHomogeneous, ZeroPolynomial
 
 
@@ -714,7 +714,7 @@ def _content_primitive_bivariate(f, main_var):
     for c in f.coeffs_in(main_var):
         if c.terms:
             vec = poly_to_dense(c, var=other)
-            g = up_gcd(dom, g, vec) if g else vec
+            g = dom.dense_gcd(g, vec) if g else vec
     content = dense_to_poly(ring, g, other)
     prim = exact_divide(f, content)
     return content, prim
@@ -738,21 +738,18 @@ def exact_divide(f: Poly, g: Poly):
         if e & pk.guard:
             raise ValueError(f"{g} does not divide {f}")
         lc = coeffs.pop()
-        c = dom.div(lc, gc) if dom.is_field else _exact_coeff_div(dom, lc, gc)
+        if dom == ZZ:
+            c, r = divmod(lc, gc)
+            if r:
+                raise ValueError("coefficient division is not exact")
+        else:
+            c = dom.div(lc, gc)
         # quotient terms come out in descending order, like the remainder's
         qk.append(k)
         qe.append(e)
         qc.append(c)
         _sub_shifted(rem, zip(*tail), k, e, c, dom, pk)
     return Poly(ring, (tuple(qk), tuple(qe), tuple(qc)))
-
-
-def _exact_coeff_div(dom, a, b):
-    if dom == ZZ:
-        if a % b != 0:
-            raise ValueError("coefficient division is not exact")
-        return a // b
-    return dom.mul(a, dom.inv(b))
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,6 @@ from .arith import (
     prime_factors,
     up_deg,
     up_eval,
-    up_gcd,
-    up_mod,
-    up_mul,
     up_norm,
 )
 from .errors import (
@@ -235,7 +232,7 @@ def _monic_irreducibles(field, max_degree):
     for d in range(1, max_degree + 1):
         monic[d] = [tail + one for tail in itertools.product(elems, repeat=d)]
         reducible = {
-            up_mul(field, f, g)
+            field.dense_mul(f, g)
             for k in range(1, d // 2 + 1) for f in irreducible[k] for g in monic[d - k]
         }
         irreducible[d] = [f for f in monic[d] if f not in reducible]
@@ -475,7 +472,7 @@ def evaluate(f: Poly, point: SpecPoint):
     if isinstance(kappa, FracField):
         return kappa.from_poly(poly_to_dense(f, kappa.base))
     if isinstance(kappa, ExtField) and kappa != f.ring.domain:
-        return up_mod(kappa.base, poly_to_dense(f, kappa.base), kappa.modulus)
+        return kappa.base.dense_divmod(poly_to_dense(f, kappa.base), kappa.modulus)[1]
     root = kappa.neg(poly_to_dense(point.description[-1], kappa)[0])
     return up_eval(kappa, poly_to_dense(f, kappa), root)
 
@@ -734,7 +731,7 @@ def _solve_scalar(coeffs, other, num, den):
         ))
         if not row:
             continue
-        g = up_gcd(k, g, row) if g else row
+        g = k.dense_gcd(g, row) if g else row
         if g == (k.one(),):
             return []
     if not g or up_deg(g) == 0:

@@ -1,12 +1,16 @@
 """The tuple-key merge kernel that preceded packed monomials, kept as a
 reference for the packed one; the packed kernel with a ``Domain`` call
-per coefficient operation, kept as a reference for its int update; and the
+per coefficient operation, kept as a reference for its int update; the
 dense univariate loops with a ``Domain`` call per coefficient operation,
-kept as references for the integer and table kernels of the domains."""
+kept as references for the integer and table kernels of the domains; and
+the integer-polynomial division and Yun that preceded ``ZZ.dense_divmod``
+and ``_yun(f, ZZ)``, kept as references for them."""
 
+import math
 from bisect import bisect_left
 from operator import add, itemgetter
 
+from scheme_explorer.arith import ZZ
 from scheme_explorer.errors import ExponentOverflow
 from scheme_explorer.multipoly import LEX, BlockOrder
 
@@ -147,3 +151,86 @@ def ref_divmod(dom, a, b):
 def ref_ext_mul(field, a, b):
     """The product of an ExtField by polynomial product and remainder."""
     return ref_divmod(field.base, ref_mul(field.base, a, b), field.modulus)[1]
+
+
+def ref_try_divide_int(a, b):
+    """Exact division of integer polynomials; (None, None) on failure."""
+    if not b:
+        return None, None
+    q = {}
+    r = list(a)
+    while len(r) >= len(b) and r:
+        if r[-1] % b[-1] != 0:
+            return None, None
+        c = r[-1] // b[-1]
+        k = len(r) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    qq = [0] * (max(q) + 1 if q else 0)
+    for k, c in q.items():
+        qq[k] = c
+    return ref_norm(ZZ, tuple(qq)), ref_norm(ZZ, tuple(r))
+
+
+def _ref_primitive(a):
+    """a over its content, lc > 0."""
+    g = math.gcd(*a)
+    return tuple(c // g for c in a) if a[-1] > 0 else tuple(-c // g for c in a)
+
+
+def _ref_int_prem(a, b):
+    """Pseudo-remainder of integer polynomials: lc(b)^k * a mod b."""
+    r = list(a)
+    lb, nb = b[-1], len(b)
+    while len(r) >= nb:
+        c, k = r[-1], len(r) - nb
+        r = [x * lb for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
+
+
+def _ref_int_gcd(a, b):
+    """Primitive gcd (lc > 0) of integer polynomials, a nonzero, by the
+    primitive remainder sequence."""
+    while b:
+        b = _ref_primitive(b)
+        a, b = b, _ref_int_prem(a, b)
+    return _ref_primitive(a)
+
+
+def _ref_int_exact_div(a, b):
+    q, r = ref_try_divide_int(a, b)
+    assert r == ()
+    return q
+
+
+def _ref_int_deriv(a):
+    return ref_norm(ZZ, [a[i] * i for i in range(1, len(a))])
+
+
+def ref_yun_int(f):
+    """Yun's squarefree decomposition of a primitive integer polynomial:
+    gcds are primitive and every division is exact over ZZ (Gauss's
+    lemma); the factors come back primitive with lc > 0."""
+    out = []
+    df = _ref_int_deriv(f)
+    a = _ref_int_gcd(f, df)
+    b = _ref_int_exact_div(f, a)
+    c = _ref_int_exact_div(df, a)
+    d = ref_sub(ZZ, c, _ref_int_deriv(b))
+    i = 1
+    while len(b) > 1:
+        g = _ref_int_gcd(b, d)
+        if len(g) > 1:
+            out.append((g, i))
+        b = _ref_int_exact_div(b, g)
+        c = _ref_int_exact_div(d, g)
+        d = ref_sub(ZZ, c, _ref_int_deriv(b))
+        i += 1
+    return out

@@ -21,7 +21,6 @@ from scheme_explorer.arith import (
     up_deg,
     up_mul,
     up_norm,
-    up_scale,
 )
 from scheme_explorer.errors import (
     BudgetExceeded,
@@ -167,8 +166,6 @@ def test_irreducibility_matches_trial_division():
     at most deg/2, over small prime fields."""
     import itertools
 
-    from scheme_explorer.arith import up_divmod
-
     rng = random.Random(7)
     for _ in range(30):
         p = rng.choice([2, 3, 5, 13])
@@ -184,7 +181,7 @@ def test_irreducibility_matches_trial_division():
                 g = up_norm(dom, tuple(tail) + (1,))
                 if up_deg(g) != d:
                     continue
-                if not up_divmod(dom, f, g)[1]:
+                if not dom.dense_divmod(f, g)[1]:
                     has_divisor = True
                     break
             if has_divisor:
@@ -214,7 +211,7 @@ def test_number_field_factorization_qq_i():
         prod = up_mul(Qi, prod, g)
     assert prod == f
     i = Qi.gen()
-    roots = {up_scale(Qi, (g[0],), Qi.from_int(-1))[0] if g[0] else Qi.zero() for g, _ in fac}
+    roots = {Qi.dense_scale((g[0],), Qi.from_int(-1))[0] if g[0] else Qi.zero() for g, _ in fac}
     assert roots == {i, Qi.neg(i)}
 
 
@@ -361,15 +358,13 @@ def test_cantor_zassenhaus_draws_do_not_depend_on_the_hash_seed():
 
 def _reference_resultant(dom, a, b):
     """Resultant of a and b via the Euclidean remainder sequence."""
-    from scheme_explorer.arith import up_mod
-
     if not a or not b:
         return dom.zero()
     res = dom.one()
     while True:
         if up_deg(b) == 0:
             return dom.mul(res, dom.pow(b[0], up_deg(a)))
-        r = up_mod(dom, a, b)
+        r = dom.dense_divmod(a, b)[1]
         if not r:
             return dom.zero() if up_deg(b) > 0 else res
         if (up_deg(a) * up_deg(b)) % 2 == 1:
@@ -459,15 +454,13 @@ def _reference_up_divmod(dom, a, b):
 
 @pytest.mark.parametrize("n", [4, 9])
 def test_monic_division_over_zmod_matches_the_inverting_kernel(n):
-    from scheme_explorer.arith import up_add, up_divmod
-
     dom, rng = Zmod(n), random.Random(n)
     for _ in range(200):
         a = up_norm(dom, tuple(rng.randrange(n) for _ in range(rng.randint(0, 8))))
         b = tuple(rng.randrange(n) for _ in range(rng.randint(0, 4))) + (1,)
-        q, r = up_divmod(dom, a, b)
+        q, r = dom.dense_divmod(a, b)
         assert (q, r) == _reference_up_divmod(dom, a, b)
-        assert up_add(dom, up_mul(dom, q, b), r) == a and up_deg(r) < up_deg(b)
+        assert dom.dense_add(up_mul(dom, q, b), r) == a and up_deg(r) < up_deg(b)
 
 
 # ---------------------------------------------------------------------------

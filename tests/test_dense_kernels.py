@@ -4,7 +4,9 @@ Every ``Domain`` subclass inherits one loop per dense operation, making a
 ``Domain`` call per coefficient; ``Zmod``, ``ZZ`` and ``QQ`` override them
 with integer kernels, and an ``ExtField`` over a prime field multiplies
 through log/antilog tables. The loops they replaced are kept in
-``helpers_kernel`` and decide every answer here.
+``helpers_kernel`` and decide every answer here; so do the integer division
+and Yun that ``ZZ.dense_divmod`` and ``_yun(f, ZZ)`` replaced, and sympy's
+primitive gcd decides ``ZZ.dense_gcd``.
 """
 
 import itertools
@@ -22,6 +24,8 @@ from helpers_kernel import (
     ref_norm,
     ref_scale,
     ref_sub,
+    ref_try_divide_int,
+    ref_yun_int,
 )
 from scheme_explorer import arith
 from scheme_explorer.arith import GF, QQ, ZZ, ExtField, GFq, Zmod, factor_dense
@@ -65,7 +69,7 @@ def _check_divisions(dom, polys, divisors):
         assert dom.dense_divmod(a, b) == ref_divmod(dom, a, b)
         for c in polys[:4]:
             assert dom.dense_mulmod(a, c, b) == ref_divmod(dom, ref_mul(dom, a, c), b)[1]
-        assert arith.up_mod(dom, a, b) == ref_divmod(dom, a, b)[1]
+        assert dom.dense_divmod(a, b)[1] == ref_divmod(dom, a, b)[1]
 
 
 @pytest.mark.parametrize("n", [2, 7, 32003, 6, 5 ** 4, 7 ** 8, 2 ** 61 - 1])
@@ -79,7 +83,7 @@ def test_zmod_kernels_match_the_generic_loops(n):
     _check_divisions(dom, polys, monics + units)
     for a in units:
         assert dom.dense_monic(a) == ref_monic(dom, a)
-        assert arith.up_deriv(dom, a) == ref_norm(
+        assert dom.dense_deriv(a) == ref_norm(
             dom, [dom.mul(a[i], dom.from_int(i)) for i in range(1, len(a))])
 
 
@@ -104,7 +108,7 @@ def test_a_divisor_without_a_unit_leading_coefficient_is_not_invertible(n, divis
         with pytest.raises(NotInvertible):
             dom.dense_divmod(a, divisor)
         with pytest.raises(NotInvertible):
-            arith.up_divmod(dom, a, divisor)
+            dom.dense_divmod(a, divisor)
 
 
 def test_integer_kernels_match_the_generic_loops():
@@ -112,6 +116,91 @@ def test_integer_kernels_match_the_generic_loops():
     polys = _operands(rng, _int_poly)
     _check_ring_ops(ZZ, polys)
     _check_divisions(ZZ, polys, [a for a in polys if a and a[-1] in (1, -1)] + [(1,), (-3, 1)])
+
+
+def _int_factor(rng):
+    """A seeded integer polynomial of degree 1 to 3 with lc in 1..5."""
+    return tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 3))) + (rng.randint(1, 5),)
+
+
+def _check_integer_division(a, b):
+    """ZZ.dense_divmod gives the reference's quotient and remainder, and
+    raises NotInvertible exactly where the reference gives up."""
+    q, r = ref_try_divide_int(a, b)
+    if q is None:
+        with pytest.raises(NotInvertible):
+            ZZ.dense_divmod(a, b)
+    else:
+        assert ZZ.dense_divmod(a, b) == (q, r)
+    return q is not None
+
+
+def test_integer_division_matches_the_exact_reference():
+    rng = random.Random(13)
+    factors = [_int_factor(rng) for _ in range(12)]
+    for g, h in itertools.product(factors, repeat=2):
+        # an exact divisor, with lc 1..5 or its negation
+        assert ZZ.dense_divmod(ref_mul(ZZ, g, h), g) == (h, ())
+        assert _check_integer_division(ref_mul(ZZ, g, h), ref_scale(ZZ, g, -1))
+    dividends = _operands(rng, _int_poly)
+    divisors = factors + [(-3, 1, -1), (5, -1), (2, 0, 3, 2), (4, 6)]
+    outcomes = {_check_integer_division(a, b) for a in dividends for b in divisors}
+    assert outcomes == {True, False}
+    # a non-dividing lc raises, also when an earlier step divided
+    for a, b in (((1, 0, 1), (1, 2)), ((0, 3, 2), (2, 2)), ((1, 0, 0, 3), (1, 2))):
+        assert not _check_integer_division(a, b)
+    # a divisor longer than the dividend, a zero dividend, lc = -1
+    assert ZZ.dense_divmod((1, 2), (1, 2, 3)) == ((), (1, 2)) == ref_try_divide_int(
+        (1, 2), (1, 2, 3))
+    assert ZZ.dense_divmod((), (4, 6)) == ((), ()) == ref_try_divide_int((), (4, 6))
+    assert ZZ.dense_divmod((3, 0, 5), (2, -1)) == ((-10, -5), (23,)) == ref_try_divide_int(
+        (3, 0, 5), (2, -1))
+
+
+def _int_products(rng, count):
+    """Primitive products (lc > 0) of one to three seeded factors, each to a
+    power of 1 to 3."""
+    out = []
+    while len(out) < count:
+        f = (1,)
+        for _ in range(rng.randint(1, 3)):
+            g = _int_factor(rng)
+            for _ in range(rng.randint(1, 3)):
+                f = ref_mul(ZZ, f, g)
+        prim = arith._int_content_primitive(f)[1]
+        if len(prim) > 1:
+            out.append(prim)
+    return out
+
+
+def test_yun_over_zz_matches_the_integer_reference():
+    rng = random.Random(14)
+    multiple = 0
+    for f in _int_products(rng, 150):
+        sqf = arith._yun(f, ZZ)
+        assert sqf == ref_yun_int(f), f
+        multiple += any(m > 1 for _, m in sqf)
+    assert multiple > 50
+
+
+def test_integer_gcd_is_the_primitive_gcd_of_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def primitive_gcd(a, b):
+        g = sympy.Poly(list(reversed(a)), x, domain="ZZ").gcd(
+            sympy.Poly(list(reversed(b)), x, domain="ZZ"))
+        prim = tuple(int(c) for c in reversed(g.primitive()[1].all_coeffs()))
+        return tuple(-c for c in prim) if prim[-1] < 0 else prim
+
+    rng = random.Random(15)
+    polys = _operands(rng, _int_poly) + _int_products(rng, 8)
+    shared = _int_factor(rng)
+    polys += [ref_mul(ZZ, shared, p) for p in polys[1:6]] + [(6,), (-4, -2)]
+    for a, b in itertools.product(polys, repeat=2):
+        if a or b:
+            assert ZZ.dense_gcd(a, b) == primitive_gcd(a, b), (a, b)
+    assert ZZ.dense_gcd((), ()) == ()
 
 
 def test_rational_kernels_match_the_generic_loops():

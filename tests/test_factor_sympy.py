@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from scheme_explorer import arith
-from scheme_explorer.arith import GF, QQ, factor_dense
+from scheme_explorer.arith import GF, QQ, ZZ, factor_dense
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -44,16 +44,17 @@ def sympy_factors_gf(coeffs, p):
 
 @pytest.fixture
 def path_calls(monkeypatch):
-    """Count calls of the Yun fallback and of Hensel lifting."""
+    """Count calls of the Yun fallback (``_yun`` over ZZ) and of Hensel
+    lifting."""
     calls = {"yun": 0, "lift": 0}
 
-    def counted(name, fn):
+    def counted(name, fn, when=lambda *args: True):
         def wrapper(*args):
-            calls[name] += 1
+            calls[name] += when(*args)
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(arith, "_yun_int", counted("yun", arith._yun_int))
+    monkeypatch.setattr(arith, "_yun", counted("yun", arith._yun, lambda f, dom: dom == ZZ))
     monkeypatch.setattr(
         arith, "_lift_factorization", counted("lift", arith._lift_factorization)
     )
@@ -126,7 +127,7 @@ def test_integer_yun_matches_sympy_sqf_list():
         if len(prim) < 2:
             continue
         expected = {m: primitive_ints(g) for g, m in poly.sqf_list()[1]}
-        assert {m: g for g, m in arith._yun_int(prim)} == expected, prim
+        assert {m: g for g, m in arith._yun(prim, ZZ)} == expected, prim
 
 
 def primitive_ints(poly):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from scheme_explorer import arith
-from scheme_explorer.arith import QQ, ExtField, factor_dense, up_deg, up_mul, up_norm
+from scheme_explorer.arith import QQ, ExtField, IntegerRing, factor_dense, up_deg, up_mul, up_norm
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -62,16 +62,16 @@ def check_against_sympy(K, alpha, f):
 @pytest.fixture
 def trager_calls(monkeypatch):
     """The shifts whose norms were computed and the degrees of the integer
-    gcds taken, by wrapping the two helpers."""
+    gcds taken, by wrapping the norm and ``IntegerRing.dense_gcd``."""
     seen = {"norms": 0, "gcd_degrees": [], "squarefree_parts": 0}
-    norm, gcd, trager = arith._norm_to_base, arith._int_gcd, arith._trager_squarefree
+    norm, gcd, trager = arith._norm_to_base, IntegerRing.dense_gcd, arith._trager_squarefree
 
     def counted_norm(dom, f):
         seen["norms"] += 1
         return norm(dom, f)
 
-    def counted_gcd(a, b):
-        g = gcd(a, b)
+    def counted_gcd(self, a, b):
+        g = gcd(self, a, b)
         seen["gcd_degrees"].append(up_deg(g))
         return g
 
@@ -80,7 +80,7 @@ def trager_calls(monkeypatch):
         return trager(g, dom)
 
     monkeypatch.setattr(arith, "_norm_to_base", counted_norm)
-    monkeypatch.setattr(arith, "_int_gcd", counted_gcd)
+    monkeypatch.setattr(IntegerRing, "dense_gcd", counted_gcd)
     monkeypatch.setattr(arith, "_trager_squarefree", counted_trager)
     return seen
 
