@@ -925,10 +925,7 @@ class ExtField(Domain):
         return hash(("ExtField", self.base, self.modulus))
 
     def __repr__(self):
-        mod = _dense_str(self.base, self.modulus, self.var)
-        if isinstance(self.base, Zmod) and self.base.is_field:
-            return f"GF({self.base.n ** self.degree},{mod})"
-        return f"{self.base}[{self.var}]/({mod})"
+        return ext_field_text(self.base, self.modulus, self.var)
 
 
 class FracField(Domain):
@@ -1017,6 +1014,16 @@ class FracField(Domain):
 
     def __repr__(self):
         return f"{self.base}({self.var})"
+
+
+def ext_field_text(base, modulus, var):
+    """The printed form of the field base[var]/(modulus), modulus monic and
+    nonconstant, GF(q,modulus) over a prime field: ``ExtField.__repr__``, and
+    the residue fields that ``spectrum`` prints without building them."""
+    mod = _dense_str(base, modulus, var)
+    if isinstance(base, Zmod) and base.is_field:
+        return f"GF({base.n ** (len(modulus) - 1)},{mod})"
+    return f"{base}[{var}]/({mod})"
 
 
 def _dense_str(dom, coeffs, var):

@@ -18,8 +18,9 @@ byte-identical output is reproducible across runs.
 
 from __future__ import annotations
 
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import algebra as alg
 from . import arith
@@ -162,7 +163,7 @@ def _spec_closure(cmd, env):
             table.append({
                 "p": p,
                 "points": [
-                    {"point": pt.label, "multiplicity": m, "residue": repr(pt.residue)}
+                    {"point": pt.label, "multiplicity": m, "residue": pt.residue_text}
                     for pt, m in pts
                 ],
             })
@@ -447,11 +448,63 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def render_json(records):
-    return json.dumps(
-        {"schema": SCHEMA_VERSION, "results": records},
-        indent=2,
-        sort_keys=True,
-    ) + "\n"
+    """The report as JSON: the bytes of json.dumps(..., indent=2,
+    sort_keys=True), which with an indent runs json's pure-Python encoder."""
+    return _json({"schema": SCHEMA_VERSION, "results": records}, "\n") + "\n"
+
+
+def _json(value, newline):
+    """One value at the indentation that ``newline`` ends with; dispatches on
+    type as json's encoder does."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = newline + "  "
+    # strings, most of a report, are quoted without a call of their own
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_quote(v) if isinstance(v, str) else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quote(k if isinstance(k, str) else _json_key(k)) + ": "
+                 + (_quote(v) if isinstance(v, str) else _json(v, inner))
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_float(x):
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key):
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True or key is False or key is None:
+        return _json(key, "")
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def render_text(records):

@@ -587,43 +587,46 @@ class Poly:
 
     def __str__(self):
         if self._str is None:
-            self._str = self._format()
+            self._str = format_terms(self.ring.names, self.ring.domain, self.terms)
         return self._str
-
-    def _format(self):
-        if not self.terms:
-            return "0"
-        dom = self.ring.domain
-        parts = []
-        for e, c in self.terms:
-            mono = "*".join(
-                f"{self.ring.names[i]}^{k}" if k > 1 else self.ring.names[i]
-                for i, k in enumerate(e)
-                if k
-            )
-            cs = dom.format(c)
-            neg = cs.startswith("-")
-            body = cs[1:] if neg else cs
-            if mono:
-                if body == "1":
-                    text = mono
-                else:
-                    body = body if _atomic_coeff(body) else f"({body})"
-                    text = f"{body}*{mono}"
-            else:
-                text = body if _atomic_coeff(body) else f"({body})"
-            if not parts:
-                parts.append(f"-{text}" if neg else text)
-            else:
-                parts.append(f"- {text}" if neg else f"+ {text}")
-        return " ".join(parts)
 
     def __repr__(self):
         return f"<{self} in {self.ring}>"
 
 
+def format_terms(names, dom, terms):
+    """The printed form of a polynomial from its (exps tuple, coeff) terms,
+    leading term first, coefficients nonzero in ``dom``: the one printer of
+    ``Poly.__str__`` and of the point labels of ``spectrum``."""
+    if not terms:
+        return "0"
+    parts = []
+    for e, c in terms:
+        mono = "*".join([
+            f"{names[i]}^{k}" if k > 1 else names[i]
+            for i, k in enumerate(e)
+            if k
+        ])
+        cs = dom.format(c)
+        neg = cs.startswith("-")
+        body = cs[1:] if neg else cs
+        if mono:
+            if body == "1":
+                text = mono
+            else:
+                body = body if _atomic_coeff(body) else f"({body})"
+                text = f"{body}*{mono}"
+        else:
+            text = body if _atomic_coeff(body) else f"({body})"
+        if not parts:
+            parts.append(f"-{text}" if neg else text)
+        else:
+            parts.append(f"- {text}" if neg else f"+ {text}")
+    return " ".join(parts)
+
+
 def _atomic_coeff(body):
-    return all(ch not in body for ch in "+- ")
+    return "+" not in body and "-" not in body and " " not in body
 
 
 # ---------------------------------------------------------------------------

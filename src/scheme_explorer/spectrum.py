@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+from functools import cached_property
 
 from . import algebra as alg
 from . import proj as pj
@@ -23,6 +23,7 @@ from .arith import (
     FracField,
     Zmod,
     dense_to_poly,
+    ext_field_text,
     factor_dense,
     factor_univariate,
     poly_to_dense,
@@ -40,7 +41,7 @@ from .errors import (
     Unsupported,
     UnsupportedDomain,
 )
-from .multipoly import Poly, content_primitive, exact_divide
+from .multipoly import Poly, content_primitive, exact_divide, format_terms
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,15 @@ class SpecPoint:
     The constructors below (``generic_point``, ``prime_point``,
     ``closed_point``, ``mixed_point``, ``height_one_point``) are the one
     place that pairs each description with its label and residue field.
+
+    A point that ``closed_point``, ``mixed_point`` or ``height_one_point``
+    makes is a record of its generator's dense coefficients: its label,
+    ideal-generator texts and residue-field text are formatted once from
+    them, and the Poly of its description and its residue field are built
+    on first access, since most listed points are only printed.
+
+    Two points are equal when they have the same key on the same ring: the
+    same ring text, and for embedded points the same inner point.
     """
 
     def __init__(self, owner, description, residue, label=""):
@@ -126,30 +136,76 @@ class SpecPoint:
         self.residue = residue
         self.label = label
 
-    def is_generic(self):
-        return self.description[0] == "generic"
+    @classmethod
+    def _from_dense(cls, owner, head, coeffs, text, field, var, label):
+        """The point ``head + (P,)`` of the univariate ring of ``owner``,
+        P = sum(coeffs[k] * T^k) printed as ``text``, with residue field
+        field[var]/(P), or ``field`` itself when ``var`` is None; ``coeffs``
+        lie in the ring's domain and map into ``field`` along its canonical
+        arrow."""
+        pt = cls.__new__(cls)
+        pt.owner, pt.label = owner, label
+        pt._dense = (head, coeffs, field, var)
+        pt._key = head + (text,)
+        pt.generator_texts = tuple(str(x) for x in head[1:]) + (text,)
+        pt.residue_text = repr(field) if var is None else ext_field_text(
+            field, field.dense_monic(coeffs), var)
+        return pt
 
-    def key(self):
+    @cached_property
+    def description(self):
+        head, coeffs, _, _ = self._dense
+        return head + (dense_to_poly(self.owner.algebra.ring, coeffs),)
+
+    @cached_property
+    def residue(self):
+        _, coeffs, field, var = self._dense
+        if var is None:
+            return field
+        dom = self.owner.algebra.ring.domain
+        modulus = tuple(field.coerce(dom, c) for c in coeffs)
+        return ExtField(field, modulus, var=var, check=False)
+
+    @cached_property
+    def residue_text(self):
+        """``repr`` of the residue field."""
+        return repr(self.residue)
+
+    @cached_property
+    def generator_texts(self):
+        """The printed generators of the prime ideal."""
+        return _ideal_generator_strings(self.description)
+
+    @cached_property
+    def _key(self):
         return _description_key(self.description)
 
+    @cached_property
+    def _identity(self):
+        key = self.key()
+        inner = self.description[2]._identity if key[0] == "embedded" else None
+        return self.owner.kind, _ring_text(self.owner), key, inner
+
+    def is_generic(self):
+        return self.key() == ("generic",)
+
+    def key(self):
+        return self._key
+
     def __eq__(self, other):
-        return (
-            isinstance(other, SpecPoint)
-            and other.key() == self.key()
-            and other.owner.kind == self.owner.kind
-        )
+        return isinstance(other, SpecPoint) and other._identity == self._identity
 
     def __hash__(self):
-        return hash((self.owner.kind, self.key()))
+        return hash(self._identity)
 
     def __repr__(self):
-        return f"SpecPoint({self.label or self.description!r}; kappa={self.residue!r})"
+        return f"SpecPoint({self.label or self.description!r}; kappa={self.residue_text})"
 
     def as_record(self):
         return {
             "description": self.label or str(self.description),
-            "residue_field": repr(self.residue),
-            "ideal_generators": _ideal_generator_strings(self),
+            "residue_field": self.residue_text,
+            "ideal_generators": list(self.generator_texts),
         }
 
 
@@ -165,21 +221,38 @@ def _description_key(desc):
     if kind == "mixed":
         return ("mixed", desc[1], str(desc[2]))
     if kind == "embedded":
-        return ("embedded", desc[1], _description_key(desc[2].description))
+        return ("embedded", desc[1], desc[2].key())
     raise NotCatalogued(f"unknown description {desc!r}")
 
 
-def _ideal_generator_strings(point):
-    desc = point.description
+def _ideal_generator_strings(desc):
     if desc[0] == "generic":
-        return ["0"]
+        return ("0",)
     if desc[0] == "principal":
-        return [str(desc[1])]
+        return (str(desc[1]),)
     if desc[0] == "mixed":
-        return [str(desc[1]), str(desc[2])]
+        return (str(desc[1]), str(desc[2]))
     if desc[0] == "embedded":
-        return _ideal_generator_strings(desc[2])
-    return []
+        return desc[2].generator_texts
+    return ()
+
+
+def _ring_text(cat):
+    """The ring of a catalogue as text; a product, which has no algebra,
+    by its factors."""
+    if cat.algebra is None:
+        return cat.kind, _ring_text(cat.data["left"]), _ring_text(cat.data["right"])
+    return repr(cat.algebra)
+
+
+def _dense_text(cat, coeffs):
+    """The printed form of the Poly sum(coeffs[k] * T^k) of the univariate
+    ring of ``cat``, without building it."""
+    ring = cat.algebra.ring
+    dom = ring.domain
+    terms = [((k,), coeffs[k]) for k in range(len(coeffs) - 1, -1, -1)
+             if not dom.is_zero(coeffs[k])]
+    return format_terms(ring.names, dom, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +359,26 @@ def prime_point(cat: SpecCatalogue, p):
 def closed_point(cat: SpecCatalogue, g):
     """The closed point (g) of k[T], g monic irreducible dense over k."""
     k = cat.data["field"]
-    P = dense_to_poly(cat.algebra.ring, g)
-    if up_deg(g) == 1:
-        kappa = k
-    else:
+    var = None
+    if up_deg(g) > 1:
         # a generator name that no field of k's tower already uses
         taken, field = set(), k
         while isinstance(field, ExtField):
             taken.add(field.var)
             field = field.base
-        kappa = ExtField(k, g, var=alg._fresh_name("t", taken), check=False)
-    return SpecPoint(cat, ("principal", P), kappa, label=f"x_({P})")
+        var = alg._fresh_name("t", taken)
+    text = _dense_text(cat, g)
+    return SpecPoint._from_dense(cat, ("principal",), g, text, k, var, f"x_({text})")
 
 
 def mixed_point(cat: SpecCatalogue, p, g):
     """The closed point (p, g) of ZZ[T], g monic irreducible dense over GF(p);
     the lift keeps g's coefficients in [0, p)."""
-    k = Zmod(p)
-    lift = dense_to_poly(cat.algebra.ring, [int(c) for c in g])
-    kappa = k if up_deg(g) == 1 else ExtField(k, g, check=False)
-    return SpecPoint(cat, ("mixed", p, lift), kappa, label=f"y_({p},{lift})")
+    lift = tuple(int(c) for c in g)
+    text = _dense_text(cat, lift)
+    var = "t" if up_deg(g) > 1 else None
+    return SpecPoint._from_dense(cat, ("mixed", p), lift, text, Zmod(p), var,
+                                 f"y_({p},{text})")
 
 
 def height_one_point(cat: SpecCatalogue, coeffs):
@@ -314,9 +387,10 @@ def height_one_point(cat: SpecCatalogue, coeffs):
     ``coeffs`` are P's integer coefficients, low degree first; P has content
     one and is irreducible over QQ, and its residue field is QQ[t]/(P).
     """
-    P = dense_to_poly(cat.algebra.ring, coeffs)
-    kappa = ExtField(QQ, tuple(Fraction(c) for c in coeffs), check=False)
-    return SpecPoint(cat, ("principal", P), kappa, label=f"y_(eta,{P})")
+    coeffs = tuple(coeffs)
+    text = _dense_text(cat, coeffs)
+    return SpecPoint._from_dense(cat, ("principal",), coeffs, text, QQ, "t",
+                                 f"y_(eta,{text})")
 
 
 def _embedded_point(cat: SpecCatalogue, tag, pt):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,71 @@ def test_golden_scripts_are_byte_identical(script_path):
     # and a second in-process run is identical too
     records2, _ = run_script(dsl.parse(source))
     assert render_json(records2) == rendered
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps, its oracle
+# ---------------------------------------------------------------------------
+
+def dumps_oracle(records):
+    return json.dumps({"schema": 1, "results": records}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("script_path", sorted(SCRIPTS.glob("*.scm")))
+def test_the_json_writer_matches_json_dumps_on_the_golden_scripts(script_path):
+    records, _ = run_script(dsl.parse(script_path.read_text(encoding="utf-8")))
+    assert render_json(records) == dumps_oracle(records)
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+class Rows(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+EDGE_VALUES = [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]], (), ((),),
+    "", "plain", "é ∞ 中文 🙂", "\x00\x01\x1f\x7f \t\n\r\b\f", '"quoted" \\ back\\slash /',
+    0, -1, 2 ** 64, -(10 ** 40), 7 ** 200, True, False, None,
+    0.0, -0.0, 1.5, -2.25, 1e300, 1e-300, 0.1 + 0.2, float("nan"), float("inf"), float("-inf"),
+    (1, "two", [3.0, None]), {"z": 1, "a": [True, {"m": False}], "k": (None,)},
+    {1: "int", 2: "two", -3: "negative"}, {True: "bool", False: 0}, {None: "none"},
+    {0.5: "float", float("inf"): "inf", float("nan"): "nan", -0.0: "negative zero"},
+    Text("subclass"), Count(5), Ratio(2.5), Rows([1, Rows([2])]),
+    Table({"b": Table({"c": Text("d")}), "a": Count(-1)}), {Text("k"): Ratio(-0.0)},
+    {Count(3): "int subclass key"},
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_the_json_writer_matches_json_dumps_on_edge_values(value):
+    assert render_json(value) == dumps_oracle(value)
+    assert render_json([value, {"nested": value}]) == dumps_oracle([value, {"nested": value}])
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), [1, Fraction(1, 2)], {"a": {"b": Fraction(3)}}, {(1, 2): "tuple key"},
+    {"a": {frozenset(): 1}}, [object()], {1, 2}, {1: "unsortable", "b": "keys"},
+], ids=repr)
+def test_the_json_writer_raises_type_error_where_json_dumps_does(value):
+    with pytest.raises(TypeError):
+        dumps_oracle(value)
+    with pytest.raises(TypeError):
+        render_json(value)
 
 
 def test_juxtaposition_multiplication_in_polynomials():

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from scheme_explorer import dsl, errors
-from scheme_explorer.cli import run_script
+from scheme_explorer.cli import render_json, run_script
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -111,6 +111,18 @@ def test_every_failure_is_a_typed_error(source):
     failures = [r["error"]["code"] for r in records if not r["ok"]]
     assert had_error == bool(failures)
     assert set(failures) <= CODES, source
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(SCRIPTS)
+def test_the_json_writer_matches_json_dumps(source):
+    try:
+        script = dsl.parse(source)
+    except errors.DslSyntaxError:
+        return
+    records, _ = run_script(script)
+    oracle = json.dumps({"schema": 1, "results": records}, indent=2, sort_keys=True)
+    assert render_json(records) == oracle + "\n", source
 
 
 # Well-formed commands as (head, flags); the mutations below drop, misspell,
