@@ -17,7 +17,7 @@ first, with no trailing zeros.  Their arithmetic is the Domain's ``dense_*``
 methods (add, sub, scale, monic, derivative, product, division with
 remainder, product mod m, gcd), which callers use directly.  The defaults
 are loops with one domain call per coefficient, and the domains override
-them with kernels:
+them with the kernels of ``kernels``:
 
     * Zmod(n), prime or composite n: ints with one reduction per output
       coefficient, products by Kronecker substitution, no inverse for a
@@ -27,9 +27,16 @@ them with kernels:
       with lc > 0 by the primitive remainder sequence;
     * QQ: products and divisions on integer numerators over one common
       denominator, one Fraction per output coefficient;
+    * ExtField over QQ, any monic modulus: products, divisions, monic forms
+      and gcds (a primitive pseudo-remainder sequence) on integer
+      coefficient matrices over one denominator, and element inverses by
+      fraction-free elimination (``_NumberFieldArith``);
     * ExtField over a prime field of order q <= _LOG_TABLE_BUDGET (1,024):
-      products and inverses through log/antilog tables built on the first
-      product, at most 0.2 MB; elements stay coefficient tuples.
+      products, divisions, monic forms, gcds and inverses on logarithms,
+      a sum being one Zech lookup (``_ZechTables``); the tables are built on
+      the first product and shared by equal fields (_FIELD_TABLES).
+    Elements stay coefficient tuples on both sides of a kernel; towers and
+    larger finite fields keep the generic loops.
 
 Factorization:
 
@@ -41,9 +48,10 @@ Factorization:
       recombination), degree capped at 24;
     * number fields over QQ: Trager norm descent to QQ, the norm
       Res_t(modulus, f) taken as the determinant of multiplication by f on
-      QQ[x][t]/(modulus), by fraction-free (Bareiss) elimination over QQ[x];
-      its squarefree test is the modular certificate of QQ, and
-      ``ZZ.dense_gcd`` with its derivative only without one.
+      QQ[x][t]/(modulus), by fraction-free (Bareiss) elimination over ZZ[x]
+      on the integer kernel; its squarefree test is the modular certificate
+      of QQ, and ``ZZ.dense_gcd`` with its derivative only without one.
+      Yun, the shifts and the gcds run on the integer kernel.
 
 One Yun (``_yun``) serves ZZ, with primitive gcds and exact quotients, and
 the fields of characteristic 0, with monic gcds.
@@ -69,6 +77,18 @@ from .errors import (
     Unsupported,
     UnsupportedDomain,
     ZeroPolynomial,
+)
+from .kernels import (
+    _QQ_ZERO,
+    _common_denominator,
+    _int_prem,
+    _int_product,
+    _kronecker_product,
+    _NumberFieldArith,
+    _qq_divmod,
+    _qq_product,
+    _trimmed,
+    _ZechTables,
 )
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -297,100 +317,6 @@ def _unit_table(dom):
     return inverses
 
 
-# ---------------------------------------------------------------------------
-# integer kernels for dense arithmetic over ZZ, QQ and Z/n
-# ---------------------------------------------------------------------------
-
-def _trimmed(c):
-    """The list c of ints or Fractions as a tuple without trailing zeros."""
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
-
-
-def _int_product(a, b):
-    """The coefficients of a*b for int sequences a and b, both nonempty."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _int_prem(a, b):
-    """Pseudo-remainder of integer polynomials: lc(b)^k * a mod b."""
-    r = list(a)
-    lb, nb = b[-1], len(b)
-    while len(r) >= nb:
-        c, k = r[-1], len(r) - nb
-        r = [x * lb for x in r]
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(r)
-
-
-def _kronecker_product(a, b, n):
-    """The coefficients of a*b mod n for a and b with entries in [0, n), by
-    Kronecker substitution (Harvey 2009, J. Symb. Comp. 44): each factor is
-    packed into one int, a slot per coefficient wide enough for every sum
-    of products, and one int product holds all the sums."""
-    bits = (min(len(a), len(b)) * (n - 1) ** 2).bit_length() or 1
-    x = 0
-    for c in reversed(a):
-        x = (x << bits) | c
-    if a is b:
-        y = x
-    else:
-        y = 0
-        for c in reversed(b):
-            y = (y << bits) | c
-    z, mask, out = x * y, (1 << bits) - 1, []
-    for _ in range(len(a) + len(b) - 1):
-        out.append((z & mask) % n)
-        z >>= bits
-    return out
-
-
-def _common_denominator(a):
-    """(numerators, d) with a[i] = numerators[i] / d for Fractions a."""
-    d = math.lcm(*[c.denominator for c in a])
-    return [c.numerator * (d // c.denominator) for c in a], d
-
-
-def _qq_product(a, b):
-    """(numerators, d) of a*b for nonempty Fraction tuples a and b."""
-    na, da = _common_denominator(a)
-    nb, db = (na, da) if a is b else _common_denominator(b)
-    return _int_product(na, nb), da * db
-
-
-def _qq_divmod(num, den, b, want_quotient=True):
-    """(q, r) over QQ for the polynomial num/den, num a list of ints, and a
-    nonzero b = bnum/bden.  The steps run on integer numerators over one
-    common denominator: a step that cancels c/den times x^k needs
-    q_k = c*bden/(den*lc(bnum)) and multiplies the remainder and den by
-    lc(bnum) (by nothing when b is monic with integer coefficients).  Each
-    output coefficient is one Fraction."""
-    bnum, bden = _common_denominator(b)
-    db, lead = len(b) - 1, bnum[-1]
-    tail, q = bnum[:-1], []
-    for k in range(len(num) - db - 1, -1, -1):
-        c = num.pop()
-        if want_quotient:
-            q.append(Fraction(c * bden, den * lead) if c else _QQ_ZERO)
-        if c:
-            if lead != 1:
-                num = [x * lead for x in num]
-                den *= lead
-            for i, y in enumerate(tail, k):
-                num[i] -= c * y
-    r = _trimmed(num)
-    return tuple(reversed(q)), tuple([Fraction(x, den) for x in r])
-
-
 class _NumberDense:
     """Dense linear operations for domains whose elements are Python
     numbers (int or Fraction) in canonical form."""
@@ -496,7 +422,6 @@ class IntegerRing(_NumberDense, Domain):
         return "ZZ"
 
 
-_QQ_ZERO = Fraction(0)
 _QQ_ONE = Fraction(1)
 
 
@@ -779,11 +704,31 @@ def up_pow_mod(dom, a, n, m):
 _ELEMENTS_BUDGET = 150_000
 
 
-# Order up to which an ExtField over a prime field multiplies and inverts
-# through log/antilog tables, built on its first multiplication: 0.08 MB for
-# GF(31^2) and 0.2 MB for GF(2^10) (tracemalloc).  The benchmark decks and
-# the tests multiply in GF(4) to GF(169).
+# Order up to which an ExtField over a prime field runs its dense products,
+# divisions and gcds on logarithms: log, antilog and Zech tables, built on
+# its first multiplication and shared by equal fields through
+# _FIELD_TABLES.  They keep 0.023 MB for GF(13^2), 0.14 MB for GF(31^2) and
+# 0.20 MB for GF(2^10) (tracemalloc, the Zech table included).  The
+# benchmark decks and the tests multiply in GF(4) to GF(169).
 _LOG_TABLE_BUDGET = 1024
+
+# Fields whose tables _FIELD_TABLES keeps, the oldest dropped first: the
+# atlas deck specializes to 17 distinct fields GF(q^2) with q <= 13.
+_TABLE_CACHE_SIZE = 32
+_FIELD_TABLES = {}
+
+
+def _field_tables(p, modulus):
+    """The _ZechTables of GF(p)[t]/(modulus), from the cache or new."""
+    key = (p, modulus)
+    tables = _FIELD_TABLES.get(key)
+    if tables is None:
+        m = p ** (len(modulus) - 1) - 1
+        tables = _ZechTables(p, modulus, [ell for ell, _ in prime_factors(m)] if m > 1 else [])
+        if len(_FIELD_TABLES) >= _TABLE_CACHE_SIZE:
+            del _FIELD_TABLES[next(iter(_FIELD_TABLES))]
+        _FIELD_TABLES[key] = tables
+    return tables
 
 
 class ExtField(Domain):
@@ -791,10 +736,19 @@ class ExtField(Domain):
 
     Elements are trimmed coefficient tuples of length <= deg(modulus) over
     the base field.  Covers GF(p^r) over GF(p) and number fields over QQ.
+
+    Dense products, divisions, gcds and monic forms run on a kernel where
+    the field has one, and elements stay tuples on both sides of it:
+    a number field over QQ (any monic modulus) on integer coefficient
+    matrices over one denominator (``_NumberFieldArith``); GF(q) over a
+    prime field with q <= _LOG_TABLE_BUDGET on log/exp/Zech tables
+    (``_ZechTables``), shared by equal fields.  Towers and larger finite
+    fields use the generic loops, one ExtField call per coefficient.
     """
 
     is_field = True
-    _tables = None  # see _log_tables
+    _nf = None  # the _NumberFieldArith of a number field over QQ
+    _tables = None  # see _kernel
 
     def __init__(self, base, modulus, var="t", check=True):
         if not base.is_field:
@@ -809,6 +763,8 @@ class ExtField(Domain):
         self.var = var
         self.char = base.char
         self._one = (base.one(),)
+        if isinstance(base, RationalField):
+            self._nf = _NumberFieldArith(modulus)
         if check and self.degree > 1 and not _is_irreducible_dense(modulus, base):
             raise UnsupportedDomain("extension modulus must be irreducible")
 
@@ -842,51 +798,91 @@ class ExtField(Domain):
         return up_neg(self.base, a)
 
     def mul(self, a, b):
-        tables = self._tables
-        if tables is None:
-            tables = self._tables = self._log_tables()
-        if tables:
-            if not a or not b:
-                return ()
-            log, exp = tables
-            la, lb = log.get(a), log.get(b)
-            if la is not None and lb is not None:
-                return exp[la + lb]
-        return self.base.dense_mulmod(a, b, self.modulus)
+        tables = self._kernel()
+        if not isinstance(tables, _ZechTables):
+            return self.base.dense_mulmod(a, b, self.modulus)
+        return tables.exp[tables.log[a] + tables.log[b]] if a and b else ()
 
     def inv(self, a):
         if not a:
             raise NotInvertible("0 is not invertible")
-        if self._tables and a in self._tables[0]:
-            log, exp = self._tables
-            return exp[len(log) - log[a]]
+        kernel = self._kernel()
+        if kernel:
+            return kernel.inv(a)
         g, u, _ = up_ext_gcd(self.base, a, self.modulus)
         if up_deg(g) != 0:
             raise NotInvertible("element shares a factor with the modulus")
         return self.base.dense_scale(u, self.base.inv(g[0]))
 
-    def _log_tables(self):
-        """(log, exp) for GF(q), q <= _LOG_TABLE_BUDGET, over a prime field,
-        else False.  For a generator g of the multiplicative group, exp[k] is
-        g^k for 0 <= k < 2(q - 1) and log maps each nonzero element to its
-        exponent below q - 1, so a product is exp[log a + log b] and an
-        inverse exp[(q - 1) - log a]."""
+    def _kernel(self):
+        """The field's ``_NumberFieldArith`` or ``_ZechTables``, else False
+        (towers, and finite fields past _LOG_TABLE_BUDGET)."""
+        if self._nf:
+            return self._nf
+        if self._tables is None:
+            base = self.base
+            tabulated = isinstance(base, Zmod) and self.order() <= _LOG_TABLE_BUDGET
+            self._tables = tabulated and _field_tables(base.n, self.modulus)
+        return self._tables
+
+    # dense arithmetic: the additive operations act on the base coordinates,
+    # the rest runs on the field's kernel where it has one
+
+    def dense_add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.base.dense_add
+        return up_norm(self, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
+
+    def dense_sub(self, a, b):
+        sub = self.base.dense_sub
+        out = [sub(x, y) for x, y in zip(a, b)]
+        if len(a) >= len(b):
+            out += a[len(b):]
+        else:
+            out += [self.neg(y) for y in b[len(a):]]
+        return up_norm(self, out)
+
+    def dense_deriv(self, a):
         base = self.base
-        if not isinstance(base, Zmod) or self.order() > _LOG_TABLE_BUDGET:
-            return False
-        p, m, one = base.n, self.order() - 1, self.one()
-        cofactors = [m // r for r, _ in prime_factors(m)] if m > 1 else []
-        # t, t + 1, ... first: a constant generates GF(q) only when q = p
-        for i in itertools.chain(range(p, m + 1), range(1, p)):
-            g = _trimmed([i // p ** j % p for j in range(self.degree)])
-            if all(up_pow_mod(base, g, e, self.modulus) != one for e in cofactors):
-                break
-        exp, log, a = [], {}, one
-        for k in range(m):
-            exp.append(a)
-            log[a] = k
-            a = base.dense_mulmod(a, g, self.modulus)
-        return log, exp + exp
+        return up_norm(self, [base.dense_scale(a[i], base.from_int(i))
+                              for i in range(1, len(a))])
+
+    def dense_scale(self, a, s):
+        kernel = self._kernel()
+        if not s or not kernel:
+            return Domain.dense_scale(self, a, s)
+        return kernel.scale(a, s)
+
+    def dense_mul(self, a, b):
+        kernel = self._kernel()
+        if not kernel:
+            return Domain.dense_mul(self, a, b)
+        return kernel.mul(a, b) if a and b else ()
+
+    def dense_divmod(self, a, b):
+        kernel = self._kernel()
+        if not b or not kernel:
+            return Domain.dense_divmod(self, a, b)
+        return kernel.divmod(a, b)
+
+    def dense_mulmod(self, a, b, m):
+        kernel = self._kernel()
+        if not m or not kernel:
+            return Domain.dense_mulmod(self, a, b, m)
+        return kernel.mulmod(a, b, m) if a and b else ()
+
+    def dense_monic(self, a):
+        kernel = self._kernel()
+        if not a or a[-1] == self._one or not kernel:
+            return Domain.dense_monic(self, a)
+        return kernel.monic(a)
+
+    def dense_gcd(self, a, b):
+        kernel = self._kernel()
+        if not kernel:
+            return Domain.dense_gcd(self, a, b)
+        return kernel.gcd(a, b)
 
     def order(self):
         return self.base.order() ** self.degree
@@ -1508,42 +1504,38 @@ def _factor_rationals(f):
 # ---------------------------------------------------------------------------
 
 def _compose_shift(dom, f, c):
-    """f(x + c) over dom."""
-    x_plus_c = up_norm(dom, (c, dom.one()))
-    res = ()
-    for coeff in reversed(f):
-        res = dom.dense_add(dom.dense_mul(res, x_plus_c), up_const(dom, coeff))
-    return res
+    """f(x + c) over a number field over QQ, on its integer kernel."""
+    return dom._nf.shift(f, c)
 
 
 def _norm_to_base(dom, f):
-    """Norm Res_t(modulus(t), f) of f in ExtField(base)[x] down to base[x].
+    """Norm Res_t(modulus(t), f) of f in K[x], K a number field over QQ,
+    down to QQ[x].
 
     The modulus is monic of degree n, so the resultant is the determinant of
-    multiplication by f on the free base[x]-module base[x][t]/(modulus), with
-    basis 1, t, ..., t^(n-1).  Row k holds the coordinates of t^k * f.
+    multiplication by f on the free QQ[x]-module K[x].  It is taken for the
+    integer polynomial F = den*f of the field's kernel, whose basis is the
+    powers of beta (see ``_NumberFieldArith``): row k holds the coordinates
+    of beta^k * F in ZZ[x], the determinant comes from Bareiss elimination
+    over ZZ[x], and the norm of f is that over den^n.
     """
-    base, modulus = dom.base, dom.modulus
-    row = [
-        up_norm(base, tuple(c[k] if k < len(c) else base.zero() for c in f))
-        for k in range(dom.degree)
-    ]
+    nf = dom._nf
+    row, den = nf.coordinates(f)
     rows = []
-    for _ in range(dom.degree):
+    for _ in range(nf.n):
         rows.append(row)
-        top = row[-1]  # t^n = -(m_0 + m_1 t + ... + m_(n-1) t^(n-1))
-        row = [
-            base.dense_sub(row[i - 1] if i else (), base.dense_scale(top, modulus[i]))
-            for i in range(dom.degree)
-        ]
-    return _bareiss_det(base, rows)
+        top = row[-1]  # beta^n = sum(red[j] * beta^j)
+        row = [ZZ.dense_add(row[j - 1] if j else (), ZZ.dense_scale(top, nf.red[j]))
+               for j in range(nf.n)]
+    den = den ** nf.n
+    return tuple([Fraction(c, den) for c in _bareiss_det(ZZ, rows)])
 
 
 def _bareiss_det(dom, rows):
-    """Determinant of a square matrix over dom[x], dom a field, by Bareiss's
-    fraction-free elimination (Bareiss 1968, Math. Comp. 22): step k divides
-    exactly by the pivot of step k - 1; a zero pivot swaps in a lower row
-    and flips the sign."""
+    """Determinant of a square matrix over dom[x], dom a field or ZZ, by
+    Bareiss's fraction-free elimination (Bareiss 1968, Math. Comp. 22):
+    step k divides exactly by the pivot of step k - 1; a zero pivot swaps
+    in a lower row and flips the sign."""
     m = [list(r) for r in rows]
     n, sign, prev = len(m), 1, None
     for k in range(n - 1):
@@ -1572,7 +1564,7 @@ def _trager_squarefree(g, dom):
     ``ZZ.dense_gcd`` with its derivative decide."""
     alpha = dom.gen()
     for shift_scalar in range(41):
-        shift = dom.mul(dom.from_int(shift_scalar), alpha)
+        shift = dom.base.dense_scale(alpha, dom.base.from_int(shift_scalar))
         shifted = _compose_shift(dom, g, shift)
         norm = _int_content_primitive(_common_denominator(_norm_to_base(dom, shifted))[0])[1]
         images = _certified_images(norm)

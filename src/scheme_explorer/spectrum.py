@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from functools import cached_property
+from operator import itemgetter
 
 from . import algebra as alg
 from . import proj as pj
@@ -293,7 +295,11 @@ def _monic_irreducibles(field, max_degree):
     before listing any, when there are too many candidates.
 
     A sieve: a monic polynomial of degree d is reducible iff it is f*g with f
-    monic irreducible of degree k <= d/2 and g monic of degree d - k."""
+    its least monic irreducible factor, of degree k <= d/2 (irreducibles are
+    ranked in the order listed), and g monic of degree d - k with no factor
+    of lower rank than f.  So each reducible candidate is formed once: g
+    runs over the monic polynomials of degree d - k sorted by the rank of
+    their least factor, from the first of rank >= rank(f)."""
     candidates = 0
     for d in range(1, max_degree + 1):
         candidates += field.order() ** d
@@ -301,15 +307,25 @@ def _monic_irreducibles(field, max_degree):
             raise BudgetExceeded(f"monic candidates of degree <= {max_degree} over {field} "
                                  f"exceed the budget of {_CANDIDATE_BUDGET}")
     elems, one = field.elements(), (field.one(),)
-    monic, irreducible = {}, {}
+    irreducible, spans, cofactors = [], {}, {}
     for d in range(1, max_degree + 1):
-        monic[d] = [tail + one for tail in itertools.product(elems, repeat=d)]
-        reducible = {
-            field.dense_mul(f, g)
-            for k in range(1, d // 2 + 1) for f in irreducible[k] for g in monic[d - k]
-        }
-        irreducible[d] = [f for f in monic[d] if f not in reducible]
-    return [f for d in range(1, max_degree + 1) for f in irreducible[d]]
+        least = {}  # reducible candidate -> rank of its least irreducible factor
+        for k in range(1, d // 2 + 1):
+            ranks, polys = cofactors[d - k]
+            for rank in range(*spans[k]):
+                f = irreducible[rank]
+                for g in itertools.islice(polys, bisect_left(ranks, rank), None):
+                    least[field.dense_mul(f, g)] = rank
+        start = len(irreducible)
+        monic = (tail + one for tail in itertools.product(elems, repeat=d))
+        irreducible.extend(f for f in monic if f not in least)
+        spans[d] = (start, len(irreducible))
+        if d < max_degree:  # cofactors of the candidates of larger degree
+            pairs = [(r, h) for h, r in least.items()]
+            pairs += [(r, irreducible[r]) for r in range(start, len(irreducible))]
+            pairs.sort(key=itemgetter(0))
+            cofactors[d] = ([r for r, _ in pairs], [h for _, h in pairs])
+    return irreducible
 
 
 def generic_point(cat: SpecCatalogue):

@@ -2,15 +2,16 @@
 reference for the packed one; the packed kernel with a ``Domain`` call
 per coefficient operation, kept as a reference for its int update; the
 dense univariate loops with a ``Domain`` call per coefficient operation,
-kept as references for the integer and table kernels of the domains; and
-the integer-polynomial division and Yun that preceded ``ZZ.dense_divmod``
-and ``_yun(f, ZZ)``, kept as references for them."""
+kept as references for the integer and table kernels of the domains, with
+``RefExtField``, an extension field's element operations without a
+kernel; and the integer-polynomial division and Yun that preceded
+``ZZ.dense_divmod`` and ``_yun(f, ZZ)``, kept as references for them."""
 
 import math
 from bisect import bisect_left
 from operator import add, itemgetter
 
-from scheme_explorer.arith import ZZ
+from scheme_explorer.arith import ZZ, Domain, up_ext_gcd
 from scheme_explorer.errors import ExponentOverflow
 from scheme_explorer.multipoly import LEX, BlockOrder
 
@@ -151,6 +152,45 @@ def ref_divmod(dom, a, b):
 def ref_ext_mul(field, a, b):
     """The product of an ExtField by polynomial product and remainder."""
     return ref_divmod(field.base, ref_mul(field.base, a, b), field.modulus)[1]
+
+
+def ref_gcd(dom, a, b):
+    """The monic gcd over a field by Euclid's algorithm on ``ref_divmod``."""
+    while b:
+        a, b = b, ref_divmod(dom, a, b)[1]
+    return ref_monic(dom, a)
+
+
+class RefExtField(Domain):
+    """The elements of an ExtField with no kernel: sums on the base
+    coordinates, products by ``ref_ext_mul``, inverses by ``up_ext_gcd``
+    over the base.  The ``ref_*`` loops over it are the generic dense
+    arithmetic of the field."""
+
+    is_field = True
+
+    def __init__(self, field):
+        self.field, self.base = field, field.base
+
+    def from_int(self, n):
+        return ref_norm(self.base, (self.base.from_int(n),))
+
+    def is_zero(self, a):
+        return not a
+
+    def add(self, a, b):
+        return ref_add(self.base, a, b)
+
+    def neg(self, a):
+        return tuple(self.base.neg(x) for x in a)
+
+    def mul(self, a, b):
+        return ref_ext_mul(self.field, a, b)
+
+    def inv(self, a):
+        g, u, _ = up_ext_gcd(self.base, a, self.field.modulus)
+        assert len(g) == 1
+        return ref_scale(self.base, u, self.base.inv(g[0]))
 
 
 def ref_try_divide_int(a, b):

@@ -16,9 +16,11 @@ from fractions import Fraction
 import pytest
 
 from helpers_kernel import (
+    RefExtField,
     ref_add,
     ref_divmod,
     ref_ext_mul,
+    ref_gcd,
     ref_monic,
     ref_mul,
     ref_norm,
@@ -300,3 +302,193 @@ def test_factoring_over_gf32003_makes_no_generic_coefficient_calls(monkeypatch):
         for _ in range(m):
             product = ref_mul(dom, product, g)
     assert product == f and len(f) == 9 and len(fac) >= 3
+
+
+# ---------------------------------------------------------------------------
+# ExtField kernels: number fields on integers, GF(q) on Zech logarithms
+# ---------------------------------------------------------------------------
+
+def _ext_operands(rng, field, coordinate):
+    """Zero, one, a random constant and ten polynomials of degree below 7,
+    with coordinates drawn by ``coordinate``; leading coefficients are
+    random elements, so most divisors are not monic."""
+    def poly(degree):
+        return ref_norm(field, tuple(
+            ref_norm(field.base, tuple(coordinate(rng) for _ in range(field.degree)))
+            for _ in range(degree + 1)))
+
+    polys = [(), (field.one(),), poly(0)]
+    return polys + [poly(rng.randrange(7)) for _ in range(10)]
+
+
+def _check_field_kernels(field, polys):
+    ref = RefExtField(field)
+    divisors = [b for b in polys if b]
+    for a, b in itertools.product(polys, repeat=2):
+        assert field.dense_mul(a, b) == ref_mul(ref, a, b)
+        assert field.dense_sub(a, b) == ref_sub(ref, a, b)
+    for a, b in itertools.product(polys, divisors):
+        assert field.dense_divmod(a, b) == ref_divmod(ref, a, b), (a, b)
+        assert field.dense_gcd(a, b) == ref_gcd(ref, a, b), (a, b)
+        c = polys[-1]
+        assert field.dense_mulmod(a, c, b) == ref_divmod(ref, ref_mul(ref, a, c), b)[1]
+    for a in polys:
+        assert field.dense_gcd(a, ()) == ref_monic(ref, a)
+        assert field.dense_monic(a) == ref_monic(ref, a)
+        assert field.dense_deriv(a) == ref_norm(
+            ref, [ref.mul(a[i], ref.from_int(i)) for i in range(1, len(a))])
+        for c in a:
+            assert field.dense_scale(a, c) == ref_scale(ref, a, c)
+            if c:
+                assert field.inv(c) == ref.inv(c)
+
+
+_NUMBER_FIELDS = {
+    "i": (1, 0, 1),
+    "sqrt2": (-2, 0, 1),
+    "cbrt2": (-2, 0, 0, 1),
+    "half": (-1, 0, 2),  # t^2 - 1/2: beta = 2t is a root of s^2 - 2
+}
+
+
+@pytest.mark.parametrize("name", list(_NUMBER_FIELDS))
+def test_number_field_kernels_match_the_generic_loops(name):
+    field = ExtField(QQ, tuple(Fraction(c) for c in _NUMBER_FIELDS[name]))
+    assert field._kernel() is field._nf
+    rng = random.Random(name)
+    polys = _ext_operands(
+        rng, field, lambda r: Fraction(r.randint(-6, 6), r.choice((1, 1, 2, 3, 10))))
+    _check_field_kernels(field, polys)
+    ref = RefExtField(field)
+    for f in polys:
+        for c in (field.gen(), polys[2][0] if polys[2] else field.one()):
+            shifted = ()
+            for coeff in reversed(f):
+                shifted = ref_add(ref, ref_mul(ref, shifted, (c, field.one())), (coeff,))
+            assert arith._compose_shift(field, f, c) == shifted
+    # the norm of x - t is the modulus, also where it is not integral
+    x_minus_t = (field.neg(field.gen()), field.one())
+    assert arith._norm_to_base(field, x_minus_t) == field.modulus
+
+
+@pytest.mark.parametrize("q, modulus", [
+    (4, (1, 1, 1)), (8, (1, 1, 0, 1)), (9, (1, 0, 1)), (25, (2, 0, 1)), (169, (2, 0, 1)),
+    (1024, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+], ids=lambda v: str(v) if isinstance(v, int) else None)
+def test_zech_kernels_match_the_generic_loops(q, modulus):
+    p = arith.prime_factors(q)[0][0]
+    field = ExtField(GF(p), modulus)
+    assert field.order() == q <= arith._LOG_TABLE_BUDGET
+    tables = field._kernel()
+    assert tables and tables is field._tables
+    assert tables.exp[tables.neg] == field.neg(field.one())
+    rng = random.Random(q)
+    _check_field_kernels(field, _ext_operands(rng, field, lambda r: r.randrange(p)))
+
+
+def _qi_product(field, shape, rng):
+    """A product like the atlas deck's: x - a - b*i for each 1 in the
+    shape, a rational monic quadratic for each 2."""
+    ref, f = RefExtField(field), (field.one(),)
+    for d in shape:
+        if d == 1:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            g = (ref_norm(QQ, (Fraction(-a), Fraction(-b))), field.one())
+        else:
+            g = (field.from_int(rng.choice((1, 2, 3, 4, 5, -2, -3))),
+                 field.from_int(rng.randint(-2, 2)), field.one())
+        f = ref_mul(ref, f, g)
+    return f
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2), (1, 1, 1, 1)])
+def test_factoring_over_qi_makes_no_per_coefficient_field_calls(shape, monkeypatch):
+    """A guard by count: Yun, the Trager gcds and shifts run on the integer
+    kernel, with no ExtField product or inverse and no extended gcd over
+    QQ."""
+    field = ExtField(QQ, (1, 0, 1), var="i")
+    rng = random.Random(len(shape))
+    polys = [_qi_product(field, shape, rng) for _ in range(6)]
+    calls = []
+    for name in ("mul", "inv"):
+        real = getattr(ExtField, name)
+
+        def counted(self, *args, real=real, name=name):
+            calls.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(ExtField, name, counted)
+    real_ext_gcd = arith.up_ext_gcd
+
+    def counted_ext_gcd(dom, a, b):
+        if dom == QQ:
+            calls.append("up_ext_gcd")
+        return real_ext_gcd(dom, a, b)
+
+    monkeypatch.setattr(arith, "up_ext_gcd", counted_ext_gcd)
+    factored = [factor_dense(f, field) for f in polys]
+    assert calls == []
+    monkeypatch.undo()
+    ref = RefExtField(field)
+    for f, (unit, fac) in zip(polys, factored):
+        product = (unit,)
+        for g, m in fac:
+            for _ in range(m):
+                product = ref_mul(ref, product, g)
+        assert product == f
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The (p, modulus) of every _ZechTables built, with an empty cache."""
+    builds, real = [], arith._ZechTables.__init__
+
+    def counted(self, p, modulus, primes):
+        builds.append((p, modulus))
+        real(self, p, modulus, primes)
+
+    monkeypatch.setattr(arith._ZechTables, "__init__", counted)
+    monkeypatch.setattr(arith, "_FIELD_TABLES", {})
+    return builds
+
+
+def test_specialize_statements_over_one_field_build_its_tables_once(table_builds):
+    from scheme_explorer import cli, dsl
+
+    text = ("specialize ZZ[X]/(X^3 - 2) over GF(49,t^2+4); "
+            "specialize ZZ[X]/(2*X^2 + X + 3) over QQ, GF(49,t^2+4);")
+    records, had_error = cli.run_script(dsl.parse(text))
+    assert not had_error and len(records) == 2
+    assert table_builds == [(7, (4, 0, 1))]
+    assert list(arith._FIELD_TABLES) == [(7, (4, 0, 1))]
+
+
+def test_fields_past_the_table_budget_build_and_cache_no_tables(table_builds):
+    field = ExtField(GF(2), (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1))  # GF(2^11)
+    a, b = (1, 1, 0, 1), (0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert field.mul(a, b) == ref_ext_mul(field, a, b)
+    assert field.dense_mul((a, b), (b, a)) == ref_mul(RefExtField(field), (a, b), (b, a))
+    assert ref_ext_mul(field, a, field.inv(a)) == field.one()
+    assert field._tables is False
+    assert table_builds == [] and arith._FIELD_TABLES == {}
+
+
+def test_the_table_cache_stops_growing_at_its_bound(table_builds):
+    fields = [ExtField(GF(p), (c, 0, 1), check=False)  # t^2 + c, -c a non-square
+              for p in (11, 13, 17, 19, 23) for c in range(1, p)
+              if pow(p - c, (p - 1) // 2, p) == p - 1]
+    bound = arith._TABLE_CACHE_SIZE
+    assert len(fields) > bound
+    for k, field in enumerate(fields, 1):
+        assert field.mul(field.gen(), field.gen()) == field.neg((field.modulus[0],))
+        assert len(arith._FIELD_TABLES) == min(k, bound)
+    assert len(table_builds) == len(fields)
+    kept = [(f.base.n, f.modulus) for f in fields[-bound:]]
+    assert list(arith._FIELD_TABLES) == kept
+    # a field whose tables left the cache keeps them, and its equal builds anew
+    first = fields[0]
+    assert first.dense_mul((first.gen(), first.one()), (first.gen(),)) == (
+        first.neg((first.modulus[0],)), first.gen())
+    assert len(table_builds) == len(fields)
+    ExtField(GF(11), first.modulus).mul(first.gen(), first.gen())
+    assert len(table_builds) == len(fields) + 1

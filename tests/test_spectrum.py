@@ -443,6 +443,40 @@ def test_sieve_counts_match_gauss(field, max_degree):
         assert degrees.count(d) == _gauss_count(field.order(), d), d
 
 
+def _reference_product_sieve(field, max_degree):
+    """The sieve that preceded the least-factor one: every product of an
+    irreducible of degree k <= d/2 and a monic of degree d - k is formed,
+    so a reducible candidate is formed once per distinct small factor."""
+    elems, one = field.elements(), (field.one(),)
+    monic, irreducible = {}, {}
+    for d in range(1, max_degree + 1):
+        monic[d] = [tail + one for tail in itertools.product(elems, repeat=d)]
+        reducible = {
+            field.dense_mul(f, g)
+            for k in range(1, d // 2 + 1) for f in irreducible[k] for g in monic[d - k]
+        }
+        irreducible[d] = [f for f in monic[d] if f not in reducible]
+    return [f for d in range(1, max_degree + 1) for f in irreducible[d]]
+
+
+@pytest.mark.parametrize("field, max_degree", [
+    (GF(2), 9), (GF(3), 6), (GFq(4, (1, 1, 1)), 4), (GF(7), 4), (GFq(9, (1, 0, 1)), 3),
+], ids=repr)
+def test_sieve_forms_each_reducible_candidate_once(field, max_degree, monkeypatch):
+    expected = _reference_product_sieve(field, max_degree)
+    products = []
+    real = type(field).dense_mul
+
+    def counted(self, a, b):
+        products.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(type(field), "dense_mul", counted)
+    assert sp._monic_irreducibles(field, max_degree) == expected
+    candidates = sum(field.order() ** d for d in range(1, max_degree + 1))
+    assert len(products) == candidates - len(expected)
+
+
 def test_the_prime_sieve_matches_trial_primality():
     from scheme_explorer.arith import is_prime
 
