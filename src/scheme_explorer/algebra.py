@@ -58,7 +58,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .arith import QQ, ZZ, Domain, Zmod, prime_factors
+from .arith import QQ, ZZ, Domain, Zmod, factor_dense, poly_to_dense, prime_factors, up_deg
 from .errors import (
     ExponentOverflow,
     InvalidArgument,
@@ -86,28 +86,39 @@ from .sheaf import LocalizedFiniteRing
 # ---------------------------------------------------------------------------
 
 def normal_form_list(f: Poly, basis):
-    """Fully reduce f against a list of polynomials.
+    """Fully reduce f against a list of polynomials (``_reduced``, every
+    reducer usable on every term).
 
-    Each step cancels the leading term of the remainder by the first
-    reducer whose leading monomial divides it (``_reduce_term``); the
-    remainder stays sorted (``multipoly._sub_shifted``) and nothing is
-    re-sorted. Terms stay packed throughout (``PolyRing.packer``). The
-    leading coefficients must be units, except over ZZ, where the result is
-    then a nonzero integer multiple of the normal form over QQ, a positive
-    one when every leading coefficient is positive.
+    The leading coefficients must be units, except over ZZ, where the
+    result is then a nonzero integer multiple of the normal form over QQ, a
+    positive one when every leading coefficient is positive.
+    """
+    reducers = [g.reducer() for g in basis if not g.is_zero()]
+    return _reduced(f, reducers) if reducers else f
+
+
+def _reduced(f, reducers, ratios=None, top=0, width=0):
+    """The one remainder loop: pop the leading term of the remainder and
+    cancel it by the first of ``reducers`` (``Poly.reducer`` tuples) whose
+    leading monomial divides it (``_reduce_term``), or move it to the
+    result. The remainder stays sorted (``multipoly._sub_shifted``) and
+    packed, and nothing is re-sorted.
+
+    With ``ratios``, a term of key k may use only the prefix of reducers
+    whose ratio is below top - k*width (``_regular_reduce``).
     """
     ring = f.ring
     dom, pk = ring.domain, ring.packer
     guard = pk.guard
-    reducers = [g.reducer() for g in basis if not g.is_zero()]
-    if not reducers:
-        return f
     rem = _ascending(f)
     keys, exps, coeffs = rem
     ok, oe, oc = [], [], []
+    usable = reducers
     while keys:
         k, e, c = keys.pop(), exps.pop(), coeffs.pop()
-        for red in reducers:
+        if ratios is not None:
+            usable = reducers[:bisect_left(ratios, top - k * width)]
+        for red in usable:
             if not (e - red[0]) & guard:
                 _reduce_term(rem, oc, k, e, c, red, dom, pk)
                 break
@@ -142,20 +153,15 @@ def _reduce_term(rem, kept, k, e, c, reducer, dom, pk):
 
 
 def _s_polynomial(gi, gj, klcm, lcm):
-    """a*x^u*gi - b*x^v*gj with x^u*lm(gi) = x^v*lm(gj) = lcm, where
-    ``lcm`` is packed and ``klcm`` is its order key: a = b = 1 for monic gi
-    and gj, and over ZZ a and b are lc(gj) and lc(gi) divided by their gcd."""
+    """x^u*gi with its leading term cancelled by one ``_reduce_term`` step
+    against gj, where x^u*lm(gi) = lcm, packed, of order key ``klcm``: the
+    S-polynomial a*x^u*gi - b*x^v*gj, with a = b = 1 for monic gi and gj,
+    and over ZZ a and b are lc(gj) and lc(gi) divided by their gcd."""
     ring = gi.ring
-    dom = ring.domain
-    a, b = gj.leading_coeff(), gi.leading_coeff()
-    if dom == ZZ:
-        d = math.gcd(a, b)
-        a, b = a // d, b // d
-    rem = [[], [], []]
-    for g, c in ((gi, dom.neg(a)), (gj, b)):
-        keys, exps, coeffs = g.packed()
-        _sub_shifted(rem, zip(keys[1:], exps[1:], coeffs[1:]),
-                     klcm - keys[0], lcm - exps[0], c, dom, ring.packer)
+    keys, exps, _ = gi.packed()
+    rem = _ascending(_shifted(gi, klcm - keys[0], lcm - exps[0], ring.domain.one()))
+    k, e, c = (v.pop() for v in rem)
+    _reduce_term(rem, [], k, e, c, gj.reducer(), ring.domain, ring.packer)
     return _from_ascending(ring, rem)
 
 
@@ -202,28 +208,11 @@ def _regular_reduce(f, skey, sidx, ratios, reducers, width):
     ascending order of ``ratios``: (signature key - leading key) * width +
     index, with ``width`` above every index. x^u*g has the signature key of
     the term it reduces plus the ratio of g, so the regular reducers of a
-    term of key k are the prefix of ratio below (skey - k) * width + sidx;
-    the first of them whose leading monomial divides the term reduces it.
+    term of key k are the prefix of ratio below (skey - k) * width + sidx.
     """
     if not reducers:
         return f
-    ring = f.ring
-    dom, pk = ring.domain, ring.packer
-    guard = pk.guard
-    rem = _ascending(f)
-    keys, exps, coeffs = rem
-    ok, oe, oc = [], [], []
-    while keys:
-        k, e, c = keys.pop(), exps.pop(), coeffs.pop()
-        for r in range(bisect_left(ratios, (skey - k) * width + sidx)):
-            if not (e - reducers[r][0]) & guard:
-                _reduce_term(rem, oc, k, e, c, reducers[r], dom, pk)
-                break
-        else:
-            ok.append(k)
-            oe.append(e)
-            oc.append(c)
-    return Poly(ring, (tuple(ok), tuple(oe), tuple(oc)))
+    return _reduced(f, reducers, ratios, skey * width + sidx, width)
 
 
 def groebner_basis(gens, ring=None):
@@ -276,7 +265,7 @@ def groebner_basis(gens, ring=None):
             continue
         if h.is_constant():
             return [ring.one()]  # a unit: the reduced basis of (1)
-        h = _normalized(h)
+        h = content_primitive(h)[1] if work.domain == ZZ else h.monic()
         n = len(polys)
         lk, lm = h.packed()[0][0], h.packed()[1][0]
         d = skey - lk
@@ -326,12 +315,6 @@ def groebner_basis(gens, ring=None):
     if work is not ring:
         basis = [_monic_over_qq(g, ring) for g in basis]
     return basis
-
-
-def _normalized(h):
-    """h monic over a field; over ZZ primitive, with a positive leading
-    coefficient."""
-    return content_primitive(h)[1] if h.ring.domain == ZZ else h.monic()
 
 
 def _integral(f, zring):
@@ -494,8 +477,6 @@ class PresentedAlgebra:
 
     def classify_univariate(self):
         """Shape of base[X]/(f) over a field: the five possible verdicts."""
-        from .arith import factor_dense, poly_to_dense, up_deg
-
         if len(self.names) != 1 or len(self.relations) > 1 or not self.base.is_field:
             raise UndecidableContext("classification needs one variable, one relation")
         if not self.relations:

@@ -65,6 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import threading
 import zlib
 from fractions import Fraction
 
@@ -658,8 +659,8 @@ def up_neg(dom, a):
 
 
 def up_mul(dom, a, b):
-    # kept as a public name for the dense product, which the acceptance
-    # tests import; the package itself calls dom.dense_mul
+    # kept as a public name for the dense product, which the arithmetic and
+    # sympy oracle tests import; the package itself calls dom.dense_mul
     return dom.dense_mul(a, b)
 
 
@@ -713,21 +714,37 @@ _ELEMENTS_BUDGET = 150_000
 _LOG_TABLE_BUDGET = 1024
 
 # Fields whose tables _FIELD_TABLES keeps, the oldest dropped first: the
-# atlas deck specializes to 17 distinct fields GF(q^2) with q <= 13.
+# atlas deck specializes to 17 distinct fields GF(q^2) with q <= 13.  The
+# cache is shared by every thread of the process; _FIELD_TABLES_LOCK makes
+# its lookup, build, eviction and insertion one step.
 _TABLE_CACHE_SIZE = 32
 _FIELD_TABLES = {}
+_FIELD_TABLES_LOCK = threading.Lock()
 
 
 def _field_tables(p, modulus):
-    """The _ZechTables of GF(p)[t]/(modulus), from the cache or new."""
+    """The _ZechTables of GF(p)[t]/(modulus), from the cache or new.
+
+    The generator is the first of t, t + 1, ..., then 1, ..., p - 1 (a
+    constant generates GF(q) only when q = p) whose power g^(m/l) is not 1
+    for any prime l dividing the group order m = p^r - 1.
+    """
     key = (p, modulus)
-    tables = _FIELD_TABLES.get(key)
-    if tables is None:
-        m = p ** (len(modulus) - 1) - 1
-        tables = _ZechTables(p, modulus, [ell for ell, _ in prime_factors(m)] if m > 1 else [])
-        if len(_FIELD_TABLES) >= _TABLE_CACHE_SIZE:
-            del _FIELD_TABLES[next(iter(_FIELD_TABLES))]
-        _FIELD_TABLES[key] = tables
+    with _FIELD_TABLES_LOCK:
+        tables = _FIELD_TABLES.get(key)
+        if tables is None:
+            r = len(modulus) - 1
+            m = p ** r - 1
+            primes = [ell for ell, _ in prime_factors(m)] if m > 1 else []
+            base = Zmod(p)
+            for i in itertools.chain(range(p, m + 1), range(1, p)):
+                g = _trimmed([i // p ** j % p for j in range(r)])
+                if all(up_pow_mod(base, g, m // ell, modulus) != (1,) for ell in primes):
+                    break
+            tables = _ZechTables(p, modulus, g)
+            if len(_FIELD_TABLES) >= _TABLE_CACHE_SIZE:
+                del _FIELD_TABLES[next(iter(_FIELD_TABLES))]
+            _FIELD_TABLES[key] = tables
     return tables
 
 

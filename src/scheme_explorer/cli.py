@@ -40,6 +40,7 @@ from .errors import (
     UnsupportedLocation,
     UnsupportedSpace,
 )
+from .multipoly import PolyRing
 
 SCHEMA_VERSION = 1
 
@@ -228,10 +229,6 @@ def _parse_line_point(text, field):
     return coords
 
 
-def _coords_str(field, coords):
-    return "[" + ":".join(field.format(c) for c in coords) + "]"
-
-
 def _field(cmd):
     return dsl.build_domain(dsl.parse_ring_text(cmd.flag("field")).domain)
 
@@ -263,7 +260,7 @@ def _map_record(kind, k, points, raw, **checks):
     """A point map's report: its arguments, raw and normalized image, and
     the checks that vanish on the image."""
     record = {"kind": kind, "image": repr(pj.point_normalize(k, raw)),
-              "raw_image": _coords_str(k, raw)}
+              "raw_image": repr(pj.ProjPoint(k, raw))}
     record.update({name: repr(pj.point_normalize(k, pt)) for name, pt in points.items()})
     record.update({name: k.format(value) for name, value in checks.items()})
     return record
@@ -329,8 +326,6 @@ def _parse_finite_ring(text):
             raise InfiniteSpectrum("spec(ZZ/0) is Spec ZZ, which is infinite")
         return arith.Zmod(expr.domain.modulus)
     if expr.domain.kind in ("GF",) and expr.names and len(expr.names) == 1:
-        from .multipoly import PolyRing
-
         base = arith.GF(expr.domain.modulus)
         ring = PolyRing(base, expr.names)
         if len(expr.relations) != 1:

@@ -38,7 +38,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import arith
+from .algebra import PresentedAlgebra
 from .errors import DslSyntaxError, InvalidArgument, UnsupportedDomain
+from .multipoly import PolyRing
 
 # flag kinds, each named by the phrase its error message uses
 COUNT = "a nonnegative integer"
@@ -597,8 +600,6 @@ def parse_ring_text(text):
 # ---------------------------------------------------------------------------
 
 def build_domain(expr: DomainExpr):
-    from . import arith
-
     if expr.kind == "ZZ":
         return arith.ZZ
     if expr.kind == "QQ":
@@ -619,8 +620,6 @@ def build_domain(expr: DomainExpr):
     names = sorted(_poly_vars(expr.poly)) or ["t"]
     if len(names) != 1:
         raise DslSyntaxError("extension modulus must be univariate")
-    from .multipoly import PolyRing
-
     ring = PolyRing(base, (names[0],))
     dense = arith.poly_to_dense(eval_poly(expr.poly, ring))
     return arith.ExtField(base, dense, var=names[0])
@@ -669,9 +668,6 @@ def eval_poly(node, ring):
 
 def build_ring(expr: RingExpr):
     """A PresentedAlgebra from a ring expression."""
-    from .algebra import PresentedAlgebra
-    from .multipoly import PolyRing
-
     domain = build_domain(expr.domain)
     ring = PolyRing(domain, expr.names)
     rels = [eval_poly(r, ring) for r in expr.relations]

@@ -15,7 +15,6 @@ forms around each call:
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -315,50 +314,21 @@ class _ZechTables:
     (Huber 1990, IEEE Trans. Inf. Theory 36).  A polynomial is a list of
     logs, None for a zero coefficient: a product of coefficients adds logs,
     and a sum g^a + g^b = g^(a + zech[b - a]) is one lookup (a negative
-    index wraps around the m entries of zech).  neg is the log of -1;
-    ``primes`` are the prime divisors of m.
+    index wraps around the m entries of zech).  neg is the log of -1, and
+    ``g`` is the generator's coefficient tuple (``arith._field_tables``).
     """
 
-    def __init__(self, p, modulus, primes):
+    def __init__(self, p, modulus, g):
         r, low = len(modulus) - 1, modulus[:-1]
         m = p ** r - 1
-
-        def product(x, y):
-            # x*y mod modulus for coordinate lists of length r
-            out = [0] * (2 * r - 1)
-            for i, a in enumerate(x):
-                if a:
-                    for j, b in enumerate(y, i):
-                        out[j] += a * b
-            for k in range(2 * r - 2, r - 1, -1):
-                top = out[k] % p
-                if top:
-                    for j, w in enumerate(low, k - r):
-                        out[j] -= top * w
-            return [c % p for c in out[:r]]
-
-        def power(x, e):
-            out = one
-            while e:
-                if e & 1:
-                    out = product(out, x)
-                x = product(x, x)
-                e >>= 1
-            return out
-
-        one = [1] + [0] * (r - 1)
-        # t, t + 1, ... first: a constant generates GF(q) only when q = p
-        for i in itertools.chain(range(p, m + 1), range(1, p)):
-            g = [i // p ** j % p for j in range(r)]
-            if all(power(g, m // ell) != one for ell in primes):
-                break
+        g = list(g) + [0] * (r - len(g))
         # the coordinates of g*t^j, j < r: the powers of g, one column each
         cols = [g]
         for _ in range(r - 1):
             top = cols[-1][-1]
             cols.append([((cols[-1][j - 1] if j else 0) - top * low[j]) % p
                          for j in range(r)])
-        exp, x = [], one
+        exp, x = [], [1] + [0] * (r - 1)
         for _ in range(m):
             exp.append(x)
             y = [0] * r

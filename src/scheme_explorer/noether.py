@@ -377,5 +377,4 @@ def has_common_zero(polys, ring=None):
     ring = ring or polys[0].ring
     if not ring.domain.is_field:
         raise NonFieldBase("common-zero test needs a field base")
-    gb = groebner_basis(polys, ring)
-    return not any(g.is_constant() and not g.is_zero() for g in gb)
+    return not GroebnerBasis(ring, groebner_basis(polys, ring)).is_unit_ideal()

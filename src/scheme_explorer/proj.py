@@ -14,7 +14,7 @@ import itertools
 import math
 
 from . import algebra as alg
-from .arith import Domain
+from .arith import ZZ, Domain
 from .errors import (
     AllZero,
     BudgetExceeded,
@@ -23,7 +23,7 @@ from .errors import (
     NonFieldBase,
     NotHomogeneous,
 )
-from .multipoly import Poly, PolyRing, dehomogenize, exact_divide, homogenize
+from .multipoly import Poly, PolyRing, dehomogenize, exact_divide, format_terms, homogenize
 
 
 class GradedAlgebra:
@@ -365,15 +365,8 @@ class TwistSections:
         return len(self.monomials)
 
     def basis_strings(self, var_stem="T"):
-        out = []
-        for exps in self.monomials:
-            parts = [
-                f"{var_stem}{i}^{e}" if e > 1 else f"{var_stem}{i}"
-                for i, e in enumerate(exps)
-                if e
-            ]
-            out.append("*".join(parts) if parts else "1")
-        return out
+        names = [f"{var_stem}{i}" for i in range(self.n + 1)]
+        return [format_terms(names, ZZ, [(exps, 1)]) for exps in self.monomials]
 
     def __repr__(self):
         return f"O({self.d})(P^{self.n}) rank {self.rank}"
@@ -464,10 +457,7 @@ class ProjZeroLocus:
             return None
         if self.section.is_constant():
             return "unit"
-        from .multipoly import dehomogenize as dh
-
-        g = dh(self.section, B.names[i], rename=rename)
-        return g
+        return dehomogenize(self.section, B.names[i], rename=rename)
 
     def field_points(self, field):
         """Zero locus inside P^n(field) for a finite field, exhaustively."""

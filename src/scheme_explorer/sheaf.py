@@ -22,7 +22,7 @@ import itertools
 import math
 from collections import Counter
 
-from .arith import Domain, Zmod, domain_units
+from .arith import Domain, Zmod, _dense_str, domain_units
 from .errors import (
     BudgetExceeded,
     InfiniteSpectrum,
@@ -425,18 +425,7 @@ class QuotientPolyRing(Domain):
         return tuple(prod[: self.deg])
 
     def format(self, a):
-        parts = []
-        for i in range(self.deg - 1, -1, -1):
-            c = a[i]
-            if c == self.k.zero():
-                continue
-            cs = self.k.format(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                head = "" if cs == "1" else f"{cs}*"
-                parts.append(f"{head}{self.var}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(parts) if parts else "0"
+        return _dense_str(self.k, a, self.var) or "0"
 
     def __repr__(self):
         return f"{self.k}[{self.var}]/(deg {self.deg})"

@@ -729,11 +729,12 @@ def _factor_primitive_bivariate(f, main, other):
         if root is None:
             break
         num, den = root
-        lin = _primitive_linear(den * ring.gen(main) - num, main, other)
-        if not _divides_poly(current, lin):
+        lin = content_primitive(den * ring.gen(main) - num, main_var=main)[1]
+        try:
+            current = exact_divide(current, lin)
+        except (ValueError, ZeroDivisionError):
             break
         out.append(lin)
-        current = exact_divide(current, lin)
     d = current.degree_in(main)
     if d == 0:
         if not current.is_constant():
@@ -745,21 +746,6 @@ def _factor_primitive_bivariate(f, main, other):
     raise FactorizationUnavailable(
         f"primitive part of degree {d} needs a supplied factorization"
     )
-
-
-def _primitive_linear(lin, main, other):
-    """Strip the k[S]-content of a linear-in-T polynomial."""
-    content, prim = content_primitive(lin, main_var=main)
-    return prim
-
-
-def _divides_poly(f, g):
-
-    try:
-        exact_divide(f, g)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False
 
 
 def _rational_function_root(f, main, other):

@@ -4,9 +4,12 @@ per coefficient operation, kept as a reference for its int update; the
 dense univariate loops with a ``Domain`` call per coefficient operation,
 kept as references for the integer and table kernels of the domains, with
 ``RefExtField``, an extension field's element operations without a
-kernel; and the integer-polynomial division and Yun that preceded
-``ZZ.dense_divmod`` and ``_yun(f, ZZ)``, kept as references for them."""
+kernel; the integer-polynomial division and Yun that preceded
+``ZZ.dense_divmod`` and ``_yun(f, ZZ)``, kept as references for them; and
+the generator search that ``_ZechTables`` made with products of its own,
+kept as a reference for its tables."""
 
+import itertools
 import math
 from bisect import bisect_left
 from operator import add, itemgetter
@@ -191,6 +194,59 @@ class RefExtField(Domain):
         g, u, _ = up_ext_gcd(self.base, a, self.field.modulus)
         assert len(g) == 1
         return ref_scale(self.base, u, self.base.inv(g[0]))
+
+
+def ref_zech_tables(p, modulus, primes):
+    """(g, exp, log, zech, neg) of GF(p)[t]/(modulus), the way the tables
+    were made before their generator search moved onto ``Zmod``: the first
+    of t, t + 1, ..., then 1, ..., p - 1 with g^(m/l) != 1 for each prime l
+    in ``primes`` (those dividing m = p^r - 1), by products of coordinate
+    lists; exp lists g^k for k < m once, and neg is looked up as the log of
+    -1."""
+    r, low = len(modulus) - 1, modulus[:-1]
+    m = p ** r - 1
+
+    def product(x, y):
+        # x*y mod modulus for coordinate lists of length r
+        out = [0] * (2 * r - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i):
+                    out[j] += a * b
+        for k in range(2 * r - 2, r - 1, -1):
+            top = out[k] % p
+            if top:
+                for j, w in enumerate(low, k - r):
+                    out[j] -= top * w
+        return [c % p for c in out[:r]]
+
+    def power(x, e):
+        out = one
+        while e:
+            if e & 1:
+                out = product(out, x)
+            x = product(x, x)
+            e >>= 1
+        return out
+
+    def trimmed(x):
+        x = list(x)
+        while x and not x[-1]:
+            x.pop()
+        return tuple(x)
+
+    one = [1] + [0] * (r - 1)
+    for i in itertools.chain(range(p, m + 1), range(1, p)):
+        g = [i // p ** j % p for j in range(r)]
+        if all(power(g, m // ell) != one for ell in primes):
+            break
+    exp, x = [], one
+    for _ in range(m):
+        exp.append(trimmed(x))
+        x = product(x, g)
+    log = {e: k for k, e in enumerate(exp)}
+    zech = [log.get(trimmed([(e[0] + 1) % p, *e[1:]])) for e in exp]
+    return trimmed(g), exp, log, zech, log[trimmed([p - 1])]
 
 
 def ref_try_divide_int(a, b):

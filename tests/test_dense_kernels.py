@@ -11,6 +11,8 @@ primitive gcd decides ``ZZ.dense_gcd``.
 
 import itertools
 import random
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from helpers_kernel import (
     ref_sub,
     ref_try_divide_int,
     ref_yun_int,
+    ref_zech_tables,
 )
 from scheme_explorer import arith
 from scheme_explorer.arith import GF, QQ, ZZ, ExtField, GFq, Zmod, factor_dense
@@ -492,3 +495,75 @@ def test_the_table_cache_stops_growing_at_its_bound(table_builds):
     assert len(table_builds) == len(fields)
     ExtField(GF(11), first.modulus).mul(first.gen(), first.gen())
     assert len(table_builds) == len(fields) + 1
+
+
+@pytest.mark.parametrize("p, modulus", [
+    (2, (1, 1, 1)),                            # GF(4)
+    (2, (1, 1, 0, 1)),                         # GF(8)
+    (3, (1, 0, 1)),                            # GF(9): t has order 4
+    (5, (2, 0, 1)),                            # GF(25)
+    (3, (1, 2, 0, 1)),                         # GF(27)
+    (7, (4, 0, 1)),                            # GF(49)
+    (13, (11, 0, 1)),                          # GF(169)
+    (31, (1, 0, 1)),                           # GF(31^2): t has order 4
+    (2, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),    # GF(2^10)
+], ids=["GF4", "GF8", "GF9", "GF25", "GF27", "GF49", "GF169", "GF961", "GF1024"])
+def test_field_tables_match_the_reference_generator_search(monkeypatch, p, modulus):
+    """The generator search runs on ``Zmod``'s products; the tables it
+    leads to are those of the search with products of its own."""
+    monkeypatch.setattr(arith, "_FIELD_TABLES", {})
+    field = ExtField(GF(p), modulus)  # checks that the modulus is irreducible
+    m = field.order() - 1
+    g, exp, log, zech, neg = ref_zech_tables(p, field.modulus,
+                                             [ell for ell, _ in arith.prime_factors(m)])
+    tables = arith._field_tables(p, field.modulus)
+    assert tables.exp[1] == g
+    assert tables.exp == exp + exp and tables.log == log
+    assert tables.zech == zech and tables.neg == neg and tables.m == m
+
+
+def _tables_of(tables):
+    return tables.exp, tables.log, tables.zech, tables.neg
+
+
+class _PausingCache(dict):
+    """A table cache that pauses after listing its keys, as a thread switch
+    there would: two threads that both find it full then choose the same
+    oldest field to drop, unless one lock covers the choice and the drop."""
+
+    def __iter__(self):
+        keys = list(dict.__iter__(self))
+        time.sleep(0.001)
+        return iter(keys)
+
+
+def test_threads_sharing_the_table_cache_get_the_serial_tables(monkeypatch):
+    """Four threads build and look up the tables of 40 fields, more than the
+    cache holds, so they evict from it while others insert into it; every
+    lookup returns the tables a serial build makes."""
+    fields = [(p, (c, 0, 1)) for p in (11, 13, 17, 19, 23, 29) for c in range(1, p)
+              if pow(p - c, (p - 1) // 2, p) == p - 1][:40]  # t^2 + c, -c a non-square
+    assert len(fields) == 40 > arith._TABLE_CACHE_SIZE
+    monkeypatch.setattr(arith, "_FIELD_TABLES", {})
+    serial = {key: _tables_of(arith._field_tables(*key)) for key in fields}
+    monkeypatch.setattr(arith, "_FIELD_TABLES", _PausingCache())
+    results, errors = [], []
+
+    def work(seed):
+        order = fields * 2
+        random.Random(seed).shuffle(order)
+        try:
+            for key in order:
+                results.append((key, _tables_of(arith._field_tables(*key))))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert len(results) == 4 * 2 * len(fields)
+    assert all(got == serial[key] for key, got in results)
+    assert len(arith._FIELD_TABLES) == arith._TABLE_CACHE_SIZE

@@ -242,6 +242,18 @@ def test_structure_sheaf_single_point_ring():
     assert len(rep.gamma(frozenset(rep.space.points))) == 25
 
 
+def test_quotient_ring_elements_print_with_parenthesized_sums():
+    """A coefficient that prints as a sum is parenthesized, as in the
+    dense printer of ``arith``; a zero element prints as 0."""
+    E = sh.QuotientPolyRing(Zmod(5), (0, 0, 1))  # F5[e]/(e^2)
+    nested = sh.QuotientPolyRing(E, ((0, 0), (0, 0), (1, 0)), var="f")  # E[f]/(f^2)
+    e_plus_one = (1, 1)
+    assert E.format(e_plus_one) == "e + 1"
+    assert nested.format((e_plus_one, e_plus_one)) == "(e + 1)*f + (e + 1)"
+    assert nested.format(((0, 0), (0, 1))) == "e*f"
+    assert E.format(E.zero()) == "0" and nested.format(nested.zero()) == "0"
+
+
 def test_structure_sheaf_product_splits():
     P = sh.ProductRing(Zmod(7), Zmod(5))
     rep = sh.structure_sheaf(P)

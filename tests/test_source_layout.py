@@ -1,0 +1,23 @@
+"""Checks on the source of the ``scheme_explorer`` package itself."""
+
+import ast
+from pathlib import Path
+
+import scheme_explorer
+
+SOURCE = Path(scheme_explorer.__file__).parent
+
+
+def test_every_import_sits_at_a_module_top():
+    """No function imports: each module names everything it uses in its
+    first lines, and the import graph is read there."""
+    paths = sorted(SOURCE.glob("*.py"))
+    assert {"algebra.py", "cli.py", "dsl.py"} <= {p.name for p in paths}
+    inside = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inside.update(f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                              if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert sorted(inside) == []
