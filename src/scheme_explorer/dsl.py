@@ -31,17 +31,30 @@ ring.  ``Command.flag`` checks a value's kind when the command reads it.
 Domain literals: ZZ, QQ, ZZ/12, GF(7), GF(49,t^2+1).  Projective points
 are written [a:b:c].  Parsing is total on this grammar and printing a parsed
 script reparses to the same abstract syntax.
+
+Tokens are tuples (``Token``, a NamedTuple) read from one ``findall`` of
+the token pattern; the syntax nodes of polynomials are slotted dataclasses
+that compare and hash by value.  ``eval_poly`` expands a polynomial's syntax
+on packed terms, one int per monomial (the order key above the packed
+exponents of ``multipoly``), and builds one Poly from one sort; a counted
+budget of term products and coefficient bits refuses a runaway power with
+BudgetExceeded.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial, reduce
+from operator import add, mul, neg, not_, or_, sub
+from typing import NamedTuple
 
 from . import arith
 from .algebra import PresentedAlgebra
-from .errors import DslSyntaxError, InvalidArgument, UnsupportedDomain
-from .multipoly import PolyRing
+from .errors import (BudgetExceeded, DslSyntaxError, ExponentOverflow, InvalidArgument,
+                     UnsupportedDomain)
+from .multipoly import _FIELD as _EXPONENT_BITS, Poly, PolyRing
 
 # flag kinds, each named by the phrase its error message uses
 COUNT = "a nonnegative integer"
@@ -77,46 +90,68 @@ COMMANDS = {
 # the one command that takes a positional argument, a ring it cannot do without
 _RING_POSITIONAL = ("spec", "describe")
 
-# One alternative per token kind, tried in order.  \d is the decimal digits
-# that int() reads; \w is str.isalnum() plus "_".
-_TOKEN = re.compile(r"""
-    (?P<NEWLINE>\n)
-  | (?P<SKIP>[ \t\r]+|\#[^\n]*)
-  | "(?P<STRING>[^"]*)"
-  | --(?P<FLAG>[^\W\d_][\w-]*)
-  | (?P<INT>\d+)
-  | (?P<NAME>[^\W\d]\w*)
-  | (?P<SYM>->|[=;,()\[\]:^*+\-/])
-  | (?P<ERROR>.)
-""", re.VERBOSE)
+# One match per token: the blanks before it, then the token, its
+# alternatives tried in order (the last one matches only at the end).  \d is
+# the decimal digits that int() reads; \w is str.isalnum() plus "_".
+_TOKEN = re.compile(r"""([ \t\r]*)(
+    \n | \#[^\n]* | "[^"]*" | --[^\W\d_][\w-]* | \d+ | [^\W\d]\w*
+  | -> | [=;,()\[\]:^*+\-/] | . | \Z)""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # NAME INT STRING SYM FLAG EOF
     text: str
     line: int
     column: int
 
 
+def _kind_of(first):
+    """The kind of a token by its first character: a word may not start
+    with a numeric character that is not a digit, such as '½', though \w
+    matches one."""
+    if first == "-":
+        return "DASH"  # '-', '->' or a flag
+    if first.isdecimal():
+        return "INT"
+    if first.isalpha() or first.isdigit() or first == "_":
+        return "NAME"
+    return "SYM" if first in "=;,()[]:^*+/" else "ERROR"
+
+
+_KINDS = {chr(c): _kind_of(chr(c)) for c in range(128)}
+_KINDS.update({"\n": "NEWLINE", "#": "SKIP", "": "SKIP", '"': "STRING"})
+# a Token made without the Python frame of NamedTuple.__new__
+_new_token = partial(tuple.__new__, Token)
+
+
 def tokenize(source):
     tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source):
-        kind, text = m.lastgroup, m.group(m.lastgroup)
-        column = m.start() - line_start + 1
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-        elif kind == "ERROR" or kind in ("NAME", "FLAG") and not (
-                text[0].isalpha() or text[0].isdigit() or text[0] == "_"):
-            # a word may not start with a numeric character that is not a digit,
-            # such as '½', though \w matches one
-            bad = m.start(kind)
-            message = ("unterminated string" if text == '"'
-                       else f"unexpected character {source[bad]!r}")
-            raise DslSyntaxError(message, line, bad - line_start + 1)
-        elif kind != "SKIP":
-            tokens.append(Token(kind, text, line, column))
+    line, line_start, pos = 1, 0, 0
+    for blanks, text in _TOKEN.findall(source):
+        start = pos + len(blanks)
+        pos = start + len(text)
+        kind = _KINDS.get(text[:1]) or _kind_of(text[0])
+        if kind == "DASH":
+            if len(text) > 2 and text[1] == "-":
+                if _kind_of(text[2]) != "NAME":
+                    raise DslSyntaxError(f"unexpected character {text[2]!r}", line,
+                                         start - line_start + 3)
+                kind, text = "FLAG", text[2:]
+            else:
+                kind = "SYM"
+        elif kind == "NEWLINE":
+            line, line_start = line + 1, pos
+            continue
+        elif kind == "SKIP":
+            continue
+        elif kind == "STRING":
+            if len(text) == 1:
+                raise DslSyntaxError("unterminated string", line, start - line_start + 1)
+            text = text[1:-1]
+        elif kind == "ERROR":
+            raise DslSyntaxError(f"unexpected character {text[0]!r}", line,
+                                 start - line_start + 1)
+        tokens.append(_new_token((kind, text, line, start - line_start + 1)))
     tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
@@ -125,7 +160,13 @@ def tokenize(source):
 # abstract syntax
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# The nodes of a polynomial compare and hash by value; they are slotted, not
+# frozen, since a frozen dataclass pays an object.__setattr__ per field in
+# every construction.
+_node = dataclass(slots=True, unsafe_hash=True)
+
+
+@_node
 class IntLit:
     value: int
 
@@ -133,7 +174,7 @@ class IntLit:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@_node
 class FracLit:
     numerator: int
     denominator: int
@@ -142,7 +183,7 @@ class FracLit:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     name: str
 
@@ -150,7 +191,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class Neg:
     body: object
 
@@ -158,7 +199,7 @@ class Neg:
         return f"-{_wrap(self.body)}"
 
 
-@dataclass(frozen=True)
+@_node
 class Pow:
     base: object
     exponent: int
@@ -167,7 +208,7 @@ class Pow:
         return f"{_wrap(self.base)}^{self.exponent}"
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp:
     op: str
     left: object
@@ -320,6 +361,9 @@ class Script:
 class Parser:
     def __init__(self, source):
         self.tokens = tokenize(source)
+        # the text of each SYM token, None for the others: what most
+        # decisions of the polynomial rules read
+        self.syms = [t.text if t.kind == "SYM" else None for t in self.tokens]
         self.pos = 0
 
     def peek(self):
@@ -340,8 +384,7 @@ class Parser:
         return self.advance()
 
     def at_sym(self, text):
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text == text
+        return self.syms[self.pos] == text
 
     def slash_int(self):
         """The n of a following '/ n', consumed only when n is an integer."""
@@ -511,49 +554,45 @@ class Parser:
 
     def parse_poly_expr(self):
         node = self.parse_term()
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.advance().text
-            right = self.parse_term()
-            node = BinOp(op, node, right)
+        syms = self.syms
+        while (op := syms[self.pos]) == "+" or op == "-":
+            self.pos += 1
+            node = BinOp(op, node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_factor()
+        syms, tokens = self.syms, self.tokens
         while True:
-            if self.at_sym("*"):
-                self.advance()
-                node = BinOp("*", node, self.parse_factor())
-                continue
+            sym = syms[self.pos]
+            if sym == "*":
+                self.pos += 1
             # juxtaposition: 2T, 3(T+1), T(T-1) read as products
-            tok = self.peek()
-            if tok.kind == "NAME" or (tok.kind == "SYM" and tok.text == "("):
-                node = BinOp("*", node, self.parse_factor())
-                continue
-            break
-        return node
+            elif sym != "(" and tokens[self.pos].kind != "NAME":
+                return node
+            node = BinOp("*", node, self.parse_factor())
 
     def parse_factor(self):
-        if self.at_sym("-"):
-            self.advance()
+        if self.syms[self.pos] == "-":
+            self.pos += 1
             return Neg(self.parse_factor())
         atom = self.parse_atom()
-        if self.at_sym("^"):
-            self.advance()
-            exp = int(self.expect("INT").text)
-            return Pow(atom, exp)
+        if self.syms[self.pos] == "^":
+            self.pos += 1
+            return Pow(atom, int(self.expect("INT").text))
         return atom
 
     def parse_atom(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "INT":
-            self.advance()
+            self.pos += 1
             den = self.slash_int()
             return IntLit(int(tok.text)) if den is None else FracLit(int(tok.text), den)
         if tok.kind == "NAME":
-            self.advance()
+            self.pos += 1
             return Var(tok.text)
-        if tok.kind == "SYM" and tok.text == "(":
-            self.advance()
+        if self.syms[self.pos] == "(":
+            self.pos += 1
             inner = self.parse_poly_expr()
             self.expect("SYM", ")")
             return inner
@@ -639,31 +678,223 @@ def _poly_vars(node):
     return set()
 
 
+# The work that one eval_poly may do, counted rather than timed: the term
+# products of its products of polynomials, and over ZZ and QQ the bits of a
+# coefficient product, estimated as the sum of the factors' bit lengths.
+# The scripts and benchmark decks take no term products and at most 6 bits;
+# the largest test input, a sixth power of a product of sums over QQ, takes
+# 5,549 term products and 493 bits.  At the bounds a refusal comes within
+# about 0.5 s.
+TERM_PRODUCTS = 1 << 20
+COEFF_BITS = 1 << 20
+_OVERFLOW = "a product has an exponent of 2^31 or more"
+
+
 def eval_poly(node, ring):
-    """Evaluate a polynomial AST inside a PolyRing."""
-    if isinstance(node, IntLit):
-        return ring.from_int(node.value)
-    if isinstance(node, FracLit):
+    """Evaluate a polynomial AST inside a PolyRing.
+
+    The AST is expanded on packed terms (``_Expansion``) into one Poly,
+    sorted once by the order key.  Raises DslSyntaxError for an unknown
+    variable, ExponentOverflow for an exponent of 2^31 or more, and
+    BudgetExceeded past TERM_PRODUCTS term products or COEFF_BITS bits.
+    """
+    expansion = _Expansion(ring)
+    return expansion.poly(expansion.value(node))
+
+
+def _bits(c):
+    """The bit length of an int or a Fraction."""
+    if type(c) is int:
+        return c.bit_length()
+    return c.numerator.bit_length() + c.denominator.bit_length()
+
+
+def _no_bits(c):
+    """The bits counted for an element of a finite domain: none."""
+    return 0
+
+
+class _Expansion:
+    """Polynomial ASTs expanded into packed terms of one PolyRing.
+
+    A monomial is one int m = (key << 32*nvars) | exps, the order key above
+    the packed exponents of ``multipoly._Packer``: a product of monomials
+    adds their ints, sorting on m sorts by the order key, and an exponent
+    of 2^31 or more sets a guard bit.  A value is None (zero), one term
+    (m, c, bits), or a dict {m: c} of two terms or more; bits is the bit
+    length of c over ZZ and QQ (``_bits``) and 0 elsewhere.  A product of atoms is one
+    term, a sum merges into one dict, and only a product or power of sums
+    multiplies dicts.
+
+    Products keep the checks of Poly arithmetic, so the same inputs raise
+    ExponentOverflow, over ZZ/n too: a zero factor absorbs the other
+    unchecked; a one-term factor checks every exponent before zero
+    coefficients drop out (``multipoly._shifted``); two longer factors drop
+    a zero term product and check the terms they add (``_sub_shifted``);
+    powers square as ``Poly.__pow__`` does.  Over ZZ and QQ coefficients
+    are ints and Fractions under the operators, and become Fractions over
+    QQ at the end.
+    """
+
+    def __init__(self, ring):
         dom = ring.domain
-        num = dom.from_int(node.numerator)
-        return ring.const(dom.mul(num, dom.inv(dom.from_int(node.denominator))))
-    if isinstance(node, Var):
-        if node.name not in ring.names:
-            raise DslSyntaxError(f"unknown variable {node.name!r} in {ring}")
-        return ring.gen(node.name)
-    if isinstance(node, Neg):
-        return -eval_poly(node.body, ring)
-    if isinstance(node, Pow):
-        return eval_poly(node.base, ring) ** node.exponent
-    if isinstance(node, BinOp):
-        left = eval_poly(node.left, ring)
-        right = eval_poly(node.right, ring)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    raise DslSyntaxError(f"bad polynomial node {node!r}")
+        pk = ring.packer
+        self.ring = ring
+        self.shift = shift = _EXPONENT_BITS * pk.nvars
+        self.guard = pk.guard
+        self.work = 0
+        if isinstance(dom, (arith.IntegerRing, arith.RationalField)):
+            self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
+            self.is_zero, self.from_int, self.bits = not_, int, _bits
+        else:
+            self.add, self.sub, self.mul, self.neg = dom.add, dom.sub, dom.mul, dom.neg
+            self.is_zero, self.from_int, self.bits = dom.is_zero, dom.from_int, _no_bits
+        self.fractions = isinstance(dom, arith.RationalField)
+        self.one = one = self.term(0, self.from_int(1))
+        self.vars = {name: one and (w << shift | 1 << _EXPONENT_BITS * i, one[1], one[2])
+                     for i, (name, w) in enumerate(zip(ring.names, pk.weights))}
+
+    def term(self, m, c):
+        return None if self.is_zero(c) else (m, c, self.bits(c))
+
+    def value(self, node):
+        t = type(node)
+        if t is BinOp:
+            if node.op == "*":
+                return self.times(self.value(node.left), self.value(node.right))
+            return self.sum(node)
+        if t is Var:
+            try:
+                return self.vars[node.name]
+            except KeyError:
+                raise DslSyntaxError(f"unknown variable {node.name!r} in {self.ring}") from None
+        if t is IntLit:
+            return self.term(0, self.from_int(node.value))
+        if t is Pow:
+            return self.power(self.value(node.base), node.exponent)
+        if t is Neg:
+            v = self.value(node.body)
+            if type(v) is tuple:
+                return (v[0], self.neg(v[1]), v[2])
+            return v and {m: self.neg(c) for m, c in v.items()}
+        if t is FracLit:
+            dom = self.ring.domain
+            num = dom.from_int(node.numerator)
+            return self.term(0, dom.mul(num, dom.inv(dom.from_int(node.denominator))))
+        raise DslSyntaxError(f"bad polynomial node {node!r}")
+
+    def sum(self, node):
+        """The terms of a sum, merged into one dict, left operands first."""
+        add, sub, neg = self.add, self.sub, self.neg
+        d = {}
+        stack = [(node, False)]
+        while stack:
+            node, negate = stack.pop()
+            t = type(node)
+            if t is BinOp and node.op != "*":
+                stack.append((node.right, negate != (node.op == "-")))
+                stack.append((node.left, negate))
+            elif t is Neg:
+                stack.append((node.body, not negate))
+            elif (v := self.value(node)) is not None:
+                for m, c in (v[:2],) if type(v) is tuple else v.items():
+                    if m in d:
+                        d[m] = sub(d[m], c) if negate else add(d[m], c)
+                    else:
+                        d[m] = neg(c) if negate else c
+        return self.normal(d)
+
+    def normal(self, d):
+        """The value of the terms d, zero coefficients dropped."""
+        is_zero = self.is_zero
+        for m in [m for m, c in d.items() if is_zero(c)]:
+            del d[m]
+        if len(d) > 1:
+            return d
+        return self.term(*next(iter(d.items()))) if d else None
+
+    def times(self, a, b):
+        if a is None or b is None:
+            return None
+        if type(a) is tuple:
+            if type(b) is tuple:
+                m = a[0] + b[0]
+                if m & self.guard:
+                    raise ExponentOverflow(_OVERFLOW)
+                if a[2] + b[2] > COEFF_BITS:
+                    self.spend(0, a[2] + b[2])
+                return self.term(m, self.mul(a[1], b[1]))
+            a, b = b, a
+        elif type(b) is not tuple:
+            return self.product(a, b)
+        # a dict times a term: every exponent checked, then the coefficients
+        m, c, bits = b
+        self.spend(len(a), self.max_bits_of(a) + bits)
+        keys = [k + m for k in a]
+        if reduce(or_, keys) & self.guard:
+            raise ExponentOverflow(_OVERFLOW)
+        mul = self.mul
+        return self.normal(dict(zip(keys, [mul(x, c) for x in a.values()])))
+
+    def product(self, a, b):
+        """The product of two dicts; a zero term product adds no term."""
+        self.spend(len(a) * len(b), self.max_bits_of(a) + self.max_bits_of(b))
+        add, mul, is_zero, guard = self.add, self.mul, self.is_zero, self.guard
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                p = mul(ca, cb)
+                if is_zero(p):
+                    continue
+                k = ka + kb
+                if k in out:
+                    out[k] = add(out[k], p)
+                elif k & guard:
+                    raise ExponentOverflow(_OVERFLOW)
+                else:
+                    out[k] = p
+        return self.normal(out)
+
+    def power(self, a, n):
+        """a^n by the squarings of ``Poly.__pow__``."""
+        r = one = self.one
+        while n:
+            if n & 1:
+                r = a if r is one else self.times(r, a)
+            n >>= 1
+            if n:
+                a = self.times(a, a)
+        return r
+
+    def spend(self, products, bits):
+        """Count the term products of one product, and bound the bits of
+        its coefficients."""
+        self.work += products
+        if self.work > TERM_PRODUCTS:
+            raise BudgetExceeded(f"expanding the polynomial takes more than "
+                                 f"{TERM_PRODUCTS} term products")
+        if bits > COEFF_BITS:
+            raise BudgetExceeded(f"expanding the polynomial makes a coefficient of "
+                                 f"more than {COEFF_BITS} bits")
+
+    def max_bits_of(self, d):
+        return max(map(self.bits, d.values()))
+
+    def poly(self, v):
+        """The Poly of a value, its terms sorted once by the order key."""
+        ring = self.ring
+        if v is None:
+            return ring.zero()
+        if type(v) is tuple:
+            v = {v[0]: v[1]}
+        ms = sorted(v, reverse=True)
+        coeffs = tuple([v[m] for m in ms])
+        if self.fractions:
+            coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
+        shift = self.shift
+        mask = (1 << shift) - 1
+        return Poly(ring, (tuple([m >> shift for m in ms]), tuple([m & mask for m in ms]),
+                           coeffs))
 
 
 def build_ring(expr: RingExpr):
