@@ -68,6 +68,7 @@ import random
 import threading
 import zlib
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     BudgetExceeded,
@@ -1064,19 +1065,21 @@ QQ = RationalField()
 
 
 def GFq(q, modulus_coeffs=None, var="t"):
-    """Finite field of order q = p^r, with an explicit modulus when r > 1."""
+    """Finite field of order q = p^r: GF(p) without a modulus, else
+    GF(p)[var]/(modulus) for integer coefficients of degree exactly r,
+    low degree first (an ExtField even when r = 1)."""
     fac = prime_factors(q)
     if len(fac) != 1:
         raise UnsupportedDomain(f"{q} is not a prime power")
     p, r = fac[0]
-    if r == 1:
+    if modulus_coeffs is None and r == 1:
         return GF(p)
     if modulus_coeffs is None:
         raise UnsupportedDomain("GF(p^r) with r > 1 needs an explicit modulus")
     base = GF(p)
     mod = up_norm(base, tuple(base.from_int(c) for c in modulus_coeffs))
     if up_deg(mod) != r:
-        raise UnsupportedDomain("modulus degree does not match the field order")
+        raise UnsupportedDomain(f"GF({q}) needs a modulus of degree {r}")
     return ExtField(base, mod, var=var)
 
 
@@ -1229,15 +1232,12 @@ def _cz_rng(f):
     return random.Random(zlib.crc32(repr(tuple(f)).encode()))
 
 
-def _factor_finite_field(f, dom):
+def _split_finite_field(f, dom):
+    """The split of a squarefree monic factor of f over a finite field:
+    distinct-degree, then Cantor-Zassenhaus on the draws of ``_cz_rng(f)``."""
     rng = _cz_rng(f)
-    unit = f[-1]
-    out = []
-    for g, mult in squarefree_decomposition(f, dom):
-        for h, d in _distinct_degree(g, dom):
-            for irr in _equal_degree(h, d, dom, rng):
-                out.append((dom.dense_monic(irr), mult))
-    return unit, out
+    return lambda g: [dom.dense_monic(irr) for h, d in _distinct_degree(g, dom)
+                      for irr in _equal_degree(h, d, dom, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -1603,15 +1603,6 @@ def _trager_squarefree(g, dom):
     return [_compose_shift(dom, h, dom.neg(shift)) for h in out]
 
 
-def _factor_number_field(f, dom):
-    unit = f[-1]
-    out = []
-    for g, mult in squarefree_decomposition(f, dom):
-        for fac in _trager_squarefree(g, dom):
-            out.append((fac, mult))
-    return unit, out
-
-
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -1647,12 +1638,15 @@ def factor_dense(f, dom):
         return f[0], []
     if isinstance(dom, RationalField):
         unit, fac = _factor_rationals(f)
-    elif isinstance(dom, Zmod) or (isinstance(dom, ExtField) and dom.char > 0):
-        unit, fac = _factor_finite_field(f, dom)
-    elif isinstance(dom, ExtField) and dom.char == 0 and dom.base == QQ:
-        unit, fac = _factor_number_field(f, dom)
     else:
-        raise UnsupportedDomain(f"factorization over {dom} is not supported")
+        if isinstance(dom, Zmod) or (isinstance(dom, ExtField) and dom.char > 0):
+            split = _split_finite_field(f, dom)
+        elif isinstance(dom, ExtField) and dom.base == QQ:
+            split = partial(_trager_squarefree, dom=dom)
+        else:
+            raise UnsupportedDomain(f"factorization over {dom} is not supported")
+        unit = f[-1]
+        fac = [(h, mult) for g, mult in squarefree_decomposition(f, dom) for h in split(g)]
     fac.sort(key=lambda fm: (up_deg(fm[0]), fm[0]))
     return unit, fac
 

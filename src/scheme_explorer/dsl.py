@@ -30,7 +30,11 @@ ring.  ``Command.flag`` checks a value's kind when the command reads it.
 
 Domain literals: ZZ, QQ, ZZ/12, GF(7), GF(49,t^2+1).  Projective points
 are written [a:b:c].  Parsing is total on this grammar and printing a parsed
-script reparses to the same abstract syntax.
+script reparses to the same abstract syntax.  An integer of more digits
+than ``int`` reads, and a polynomial that nests parentheses and signs past
+``_NESTING_BUDGET``, are syntax errors; a product prints its left operand
+in parentheses, so one of more than ``_NESTING_BUDGET`` + 1 factors prints
+past it.
 
 Tokens are tuples (``Token``, a NamedTuple) read from one ``findall`` of
 the token pattern; the syntax nodes of polynomials are slotted dataclasses
@@ -44,6 +48,7 @@ BudgetExceeded.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -106,7 +111,7 @@ class Token(NamedTuple):
 
 
 def _kind_of(first):
-    """The kind of a token by its first character: a word may not start
+    r"""The kind of a token by its first character: a word may not start
     with a numeric character that is not a digit, such as '½', though \w
     matches one."""
     if first == "-":
@@ -150,6 +155,9 @@ def tokenize(source):
             text = text[1:-1]
         elif kind == "ERROR":
             raise DslSyntaxError(f"unexpected character {text[0]!r}", line,
+                                 start - line_start + 1)
+        elif kind == "INT" and 0 < sys.get_int_max_str_digits() < len(text):
+            raise DslSyntaxError(f"an integer of {len(text)} digits is too long", line,
                                  start - line_start + 1)
         tokens.append(_new_token((kind, text, line, start - line_start + 1)))
     tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
@@ -215,23 +223,31 @@ class BinOp:
     right: object
 
     def to_text(self):
-        if self.op in "+-":
-            return f"{self.left.to_text()} {self.op} {_wrap_add(self.right)}"
-        return f"{_wrap(self.left)}*{_wrap(self.right)}"
+        # the operations of one precedence down the left operands, in a loop:
+        # a sum or product of thousands of terms prints without recursion
+        chain, node = _left_chain(self)
+        if self.op == "*":
+            return ("(" * (len(chain) - 1) + _wrap(node) + "*"
+                    + ")*".join(_wrap(n.right) for n in chain))
+        return node.to_text() + "".join(f" {n.op} {_wrap(n.right, '+-')}" for n in chain)
 
 
-def _wrap(node):
-    if isinstance(node, BinOp):
-        return f"({node.to_text()})"
-    if isinstance(node, Neg):
-        return f"({node.to_text()})"
-    return node.to_text()
+def _left_chain(node):
+    """The BinOps of ``node``'s precedence down its left operands, innermost
+    first, and the left operand below them."""
+    ops = "*" if node.op == "*" else "+-"
+    chain = []
+    while type(node) is BinOp and node.op in ops:
+        chain.append(node)
+        node = node.left
+    chain.reverse()
+    return chain, node
 
 
-def _wrap_add(node):
-    if isinstance(node, BinOp) and node.op in "+-":
-        return f"({node.to_text()})"
-    if isinstance(node, Neg):
+def _wrap(node, ops="+-*"):
+    """The text of an operand, parenthesized when it is a negation or an
+    operation in ``ops``."""
+    if type(node) is Neg or type(node) is BinOp and node.op in ops:
         return f"({node.to_text()})"
     return node.to_text()
 
@@ -358,6 +374,14 @@ class Script:
 # parser
 # ---------------------------------------------------------------------------
 
+# Parentheses and signs that one polynomial may nest, each a level of the
+# parser's, the printer's and the evaluator's recursion; a sum or product
+# of any length is walked in a loop.  The scripts, the benchmark decks and
+# the tests nest at most 2 deep; at 250 nested parentheses the parser
+# would pass Python's recursion limit.
+_NESTING_BUDGET = 200
+
+
 class Parser:
     def __init__(self, source):
         self.tokens = tokenize(source)
@@ -365,6 +389,7 @@ class Parser:
         # decisions of the polynomial rules read
         self.syms = [t.text if t.kind == "SYM" else None for t in self.tokens]
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -573,9 +598,16 @@ class Parser:
             node = BinOp("*", node, self.parse_factor())
 
     def parse_factor(self):
+        if self.nesting > _NESTING_BUDGET:
+            tok = self.tokens[self.pos - 1]
+            raise DslSyntaxError(f"a polynomial nests more than {_NESTING_BUDGET} "
+                                 "parentheses and signs", tok.line, tok.column)
         if self.syms[self.pos] == "-":
             self.pos += 1
-            return Neg(self.parse_factor())
+            self.nesting += 1
+            node = Neg(self.parse_factor())
+            self.nesting -= 1
+            return node
         atom = self.parse_atom()
         if self.syms[self.pos] == "^":
             self.pos += 1
@@ -593,8 +625,10 @@ class Parser:
             return Var(tok.text)
         if self.syms[self.pos] == "(":
             self.pos += 1
+            self.nesting += 1
             inner = self.parse_poly_expr()
             self.expect("SYM", ")")
+            self.nesting -= 1
             return inner
         raise DslSyntaxError(
             f"unexpected {tok.text!r} in a polynomial", tok.line, tok.column,
@@ -650,32 +684,16 @@ def build_domain(expr: DomainExpr):
         return arith.Zmod(expr.modulus)
     if expr.kind == "GF":
         return arith.GF(expr.modulus)
-    # GF(q, pi(t)): read the modulus as a dense polynomial in one variable
-    fac = arith.prime_factors(expr.modulus)
-    if len(fac) != 1:
-        raise DslSyntaxError(f"{expr.modulus} is not a prime power")
-    p, r = fac[0]
-    base = arith.GF(p)
-    names = sorted(_poly_vars(expr.poly)) or ["t"]
+    # GF(q, pi(t)): pi is read in (ZZ/q)[t], which maps onto GF(p)[t] for
+    # the prime p | q, and GFq checks q and the degree of pi; the variables
+    # of pi are the words of its printed form
+    names = sorted({tok.text for tok in tokenize(expr.poly.to_text())
+                    if tok.kind == "NAME"}) or ["t"]
     if len(names) != 1:
         raise DslSyntaxError("extension modulus must be univariate")
-    ring = PolyRing(base, (names[0],))
-    dense = arith.poly_to_dense(eval_poly(expr.poly, ring))
-    return arith.ExtField(base, dense, var=names[0])
-
-
-def _poly_vars(node):
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, (IntLit, FracLit)):
-        return set()
-    if isinstance(node, Neg):
-        return _poly_vars(node.body)
-    if isinstance(node, Pow):
-        return _poly_vars(node.base)
-    if isinstance(node, BinOp):
-        return _poly_vars(node.left) | _poly_vars(node.right)
-    return set()
+    ring = PolyRing(arith.Zmod(expr.modulus), tuple(names))
+    modulus = arith.poly_to_dense(eval_poly(expr.poly, ring))
+    return arith.GFq(expr.modulus, modulus, var=names[0])
 
 
 # The work that one eval_poly may do, counted rather than timed: the term
@@ -760,9 +778,13 @@ class _Expansion:
     def value(self, node):
         t = type(node)
         if t is BinOp:
-            if node.op == "*":
-                return self.times(self.value(node.left), self.value(node.right))
-            return self.sum(node)
+            if node.op != "*":
+                return self.sum(node)
+            chain, node = _left_chain(node)
+            v = self.value(node)
+            for n in chain:
+                v = self.times(v, self.value(n.right))
+            return v
         if t is Var:
             try:
                 return self.vars[node.name]

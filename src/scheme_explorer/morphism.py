@@ -18,14 +18,13 @@ from .arith import (
     FracField,
     Zmod,
     dense_to_poly,
-    factor_dense,
-    poly_to_dense,
     up_deg,
     up_norm,
 )
 from .errors import (
     IntegralityNotWitnessed,
     InvalidArgument,
+    NonFieldBase,
     NotCatalogued,
     ResidueFieldNotRepresentable,
     Undecidable,
@@ -51,7 +50,7 @@ class RingMorphism:
         image = self.apply(rel)
         try:
             return self.target.nf(image).is_zero()
-        except Exception:
+        except NonFieldBase:
             return image.is_zero()
 
     def apply(self, f: Poly):
@@ -203,7 +202,6 @@ def fiber(phi: RingMorphism, x: sp.SpecPoint, bound=10):
     if isinstance(kappa, FracField):
         return _symbolic_fiber(phi, x, bound)
     fiber_algebra = _base_change_to_residue(phi, x, kappa)
-    points = None
     try:
         cat = sp.SpecCatalogue.recognize(fiber_algebra)
         points = sp.enumerate_points(cat, bound)
@@ -272,7 +270,6 @@ def _base_change_to_residue(phi, x, kappa):
         else:
             image_flat = _expand_ext_coeffs(image, target.ring)
         rels.append(image_flat.map_coefficients(ring) - ring.const(value))
-    rels = [r for r in rels if not r.is_zero()]
     fiber_algebra = alg.PresentedAlgebra(kappa, target.names, rels, target.ring.order)
     return _substitute_pinned(fiber_algebra)
 
@@ -293,13 +290,8 @@ def _substitute_pinned(algebra):
             assignment = {name: ring.const(const)}
             for n in names:
                 assignment[n] = ring.gen(n)
-            rels = []
-            for other in current.relations:
-                if other is rel:
-                    continue
-                moved = other.substitute(assignment, ring)
-                if not moved.is_zero():
-                    rels.append(moved)
+            rels = [other.substitute(assignment, ring)
+                    for other in current.relations if other is not rel]
             current = alg.PresentedAlgebra(current.base, names, rels, ring.order)
             changed = True
             break
@@ -332,9 +324,7 @@ def _symbolic_fiber(phi, x, bound):
     new_var = [n for n in tgt.names if n not in src.names]
     if len(new_var) != 1:
         raise ResidueFieldNotRepresentable("not a one-variable extension")
-    fiber_algebra = alg.PresentedAlgebra(kappa, (new_var[0],))
-    points = None
-    return FiberDescription(x, fiber_algebra, points)
+    return FiberDescription(x, alg.PresentedAlgebra(kappa, (new_var[0],)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +371,8 @@ def going_up_check(phi: RingMorphism, witnesses, bound=50):
     for pt in sp.enumerate_points(src_cat, bound):
         if pt.is_generic():
             continue
-        desc = fiber(phi, pt, bound=2)
-        above = None
-        if desc.points:
-            above = desc.points[0]
-        else:
-            # fall back: a univariate fiber with relations factors directly
-            above = _first_point_of_univariate_quotient(desc.fiber_algebra)
-        samples.append((pt, above))
+        points = fiber(phi, pt, bound=2).points
+        samples.append((pt, points[0] if points else None))
     return GoingUpReport(list(witnesses), samples)
 
 
@@ -396,20 +380,3 @@ def _is_monic_in(poly, name):
     coeffs = poly.coeffs_in(name)
     return len(coeffs) > 1 and coeffs[-1] == 1
 
-
-def _first_point_of_univariate_quotient(algebra):
-    """A closed point of k[T]/(f): the first irreducible factor of f."""
-    if len(algebra.names) != 1 or not algebra.base.is_field:
-        return None
-    if not algebra.relations:
-        return None
-    dense = poly_to_dense(algebra.relations[0])
-    if up_deg(dense) < 1:
-        return None
-    _, fac = factor_dense(dense, algebra.base)
-    if not fac:
-        return None
-    cat = sp.SpecCatalogue.recognize(
-        alg.PresentedAlgebra(algebra.base, algebra.names)
-    )
-    return sp.closed_point(cat, fac[0][0])

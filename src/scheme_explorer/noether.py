@@ -215,20 +215,14 @@ def _quotient_basis(gb: GroebnerBasis, ring: PolyRing):
     """Monomials under the staircase; (None, variable) if infinite."""
     leads = [g.leading_monomial() for g in gb]
     pk = ring.packer
-    for i, name in enumerate(ring.names):
-        if not any(
-            e[i] > 0 and all(k == 0 for j, k in enumerate(e) if j != i)
-            for e in leads
-        ):
-            return None, name
-    caps = [
-        min(
-            e[i]
-            for e in leads
-            if e[i] > 0 and all(k == 0 for j, k in enumerate(e) if j != i)
-        )
-        for i in range(ring.nvars)
-    ]
+    caps = [None] * ring.nvars  # the least pure power of each variable
+    for e in leads:
+        support = [i for i, k in enumerate(e) if k]
+        if len(support) == 1:
+            i = support[0]
+            caps[i] = e[i] if caps[i] is None else min(caps[i], e[i])
+    if None in caps:
+        return None, ring.names[caps.index(None)]
     packed_leads = [pk.pack(lead) for lead in leads]
     basis = []
     for exps in itertools.product(*(range(c) for c in caps)):

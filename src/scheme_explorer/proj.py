@@ -4,8 +4,9 @@ Projective objects are handled through their standard affine chart atlas:
 chart i of Proj base[T_0..T_n]/I is Spec of the dehomogenized presentation
 in the ratio coordinates t_j = T_j/T_i.  Points over a field are normalized
 coordinate tuples; the Segre, Veronese, and squaring (conic) maps act on
-points and their image ideals are computed by elimination and certified by
-mutual radical membership.
+points and their image ideals are computed by one elimination and certified
+by mutual radical membership.  The zero locus of a section in P^n of a
+finite field is taken after mapping the section's coefficients into it.
 """
 
 from __future__ import annotations
@@ -50,9 +51,7 @@ class GradedAlgebra:
         return alg.PresentedAlgebra(self.base, self.names, self.relations)
 
     def __repr__(self):
-        rels = ", ".join(str(r) for r in self.relations)
-        body = f"{self.base}[{','.join(self.names)}]"
-        return f"Proj {body}/({rels})" if rels else f"Proj {body}"
+        return f"Proj {self.presented()!r}"
 
 
 def projective_space(base, n, var_stem="T"):
@@ -300,38 +299,33 @@ def conic_map(p: ProjPoint):
     return point_normalize(k, [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s1)])
 
 
+def _monomial_kernel(base, names, target_names, pairs):
+    """The kernel of base[names] -> base[target_names] sending names[k] to
+    the product of the variables at pairs[k] = (a, b), by elimination: the
+    vanishing ideal of the image of a map by degree-two monomials."""
+    target = alg.PresentedAlgebra(base, target_names)
+    s = target.gens()
+    return alg.morphism_kernel(names, [s[a] * s[b] for a, b in pairs], target)
+
+
 def segre_kernel(base, n, m):
     """Vanishing ideal of the Segre image, by elimination."""
-    s_names = tuple(f"S{i}" for i in range(n + 1))
-    t_names = tuple(f"U{j}" for j in range(m + 1))
-    target = alg.PresentedAlgebra(base, s_names + t_names)
-    images = []
-    sigma_names = []
-    for i in range(n + 1):
-        for j in range(m + 1):
-            sigma_names.append(f"Z{i}{j}")
-            images.append(target.ring.gen(f"S{i}") * target.ring.gen(f"U{j}"))
-    return alg.morphism_kernel(tuple(sigma_names), images, target)
+    s_names = tuple(f"S{i}" for i in range(n + 1)) + tuple(f"U{j}" for j in range(m + 1))
+    ij = list(itertools.product(range(n + 1), range(m + 1)))
+    return _monomial_kernel(base, tuple(f"Z{i}{j}" for i, j in ij), s_names,
+                            [(i, n + 1 + j) for i, j in ij])
 
 
 def veronese_kernel(base, n):
     """Vanishing ideal of the Veronese image of P^n (degree 2)."""
-    s_names = tuple(f"S{i}" for i in range(n + 1))
-    target = alg.PresentedAlgebra(base, s_names)
-    images = []
-    sigma_names = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            sigma_names.append(f"Z{i}{j}")
-            images.append(target.ring.gen(f"S{i}") * target.ring.gen(f"S{j}"))
-    return alg.morphism_kernel(tuple(sigma_names), images, target)
+    pairs = list(itertools.product(range(n + 1), repeat=2))
+    return _monomial_kernel(base, tuple(f"Z{i}{j}" for i, j in pairs),
+                            tuple(f"S{i}" for i in range(n + 1)), pairs)
 
 
 def conic_kernel(base):
     """Vanishing ideal of [s0^2 : s0 s1 : s1^2] in P^2."""
-    target = alg.PresentedAlgebra(base, ("S0", "S1"))
-    s0, s1 = target.gens()
-    return alg.morphism_kernel(("T0", "T1", "T2"), [s0 * s0, s0 * s1, s1 * s1], target)
+    return _monomial_kernel(base, ("T0", "T1", "T2"), ("S0", "S1"), [(0, 0), (0, 1), (1, 1)])
 
 
 def ideals_equal_up_to_radical(I: alg.IdealHandle, J: alg.IdealHandle):
@@ -460,16 +454,16 @@ class ProjZeroLocus:
         return dehomogenize(self.section, B.names[i], rename=rename)
 
     def field_points(self, field):
-        """Zero locus inside P^n(field) for a finite field, exhaustively."""
-        n = len(self.graded.names) - 1
-        out = []
-        for pt in enumerate_points(field, n):
-            value = self.section.evaluate(
-                {name: pt.coords[i] for i, name in enumerate(self.graded.names)}
-            )
-            if field.is_zero(value):
-                out.append(pt)
-        return out
+        """Zero locus inside P^n(field) for a finite field, exhaustively.
+
+        The section is first mapped into field[T0..Tn] along the canonical
+        map of coefficients (NoCanonicalMap where there is none, as from QQ
+        to GF(p)), so a section over ZZ has its zeros mod p.
+        """
+        names = self.graded.names
+        section = self.section.map_coefficients(PolyRing(field, names))
+        return [pt for pt in enumerate_points(field, len(names) - 1)
+                if field.is_zero(section.evaluate(dict(zip(names, pt.coords))))]
 
     def __repr__(self):
         return f"V({self.section}) in {self.graded}"

@@ -771,39 +771,33 @@ class UnitCocycle:
         """Pointwise product cocycle on the same cover."""
         if [set(u) for u in self.cover] != [set(u) for u in other.cover]:
             raise Unsupported("cocycles live on different covers")
-        units = {}
-        for key, val in self.units.items():
-            i, j = key
-            w = self.cover[i] & self.cover[j]
-            rw = self.ring_on(w)
-            units[key] = rw.mul(rw.make(*val), rw.make(*other.units[key]))
-        return UnitCocycle(self.report, self.cover, units)
+        return _cocycle(self.report, self.cover, lambda i, j, w, rw: rw.mul(
+            rw.make(*self.units[i, j]), rw.make(*other.units[i, j])))
 
     def __repr__(self):
         return f"UnitCocycle(on {len(self.cover)} opens)"
 
 
-def trivial_cocycle(report, cover):
-    cover = [frozenset(u) for u in cover]
-    units = {}
-    for i in range(len(cover)):
-        for j in range(len(cover)):
-            units[(i, j)] = report.local_rings[cover[i] & cover[j]].one()
-    return UnitCocycle(report, cover, units)
-
-
-def coboundary_cocycle(report, cover, unit_choices):
-    """The coboundary (a_i / a_j) of a family of units on the cover opens."""
+def _cocycle(report, cover, unit):
+    """The UnitCocycle on ``cover`` with f_ij = unit(i, j, w, rw), w the
+    overlap U_i & U_j and rw its local ring."""
     cover = [frozenset(u) for u in cover]
     units = {}
     for i in range(len(cover)):
         for j in range(len(cover)):
             w = cover[i] & cover[j]
-            rw = report.local_rings[w]
-            ai = rw.make(*unit_choices[i])
-            aj = rw.make(*unit_choices[j])
-            units[(i, j)] = rw.mul(ai, rw.inv(aj))
+            units[(i, j)] = unit(i, j, w, report.local_rings[w])
     return UnitCocycle(report, cover, units)
+
+
+def trivial_cocycle(report, cover):
+    return _cocycle(report, cover, lambda i, j, w, rw: rw.one())
+
+
+def coboundary_cocycle(report, cover, unit_choices):
+    """The coboundary (a_i / a_j) of a family of units on the cover opens."""
+    return _cocycle(report, cover, lambda i, j, w, rw: rw.mul(
+        rw.make(*unit_choices[i]), rw.inv(rw.make(*unit_choices[j]))))
 
 
 def twist_structure_sheaf(cocycle: UnitCocycle):
@@ -845,25 +839,15 @@ def recover_cocycle(twisted: FinitePresheaf, report, cover):
     section family whose j-th component is 1; its i-th component is the
     recovered unit f_ij.
     """
-    cover = [frozenset(u) for u in cover]
-    n = len(cover)
-    units = {}
-    for i in range(n):
-        for j in range(n):
-            w = cover[i] & cover[j]
-            rw = report.local_rings[w]
-            if not w:
-                units[(i, j)] = rw.one()
-                continue
-            candidates = [
-                fam
-                for fam in twisted.sections[w]
-                if rw.make(*fam[j]) == rw.one()
-            ]
-            if len(candidates) != 1:
-                raise Unsupported("trivializing section is not unique")
-            units[(i, j)] = rw.make(*candidates[0][i])
-    return UnitCocycle(report, cover, units)
+    def unit(i, j, w, rw):
+        if not w:
+            return rw.one()
+        candidates = [fam for fam in twisted.sections[w] if rw.make(*fam[j]) == rw.one()]
+        if len(candidates) != 1:
+            raise Unsupported("trivializing section is not unique")
+        return rw.make(*candidates[0][i])
+
+    return _cocycle(report, cover, unit)
 
 
 def cocycles_equal_mod_coboundary(report, cover, c1: UnitCocycle, c2: UnitCocycle):
@@ -894,18 +878,12 @@ def is_coboundary(report, cover, cocycle: UnitCocycle):
 
 def two_open_cocycle(report, cover, unit):
     """The cocycle on a cover (U_0, U_1) with f_01 = unit and f_10 = unit^-1."""
-    u0, u1 = frozenset(cover[0]), frozenset(cover[1])
     try:
-        inverse = report.local_rings[u0 & u1].inv(unit)
+        inverse = report.local_rings[frozenset(cover[0]) & frozenset(cover[1])].inv(unit)
     except NotInvertible as err:
         raise NonInvertibleUnit(str(err)) from None
-    units = {
-        (0, 0): report.local_rings[u0].one(),
-        (1, 1): report.local_rings[u1].one(),
-        (0, 1): unit,
-        (1, 0): inverse,
-    }
-    return UnitCocycle(report, [u0, u1], units)
+    units = {(0, 1): unit, (1, 0): inverse}
+    return _cocycle(report, cover[:2], lambda i, j, w, rw: units[i, j] if i != j else rw.one())
 
 
 def cocycles_on_cover(report, cover):

@@ -5,7 +5,9 @@ catalogued ring is stored as its normal-form data (a prime number, a monic
 irreducible polynomial, a (p, lift) pair, ...) together with a residue
 field descriptor.  The catalogue covers the rings the workbench can fully
 answer for: fields, ZZ, ZZ/n, k[T], ZZ[T], k[S,T], plus quotients,
-localizations, and binary products of catalogued rings.
+localizations, and binary products of catalogued rings.  A closed set V(I)
+is carried by generators of I; in k[T] its points are the irreducible
+factors of their gcd, and a quotient of k[T] lists its points from them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import itemgetter
 
 from . import algebra as alg
@@ -27,7 +29,6 @@ from .arith import (
     dense_to_poly,
     ext_field_text,
     factor_dense,
-    factor_univariate,
     poly_to_dense,
     prime_factors,
     up_deg,
@@ -509,25 +510,8 @@ def _enumerate_zzt(cat, bound):
 
 def _enumerate_quotient(cat, bound):
     """Points of Spec A/I = V(I) inside Spec A (same residue fields)."""
-    inner = cat.data["inner"]
-    ideal_gens = cat.data["ideal"]
-    if (
-        inner.kind == "kT"
-        and len(ideal_gens) == 1
-        and not ideal_gens[0].is_zero()
-        and not ideal_gens[0].is_constant()
-    ):
-        # V(f) in Spec k[T] is the finite set of irreducible factors of f,
-        # enumerable over any supported field regardless of the bound
-        _, fac = factor_dense(poly_to_dense(ideal_gens[0]), inner.data["field"])
-        return [
-            _embedded_point(cat, "quotient", closed_point(inner, g)) for g, _ in fac
-        ]
-    return [
-        _embedded_point(cat, "quotient", pt)
-        for pt in enumerate_points(inner, bound)
-        if all(_vanishes_at(g, pt) for g in ideal_gens)
-    ]
+    closed = ZariskiClosed(cat.data["inner"], cat.data["ideal"])
+    return [_embedded_point(cat, "quotient", pt) for pt in closed.points(bound)]
 
 
 def _enumerate_localization(cat, bound):
@@ -586,9 +570,22 @@ class ZariskiClosed:
         return all(_vanishes_at(g, point) for g in self.generators)
 
     def points(self, bound=10):
-        return [
-            pt for pt in enumerate_points(self.owner, bound) if self.contains(pt)
-        ]
+        """The points of V(I) that ``enumerate_points`` lists under ``bound``.
+
+        k[T] is a principal ideal domain, so there V(f1, ..., fr) is
+        V(gcd(f1, ..., fr)), the closed points of the irreducible factors of
+        the gcd: listed over every field that ``factor_dense`` supports,
+        whatever the bound.  Zero generators are ignored, and V(0) is the
+        whole enumeration.
+        """
+        owner = self.owner
+        if owner.kind == "kT":
+            dense = [f for f in map(poly_to_dense, self.generators) if f]
+            if dense:
+                k = owner.data["field"]
+                _, fac = factor_dense(reduce(k.dense_gcd, dense), k)
+                return [closed_point(owner, g) for g, _ in fac]
+        return [pt for pt in enumerate_points(owner, bound) if self.contains(pt)]
 
     def equals(self, other):
         """V(I) = V(J) iff the generators are mutually radical members."""
@@ -632,14 +629,14 @@ def is_irreducible_closed(z: ZariskiClosed):
         if owner.kind in ("field", "ZZ", "kT", "ZZT", "kST"):
             return True, generic_point(owner)
         raise Undecidable(f"V(0) irreducibility not catalogued for {owner.kind}")
+    if owner.kind == "kT" and any(not g.is_zero() for g in z.generators):
+        pts = z.points()
+        return (True, pts[0]) if len(pts) == 1 else (False, None)
     if len(z.generators) == 1:
         comps = irreducible_components(z)
         if len(comps) != 1:
             return False, None
-        gen = comps[0].generators[0]
-        if owner.kind == "kT":
-            return True, closed_point(owner, poly_to_dense(gen))
-        return True, _hypersurface_point(owner, gen)
+        return True, _hypersurface_point(owner, comps[0].generators[0])
     raise Undecidable("irreducibility beyond principal closed sets")
 
 
@@ -652,10 +649,11 @@ def _hypersurface_point(cat: SpecCatalogue, g):
 def irreducible_components(z: ZariskiClosed, supplied_factors=None):
     """Components of a hypersurface V(f), via available factorizations.
 
-    Univariate: complete factorization.  Bivariate over a field: content in
-    the second variable splits off, then the primitive part is handled when
-    its main-variable degree stays within root-finding reach.  Otherwise a
-    supplied factorization is verified by multiplication and used.
+    In k[T]: the closures of the points of V(f).  Bivariate over a field:
+    content in the second variable splits off, then the primitive part is
+    handled when its main-variable degree stays within root-finding reach.
+    Otherwise a supplied factorization is verified by multiplication and
+    used.
     """
     owner = z.owner
     if len(z.generators) != 1:
@@ -671,9 +669,8 @@ def irreducible_components(z: ZariskiClosed, supplied_factors=None):
             raise FactorizationUnavailable("supplied factorization is wrong")
         return [ZariskiClosed(owner, [g]) for g in _dedupe(supplied_factors)]
     ring = f.ring
-    if ring.nvars == 1 and ring.domain.is_field:
-        fac = factor_univariate(f)
-        return [ZariskiClosed(owner, [g]) for g, _ in fac.factors]
+    if owner.kind == "kT":
+        return [closure(pt) for pt in z.points()]
     if ring.nvars == 2 and ring.domain.is_field:
         return [
             ZariskiClosed(owner, [g]) for g in _factor_bivariate(f)

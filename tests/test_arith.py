@@ -489,3 +489,15 @@ def test_extension_elements_are_budgeted_before_listing(monkeypatch):
     assert cli.main(["exec", "spec describe GF(9,t^2+1)[X] --bound 1;"]) == 1
     monkeypatch.setattr(arith, "_ELEMENTS_BUDGET", 9)
     assert len(F9.elements()) == 9
+
+
+def test_gfq_checks_the_degree_of_the_modulus_for_every_order():
+    """GF(7) with a cubic modulus was GF(7) itself; a modulus of the degree
+    log_p q gives GF(p)[t]/(m), even for q = p."""
+    with pytest.raises(UnsupportedDomain, match="GF\\(7\\) needs a modulus of degree 1"):
+        GFq(7, (1, 1, 0, 1))
+    with pytest.raises(UnsupportedDomain, match="GF\\(49\\) needs a modulus of degree 2"):
+        GFq(49, (1, 1, 0, 1))
+    assert GFq(7) == GF(7)
+    assert GFq(7, (10, 1)) == ExtField(GF(7), (3, 1))
+    assert repr(GFq(7, (10, 1))) == "GF(7,t + 3)"

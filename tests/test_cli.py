@@ -484,3 +484,94 @@ def test_groebner_edge_cases_print_as_before():
         '$ normalize --ring "ZZ/6[x]" --ideal "(x)";\n'
         "  error [non-field-base]: normalization needs a field base\n"
     )
+
+
+@pytest.mark.parametrize("domain, answer", [
+    ("GF(7,t+3)", {"ring": "GF(7,t + 3)[X]"}),
+    ("GF(25,t^2+2)", {"ring": "GF(25,t^2 + 2)[X]"}),
+    ("GF(49,t^3+t+1)", {"code": "unsupported-domain",
+                        "message": "GF(49) needs a modulus of degree 2"}),
+    ("GF(8,t+1)", {"code": "unsupported-domain",
+                   "message": "GF(8) needs a modulus of degree 3"}),
+    ("GF(6,t+1)", {"code": "unsupported-domain", "message": "6 is not a prime power"}),
+])
+def test_an_extension_field_needs_a_modulus_of_the_degree_of_its_order(domain, answer):
+    """GF(q, m) is GF(p)[t]/(m) with deg m = log_p q; GF(49,t^3+t+1) was
+    GF(343,...) and GF(8,t+1) was GF(2,t + 1)."""
+    records, _ = run_script(dsl.parse(f"ring A = {domain}[X];"))
+    record = records[0]
+    assert (record["error"] if "error" in record else {"ring": record["data"]["ring"]}) == answer
+
+
+_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("statement, column", [
+    (f"poly QQ[x] : {_DIGITS}*x;", 14),
+    (f"poly QQ[x] : x^{_DIGITS};", 16),
+    (f"poly QQ[x] : 1/{_DIGITS};", 16),
+    (f"spec describe ZZ --bound {_DIGITS};", 26),
+    (f"ring A = GF({_DIGITS})[x];", 13),
+], ids=["literal", "exponent", "denominator", "flag", "field-order"])
+def test_an_integer_longer_than_int_reads_is_a_syntax_error(statement, column):
+    with pytest.raises(DslSyntaxError) as err:
+        dsl.parse(statement)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert "an integer of 5000 digits is too long" in str(err.value)
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("- ", ""), ("-(", ")")])
+def test_a_polynomial_nested_past_the_budget_is_a_syntax_error(opening, closing):
+    """200 levels of parentheses and signs answer; the 201st is refused at
+    its token."""
+    levels = 200 // len(opening.strip())
+    records, had_error = run_script(dsl.parse(
+        f"poly QQ[x] : {opening * levels}x{closing * levels};"))
+    assert not had_error and records[0]["data"]["printed"] == "x"
+    with pytest.raises(DslSyntaxError) as err:
+        dsl.parse(f"poly QQ[x] : {opening * (levels + 1)}x{closing * (levels + 1)};")
+    assert (err.value.line, err.value.column) == (1, 14 + len(opening) * levels)
+
+
+@pytest.mark.parametrize("text, printed", [
+    (" + ".join(["x"] * 3000), "3000*x"),
+    (" - ".join(["x"] * 3000), "-2998*x"),
+    ("*".join(["x"] * 3000), "x^3000"),
+    ("*".join(["(x + 1)"] * 3) + " - " + " - ".join(["x^2*x"] * 3000),
+     "-2999*x^3 + 3*x^2 + 3*x + 1"),
+], ids=["sum", "difference", "product", "mixed"])
+def test_sums_and_products_of_thousands_of_terms_answer(text, printed):
+    """A sum or product is walked in a loop when it is printed and
+    evaluated: its length is not a depth of recursion."""
+    records, had_error = run_script(dsl.parse(f"poly QQ[x] : {text};"))
+    assert not had_error, records[0]
+    assert records[0]["statement"] == f"poly QQ[x] : {dsl.parse_poly_text(text).to_text()};"
+    assert records[0]["data"]["printed"] == printed
+
+
+@pytest.mark.parametrize("statement", [
+    f"poly QQ[x] : x^{_DIGITS};",
+    "poly QQ[x] : " + "(" * 2000 + "x" + ")" * 2000 + ";",
+    "poly QQ[x] : " + "- " * 3000 + "x;",
+    "poly QQ[x] : " + " + ".join(["x"] * 3000) + ";",
+    "ring A = GF(4," + " + ".join(["t^2"] * 3001) + " + t + 1)[x];",
+], ids=["exponent", "parentheses", "signs", "sum", "field-modulus"])
+def test_oversized_statements_exit_without_a_traceback(statement):
+    proc = run_cli(["exec", statement])
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1, 2)
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("x*y*z*w", "((x*y)*z)*w"),
+    ("x - y + z - w", "x - y + z - w"),
+    ("x - (y - z) + (u + v)", "x - (y - z) + (u + v)"),
+    ("-x*(y+z)*w - -u", "((-x)*(y + z))*w - (-u)"),
+    ("(x*y + 1)*(2*z)^3*x", "((x*y + 1)*(2*z)^3)*x"),
+])
+def test_chains_print_in_the_form_that_reparses_to_them(text, printed):
+    """A product keeps its left operand in parentheses and a sum does not;
+    both print in a loop."""
+    ast = dsl.parse_poly_text(text)
+    assert ast.to_text() == printed
+    assert dsl.parse_poly_text(printed) == ast

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from scheme_explorer.arith import QQ, ZZ, ExtField, FracField, Zmod, is_prime
+from scheme_explorer.arith import GF, QQ, ZZ, ExtField, FracField, Zmod, is_prime
 from scheme_explorer.algebra import PresentedAlgebra
 from scheme_explorer.errors import (
     IntegralityNotWitnessed,
@@ -245,3 +245,49 @@ def test_going_up_reads_the_leading_coefficient_in_the_variable():
     assert B.nf(witness).is_zero()
     with pytest.raises(IntegralityNotWitnessed):
         mor.going_up_check(phi, [witness, Ub ** 2 - 2], bound=5)
+
+
+def _going_up_over_gf2(fiber_relations):
+    """going_up_check, bound 1, for S -> S from GF(2)[S] to
+    GF(2)[S,x]/(S^2 + S, *fiber_relations(x)), witnessed by S^2 + S and the
+    first relation."""
+    A = PresentedAlgebra(GF(2), ("S",))
+    S, x = PresentedAlgebra(GF(2), ("S", "x")).gens()
+    rels = fiber_relations(x)
+    B = PresentedAlgebra(GF(2), ("S", "x"), [S ** 2 + S, *rels])
+    phi = mor.RingMorphism(A, B, [S])
+    return mor.going_up_check(phi, [S ** 2 + S, rels[0]], bound=1).as_record()
+
+
+def test_going_up_finds_no_point_above_a_zero_ring():
+    """x^2 + x and x^2 + x + 1 generate the unit ideal: the target is the
+    zero ring, and no point lies above either point of Spec GF(2)[S]."""
+    record = _going_up_over_gf2(lambda x: [x ** 2 + x, x ** 2 + x + 1])
+    assert record["samples"] == [{"base": "x_(S)", "above": None},
+                                 {"base": "x_(S + 1)", "above": None}]
+    assert record["surjective_on_sample"] is False
+
+
+def test_going_up_exhibits_the_point_of_the_gcd_of_the_fiber_relations():
+    """gcd(x^4 + x^2 + x, x^5 + x^4 + 1) = x^3 + x + 1 over GF(2): each fiber
+    has that one point, of degree 3, above the fiber bound 2; x divides only
+    the first relation."""
+    record = _going_up_over_gf2(lambda x: [x ** 4 + x ** 2 + x, x ** 5 + x ** 4 + 1])
+    assert [s["above"] for s in record["samples"]] == ["x_(x^3 + x + 1)"] * 2
+    assert record["surjective_on_sample"] is True
+
+
+def test_maps_to_zero_lets_an_error_of_the_normal_form_propagate(monkeypatch):
+    """Only NonFieldBase falls back to the plain zero test; any other error
+    from the target's normal form is a fault to report."""
+    X, = PresentedAlgebra(QQ, ("X",)).gens()
+    Y, = PresentedAlgebra(QQ, ("Y",)).gens()
+    source = PresentedAlgebra(QQ, ("X",), [X ** 2 + 1])
+    target = PresentedAlgebra(QQ, ("Y",), [Y ** 2 + 1])
+
+    def broken(self, f):
+        raise TypeError("a fault inside nf")
+
+    monkeypatch.setattr(PresentedAlgebra, "nf", broken)
+    with pytest.raises(TypeError, match="a fault inside nf"):
+        mor.RingMorphism(source, target, [Y])

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from scheme_explorer.arith import GF, QQ
+from scheme_explorer.arith import GF, QQ, ZZ
 from scheme_explorer.algebra import IdealHandle, PresentedAlgebra
-from scheme_explorer.errors import AllZero, DenominatorVanishes, NilpotentCoordinate
+from scheme_explorer.errors import (AllZero, DenominatorVanishes, NilpotentCoordinate,
+                                    NoCanonicalMap)
 from scheme_explorer.multipoly import PolyRing
 from scheme_explorer import proj as pj
 
@@ -258,6 +259,19 @@ def test_zero_locus_of_conic_section():
         a, b, c = p.coords
         F = GF(3)
         assert F.sub(F.mul(a, c), F.mul(b, b)) == F.zero()
+
+
+def test_zero_locus_is_taken_after_the_base_change_to_the_field():
+    """T0^2 + T1^2 over ZZ has the zeros [1:2] and [1:3] in P^1(GF(5));
+    over QQ there is no canonical map to GF(5)."""
+    P1 = pj.projective_space(ZZ, 1)
+    T0, T1 = P1.ring.gens()
+    pts = pj.section_zero_locus(P1, T0 ** 2 + T1 ** 2).field_points(GF(5))
+    assert [repr(p) for p in pts] == ["[1:2]", "[1:3]"]
+    P1 = pj.projective_space(QQ, 1)
+    T0, T1 = P1.ring.gens()
+    with pytest.raises(NoCanonicalMap):
+        pj.section_zero_locus(P1, T0 ** 2 + T1 ** 2).field_points(GF(5))
 
 
 def test_zero_locus_constant_section_empty():

@@ -1,6 +1,7 @@
 """Checks on the source of the ``scheme_explorer`` package itself."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import scheme_explorer
@@ -21,3 +22,14 @@ def test_every_import_sits_at_a_module_top():
                 inside.update(f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                               if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert sorted(inside) == []
+
+
+def test_every_module_compiles_with_warnings_as_errors():
+    """An invalid escape such as '\\w' in a plain string is a
+    DeprecationWarning on Python 3.11 and a SyntaxWarning from 3.12."""
+    paths = sorted(SOURCE.glob("*.py"))
+    assert paths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in paths:
+            compile(path.read_text(), str(path), "exec")

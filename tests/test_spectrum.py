@@ -581,3 +581,72 @@ def test_zzt_describe_factors_nothing(monkeypatch):
     records, had_error = run_script(dsl.parse("spec describe ZZ[T] --bound 10;"))
     assert not had_error and len(records[0]["data"]["points"]) > 3000
     assert calls == []
+
+
+@pytest.mark.parametrize("ring, bound, labels", [
+    ("GF(2)[x]/(x^4+x^2+x, x^5+x^4+1)", 2, ["x_(x^3 + x + 1)"]),
+    ("QQ[x]/(x^2-1, x^3-1)", 10, ["x_(x - 1)"]),
+    ("QQ[x]/(x^2+1, 0, x^4-1)", 10, ["x_(x^2 + 1)"]),
+    ("QQ[x]/(x^2+1, x+1)", 10, []),
+])
+def test_a_quotient_of_kt_by_several_relations_lists_the_points_of_their_gcd(
+        ring, bound, labels):
+    """V(f1, ..., fr) = V(gcd) in k[T], whatever the field and the bound:
+    x^3 + x + 1 lies above the bound 2, and QQ is infinite."""
+    from scheme_explorer import dsl
+    from scheme_explorer.cli import run_script
+
+    records, had_error = run_script(dsl.parse(f'spec describe "{ring}" --bound {bound};'))
+    assert not had_error, records
+    assert [pt["description"] for pt in records[0]["data"]["points"]] == labels
+
+
+def test_several_relations_of_kt_can_cut_out_one_irreducible_closed_set():
+    A = PresentedAlgebra(QQ, ("T",))
+    T, = A.gens()
+    cat = sp.SpecCatalogue.recognize(A)
+    ok, pt = sp.is_irreducible_closed(sp.ZariskiClosed(cat, [T ** 2 - 1, T ** 3 - 1]))
+    assert ok and pt.label == "x_(T - 1)"
+    ok, pt = sp.is_irreducible_closed(sp.ZariskiClosed(cat, [T ** 2 - 1, T ** 2 + 1]))
+    assert (ok, pt) == (False, None)
+
+
+def _reference_closed_points(inner, relations, bound):
+    """V(I) in Spec k[T] as listed before the gcd: the enumeration under the
+    bound, filtered by the vanishing of every relation."""
+    return [pt for pt in sp.enumerate_points(inner, bound)
+            if all(sp._vanishes_at(f, pt) for f in relations)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_gcd_listing_matches_the_filtered_enumeration(p):
+    """Relations c*a and c*b, and sometimes a third or a zero one, drawn as
+    products of polynomials of degree at most the bound, so that every point
+    of V(I) lies under it; the listing does not read the bound at all."""
+    rng = random.Random(2300 + p)
+    field, bound = GF(p), 3
+    ring = PolyRing(field, ("T",))
+    T = ring.gen("T")
+    inner = sp.SpecCatalogue.recognize(PresentedAlgebra(field, ("T",)))
+
+    def factor():
+        d = rng.randint(1, bound)
+        return sum((rng.randrange(p) * T ** k for k in range(d)), T ** d)
+
+    def product(count):
+        out = ring.from_int(rng.randrange(1, p))
+        for _ in range(count):
+            out = out * factor()
+        return out
+
+    for _ in range(60):
+        common = product(rng.randint(0, 2))
+        relations = [common * product(rng.randint(0, 2)) for _ in range(2)]
+        if rng.random() < 0.3:
+            relations.append(rng.choice([ring.zero(), common * product(1)]))
+        expected = [pt.label for pt in _reference_closed_points(inner, relations, bound)]
+        closed = sp.ZariskiClosed(inner, relations)
+        assert [pt.label for pt in closed.points(bound)] == expected, relations
+        assert [pt.label for pt in closed.points(0)] == expected, relations
+        quotient = sp.SpecCatalogue.recognize(PresentedAlgebra(field, ("T",), relations))
+        assert [pt.label for pt in sp.enumerate_points(quotient, bound)] == expected
