@@ -60,6 +60,7 @@ from fractions import Fraction
 
 from .arith import QQ, ZZ, Domain, Zmod, factor_dense, poly_to_dense, prime_factors, up_deg
 from .errors import (
+    BudgetExceeded,
     ExponentOverflow,
     InvalidArgument,
     NoCanonicalMap,
@@ -464,12 +465,13 @@ class PresentedAlgebra:
         raise Undecidable(f"zero-ring test unsupported over {self.base}")
 
     def _is_zero_ring_over_zz(self):
-        rational = specialize(self, QQ)
-        if not rational.is_zero_ring():
+        """Empty over ZZ iff empty over QQ and modulo every prime p of d,
+        the positive integer in the ideal that clears the denominators of a
+        unit partition over QQ."""
+        coeffs = unit_partition(specialize(self, QQ).relations)
+        if coeffs is None:
             return False
-        d = _integer_unit_combination(self.relations, self.ring)
-        if d is None:
-            raise Undecidable("no bounded-degree integral certificate found")
+        d = math.lcm(*(c.denominator for a in coeffs for _, c in a.terms))
         for p, _ in prime_factors(d):
             if not specialize(self, Zmod(p)).is_zero_ring():
                 return False
@@ -523,55 +525,17 @@ def _reduce_by_monic(f, relations):
     return normal_form_list(f, relations)
 
 
-def _monomials_up_to(ring, degree):
-    n = ring.nvars
-    out = []
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n), total):
-            exps = [0] * n
-            for i in combo:
-                exps[i] += 1
-            out.append(tuple(exps))
-    return out
-
-
-def _integer_unit_combination(relations, ring):
-    """A positive integer in the ideal, or None.
-
-    Solves sum(a_i * g_i) = 1 over QQ (``unit_partition``); the lcm of the
-    denominators of the a_i scales it into an integral combination.
-    """
-    ring_q = PolyRing(QQ, ring.names, ring.order)
-    gens = [g.map_coefficients(ring_q) for g in relations]
-    if not gens:
-        return None
-    coeffs = unit_partition(gens)
-    if coeffs is None:
-        return None
-    return math.lcm(*(c.denominator for a in coeffs for _, c in a.terms))
-
-
 def unit_partition_zz(values):
     """Integers a_i with sum(a_i * v_i) = 1, or None when gcd(v) != 1.
 
     Iterated extended gcd: after step i the coefficients combine
-    v_0, ..., v_i into their gcd.
+    v_0, ..., v_i into their gcd g.
     """
-    if math.gcd(*values) != 1:
-        return None
-    if len(values) == 1:
-        return [values[0]]  # 1 or -1, its own inverse
-    coeffs = [0] * len(values)
-    coeffs[0] = 1
-    g = values[0]
-    for idx in range(1, len(values)):
-        g, u, v = _ext_gcd_int(g, values[idx])
-        for i in range(idx):
-            coeffs[i] *= u
-        coeffs[idx] = v
-        if g == 1:
-            break
-    return coeffs
+    coeffs, g = [], 0
+    for v in values:
+        g, u, w = _ext_gcd_int(g, v)
+        coeffs = [u * c for c in coeffs] + [w]
+    return coeffs if g == 1 else None
 
 
 def unit_partition_zmod(n, elems):
@@ -599,75 +563,105 @@ def _ext_gcd_int(a, b):
     return old_r, old_s, old_t
 
 
-def unit_partition(elems):
-    """Certify 1 in (elems): coefficients a_i with sum(a_i * f_i) = 1.
+class _Span:
+    """Vectors over the field ``dom``, dicts {int key: coefficient}, added
+    one at a time and kept in echelon form: the elimination behind every
+    linear certificate. A row lies under its pivot, its largest key, with
+    coefficient 1 there, and records the tag of the vector it came from and
+    the multiples of earlier rows subtracted from it. A vector is reduced
+    in one pass over its keys in decreasing order, each pivot cancelled by
+    its row, so no step solves again what an earlier one solved.
+    """
 
-    ``elems`` are Poly values over a field base; uses ascending-degree linear
-    solves, so the certificate is explicit and verifiable. None when no
-    certificate of degree <= 8 exists, and for the empty family, which
-    generates the zero ideal.
+    def __init__(self, dom):
+        self.dom = dom
+        self.rows = {}  # pivot -> (the other (key, coefficient) pairs, row number)
+        self.recipes = []  # row number -> (tag, scale, [(earlier row, multiple)])
+
+    def _reduce(self, vec):
+        """The remainder of ``vec`` and the multiples (row, c) subtracted."""
+        dom, vec, rest, used = self.dom, dict(vec), {}, []
+        todo = [-k for k in vec]
+        heapq.heapify(todo)
+        while todo:
+            k = -heapq.heappop(todo)
+            c = vec.pop(k)
+            if dom.is_zero(c):
+                continue
+            if k not in self.rows:
+                rest[k] = c
+                continue
+            entries, r = self.rows[k]
+            used.append((r, c))
+            for j, v in entries:  # all below k
+                if j not in vec:
+                    heapq.heappush(todo, -j)
+                vec[j] = dom.sub(vec.get(j, dom.zero()), dom.mul(c, v))
+        return rest, used
+
+    def add(self, vec, tag):
+        """Add ``vec`` under a tag of its own; False if it lies in the span."""
+        rest, used = self._reduce(vec)
+        if not rest:
+            return False
+        pivot = max(rest)
+        scale = self.dom.inv(rest.pop(pivot))
+        self.rows[pivot] = ([(k, self.dom.mul(scale, v)) for k, v in rest.items()],
+                            len(self.recipes))
+        self.recipes.append((tag, scale, used))
+        return True
+
+    def express(self, vec):
+        """{tag: c} with sum(c * added vector) = ``vec``, or None off the span."""
+        rest, used = self._reduce(vec)
+        if rest:
+            return None
+        dom, weight, out = self.dom, dict(used), {}
+        for r in reversed(range(len(self.recipes))):  # unwind the rows, latest first
+            a = weight.get(r)
+            if a is not None and not dom.is_zero(a):
+                tag, scale, earlier = self.recipes[r]
+                a = out[tag] = dom.mul(a, scale)
+                for q, c in earlier:
+                    weight[q] = dom.sub(weight.get(q, dom.zero()), dom.mul(a, c))
+        return out
+
+
+_UNIT_PARTITION_BUDGET = 2500  # multiples m*f_i; x^40*y - 1, y over QQ takes 1,642
+
+
+def unit_partition(elems):
+    """Certify 1 in (elems): coefficients a_i with sum(a_i * f_i) = 1, or
+    None when the f_i, Poly values over a field, generate a proper ideal
+    (a Gröbner basis decides; the empty family generates the zero ideal).
+
+    The multiples m*f_i, m a monomial, go into one ``_Span`` in increasing
+    degree of m until 1 lies in their span, so the certificate has least
+    cofactor degree. That degree can grow like d^n, so no degree cap is
+    complete: past _UNIT_PARTITION_BUDGET multiples, BudgetExceeded.
     """
     if not elems:
         return None
     ring = elems[0].ring
-    for bound in range(0, 9):
-        monos = _monomials_up_to(ring, bound)
-        cols = []
-        tags = []
-        for gi, g in enumerate(elems):
-            for m in monos:
-                cols.append(ring.monomial(m) * g)
-                tags.append((gi, m))
-        target_monos = sorted({e for c in cols for e, _ in c.terms}, key=ring.order.key)
-        index = {e: i for i, e in enumerate(target_monos)}
-        dom = ring.domain
-        matrix = [[dom.zero()] * len(cols) for _ in target_monos]
-        for j, c in enumerate(cols):
-            for e, coeff in c.terms:
-                matrix[index[e]][j] = coeff
-        const_key = (0,) * ring.nvars
-        if const_key not in index:
-            continue
-        rhs = [dom.zero()] * len(target_monos)
-        rhs[index[const_key]] = dom.one()
-        sol = _solve_field(matrix, rhs, dom)
-        if sol is not None:
-            coeffs = [ring.zero() for _ in elems]
-            for (gi, m), v in zip(tags, sol):
-                if not dom.is_zero(v):
-                    coeffs[gi] = coeffs[gi] + ring.monomial(m, v)
-            return coeffs
-    return None
-
-
-def _solve_field(matrix, rhs, dom):
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[r]) + [rhs[r]] for r in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not dom.is_zero(aug[i][c])), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = dom.inv(aug[r][c])
-        aug[r] = [dom.mul(x, inv) for x in aug[r]]
-        for i in range(rows):
-            if i != r and not dom.is_zero(aug[i][c]):
-                factor = aug[i][c]
-                aug[i] = [dom.sub(x, dom.mul(factor, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if not dom.is_zero(aug[i][cols]):
-            return None
-    sol = [dom.zero()] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols]
-    return sol
+    if not GroebnerBasis(ring, groebner_basis(elems, ring)).is_unit_ideal():
+        return None
+    n, one, span = ring.nvars, {0: ring.domain.one()}, _Span(ring.domain)
+    multiples = ((tuple(map(combo.count, range(n))), i, g)
+                 for degree in itertools.count()
+                 for combo in itertools.combinations_with_replacement(range(n), degree)
+                 for i, g in enumerate(elems))
+    for added, (m, i, g) in enumerate(multiples):
+        if added == _UNIT_PARTITION_BUDGET:
+            raise BudgetExceeded(f"no unit certificate within {added} multiples m*f_i")
+        keys, _, coeffs = g.packed()
+        km = ring.packer.key(m)
+        if span.add({k + km: c for k, c in zip(keys, coeffs)}, (i, m)):
+            comb = span.express(one)  # the constant monomial has key 0
+            if comb is not None:
+                out = [ring.zero()] * len(elems)
+                for (j, e), c in comb.items():
+                    out[j] += ring.monomial(e, c)
+                return out
 
 
 class IdealHandle:

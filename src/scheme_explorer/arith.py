@@ -57,7 +57,8 @@ One Yun (``_yun``) serves ZZ, with primitive gcds and exact quotients, and
 the fields of characteristic 0, with monic gcds.
 
 Exhaustive paths check their size first and raise BudgetExceeded: subset
-recombination (_RECOMBINATION_BUDGET) and ExtField.elements (_ELEMENTS_BUDGET).
+recombination (_RECOMBINATION_BUDGET), ExtField.elements (_ELEMENTS_BUDGET)
+and the trial division of prime_factors (_FACTOR_TRIAL_BUDGET).
 """
 
 from __future__ import annotations
@@ -93,12 +94,14 @@ from .kernels import (
     _ZechTables,
 )
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_CERTIFIED_BELOW = 3317044064679887385961981  # the least strong pseudoprime to them all
 _TRIAL_LIMIT = 10 ** 6
+_FACTOR_TRIAL_BUDGET = 10 ** 6  # the trial divisors of prime_factors: about 0.1 s
 
 
 def is_prime(n):
-    """Deterministic primality test: trial division, then Miller-Rabin."""
+    """Primality by trial division, then Miller-Rabin: certified below _MR_CERTIFIED_BELOW."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
@@ -111,8 +114,6 @@ def is_prime(n):
                 return False
             d += 2
         return True
-    # the fixed witness set is deterministic far beyond any input this
-    # workbench meets (valid below 3.3e24)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -131,10 +132,12 @@ def is_prime(n):
 
 
 def prime_factors(n):
-    """Sorted list of (prime, multiplicity) for n >= 2, by trial division."""
+    """Sorted list of (prime, multiplicity) for n >= 2, by trial division up
+    to _FACTOR_TRIAL_BUDGET; the cofactor left must be a prime or a prime
+    power that ``_prime_power`` certifies, or BudgetExceeded is raised."""
     out = []
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= _FACTOR_TRIAL_BUDGET:
         if n % d == 0:
             m = 0
             while n % d == 0:
@@ -143,8 +146,33 @@ def prime_factors(n):
             out.append((d, m))
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append((n, 1))
+        root = _prime_power(n)
+        if root is None:
+            raise BudgetExceeded(f"a cofactor of {n.bit_length()} bits has no prime factor "
+                                 f"up to {_FACTOR_TRIAL_BUDGET} and is no prime power")
+        out.append(root)
     return out
+
+
+def _prime_power(n):
+    """(p, k) with n = p^k for a prime p, or None: only the root of the
+    highest perfect power of n can be p. A prime p of _MR_CERTIFIED_BELOW
+    or more is not certified, and raises BudgetExceeded."""
+    root, k, ell = n, 1, 2
+    while 1 << ell <= root:
+        r = 0  # the integer ell-th root of root, one bit at a time
+        for b in reversed(range(root.bit_length() // ell + 1)):
+            if (r | 1 << b) ** ell <= root:
+                r |= 1 << b
+        if r ** ell == root:
+            root, k = r, k * ell
+        else:
+            ell = _next_prime(ell)
+    if not is_prime(root):
+        return None
+    if root >= _MR_CERTIFIED_BELOW:
+        raise BudgetExceeded(f"no primality certificate for {root.bit_length()} bits")
+    return root, k
 
 
 class Domain:
@@ -1068,10 +1096,10 @@ def GFq(q, modulus_coeffs=None, var="t"):
     """Finite field of order q = p^r: GF(p) without a modulus, else
     GF(p)[var]/(modulus) for integer coefficients of degree exactly r,
     low degree first (an ExtField even when r = 1)."""
-    fac = prime_factors(q)
-    if len(fac) != 1:
+    fac = _prime_power(q)
+    if fac is None:
         raise UnsupportedDomain(f"{q} is not a prime power")
-    p, r = fac[0]
+    p, r = fac
     if modulus_coeffs is None and r == 1:
         return GF(p)
     if modulus_coeffs is None:

@@ -190,9 +190,10 @@ def _fiber(cmd, env):
     bound = cmd.flag("bound")
     src_cat = sp.SpecCatalogue.recognize(phi.source)
     if key == "p":
-        if not (val.isdecimal() and arith.is_prime(int(val))):
+        p = _decimal(val)
+        if p is None or not arith.is_prime(p):
             raise InvalidArgument(f"--at p={val}: p must be a prime number")
-        point = sp.prime_point(src_cat, int(val))
+        point = sp.prime_point(src_cat, p)
     else:
         raise UnsupportedLocation(f"unsupported fiber location {at!r}")
     description = mor.fiber(phi, point, bound=bound)
@@ -310,10 +311,19 @@ def _parse_proj_space(text):
     """P^n(DOMAIN) with n a nonnegative integer."""
     text = text.strip()
     caret, paren, rest = text[2:].partition("(")
-    if not (text.startswith("P^") and caret.isdecimal() and rest.endswith(")")):
+    n = _decimal(caret)
+    if not (text.startswith("P^") and n is not None and rest.endswith(")")):
         raise InvalidArgument(f"--space expects \"P^n(DOMAIN)\", got {text!r}")
     domain = dsl.build_domain(dsl.parse_ring_text(rest[:-1]).domain)
-    return int(caret), domain
+    return n, domain
+
+
+def _decimal(text):
+    """The int of a string of decimal digits within Python's digit limit, or None."""
+    try:
+        return int(text) if text.isdecimal() else None
+    except ValueError:
+        return None
 
 
 def _parse_finite_ring(text):

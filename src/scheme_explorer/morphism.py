@@ -146,20 +146,16 @@ def _min_poly_of_value(value, kappa, k):
     if kappa == k:
         return up_norm(k, (k.neg(value), k.one()))
     if isinstance(kappa, ExtField) and kappa.base == k:
-        # linear algebra in the extension seen as a k-vector space
-        dim = kappa.degree
-        rows = []
+        # the first power of the value in the k-span of the lower powers
+        span = alg._Span(k)
         power = kappa.one()
-        for i in range(dim + 1):
-            vec = list(power) + [k.zero()] * (dim - len(power))
-            rows.append(vec)
+        for d in range(kappa.degree + 1):
+            vec = dict(enumerate(power))
+            if not span.add(vec, d):
+                comb = span.express(vec)
+                lower = tuple(k.neg(comb.get(i, k.zero())) for i in range(d))
+                return up_norm(k, lower + (k.one(),))
             power = kappa.mul(power, value)
-        for d in range(1, dim + 1):
-            matrix = [[rows[j][i] for j in range(d)] for i in range(dim)]
-            rhs = [k.neg(rows[d][i]) for i in range(dim)]
-            sol = alg._solve_field(matrix, rhs, k)
-            if sol is not None:
-                return up_norm(k, tuple(sol) + (k.one(),))
         raise Undecidable("no minimal polynomial found (not algebraic?)")
     raise NotCatalogued(f"cannot take minimal polynomials inside {kappa!r}")
 

@@ -17,12 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import (
-    GroebnerBasis,
-    IdealHandle,
-    _solve_field,
-    groebner_basis,
-)
+from .algebra import GroebnerBasis, IdealHandle, _Span, groebner_basis
 from .arith import ExtField, factor_dense, up_deg, up_norm
 from .errors import NonFieldBase, UnitIdeal, Unsupported
 from .multipoly import GREVLEX, BlockOrder, Poly, PolyRing
@@ -245,7 +240,7 @@ def is_maximal(ideal: IdealHandle):
         return MaximalityCertificate(
             "not-maximal", witness=f"powers of {offender} are independent"
         )
-    field_ok, witness = _quotient_is_field(gb, ambient.ring, basis)
+    field_ok, witness = _quotient_is_field(gb, ambient.ring)
     if field_ok:
         return MaximalityCertificate("maximal", dimension=len(basis))
     return MaximalityCertificate("not-maximal", dimension=len(basis), witness=witness)
@@ -267,26 +262,16 @@ class _Tower:
             out = [nf(b * g ** k) for b in out for k in range(ext.degree)]
         return out
 
-    def element_from_coords(self, coords):
-        """Tower element with the given base-field coordinates (basis order
-        matching basis_in_A)."""
-        K = self.field
-        if not self.levels:
+    def element_from_coords(self, coords, levels=None):
+        """Tower element with the given base-field coordinates, in the order
+        of basis_in_A: the last level varies fastest, so its coordinate i is
+        the element of the levels below at coordinates i, i + d, ...."""
+        levels = self.levels if levels is None else levels
+        if not levels:
             return coords[0]
-        shape = [ext.degree for ext in self.levels]
-        gens = []
-        for j, ext in enumerate(self.levels):
-            g = ext.gen()
-            for outer in self.levels[j + 1:]:
-                g = outer.from_base(g)
-            gens.append(g)
-        elem = K.zero()
-        for idx, c in zip(itertools.product(*(range(s) for s in shape)), coords):
-            term = K.coerce(_bottom(K), c)
-            for g, k in zip(gens, idx):
-                term = K.mul(term, K.pow(g, k))
-            elem = K.add(elem, term)
-        return elem
+        d = levels[-1].degree
+        return up_norm(levels[-1].base, tuple(
+            self.element_from_coords(coords[i::d], levels[:-1]) for i in range(d)))
 
     def extend(self, minpoly_dense, gen_in_A, tag):
         ext = ExtField(self.field, minpoly_dense, var=f"@{tag}", check=False)
@@ -295,31 +280,13 @@ class _Tower:
         self.gens_in_A.append(gen_in_A)
 
 
-def _bottom(field):
-    while isinstance(field, ExtField):
-        field = field.base
-    return field
-
-
-def _quotient_is_field(gb, ring, basis):
+def _quotient_is_field(gb, ring):
     """Tower test: minimal polynomial of each generator over the field built
     so far must stay irreducible."""
-    dom = ring.domain
-    index = {m: i for i, m in enumerate(basis)}
-
-    def nf(poly):
-        return gb.normal_form(poly)
-
-    def to_vec(poly):
-        v = [dom.zero()] * len(basis)
-        for e, c in poly.terms:
-            v[index[e]] = c
-        return v
-
-    tower = _Tower(dom)
+    tower = _Tower(ring.domain)
     for name in ring.names:
         gen = ring.gen(name)
-        minpoly = _min_poly_over_tower(tower, gen, ring, nf, to_vec, dom)
+        minpoly = _min_poly_over_tower(tower, gen, ring, gb.normal_form)
         if up_deg(minpoly) < 1:
             return False, f"{name} has constant minimal polynomial"
         _, fac = factor_dense(minpoly, tower.field)
@@ -330,37 +297,32 @@ def _quotient_is_field(gb, ring, basis):
                 f"a proper factor has degree {up_deg(witness)}"
             )
         if up_deg(minpoly) > 1:
-            tower.extend(minpoly, nf(gen), name)
+            tower.extend(minpoly, gb.normal_form(gen), name)
     return True, None
 
 
-def _min_poly_over_tower(tower, gen, ring, nf, to_vec, dom):
-    """Least-degree monic m over the tower field with m(gen) = 0 in A."""
-    K = tower.field
-    tower_basis = tower.basis_in_A(ring, nf)
-    powers = [nf(ring.one())]
-    d = 0
-    while True:
-        d += 1
-        powers.append(nf(powers[-1] * gen))
-        cols = []
-        for k in range(d):
-            for tb in tower_basis:
-                cols.append(to_vec(nf(tb * powers[k])))
-        rhs_vec = to_vec(powers[d])
-        nrows = len(rhs_vec)
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-        rhs = [dom.neg(v) for v in rhs_vec]
-        sol = _solve_field(matrix, rhs, dom)
-        if sol is None:
-            continue
-        coeffs = []
-        width = len(tower_basis)
-        for k in range(d):
-            coords = sol[k * width:(k + 1) * width]
-            coeffs.append(tower.element_from_coords(coords))
-        coeffs.append(K.one() if isinstance(K, ExtField) else dom.one())
-        return up_norm(K, tuple(coeffs))
+def _min_poly_over_tower(tower, gen, ring, nf):
+    """Least-degree monic m over the tower field with m(gen) = 0 in A: the
+    first gen^d in the base-field span of b_j * gen^k, k < d, for the
+    tower's basis b_j, in one ``_Span`` tagged (k, j)."""
+    dom, basis = ring.domain, tower.basis_in_A(ring, nf)
+    span, power = _Span(dom), nf(ring.one())
+    for d in itertools.count(1):
+        for j, b in enumerate(basis):
+            span.add(_vector(nf(b * power)), (d - 1, j))
+        power = nf(power * gen)
+        comb = span.express(_vector(power))
+        if comb is not None:
+            coords = [[dom.neg(comb.get((k, j), dom.zero())) for j in range(len(basis))]
+                      for k in range(d)]
+            lower = tuple(map(tower.element_from_coords, coords))
+            return up_norm(tower.field, lower + (tower.field.one(),))
+
+
+def _vector(poly):
+    """The coefficients of poly under their order keys: a ``_Span`` vector."""
+    keys, _, coeffs = poly.packed()
+    return dict(zip(keys, coeffs))
 
 
 def has_common_zero(polys, ring=None):

@@ -882,8 +882,9 @@ def partition_of_unity(algebra: alg.PresentedAlgebra, elems):
     """Witness quasi-compactness: coefficients a_i with sum(a_i f_i) = 1.
 
     Dispatches on the catalogued base: Bezout over ZZ, lifted Bezout over
-    ZZ/n, and bounded-degree linear solves over field-based polynomial
-    rings.  Returns None when the elements do not generate the unit ideal.
+    ZZ/n, and ``algebra.unit_partition`` over field-based polynomial rings
+    (BudgetExceeded past its budget of multiples).  Returns None exactly
+    when the elements do not generate the unit ideal.
     """
     base = algebra.base
     if base == ZZ and not algebra.names:

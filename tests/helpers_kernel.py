@@ -5,9 +5,11 @@ dense univariate loops with a ``Domain`` call per coefficient operation,
 kept as references for the integer and table kernels of the domains, with
 ``RefExtField``, an extension field's element operations without a
 kernel; the integer-polynomial division and Yun that preceded
-``ZZ.dense_divmod`` and ``_yun(f, ZZ)``, kept as references for them; and
+``ZZ.dense_divmod`` and ``_yun(f, ZZ)``, kept as references for them;
 the generator search that ``_ZechTables`` made with products of its own,
-kept as a reference for its tables."""
+kept as a reference for its tables; and ``_solve_field``, the dense
+Gauss-Jordan solve that preceded ``algebra._Span``, kept as the oracle of
+ideal membership by bounded-degree linear algebra."""
 
 import itertools
 import math
@@ -330,3 +332,33 @@ def ref_yun_int(f):
         d = ref_sub(ZZ, c, _ref_int_deriv(b))
         i += 1
     return out
+
+
+def _solve_field(matrix, rhs, dom):
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    aug = [list(matrix[r]) + [rhs[r]] for r in range(rows)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if not dom.is_zero(aug[i][c])), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = dom.inv(aug[r][c])
+        aug[r] = [dom.mul(x, inv) for x in aug[r]]
+        for i in range(rows):
+            if i != r and not dom.is_zero(aug[i][c]):
+                factor = aug[i][c]
+                aug[i] = [dom.sub(x, dom.mul(factor, y)) for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if not dom.is_zero(aug[i][cols]):
+            return None
+    sol = [dom.zero()] * cols
+    for i, c in enumerate(pivots):
+        sol[c] = aug[i][cols]
+    return sol

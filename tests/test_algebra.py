@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+import time
 from fractions import Fraction
 from operator import le, sub
 
@@ -129,7 +130,7 @@ def test_membership_matches_linear_algebra_oracle():
         rhs = [field.zero()] * len(all_monos)
         for e, coeff in f.terms:
             rhs[idx[e]] = coeff
-        from scheme_explorer.algebra import _solve_field
+        from helpers_kernel import _solve_field
 
         return _solve_field(matrix, rhs, field) is not None
 
@@ -939,3 +940,105 @@ def test_groebner_edge_cases_keep_their_answers():
     zmod6 = PolyRing(Zmod(6), ("x",))
     with pytest.raises(NonFieldBase):
         groebner_basis([zmod6.gen("x")], zmod6)
+
+
+# ---------------------------------------------------------------------------
+# unit certificates: decided by the Gröbner basis, found with no degree cap
+# ---------------------------------------------------------------------------
+
+def _combination(coeffs, elems, ring):
+    return sum((a * f for a, f in zip(coeffs, elems)), ring.zero())
+
+
+@pytest.mark.parametrize("rels, zero", [
+    (lambda x, y: [x ** 9 * y - 1, y], True),
+    (lambda x, y: [x ** 9 * y - 1, 2 * y], False),
+    (lambda x, y: [x ** 9 * y - 1, 6 * y, x - 1], False),
+], ids=["unit", "nonzero-mod-2", "nonzero-mod-2-and-3"])
+def test_zero_ring_over_zz_needs_no_degree_cap(rels, zero):
+    """Over QQ each ideal is the unit ideal, with a cofactor x^9 of y;
+    over ZZ it holds 1, 2 or 6, and the ring vanishes iff it also vanishes
+    modulo each prime of that integer."""
+    ring = PolyRing(ZZ, ("x", "y"))
+    algebra_ = PresentedAlgebra(ZZ, ("x", "y"), rels(*ring.gens()))
+    assert algebra_.is_zero_ring() is zero
+
+
+def test_unit_partition_past_its_budget_is_refused_quickly():
+    """1 = -(x^100*y - 1) + x^100*y needs the multiples of degree 100:
+    about 10,000 of them, past the budget, so the search refuses."""
+    from scheme_explorer.errors import BudgetExceeded
+
+    ring = PolyRing(QQ, ("x", "y"))
+    x, y = ring.gens()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as err:
+        unit_partition([x ** 100 * y - 1, y])
+    assert err.value.code == "budget-exceeded"
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["GF(5)", "QQ"])
+def test_unit_partition_is_none_exactly_off_the_unit_ideal(field):
+    """Seeded families of two or three polynomials of degree <= 2 in x, y:
+    a certificate summing to 1 exactly when the Gröbner basis holds 1."""
+    rng = random.Random(24)
+    ring = PolyRing(field, ("x", "y"))
+    algebra_ = PresentedAlgebra(field, ("x", "y"))
+    monos = [(i, j) for i in range(3) for j in range(3) if i + j <= 2]
+    verdicts = set()
+    for _ in range(40):
+        elems = [
+            ring.from_dict({m: field.from_int(rng.randrange(-2, 3)) for m in rng.sample(monos, 3)})
+            for _ in range(rng.randrange(2, 4))
+        ]
+        coeffs = unit_partition(elems)
+        unit = IdealHandle(algebra_, elems).is_unit_ideal()
+        assert (coeffs is not None) == unit, elems
+        if coeffs is not None:
+            assert _combination(coeffs, elems, ring) == ring.one()
+        verdicts.add(unit)
+    assert verdicts == {True, False}
+
+
+_CERTIFICATES = """
+from scheme_explorer import morphism as mor, spectrum as sp
+from scheme_explorer.algebra import IdealHandle, PresentedAlgebra, unit_partition
+from scheme_explorer.arith import GF, QQ
+from scheme_explorer.noether import is_maximal
+
+for field in (QQ, GF(7)):
+    A = PresentedAlgebra(field, ("x", "y", "z"))
+    x, y, z = A.gens()
+    for elems in ([x * y - 1, y * z - 1, x - z - 1], [x, 1 - x * y, y ** 2]):
+        print([str(a) for a in unit_partition(elems)])
+A = PresentedAlgebra(GF(3), ("x", "y"))
+x, y = A.gens()
+print(is_maximal(IdealHandle(A, [x ** 2 + 1, y ** 2 + 1])).as_record())
+src = PresentedAlgebra(QQ, ("T",))
+tgt = PresentedAlgebra(QQ, ("X",))
+phi = mor.RingMorphism(src, tgt, [tgt.ring.gen("X") ** 2 + tgt.ring.gen("X")])
+cube_root_of_2 = (QQ.from_int(-2), QQ.zero(), QQ.zero(), QQ.one())
+pt = sp.closed_point(sp.SpecCatalogue.recognize(tgt), cube_root_of_2)
+print(mor.preimage_point(phi, pt).description)
+"""
+
+
+def test_certificates_do_not_depend_on_the_hash_seed():
+    """Unit partitions over QQ and GF(7), a maximality witness and the
+    minimal polynomial of a preimage point print the same bytes under two
+    PYTHONHASHSEED values."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", _CERTIFICATES],
+                              capture_output=True, env=env, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 6

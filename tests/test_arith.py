@@ -501,3 +501,38 @@ def test_gfq_checks_the_degree_of_the_modulus_for_every_order():
     assert GFq(7) == GF(7)
     assert GFq(7, (10, 1)) == ExtField(GF(7), (3, 1))
     assert repr(GFq(7, (10, 1))) == "GF(7,t + 3)"
+
+
+def test_prime_factors_keep_only_certified_cofactors():
+    """Trial division stops at its budget; the cofactor left is kept when
+    it is a certified prime or prime power and refused otherwise."""
+    from scheme_explorer.arith import prime_factors
+
+    with pytest.raises(BudgetExceeded):
+        prime_factors(1000003 * 1000033)
+    p, m61 = 1000000007, 2 ** 61 - 1
+    assert prime_factors(p * p) == [(p, 2)]
+    assert prime_factors(2 ** 3 * 3 * p) == [(2, 3), (3, 1), (p, 1)]
+    assert prime_factors(m61 ** 3) == [(m61, 3)]
+    assert prime_factors(1) == []
+    assert prime_factors(360) == [(2, 3), (3, 2), (5, 1)]
+
+
+def test_prime_powers_are_decided_without_factoring():
+    from scheme_explorer.arith import _prime_power
+
+    assert [q for q in range(50) if _prime_power(q)] == [
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
+    assert _prime_power(3 ** 40) == (3, 40) and _prime_power(2 ** 64 * 3) is None
+    with pytest.raises(UnsupportedDomain, match="not a prime power"):
+        GFq(1000000007 * 1000000009, (1, 1))
+    assert GFq(1000000007) == GF(1000000007)
+
+
+def test_the_least_strong_pseudoprime_to_the_primes_up_to_37_is_composite():
+    """318665857834031151167461 = 399165290221 * 798330580441 passes the
+    Miller-Rabin test for every prime base up to 37; base 41 exposes it, and
+    the thirteen bases up to 41 certify primality below 3.3e24."""
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(399165290221) and is_prime(798330580441)

@@ -575,3 +575,45 @@ def test_chains_print_in_the_form_that_reparses_to_them(text, printed):
     ast = dsl.parse_poly_text(text)
     assert ast.to_text() == printed
     assert dsl.parse_poly_text(printed) == ast
+
+
+@pytest.mark.parametrize("statement", [
+    'fiber --map "ZZ->ZZ[T]" --at "p=' + "7" * 5000 + '";',
+    'proj points --space "P^' + "1" * 5000 + '(GF(2))";',
+], ids=["fiber-prime", "proj-dimension"])
+def test_integers_past_the_digit_limit_in_flags_are_typed_errors(statement):
+    """Python refuses to convert more than 4300 digits to an int; the flag
+    is then as malformed as one with no digits."""
+    proc = run_cli(["exec", statement, "--format", "json"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stdout)["results"][0]["error"]
+    assert error["code"] == "invalid-argument"
+
+
+def _run_cli_within(args, seconds):
+    return subprocess.run(
+        [sys.executable, "-m", "scheme_explorer.cli", *args],
+        capture_output=True, text=True, cwd=REPO, timeout=seconds,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+    )
+
+
+@pytest.mark.parametrize("statement, code", [
+    ("ring A = GF(1000000016000000063,t+1)[X];", "unsupported-domain"),
+    ('spec describe "ZZ/1000000016000000063";', "budget-exceeded"),
+], ids=["field-order", "modulus"])
+def test_moduli_with_two_large_prime_factors_answer_at_once(statement, code):
+    """q = 1000000007*1000000009: no prime power, found without factoring q;
+    factoring ZZ/q needs more than trial division within its budget."""
+    proc = _run_cli_within(["exec", statement, "--format", "json"], 30)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["results"][0]["error"]["code"] == code
+
+
+def test_the_square_of_a_large_prime_has_one_point():
+    proc = _run_cli_within(["exec", 'spec describe "ZZ/1000000014000000049";',
+                            "--format", "json"], 30)
+    assert proc.returncode == 0
+    points = json.loads(proc.stdout)["results"][0]["data"]["points"]
+    assert [p["description"] for p in points] == ["x_1000000007"]

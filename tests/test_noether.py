@@ -1,5 +1,6 @@
 """Normalization recursion, maximality decisions, common-zero tests."""
 
+import itertools
 import random
 
 import pytest
@@ -199,3 +200,69 @@ def test_certificate_with_a_nonconstant_leading_coefficient_fails_to_verify():
     bad = NormalizationStep(step.level_names, step.chosen, step.p,
                             step.r_exponents, scaled)
     assert not bad.verify()
+
+
+def _is_field_by_brute_force(handle, field, p):
+    """The quotient k[x,y]/I as a table of products on the monomials under
+    the staircase: a field iff it is nonzero and every nonzero element has
+    an inverse among its p^dim elements."""
+    ring = handle.ambient.ring
+    leads = [g.leading_monomial() for g in handle.groebner()]
+    basis = [(i, j) for i in range(5) for j in range(5)
+             if not any(i >= a and j >= b for a, b in leads)]
+    if not basis:
+        return False, 0
+    index = {m: k for k, m in enumerate(basis)}
+
+    def coords(poly):
+        vec = [0] * len(basis)
+        for e, c in handle.normal_form(poly).terms:
+            vec[index[e]] = int(c)
+        return vec
+
+    table = [[coords(ring.monomial(a) * ring.monomial(b)) for b in basis] for a in basis]
+
+    def product(u, v):
+        out = [0] * len(basis)
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                if ui and vj:
+                    for k, c in enumerate(table[i][j]):
+                        out[k] = (out[k] + ui * vj * c) % p
+        return out
+
+    elements = [list(t) for t in itertools.product(range(p), repeat=len(basis))]
+    one = coords(ring.one())
+    field_ok = all(any(product(a, b) == one for b in elements) for a in elements if any(a))
+    return field_ok, len(basis)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_is_maximal_matches_brute_force_quotients(p):
+    """Seeded ideals of GF(p)[x,y] with quotients of dimension <= 4: the
+    tower test agrees with inverses looked up in the multiplication table."""
+    rng = random.Random(100 + p)
+    field = GF(p)
+    A = PresentedAlgebra(field, ("x", "y"))
+    x, y = A.gens()
+
+    def rand(monos):
+        return sum((rng.randrange(p) * x ** i * y ** j for i, j in monos), A.ring.zero())
+
+    verdicts = set()
+    for trial in range(32):
+        if trial % 2:
+            gens = [x ** 2 + rand([(1, 0), (0, 1), (0, 0)]), y ** 2 + rand([(1, 0), (0, 1), (0, 0)])]
+            if trial % 4 == 3:
+                gens.append(rand([(1, 1), (1, 0), (0, 1), (0, 0)]))
+        else:
+            gens = [x ** 4 + rand([(3, 0), (2, 0), (1, 0), (0, 0)]),
+                    y - rand([(3, 0), (2, 0), (1, 0), (0, 0)])]
+        handle = IdealHandle(A, gens)
+        field_ok, dim = _is_field_by_brute_force(handle, field, p)
+        cert = is_maximal(handle)
+        assert cert.is_maximal == field_ok, gens
+        if field_ok:
+            assert cert.dimension == dim
+        verdicts.add(field_ok)
+    assert verdicts == {True, False}

@@ -650,3 +650,15 @@ def test_the_gcd_listing_matches_the_filtered_enumeration(p):
         assert [pt.label for pt in closed.points(0)] == expected, relations
         quotient = sp.SpecCatalogue.recognize(PresentedAlgebra(field, ("T",), relations))
         assert [pt.label for pt in sp.enumerate_points(quotient, bound)] == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_partition_of_unity_past_cofactor_degree_8(field):
+    """1 = -(x^9*y - 1) + x^9*y: a cofactor of degree 9, past the degree 8
+    where a capped search would stop and answer None."""
+    A = PresentedAlgebra(field, ("x", "y"))
+    x, y = A.gens()
+    elems = [x ** 9 * y - 1, y]
+    coeffs = sp.partition_of_unity(A, elems)
+    assert coeffs is not None
+    assert sum((a * f for a, f in zip(coeffs, elems)), A.ring.zero()) == A.ring.one()
