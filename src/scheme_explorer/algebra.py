@@ -4,9 +4,10 @@ The Gröbner engine is signature-based (Gao, Volny & Wang 2016; Eder &
 Faugère 2017), so it reduces few S-pairs to zero. Every element g of the
 basis carries a signature u*e_i, the leading term of some sum a_1*f_1 +
 ... + a_m*f_m = g of the generators, in the Schreyer order: first key(u) +
-key(lm f_i), then the index i. Packed keys are additive, so a signature is
-one int and an index, and the packed monomial u*lm(f_i) decides
-divisibility; it is checked against the guard bits like any product.
+key(lm f_i), then the index i. A monomial is one int with its key on top
+(``multipoly``), so a signature is the monomial u*lm(f_i) and an index,
+and that int decides divisibility; it is checked against the guard bits
+like any product.
 Pairs are taken in increasing signature, and a J-pair (the element of
 larger signature, times lcm/lm) is dropped unreduced when
 
@@ -105,42 +106,42 @@ def _reduced(f, reducers, ratios=None, top=0, width=0):
     result. The remainder stays sorted (``multipoly._sub_shifted``) and
     packed, and nothing is re-sorted.
 
-    With ``ratios``, a term of key k may use only the prefix of reducers
-    whose ratio is below top - k*width (``_regular_reduce``).
+    With ``ratios``, a term whose monomial m has the key k = m >> shift may
+    use only the prefix of reducers whose ratio is below top - k*width
+    (``_regular_reduce``).
     """
     ring = f.ring
     dom, pk = ring.domain, ring.packer
-    guard = pk.guard
+    guard, shift = pk.guard, pk.shift
     rem = _ascending(f)
-    keys, exps, coeffs = rem
-    ok, oe, oc = [], [], []
+    mons, coeffs = rem
+    om, oc = [], []
     usable = reducers
-    while keys:
-        k, e, c = keys.pop(), exps.pop(), coeffs.pop()
+    while mons:
+        m, c = mons.pop(), coeffs.pop()
         if ratios is not None:
-            usable = reducers[:bisect_left(ratios, top - k * width)]
+            usable = reducers[:bisect_left(ratios, top - (m >> shift) * width)]
         for red in usable:
-            if not (e - red[0]) & guard:
-                _reduce_term(rem, oc, k, e, c, red, dom, pk)
+            if not (m - red[0]) & guard:
+                _reduce_term(rem, oc, m, c, red, dom, pk)
                 break
         else:
-            ok.append(k)
-            oe.append(e)
+            om.append(m)
             oc.append(c)
-    return Poly(ring, (tuple(ok), tuple(oe), tuple(oc)))
+    return Poly(ring, (tuple(om), tuple(oc)))
 
 
-def _reduce_term(rem, kept, k, e, c, reducer, dom, pk):
-    """One reduction step, rem <- a*rem - b*x^m*g with a*c = b*gc: it
-    cancels the term c*x^m*lm(g), of key k and exponents e, just popped from
-    ``rem``, by g, given as its ``Poly.reducer``, of leading coefficient gc.
+def _reduce_term(rem, kept, m, c, reducer, dom, pk):
+    """One reduction step, rem <- a*rem - b*x^u*g with a*c = b*gc: it
+    cancels the term c*x^u*lm(g), of monomial m, just popped from ``rem``,
+    by g, given as its ``Poly.reducer``, of leading coefficient gc.
 
     Over a field a = 1 and b = c/gc, so a monic g needs b = c alone. Over
     ZZ, a and b are gc and c divided by their gcd, and an a other than 1
     also scales ``kept``, the coefficients of the terms taken out of the
     remainder so far.
     """
-    ge, gk, gc, tail = reducer
+    gm, gc, tail = reducer
     if not dom.is_one(gc):
         if dom != ZZ:
             c = dom.div(c, gc)
@@ -148,21 +149,20 @@ def _reduce_term(rem, kept, k, e, c, reducer, dom, pk):
             d = math.gcd(c, gc)
             a, c = gc // d, c // d
             if a != 1:
-                rem[2][:] = [a * v for v in rem[2]]
+                rem[1][:] = [a * v for v in rem[1]]
                 kept[:] = [a * v for v in kept]
-    _sub_shifted(rem, zip(*tail), k - gk, e - ge, c, dom, pk)
+    _sub_shifted(rem, zip(*tail), m - gm, c, dom, pk)
 
 
-def _s_polynomial(gi, gj, klcm, lcm):
+def _s_polynomial(gi, gj, lcm):
     """x^u*gi with its leading term cancelled by one ``_reduce_term`` step
-    against gj, where x^u*lm(gi) = lcm, packed, of order key ``klcm``: the
-    S-polynomial a*x^u*gi - b*x^v*gj, with a = b = 1 for monic gi and gj,
-    and over ZZ a and b are lc(gj) and lc(gi) divided by their gcd."""
+    against gj, where x^u*lm(gi) is the monomial ``lcm``: the S-polynomial
+    a*x^u*gi - b*x^v*gj, with a = b = 1 for monic gi and gj, and over ZZ a
+    and b are lc(gj) and lc(gi) divided by their gcd."""
     ring = gi.ring
-    keys, exps, _ = gi.packed()
-    rem = _ascending(_shifted(gi, klcm - keys[0], lcm - exps[0], ring.domain.one()))
-    k, e, c = (v.pop() for v in rem)
-    _reduce_term(rem, [], k, e, c, gj.reducer(), ring.domain, ring.packer)
+    rem = _ascending(_shifted(gi, lcm - gi.packed()[0][0], ring.domain.one()))
+    m, c = (v.pop() for v in rem)
+    _reduce_term(rem, [], m, c, gj.reducer(), ring.domain, ring.packer)
     return _from_ascending(ring, rem)
 
 
@@ -170,9 +170,9 @@ def _update(pairs, live, lms, new, pk):
     """Gebauer–Möller update of the pair heap and the live basis for ``new``,
     for the pairs that ``GroebnerBasis.verify`` reduces.
 
-    ``pairs`` is a heap of (order key of lcm, i, j, lcm); ``live`` lists the
-    basis indices whose leading monomial no newer element divides. Leading
-    monomials and lcms are packed (``multipoly._Packer``).
+    ``pairs`` is a heap of (lcm, i, j); ``live`` lists the basis indices
+    whose leading monomial no newer element divides. Leading monomials and
+    lcms are monomial ints (``multipoly._Packer``).
     """
     divides, lcm_of, coprime = pk.divides, pk.lcm, pk.coprime
     h = lms[new]
@@ -191,12 +191,12 @@ def _update(pairs, live, lms, new, pk):
     # lcm(i, new) nor lcm(j, new) equals it
     pairs[:] = [
         p for p in pairs
-        if not divides(h, p[3])
-        or lcm_of(lms[p[1]], h) == p[3]
-        or lcm_of(lms[p[2]], h) == p[3]
+        if not divides(h, p[0])
+        or lcm_of(lms[p[1]], h) == p[0]
+        or lcm_of(lms[p[2]], h) == p[0]
     ]
     # Buchberger's first criterion: coprime pairs reduce to zero
-    pairs += [(pk.key_of(lcm), new, g, lcm) for lcm, g in kept if not coprime(h, lms[g])]
+    pairs += [(lcm, new, g) for lcm, g in kept if not coprime(h, lms[g])]
     heapq.heapify(pairs)
     live[:] = [g for g in live if not divides(h, lms[g])] + [new]
 
@@ -236,52 +236,51 @@ def groebner_basis(gens, ring=None):
         work = PolyRing(ZZ, ring.names, ring.order)
         gens = [_integral(g, work) for g in gens]
     pk = ring.packer
-    guard, coprime, key_of, lcm_of = pk.guard, pk.coprime, pk.key_of, pk.lcm
+    guard, shift, coprime, lcm_of = pk.guard, pk.shift, pk.coprime, pk.lcm
     one = work.domain.one()
     width = len(gens)
     # element n: polys[n], and in els[n] its leading monomial, signature
-    # index and monomial, signature key minus leading key, ratio and leading key
+    # index and monomial, and ratio
     polys, els = [], []
     ratios, reducers = [], []  # ascending ratio, for ``_regular_reduce``
     by_index = [[] for _ in gens]  # (element, signature monomial) per index
     syz = [[] for _ in gens]  # minimal syzygy signature monomials per index
-    # a pair is (signature key, index, 1 for the generator itself or -n for
-    # element n, signature monomial, shift key, shift exponents): of two
+    # a pair is (signature monomial, index, 1 for the generator itself or
+    # -n for element n, the monomial that element is multiplied by): of two
     # pairs of one signature the one from the later element comes first
-    pairs = [(g.packed()[0][0], i, 1, g.packed()[1][0], 0, 0) for i, g in enumerate(gens)]
+    pairs = [(g.packed()[0][0], i, 1, 0) for i, g in enumerate(gens)]
     heapq.heapify(pairs)
     while pairs:
-        skey, i, src, smon, tk, te = heapq.heappop(pairs)
-        if any(not (smon - z) & guard for z in syz[i]):
+        sig, i, src, t = heapq.heappop(pairs)
+        if any(not (sig - z) & guard for z in syz[i]):
             continue
         if src > 0:
             f = gens[i]
-        elif any(l > -src and not (smon - s) & guard for l, s in by_index[i]):
+        elif any(l > -src and not (sig - s) & guard for l, s in by_index[i]):
             continue
         else:
-            f = _shifted(polys[-src], tk, te, one)
-        h = _regular_reduce(f, skey, i, ratios, reducers, width)
+            f = _shifted(polys[-src], t, one)
+        h = _regular_reduce(f, sig >> shift, i, ratios, reducers, width)
         if h.is_zero():
-            syz[i] = [z for z in syz[i] if (z - smon) & guard] + [smon]
+            syz[i] = [z for z in syz[i] if (z - sig) & guard] + [sig]
             continue
         if h.is_constant():
             return [ring.one()]  # a unit: the reduced basis of (1)
         h = content_primitive(h)[1] if work.domain == ZZ else h.monic()
         n = len(polys)
-        lk, lm = h.packed()[0][0], h.packed()[1][0]
-        d = skey - lk
-        rat = d * width + i
+        lm = h.packed()[0][0]
+        rat = ((sig >> shift) - (lm >> shift)) * width + i
         new = []
-        for j, (lj, ij, sj, dj, rj, lkj) in enumerate(els):
+        for j, (lj, ij, sj, rj) in enumerate(els):
             if rat == rj:
                 continue
             # the syzygy lm(g_j)*s_n - lm(g_n)*s_j leads with the signature
             # from the element of larger ratio; the J-pair of n and j is that
             # element times lcm/lm
             if rat > rj:
-                z, source = lj + smon, (n, i, lm, smon, d, lk)
+                z, source = lj + sig, (n, i, lm, sig)
             else:
-                z, source = lm + sj, (j, ij, lj, sj, dj, lkj)
+                z, source = lm + sj, (j, ij, lj, sj)
             idx = source[1]
             if not z & guard and not any(not (z - y) & guard for y in syz[idx]):
                 syz[idx] = [y for y in syz[idx] if (y - z) & guard] + [z]
@@ -289,28 +288,27 @@ def groebner_basis(gens, ring=None):
             if not coprime(lm, lj):
                 new.append((lcm_of(lm, lj), source))
         polys.append(h)
-        els.append((lm, i, smon, d, rat, lk))
-        by_index[i].append((n, smon))
+        els.append((lm, i, sig, rat))
+        by_index[i].append((n, sig))
         pos = bisect_right(ratios, rat)
         ratios.insert(pos, rat)
         reducers.insert(pos, h.reducer())
-        for lcm, (src, idx, ls, s, ds, lks) in new:
-            te = lcm - ls
-            sm = te + s
+        for lcm, (src, idx, ls, s) in new:
+            t = lcm - ls
+            sm = t + s
             if sm & guard:
                 raise ExponentOverflow("a signature has an exponent of 2^31 or more")
             if any(not (sm - z) & guard for z in syz[idx]):
                 continue
             if src < n and any(l > src and not (sm - s) & guard for l, s in by_index[idx]):
                 continue
-            klcm = key_of(lcm)
-            heapq.heappush(pairs, (klcm + ds, idx, -src, sm, klcm - lks, te))
+            heapq.heappush(pairs, (sm, idx, -src, t))
     # a minimal basis: no leading monomial divides another, or equals an
     # earlier one; reducing each element by the others reduces its tail
     minimal = []
     for g in sorted(polys, key=lambda g: g.packed()[0][0]):
-        e = g.packed()[1][0]
-        if not any(not (e - h.packed()[1][0]) & guard for h in minimal):
+        m = g.packed()[0][0]
+        if not any(not (m - h.packed()[0][0]) & guard for h in minimal):
             minimal.append(g)
     basis = [normal_form_list(g, minimal[:k] + minimal[k + 1:]) for k, g in enumerate(minimal)]
     if work is not ring:
@@ -321,17 +319,17 @@ def groebner_basis(gens, ring=None):
 def _integral(f, zring):
     """The primitive integer multiple of f over QQ with a positive leading
     coefficient, in ``zring``, the ring over ZZ with the same packer."""
-    keys, exps, coeffs = f.packed()
+    mons, coeffs = f.packed()
     d = math.lcm(*[c.denominator for c in coeffs])
     ints = tuple([c.numerator * (d // c.denominator) for c in coeffs])
-    return content_primitive(Poly(zring, (keys, exps, ints)))[1]
+    return content_primitive(Poly(zring, (mons, ints)))[1]
 
 
 def _monic_over_qq(f, qring):
     """The monic polynomial over QQ in ``qring`` of the integer f."""
-    keys, exps, coeffs = f.packed()
+    mons, coeffs = f.packed()
     lc = coeffs[0]
-    return Poly(qring, (keys, exps, tuple([Fraction(c, lc) for c in coeffs])))
+    return Poly(qring, (mons, tuple([Fraction(c, lc) for c in coeffs])))
 
 
 class GroebnerBasis:
@@ -374,7 +372,7 @@ class GroebnerBasis:
         if dom == QQ:
             work = PolyRing(ZZ, self.ring.names, self.ring.order)
             polys = [_integral(g, work) for g in polys]
-        lms = [g.packed()[1][0] for g in polys]
+        lms = [g.packed()[0][0] for g in polys]
         for i, g in enumerate(polys):
             if any(pk.divides(h, lms[i]) for h in lms[:i] + lms[i + 1:]):
                 return False
@@ -383,8 +381,8 @@ class GroebnerBasis:
         pairs, live = [], []
         for new in range(len(lms)):
             _update(pairs, live, lms, new, pk)
-        for klcm, i, j, lcm in pairs:
-            s = _s_polynomial(polys[i], polys[j], klcm, lcm)
+        for lcm, i, j in pairs:
+            s = _s_polynomial(polys[i], polys[j], lcm)
             if not normal_form_list(s, polys).is_zero():
                 return False
         self.certified = True
@@ -653,10 +651,10 @@ def unit_partition(elems):
     for added, (m, i, g) in enumerate(multiples):
         if added == _UNIT_PARTITION_BUDGET:
             raise BudgetExceeded(f"no unit certificate within {added} multiples m*f_i")
-        keys, _, coeffs = g.packed()
-        km = ring.packer.key(m)
-        if span.add({k + km: c for k, c in zip(keys, coeffs)}, (i, m)):
-            comb = span.express(one)  # the constant monomial has key 0
+        mons, coeffs = g.packed()
+        u = ring.packer.pack(m)
+        if span.add({v + u: c for v, c in zip(mons, coeffs)}, (i, m)):
+            comb = span.express(one)  # the constant monomial is 0
             if comb is not None:
                 out = [ring.zero()] * len(elems)
                 for (j, e), c in comb.items():

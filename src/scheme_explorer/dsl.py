@@ -59,7 +59,7 @@ from . import arith
 from .algebra import PresentedAlgebra
 from .errors import (BudgetExceeded, DslSyntaxError, ExponentOverflow, InvalidArgument,
                      UnsupportedDomain)
-from .multipoly import _FIELD as _EXPONENT_BITS, Poly, PolyRing
+from .multipoly import Poly, PolyRing
 
 # flag kinds, each named by the phrase its error message uses
 COUNT = "a nonnegative integer"
@@ -735,10 +735,10 @@ def _no_bits(c):
 class _Expansion:
     """Polynomial ASTs expanded into packed terms of one PolyRing.
 
-    A monomial is one int m = (key << 32*nvars) | exps, the order key above
-    the packed exponents of ``multipoly._Packer``: a product of monomials
-    adds their ints, sorting on m sorts by the order key, and an exponent
-    of 2^31 or more sets a guard bit.  A value is None (zero), one term
+    A monomial is one int of ``multipoly._Packer``, the order key above the
+    packed exponents: a product of monomials adds their ints, sorting on
+    them sorts by the order key, and an exponent of 2^31 or more sets a
+    guard bit.  A value is None (zero), one term
     (m, c, bits), or a dict {m: c} of two terms or more; bits is the bit
     length of c over ZZ and QQ (``_bits``) and 0 elsewhere.  A product of atoms is one
     term, a sum merges into one dict, and only a product or power of sums
@@ -758,8 +758,7 @@ class _Expansion:
         dom = ring.domain
         pk = ring.packer
         self.ring = ring
-        self.shift = shift = _EXPONENT_BITS * pk.nvars
-        self.guard = pk.guard
+        self.gens, self.guard = pk.gens, pk.guard
         self.work = 0
         if isinstance(dom, (arith.IntegerRing, arith.RationalField)):
             self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
@@ -768,9 +767,7 @@ class _Expansion:
             self.add, self.sub, self.mul, self.neg = dom.add, dom.sub, dom.mul, dom.neg
             self.is_zero, self.from_int, self.bits = dom.is_zero, dom.from_int, _no_bits
         self.fractions = isinstance(dom, arith.RationalField)
-        self.one = one = self.term(0, self.from_int(1))
-        self.vars = {name: one and (w << shift | 1 << _EXPONENT_BITS * i, one[1], one[2])
-                     for i, (name, w) in enumerate(zip(ring.names, pk.weights))}
+        self.one = self.term(0, self.from_int(1))
 
     def term(self, m, c):
         return None if self.is_zero(c) else (m, c, self.bits(c))
@@ -786,10 +783,11 @@ class _Expansion:
                 v = self.times(v, self.value(n.right))
             return v
         if t is Var:
-            try:
-                return self.vars[node.name]
-            except KeyError:
-                raise DslSyntaxError(f"unknown variable {node.name!r} in {self.ring}") from None
+            i = self.ring._index.get(node.name)
+            if i is None:
+                raise DslSyntaxError(f"unknown variable {node.name!r} in {self.ring}")
+            one = self.one
+            return one and (self.gens[i], one[1], one[2])
         if t is IntLit:
             return self.term(0, self.from_int(node.value))
         if t is Pow:
@@ -913,10 +911,7 @@ class _Expansion:
         coeffs = tuple([v[m] for m in ms])
         if self.fractions:
             coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
-        shift = self.shift
-        mask = (1 << shift) - 1
-        return Poly(ring, (tuple([m >> shift for m in ms]), tuple([m & mask for m in ms]),
-                           coeffs))
+        return Poly(ring, (tuple(ms), coeffs))
 
 
 def build_ring(expr: RingExpr):

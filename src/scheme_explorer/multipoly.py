@@ -5,30 +5,33 @@ A PolyRing fixes the domain, an ordered variable list, and a term order
 for elimination).  Polynomials are immutable; terms are kept sorted in
 descending order, leading term first, so printing is canonical.
 
-This module owns the term format.  A term is packed into two ints and a
-coefficient: the order key and the exponents.
+This module owns the term format.  A monomial is one int, its order key
+above its packed exponents, m = key << 32*nvars | exps, and a term is a
+monomial and a coefficient.
 
 - Every order is a nonnegative integer weight matrix: grevlex is the total
   degree followed by the prefix sums x1+...+x_{n-1}, ..., x1, lex is the
   identity, and a block order is the block-diagonal of its blocks' matrices.
   The key holds the rows of the matrix times the exponent vector, first row
-  most significant, so comparing keys compares terms, and it is the one
-  sort key (``TermOrder.key``).  A block order must cover every variable.
+  most significant, so comparing monomials compares terms, and the
+  monomial is the one sort key.  A block order must cover every variable.
 - The exponents hold one 32-bit field per variable.  The top bit of each
   field is a guard bit, clear in every valid monomial, so an exponent is
-  below 2^31.  A product adds both ints, a quotient subtracts them, and a
-  monomial divides another iff their difference has no guard bit set.
+  below 2^31.  A product adds two monomials, a quotient subtracts them,
+  and a monomial divides another iff their difference has no guard bit set.
 - A product whose exponent reaches 2^31 sets a guard bit; the arithmetic
   checks each new term and raises ``ExponentOverflow`` instead of carrying
   into the next field.  Key fields are wide enough for the sum of two valid
-  monomials, so a term that overflows never matches an existing key.
+  monomials, and an exponent field never carries into the key, so a term
+  that overflows never matches an existing monomial.
 
 Every sum, difference, product and quotient merges through one kernel,
 ``_sub_shifted``, which subtracts a scaled, shifted copy of a sorted term
 list from a sorted remainder; since multiplying by a monomial keeps every
 term order, nothing is re-sorted, and the binary search runs on plain ints.
-``Poly.packed()`` is the view the arithmetic uses; ``Poly.terms``, the
-(exps tuple, coeff) pairs, is decoded from it on first read and cached.
+``Poly.packed()``, the monomials and the coefficients, is the view the
+arithmetic uses; ``Poly.terms``, the (exps tuple, coeff) pairs, is decoded
+from it on first read and cached.
 Other modules read a polynomial one variable at a time through
 ``Poly.coeffs_in`` and ``arith.dense_to_poly``, and move it between rings
 through ``Poly.relabel`` or ``Poly.substitute``, never implicitly.
@@ -142,18 +145,21 @@ class BlockOrder(TermOrder):
 
 
 class _Packer:
-    """The packed monomials of one term order on n variables.
+    """The monomials of one term order on n variables.
 
     The exponents of a monomial are E = sum(e_i << 32*i), one 32-bit field
     per variable whose top bit (``guard``) is clear: every exponent is below
-    2^31. Products add, quotients subtract, and e1 divides e2 iff
-    ``(E2 - E1) & guard == 0``. The order key is a dot product with the
-    columns of the weight matrix; its fields hold a row of a sum of two
-    valid monomials without carrying, so key(x^a * x^b) = key(a) + key(b)
-    and equal keys mean equal monomials even when the sum overflows.
+    2^31. The order key is a dot product with the columns of the weight
+    matrix; its fields hold a row of a sum of two valid monomials without
+    carrying, so key(x^a * x^b) = key(a) + key(b). The monomial is
+    key << ``shift`` | E, with ``shift`` = 32*n: products add, quotients
+    subtract, and m1 divides m2 iff ``(m2 - m1) & guard == 0``, as the low
+    ``shift`` bits of a difference are the difference of the exponents.
+    ``gens`` holds the monomials of the variables.
     """
 
-    __slots__ = ("nvars", "weights", "guard", "_pack", "_unpack", "_nbytes", "_lows")
+    __slots__ = ("nvars", "weights", "shift", "guard", "gens", "_pack", "_unpack",
+                 "_nbytes", "_lows", "_exps")
 
     def __init__(self, rows, n):
         width = (max((sum(r) for r in rows), default=1) << _FIELD).bit_length()
@@ -163,8 +169,12 @@ class _Packer:
             sum(r[i] << (width * (top - j)) for j, r in enumerate(rows))
             for i in range(n)
         )
+        self.shift = _FIELD * n
+        self._exps = (1 << self.shift) - 1
         self._lows = sum(1 << (_FIELD * i) for i in range(n))
         self.guard = self._lows << (_FIELD - 1)
+        self.gens = tuple(w << self.shift | 1 << (_FIELD * i)
+                          for i, w in enumerate(self.weights))
         fields = struct.Struct(f"<{n}I")
         self._pack, self._unpack = fields.pack, fields.unpack
         self._nbytes = 4 * n
@@ -181,23 +191,22 @@ class _Packer:
             if len(exps) != self.nvars or not all(isinstance(k, int) and k >= 0 for k in exps):
                 raise InvalidArgument(f"{exps} is not a monomial in {self.nvars} variables")
             raise ExponentOverflow(f"{exps} has an exponent of 2^31 or more")
-        return e
+        return self.key(exps) << self.shift | e
 
-    def unpack(self, e):
-        return self._unpack(e.to_bytes(self._nbytes, "little"))
-
-    def key_of(self, e):
-        return self.key(self.unpack(e))
+    def unpack(self, m):
+        return self._unpack((m & self._exps).to_bytes(self._nbytes, "little"))
 
     def divides(self, a, b):
         """Whether the monomial a divides b."""
         return not (b - a) & self.guard
 
     def lcm(self, a, b):
+        """The lcm of the monomials a and b, its key recomputed."""
         # the guard bit of a field of (a | guard) - b survives iff a_i >= b_i
         mask = (((a | self.guard) - b) & self.guard) >> (_FIELD - 1)
         mask *= (1 << _FIELD) - 1
-        return b ^ ((a ^ b) & mask)
+        e = (b ^ ((a ^ b) & mask)) & self._exps
+        return self.key(self.unpack(e)) << self.shift | e
 
     def coprime(self, a, b):
         # (x | guard) - lows keeps the guard bit of exactly the fields x_i > 0
@@ -226,7 +235,7 @@ class PolyRing:
         return len(self.names)
 
     def zero(self):
-        return Poly(self, ((), (), ()), ())
+        return Poly(self, ((), ()), ())
 
     def one(self):
         return self.const(self.domain.one())
@@ -234,7 +243,7 @@ class PolyRing:
     def const(self, c):
         if self.domain.is_zero(c):
             return self.zero()
-        return Poly(self, ((0,), (0,), (c,)), (((0,) * self.nvars, c),))
+        return Poly(self, ((0,), (c,)), (((0,) * self.nvars, c),))
 
     def from_int(self, n):
         return self.const(self.domain.from_int(n))
@@ -245,8 +254,7 @@ class PolyRing:
         i = self._index[name]
         one = self.domain.one()
         exps = tuple(int(j == i) for j in range(self.nvars))
-        return Poly(self, ((self.packer.weights[i],), (1 << (_FIELD * i),), (one,)),
-                    ((exps, one),))
+        return Poly(self, ((self.packer.gens[i],), (one,)), ((exps, one),))
 
     def gens(self):
         return [self.gen(n) for n in self.names]
@@ -257,18 +265,16 @@ class PolyRing:
 
     def _from_terms(self, terms):
         """The polynomial of distinct (exps, coeff) terms in any order,
-        packed and sorted by the order keys.
+        packed and sorted by their monomials.
 
         The terms are kept as the decoded view. Packing checks every
         exponent against the field width (``_Packer.pack``).
         """
         if not terms:
             return self.zero()
-        pk = self.packer
-        exps = [e for e, _ in terms]
-        rows = zip(map(pk.pack, exps), map(pk.key, exps), terms)
-        packed, keys, terms = zip(*sorted(rows, key=itemgetter(1), reverse=True))
-        return Poly(self, (keys, packed, tuple([c for _, c in terms])), terms)
+        rows = zip(map(self.packer.pack, [e for e, _ in terms]), terms)
+        mons, terms = zip(*sorted(rows, key=itemgetter(0), reverse=True))
+        return Poly(self, (mons, tuple([c for _, c in terms])), terms)
 
     def with_order(self, order):
         return PolyRing(self.domain, self.names, order)
@@ -297,18 +303,17 @@ class PolyRing:
 class Poly:
     """Immutable sparse polynomial; terms sorted descending, leading first.
 
-    The terms are packed (``packed()``): three parallel tuples of order
-    keys, packed exponents and coefficients, which the arithmetic reads and
-    writes. ``terms``, the (exps tuple, coeff) pairs that everything else
-    reads, is decoded from them on first read and cached, and so is the
-    printed form.
+    The terms are packed (``packed()``): two parallel tuples of monomials
+    and coefficients, which the arithmetic reads and writes. ``terms``, the
+    (exps tuple, coeff) pairs that everything else reads, is decoded from
+    them on first read and cached, and so is the printed form.
     """
 
     __slots__ = ("ring", "_packed", "_terms", "_reducer", "_str")
 
     def __init__(self, ring, packed, terms=None):
         self.ring = ring
-        self._packed = packed  # (keys, exps, coeffs), order-descending
+        self._packed = packed  # (monomials, coeffs), order-descending
         self._terms = terms  # the decoded (exps, coeff) pairs, once read
         self._reducer = None
         self._str = None
@@ -317,21 +322,20 @@ class Poly:
     def terms(self):
         terms = self._terms
         if terms is None:
-            _, exps, coeffs = self._packed
-            terms = self._terms = tuple(zip(map(self.ring.packer.unpack, exps), coeffs))
+            mons, coeffs = self._packed
+            terms = self._terms = tuple(zip(map(self.ring.packer.unpack, mons), coeffs))
         return terms
 
     def packed(self):
         return self._packed
 
     def reducer(self):
-        """(packed leading exponents, leading key, leading coefficient,
-        packed tail), made once for every normal form it reduces."""
+        """(leading monomial, leading coefficient, packed tail), made once
+        for every normal form it reduces."""
         red = self._reducer
         if red is None:
-            keys, exps, coeffs = self.packed()
-            red = self._reducer = (exps[0], keys[0], coeffs[0],
-                                   (keys[1:], exps[1:], coeffs[1:]))
+            mons, coeffs = self.packed()
+            red = self._reducer = (mons[0], coeffs[0], (mons[1:], coeffs[1:]))
         return red
 
     # -- basic structure ----------------------------------------------------
@@ -340,7 +344,7 @@ class Poly:
         return not self._packed[0]
 
     def is_constant(self):
-        return self._packed[1] in ((), (0,))
+        return self._packed[0] in ((), (0,))
 
     def constant_value(self):
         if not self.terms:
@@ -363,8 +367,8 @@ class Poly:
     def leading_term(self):
         if self.is_zero():
             raise ZeroPolynomial("zero polynomial has no leading term")
-        _, exps, coeffs = self._packed
-        return self.ring.packer.unpack(exps[0]), coeffs[0]
+        mons, coeffs = self._packed
+        return self.ring.packer.unpack(mons[0]), coeffs[0]
 
     def leading_monomial(self):
         return self.leading_term()[0]
@@ -372,7 +376,7 @@ class Poly:
     def leading_coeff(self):
         if self.is_zero():
             raise ZeroPolynomial("zero polynomial has no leading term")
-        return self._packed[2][0]
+        return self._packed[1][0]
 
     def coeff(self, exps):
         exps = tuple(exps)
@@ -438,7 +442,7 @@ class Poly:
         """self - c*other, merged by the kernel."""
         ring = self.ring
         rem = _ascending(self)
-        _sub_shifted(rem, zip(*other._packed), 0, 0, c, ring.domain, ring.packer)
+        _sub_shifted(rem, zip(*other._packed), 0, c, ring.domain, ring.packer)
         return _from_ascending(ring, rem)
 
     def __mul__(self, other):
@@ -453,11 +457,11 @@ class Poly:
             big, small = other, self
         small = small._packed
         if len(small[0]) == 1:
-            return _shifted(big, small[0][0], small[1][0], small[2][0])
+            return _shifted(big, small[0][0], small[1][0])
         big = big._packed
-        rem = [[], [], []]
-        for k, e, c in zip(*small):
-            _sub_shifted(rem, zip(*big), k, e, dom.neg(c), dom, ring.packer)
+        rem = [[], []]
+        for m, c in zip(*small):
+            _sub_shifted(rem, zip(*big), m, dom.neg(c), dom, ring.packer)
         return _from_ascending(ring, rem)
 
     __rmul__ = __mul__
@@ -477,8 +481,8 @@ class Poly:
 
     def _map_coeffs(self, fn):
         """The terms with coefficients fn(c), zeros dropped."""
-        keys, exps, coeffs = self._packed
-        return _nonzero(self.ring, keys, exps, tuple(map(fn, coeffs)))
+        mons, coeffs = self._packed
+        return _nonzero(self.ring, mons, tuple(map(fn, coeffs)))
 
     def scale(self, c):
         mul = self.ring.domain.mul
@@ -494,10 +498,10 @@ class Poly:
             other = self.ring.from_int(other)
         if not isinstance(other, Poly) or other.ring != self.ring:
             return False
-        return other._packed[1:] == self._packed[1:]
+        return other._packed == self._packed
 
     def __hash__(self):
-        return hash((self.ring, self._packed[1], self._packed[2]))
+        return hash((self.ring, self._packed))
 
     # -- substitution and transport ------------------------------------------
 
@@ -697,13 +701,13 @@ def content_primitive(f: Poly, main_var=None):
     if main_var is None:
         if f.ring.domain != ZZ:
             raise ValueError("plain content is defined over ZZ")
-        keys, exps, coeffs = f._packed
+        mons, coeffs = f._packed
         g = math.gcd(*coeffs)
         if coeffs[0] < 0:
             g = -g
         if g == 1:
             return g, f
-        return g, Poly(f.ring, (keys, exps, tuple([c // g for c in coeffs])))
+        return g, Poly(f.ring, (mons, tuple([c // g for c in coeffs])))
     return _content_primitive_bivariate(f, main_var)
 
 
@@ -729,16 +733,16 @@ def exact_divide(f: Poly, g: Poly):
     dom = ring.domain
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    gk, ge, gc = g._packed
-    tail = gk[1:], ge[1:], gc[1:]
-    gk, ge, gc = gk[0], ge[0], gc[0]
+    gm, gc = g._packed
+    tail = gm[1:], gc[1:]
+    gm, gc = gm[0], gc[0]
     pk = ring.packer
     rem = _ascending(f)
-    keys, exps, coeffs = rem
-    qk, qe, qc = [], [], []
-    while keys:
-        k, e = keys.pop() - gk, exps.pop() - ge
-        if e & pk.guard:
+    mons, coeffs = rem
+    qm, qc = [], []
+    while mons:
+        m = mons.pop() - gm
+        if m & pk.guard:
             raise ValueError(f"{g} does not divide {f}")
         lc = coeffs.pop()
         if dom == ZZ:
@@ -748,11 +752,10 @@ def exact_divide(f: Poly, g: Poly):
         else:
             c = dom.div(lc, gc)
         # quotient terms come out in descending order, like the remainder's
-        qk.append(k)
-        qe.append(e)
+        qm.append(m)
         qc.append(c)
-        _sub_shifted(rem, zip(*tail), k, e, c, dom, pk)
-    return Poly(ring, (tuple(qk), tuple(qe), tuple(qc)))
+        _sub_shifted(rem, zip(*tail), m, c, dom, pk)
+    return Poly(ring, (tuple(qm), tuple(qc)))
 
 
 # ---------------------------------------------------------------------------
@@ -765,52 +768,50 @@ def _ascending(f):
 
 
 def _from_ascending(ring, rem):
-    keys, exps, coeffs = rem
-    return Poly(ring, (tuple(reversed(keys)), tuple(reversed(exps)), tuple(reversed(coeffs))))
+    mons, coeffs = rem
+    return Poly(ring, (tuple(reversed(mons)), tuple(reversed(coeffs))))
 
 
-def _shifted(f, kshift, eshift, c):
-    """c * x^shift * f: the product by a monomial keeps the term order, so
-    the terms stay where they are."""
+def _shifted(f, shift, c):
+    """c * x^shift * f, the monomial x^shift given as one int: the product
+    by a monomial keeps the term order, so the terms stay where they are."""
     ring = f.ring
     one = ring.domain.is_one(c)
-    if not eshift and one:
+    if not shift and one:
         return f
-    keys, exps, coeffs = f._packed
-    exps = tuple([e + eshift for e in exps])
-    if reduce(or_, exps, 0) & ring.packer.guard:
+    mons, coeffs = f._packed
+    mons = tuple([m + shift for m in mons])
+    if reduce(or_, mons, 0) & ring.packer.guard:
         raise ExponentOverflow("a product has an exponent of 2^31 or more")
-    keys = tuple([k + kshift for k in keys])
     if one:
-        return Poly(ring, (keys, exps, coeffs))
+        return Poly(ring, (mons, coeffs))
     mul = ring.domain.mul
-    return _nonzero(ring, keys, exps, tuple([mul(c, x) for x in coeffs]))
+    return _nonzero(ring, mons, tuple([mul(c, x) for x in coeffs]))
 
 
-def _nonzero(ring, keys, exps, coeffs):
+def _nonzero(ring, mons, coeffs):
     """The polynomial of packed terms, those with a zero coefficient (ZZ/n
     has zero divisors) dropped."""
     is_zero = ring.domain.is_zero
     if any(map(is_zero, coeffs)):
         keep = [i for i, c in enumerate(coeffs) if not is_zero(c)]
-        keys, exps, coeffs = (tuple([v[i] for i in keep]) for v in (keys, exps, coeffs))
-    return Poly(ring, (keys, exps, coeffs))
+        mons, coeffs = (tuple([v[i] for i in keep]) for v in (mons, coeffs))
+    return Poly(ring, (mons, coeffs))
 
 
-def _sub_shifted(rem, tail, kshift, eshift, c, dom, pk):
+def _sub_shifted(rem, tail, shift, c, dom, pk):
     """rem -= c * x^shift * tail, in place and without sorting.
 
-    ``rem`` is three lists, the order keys, packed exponents and
-    coefficients of a remainder in ascending key order, so its leading term
-    is last; ``tail`` iterates over (key, exps, coeff) in descending order,
-    and the shift x^shift has the key ``kshift`` and the exponents
-    ``eshift``, in the format of the packer ``pk``. Multiplying by a
-    monomial adds to key and exponents and keeps every term order: each
-    shifted term costs one binary search on plain ints below the position of
-    the previous one. A key already present is a valid monomial
-    (``_Packer``), so only a new term is checked against the guard bits. A
-    product c * gc that is zero (ZZ/n has zero divisors) adds no term, and a
-    difference that is zero deletes one.
+    ``rem`` is two lists, the monomials and coefficients of a remainder in
+    ascending order, so its leading term is last; ``tail`` iterates over
+    (monomial, coeff) in descending order, and the shift x^shift is one
+    monomial int of the packer ``pk``. Multiplying by a monomial adds to
+    each monomial and keeps every term order: each shifted term costs one
+    binary search on plain ints below the position of the previous one. A
+    monomial already present is valid (``_Packer``), so only a new term is
+    checked against the guard bits. A product c * gc that is zero (ZZ/n
+    has zero divisors) adds no term, and a difference that is zero deletes
+    one.
 
     Over ZZ and ZZ/n, whose elements are plain ints, each term is one
     inline int update, v = old - c*gc, reduced mod n over ZZ/n; a zero v
@@ -820,51 +821,47 @@ def _sub_shifted(rem, tail, kshift, eshift, c, dom, pk):
     polynomials in a ZZ ring, so its reductions take the int update too:
     a step rem <- a*rem - b*x^m*g scales rem by a itself and passes b as c.
     """
-    keys, exps, coeffs = rem
+    mons, coeffs = rem
     guard = pk.guard
-    hi = len(keys)
+    hi = len(mons)
     n = dom.n if isinstance(dom, Zmod) else 0 if isinstance(dom, IntegerRing) else None
     if n is None:
         mul, dsub, is_zero = dom.mul, dom.sub, dom.is_zero
-        for k, e, gc in tail:
-            k += kshift
-            i = bisect_left(keys, k, 0, hi)
+        for m, gc in tail:
+            m += shift
+            i = bisect_left(mons, m, 0, hi)
             p = mul(c, gc)
-            if i < hi and keys[i] == k:
+            if i < hi and mons[i] == m:
                 v = dsub(coeffs[i], p)
                 if is_zero(v):
-                    del keys[i], exps[i], coeffs[i]
+                    del mons[i], coeffs[i]
                 else:
                     coeffs[i] = v
             elif not is_zero(p):
-                e += eshift
-                if e & guard:
+                if m & guard:
                     raise ExponentOverflow("a product has an exponent of 2^31 or more")
-                keys.insert(i, k)
-                exps.insert(i, e)
+                mons.insert(i, m)
                 coeffs.insert(i, dom.neg(p))
             hi = i
         return
-    for k, e, gc in tail:
-        k += kshift
-        i = bisect_left(keys, k, 0, hi)
-        if i < hi and keys[i] == k:
+    for m, gc in tail:
+        m += shift
+        i = bisect_left(mons, m, 0, hi)
+        if i < hi and mons[i] == m:
             v = coeffs[i] - c * gc
             if n:
                 v %= n
             if v:
                 coeffs[i] = v
             else:
-                del keys[i], exps[i], coeffs[i]
+                del mons[i], coeffs[i]
         else:
             v = -c * gc
             if n:
                 v %= n
             if v:
-                e += eshift
-                if e & guard:
+                if m & guard:
                     raise ExponentOverflow("a product has an exponent of 2^31 or more")
-                keys.insert(i, k)
-                exps.insert(i, e)
+                mons.insert(i, m)
                 coeffs.insert(i, v)
         hi = i

@@ -94,7 +94,7 @@ def _pick_relation(gens):
     """First generator of minimal total degree, canonical order tie-break."""
     best = None
     for g in gens:
-        key = (g.total_degree(), g.ring.order.key(g.leading_monomial()))
+        key = (g.total_degree(), g.packed()[0][0])
         if best is None or key < best[0]:
             best = (key, g)
     return best[1]
@@ -208,21 +208,20 @@ class MaximalityCertificate:
 
 def _quotient_basis(gb: GroebnerBasis, ring: PolyRing):
     """Monomials under the staircase; (None, variable) if infinite."""
-    leads = [g.leading_monomial() for g in gb]
     pk = ring.packer
+    leads = [g.packed()[0][0] for g in gb]
     caps = [None] * ring.nvars  # the least pure power of each variable
-    for e in leads:
+    for e in map(pk.unpack, leads):
         support = [i for i, k in enumerate(e) if k]
         if len(support) == 1:
             i = support[0]
             caps[i] = e[i] if caps[i] is None else min(caps[i], e[i])
     if None in caps:
         return None, ring.names[caps.index(None)]
-    packed_leads = [pk.pack(lead) for lead in leads]
     basis = []
     for exps in itertools.product(*(range(c) for c in caps)):
-        e = pk.pack(exps)
-        if not any(pk.divides(lead, e) for lead in packed_leads):
+        m = pk.pack(exps)
+        if not any(pk.divides(lead, m) for lead in leads):
             basis.append(exps)
     return basis, None
 
@@ -320,9 +319,8 @@ def _min_poly_over_tower(tower, gen, ring, nf):
 
 
 def _vector(poly):
-    """The coefficients of poly under their order keys: a ``_Span`` vector."""
-    keys, _, coeffs = poly.packed()
-    return dict(zip(keys, coeffs))
+    """The coefficients of poly under their monomials: a ``_Span`` vector."""
+    return dict(zip(*poly.packed()))
 
 
 def has_common_zero(polys, ring=None):

@@ -67,27 +67,25 @@ def ref_terms(rem):
     return tuple((e, c) for _, e, c in reversed(rem))
 
 
-def generic_sub_shifted(rem, tail, kshift, eshift, c, dom, pk):
+def generic_sub_shifted(rem, tail, shift, c, dom, pk):
     """``multipoly._sub_shifted`` with ``dom.mul``, ``dom.sub`` and
     ``dom.is_zero`` for every term, whatever the domain."""
-    keys, exps, coeffs = rem
-    hi = len(keys)
-    for k, e, gc in tail:
-        k += kshift
-        i = bisect_left(keys, k, 0, hi)
+    mons, coeffs = rem
+    hi = len(mons)
+    for m, gc in tail:
+        m += shift
+        i = bisect_left(mons, m, 0, hi)
         p = dom.mul(c, gc)
-        if i < hi and keys[i] == k:
+        if i < hi and mons[i] == m:
             v = dom.sub(coeffs[i], p)
             if dom.is_zero(v):
-                del keys[i], exps[i], coeffs[i]
+                del mons[i], coeffs[i]
             else:
                 coeffs[i] = v
         elif not dom.is_zero(p):
-            e += eshift
-            if e & pk.guard:
+            if m & pk.guard:
                 raise ExponentOverflow("a product has an exponent of 2^31 or more")
-            keys.insert(i, k)
-            exps.insert(i, e)
+            mons.insert(i, m)
             coeffs.insert(i, dom.neg(p))
         hi = i
 

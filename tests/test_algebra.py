@@ -421,7 +421,7 @@ def test_verify_reduces_each_element_once(monkeypatch):
     assert gb.verify()
     k = len(gb)
     pairs, live = [], []
-    lms = [g.packed()[1][0] for g in gb]
+    lms = [g.packed()[0][0] for g in gb]
     for new in range(k):
         algebra._update(pairs, live, lms, new, ring.packer)
     assert k == 13 and len(pairs) == 26 and len(calls) == k + len(pairs) == 39
@@ -733,7 +733,7 @@ def buchberger_reference(gens, ring):
 
     def insert(h):
         basis.append(h.monic())
-        lms.append(h.packed()[1][0])
+        lms.append(h.packed()[0][0])
         algebra._update(pairs, live, lms, len(basis) - 1, pk)
         reducers[:] = [basis[k] for k in live]
 
@@ -742,8 +742,8 @@ def buchberger_reference(gens, ring):
         if not h.is_zero():
             insert(h)
     while pairs:
-        klcm, i, j, lcm = heapq.heappop(pairs)
-        h = normal_form_list(algebra._s_polynomial(basis[i], basis[j], klcm, lcm), reducers)
+        lcm, i, j = heapq.heappop(pairs)
+        h = normal_form_list(algebra._s_polynomial(basis[i], basis[j], lcm), reducers)
         if not h.is_zero():
             insert(h)
     reduced = [normal_form_list(g, reducers[:k] + reducers[k + 1:])
@@ -809,7 +809,7 @@ def test_signature_engine_over_qq_returns_the_basis_over_qq(order):
         assert [g.terms for g in got] == [g.terms for g in buchberger_reference(gens, ring)]
         assert GroebnerBasis(ring, got).verify()
         assert all(g.ring is ring for g in got)
-        assert all(type(c) is Fraction for g in got for c in g.packed()[2])
+        assert all(type(c) is Fraction for g in got for c in g.packed()[1])
 
 
 def test_integer_pseudo_reduction_matches_the_normal_form_over_qq():

@@ -109,8 +109,8 @@ def outcome(evaluate, node, ring):
         poly = evaluate(node, ring)
     except SchemeError as err:
         return err.code
-    keys, exps, coeffs = poly.packed()
-    return keys, exps, coeffs, [type(c) for c in coeffs]
+    mons, coeffs = poly.packed()
+    return mons, coeffs, [type(c) for c in coeffs]
 
 
 @pytest.mark.parametrize("text", DOMAINS)
