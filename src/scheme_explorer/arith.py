@@ -45,7 +45,7 @@ Factorization:
     * QQ: content/primitive, then integer-only: a modular squarefree
       certificate (Yun over ZZ only without one), a modular irreducibility
       certificate, else Zassenhaus (quadratic Hensel lifting, subset
-      recombination), degree capped at 24;
+      recombination);
     * number fields over QQ: Trager norm descent to QQ, the norm
       Res_t(modulus, f) taken as the determinant of multiplication by f on
       QQ[x][t]/(modulus), by fraction-free (Bareiss) elimination over ZZ[x]
@@ -101,7 +101,12 @@ _FACTOR_TRIAL_BUDGET = 10 ** 6  # the trial divisors of prime_factors: about 0.1
 
 
 def is_prime(n):
-    """Primality by trial division, then Miller-Rabin: certified below _MR_CERTIFIED_BELOW."""
+    """Primality by trial division, then Miller-Rabin on _MR_WITNESSES.
+
+    False on a divisor or a witness; True only where the witnesses certify
+    it, below _MR_CERTIFIED_BELOW. A larger n that passes them all is not
+    certified, and raises BudgetExceeded.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
@@ -128,6 +133,8 @@ def is_prime(n):
                 break
         else:
             return False
+    if n >= _MR_CERTIFIED_BELOW:
+        raise BudgetExceeded(f"no primality certificate for {n.bit_length()} bits")
     return True
 
 
@@ -156,8 +163,8 @@ def prime_factors(n):
 
 def _prime_power(n):
     """(p, k) with n = p^k for a prime p, or None: only the root of the
-    highest perfect power of n can be p. A prime p of _MR_CERTIFIED_BELOW
-    or more is not certified, and raises BudgetExceeded."""
+    highest perfect power of n can be p, and ``is_prime`` decides it (a
+    root it cannot certify raises BudgetExceeded)."""
     root, k, ell = n, 1, 2
     while 1 << ell <= root:
         r = 0  # the integer ell-th root of root, one bit at a time
@@ -170,8 +177,6 @@ def _prime_power(n):
             ell = _next_prime(ell)
     if not is_prime(root):
         return None
-    if root >= _MR_CERTIFIED_BELOW:
-        raise BudgetExceeded(f"no primality certificate for {root.bit_length()} bits")
     return root, k
 
 
@@ -658,9 +663,9 @@ class Zmod(Domain):
 
 def GF(p):
     """Prime field of order p; raises if p is not prime."""
-    if not is_prime(p):
+    if p < 1 or not (field := Zmod(p)).is_field:
         raise UnsupportedDomain(f"GF({p}): {p} is not prime")
-    return Zmod(p)
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -1272,9 +1277,6 @@ def _split_finite_field(f, dom):
 # factorization over QQ: Zassenhaus with quadratic Hensel lifting
 # ---------------------------------------------------------------------------
 
-_QQ_DEGREE_CAP = 24
-
-
 def _int_content_primitive(coeffs):
     """(content, primitive) for an integer tuple, primitive lc > 0."""
     g = 0
@@ -1386,8 +1388,8 @@ def _lift_factorization(p, f, leaves, final):
     return out
 
 
-# Subsets _recombine may try.  A degree-24 input (the cap of _QQ_DEGREE_CAP)
-# that stays irreducible with 12 modular factors needs 2,509; the
+# Subsets _recombine may try.  A degree-24 input that stays irreducible
+# with 12 modular factors needs 2,509; the
 # Swinnerton-Dyer polynomial of degree 16 (8 factors) needs 162.
 _RECOMBINATION_BUDGET = 1 << 16
 
@@ -1500,11 +1502,6 @@ def _zassenhaus(g, images):
     return _recombine(g, _lift_factorization(p, g, mods, final), final)
 
 
-def _check_degree_cap(f):
-    if up_deg(f) > _QQ_DEGREE_CAP:
-        raise Unsupported(f"rational factorization capped at degree {_QQ_DEGREE_CAP}")
-
-
 def _certified_images(g):
     """A ``_prime_images(g)`` search that starts at a good prime among the
     first _SQUAREFREE_TRIES, which certifies g squarefree; None without one."""
@@ -1525,7 +1522,6 @@ def _factor_rationals(f):
     ``_yun`` as over a number field, here on ``ZZ.dense_gcd`` and
     ``ZZ.dense_divmod``.
     """
-    _check_degree_cap(f)
     nums, den = _common_denominator(f)
     content, prim = _int_content_primitive(nums)
     unit = Fraction(content, den)
@@ -1619,7 +1615,6 @@ def _trager_squarefree(g, dom):
             break
     else:
         raise Unsupported("no squarefree norm shift found")
-    _check_degree_cap(norm)
     norm_factors = _zassenhaus(norm, images)
     out = []
     rest = shifted

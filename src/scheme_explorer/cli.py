@@ -176,10 +176,7 @@ def _parse_map(text, env):
     left, sep, right = text.partition("->")
     if not sep:
         raise InvalidArgument(f"--map expects \"A->B\", got {text!r}")
-    source = env.ring_from_text(left)
-    target = env.ring_from_text(right)
-    images = [target.ring.gen(n) for n in source.names]
-    return mor.RingMorphism(source, target, images)
+    return mor.inclusion(env.ring_from_text(left), env.ring_from_text(right))
 
 
 def _fiber(cmd, env):

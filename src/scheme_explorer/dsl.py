@@ -32,9 +32,7 @@ Domain literals: ZZ, QQ, ZZ/12, GF(7), GF(49,t^2+1).  Projective points
 are written [a:b:c].  Parsing is total on this grammar and printing a parsed
 script reparses to the same abstract syntax.  An integer of more digits
 than ``int`` reads, and a polynomial that nests parentheses and signs past
-``_NESTING_BUDGET``, are syntax errors; a product prints its left operand
-in parentheses, so one of more than ``_NESTING_BUDGET`` + 1 factors prints
-past it.
+``_NESTING_BUDGET``, are syntax errors.
 
 Tokens are tuples (``Token``, a NamedTuple) read from one ``findall`` of
 the token pattern; the syntax nodes of polynomials are slotted dataclasses
@@ -227,8 +225,7 @@ class BinOp:
         # a sum or product of thousands of terms prints without recursion
         chain, node = _left_chain(self)
         if self.op == "*":
-            return ("(" * (len(chain) - 1) + _wrap(node) + "*"
-                    + ")*".join(_wrap(n.right) for n in chain))
+            return "*".join([_wrap(node)] + [_wrap(n.right) for n in chain])
         return node.to_text() + "".join(f" {n.op} {_wrap(n.right, '+-')}" for n in chain)
 
 

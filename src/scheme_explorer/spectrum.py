@@ -745,11 +745,20 @@ def _factor_primitive_bivariate(f, main, other):
     )
 
 
+# Pairs of monic divisors _rational_function_root may try, each one exact
+# solve for the scalar. The tests try at most 2; over GF(101), six distinct
+# linear factors in each of the leading and trailing T-coefficients make
+# the budget's 4,096 pairs, tried in about 3 s, and each further factor
+# doubles the pairs.
+_ROOT_PAIR_BUDGET = 4096
+
+
 def _rational_function_root(f, main, other):
     """A root of f in k(S), as (numerator, denominator) polynomials in S.
 
     Candidates come from monic divisors of the leading and trailing
-    T-coefficients; the scalar is solved for exactly.
+    T-coefficients; the scalar is solved for exactly. Raises
+    BudgetExceeded, before trying any, past _ROOT_PAIR_BUDGET pairs.
     """
     ring = f.ring
     k = ring.domain
@@ -757,9 +766,14 @@ def _rational_function_root(f, main, other):
     lead, trail = coeffs[-1], coeffs[0]
     if trail.is_zero():
         return ring.zero(), ring.one()  # T divides f
-    lead_divs = _monic_divisors(lead, other)
-    trail_divs = _monic_divisors(trail, other)
-    for den in lead_divs:
+    lead_fac, trail_fac = (factor_dense(poly_to_dense(c, var=other), k)[1]
+                           for c in (lead, trail))
+    pairs = math.prod(m + 1 for _, m in lead_fac + trail_fac)
+    if pairs > _ROOT_PAIR_BUDGET:
+        raise BudgetExceeded(f"{pairs} pairs of candidate numerators and denominators "
+                             f"exceed the budget of {_ROOT_PAIR_BUDGET}")
+    trail_divs = _monic_divisors(ring, trail_fac, other)
+    for den in _monic_divisors(ring, lead_fac, other):
         for num in trail_divs:
             sols = _solve_scalar(coeffs, other, num, den)
             for c in sols:
@@ -769,21 +783,14 @@ def _rational_function_root(f, main, other):
     return None
 
 
-def _monic_divisors(poly, var):
-    """Monic divisors (in k[S]) of a polynomial in the single variable var."""
-    ring = poly.ring
-    k = ring.domain
-    dense = poly_to_dense(poly, var=var)
-    _, fac = factor_dense(dense, k)
+def _monic_divisors(ring, fac, var):
+    """The monic divisors in k[var] of a polynomial whose factorization
+    over k is ``fac``, distinct (irreducible factor, multiplicity) pairs."""
     divisors = [ring.one()]
     for g, mult in fac:
         lifted = dense_to_poly(ring, g, var)
-        new = []
-        for d0 in divisors:
-            for e in range(mult + 1):
-                new.append(d0 * lifted ** e)
-        divisors = new
-    return _dedupe(divisors)
+        divisors = [d0 * lifted ** e for d0 in divisors for e in range(mult + 1)]
+    return divisors
 
 
 def _solve_scalar(coeffs, other, num, den):

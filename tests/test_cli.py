@@ -563,18 +563,25 @@ def test_oversized_statements_exit_without_a_traceback(statement):
 
 
 @pytest.mark.parametrize("text, printed", [
-    ("x*y*z*w", "((x*y)*z)*w"),
+    ("x*y*z*w", "x*y*z*w"),
     ("x - y + z - w", "x - y + z - w"),
     ("x - (y - z) + (u + v)", "x - (y - z) + (u + v)"),
-    ("-x*(y+z)*w - -u", "((-x)*(y + z))*w - (-u)"),
-    ("(x*y + 1)*(2*z)^3*x", "((x*y + 1)*(2*z)^3)*x"),
+    ("-x*(y+z)*w - -u", "(-x)*(y + z)*w - (-u)"),
+    ("(x*y + 1)*(2*z)^3*x", "(x*y + 1)*(2*z)^3*x"),
+    ("x*(y*z)*w", "x*(y*z)*w"),
 ])
 def test_chains_print_in_the_form_that_reparses_to_them(text, printed):
-    """A product keeps its left operand in parentheses and a sum does not;
-    both print in a loop."""
+    """A product and a sum print flat, down their left operands, in a loop;
+    a right operand of the same precedence keeps its parentheses."""
     ast = dsl.parse_poly_text(text)
     assert ast.to_text() == printed
     assert dsl.parse_poly_text(printed) == ast
+
+
+def test_a_product_of_300_factors_reprints_to_a_text_that_reparses():
+    ast = dsl.parse_poly_text("*".join(f"x{i}" for i in range(300)))
+    assert ast.to_text() == "*".join(f"x{i}" for i in range(300))
+    assert dsl.parse_poly_text(ast.to_text()) == ast
 
 
 @pytest.mark.parametrize("statement", [
@@ -609,6 +616,26 @@ def test_moduli_with_two_large_prime_factors_answer_at_once(statement, code):
     proc = _run_cli_within(["exec", statement, "--format", "json"], 30)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["results"][0]["error"]["code"] == code
+
+
+def test_an_uncertified_modulus_is_tested_for_primality_once(monkeypatch):
+    """n, the least prime above the Miller-Rabin certificate bound, passes
+    every witness: ``is_prime`` refuses it with budget-exceeded, and no
+    second test of n follows."""
+    from scheme_explorer import arith
+
+    n = 3317044064679887385962123
+    assert n > arith._MR_CERTIFIED_BELOW
+    calls, real = [], arith.is_prime
+
+    def counted(k):
+        calls.append(k)
+        return real(k)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    records, had_error = run_script(dsl.parse(f'spec describe "ZZ/{n}";'))
+    assert had_error and records[0]["error"]["code"] == "budget-exceeded"
+    assert calls.count(n) == 1
 
 
 def test_the_square_of_a_large_prime_has_one_point():

@@ -69,8 +69,13 @@ def test_random_products_over_qq():
             d = rng.randint(1, 4)
             g = [rng.randint(1, 6)] + [rng.randint(-9, 9) for _ in range(d)]
             poly *= sympy.Poly(g, X) ** rng.randint(1, 3)
-        if poly.degree() <= arith._QQ_DEGREE_CAP:
-            check_qq(poly)
+        check_qq(poly)
+
+
+def test_degrees_above_24_factor_over_qq():
+    """No degree cap: x^48 - 1 splits into its 10 cyclotomic factors."""
+    _, fac = check_qq(X ** 48 - 1)
+    assert len(fac) == 10
 
 
 def test_random_polynomials_over_gf_p():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from scheme_explorer.arith import QQ, ExtField, factor_dense, up_mul, up_norm
+from scheme_explorer.arith import QQ, ExtField, factor_dense, up_deg, up_mul, up_norm
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -57,3 +57,11 @@ def test_number_field_factors_match_sympy(modulus, alpha):
                      if n == m and sympy.expand(ours - h) == 0]
             assert match, (f, g)
             del expected[match[0]]
+
+
+def test_a_norm_above_degree_24_factors():
+    """x^13 - 1 over QQ(i) has a norm of degree 26: x - 1 splits off and
+    the cyclotomic factor of degree 12 stays irreducible."""
+    K = ExtField(QQ, (Fraction(1), Fraction(0), Fraction(1)))
+    _, fac = factor_dense((K.from_int(-1),) + (K.zero(),) * 12 + (K.one(),), K)
+    assert sorted((up_deg(g), m) for g, m in fac) == [(1, 1), (12, 1)]

@@ -33,3 +33,17 @@ def test_every_module_compiles_with_warnings_as_errors():
         warnings.simplefilter("error")
         for path in paths:
             compile(path.read_text(), str(path), "exec")
+
+
+def test_only_multipoly_knows_the_exponent_field_width():
+    """The term format belongs to ``multipoly``: no other module imports
+    its field width ``_FIELD``."""
+    importers = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "multipoly.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        importers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      and any(alias.name == "_FIELD" for alias in node.names)]
+    assert importers == []

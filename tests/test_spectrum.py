@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from scheme_explorer.arith import GF, GFq, QQ, ZZ, Zmod
 from scheme_explorer.algebra import PresentedAlgebra, localize
-from scheme_explorer.errors import FactorizationUnavailable, NotCatalogued
+from scheme_explorer.errors import BudgetExceeded, FactorizationUnavailable, NotCatalogued
 from scheme_explorer.multipoly import PolyRing
 from scheme_explorer import spectrum as sp
 
@@ -216,6 +217,24 @@ def test_irreducible_components_bivariate():
     assert len(comps2) == 2
     with pytest.raises(FactorizationUnavailable):
         sp.irreducible_components(z, supplied_factors=[S, S * T + 1])
+
+
+def test_the_bivariate_root_search_refuses_past_its_budget(monkeypatch):
+    """Ten distinct linear factors in the leading and in the trailing
+    T-coefficient make 2^20 pairs of candidate divisors: refused at once,
+    before any candidate is tried."""
+    A = PresentedAlgebra(GF(101), ("S", "T"))
+    S, T = A.gens()
+    lead = trail = A.ring.one()
+    for i in range(1, 11):
+        lead, trail = lead * (S - i), trail * (S - 50 - i)
+    z = sp.ZariskiClosed(sp.SpecCatalogue.recognize(A), [lead * T ** 2 + (S + 7) * T + trail])
+    tried = []
+    monkeypatch.setattr(sp, "_solve_scalar", lambda *args: tried.append(args) or [])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="1048576 pairs"):
+        sp.irreducible_components(z)
+    assert tried == [] and time.perf_counter() - start < 1.0
 
 
 def test_irreducible_single_factor():
