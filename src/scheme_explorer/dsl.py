@@ -735,11 +735,11 @@ class _Expansion:
     A monomial is one int of ``multipoly._Packer``, the order key above the
     packed exponents: a product of monomials adds their ints, sorting on
     them sorts by the order key, and an exponent of 2^31 or more sets a
-    guard bit.  A value is None (zero), one term
-    (m, c, bits), or a dict {m: c} of two terms or more; bits is the bit
-    length of c over ZZ and QQ (``_bits``) and 0 elsewhere.  A product of atoms is one
-    term, a sum merges into one dict, and only a product or power of sums
-    multiplies dicts.
+    guard bit.  A value is None (zero), one term (m, c, bits), or a dict
+    {m: c} of two terms or more; bits is the bit length of c over ZZ and QQ
+    (``_bits``) and 0 elsewhere.  A product of atoms is one term, a sum
+    merges into one dict, and only a product or power of sums multiplies
+    dicts.
 
     Products keep the checks of Poly arithmetic, so the same inputs raise
     ExponentOverflow, over ZZ/n too: a zero factor absorbs the other
