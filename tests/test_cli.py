@@ -618,24 +618,29 @@ def test_moduli_with_two_large_prime_factors_answer_at_once(statement, code):
     assert json.loads(proc.stdout)["results"][0]["error"]["code"] == code
 
 
-def test_an_uncertified_modulus_is_tested_for_primality_once(monkeypatch):
-    """n, the least prime above the Miller-Rabin certificate bound, passes
-    every witness: ``is_prime`` refuses it with budget-exceeded, and no
-    second test of n follows."""
+@pytest.mark.parametrize("n, message", [
+    (3317044064679887385962123, "no primality certificate"),
+    (1000003 * 1000033, "no prime factor up to"),
+], ids=["uncertified-prime", "composite"])
+def test_a_modulus_without_small_factors_gets_one_miller_rabin_pass(monkeypatch, n, message):
+    """``Zmod`` and ``prime_factors`` both ask whether n is prime: the least
+    prime above the certificate bound is refused at the first question, and
+    a composite with no factor up to 10^6 is answered once for both."""
     from scheme_explorer import arith
 
-    n = 3317044064679887385962123
-    assert n > arith._MR_CERTIFIED_BELOW
-    calls, real = [], arith.is_prime
+    passes, witnesses = [], arith._MR_WITNESSES
 
-    def counted(k):
-        calls.append(k)
-        return real(k)
+    class Witnesses:
+        def __iter__(self):
+            passes.append(1)
+            return iter(witnesses)
 
-    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(arith, "_MR_WITNESSES", Witnesses())
+    arith._miller_rabin.cache_clear()
     records, had_error = run_script(dsl.parse(f'spec describe "ZZ/{n}";'))
     assert had_error and records[0]["error"]["code"] == "budget-exceeded"
-    assert calls.count(n) == 1
+    assert message in records[0]["error"]["message"]
+    assert passes == [1]
 
 
 def test_the_square_of_a_large_prime_has_one_point():
