@@ -1398,9 +1398,9 @@ def _lift_factorization(p, f, leaves, final):
     return out
 
 
-# Subsets _recombine may try.  A degree-24 input that stays irreducible
-# with 12 modular factors needs 2,509; the
-# Swinnerton-Dyer polynomial of degree 16 (8 factors) needs 162.
+# Subsets _recombine may try.  A degree-24 input that stays irreducible with
+# 12 modular factors needs 2,509; the Swinnerton-Dyer polynomial of degree
+# 16 (8 factors) needs 162.
 _RECOMBINATION_BUDGET = 1 << 16
 
 

@@ -59,9 +59,8 @@ class TermOrder:
     """Monomial order given by a nonnegative integer weight matrix: the rows
     are compared in turn, larger = leading.
 
-    ``key`` packs the rows of an exponent tuple into one int, first row most
-    significant, so comparing keys compares terms. The packed format of
-    each variable count is built once per order (``packer``).
+    The monomials of each variable count, ints that compare as the terms
+    do, are packed by one ``_Packer`` per order (``packer``).
     """
 
     name = "?"
@@ -78,9 +77,6 @@ class TermOrder:
         if pk is None:
             pk = self._packers[n] = _Packer(self.rows(n), n)
         return pk
-
-    def key(self, exps):
-        return self.packer(len(exps)).key(exps)
 
     def __repr__(self):
         return self.name
