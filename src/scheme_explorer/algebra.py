@@ -202,8 +202,9 @@ def _update(pairs, live, lms, new, pk):
 
 
 def _regular_reduce(f, skey, sidx, ratios, reducers, width):
-    """Reduce f, of signature (skey, sidx), by multiples x^u*g of smaller
-    signature only; the remainder keeps the signature of f.
+    """Reduce f, whose signature has the key ``skey`` and the index
+    ``sidx``, by multiples x^u*g of smaller signature only; the remainder
+    keeps the signature of f.
 
     ``reducers`` holds the basis elements as ``Poly.reducer`` tuples, in
     ascending order of ``ratios``: (signature key - leading key) * width +
