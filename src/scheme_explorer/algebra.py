@@ -172,9 +172,11 @@ def _update(pairs, live, lms, new, pk):
 
     ``pairs`` is a heap of (lcm, i, j); ``live`` lists the basis indices
     whose leading monomial no newer element divides. Leading monomials and
-    lcms are monomial ints (``multipoly._Packer``).
+    lcms are monomial ints (``multipoly._Packer``); the criteria read only
+    their exponents, so a pair's lcm gets its key when the pair is kept.
     """
-    divides, lcm_of, coprime = pk.divides, pk.lcm, pk.coprime
+    divides, lcm_of, coprime, keyed = pk.divides, pk.lcm_exponents, pk.coprime, pk.keyed
+    mask = (1 << pk.shift) - 1
     h = lms[new]
     cands = [(lcm_of(h, lms[g]), g) for g in live]
     # M and F: drop (new, g) when the lcm of another new pair divides its
@@ -192,11 +194,11 @@ def _update(pairs, live, lms, new, pk):
     pairs[:] = [
         p for p in pairs
         if not divides(h, p[0])
-        or lcm_of(lms[p[1]], h) == p[0]
-        or lcm_of(lms[p[2]], h) == p[0]
+        or lcm_of(lms[p[1]], h) == p[0] & mask
+        or lcm_of(lms[p[2]], h) == p[0] & mask
     ]
     # Buchberger's first criterion: coprime pairs reduce to zero
-    pairs += [(lcm, new, g) for lcm, g in kept if not coprime(h, lms[g])]
+    pairs += [(keyed(lcm), new, g) for lcm, g in kept if not coprime(h, lms[g])]
     heapq.heapify(pairs)
     live[:] = [g for g in live if not divides(h, lms[g])] + [new]
 
@@ -237,7 +239,8 @@ def groebner_basis(gens, ring=None):
         work = PolyRing(ZZ, ring.names, ring.order)
         gens = [_integral(g, work) for g in gens]
     pk = ring.packer
-    guard, shift, coprime, lcm_of = pk.guard, pk.shift, pk.coprime, pk.lcm
+    guard, shift, coprime, lcm_of, keyed = (
+        pk.guard, pk.shift, pk.coprime, pk.lcm_exponents, pk.keyed)
     one = work.domain.one()
     width = len(gens)
     # element n: polys[n], and in els[n] its leading monomial, signature
@@ -294,16 +297,18 @@ def groebner_basis(gens, ring=None):
         pos = bisect_right(ratios, rat)
         ratios.insert(pos, rat)
         reducers.insert(pos, h.reducer())
-        for lcm, (src, idx, ls, s) in new:
-            t = lcm - ls
-            sm = t + s
+        for e, (src, idx, ls, s) in new:
+            # e is the lcm's exponents: the criteria read only the low
+            # ``shift`` bits of sm, which do not depend on the keys
+            sm = e - ls + s
             if sm & guard:
                 raise ExponentOverflow("a signature has an exponent of 2^31 or more")
             if any(not (sm - z) & guard for z in syz[idx]):
                 continue
             if src < n and any(l > src and not (sm - s) & guard for l, s in by_index[idx]):
                 continue
-            heapq.heappush(pairs, (sm, idx, -src, t))
+            t = keyed(e) - ls
+            heapq.heappush(pairs, (t + s, idx, -src, t))
     # a minimal basis: no leading monomial divides another, or equals an
     # earlier one; reducing each element by the others reduces its tail
     minimal = []

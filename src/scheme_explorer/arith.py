@@ -69,7 +69,7 @@ import random
 import threading
 import zlib
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import (
     BudgetExceeded,
@@ -101,7 +101,7 @@ _FACTOR_TRIAL_BUDGET = 10 ** 6  # the trial divisors of prime_factors: about 0.1
 
 
 def is_prime(n):
-    """Primality by trial division, then Miller-Rabin (``_miller_rabin``).
+    """Primality by trial division, then Miller-Rabin.
 
     False on a divisor or a witness; True only where the witnesses certify
     it, below _MR_CERTIFIED_BELOW. A larger n that passes them all is not
@@ -119,16 +119,6 @@ def is_prime(n):
                 return False
             d += 2
         return True
-    return _miller_rabin(n)
-
-
-@lru_cache(maxsize=16)
-def _miller_rabin(n):
-    """The verdict of ``is_prime`` on an n of _TRIAL_LIMIT or more with no
-    small factor, by the witnesses _MR_WITNESSES. The verdicts on the last
-    16 such n are kept: ``Zmod`` tests its modulus, ``prime_factors`` tests
-    the same number again when it has no factor up to its budget, and one
-    pass over a number of thousands of digits takes seconds."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

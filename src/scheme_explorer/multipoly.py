@@ -196,12 +196,16 @@ class _Packer:
         """Whether the monomial a divides b."""
         return not (b - a) & self.guard
 
-    def lcm(self, a, b):
-        """The lcm of the monomials a and b, its key recomputed."""
+    def lcm_exponents(self, a, b):
+        """The exponents of the lcm of the monomials a and b, without its
+        key: all that ``divides``, ``coprime`` and equality of lcms read."""
         # the guard bit of a field of (a | guard) - b survives iff a_i >= b_i
         mask = (((a | self.guard) - b) & self.guard) >> (_FIELD - 1)
         mask *= (1 << _FIELD) - 1
-        e = (b ^ ((a ^ b) & mask)) & self._exps
+        return (b ^ ((a ^ b) & mask)) & self._exps
+
+    def keyed(self, e):
+        """The monomial of the exponents e."""
         return self.key(self.unpack(e)) << self.shift | e
 
     def coprime(self, a, b):

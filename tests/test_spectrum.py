@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import time
 
 import pytest
 
@@ -231,10 +230,9 @@ def test_the_bivariate_root_search_refuses_past_its_budget(monkeypatch):
     z = sp.ZariskiClosed(sp.SpecCatalogue.recognize(A), [lead * T ** 2 + (S + 7) * T + trail])
     tried = []
     monkeypatch.setattr(sp, "_solve_scalar", lambda *args: tried.append(args) or [])
-    start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="1048576 pairs"):
         sp.irreducible_components(z)
-    assert tried == [] and time.perf_counter() - start < 1.0
+    assert tried == []
 
 
 def test_irreducible_single_factor():
