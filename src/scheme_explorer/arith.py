@@ -167,10 +167,7 @@ def _prime_power(n):
     root it cannot certify raises BudgetExceeded)."""
     root, k, ell = n, 1, 2
     while 1 << ell <= root:
-        r = 0  # the integer ell-th root of root, one bit at a time
-        for b in reversed(range(root.bit_length() // ell + 1)):
-            if (r | 1 << b) ** ell <= root:
-                r |= 1 << b
+        r = _integer_root(root, ell)
         if r ** ell == root:
             root, k = r, k * ell
         else:
@@ -178,6 +175,22 @@ def _prime_power(n):
     if not is_prime(root):
         return None
     return root, k
+
+
+def _integer_root(n, ell):
+    """The integer ell-th root of n >= 1 by Newton's iteration.  It starts
+    just above the root, at a float estimate of its top 33 bits rounded up:
+    from below, or from far above, one step would overshoot or creep when
+    ell is large.  From at or above the root each step falls until the next
+    would not, and the first such x is the root."""
+    e = math.log2(n) / ell
+    shift = max(int(e) - 32, 0)
+    x = int(2 ** (e - shift)) + 1 << shift
+    while True:
+        y = ((ell - 1) * x + n // x ** (ell - 1)) // ell
+        if y >= x:
+            return x
+        x = y
 
 
 class Domain:

@@ -2,7 +2,10 @@
 
 Everything here is exhaustively checkable: spaces are finite, section
 objects are finite sets (or finite rings / modules), and restriction maps
-are explicit dictionaries.  Sheafification is the compatible-germ-family
+are dictionaries.  A presheaf may be given them up front; the derived ones
+(structure presheaves, sheafifications, twists, images) build each map on
+its first read from a restriction function, so a statement builds only the
+maps it reads.  Sheafification is the compatible-germ-family
 construction, which on a finite space only needs the minimal open
 neighborhood of each point; the stalk at x is the value on that minimal
 open.
@@ -25,7 +28,6 @@ from collections import Counter
 from .arith import Domain, Zmod, _dense_str, domain_units
 from .errors import (
     BudgetExceeded,
-    InfiniteSpectrum,
     NonInvertibleUnit,
     NotInvertible,
     Unsupported,
@@ -35,8 +37,10 @@ from .errors import (
 # shipped scripts and the benchmark decks localize rings of at most 36
 # elements and search at most 42 germ, 294 gluing, 1,156 section and 576
 # unit families in one ``_glued`` call; the test suite goes up to 60
-# elements and 314,928 germ families.
+# elements and 314,928 germ families.  A structure sheaf lists its ring
+# once per open, so it takes rings of at most 4,000 elements.
 _RING_BUDGET = 100_000
+_SHEAF_RING_BUDGET = 4_000
 _FAMILY_BUDGET = 1_000_000
 
 
@@ -144,33 +148,21 @@ def discrete_space(points):
     return FiniteSpace(pts, opens)
 
 
-def space_from_preorder(points, leq):
-    """Alexandrov topology: opens are the down-closed sets of ``leq``.
-
-    An open U satisfies: y in U whenever x in U and leq(y, x).
-    """
-    pts = list(points)
-    opens = []
-    for r in range(len(pts) + 1):
-        for combo in itertools.combinations(pts, r):
-            s = frozenset(combo)
-            if all(
-                not (x in s and leq(y, x) and y not in s) for x in pts for y in pts
-            ):
-                opens.append(s)
-    return FiniteSpace(pts, opens)
-
-
 class FinitePresheaf:
-    """Explicit presheaf: section lists per open, dict restriction maps."""
+    """Section lists per open and dict restriction maps.  The maps are
+    given in ``restrictions``, or ``restriction(u, v)`` is the function on
+    sections from u to an open v < u, and ``restrict_map`` builds and keeps
+    the map of a pair the first time it is read."""
 
-    def __init__(self, space: FiniteSpace, sections, restrictions, check=True):
+    def __init__(self, space: FiniteSpace, sections, restrictions, check=True,
+                 restriction=None):
         self.space = space
         self.sections = {frozenset(u): tuple(s) for u, s in sections.items()}
         self.restrictions = {
             (frozenset(u), frozenset(v)): dict(m)
             for (u, v), m in restrictions.items()
         }
+        self._restriction = restriction
         if check:
             self._check_axioms()
 
@@ -199,20 +191,27 @@ class FinitePresheaf:
                             raise ValueError("restrictions fail to compose")
 
     def restrict_map(self, u, v):
+        """The map from sections on u to sections on v; a KeyError unless
+        v is an open inside the open u."""
         u, v = frozenset(u), frozenset(v)
         if u == v:
             return {s: s for s in self.sections[u]}
-        return self.restrictions[(u, v)]
+        m = self.restrictions.get((u, v))
+        if m is None:
+            if self._restriction is None or not v < u or v not in self.sections:
+                raise KeyError((u, v))
+            r = self._restriction(u, v)
+            m = self.restrictions[(u, v)] = {s: r(s) for s in self.sections[u]}
+        return m
 
     def restrict(self, s, u, v):
+        if u == v:
+            return s
         return self.restrict_map(u, v)[s]
 
     def stalk(self, x):
         """Sections on the minimal open: the stalk on a finite space."""
         return self.sections[self.space.minimal_open(x)]
-
-    def germ(self, s, u, x):
-        return self.restrict(s, u, self.space.minimal_open(x))
 
     def is_sheaf(self):
         """Exhaustive gluing check (covers with private points suffice)."""
@@ -244,15 +243,8 @@ class FinitePresheaf:
 
 def _presheaf(space, sections, restriction, check=False):
     """The presheaf with ``sections`` whose map from U to an open V < U is
-    the function ``restriction(u, v)`` on sections."""
-    restrictions = {}
-    opens = space.opens_sorted()
-    for u in opens:
-        for v in opens:
-            if v < u:
-                r = restriction(u, v)
-                restrictions[(u, v)] = {s: r(s) for s in sections[u]}
-    return FinitePresheaf(space, sections, restrictions, check)
+    the function ``restriction(u, v)`` on sections, built on first read."""
+    return FinitePresheaf(space, sections, {}, check, restriction)
 
 
 def sheafify(F: FinitePresheaf):
@@ -279,7 +271,8 @@ def sheafify(F: FinitePresheaf):
         pts = sorted(u, key=str)
         sections[u] = list(_glued([F.stalk(x) for x in pts],
                                   lambda j, i: germ_test(pts[j], pts[i]), "germ families"))
-        pi[u] = {s: tuple(F.germ(s, u, x) for x in pts) for s in F.sections[u]}
+        germs = [F.restrict_map(u, space.minimal_open(x)) for x in pts]
+        pi[u] = {s: tuple(g[s] for g in germs) for s in F.sections[u]}
 
     def restriction(u, v):
         ptsu = sorted(u, key=str)
@@ -714,9 +707,8 @@ class StructureSheafReport:
 
 def structure_sheaf(ring: Domain):
     """The structure sheaf of a finite ring with all comparison data."""
-    size = ring.order()
-    if size > 4000:
-        raise InfiniteSpectrum(f"ring too large to enumerate ({size} elements)")
+    _check_budget(ring.order(), _SHEAF_RING_BUDGET,
+                  f"elements of {ring} for a structure sheaf")
     presheaf, space, primes, local_rings = structure_presheaf(ring)
     sheaf, pi = sheafify(presheaf)
     return StructureSheafReport(ring, space, primes, presheaf, sheaf, pi, local_rings)

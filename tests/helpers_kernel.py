@@ -9,7 +9,9 @@ kernel; the integer-polynomial division and Yun that preceded
 the generator search that ``_ZechTables`` made with products of its own,
 kept as a reference for its tables; and ``_solve_field``, the dense
 Gauss-Jordan solve that preceded ``algebra._Span``, kept as the oracle of
-ideal membership by bounded-degree linear algebra."""
+ideal membership by bounded-degree linear algebra; and the integer root
+one bit at a time that preceded ``arith._integer_root``, kept as its
+oracle."""
 
 import itertools
 import math
@@ -360,3 +362,12 @@ def _solve_field(matrix, rhs, dom):
     for i, c in enumerate(pivots):
         sol[c] = aug[i][cols]
     return sol
+
+
+def integer_root_by_bits(n, ell):
+    """The integer ell-th root of n >= 1, one bit at a time from the top."""
+    r = 0
+    for b in reversed(range(n.bit_length() // ell + 1)):
+        if (r | 1 << b) ** ell <= n:
+            r |= 1 << b
+    return r

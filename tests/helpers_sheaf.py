@@ -1,4 +1,5 @@
-"""Shared generators for randomized finite-space presheaf tests."""
+"""Shared generators for randomized finite-space presheaf tests, and the
+up-front restriction maps that the derived presheaves once built."""
 
 import itertools
 
@@ -20,7 +21,24 @@ def random_space(rng, max_points=5):
                 if b == c and (a, d) not in rel:
                     rel.add((a, d))
                     changed = True
-    return sh.space_from_preorder(pts, lambda x, y: (x, y) in rel)
+    return space_from_preorder(pts, lambda x, y: (x, y) in rel)
+
+
+def space_from_preorder(points, leq):
+    """Alexandrov topology: opens are the down-closed sets of ``leq``.
+
+    An open U satisfies: y in U whenever x in U and leq(y, x).
+    """
+    pts = list(points)
+    opens = []
+    for r in range(len(pts) + 1):
+        for combo in itertools.combinations(pts, r):
+            s = frozenset(combo)
+            if all(
+                not (x in s and leq(y, x) and y not in s) for x in pts for y in pts
+            ):
+                opens.append(s)
+    return sh.FiniteSpace(pts, opens)
 
 
 def random_projection_presheaf(space, rng):
@@ -47,3 +65,16 @@ def random_projection_presheaf(space, rng):
                 s: tuple(s[i] for i in pick) for s in sections[u]
             }
     return sh.FinitePresheaf(space, sections, restrictions)
+
+
+def eager_presheaf(F):
+    """F with every map built up front from F's restriction function, as
+    the derived presheaves built them before their maps were built on first
+    read; the presheaf axioms are checked on the result."""
+    restrictions = {}
+    for u in F.space.opens:
+        for v in F.space.opens:
+            if v < u:
+                r = F._restriction(u, v)
+                restrictions[(u, v)] = {s: r(s) for s in F.sections[u]}
+    return sh.FinitePresheaf(F.space, F.sections, restrictions)

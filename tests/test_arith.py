@@ -529,6 +529,33 @@ def test_prime_powers_are_decided_without_factoring():
     assert GFq(1000000007) == GF(1000000007)
 
 
+def test_newton_roots_match_the_roots_found_one_bit_at_a_time():
+    """Every exponent that ``_prime_power`` tries, on seeded p^k and
+    p^k +- 1, powers of 2, composites and a number of about 13,000 bits
+    (a seeded sample of its exponents)."""
+    from helpers_kernel import integer_root_by_bits
+
+    from scheme_explorer.arith import _integer_root, _next_prime, _prime_power
+
+    rng = random.Random(7575)
+    ns = [2 ** k for k in range(1, 300, 7)]
+    for _ in range(30):
+        q = rng.choice([2, 3, 5, 7, 11, 101, 65537, 1000003]) ** rng.randrange(1, 40)
+        ns += [q - 1, q, q + 1]
+    ns += [rng.randrange(2, 10 ** 20) * rng.randrange(2, 10 ** 20) for _ in range(20)]
+    for n in ns:
+        ell = 2
+        while 1 << ell <= n:
+            assert _integer_root(n, ell) == integer_root_by_bits(n, ell), (n, ell)
+            ell = _next_prime(ell)
+    big = rng.getrandbits(13000) | 1 << 12999
+    ells = [2, 3, 5, 7] + rng.sample([e for e in range(11, 13000) if is_prime(e)], 40)
+    for ell in ells:
+        assert _integer_root(big, ell) == integer_root_by_bits(big, ell), ell
+    assert _prime_power(1000003 ** 650) == (1000003, 650)
+    assert _prime_power(1000003 ** 650 + 1) is None
+
+
 def test_the_least_strong_pseudoprime_to_the_primes_up_to_37_is_composite():
     """318665857834031151167461 = 399165290221 * 798330580441 passes the
     Miller-Rabin test for every prime base up to 37; base 41 exposes it, and

@@ -22,7 +22,7 @@ def constant_presheaf(space, values):
     return sh.FinitePresheaf(space, sections, restrictions)
 
 
-from helpers_sheaf import random_projection_presheaf, random_space
+from helpers_sheaf import eager_presheaf, random_projection_presheaf, random_space
 
 
 def test_topology_axioms_enforced():
@@ -597,9 +597,9 @@ def test_gluing_check_counts_gluings(global_sections, to_a, to_b, expected):
     sh.ProductRing(Zmod(70), Zmod(70)),
 ], ids=["quotient", "product"])
 def test_structure_sheaf_refuses_a_large_ring_before_listing_it(ring):
-    from scheme_explorer.errors import InfiniteSpectrum
+    from scheme_explorer.errors import BudgetExceeded
 
-    with pytest.raises(InfiniteSpectrum, match=f"{ring.order()} elements"):
+    with pytest.raises(BudgetExceeded, match=f"{ring.order()} elements"):
         sh.structure_sheaf(ring)
     assert ring._elements is None
 
@@ -965,3 +965,59 @@ def test_the_first_budget_error_does_not_depend_on_the_hash_seed():
         messages.append(proc.stdout)
     assert messages[0] == messages[1]
     assert "germ families exceed the budget" in messages[0]
+
+
+# ---------------------------------------------------------------------------
+# restriction maps built on first read against the maps built up front
+# ---------------------------------------------------------------------------
+
+def _derived_presheaves(ring, rng):
+    """The structure presheaf, the structure sheaf and a twist of it by a
+    seeded cocycle on a seeded two-open cover, none with a map read yet."""
+    rep = sh.structure_sheaf(ring)
+    cover = rng.choice(_two_open_covers(rep))
+    cocycle = rng.choice(sh.cocycles_on_cover(rep, cover))
+    return [sh.structure_presheaf(ring)[0], rep.sheaf, sh.twist_structure_sheaf(cocycle)]
+
+
+def test_restriction_maps_built_on_first_read_equal_the_eager_ones():
+    rng = random.Random(2026)
+    rings = [Zmod(n) for n in rng.sample(range(2, 61), 2) + [rng.choice([30, 42, 60])]] + [
+        sh.QuotientPolyRing(Zmod(5), tuple(rng.randrange(5) for _ in range(d)) + (1,))
+        for d in (2, 3)
+    ] + [sh.ProductRing(Zmod(rng.randrange(2, 9)), Zmod(rng.randrange(2, 9)))]
+    for ring in rings:
+        for F in _derived_presheaves(ring, rng):
+            eager = eager_presheaf(F)
+            opens = F.space.opens_sorted()
+            pairs = [(u, v) for u in opens for v in opens if v < u]
+            rng.shuffle(pairs)
+            for u, v in pairs:
+                first = F.restrict_map(u, v)
+                assert first == eager.restrict_map(u, v), (ring, u, v)
+                assert F.restrict_map(u, v) is first
+            for u in opens:
+                assert all(F.restrict(s, u, u) is s for s in F.sections[u])
+                for v in opens:
+                    if not v <= u:
+                        with pytest.raises(KeyError):
+                            F.restrict_map(u, v)
+
+
+def test_a_twist_statement_builds_no_map_of_the_twisted_sheaf(monkeypatch):
+    """Of the 19 pairs V < U on spec(ZZ/30), a twist reads the 9 maps from
+    an open to a point of the structure presheaf (sheafify's comparison),
+    and no map of its sheafification or of the twisted sheaf."""
+    from scheme_explorer import dsl
+    from scheme_explorer.cli import run_script
+
+    built = []
+    for name in ("structure_sheaf", "twist_structure_sheaf"):
+        make = getattr(sh, name)
+        monkeypatch.setattr(sh, name, lambda *a, make=make: built.append(make(*a)) or built[-1])
+    records, had_error = run_script(dsl.parse(
+        'sheaf twist --space "spec(ZZ/30)" --cover "X,D(2)" --cocycle -1;'))
+    assert not had_error and records[0]["data"]["round_trip_class_ok"]
+    report, twisted = built
+    assert len(report.presheaf.restrictions) == 9
+    assert report.sheaf.restrictions == {} and twisted.restrictions == {}

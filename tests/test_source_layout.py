@@ -47,3 +47,24 @@ def test_only_multipoly_knows_the_exponent_field_width():
                       if isinstance(node, ast.ImportFrom)
                       and any(alias.name == "_FIELD" for alias in node.names)]
     assert importers == []
+
+
+def test_restriction_maps_are_read_through_restrict_map():
+    """A derived presheaf builds each restriction map on its first read, so
+    a direct read of ``.restrictions`` would miss the maps not built yet:
+    only ``FinitePresheaf.__init__`` and ``restrict_map`` touch it."""
+    def readers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Attribute) and child.attr == "restrictions":
+                yield ".".join(scope)
+            yield from readers(child, inner)
+
+    scopes = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes.update(f"{path.name}:{scope}" for scope in readers(tree, ()))
+    assert scopes == {"sheaf.py:FinitePresheaf.__init__",
+                      "sheaf.py:FinitePresheaf.restrict_map"}
