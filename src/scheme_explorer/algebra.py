@@ -344,7 +344,6 @@ class GroebnerBasis:
     def __init__(self, ring, polys):
         self.ring = ring
         self.polys = list(polys)
-        self.certified = False
 
     def normal_form(self, f):
         return normal_form_list(f, self.polys)
@@ -391,7 +390,6 @@ class GroebnerBasis:
             s = _s_polynomial(polys[i], polys[j], lcm)
             if not normal_form_list(s, polys).is_zero():
                 return False
-        self.certified = True
         return True
 
     def __iter__(self):

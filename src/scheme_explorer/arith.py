@@ -585,6 +585,9 @@ class Zmod(Domain):
     def mul(self, a, b):
         return (a * b) % self.n
 
+    def pow(self, a, k):
+        return pow(a, k, self.n)
+
     def inv(self, a):
         if math.gcd(a, self.n) != 1:
             raise NotInvertible(f"{a} is not a unit mod {self.n}")

@@ -5,10 +5,12 @@ objects are finite sets (or finite rings / modules), and restriction maps
 are dictionaries.  A presheaf may be given them up front; the derived ones
 (structure presheaves, sheafifications, twists, images) build each map on
 its first read from a restriction function, so a statement builds only the
-maps it reads.  Sheafification is the compatible-germ-family
-construction, which on a finite space only needs the minimal open
-neighborhood of each point; the stalk at x is the value on that minimal
-open.
+maps it reads.  The per-open data of the structure sheaf (local rings,
+section lists, germ families, the comparison map and twisted section
+families) are likewise made on first read, open by open.  Sheafification
+is the compatible-germ-family construction, which on a finite space only
+needs the minimal open neighborhood of each point; the stalk at x is the
+value on that minimal open.
 
 A finite ring A is the product of the local rings eA over its primitive
 idempotents e (Atiyah-Macdonald, Thm 8.7).  So its primes are the
@@ -24,6 +26,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 
 from .arith import Domain, Zmod, _dense_str, domain_units
 from .errors import (
@@ -148,16 +151,51 @@ def discrete_space(points):
     return FiniteSpace(pts, opens)
 
 
+class OnRead(Mapping):
+    """A mapping from the opens of a space to ``make(u)``, made on the first
+    read of u and kept in ``made``.  Membership, iteration (in
+    ``opens_sorted`` order) and length run over all the opens; a key that is
+    not an open is a KeyError."""
+
+    def __init__(self, space: FiniteSpace, make):
+        self._space = space
+        self._make = make
+        self.made = {}
+
+    def __getitem__(self, u):
+        try:
+            return self.made[u]
+        except KeyError:
+            if u not in self._space.opens:
+                raise
+        value = self.made[u] = self._make(u)
+        return value
+
+    def __contains__(self, u):
+        return u in self._space.opens
+
+    def __iter__(self):
+        return iter(self._space.opens_sorted())
+
+    def __len__(self):
+        return len(self._space.opens)
+
+
 class FinitePresheaf:
-    """Section lists per open and dict restriction maps.  The maps are
-    given in ``restrictions``, or ``restriction(u, v)`` is the function on
-    sections from u to an open v < u, and ``restrict_map`` builds and keeps
-    the map of a pair the first time it is read."""
+    """Section lists per open and dict restriction maps.  The sections are
+    given in a dict, or in an ``OnRead`` mapping with tuple values that
+    makes each list on its first read.  The maps are given in
+    ``restrictions``, or ``restriction(u, v)`` is the function on sections
+    from u to an open v < u, and ``restrict_map`` builds and keeps the map
+    of a pair the first time it is read."""
 
     def __init__(self, space: FiniteSpace, sections, restrictions, check=True,
                  restriction=None):
         self.space = space
-        self.sections = {frozenset(u): tuple(s) for u, s in sections.items()}
+        if isinstance(sections, OnRead):
+            self.sections = sections
+        else:
+            self.sections = {frozenset(u): tuple(s) for u, s in sections.items()}
         self.restrictions = {
             (frozenset(u), frozenset(v)): dict(m)
             for (u, v), m in restrictions.items()
@@ -253,8 +291,14 @@ def sheafify(F: FinitePresheaf):
     A section over U picks a germ g_x in the stalk at x for every x in U
     such that g_y is the restriction of g_x whenever y lies in the minimal
     open of x.  Returns (sheaf, pi) with pi a per-open dict s -> germ tuple.
+    The germ families and pi are made per open on first read; the budget of
+    every open is checked here, from the stalk sizes, in ``opens_sorted``
+    order.
     """
     space = F.space
+    for u in space.opens_sorted():
+        _check_budget(math.prod(len(F.stalk(x)) for x in u), _FAMILY_BUDGET,
+                      "germ families")
 
     def germ_test(x, y):
         # x in U_y and y in U_x make U_x = U_y: then one test covers both
@@ -266,20 +310,21 @@ def sheafify(F: FinitePresheaf):
             down = F.restrict_map(ux, uy)
             return lambda gx, gy: down[gx] == gy
 
-    sections, pi = {}, {}
-    for u in space.opens_sorted():
+    def germ_families(u):
         pts = sorted(u, key=str)
-        sections[u] = list(_glued([F.stalk(x) for x in pts],
-                                  lambda j, i: germ_test(pts[j], pts[i]), "germ families"))
-        germs = [F.restrict_map(u, space.minimal_open(x)) for x in pts]
-        pi[u] = {s: tuple(g[s] for g in germs) for s in F.sections[u]}
+        return tuple(_glued([F.stalk(x) for x in pts],
+                            lambda j, i: germ_test(pts[j], pts[i]), "germ families"))
+
+    def comparison(u):
+        germs = [F.restrict_map(u, space.minimal_open(x)) for x in sorted(u, key=str)]
+        return {s: tuple(g[s] for g in germs) for s in F.sections[u]}
 
     def restriction(u, v):
         ptsu = sorted(u, key=str)
         pick = [ptsu.index(y) for y in sorted(v, key=str)]
         return lambda fam: tuple(fam[i] for i in pick)
 
-    return _presheaf(space, sections, restriction), pi
+    return _presheaf(space, OnRead(space, germ_families), restriction), OnRead(space, comparison)
 
 
 def stalks_preserved(F: FinitePresheaf, sheaf, pi):
@@ -649,9 +694,10 @@ def _nowhere_vanishing(ring, primes, u):
 
 def _localized_presheaf(ring, space, primes, localize):
     """U -> localize(S(U)), restricting a fraction by the ``make`` of the
-    smaller open; returns the presheaf and the localization on each open."""
-    local = {u: localize(_nowhere_vanishing(ring, primes, u)) for u in space.opens_sorted()}
-    sections = {u: loc.elements() for u, loc in local.items()}
+    smaller open; returns the presheaf and the localization on each open,
+    both made per open on first read."""
+    local = OnRead(space, lambda u: localize(_nowhere_vanishing(ring, primes, u)))
+    sections = OnRead(space, lambda u: tuple(local[u].elements()))
     presheaf = _presheaf(space, sections, lambda u, v: lambda x: local[v].make(*x))
     return presheaf, local
 
@@ -796,7 +842,8 @@ def twist_structure_sheaf(cocycle: UnitCocycle):
     """Twist the structure sheaf by a unit cocycle on the given cover.
 
     Sections over U are families (s_i in O(U cap U_i)) with s_i = f_ij s_j
-    on U cap U_i cap U_j.
+    on U cap U_i cap U_j, made per open on first read (and the budget of an
+    open checked then).
     """
     report = cocycle.report
     space = report.space
@@ -811,17 +858,16 @@ def twist_structure_sheaf(cocycle: UnitCocycle):
         right = {s: rw.mul(fji, rw.make(*s)) for s in pieces[i]}
         return lambda sj, si: left[sj] == right[si]
 
-    sections = {}
-    for u in space.opens_sorted():
+    def families(u):
         pieces = [report.local_rings[u & c].elements() for c in cover]
-        sections[u] = list(_glued(pieces, lambda j, i: transition_test(u, pieces, j, i),
-                                  "section families"))
+        return tuple(_glued(pieces, lambda j, i: transition_test(u, pieces, j, i),
+                            "section families"))
 
     def restriction(u, v):
         makes = [report.local_rings[v & c].make for c in cover]
         return lambda fam: tuple(make(*x) for make, x in zip(makes, fam))
 
-    return _presheaf(space, sections, restriction)
+    return _presheaf(space, OnRead(space, families), restriction)
 
 
 def recover_cocycle(twisted: FinitePresheaf, report, cover):

@@ -748,8 +748,8 @@ def _factor_primitive_bivariate(f, main, other):
 # Pairs of monic divisors _rational_function_root may try, each one exact
 # solve for the scalar. The tests try at most 2; over GF(101), six distinct
 # linear factors in each of the leading and trailing T-coefficients make
-# the budget's 4,096 pairs, tried in about 3 s, and each further factor
-# doubles the pairs.
+# the budget's 4,096 pairs, tried in about 0.3 s (Python 3.11 on one Xeon
+# core), and each further factor doubles the pairs.
 _ROOT_PAIR_BUDGET = 4096
 
 
@@ -772,11 +772,14 @@ def _rational_function_root(f, main, other):
     if pairs > _ROOT_PAIR_BUDGET:
         raise BudgetExceeded(f"{pairs} pairs of candidate numerators and denominators "
                              f"exceed the budget of {_ROOT_PAIR_BUDGET}")
-    trail_divs = _monic_divisors(ring, trail_fac, other)
+    # f_j den^(d-j) once per denominator and num^j once per numerator
+    d = len(coeffs) - 1
+    trail_divs = [(num, [num ** j for j in range(d + 1)])
+                  for num in _monic_divisors(ring, trail_fac, other)]
     for den in _monic_divisors(ring, lead_fac, other):
-        for num in trail_divs:
-            sols = _solve_scalar(coeffs, other, num, den)
-            for c in sols:
+        scaled = [cj * den ** (d - j) for j, cj in enumerate(coeffs)]
+        for num, num_powers in trail_divs:
+            for c in _solve_scalar(scaled, num_powers, other):
                 if k.is_zero(c):
                     continue
                 return num.scale(c), den
@@ -793,22 +796,18 @@ def _monic_divisors(ring, fac, var):
     return divisors
 
 
-def _solve_scalar(coeffs, other, num, den):
-    """Scalars c in k with f(T = c*num/den) = 0, exactly; ``coeffs`` are the
-    coefficients of f in T."""
-    k = num.ring.domain
-    d = len(coeffs) - 1
+def _solve_scalar(scaled, num_powers, other):
+    """Scalars c in k with f(T = c*num/den) = 0, exactly, for f of degree d
+    in T with coefficients f_j; ``scaled`` holds the f_j den^(d-j) and
+    ``num_powers`` the num^j."""
+    k = num_powers[0].ring.domain
     # P(c, S) = sum_j f_j(S) (c*num)^j den^(d-j) must vanish identically in
     # S; column j holds the S-coefficients of its j-th summand
-    columns = [
-        (cj * num ** j * den ** (d - j)).coeffs_in(other) for j, cj in enumerate(coeffs)
-    ]
+    columns = [poly_to_dense(a * b, var=other) for a, b in zip(scaled, num_powers)]
     # each S-degree gives a univariate condition in c; intersect via gcd
     g = ()
     for s in range(max(map(len, columns))):
-        row = up_norm(k, tuple(
-            col[s].constant_value() if s < len(col) else k.zero() for col in columns
-        ))
+        row = up_norm(k, tuple(col[s] if s < len(col) else k.zero() for col in columns))
         if not row:
             continue
         g = k.dense_gcd(g, row) if g else row

@@ -1,5 +1,6 @@
 """Shared generators for randomized finite-space presheaf tests, and the
-up-front restriction maps that the derived presheaves once built."""
+up-front sections, restriction maps and per-open data that the derived
+presheaves and structure sheaves once built."""
 
 import itertools
 
@@ -68,13 +69,29 @@ def random_projection_presheaf(space, rng):
 
 
 def eager_presheaf(F):
-    """F with every map built up front from F's restriction function, as
-    the derived presheaves built them before their maps were built on first
-    read; the presheaf axioms are checked on the result."""
+    """F with every open's sections and every map built up front, in plain
+    dicts, from F's sections and restriction function, as the derived
+    presheaves built them before both were made on first read; the presheaf
+    axioms are checked on the result."""
+    sections = {u: F.sections[u] for u in F.space.opens_sorted()}
     restrictions = {}
     for u in F.space.opens:
         for v in F.space.opens:
             if v < u:
                 r = F._restriction(u, v)
-                restrictions[(u, v)] = {s: r(s) for s in F.sections[u]}
-    return sh.FinitePresheaf(F.space, F.sections, restrictions)
+                restrictions[(u, v)] = {s: r(s) for s in sections[u]}
+    return sh.FinitePresheaf(F.space, sections, restrictions)
+
+
+def eager_structure_sheaf(ring):
+    """The structure sheaf of ``ring`` with every open's local ring and
+    comparison map in plain dicts, and its presheaf and sheafification
+    through ``eager_presheaf``: all of it built up front in ``opens_sorted``
+    order, as ``structure_sheaf`` built it before the per-open data were
+    made on first read."""
+    rep = sh.structure_sheaf(ring)
+    opens = rep.space.opens_sorted()
+    local_rings = {u: rep.local_rings[u] for u in opens}
+    pi = {u: rep.pi[u] for u in opens}
+    return sh.StructureSheafReport(ring, rep.space, rep.primes, eager_presheaf(rep.presheaf),
+                                   eager_presheaf(rep.sheaf), pi, local_rings)

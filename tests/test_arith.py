@@ -10,6 +10,7 @@ from scheme_explorer.arith import (
     GFq,
     QQ,
     ZZ,
+    Domain,
     ExtField,
     FracField,
     Zmod,
@@ -450,6 +451,16 @@ def _reference_up_divmod(dom, a, b):
         while r and dom.is_zero(r[-1]):
             r.pop()
     return up_norm(dom, q), up_norm(dom, r)
+
+
+def test_zmod_pow_matches_the_square_and_multiply_loop():
+    rng = random.Random(227)
+    for n in [1, 2, 30] + [rng.randrange(3, 10 ** 6) for _ in range(20)]:
+        dom = Zmod(n)
+        for _ in range(25):
+            a = rng.randrange(n)
+            for k in (0, 1, rng.randrange(2, 100), rng.randrange(10 ** 6)):
+                assert dom.pow(a, k) == Domain.pow(dom, a, k), (a, k, n)
 
 
 @pytest.mark.parametrize("n", [4, 9])

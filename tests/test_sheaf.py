@@ -22,7 +22,12 @@ def constant_presheaf(space, values):
     return sh.FinitePresheaf(space, sections, restrictions)
 
 
-from helpers_sheaf import eager_presheaf, random_projection_presheaf, random_space
+from helpers_sheaf import (
+    eager_presheaf,
+    eager_structure_sheaf,
+    random_projection_presheaf,
+    random_space,
+)
 
 
 def test_topology_axioms_enforced():
@@ -1004,10 +1009,9 @@ def test_restriction_maps_built_on_first_read_equal_the_eager_ones():
                             F.restrict_map(u, v)
 
 
-def test_a_twist_statement_builds_no_map_of_the_twisted_sheaf(monkeypatch):
-    """Of the 19 pairs V < U on spec(ZZ/30), a twist reads the 9 maps from
-    an open to a point of the structure presheaf (sheafify's comparison),
-    and no map of its sheafification or of the twisted sheaf."""
+def _statement_sheaves(monkeypatch, text):
+    """The records of one statement, and the structure sheaf report, then
+    the twisted sheaf if any, that it builds."""
     from scheme_explorer import dsl
     from scheme_explorer.cli import run_script
 
@@ -1015,9 +1019,98 @@ def test_a_twist_statement_builds_no_map_of_the_twisted_sheaf(monkeypatch):
     for name in ("structure_sheaf", "twist_structure_sheaf"):
         make = getattr(sh, name)
         monkeypatch.setattr(sh, name, lambda *a, make=make: built.append(make(*a)) or built[-1])
-    records, had_error = run_script(dsl.parse(
-        'sheaf twist --space "spec(ZZ/30)" --cover "X,D(2)" --cocycle -1;'))
-    assert not had_error and records[0]["data"]["round_trip_class_ok"]
-    report, twisted = built
-    assert len(report.presheaf.restrictions) == 9
+    records, had_error = run_script(dsl.parse(text))
+    assert not had_error, records
+    return records, built
+
+
+def test_a_twist_statement_builds_no_map_of_the_twisted_sheaf(monkeypatch):
+    """Of the 19 pairs V < U on spec(ZZ/30), a twist reads no map of the
+    structure presheaf, of its sheafification or of the twisted sheaf, and
+    it makes no germ family and no comparison map pi."""
+    records, (report, twisted) = _statement_sheaves(
+        monkeypatch, 'sheaf twist --space "spec(ZZ/30)" --cover "X,D(2)" --cocycle -1;')
+    assert records[0]["data"]["round_trip_class_ok"]
+    assert report.presheaf.restrictions == {}
     assert report.sheaf.restrictions == {} and twisted.restrictions == {}
+    assert report.sheaf.sections.made == {} and report.pi.made == {}
+
+
+# ---------------------------------------------------------------------------
+# per-open data made on first read against the data built up front
+# ---------------------------------------------------------------------------
+
+def test_an_on_read_mapping_runs_over_every_open_but_makes_only_what_is_read():
+    space = sh.discrete_space(["a", "b"])
+    made = []
+    m = sh.OnRead(space, lambda u: made.append(u) or len(u))
+    assert list(m) == list(space.opens_sorted()) and len(m) == 4
+    assert frozenset("ab") in m and frozenset("c") not in m and made == []
+    assert m[frozenset("ab")] == 2 and m[frozenset("ab")] == 2
+    assert made == [frozenset("ab")] and m.made == {frozenset("ab"): 2}
+    with pytest.raises(KeyError):
+        m[frozenset("c")]
+    assert m == {u: len(u) for u in space.opens} and m != {u: 0 for u in space.opens}
+    assert len(made) == 4
+
+
+def _ring_key(loc):
+    return loc.family, loc.elements()
+
+
+def test_per_open_data_made_on_first_read_equal_the_eager_data():
+    """Local rings, presheaf sections, germ families, pi and twisted section
+    families read open by open in shuffled order equal the ones built up
+    front; before the first read only the stalks, whose sizes bound the germ
+    families, are made."""
+    rng = random.Random(2027)
+    rings = [Zmod(n) for n in rng.sample(range(2, 61), 3) + [rng.choice([30, 42, 60])]] + [
+        sh.QuotientPolyRing(Zmod(5), tuple(rng.randrange(5) for _ in range(d)) + (1,))
+        for d in (2, 2, 3)
+    ] + [sh.ProductRing(Zmod(rng.randrange(2, 9)), Zmod(rng.randrange(2, 9)))]
+    for ring in rings:
+        eager, lazy = eager_structure_sheaf(ring), sh.structure_sheaf(ring)
+        stalks = {lazy.space.minimal_open(x) for x in lazy.space.points}
+        assert set(lazy.local_rings.made) == set(lazy.presheaf.sections.made) == stalks
+        assert lazy.sheaf.sections.made == {} and lazy.pi.made == {}
+        cover = rng.choice(_two_open_covers(lazy))
+        eager_cocycles = sh.cocycles_on_cover(eager, cover)
+        pick = rng.randrange(len(eager_cocycles))
+        eager_twist = eager_presheaf(sh.twist_structure_sheaf(eager_cocycles[pick]))
+        twist = sh.twist_structure_sheaf(sh.cocycles_on_cover(lazy, cover)[pick])
+        assert twist.sections.made == {}
+        pairs = [
+            (lazy.local_rings, eager.local_rings, _ring_key),
+            (lazy.presheaf.sections, eager.presheaf.sections, None),
+            (lazy.sheaf.sections, eager.sheaf.sections, None),
+            (lazy.pi, eager.pi, None),
+            (twist.sections, eager_twist.sections, None),
+        ]
+        for lazy_data, eager_data, key in pairs:
+            key = key or (lambda value: value)
+            opens = list(lazy.space.opens_sorted())
+            rng.shuffle(opens)
+            for u in opens:
+                first = lazy_data[u]
+                assert lazy_data[u] is first and u in lazy_data.made
+                assert key(first) == key(eager_data[u]), (ring, u)
+
+
+@pytest.mark.parametrize("text, local, germs, pi, twisted", [
+    ('sheaf check --space "spec(ZZ/42)";', 3, 8, 3, None),
+    ('sheaf sections --space "spec(ZZ/30)" --at 2;', 3, 1, 0, None),
+    ('sheaf twist --space "spec(ZZ/30)" --cover "X,D(2)" --cocycle -1;', 5, 0, 0, 2),
+], ids=["check", "sections", "twist"])
+def test_a_statement_makes_only_the_per_open_data_it_reads(monkeypatch, text, local, germs,
+                                                            pi, twisted):
+    """Of the 8 opens of a three-point spectrum: a check reads every germ
+    family but pi only on the stalks; a sections statement reads the germ
+    families on D(2); a twist reads the local rings of the stalks, X and
+    D(2), and the twisted families on X and D(2).  Every statement makes the
+    stalks, which bound the germ families."""
+    _, (report, *rest) = _statement_sheaves(monkeypatch, text)
+    stalks = {report.space.minimal_open(x) for x in report.space.points}
+    assert len(report.local_rings.made) == local and stalks <= set(report.local_rings.made)
+    assert set(report.presheaf.sections.made) == stalks
+    assert len(report.sheaf.sections.made) == germs and len(report.pi.made) == pi
+    assert [len(t.sections.made) for t in rest] == ([] if twisted is None else [twisted])

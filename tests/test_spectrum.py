@@ -5,7 +5,17 @@ import random
 
 import pytest
 
-from scheme_explorer.arith import GF, GFq, QQ, ZZ, Zmod
+from scheme_explorer.arith import (
+    GF,
+    GFq,
+    QQ,
+    ZZ,
+    Zmod,
+    factor_dense,
+    poly_to_dense,
+    up_deg,
+    up_norm,
+)
 from scheme_explorer.algebra import PresentedAlgebra, localize
 from scheme_explorer.errors import BudgetExceeded, FactorizationUnavailable, NotCatalogued
 from scheme_explorer.multipoly import PolyRing
@@ -233,6 +243,55 @@ def test_the_bivariate_root_search_refuses_past_its_budget(monkeypatch):
     with pytest.raises(BudgetExceeded, match="1048576 pairs"):
         sp.irreducible_components(z)
     assert tried == []
+
+
+def _reference_rational_function_root(f, main, other):
+    """The root search with every power formed again for each pair of
+    candidate divisors and every S-coefficient read as a polynomial."""
+    ring, k = f.ring, f.ring.domain
+    coeffs = f.coeffs_in(main)
+    d = len(coeffs) - 1
+    if coeffs[0].is_zero():
+        return ring.zero(), ring.one()
+    lead_fac, trail_fac = (factor_dense(poly_to_dense(c, var=other), k)[1]
+                           for c in (coeffs[-1], coeffs[0]))
+    for den in sp._monic_divisors(ring, lead_fac, other):
+        for num in sp._monic_divisors(ring, trail_fac, other):
+            columns = [(cj * num ** j * den ** (d - j)).coeffs_in(other)
+                       for j, cj in enumerate(coeffs)]
+            g = ()
+            for s in range(max(map(len, columns))):
+                row = up_norm(k, tuple(col[s].constant_value() if s < len(col) else k.zero()
+                                       for col in columns))
+                if row:
+                    g = k.dense_gcd(g, row) if g else row
+            if g and up_deg(g) > 0:
+                for h, _ in factor_dense(g, k)[1]:
+                    if up_deg(h) == 1 and not k.is_zero(h[0]):
+                        return num.scale(k.neg(h[0])), den
+    return None
+
+
+def test_the_root_search_finds_the_roots_of_the_pair_by_pair_search():
+    rng = random.Random(76)
+    found = missed = 0
+    for k in (GF(7), GF(101), QQ):
+        A = PresentedAlgebra(k, ("S", "T"))
+        S, T = A.gens()
+
+        def in_s(deg):
+            return sum((rng.randrange(-3, 4) * S ** i for i in range(deg + 1)), A.ring.zero())
+
+        for _ in range(12):
+            f = T ** 2 * in_s(1) + T * in_s(2) + in_s(2) + S ** 3
+            for _ in range(rng.randrange(3)):
+                f = f * (in_s(rng.randrange(2)) * T - in_s(2))
+            if f.degree_in("T") == 0:
+                continue
+            root = sp._rational_function_root(f, "T", "S")
+            assert root == _reference_rational_function_root(f, "T", "S"), (k, f)
+            found, missed = found + (root is not None), missed + (root is None)
+    assert found > 5 and missed > 5
 
 
 def test_irreducible_single_factor():
