@@ -43,12 +43,12 @@ shifted tail, so no step re-sorts. Everything works on packed terms
 (``multipoly``): a divisibility test, an lcm and a coprimality test are a
 few integer operations, and no intermediate polynomial is decoded. The
 engine produces the unique reduced basis for the ring's term order, so
-normal forms decide equality in the quotient. ``GroebnerBasis.verify`` is
-an independent check: it reduces the S-pairs that the Gebauer–Möller
-update keeps, which by Buchberger's criterion with the product and chain
-criteria suffice.  Ideal arithmetic over a non-field base is deliberately
-restricted: over ZZ only the moves the workbench can certify are offered,
-and everything else raises rather than silently answering over QQ.
+normal forms decide equality in the quotient; the tests check the bases
+against Buchberger's criterion, reducing the S-pairs that the
+Gebauer–Möller update keeps. Ideal arithmetic over a non-field base is
+deliberately restricted: over ZZ only the moves the workbench can certify
+are offered, and everything else raises rather than silently answering
+over QQ.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .multipoly import (
     Poly,
     PolyRing,
     _ascending,
-    _from_ascending,
     _shifted,
     _sub_shifted,
     content_primitive,
@@ -152,55 +151,6 @@ def _reduce_term(rem, kept, m, c, reducer, dom, pk):
                 rem[1][:] = [a * v for v in rem[1]]
                 kept[:] = [a * v for v in kept]
     _sub_shifted(rem, zip(*tail), m - gm, c, dom, pk)
-
-
-def _s_polynomial(gi, gj, lcm):
-    """x^u*gi with its leading term cancelled by one ``_reduce_term`` step
-    against gj, where x^u*lm(gi) is the monomial ``lcm``: the S-polynomial
-    a*x^u*gi - b*x^v*gj, with a = b = 1 for monic gi and gj, and over ZZ a
-    and b are lc(gj) and lc(gi) divided by their gcd."""
-    ring = gi.ring
-    rem = _ascending(_shifted(gi, lcm - gi.packed()[0][0], ring.domain.one()))
-    m, c = (v.pop() for v in rem)
-    _reduce_term(rem, [], m, c, gj.reducer(), ring.domain, ring.packer)
-    return _from_ascending(ring, rem)
-
-
-def _update(pairs, live, lms, new, pk):
-    """Gebauer–Möller update of the pair heap and the live basis for ``new``,
-    for the pairs that ``GroebnerBasis.verify`` reduces.
-
-    ``pairs`` is a heap of (lcm, i, j); ``live`` lists the basis indices
-    whose leading monomial no newer element divides. Leading monomials and
-    lcms are monomial ints (``multipoly._Packer``); the criteria read only
-    their exponents, so a pair's lcm gets its key when the pair is kept.
-    """
-    divides, lcm_of, coprime, keyed = pk.divides, pk.lcm_exponents, pk.coprime, pk.keyed
-    mask = (1 << pk.shift) - 1
-    h = lms[new]
-    cands = [(lcm_of(h, lms[g]), g) for g in live]
-    # M and F: drop (new, g) when the lcm of another new pair divides its
-    # lcm (of pairs with equal lcms one stays); coprime pairs stay for now,
-    # as witnesses that drop the pairs they dominate
-    kept = []
-    for idx, (lcm, g) in enumerate(cands):
-        if coprime(h, lms[g]) or not (
-            any(divides(other, lcm) for other, _ in cands[idx + 1:])
-            or any(divides(other, lcm) for other, _ in kept)
-        ):
-            kept.append((lcm, g))
-    # B: an old pair (i, j) goes when lm(new) divides its lcm and neither
-    # lcm(i, new) nor lcm(j, new) equals it
-    pairs[:] = [
-        p for p in pairs
-        if not divides(h, p[0])
-        or lcm_of(lms[p[1]], h) == p[0] & mask
-        or lcm_of(lms[p[2]], h) == p[0] & mask
-    ]
-    # Buchberger's first criterion: coprime pairs reduce to zero
-    pairs += [(keyed(lcm), new, g) for lcm, g in kept if not coprime(h, lms[g])]
-    heapq.heapify(pairs)
-    live[:] = [g for g in live if not divides(h, lms[g])] + [new]
 
 
 def _regular_reduce(f, skey, sidx, ratios, reducers, width):
@@ -339,7 +289,7 @@ def _monic_over_qq(f, qring):
 
 
 class GroebnerBasis:
-    """Reduced basis plus the order descriptor; certifies its own reductions."""
+    """Reduced basis plus the order descriptor."""
 
     def __init__(self, ring, polys):
         self.ring = ring
@@ -353,44 +303,6 @@ class GroebnerBasis:
 
     def is_unit_ideal(self):
         return any(p.is_constant() and not p.is_zero() for p in self.polys)
-
-    def verify(self):
-        """Re-check the defining invariants: pairwise non-divisible leading
-        terms, auto-reduction, and vanishing S-polynomial reductions.
-
-        Only the pairs that the Gebauer–Möller update keeps are reduced:
-        Buchberger's criterion with the chain and product criteria is a
-        theorem, so the check stays complete.
-
-        Over QQ the checks run on the primitive integer multiples of the
-        elements (``_integral``), as ``groebner_basis`` computes: a zero or
-        nonzero verdict is all they need, and integer pseudo-reduction gives
-        a nonzero multiple of the normal form over QQ.  On an auto-reduced
-        basis the auto-reduction check is a divisibility test per term and
-        makes no arithmetic.
-        """
-        dom = self.ring.domain
-        pk = self.ring.packer
-        polys = self.polys
-        if any(g.is_zero() or not dom.is_one(g.leading_coeff()) for g in polys):
-            return False
-        if dom == QQ:
-            work = PolyRing(ZZ, self.ring.names, self.ring.order)
-            polys = [_integral(g, work) for g in polys]
-        lms = [g.packed()[0][0] for g in polys]
-        for i, g in enumerate(polys):
-            if any(pk.divides(h, lms[i]) for h in lms[:i] + lms[i + 1:]):
-                return False
-            if normal_form_list(g, polys[:i] + polys[i + 1:]) != g:
-                return False
-        pairs, live = [], []
-        for new in range(len(lms)):
-            _update(pairs, live, lms, new, pk)
-        for lcm, i, j in pairs:
-            s = _s_polynomial(polys[i], polys[j], lcm)
-            if not normal_form_list(s, polys).is_zero():
-                return False
-        return True
 
     def __iter__(self):
         return iter(self.polys)
@@ -627,6 +539,17 @@ class _Span:
                 for q, c in earlier:
                     weight[q] = dom.sub(weight.get(q, dom.zero()), dom.mul(a, c))
         return out
+
+
+def _minimal_polynomial(dom, a, one, mul, vector):
+    """Monic least-degree m over the field ``dom`` with m(a) = 0, for a in a finite-dimensional
+    algebra with ``one`` and ``mul``: the first power in the span of the lower ones."""
+    span = _Span(dom)
+    for d, power in enumerate(itertools.accumulate(itertools.repeat(a), mul, initial=one)):
+        vec = vector(power)
+        if not span.add(vec, d):
+            comb = span.express(vec)
+            return tuple(dom.neg(comb.get(i, dom.zero())) for i in range(d)) + (dom.one(),)
 
 
 _UNIT_PARTITION_BUDGET = 2500  # multiples m*f_i; x^40*y - 1, y over QQ takes 1,642

@@ -1669,25 +1669,30 @@ def factor_dense(f, dom):
     f = up_norm(dom, tuple(f))
     if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    if isinstance(dom, Zmod) and not dom.is_field:
-        raise UnsupportedDomain(f"factorization over {dom} (composite modulus)")
-    if not dom.is_field:
-        raise UnsupportedDomain(f"factorization needs a field, got {dom}")
+    kind = factoring_kind(dom)
+    if kind is None:
+        raise UnsupportedDomain(f"factorization over {dom} is not supported")
     if up_deg(f) == 0:
         return f[0], []
     if isinstance(dom, RationalField):
         unit, fac = _factor_rationals(f)
     else:
-        if isinstance(dom, Zmod) or (isinstance(dom, ExtField) and dom.char > 0):
-            split = _split_finite_field(f, dom)
-        elif isinstance(dom, ExtField) and dom.base == QQ:
-            split = partial(_trager_squarefree, dom=dom)
-        else:
-            raise UnsupportedDomain(f"factorization over {dom} is not supported")
+        split = (_split_finite_field(f, dom) if kind == "finite"
+                 else partial(_trager_squarefree, dom=dom))
         unit = f[-1]
         fac = [(h, mult) for g, mult in squarefree_decomposition(f, dom) for h in split(g)]
     fac.sort(key=lambda fm: (up_deg(fm[0]), fm[0]))
     return unit, fac
+
+
+def factoring_kind(dom):
+    """"finite" for GF(q), "number" for QQ or a number field over QQ, None
+    for any other domain: the fields that ``factor_dense`` factors over."""
+    if isinstance(dom, RationalField) or isinstance(dom, ExtField) and dom.base == QQ:
+        return "number"
+    while isinstance(dom, ExtField):
+        dom = dom.base
+    return "finite" if isinstance(dom, Zmod) and dom.is_field else None
 
 
 def _is_irreducible_dense(f, dom):

@@ -19,7 +19,6 @@ from .arith import (
     Zmod,
     dense_to_poly,
     up_deg,
-    up_norm,
 )
 from .errors import (
     IntegralityNotWitnessed,
@@ -27,7 +26,6 @@ from .errors import (
     NonFieldBase,
     NotCatalogued,
     ResidueFieldNotRepresentable,
-    Undecidable,
 )
 from .multipoly import Poly, PolyRing
 
@@ -144,19 +142,10 @@ def _preimage_in_poly_ring(phi, q, src_cat):
 def _min_poly_of_value(value, kappa, k):
     """Monic minimal polynomial over k of an element of a finite extension."""
     if kappa == k:
-        return up_norm(k, (k.neg(value), k.one()))
+        return (k.neg(value), k.one())
     if isinstance(kappa, ExtField) and kappa.base == k:
-        # the first power of the value in the k-span of the lower powers
-        span = alg._Span(k)
-        power = kappa.one()
-        for d in range(kappa.degree + 1):
-            vec = dict(enumerate(power))
-            if not span.add(vec, d):
-                comb = span.express(vec)
-                lower = tuple(k.neg(comb.get(i, k.zero())) for i in range(d))
-                return up_norm(k, lower + (k.one(),))
-            power = kappa.mul(power, value)
-        raise Undecidable("no minimal polynomial found (not algebraic?)")
+        return alg._minimal_polynomial(k, value, kappa.one(), kappa.mul,
+                                       lambda p: dict(enumerate(p)))
     raise NotCatalogued(f"cannot take minimal polynomials inside {kappa!r}")
 
 

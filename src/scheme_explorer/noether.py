@@ -8,18 +8,20 @@ substitution, and p escalates automatically if the weighted degrees of P's
 monomials collide.
 
 ``is_maximal`` decides maximality of an ideal of k[X_1..X_n] through the
-finite-dimensionality of the quotient plus a field test on the quotient,
-done as a tower of primitive extensions so that reducibility at any level
-produces an explicit zero-divisor witness.
+finite-dimensionality of the quotient A plus a field test by linear algebra
+on A that factors over k alone and names a zero-divisor witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
-from .algebra import GroebnerBasis, IdealHandle, _Span, groebner_basis
-from .arith import ExtField, factor_dense, up_deg, up_norm
-from .errors import NonFieldBase, UnitIdeal, Unsupported
+from .algebra import GroebnerBasis, IdealHandle, _minimal_polynomial, _Span, groebner_basis
+from .arith import factor_dense, factoring_kind, up_deg
+from .errors import (BudgetExceeded, NonFieldBase, Undecidable, UnitIdeal, Unsupported,
+                     UnsupportedDomain)
 from .multipoly import GREVLEX, BlockOrder, Poly, PolyRing
 
 
@@ -206,8 +208,11 @@ class MaximalityCertificate:
         return f"MaximalityCertificate({self.as_record()})"
 
 
+_QUOTIENT_BUDGET = 512  # monomials in the box under the least pure powers, enumerated
+
+
 def _quotient_basis(gb: GroebnerBasis, ring: PolyRing):
-    """Monomials under the staircase; (None, variable) if infinite."""
+    """Monomials under the staircase, in lex order; (None, variable) if infinite."""
     pk = ring.packer
     leads = [g.packed()[0][0] for g in gb]
     caps = [None] * ring.nvars  # the least pure power of each variable
@@ -218,6 +223,8 @@ def _quotient_basis(gb: GroebnerBasis, ring: PolyRing):
             caps[i] = e[i] if caps[i] is None else min(caps[i], e[i])
     if None in caps:
         return None, ring.names[caps.index(None)]
+    if math.prod(caps) > _QUOTIENT_BUDGET:
+        raise BudgetExceeded(f"the quotient's box exceeds {_QUOTIENT_BUDGET} monomials")
     basis = []
     for exps in itertools.product(*(range(c) for c in caps)):
         m = pk.pack(exps)
@@ -231,6 +238,8 @@ def is_maximal(ideal: IdealHandle):
     ambient = ideal.ambient
     if not ambient.base.is_field:
         raise NonFieldBase("maximality test needs a field base")
+    if factoring_kind(ambient.base) is None:
+        raise UnsupportedDomain(f"maximality over {ambient.base!r} is not supported")
     gb = ideal.groebner()
     if gb.is_unit_ideal():
         return MaximalityCertificate("not-maximal", witness="1 in I")
@@ -239,83 +248,67 @@ def is_maximal(ideal: IdealHandle):
         return MaximalityCertificate(
             "not-maximal", witness=f"powers of {offender} are independent"
         )
-    field_ok, witness = _quotient_is_field(gb, ambient.ring)
-    if field_ok:
-        return MaximalityCertificate("maximal", dimension=len(basis))
-    return MaximalityCertificate("not-maximal", dimension=len(basis), witness=witness)
+    witness = _zero_divisor(gb, ambient.ring, basis)
+    verdict = "maximal" if witness is None else "not-maximal"
+    return MaximalityCertificate(verdict, dimension=len(basis), witness=witness)
 
 
-class _Tower:
-    """A tower of primitive extensions of the base field, embedded in the
-    quotient algebra: level j is ExtField(level j-1, minpoly of gen_j)."""
+def _zero_divisor(gb, ring, basis):
+    """None when A = k[X]/I, with the monomials ``basis`` as a k-basis, is a
+    field; else a nonzero non-unit f(a). A candidate a has the minimal
+    polynomial m over k, factored over k alone. If m is reducible or has a
+    repeated factor, its first irreducible factor f gives f(a) != 0 (deg f <
+    deg m), nilpotent if m = f^e, else with f(a)*(m/f)(a) = 0. If m is
+    irreducible of degree d = dim A, then A = k[a] is a field.
 
-    def __init__(self, base_domain):
-        self.field = base_domain
-        self.levels = []       # list of ExtField, innermost first
-        self.gens_in_A = []    # quotient elements realizing each generator
-
-    def basis_in_A(self, ring, nf):
-        """Quotient elements forming a base-field basis of the tower field."""
-        out = [ring.one()]
-        for ext, g in zip(self.levels, self.gens_in_A):
-            out = [nf(b * g ** k) for b in out for k in range(ext.degree)]
-        return out
-
-    def element_from_coords(self, coords, levels=None):
-        """Tower element with the given base-field coordinates, in the order
-        of basis_in_A: the last level varies fastest, so its coordinate i is
-        the element of the levels below at coordinates i, i + d, ...."""
-        levels = self.levels if levels is None else levels
-        if not levels:
-            return coords[0]
-        d = levels[-1].degree
-        return up_norm(levels[-1].base, tuple(
-            self.element_from_coords(coords[i::d], levels[:-1]) for i in range(d)))
-
-    def extend(self, minpoly_dense, gen_in_A, tag):
-        ext = ExtField(self.field, minpoly_dense, var=f"@{tag}", check=False)
-        self.field = ext
-        self.levels.append(ext)
-        self.gens_in_A.append(gen_in_A)
+    Over QQ or a number field the candidates are a_t = sum of t^i*x_i, and
+    t < (n - 1)*d*(d - 1)/2 + n suffices: a reduced A has d geometric
+    points, which a_t fails to separate only at the roots of C(d, 2) nonzero
+    polynomials in t of degree < n; in a nonreduced A, were a_t semisimple
+    for n values of t, so would be each x_i (Vandermonde) and so A."""
+    dom, nf, d = ring.domain, gb.normal_form, len(basis)
+    finite = factoring_kind(dom) == "finite"
+    if finite:
+        candidates = _frobenius_candidates(gb, ring, basis)
+    else:
+        candidates = (nf(sum((t ** i * x for i, x in enumerate(ring.gens())), ring.zero()))
+                      for t in range((ring.nvars - 1) * d * (d - 1) // 2 + ring.nvars))
+    for a in candidates:
+        m = _minimal_polynomial(dom, a, ring.one(), lambda p, b: nf(p * b), _vector)
+        _, fac = factor_dense(m, dom)
+        f, e = fac[0]
+        if len(fac) > 1 or e > 1:  # f(a), by Horner's rule
+            return functools.reduce(lambda w, c: nf(w * a + ring.const(c)), reversed(f), 0)
+        if up_deg(f) == d:
+            return None
+    if not finite:
+        raise Undecidable("no primitive element below the proven bound")
 
 
-def _quotient_is_field(gb, ring):
-    """Tower test: minimal polynomial of each generator over the field built
-    so far must stay irreducible."""
-    tower = _Tower(ring.domain)
-    for name in ring.names:
-        gen = ring.gen(name)
-        minpoly = _min_poly_over_tower(tower, gen, ring, gb.normal_form)
-        if up_deg(minpoly) < 1:
-            return False, f"{name} has constant minimal polynomial"
-        _, fac = factor_dense(minpoly, tower.field)
-        if len(fac) != 1 or fac[0][1] != 1:
-            witness = fac[0][0]
-            return False, (
-                f"minimal polynomial of {name} is not irreducible; "
-                f"a proper factor has degree {up_deg(witness)}"
-            )
-        if up_deg(minpoly) > 1:
-            tower.extend(minpoly, gb.normal_form(gen), name)
-    return True, None
-
-
-def _min_poly_over_tower(tower, gen, ring, nf):
-    """Least-degree monic m over the tower field with m(gen) = 0 in A: the
-    first gen^d in the base-field span of b_j * gen^k, k < d, for the
-    tower's basis b_j, in one ``_Span`` tagged (k, j)."""
-    dom, basis = ring.domain, tower.basis_in_A(ring, nf)
-    span, power = _Span(dom), nf(ring.one())
-    for d in itertools.count(1):
-        for j, b in enumerate(basis):
-            span.add(_vector(nf(b * power)), (d - 1, j))
-        power = nf(power * gen)
-        comb = span.express(_vector(power))
-        if comb is not None:
-            coords = [[dom.neg(comb.get((k, j), dom.zero())) for j in range(len(basis))]
-                      for k in range(d)]
-            lower = tuple(map(tower.element_from_coords, coords))
-            return up_norm(tower.field, lower + (tower.field.one(),))
+def _frobenius_candidates(gb, ring, basis):
+    """The first kernel vector of the F_q-linear F(a) = a^q on A, nilpotent,
+    then its first nonconstant fixed vector, whose minimal polynomial divides
+    X^q - X. With neither, A is reduced with one field factor per fixed
+    dimension (Berlekamp): a field. F(x^e) is F(x^(e - e_i))*F(x_i), with
+    x^(e - e_i) earlier in ``basis``: d + n*log2(q) products in all."""
+    dom, nf, powered = ring.domain, gb.normal_form, []
+    for x in ring.gens():
+        image = ring.one()
+        for bit in bin(dom.order())[2:]:  # square, and times x at a 1
+            image = nf(image * image * x) if bit == "1" else nf(image * image)
+        powered.append(image)
+    images = {basis[0]: ring.one()}
+    for e in basis[1:]:
+        i = next(i for i, k in enumerate(e) if k)
+        images[e] = nf(images[e[:i] + (e[i] - 1,) + e[i + 1:]] * powered[i])
+    for monos, imgs in ((basis, list(images.values())),
+                        (basis[1:], [images[e] - ring.monomial(e) for e in basis[1:]])):
+        span = _Span(dom)
+        for j, vec in enumerate(map(_vector, imgs)):
+            if not span.add(vec, j):
+                lower = {monos[t]: dom.neg(c) for t, c in span.express(vec).items()}
+                yield ring.from_dict({monos[j]: dom.one(), **lower})
+                break
 
 
 def _vector(poly):

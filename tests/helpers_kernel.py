@@ -11,16 +11,27 @@ kept as a reference for its tables; and ``_solve_field``, the dense
 Gauss-Jordan solve that preceded ``algebra._Span``, kept as the oracle of
 ideal membership by bounded-degree linear algebra; and the integer root
 one bit at a time that preceded ``arith._integer_root``, kept as its
-oracle."""
+oracle; and ``verify_basis`` with ``gm_update`` and ``s_polynomial``, the
+Buchberger-criterion check of a Gröbner basis, kept as the oracle of the
+engine's bases."""
 
+import heapq
 import itertools
 import math
 from bisect import bisect_left
 from operator import add, itemgetter
 
-from scheme_explorer.arith import ZZ, Domain, up_ext_gcd
+from scheme_explorer import algebra
+from scheme_explorer.arith import QQ, ZZ, Domain, up_ext_gcd
 from scheme_explorer.errors import ExponentOverflow
-from scheme_explorer.multipoly import LEX, BlockOrder
+from scheme_explorer.multipoly import (
+    LEX,
+    BlockOrder,
+    PolyRing,
+    _ascending,
+    _from_ascending,
+    _shifted,
+)
 
 
 def tuple_key(order):
@@ -371,3 +382,92 @@ def integer_root_by_bits(n, ell):
         if (r | 1 << b) ** ell <= n:
             r |= 1 << b
     return r
+
+
+def s_polynomial(gi, gj, lcm):
+    """x^u*gi with its leading term cancelled by one ``_reduce_term`` step
+    against gj, where x^u*lm(gi) is the monomial ``lcm``: the S-polynomial
+    a*x^u*gi - b*x^v*gj, with a = b = 1 for monic gi and gj, and over ZZ a
+    and b are lc(gj) and lc(gi) divided by their gcd."""
+    ring = gi.ring
+    rem = _ascending(_shifted(gi, lcm - gi.packed()[0][0], ring.domain.one()))
+    m, c = (v.pop() for v in rem)
+    algebra._reduce_term(rem, [], m, c, gj.reducer(), ring.domain, ring.packer)
+    return _from_ascending(ring, rem)
+
+
+def gm_update(pairs, live, lms, new, pk):
+    """Gebauer–Möller update of the pair heap and the live basis for ``new``,
+    for the pairs that ``verify_basis`` reduces.
+
+    ``pairs`` is a heap of (lcm, i, j); ``live`` lists the basis indices
+    whose leading monomial no newer element divides. Leading monomials and
+    lcms are monomial ints (``multipoly._Packer``); the criteria read only
+    their exponents, so a pair's lcm gets its key when the pair is kept.
+    """
+    divides, lcm_of, coprime, keyed = pk.divides, pk.lcm_exponents, pk.coprime, pk.keyed
+    mask = (1 << pk.shift) - 1
+    h = lms[new]
+    cands = [(lcm_of(h, lms[g]), g) for g in live]
+    # M and F: drop (new, g) when the lcm of another new pair divides its
+    # lcm (of pairs with equal lcms one stays); coprime pairs stay for now,
+    # as witnesses that drop the pairs they dominate
+    kept = []
+    for idx, (lcm, g) in enumerate(cands):
+        if coprime(h, lms[g]) or not (
+            any(divides(other, lcm) for other, _ in cands[idx + 1:])
+            or any(divides(other, lcm) for other, _ in kept)
+        ):
+            kept.append((lcm, g))
+    # B: an old pair (i, j) goes when lm(new) divides its lcm and neither
+    # lcm(i, new) nor lcm(j, new) equals it
+    pairs[:] = [
+        p for p in pairs
+        if not divides(h, p[0])
+        or lcm_of(lms[p[1]], h) == p[0] & mask
+        or lcm_of(lms[p[2]], h) == p[0] & mask
+    ]
+    # Buchberger's first criterion: coprime pairs reduce to zero
+    pairs += [(keyed(lcm), new, g) for lcm, g in kept if not coprime(h, lms[g])]
+    heapq.heapify(pairs)
+    live[:] = [g for g in live if not divides(h, lms[g])] + [new]
+
+
+def verify_basis(gb):
+    """Re-check the defining invariants of the ``GroebnerBasis`` gb:
+    pairwise non-divisible leading terms, auto-reduction, and vanishing
+    S-polynomial reductions.
+
+    Only the pairs that the Gebauer–Möller update keeps are reduced:
+    Buchberger's criterion with the chain and product criteria is a
+    theorem, so the check stays complete.
+
+    Over QQ the checks run on the primitive integer multiples of the
+    elements (``algebra._integral``), as ``groebner_basis`` computes: a zero
+    or nonzero verdict is all they need, and integer pseudo-reduction gives
+    a nonzero multiple of the normal form over QQ.  On an auto-reduced
+    basis the auto-reduction check is a divisibility test per term and
+    makes no arithmetic.
+    """
+    dom = gb.ring.domain
+    pk = gb.ring.packer
+    polys = gb.polys
+    if any(g.is_zero() or not dom.is_one(g.leading_coeff()) for g in polys):
+        return False
+    if dom == QQ:
+        work = PolyRing(ZZ, gb.ring.names, gb.ring.order)
+        polys = [algebra._integral(g, work) for g in polys]
+    lms = [g.packed()[0][0] for g in polys]
+    for i, g in enumerate(polys):
+        if any(pk.divides(h, lms[i]) for h in lms[:i] + lms[i + 1:]):
+            return False
+        if algebra.normal_form_list(g, polys[:i] + polys[i + 1:]) != g:
+            return False
+    pairs, live = [], []
+    for new in range(len(lms)):
+        gm_update(pairs, live, lms, new, pk)
+    for lcm, i, j in pairs:
+        s = s_polynomial(polys[i], polys[j], lcm)
+        if not algebra.normal_form_list(s, polys).is_zero():
+            return False
+    return True

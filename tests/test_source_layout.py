@@ -68,3 +68,15 @@ def test_restriction_maps_are_read_through_restrict_map():
         scopes.update(f"{path.name}:{scope}" for scope in readers(tree, ()))
     assert scopes == {"sheaf.py:FinitePresheaf.__init__",
                       "sheaf.py:FinitePresheaf.restrict_map"}
+
+
+def test_noether_builds_no_extension_field():
+    """``is_maximal`` decides by linear algebra on the quotient and factors
+    over the base field only: ``noether.py`` neither imports nor calls
+    ``ExtField``, so no tower of extension fields comes back."""
+    tree = ast.parse((SOURCE / "noether.py").read_text())
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and any(a.name == "ExtField" for a in node.names)
+            or isinstance(node, ast.Name) and node.id == "ExtField"
+            or isinstance(node, ast.Attribute) and node.attr == "ExtField"]
+    assert uses == []
