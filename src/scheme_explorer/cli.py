@@ -149,8 +149,7 @@ def _spec_closure(cmd, env):
     label, comma, poly_text = point_text.partition(",")
     if not comma:
         raise InvalidArgument(f"--point expects \"LABEL,(POLY)\", got {point_text!r}")
-    poly_ast = dsl.parse_poly_text(poly_text.strip().strip("()"))
-    P0 = dsl.eval_poly(poly_ast, algebra.ring)
+    P0 = dsl.eval_poly(dsl.parse_poly_text(poly_text), algebra.ring)
     record = {
         "kind": "spec-closure",
         "ring": repr(algebra),
@@ -200,9 +199,7 @@ def _fiber(cmd, env):
 def _normalize(cmd, env):
     ring_text, ideal_text = cmd.flag("ring"), cmd.flag("ideal")
     ambient = env.ring_from_text(ring_text)
-    gens = []
-    for part in ideal_text.strip().strip("()").split(","):
-        gens.append(dsl.eval_poly(dsl.parse_poly_text(part.strip()), ambient.ring))
+    gens = [dsl.eval_poly(g, ambient.ring) for g in dsl.parse_ideal_text(ideal_text)]
     handle = alg.IdealHandle(ambient, gens)
     result = noether.noether_normalize(handle)
     record = result.as_record()
@@ -213,9 +210,12 @@ def _normalize(cmd, env):
 
 
 def _parse_line_point(text, field):
-    """The two coordinates of a point of P^1."""
+    """The two coordinates of a point [s0:s1] of P^1."""
+    inner = text.strip()
+    if not (inner.startswith("[") and inner.endswith("]")):
+        raise InvalidArgument(f"expected a point [s0:s1] of P^1, got {text!r}")
     coords = []
-    for part in text.strip().strip("[]").split(":"):
+    for part in inner[1:-1].split(":"):
         num, _, den = part.strip().partition("/")
         try:
             num, den = int(num), int(den or 1)
@@ -228,7 +228,7 @@ def _parse_line_point(text, field):
 
 
 def _field(cmd):
-    return dsl.build_domain(dsl.parse_ring_text(cmd.flag("field")).domain)
+    return dsl.build_domain(dsl.parse_domain_text(cmd.flag("field")))
 
 
 def _proj_charts(cmd, env):
@@ -311,7 +311,7 @@ def _parse_proj_space(text):
     n = _decimal(caret)
     if not (text.startswith("P^") and n is not None and rest.endswith(")")):
         raise InvalidArgument(f"--space expects \"P^n(DOMAIN)\", got {text!r}")
-    domain = dsl.build_domain(dsl.parse_ring_text(rest[:-1]).domain)
+    domain = dsl.build_domain(dsl.parse_domain_text(rest[:-1]))
     return n, domain
 
 
@@ -558,7 +558,7 @@ def _statement_from_words(words):
     for word in words:
         if word.startswith("--"):
             parts.append(word)
-        elif word.isidentifier() or word.isdigit() or word.lstrip("-").isdigit():
+        elif word.isidentifier() or word.removeprefix("-").isdigit():
             parts.append(word)
         else:
             parts.append(f'"{word}"')

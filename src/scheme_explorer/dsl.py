@@ -449,9 +449,7 @@ class Parser:
         self.expect("NAME", "ideal")
         name = self.expect("NAME").text
         self.expect("SYM", "=")
-        self.expect("SYM", "(")
-        gens = self.comma_list(self.parse_poly_expr)
-        self.expect("SYM", ")")
+        gens = self.parse_poly_list()
         self.expect("NAME", "in")
         ring = self.parse_ring_ref()
         self.expect("SYM", ";")
@@ -544,9 +542,7 @@ class Parser:
             self.expect("SYM", "]")
         if self.at_sym("/") and names:
             self.advance()
-            self.expect("SYM", "(")
-            relations = self.comma_list(self.parse_poly_expr)
-            self.expect("SYM", ")")
+            relations = self.parse_poly_list()
         return RingExpr(domain, names, relations)
 
     def parse_domain_expr(self):
@@ -573,6 +569,13 @@ class Parser:
         )
 
     # polynomial expressions -------------------------------------------------
+
+    def parse_poly_list(self):
+        """'(' P, ... ')': the generators of an ideal or the relations of a ring."""
+        self.expect("SYM", "(")
+        polys = self.comma_list(self.parse_poly_expr)
+        self.expect("SYM", ")")
+        return polys
 
     def parse_poly_expr(self):
         node = self.parse_term()
@@ -663,6 +666,15 @@ def parse_poly_text(text):
 
 def parse_ring_text(text):
     return _parse_whole(text, Parser.parse_ring_expr)
+
+
+def parse_ideal_text(text):
+    """Parse the generators '(P, ...)' of an ideal."""
+    return _parse_whole(text, Parser.parse_poly_list)
+
+
+def parse_domain_text(text):
+    return _parse_whole(text, Parser.parse_domain_expr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Shared generators for randomized finite-space presheaf tests, and the
-up-front sections, restriction maps and per-open data that the derived
-presheaves and structure sheaves once built."""
+"""Shared generators for randomized finite-space presheaf tests, the cover
+enumeration of the exhaustive gluing oracle, and the up-front sections,
+restriction maps and per-open data that the derived presheaves and
+structure sheaves once built."""
 
 import itertools
 
@@ -66,6 +67,66 @@ def random_projection_presheaf(space, rng):
                 s: tuple(s[i] for i in pick) for s in sections[u]
             }
     return sh.FinitePresheaf(space, sections, restrictions)
+
+
+def sub_presheaf(F, rng):
+    """F with random sections dropped on the nonempty opens, and with them
+    every section that restricts to a dropped one: a sub-presheaf, whose
+    compatible families often lose their gluing."""
+    kept = {}
+    for u in F.space.opens_sorted():  # by size, so every v < u comes first
+        kept[u] = [s for s in F.sections[u]
+                   if (not u or rng.random() < 0.8)
+                   and all(F.restrict(s, u, v) in kept[v] for v in kept if v < u)]
+    restrictions = {(u, v): {s: F.restrict(s, u, v) for s in kept[u]}
+                    for u in kept for v in kept if v < u}
+    return sh.FinitePresheaf(F.space, kept, restrictions)
+
+
+def tagged_presheaf(F, rng):
+    """F with the sections on one random nonempty open u0 tagged 0 and some
+    of them listed again tagged 1.  Restriction from u0 forgets the tag and
+    restriction to u0 tags 0, so the two copies of a section have the same
+    restrictions: when u0 is covered by smaller opens, gluings are not
+    unique."""
+    opens = F.space.opens_sorted()
+    u0 = rng.choice([u for u in opens if u])
+    base = F.sections[u0]
+    twice = [s for s in base if rng.random() < 0.5] or list(base[:1])
+    sections = {u: F.sections[u] for u in opens}
+    sections[u0] = [(s, 0) for s in base] + [(s, 1) for s in twice]
+    restrictions = {}
+    for u in opens:
+        for v in opens:
+            if not v < u:
+                continue
+            if u == u0:
+                m = {(s, tag): F.restrict(s, u, v) for s, tag in sections[u]}
+            elif v == u0:
+                m = {s: (F.restrict(s, u, v), 0) for s in sections[u]}
+            else:
+                m = {s: F.restrict(s, u, v) for s in sections[u]}
+            restrictions[(u, v)] = m
+    return sh.FinitePresheaf(F.space, sections, restrictions)
+
+
+def covers_of(space, u):
+    """Covers of u where every member keeps a private point.
+
+    Gluing for arbitrary covers reduces to these: discarding a member
+    without a private point leaves a cover, and a glued section agrees
+    on the discarded member by separatedness.
+    """
+    candidates = [v for v in space.opens_sorted() if v and v <= u]
+    out = []
+    for r in range(1, min(len(candidates), max(len(u), 1)) + 1):
+        for combo in itertools.combinations(candidates, r):
+            if frozenset().union(*combo) != u:
+                continue
+            if all(not v <= frozenset().union(*combo[:i], *combo[i + 1:])
+                   for i, v in enumerate(combo)):
+                out.append(combo)
+    return out
 
 
 def eager_presheaf(F):

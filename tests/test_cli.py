@@ -356,11 +356,29 @@ def test_sheaf_space_relation_is_made_monic_over_the_prime_field():
     ('sheaf check --space "spec(GF(5)[e]/(e^2, e))";', "unsupported-space"),
     ('sheaf twist --space "spec(ZZ/6)" --cover "X,Y" --cocycle 1;', "invalid-cover"),
     ('sheaf twist --space "spec(ZZ/6)" --cover "X" --cocycle 1;', "invalid-cover"),
+    # flag text is read by the grammar: unbalanced parentheses, a bracket
+    # pair that is not exactly one, and a ring where a domain belongs
+    ('normalize --ring "QQ[X,Y]" --ideal "(X*Y-1";', "syntax-error"),
+    ('normalize --ring "QQ[X,Y]" --ideal "X*Y-1))";', "syntax-error"),
+    ('spec closure --ring "ZZ[T]" --point "eta,2*T-1)))";', "syntax-error"),
+    ('proj conic --p "[[2:3";', "invalid-argument"),
+    ('proj conic --p "2:3]]]";', "invalid-argument"),
+    ('proj conic --field "GF(5)[X]/(X)";', "syntax-error"),
+    ('proj points --space "P^1(GF(2)[Y])";', "syntax-error"),
 ])
 def test_cli_input_errors_carry_specific_codes(statement, code):
     records, had_error = run_script(dsl.parse(statement))
     assert had_error
     assert records[0]["error"]["code"] == code
+
+
+def test_parentheses_inside_ideal_and_point_flags_group():
+    records, had_error = run_script(dsl.parse(
+        'normalize --ring "QQ[X,Y]" --ideal "((X+1)*(Y-1))"; '
+        'spec closure --ring "ZZ[T]" --point "eta,((T+1)*(T-1))";'))
+    assert not had_error
+    assert records[0]["data"]["steps"][0]["chosen"] == "X*Y - X + Y - 1"
+    assert records[1]["data"]["closure"] == "V(T^2 - 1)"
 
 
 def test_closure_fibers_need_a_univariate_ring():

@@ -23,10 +23,13 @@ def constant_presheaf(space, values):
 
 
 from helpers_sheaf import (
+    covers_of,
     eager_presheaf,
     eager_structure_sheaf,
     random_projection_presheaf,
     random_space,
+    sub_presheaf,
+    tagged_presheaf,
 )
 
 
@@ -589,8 +592,11 @@ def _two_point_presheaf(global_sections, to_a, to_b, local=(0, 1)):
         # pairs of local sections: exactly one gluing each
         ([(x, y) for x in (0, 1) for y in (0, 1)],
          lambda s: s[0], lambda s: s[1], True),
+        # the same pairs with (0, 0) listed twice: it counts as two gluings
+        ([(0, 0)] + [(x, y) for x in (0, 1) for y in (0, 1)],
+         lambda s: s[0], lambda s: s[1], False),
     ],
-    ids=["no-gluing", "two-gluings", "sheaf"],
+    ids=["no-gluing", "two-gluings", "sheaf", "listed-twice"],
 )
 def test_gluing_check_counts_gluings(global_sections, to_a, to_b, expected):
     F = _two_point_presheaf(global_sections, to_a, to_b)
@@ -811,10 +817,12 @@ def _reference_sheafify_sections(F):
 
 
 def _reference_is_sheaf(F):
+    """The gluing axiom checked on every cover with private points: each
+    compatible family of sections has exactly one gluing."""
     if len(F.sections[frozenset()]) != 1:
         return False
     for u in F.space.opens:
-        for cover in F.space.covers_of(u):
+        for cover in covers_of(F.space, u):
             maps = [F.restrict_map(u, v) for v in cover]
             gluings = Counter(tuple(m[s] for m in maps) for s in F.sections[u])
             for family in itertools.product(*(F.sections[v] for v in cover)):
@@ -892,6 +900,24 @@ def test_sheafify_lists_the_reference_families_in_order():
         assert F.is_sheaf() == _reference_is_sheaf(F)
 
 
+@pytest.mark.parametrize("kind", [
+    lambda F, rng: F, sub_presheaf, tagged_presheaf,
+], ids=["projection", "dropped-sections", "tagged-twice"])
+def test_germ_family_criterion_matches_the_gluing_oracle(kind):
+    """Projection presheaves, sub-presheaves (which lose gluings) and
+    sections listed twice under a forgotten tag (which glue twice): in each
+    kind ``is_sheaf`` agrees with the search over every cover, and both
+    verdicts occur."""
+    rng = random.Random(29)
+    verdicts = Counter()
+    for _ in range(80):
+        F = kind(random_projection_presheaf(random_space(rng, max_points=4), rng), rng)
+        expected = _reference_is_sheaf(F)
+        assert F.is_sheaf() == expected
+        verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
 def test_twist_lists_the_reference_families_in_order():
     for ring in _oracle_rings():
         rep = sh.structure_sheaf(ring)
@@ -928,7 +954,7 @@ def test_gluing_check_refuses_too_many_gluing_families():
     from scheme_explorer.errors import BudgetExceeded
 
     F = _two_point_presheaf([(0, 0)], lambda s: s[0], lambda s: s[1], range(1001))
-    with pytest.raises(BudgetExceeded, match="1002001 gluing families"):
+    with pytest.raises(BudgetExceeded, match="1002001 germ families"):
         F.is_sheaf()
 
 

@@ -80,3 +80,14 @@ def test_noether_builds_no_extension_field():
             or isinstance(node, ast.Name) and node.id == "ExtField"
             or isinstance(node, ast.Attribute) and node.attr == "ExtField"]
     assert uses == []
+
+
+def test_cli_trims_no_character_sets():
+    """Flag text is parsed by the grammar: ``cli`` makes no ``strip``,
+    ``lstrip`` or ``rstrip`` call with an argument, which would trim a set
+    of characters from both ends whether or not they pair up."""
+    path = SOURCE / "cli.py"
+    calls = [f"cli.py:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("strip", "lstrip", "rstrip") and node.args]
+    assert calls == []
