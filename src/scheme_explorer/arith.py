@@ -21,7 +21,11 @@ them with the kernels of ``kernels``:
 
     * Zmod(n), prime or composite n: ints with one reduction per output
       coefficient, products by Kronecker substitution, no inverse for a
-      monic divisor;
+      monic divisor; a product mod a short monic modulus as one fused
+      schoolbook product and reduction (_FUSED_MULMOD_LENGTH), and a gcd
+      by Euclid on monic divisors, each remainder made monic as it is
+      reduced (NotInvertible at a non-unit leading coefficient, as the
+      generic loop raises it);
     * ZZ: int products, division by exact integer quotients (NotInvertible
       at the first step that lc(b) does not divide), and a primitive gcd
       with lc > 0 by the primitive remainder sequence;
@@ -40,8 +44,11 @@ them with the kernels of ``kernels``:
 
 Factorization:
 
-    * finite fields: squarefree split + distinct degree + Cantor-Zassenhaus
-      equal-degree splitting (seeded from the coefficients alone);
+    * finite fields: squarefree split (f itself at once when
+      gcd(f, f') = 1) + distinct degree (the first Frobenius x^q mod f by
+      squaring and shifting) + Cantor-Zassenhaus equal-degree splitting,
+      only of the parts with more than one irreducible, on a generator
+      seeded from the coefficients alone and made on the first draw;
     * QQ: content/primitive, then integer-only: a modular squarefree
       certificate (Yun over ZZ only without one), a modular irreducibility
       certificate, else Zassenhaus (quadratic Hensel lifting, subset
@@ -56,9 +63,15 @@ Factorization:
 One Yun (``_yun``) serves ZZ, with primitive gcds and exact quotients, and
 the fields of characteristic 0, with monic gcds.
 
+Primes: ``is_prime`` by trial division and Miller-Rabin; ``_primes_upto``,
+the one sieve of Eratosthenes of the package; ``prime_factors`` by trial
+division by the sieved primes up to sqrt(n), with one gcd per block of
+_TRIAL_BLOCK primes.
+
 Exhaustive paths check their size first and raise BudgetExceeded: subset
-recombination (_RECOMBINATION_BUDGET), ExtField.elements (_ELEMENTS_BUDGET)
-and the trial division of prime_factors (_FACTOR_TRIAL_BUDGET).
+recombination (_RECOMBINATION_BUDGET), ExtField.elements (_ELEMENTS_BUDGET),
+the sieve (_SIEVE_BUDGET) and the trial division of prime_factors
+(_FACTOR_TRIAL_BUDGET).
 """
 
 from __future__ import annotations
@@ -86,6 +99,7 @@ from .kernels import (
     _common_denominator,
     _int_prem,
     _int_product,
+    _int_rem_monic,
     _kronecker_product,
     _NumberFieldArith,
     _qq_divmod,
@@ -94,10 +108,35 @@ from .kernels import (
     _ZechTables,
 )
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_MR_WITNESSES = _SMALL_PRIMES + (37, 41)
 _MR_CERTIFIED_BELOW = 3317044064679887385961981  # the least strong pseudoprime to them all
 _TRIAL_LIMIT = 10 ** 6
-_FACTOR_TRIAL_BUDGET = 10 ** 6  # the trial divisors of prime_factors: about 0.1 s
+_FACTOR_TRIAL_BUDGET = 10 ** 6  # the primes prime_factors trial-divides by, at most
+# Primes per gcd of prime_factors: the trial division of a 13,281-bit
+# number took 0.09 s at 256 or 512, 0.12 s at 128 and 0.14 s at 2,048.
+_TRIAL_BLOCK = 512
+
+# Integers _primes_upto may sieve. The scripts, decks and tests go up to
+# --fibers 50; at the budget `spec describe ZZ` lists 78,498 primes in
+# about 3 s, and the trial division of prime_factors sieves at most this far.
+_SIEVE_BUDGET = 1_000_000
+
+
+def _primes_upto(n):
+    """The primes p <= n, by the sieve of Eratosthenes; raises
+    BudgetExceeded, before sieving, past _SIEVE_BUDGET integers."""
+    if n > _SIEVE_BUDGET:
+        raise BudgetExceeded(f"the primes up to {n} exceed the sieve budget of "
+                             f"{_SIEVE_BUDGET} integers")
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def is_prime(n):
@@ -109,7 +148,7 @@ def is_prime(n):
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     if n < _TRIAL_LIMIT:
@@ -139,20 +178,32 @@ def is_prime(n):
 
 
 def prime_factors(n):
-    """Sorted list of (prime, multiplicity) for n >= 2, by trial division up
-    to _FACTOR_TRIAL_BUDGET; the cofactor left must be a prime or a prime
-    power that ``_prime_power`` certifies, or BudgetExceeded is raised."""
-    out = []
-    d = 2
-    while d * d <= n and d <= _FACTOR_TRIAL_BUDGET:
-        if n % d == 0:
-            m = 0
-            while n % d == 0:
-                n //= d
-                m += 1
-            out.append((d, m))
-        d += 1 if d == 2 else 2
-    if n > 1:
+    """Sorted list of (prime, multiplicity) for n >= 2, by trial division by
+    the primes up to min(_FACTOR_TRIAL_BUDGET, sqrt(n)), a block of
+    _TRIAL_BLOCK of them at a time: one gcd of n with the block's product
+    finds the block's divisors of n.  The cofactor left must be a prime or
+    a prime power that ``_prime_power`` certifies, or BudgetExceeded is
+    raised."""
+    if n < 2:
+        return []
+    out, limit = [], min(_FACTOR_TRIAL_BUDGET, math.isqrt(n))
+    # below 37^2 the table holds every prime up to sqrt(n), without a sieve
+    primes = _SMALL_PRIMES if limit <= _SMALL_PRIMES[-1] else _primes_upto(limit)
+    for start in range(0, len(primes), _TRIAL_BLOCK):
+        if primes[start] ** 2 > n:
+            break
+        block = primes[start:start + _TRIAL_BLOCK]
+        g = math.gcd(n, math.prod(block))
+        for p in block:
+            if g % p == 0:
+                m = 0
+                while n % p == 0:
+                    n //= p
+                    m += 1
+                out.append((p, m))
+    if 1 < n and math.isqrt(n) <= limit:
+        out.append((n, 1))  # no prime factor up to its square root
+    elif n > 1:
         root = _prime_power(n)
         if root is None:
             raise BudgetExceeded(f"a cofactor of {n.bit_length()} bits has no prime factor "
@@ -547,6 +598,15 @@ class RationalField(_NumberDense, Domain):
         return "QQ"
 
 
+# Length of a monic modulus from which Zmod.dense_mulmod multiplies by
+# Kronecker substitution instead of one fused schoolbook product and
+# reduction.  Paired micro-timings of both on reduced operands, n in
+# {7, 31, 101, 32003}: the fused loop won 6 or 7 of 7 pairs up to length 6
+# (4.9 against 6.1 us at length 6 mod 7), they tied at length 7, and
+# Kronecker won from length 8 (23.0 against 26.1 us at length 10 mod 32003).
+_FUSED_MULMOD_LENGTH = 8
+
+
 class Zmod(Domain):
     """Integers modulo n; a field exactly when n is prime, the zero ring
     when n = 1."""
@@ -627,6 +687,12 @@ class Zmod(Domain):
             return _trimmed([c % n for c in _int_product(a, b)])
         return _trimmed(_kronecker_product(a, b, self.n))
 
+    def dense_monic(self, a):
+        if not a or a[-1] == self._one:
+            return tuple(a)
+        n, inv = self.n, self.inv(a[-1])
+        return tuple([x * inv % n for x in a])
+
     def dense_divmod(self, a, b):
         """Euclidean division, the remainder kept unreduced until the end;
         the leading coefficient of b is inverted only when it is not 1."""
@@ -647,6 +713,40 @@ class Zmod(Domain):
                     r[i] -= c * y
         q.reverse()
         return tuple(q), _trimmed([x % n for x in r])
+
+    def dense_mulmod(self, a, b, m):
+        """a*b mod m.  For a monic m shorter than _FUSED_MULMOD_LENGTH the
+        schoolbook product and the reduction by m run on one unreduced int
+        list, with one reduction per output coefficient; otherwise a
+        Kronecker product, then ``dense_divmod`` (which raises NotInvertible
+        for a non-unit leading coefficient of m)."""
+        if not m or m[-1] != self._one or len(m) >= _FUSED_MULMOD_LENGTH:
+            return self.dense_divmod(self.dense_mul(a, b), m)[1]
+        if not a or not b:
+            return ()
+        n, r = self.n, _int_product(a, b)
+        _int_rem_monic(r, m[:-1], n)
+        return _trimmed([x % n for x in r])
+
+    def dense_gcd(self, a, b):
+        """Monic gcd by Euclid's algorithm on monic divisors.  Each
+        remainder is made monic as it is reduced, one reduction per
+        coefficient; a divisor whose leading coefficient is no unit (n
+        composite) raises NotInvertible, as ``Domain.dense_gcd`` does."""
+        if not b:
+            return self.dense_monic(a)
+        n, b = self.n, self.dense_monic(b)
+        while True:
+            r = list(a)
+            _int_rem_monic(r, b[:-1], n)
+            while r and not r[-1] % n:
+                r.pop()
+            if not r:
+                return b
+            inv = self.inv(r.pop() % n)
+            r = [x * inv % n for x in r]
+            r.append(1)
+            a, b = b, tuple(r)
 
     def elements(self):
         if self._elements is None:
@@ -1188,12 +1288,17 @@ def _yun(f, dom):
 
 
 def _sqf_char_p(f, dom, mult):
+    """[(squarefree monic factor, multiplicity)] of monic f over a finite
+    field, each multiplicity times ``mult``; f itself at once when
+    gcd(f, f') = 1."""
     out = []
     df = dom.dense_deriv(f)
     if not df:
         root = _pth_root_dense(f, dom)
         return _sqf_char_p(root, dom, mult * dom.char)
     a = dom.dense_gcd(f, df)
+    if up_deg(a) == 0:
+        return [(f, mult)]
     b = dom.dense_divmod(f, a)[0]
     i = 1
     while up_deg(b) > 0:
@@ -1213,19 +1318,36 @@ def _sqf_char_p(f, dom, mult):
 # factorization over finite fields
 # ---------------------------------------------------------------------------
 
+def _x_pow_mod(dom, e, f):
+    """x^e mod f for monic f of degree >= 2 and e >= 1, left to right over
+    the bits of e: square, and where the bit is set multiply by x, a shift
+    and at most one reduction step."""
+    r, top, tail = (dom.zero(), dom.one()), len(f) - 1, f[:-1]
+    for bit in bin(e)[3:]:
+        r = dom.dense_mulmod(r, r, f)
+        if bit == "1":
+            r = (dom.zero(),) + r
+            if len(r) > top:
+                r = dom.dense_sub(r[:-1], dom.dense_scale(tail, r[-1]))
+    return r
+
+
 def _distinct_degree(f, dom):
-    """Split squarefree monic f into (product of irreducibles of degree d, d)."""
+    """Split squarefree monic f into (product of irreducibles of degree d, d).
+
+    The first Frobenius image x^q mod f is ``_x_pow_mod``; each later one is
+    the previous image raised to the q-th power mod the cofactor left
+    (von zur Gathen & Gerhard, Modern Computer Algebra, Alg. 14.3)."""
     q = dom.order()
     out = []
     x = (dom.zero(), dom.one())
-    h = x
-    d = 0
+    h, d = None, 0
     while up_deg(f) > 0:
         d += 1
         if 2 * d > up_deg(f):
             out.append((f, up_deg(f)))
             break
-        h = up_pow_mod(dom, h, q, f)
+        h = _x_pow_mod(dom, q, f) if d == 1 else up_pow_mod(dom, h, q, f)
         g = dom.dense_gcd(dom.dense_sub(h, x), f)
         if up_deg(g) > 0:
             out.append((g, d))
@@ -1283,10 +1405,26 @@ def _cz_rng(f):
 
 def _split_finite_field(f, dom):
     """The split of a squarefree monic factor of f over a finite field:
-    distinct-degree, then Cantor-Zassenhaus on the draws of ``_cz_rng(f)``."""
-    rng = _cz_rng(f)
-    return lambda g: [dom.dense_monic(irr) for h, d in _distinct_degree(g, dom)
-                      for irr in _equal_degree(h, d, dom, rng)]
+    distinct-degree, then Cantor-Zassenhaus on the draws of ``_cz_rng(f)``.
+    A distinct-degree part of one irreducible is kept as it is, and the
+    generator is made on the first part that needs draws, so the draws
+    and their order are those of a generator made up front."""
+    rng = None
+
+    def split(g):
+        nonlocal rng
+        out = []
+        for h, d in _distinct_degree(g, dom):
+            if up_deg(h) == d:
+                parts = [h]
+            else:
+                if rng is None:
+                    rng = _cz_rng(f)
+                parts = _equal_degree(h, d, dom, rng)
+            out += [dom.dense_monic(irr) for irr in parts]
+        return out
+
+    return split
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def _spec_closure(cmd, env):
     }
     if fibers:
         table = []
-        for p in sp._primes_upto(fibers):
+        for p in arith._primes_upto(fibers):
             pts = sp.closure_fiber_points(P0, p)
             table.append({
                 "p": p,

@@ -4,8 +4,9 @@ Polynomials here are coefficient lists or tuples, low degree first; the
 ``Domain`` classes of ``arith`` convert their elements to and from these
 forms around each call:
 
-    * ints: products (schoolbook, or by Kronecker substitution mod n) and
-      pseudo-remainders, for ZZ and Z/n;
+    * ints: products (schoolbook, or by Kronecker substitution mod n),
+      remainders by a monic polynomial mod n and pseudo-remainders, for ZZ
+      and Z/n;
     * Fractions over one common denominator, for QQ;
     * ``_NumberFieldArith``: integer coefficient matrices over one
       denominator, for number fields QQ[t]/(m) with any monic m;
@@ -36,6 +37,18 @@ def _int_product(a, b):
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
+
+
+def _int_rem_monic(r, tail, n):
+    """Reduce the int list r in place modulo the monic polynomial whose
+    coefficients below the leading 1 are ``tail``, over Z/n: each top
+    coefficient is taken mod n and cancelled, and the entries left stay
+    unreduced."""
+    for k in range(len(r) - len(tail) - 1, -1, -1):
+        c = r.pop() % n
+        if c:
+            for i, y in enumerate(tail, k):
+                r[i] -= c * y
 
 
 def _int_prem(a, b):

@@ -26,6 +26,7 @@ from .arith import (
     ExtField,
     FracField,
     Zmod,
+    _primes_upto,
     dense_to_poly,
     ext_field_text,
     factor_dense,
@@ -261,28 +262,6 @@ def _dense_text(cat, coeffs):
 # ---------------------------------------------------------------------------
 # point enumeration
 # ---------------------------------------------------------------------------
-
-# Integers _primes_upto may sieve. The scripts, decks and tests go up to
-# --fibers 50; at the budget `spec describe ZZ` lists 78,498 primes in
-# about 3 s.
-_SIEVE_BUDGET = 1_000_000
-
-
-def _primes_upto(n):
-    """The primes p <= n, by the sieve of Eratosthenes; raises
-    BudgetExceeded, before sieving, past _SIEVE_BUDGET integers."""
-    if n > _SIEVE_BUDGET:
-        raise BudgetExceeded(f"the primes up to {n} exceed the sieve budget of "
-                             f"{_SIEVE_BUDGET} integers")
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p, flag in enumerate(sieve) if flag]
-
 
 # Candidates _monic_irreducibles may list.  The largest enumeration the README
 # shows, `fiber --map "ZZ->ZZ[T]" --at p=7` under the default --bound 6, has

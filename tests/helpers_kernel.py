@@ -11,7 +11,9 @@ kept as a reference for its tables; and ``_solve_field``, the dense
 Gauss-Jordan solve that preceded ``algebra._Span``, kept as the oracle of
 ideal membership by bounded-degree linear algebra; and the integer root
 one bit at a time that preceded ``arith._integer_root``, kept as its
-oracle; and ``verify_basis`` with ``gm_update`` and ``s_polynomial``, the
+oracle; the trial division by every odd divisor that preceded the sieved
+gcd blocks of ``arith.prime_factors``, kept as their oracle; and
+``verify_basis`` with ``gm_update`` and ``s_polynomial``, the
 Buchberger-criterion check of a Gröbner basis, kept as the oracle of the
 engine's bases."""
 
@@ -21,9 +23,9 @@ import math
 from bisect import bisect_left
 from operator import add, itemgetter
 
-from scheme_explorer import algebra
+from scheme_explorer import algebra, arith
 from scheme_explorer.arith import QQ, ZZ, Domain, up_ext_gcd
-from scheme_explorer.errors import ExponentOverflow
+from scheme_explorer.errors import BudgetExceeded, ExponentOverflow
 from scheme_explorer.multipoly import (
     LEX,
     BlockOrder,
@@ -382,6 +384,30 @@ def integer_root_by_bits(n, ell):
         if (r | 1 << b) ** ell <= n:
             r |= 1 << b
     return r
+
+
+def prime_factors_by_division(n):
+    """``arith.prime_factors`` by one division per divisor: 2 and the odd
+    d up to the trial budget while d^2 <= n, then the cofactor through
+    ``arith._prime_power``, with the same refusal."""
+    out = []
+    d = 2
+    while d * d <= n and d <= arith._FACTOR_TRIAL_BUDGET:
+        if n % d == 0:
+            m = 0
+            while n % d == 0:
+                n //= d
+                m += 1
+            out.append((d, m))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        root = arith._prime_power(n)
+        if root is None:
+            raise BudgetExceeded(
+                f"a cofactor of {n.bit_length()} bits has no prime factor "
+                f"up to {arith._FACTOR_TRIAL_BUDGET} and is no prime power")
+        out.append(root)
+    return out
 
 
 def s_polynomial(gi, gj, lcm):

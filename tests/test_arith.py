@@ -192,6 +192,47 @@ def test_irreducibility_matches_trial_division():
         assert computed_irreducible == (not has_divisor)
 
 
+def test_powers_of_x_by_squaring_and_shifting_match_the_modular_power():
+    """``_x_pow_mod`` gives the reduced x^e mod f of ``up_pow_mod`` for
+    seeded monic f over prime fields and GF(9), at e = q and other
+    exponents with runs of set bits."""
+    from scheme_explorer.arith import _x_pow_mod, up_pow_mod
+
+    rng = random.Random(1403)
+    for dom in (GF(2), GF(7), GF(31), GF(32003), GFq(9, (1, 0, 1))):
+        x = (dom.zero(), dom.one())
+        elements = [dom.from_int(k) for k in range(5)] if dom.char > 3 else dom.elements()
+        for _ in range(12):
+            f = tuple(rng.choice(elements) for _ in range(rng.randint(2, 9))) + (dom.one(),)
+            for e in (dom.order(), 1, 2, 3, 2 ** 10 - 1, rng.randrange(2, 10 ** 6)):
+                assert _x_pow_mod(dom, e, f) == up_pow_mod(dom, x, e, f), (dom, f, e)
+
+
+@pytest.mark.parametrize("q, modulus", [(4, (1, 1, 1)), (9, (1, 0, 1))])
+def test_every_small_monic_polynomial_over_gf4_and_gf9(q, modulus):
+    """Every monic f of degree at most 3: the factors multiply back to f,
+    and no factor of degree d has a monic factor of degree at most d/2
+    (brute force over the field's elements)."""
+    import itertools
+
+    from helpers_kernel import ref_divmod, ref_mul
+
+    dom = GFq(q, modulus)
+    one, elements = dom.one(), dom.elements()
+    monics = {d: [tail + (one,) for tail in itertools.product(elements, repeat=d)]
+              for d in range(4)}
+    for f in itertools.chain(*monics.values()):
+        unit, fac = factor_dense(f, dom)
+        product = (unit,)
+        for g, m in fac:
+            assert g[-1] == one
+            assert not any(not ref_divmod(dom, g, h)[1]
+                           for e in range(1, up_deg(g) // 2 + 1) for h in monics[e]), (f, g)
+            for _ in range(m):
+                product = ref_mul(dom, product, g)
+        assert product == f
+
+
 def test_zassenhaus_versus_structured_products():
     R = PolyRing(QQ, ("X",))
     X, = R.gens()
@@ -350,7 +391,73 @@ def test_cantor_zassenhaus_draws_do_not_depend_on_the_hash_seed():
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert int(outputs[0].rsplit("draws ", 1)[1]) > 0
+    assert int(outputs[0].rsplit("draws ", 1)[1]) == 51
+
+
+@pytest.fixture
+def cz_generators(monkeypatch):
+    """The arguments of each ``_cz_rng`` call that ``factor_dense`` makes."""
+    from scheme_explorer import arith
+
+    seeds, real = [], arith._cz_rng
+
+    def counted(f):
+        seeds.append(f)
+        return real(f)
+
+    monkeypatch.setattr(arith, "_cz_rng", counted)
+    return seeds
+
+
+def test_an_irreducible_part_makes_no_splitting_generator(cz_generators):
+    """Distinct-degree factorization alone proves 5 + 3x + 7x^2 + x^3
+    irreducible over GF(31), and a part of one irreducible per degree (here
+    (x + 1)(x^2 + 1) over GF(3)) is kept without Cantor-Zassenhaus."""
+    assert factor_dense((5, 3, 7, 1), GF(31)) == (1, [((5, 3, 7, 1), 1)])
+    assert factor_dense((1, 1, 1, 1), GF(3)) == (1, [((1, 1), 1), ((1, 0, 1), 1)])
+    assert cz_generators == []
+
+
+def test_parts_that_split_share_one_generator_seeded_from_the_input(cz_generators):
+    """(x-1)^2 (x-2)(x-3) (x^2+1)(x^2+2) over GF(7): the square is no draw,
+    the linears and the quadratics are split on one generator, seeded from
+    the whole input, made when the first of them is split."""
+    dom = GF(7)
+    f = (1,)
+    for g in ((6, 1), (6, 1), (5, 1), (4, 1), (1, 0, 1), (2, 0, 1)):
+        f = up_mul(dom, f, g)
+    _, fac = factor_dense(f, dom)
+    assert fac == [((4, 1), 1), ((5, 1), 1), ((6, 1), 2), ((1, 0, 1), 1), ((2, 0, 1), 1)]
+    assert cz_generators == [f]
+
+
+def test_prime_factors_match_trial_division_by_every_divisor():
+    """The sieved primes in gcd blocks give the list, and the refusal, of
+    one division per odd divisor: on 1, primes, prime powers, products of
+    two primes near 10^6 (on both sides of the trial budget) and seeded
+    composites."""
+    from helpers_kernel import prime_factors_by_division
+
+    from scheme_explorer.arith import _next_prime, prime_factors
+
+    def outcome(factor, n):
+        try:
+            return factor(n)
+        except BudgetExceeded as exc:
+            return str(exc)
+
+    rng = random.Random(2075)
+    near = [999983, 1000003, 1000033]
+    ns = [1, 2, 3, 4, 42, 168, 961, 1369, 1000003, 2 ** 64, 3 ** 40, 1000033 ** 3]
+    ns += [p * q for p in near for q in near if p <= q]
+    ns += [_next_prime(rng.randrange(2, 10 ** 5)) ** rng.randrange(1, 5) for _ in range(20)]
+    ns += [rng.randrange(2, 10 ** 4) * rng.randrange(2, 10 ** 5) for _ in range(20)]
+    refused = 0
+    for n in ns:
+        expected = outcome(prime_factors_by_division, n)
+        refused += isinstance(expected, str)
+        assert outcome(prime_factors, n) == expected, n
+    assert 0 < refused < len(ns)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,19 @@ def _check_divisions(dom, polys, divisors):
         assert dom.dense_divmod(a, b)[1] == ref_divmod(dom, a, b)[1]
 
 
+def _same_or_not_invertible(kernel, reference):
+    """The kernel's answer is the reference's, or both raise NotInvertible;
+    True when they answer."""
+    try:
+        expected = reference()
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            kernel()
+        return False
+    assert kernel() == expected
+    return True
+
+
 @pytest.mark.parametrize("n", [2, 7, 32003, 6, 5 ** 4, 7 ** 8, 2 ** 61 - 1])
 def test_zmod_kernels_match_the_generic_loops(n):
     rng = random.Random(n)
@@ -90,6 +103,19 @@ def test_zmod_kernels_match_the_generic_loops(n):
         assert dom.dense_monic(a) == ref_monic(dom, a)
         assert dom.dense_deriv(a) == ref_norm(
             dom, [dom.mul(a[i], dom.from_int(i)) for i in range(1, len(a))])
+    # gcds: the generic Euclid over a field; for composite n the same gcd,
+    # or NotInvertible where a divisor's leading coefficient is no unit
+    answered = {_same_or_not_invertible(lambda: dom.dense_gcd(a, b), lambda: ref_gcd(dom, a, b))
+                for a, b in itertools.product(polys + monics, repeat=2)}
+    assert answered == ({True} if dom.is_field else {True, False})
+    # products mod monic moduli on both sides of the fused-loop cutoff,
+    # with reduced and unreduced operands
+    for length in (2, arith._FUSED_MULMOD_LENGTH - 1, arith._FUSED_MULMOD_LENGTH, 20):
+        m = tuple(rng.randrange(n) for _ in range(length - 1)) + (1,)
+        for la, lb in ((length - 1, length - 1), (1, length - 1), (length + 3, 2 * length)):
+            a = _zmod_poly(rng, n, la - 1)
+            b = _zmod_poly(rng, n, lb - 1)
+            assert dom.dense_mulmod(a, b, m) == ref_divmod(dom, ref_mul(dom, a, b), m)[1]
 
 
 def test_zmod_trims_what_a_composite_modulus_zeroes():
@@ -114,6 +140,10 @@ def test_a_divisor_without_a_unit_leading_coefficient_is_not_invertible(n, divis
             dom.dense_divmod(a, divisor)
         with pytest.raises(NotInvertible):
             dom.dense_divmod(a, divisor)
+        with pytest.raises(NotInvertible):
+            dom.dense_mulmod(a, (1, 2, 3), divisor)
+        with pytest.raises(NotInvertible):
+            dom.dense_gcd(a, divisor)
 
 
 def test_integer_kernels_match_the_generic_loops():

@@ -5,6 +5,7 @@ squarefree certificate and its Yun fallback, the irreducibility certificate,
 and Hensel lifting with recombination when no certificate exists.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -87,6 +88,20 @@ def test_random_polynomials_over_gf_p():
             unit, fac = factor_dense(coeffs, GF(p))
             assert unit == coeffs[-1]
             assert sorted(fac) == sympy_factors_gf(coeffs, p), (p, coeffs)
+
+
+def test_every_small_monic_polynomial_over_small_prime_fields():
+    """Every monic polynomial of degree at most 3 over GF(2), GF(3), GF(5)
+    and GF(7), and seeded ones of degree up to 9 over GF(31) and GF(47)."""
+    cases = [(p, tail + (1,)) for p in (2, 3, 5, 7)
+             for d in range(4) for tail in itertools.product(range(p), repeat=d)]
+    rng = random.Random(3147)
+    cases += [(p, tuple(rng.randrange(p) for _ in range(rng.randint(1, 9))) + (1,))
+              for p in (31, 47) for _ in range(40)]
+    for p, coeffs in cases:
+        unit, fac = factor_dense(coeffs, GF(p))
+        assert unit == 1
+        assert sorted(fac) == sympy_factors_gf(coeffs, p), (p, coeffs)
 
 
 def test_swinnerton_dyer_reaches_hensel_lifting(path_calls):

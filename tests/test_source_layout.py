@@ -5,6 +5,7 @@ import warnings
 from pathlib import Path
 
 import scheme_explorer
+from scheme_explorer.arith import Domain, Zmod
 
 SOURCE = Path(scheme_explorer.__file__).parent
 
@@ -91,3 +92,28 @@ def test_cli_trims_no_character_sets():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("strip", "lstrip", "rstrip") and node.args]
     assert calls == []
+
+
+def test_zmod_overrides_every_dense_method_of_domain():
+    """Dense arithmetic over Z/n runs on ints: ``Zmod`` defines each
+    ``dense_*`` method that ``Domain`` defines, so none falls back to the
+    loop with a ``Domain`` call per coefficient."""
+    dense = {name for name in vars(Domain) if name.startswith("dense_")}
+    assert len(dense) >= 9
+    assert sorted(dense - set(vars(Zmod))) == []
+
+
+def test_only_arith_sieves_primes():
+    """One sieve of Eratosthenes, ``arith._primes_upto``, behind the primes
+    of ``spectrum``, the fibers of ``cli`` and the trial division of
+    ``prime_factors``: no other module defines a ``_primes*`` function or
+    builds the bytearray a sieve marks."""
+    sieves = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sieves += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name.lstrip("_").startswith("primes")
+                   or isinstance(node, ast.Name) and node.id == "bytearray"]
+    assert sieves == []
