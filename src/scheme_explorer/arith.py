@@ -182,8 +182,10 @@ def prime_factors(n):
     the primes up to min(_FACTOR_TRIAL_BUDGET, sqrt(n)), a block of
     _TRIAL_BLOCK of them at a time: one gcd of n with the block's product
     finds the block's divisors of n.  The cofactor left must be a prime or
-    a prime power that ``_prime_power`` certifies, or BudgetExceeded is
-    raised."""
+    a prime power whose root ``is_prime`` certifies, or BudgetExceeded is
+    raised.  A root at or past _MR_CERTIFIED_BELOW is refused before the
+    test, which certifies nothing there and so could change only the
+    message."""
     if n < 2:
         return []
     out, limit = [], min(_FACTOR_TRIAL_BUDGET, math.isqrt(n))
@@ -204,18 +206,20 @@ def prime_factors(n):
     if 1 < n and math.isqrt(n) <= limit:
         out.append((n, 1))  # no prime factor up to its square root
     elif n > 1:
-        root = _prime_power(n)
-        if root is None:
-            raise BudgetExceeded(f"a cofactor of {n.bit_length()} bits has no prime factor "
-                                 f"up to {_FACTOR_TRIAL_BUDGET} and is no prime power")
-        out.append(root)
+        root, k = _highest_power(n)
+        unfactored = (f"a cofactor of {n.bit_length()} bits has no prime factor "
+                      f"up to {_FACTOR_TRIAL_BUDGET}")
+        if root >= _MR_CERTIFIED_BELOW:
+            raise BudgetExceeded(f"{unfactored} and no primality certificate for its "
+                                 f"root of {root.bit_length()} bits")
+        if not is_prime(root):
+            raise BudgetExceeded(f"{unfactored} and is no prime power")
+        out.append((root, k))
     return out
 
 
-def _prime_power(n):
-    """(p, k) with n = p^k for a prime p, or None: only the root of the
-    highest perfect power of n can be p, and ``is_prime`` decides it (a
-    root it cannot certify raises BudgetExceeded)."""
+def _highest_power(n):
+    """(r, k) with n = r^k and k as large as possible."""
     root, k, ell = n, 1, 2
     while 1 << ell <= root:
         r = _integer_root(root, ell)
@@ -223,9 +227,15 @@ def _prime_power(n):
             root, k = r, k * ell
         else:
             ell = _next_prime(ell)
-    if not is_prime(root):
-        return None
     return root, k
+
+
+def _prime_power(n):
+    """(p, k) with n = p^k for a prime p, or None: only the root of the
+    highest perfect power of n can be p, and ``is_prime`` decides it (a
+    root it cannot certify raises BudgetExceeded)."""
+    root, k = _highest_power(n)
+    return (root, k) if is_prime(root) else None
 
 
 def _integer_root(n, ell):

@@ -210,7 +210,7 @@ def _normalize(cmd, env):
 
 
 def _parse_line_point(text, field):
-    """The two coordinates of a point [s0:s1] of P^1."""
+    """The point [s0:s1] of P^1, its coordinates as written."""
     inner = text.strip()
     if not (inner.startswith("[") and inner.endswith("]")):
         raise InvalidArgument(f"expected a point [s0:s1] of P^1, got {text!r}")
@@ -221,10 +221,10 @@ def _parse_line_point(text, field):
             num, den = int(num), int(den or 1)
         except ValueError:
             raise InvalidArgument(f"bad coordinate {part.strip()!r} in {text!r}") from None
-        coords.append(field.mul(field.from_int(num), field.inv(field.from_int(den))))
+        coords.append(field.div(field.from_int(num), field.from_int(den)))
     if len(coords) != 2:
         raise InvalidArgument(f"expected a point [s0:s1] of P^1, got {text!r}")
-    return coords
+    return pj.ProjPoint(field, coords)
 
 
 def _field(cmd):
@@ -254,41 +254,43 @@ def _proj_points(cmd, env):
     }
 
 
-def _map_record(kind, k, points, raw, **checks):
-    """A point map's report: its arguments, raw and normalized image, and
-    the checks that vanish on the image."""
-    record = {"kind": kind, "image": repr(pj.point_normalize(k, raw)),
-              "raw_image": repr(pj.ProjPoint(k, raw))}
-    record.update({name: repr(pj.point_normalize(k, pt)) for name, pt in points.items()})
-    record.update({name: k.format(value) for name, value in checks.items()})
+def _map_record(kind, kernel, raw, points, **checks):
+    """A point map's report: its arguments, its raw and normalized image,
+    and for each check the kernel generator of the given degree evaluated
+    at the raw image."""
+    k = raw.field
+    values = pj.kernel_values(kernel, raw)
+    record = {"kind": kind, "image": repr(pj.point_normalize(k, raw.coords)),
+              "raw_image": repr(raw)}
+    record.update({name: repr(pj.point_normalize(k, pt.coords)) for name, pt in points.items()})
+    record.update({name: k.format(values[degree]) for name, degree in checks.items()})
     return record
 
 
+# Each map's kernel comes before its points: elimination needs a field, so
+# a --field that is no field is refused (non-field-base) first.
+
 def _proj_segre(cmd, env):
     k = _field(cmd)
-    p = _parse_line_point(cmd.flag("p"), k)
-    q = _parse_line_point(cmd.flag("q"), k)
-    raw = [k.mul(a, b) for a in p for b in q]
-    quad = k.sub(k.mul(raw[0], raw[3]), k.mul(raw[1], raw[2]))
-    return _map_record("proj-segre", k, {"p": p, "q": q}, raw, quadric_check=quad)
+    kernel = pj.segre_kernel(k, 1, 1)
+    p, q = _parse_line_point(cmd.flag("p"), k), _parse_line_point(cmd.flag("q"), k)
+    return _map_record("proj-segre", kernel, pj.segre(p, q), {"p": p, "q": q},
+                       quadric_check=2)
 
 
 def _proj_conic(cmd, env):
     k = _field(cmd)
-    s0, s1 = p = _parse_line_point(cmd.flag("p"), k)
-    raw = [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s1)]
-    conic = k.sub(k.mul(raw[0], raw[2]), k.mul(raw[1], raw[1]))
-    return _map_record("proj-conic", k, {"p": p}, raw, conic_check=conic)
+    kernel = pj.conic_kernel(k)
+    p = _parse_line_point(cmd.flag("p"), k)
+    return _map_record("proj-conic", kernel, pj.conic_map(p), {"p": p}, conic_check=2)
 
 
 def _proj_veronese(cmd, env):
     k = _field(cmd)
-    s0, s1 = p = _parse_line_point(cmd.flag("p"), k)
-    raw = [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s0), k.mul(s1, s1)]
-    sym = k.sub(raw[1], raw[2])
-    quad = k.sub(k.mul(raw[0], raw[3]), k.mul(raw[1], raw[2]))
-    return _map_record("proj-veronese", k, {"p": p}, raw, symmetry_check=sym,
-                       quadric_check=quad)
+    kernel = pj.veronese_kernel(k, 1)
+    p = _parse_line_point(cmd.flag("p"), k)
+    return _map_record("proj-veronese", kernel, pj.veronese(p), {"p": p},
+                       symmetry_check=1, quadric_check=2)
 
 
 def _proj_sections(cmd, env):
@@ -361,7 +363,7 @@ def _sheaf_check(cmd, env):
             "points": [str(x) for x in report.space.points],
             "opens": [sorted(map(str, u)) for u in opens],
         },
-        "is_sheaf": report.sheaf.is_sheaf(),
+        "is_sheaf": sh.sheaf_axiom_holds(report.presheaf, report.sheaf, report.pi),
         "stalks_preserved": sh.stalks_preserved(
             report.presheaf, report.sheaf, report.pi
         ),

@@ -3,9 +3,12 @@
 Projective objects are handled through their standard affine chart atlas:
 chart i of Proj base[T_0..T_n]/I is Spec of the dehomogenized presentation
 in the ratio coordinates t_j = T_j/T_i.  Points over a field are normalized
-coordinate tuples; the Segre, Veronese, and squaring (conic) maps act on
-points and their image ideals are computed by one elimination and certified
-by mutual radical membership.  The zero locus of a section in P^n of a
+coordinate tuples.  The Segre, Veronese, and squaring (conic) maps are
+computed here and nowhere else: each returns the raw image of a point,
+which ``point_normalize`` scales.  Their image ideals are computed by one
+elimination and certified by mutual radical membership; ``kernel_values``
+evaluates a kernel's generators at a raw image, so a wrong map or a wrong
+kernel shows as a nonzero value.  The zero locus of a section in P^n of a
 finite field is taken after mapping the section's coefficients into it.
 """
 
@@ -279,24 +282,32 @@ def enumerate_points(field, n):
 
 
 def segre(p: ProjPoint, q: ProjPoint):
-    """[s_i t_j] in row-major (i, j) order."""
+    """The raw image [s_i t_j], in row-major (i, j) order; the image of
+    normalized points is normalized."""
     if p.field != q.field:
         raise ValueError("points must share a field")
     k = p.field
-    coords = [k.mul(a, b) for a in p.coords for b in q.coords]
-    return point_normalize(k, coords)
+    return ProjPoint(k, [k.mul(a, b) for a in p.coords for b in q.coords])
 
 
 def veronese(p: ProjPoint):
-    """Degree-two Veronese of P^1: [s0^2 : s0 s1 : s1 s0 : s1^2]."""
+    """The raw degree-two Veronese image of P^1: [s0^2 : s0 s1 : s1 s0 : s1^2]."""
     return segre(p, p)
 
 
 def conic_map(p: ProjPoint):
-    """P^1 -> P^2, [s0 : s1] -> [s0^2 : s0 s1 : s1^2]."""
+    """P^1 -> P^2, the raw image [s0^2 : s0 s1 : s1^2]."""
     k = p.field
     s0, s1 = p.coords
-    return point_normalize(k, [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s1)])
+    return ProjPoint(k, [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s1)])
+
+
+def kernel_values(kernel: alg.IdealHandle, point: ProjPoint):
+    """{degree: value} of the kernel's generators at the point's coordinates,
+    zero on the image of the kernel's map.  The kernels of the three maps
+    have one generator of each degree."""
+    return {g.total_degree(): g.evaluate(dict(zip(g.ring.names, point.coords)))
+            for g in kernel.generators}
 
 
 def _monomial_kernel(base, names, target_names, pairs):

@@ -10,9 +10,12 @@ section lists, germ families, the comparison map and twisted section
 families) are likewise made on first read, open by open.  Sheafification
 is the compatible-germ-family construction, which on a finite space only
 needs the minimal open neighborhood of each point; the stalk at x is the
-value on that minimal open.  It also decides the sheaf axiom: F is a sheaf
-iff F(empty) is one point and each F(U) maps one-to-one onto the germ
-families on U.
+value on that minimal open.  Its comparison pi also decides the sheaf
+axiom, in ``sheaf_axiom_holds``: F is a sheaf iff F(empty) is one point
+and pi maps each F(U) one-to-one onto the germ families on U.  A
+structure sheaf report carries its presheaf, sheafification and pi, so
+the axiom of the structure presheaf is read from them, with no second
+sheafification.
 
 A finite ring A is the product of the local rings eA over its primitive
 idempotents e (Atiyah-Macdonald, Thm 8.7).  So its primes are the
@@ -223,22 +226,12 @@ class FinitePresheaf:
         return self.sections[self.space.minimal_open(x)]
 
     def is_sheaf(self):
-        """Whether F(empty) is one point and, on every open U, the comparison
-        pi of ``sheafify`` is one-to-one onto the germ families on U.
-
-        The minimal opens U_x form a basis, and every cover of U_x contains
-        U_x itself, so a sheaf is determined by its sections on the U_x and
-        F is a sheaf iff F(U) -> {compatible germ families on U} is a
-        bijection for every U (Stacks Project, Tag 009H; Curry 2014,
-        arXiv:1303.3255).  The germ families form a sheaf, and pi is a
-        morphism of presheaves; conversely, a compatible family of germs
-        agrees on each U_z of an overlap, so in a sheaf it glues to one
-        section.  A section listed twice counts twice.
-        """
+        """Whether F is a sheaf: ``sheaf_axiom_holds`` on its sheafification
+        (F(empty) of other than one point answers before any germ family
+        is counted)."""
         if len(self.sections[frozenset()]) != 1:
             return False
-        sheaf, pi = sheafify(self)
-        return all(_bijective_on(self, sheaf, pi, u) for u in self.space.opens_sorted())
+        return sheaf_axiom_holds(self, *sheafify(self))
 
 
 def _presheaf(space, sections, restriction, check=False):
@@ -295,6 +288,23 @@ def _bijective_on(F, sheaf, pi, u):
     images = [pi[u][s] for s in F.sections[u]]
     found = set(images)
     return len(found) == len(images) and found == set(sheaf.sections[u])
+
+
+def sheaf_axiom_holds(F: FinitePresheaf, sheaf, pi):
+    """Whether F is a sheaf, given its sheafification and comparison pi:
+    on every open U, pi maps the sections of F one-to-one onto the germ
+    families on U.  On the empty open that says F(empty) is one point.
+
+    The minimal opens U_x form a basis, and every cover of U_x contains
+    U_x itself, so a sheaf is determined by its sections on the U_x and
+    F is a sheaf iff F(U) -> {compatible germ families on U} is a
+    bijection for every U (Stacks Project, Tag 009H; Curry 2014,
+    arXiv:1303.3255).  The germ families form a sheaf, and pi is a
+    morphism of presheaves; conversely, a compatible family of germs
+    agrees on each U_z of an overlap, so in a sheaf it glues to one
+    section.  A section listed twice counts twice.
+    """
+    return all(_bijective_on(F, sheaf, pi, u) for u in F.space.opens_sorted())
 
 
 def stalks_preserved(F: FinitePresheaf, sheaf, pi):

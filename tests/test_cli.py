@@ -365,11 +365,69 @@ def test_sheaf_space_relation_is_made_monic_over_the_prime_field():
     ('proj conic --p "2:3]]]";', "invalid-argument"),
     ('proj conic --field "GF(5)[X]/(X)";', "syntax-error"),
     ('proj points --space "P^1(GF(2)[Y])";', "syntax-error"),
+    # the check fields of a point map evaluate a kernel found by
+    # elimination, which needs a field: others are refused before the points
+    ('proj segre --field ZZ --p "[1:2]" --q "[1:5]";', "non-field-base"),
+    ('proj conic --field "ZZ/12" --p "[2:3]";', "non-field-base"),
+    ('proj veronese --field ZZ --p "[1/2:3]";', "non-field-base"),
 ])
 def test_cli_input_errors_carry_specific_codes(statement, code):
     records, had_error = run_script(dsl.parse(statement))
     assert had_error
     assert records[0]["error"]["code"] == code
+
+
+def test_segre_over_the_integers_exits_1():
+    proc = run_cli(["proj", "segre", "--field", "ZZ", "--p", "[1:2]", "--q", "[1:5]",
+                    "--format", "json"])
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["results"][0]["error"]["code"] == "non-field-base"
+
+
+def _map_data(statement):
+    records, had_error = run_script(dsl.parse(statement))
+    assert not had_error, records
+    return records[0]["data"]
+
+
+def test_a_wrong_map_shows_in_its_check_fields(monkeypatch):
+    """The check fields are the kernel generators evaluated at the image that
+    ``proj`` computes, so a map with a wrong coordinate is caught: the raw
+    Segre image [3:5:6:6] of [1:2] x [3:5] has Z01 Z10 - Z00 Z11 = 12, and
+    a Veronese image with s1^2 in place of s1 s0 breaks Z01 - Z10."""
+    from scheme_explorer import proj as pj
+
+    segre = 'proj segre --p "[1:2]" --q "[3:5]";'
+    veronese = 'proj veronese --field "GF(5)" --p "[2:3]";'
+    assert _map_data(segre)["quadric_check"] == "0"
+    assert _map_data(veronese)["symmetry_check"] == "0"
+
+    def typo_segre(p, q):
+        (s0, s1), (t0, t1) = p.coords, q.coords
+        k = p.field
+        return pj.ProjPoint(k, [k.mul(s0, t0), k.mul(s0, t1), k.mul(s1, t0), k.mul(s1, t0)])
+
+    def typo_veronese(p):
+        s0, s1 = p.coords
+        k = p.field
+        return pj.ProjPoint(k, [k.mul(s0, s0), k.mul(s0, s1), k.mul(s1, s1), k.mul(s1, s1)])
+
+    monkeypatch.setattr(pj, "segre", typo_segre)
+    monkeypatch.setattr(pj, "veronese", typo_veronese)
+    assert _map_data(segre)["quadric_check"] == "12"
+    data = _map_data(veronese)
+    assert (data["raw_image"], data["symmetry_check"]) == ("[4:1:4:4]", "2")
+
+
+def test_a_wrong_kernel_shows_in_its_check_field(monkeypatch):
+    """A conic kernel eliminated with its last two images swapped is
+    T0 T1 - T2^2, which is 24 - 81 = -57 at the raw image [4:6:9]."""
+    from scheme_explorer import proj as pj
+
+    monkeypatch.setattr(pj, "conic_kernel", lambda base: pj._monomial_kernel(
+        base, ("T0", "T1", "T2"), ("S0", "S1"), [(0, 0), (1, 1), (0, 1)]))
+    data = _map_data('proj conic --p "[2:3]";')
+    assert (data["raw_image"], data["conic_check"]) == ("[4:6:9]", "-57")
 
 
 def test_parentheses_inside_ideal_and_point_flags_group():
@@ -654,6 +712,29 @@ def test_a_modulus_without_small_factors_gets_one_miller_rabin_pass(monkeypatch)
     assert had_error and records[0]["error"]["code"] == "budget-exceeded"
     assert "no primality certificate" in records[0]["error"]["message"]
     assert passes == [1]
+
+
+def test_a_cofactor_past_the_certificate_bound_is_refused_before_miller_rabin(monkeypatch):
+    """10^3999 + 7 has a small prime factor, so ``Zmod`` asks no Miller-Rabin
+    question; the 13,281-bit cofactor is no perfect power, and its root is
+    past the certificate bound, where the test would change only the
+    message: ``prime_factors`` refuses it with no Miller-Rabin pass."""
+    from scheme_explorer import arith
+
+    passes, witnesses = [], arith._MR_WITNESSES
+
+    class Witnesses:
+        def __iter__(self):
+            passes.append(1)
+            return iter(witnesses)
+
+    monkeypatch.setattr(arith, "_MR_WITNESSES", Witnesses())
+    records, had_error = run_script(dsl.parse(f'spec describe "ZZ/{10 ** 3999 + 7}";'))
+    assert had_error and records[0]["error"]["code"] == "budget-exceeded"
+    assert records[0]["error"]["message"] == (
+        "a cofactor of 13281 bits has no prime factor up to 1000000 and no primality "
+        "certificate for its root of 13281 bits")
+    assert passes == []
 
 
 def test_the_square_of_a_large_prime_has_one_point():

@@ -1122,21 +1122,123 @@ def test_per_open_data_made_on_first_read_equal_the_eager_data():
                 assert key(first) == key(eager_data[u]), (ring, u)
 
 
-@pytest.mark.parametrize("text, local, germs, pi, twisted", [
-    ('sheaf check --space "spec(ZZ/42)";', 3, 8, 3, None),
-    ('sheaf sections --space "spec(ZZ/30)" --at 2;', 3, 1, 0, None),
-    ('sheaf twist --space "spec(ZZ/30)" --cover "X,D(2)" --cocycle -1;', 5, 0, 0, 2),
+@pytest.mark.parametrize("text, local, sections, germs, pi, twisted", [
+    ('sheaf check --space "spec(ZZ/42)";', 8, 8, 8, 8, None),
+    ('sheaf sections --space "spec(ZZ/30)" --at 2;', 3, 3, 1, 0, None),
+    ('sheaf twist --space "spec(ZZ/30)" --cover "X,D(2)" --cocycle -1;', 5, 3, 0, 0, 2),
 ], ids=["check", "sections", "twist"])
-def test_a_statement_makes_only_the_per_open_data_it_reads(monkeypatch, text, local, germs,
-                                                            pi, twisted):
-    """Of the 8 opens of a three-point spectrum: a check reads every germ
-    family but pi only on the stalks; a sections statement reads the germ
-    families on D(2); a twist reads the local rings of the stalks, X and
-    D(2), and the twisted families on X and D(2).  Every statement makes the
-    stalks, which bound the germ families."""
+def test_a_statement_makes_only_the_per_open_data_it_reads(monkeypatch, text, local, sections,
+                                                            germs, pi, twisted):
+    """Of the 8 opens of a three-point spectrum: a check decides the axiom
+    of the structure presheaf, so it reads every open's local ring, sections,
+    germ families and pi; a sections statement reads the germ families on
+    D(2); a twist reads the local rings of the stalks, X and D(2), and the
+    twisted families on X and D(2).  Every statement makes the stalks, which
+    bound the germ families."""
     _, (report, *rest) = _statement_sheaves(monkeypatch, text)
     stalks = {report.space.minimal_open(x) for x in report.space.points}
     assert len(report.local_rings.made) == local and stalks <= set(report.local_rings.made)
-    assert set(report.presheaf.sections.made) == stalks
+    made = set(report.presheaf.sections.made)
+    assert len(made) == sections and stalks <= made
     assert len(report.sheaf.sections.made) == germs and len(report.pi.made) == pi
     assert [len(t.sections.made) for t in rest] == ([] if twisted is None else [twisted])
+
+
+# ---------------------------------------------------------------------------
+# verdicts that can be false: the axiom of the structure presheaf, stalks,
+# Gamma(D(f)) = A_f and the coboundary tests
+# ---------------------------------------------------------------------------
+
+def _listed_twice(F, u):
+    """F with its first section on the open u listed a second time."""
+    sections = {v: F.sections[v] + F.sections[v][:1] if v == u else F.sections[v]
+                for v in F.space.opens_sorted()}
+    return sh.FinitePresheaf(F.space, sections, {}, check=False, restriction=F._restriction)
+
+
+def _report_of(presheaf, report):
+    """A structure sheaf report of ``report``'s ring whose presheaf, and so
+    whose sheafification and pi, are ``presheaf``'s."""
+    return sh.StructureSheafReport(report.ring, report.space, report.primes, presheaf,
+                                   *sh.sheafify(presheaf), report.local_rings)
+
+
+def test_the_axiom_read_from_a_sheafification_matches_the_gluing_oracle():
+    """``sheaf_axiom_holds`` on a sheafification that is already made, as
+    ``sheaf check`` reads it from the report, agrees with the search over
+    every cover on seeded sub-presheaves, and both verdicts occur."""
+    rng = random.Random(31)
+    verdicts = Counter()
+    for _ in range(80):
+        F = sub_presheaf(random_projection_presheaf(random_space(rng, max_points=4), rng), rng)
+        expected = _reference_is_sheaf(F)
+        assert sh.sheaf_axiom_holds(F, *sh.sheafify(F)) == expected
+        verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_sheaf_check_decides_the_axiom_of_the_presheaf_it_reports(monkeypatch):
+    """A report whose presheaf lists a global section twice: its
+    sheafification is a sheaf, but the presheaf is not, and that is what
+    ``is_sheaf`` states; the stalks are untouched."""
+    from scheme_explorer import dsl
+    from scheme_explorer.cli import run_script
+
+    report = sh.structure_sheaf(Zmod(12))
+    X = frozenset(report.space.points)
+    doubled = _report_of(_listed_twice(report.presheaf, X), report)
+    assert doubled.sheaf.is_sheaf()
+    monkeypatch.setattr(sh, "structure_sheaf", lambda ring: doubled)
+    records, had_error = run_script(dsl.parse('sheaf check --space "spec(ZZ/12)";'))
+    assert not had_error
+    data = records[0]["data"]
+    assert (data["is_sheaf"], data["stalks_preserved"]) == (False, True)
+
+
+def test_a_sheaf_check_sheafifies_once(monkeypatch):
+    calls = []
+    sheafify = sh.sheafify
+    monkeypatch.setattr(sh, "sheafify", lambda F: calls.append(F) or sheafify(F))
+    records, _ = _statement_sheaves(monkeypatch, 'sheaf check --space "spec(ZZ/42)";')
+    assert records[0]["data"]["is_sheaf"] is True
+    assert len(calls) == 1
+
+
+def test_a_section_listed_twice_on_a_stalk_is_not_preserved():
+    report = sh.structure_sheaf(Zmod(12))
+    stalk = report.space.minimal_open(report.space.points[0])
+    F = _listed_twice(report.presheaf, stalk)
+    sheaf, pi = sh.sheafify(F)
+    assert sh.stalks_preserved(report.presheaf, report.sheaf, report.pi)
+    assert not sh.stalks_preserved(F, sheaf, pi)
+    assert not sh.sheaf_axiom_holds(F, sheaf, pi) and not F.is_sheaf()
+
+
+def test_gamma_compared_with_the_wrong_localization_is_not_isomorphic():
+    """Gamma(D(f)) = A_f is a theorem; comparing Gamma(D(3)) on spec(ZZ/12),
+    four germ families, with the localization at 2, three classes, fails."""
+    report = sh.structure_sheaf(Zmod(12))
+    assert report.compare_gamma_with_localization(3)
+    report.localization = lambda f: sh.LocalizedFiniteRing(report.ring, [2])
+    assert not report.compare_gamma_with_localization(3)
+
+
+def test_cocycles_that_break_the_cocycle_identity_are_not_cohomologous(monkeypatch):
+    """On a discrete spectrum every unit cocycle is a coboundary, so the
+    tests can only fail on a mutated cocycle: f_10 = f_01 = 3 in ZZ/7, where
+    3 * 3 = 2 is not 1.  Then a_0 = 3 a_1 and a_1 = 3 a_0 force 8 a_0 = 0,
+    and against the true cocycle a_0 = a_1 and 5 a_0 = 3 a_1 force 2 a_0 = 0:
+    no units solve either."""
+    report = sh.structure_sheaf(Zmod(7))
+    X = frozenset(report.space.points)
+    cover = [X, X]
+    ring = report.local_rings[X]
+    three = ring.from_int(3)
+    true = sh.two_open_cocycle(report, cover, three)
+    assert sh.is_coboundary(report, cover, true)
+    monkeypatch.setattr(sh.UnitCocycle, "_check", lambda self: None)
+    broken = sh.UnitCocycle(report, cover, {(0, 0): ring.one(), (1, 1): ring.one(),
+                                            (0, 1): three, (1, 0): three})
+    assert not sh.is_coboundary(report, cover, broken)
+    assert not sh.cocycles_equal_mod_coboundary(report, cover, true, broken)
+    assert not _reference_equal_mod_coboundary(report, cover, true, broken)

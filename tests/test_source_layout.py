@@ -117,3 +117,14 @@ def test_only_arith_sieves_primes():
                    if isinstance(node, ast.FunctionDef) and node.name.lstrip("_").startswith("primes")
                    or isinstance(node, ast.Name) and node.id == "bytearray"]
     assert sieves == []
+
+
+def test_cli_computes_no_map_coordinates():
+    """The Segre, conic and Veronese maps are computed in ``proj`` only:
+    ``cli`` makes no ``.mul`` or ``.sub`` call, so it cannot keep a second
+    copy of a map or of the equations its image satisfies."""
+    path = SOURCE / "cli.py"
+    calls = [f"cli.py:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("mul", "sub")]
+    assert calls == []
