@@ -53,20 +53,28 @@ Factorization:
       certificate (Yun over ZZ only without one), a modular irreducibility
       certificate, else Zassenhaus (quadratic Hensel lifting, subset
       recombination);
-    * number fields over QQ: Trager norm descent to QQ, the norm
-      Res_t(modulus, f) taken as the determinant of multiplication by f on
-      QQ[x][t]/(modulus), by fraction-free (Bareiss) elimination over ZZ[x]
-      on the integer kernel; its squarefree test is the modular certificate
-      of QQ, and ``ZZ.dense_gcd`` with its derivative only without one.
-      Yun, the shifts and the gcds run on the integer kernel.
+    * quadratic fields at a split prime, Trager's norm for degree >= 3.
+      A quadratic field runs the certificates and the Zassenhaus skeleton
+      of QQ at primes (p, beta - rho) of degree one (``_SplitPrimes``):
+      Yun over the field only without a squarefree certificate, lifting
+      mod p^K, and each coefficient read back as the trace-form shortest
+      point of its class in a 2-D lattice (``kernels._QuadraticOrder``),
+      a candidate kept only on an exact division over the field;
+    * number fields over QQ of degree >= 3: Trager norm descent to QQ, the
+      norm Res_t(modulus, f) taken as the determinant of multiplication by
+      f on QQ[x][t]/(modulus), by fraction-free (Bareiss) elimination over
+      ZZ[x] on the integer kernel; its squarefree test is the modular
+      certificate of QQ, and ``ZZ.dense_gcd`` with its derivative only
+      without one.  Yun, the shifts and the gcds run on the integer kernel.
 
 One Yun (``_yun``) serves ZZ, with primitive gcds and exact quotients, and
 the fields of characteristic 0, with monic gcds.
 
-Primes: ``is_prime`` by trial division and Miller-Rabin; ``_primes_upto``,
-the one sieve of Eratosthenes of the package; ``prime_factors`` by trial
-division by the sieved primes up to sqrt(n), with one gcd per block of
-_TRIAL_BLOCK primes.
+Primes: ``is_prime`` by trial division (past _TRIAL_LIMIT by the sieved
+primes in gcd blocks, as far as one witness would cost) and Miller-Rabin;
+``_primes_upto``, the one sieve of Eratosthenes of the package;
+``prime_factors`` by trial division by the sieved primes up to sqrt(n),
+with one gcd per block of _TRIAL_BLOCK primes.
 
 Exhaustive paths check their size first and raise BudgetExceeded: subset
 recombination (_RECOMBINATION_BUDGET), ExtField.elements (_ELEMENTS_BUDGET),
@@ -103,6 +111,7 @@ from .kernels import (
     _kronecker_product,
     _NumberFieldArith,
     _qq_divmod,
+    _QuadraticOrder,
     _qq_product,
     _trimmed,
     _ZechTables,
@@ -116,6 +125,13 @@ _FACTOR_TRIAL_BUDGET = 10 ** 6  # the primes prime_factors trial-divides by, at 
 # Primes per gcd of prime_factors: the trial division of a 13,281-bit
 # number took 0.09 s at 256 or 512, 0.12 s at 128 and 0.14 s at 2,048.
 _TRIAL_BLOCK = 512
+# Past _TRIAL_LIMIT, is_prime trial-divides n of b bits by the sieved primes
+# up to b^3 / _TRIAL_BITS_CUBED before Miller-Rabin, about what one witness's
+# pow costs: the sieve and the gcd blocks took 0.07 us per integer up to the
+# bound, and one pow took 0.7 ms at 500 bits, 4.1 ms at 1,000 and 6.6 s at
+# 13,281; the bound is below 37 (nothing to add) up to 84 bits and reaches
+# 10^6 at 2,540.
+_TRIAL_BITS_CUBED = 1 << 14
 
 # Integers _primes_upto may sieve. The scripts, decks and tests go up to
 # --fibers 50; at the budget `spec describe ZZ` lists 78,498 primes in
@@ -144,7 +160,10 @@ def is_prime(n):
 
     False on a divisor or a witness; True only where the witnesses certify
     it, below _MR_CERTIFIED_BELOW. A larger n that passes them all is not
-    certified, and raises BudgetExceeded.
+    certified, and raises BudgetExceeded.  Past _TRIAL_LIMIT the divisors
+    are the sieved primes up to a bound that grows with the cost of a
+    witness (_TRIAL_BITS_CUBED), one gcd per block of _TRIAL_BLOCK of them,
+    as in ``prime_factors``.
     """
     if n < 2:
         return False
@@ -158,6 +177,11 @@ def is_prime(n):
                 return False
             d += 2
         return True
+    limit = min(math.isqrt(n), _FACTOR_TRIAL_BUDGET, n.bit_length() ** 3 // _TRIAL_BITS_CUBED)
+    primes = _primes_upto(limit)[len(_SMALL_PRIMES):]
+    for start in range(0, len(primes), _TRIAL_BLOCK):
+        if math.gcd(n, math.prod(primes[start:start + _TRIAL_BLOCK])) > 1:
+            return False  # a prime below sqrt(n) divides it
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -228,6 +252,25 @@ def _highest_power(n):
         else:
             ell = _next_prime(ell)
     return root, k
+
+
+def _square_root_part(n):
+    """The largest d with d^2 | n for n >= 1, below _FACTOR_TRIAL_BUDGET^3;
+    past it a multiple of that d.  After trial division by the primes up to
+    the cube root of n, the cofactor has at most two prime factors, so it
+    holds a square factor only when it is a square; past the budget the
+    cofactor is kept whole."""
+    root, d = _integer_root(n, 3), 1
+    for ell in _primes_upto(min(root, _FACTOR_TRIAL_BUDGET)):
+        k = 0
+        while n % ell == 0:
+            n //= ell
+            k += 1
+        d *= ell ** (k // 2)
+    if root > _FACTOR_TRIAL_BUDGET:
+        return d * n
+    r = math.isqrt(n)
+    return d * r if r * r == n else d
 
 
 def _prime_power(n):
@@ -1438,7 +1481,8 @@ def _split_finite_field(f, dom):
 
 
 # ---------------------------------------------------------------------------
-# factorization over QQ: Zassenhaus with quadratic Hensel lifting
+# factorization over QQ and quadratic fields: Zassenhaus with quadratic
+# Hensel lifting
 # ---------------------------------------------------------------------------
 
 def _int_content_primitive(coeffs):
@@ -1470,12 +1514,12 @@ def _sym_tuple(c, m):
     return up_norm(ZZ, tuple(out))
 
 
-def _hensel_step(m, f, g, h, s, t):
-    """One quadratic Hensel step: inputs mod m, outputs mod m*m.
+def _hensel_step(m, m2, f, g, h, s, t):
+    """One quadratic Hensel step: inputs mod m, outputs mod m2, a divisor
+    of m*m.
 
     Requires f = g*h (mod m), s*g + t*h = 1 (mod m), h monic.
     """
-    m2 = m * m
     D = Zmod(m2)
 
     def red(poly):
@@ -1499,7 +1543,8 @@ def _hensel_step(m, f, g, h, s, t):
 
 
 def _hensel_lift_pair(p, f, g0, h0, final):
-    """Lift f = g0*h0 (mod p), h0 monic, to modulus ``final`` = p^(2^j)."""
+    """Lift f = g0*h0 (mod p), h0 monic, to modulus ``final``, a power of
+    p: squaring the modulus, the last step only up to ``final``."""
     Dp = Zmod(p)
     gp = up_norm(Dp, tuple(c % p for c in g0))
     hp = up_norm(Dp, tuple(c % p for c in h0))
@@ -1513,8 +1558,9 @@ def _hensel_lift_pair(p, f, g0, h0, final):
     s, t = _sym_tuple(s, p), _sym_tuple(t, p)
     m = p
     while m < final:
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
+        m2 = min(m * m, final)
+        g, h, s, t = _hensel_step(m, m2, f, g, h, s, t)
+        m = m2
     return g, h
 
 
@@ -1558,13 +1604,17 @@ def _lift_factorization(p, f, leaves, final):
 _RECOMBINATION_BUDGET = 1 << 16
 
 
-def _recombine(g, lifted, modulus):
+def _recombine(g, lifted, read, divide):
     """Search subsets of the lifted modular factors for true factors of g.
 
-    Each size of subset is counted before its subsets are tried (in full,
-    though a hit ends the round early), and BudgetExceeded is raised when
-    the count would pass _RECOMBINATION_BUDGET: with r factors and no hit
-    the search tries about 2^(r-1) subsets.
+    ``read(current, product)`` makes a candidate factor of what is left of
+    g from the product of a subset's lifted factors, or None, and
+    ``divide(current, candidate)`` is the exact quotient, or None when the
+    candidate does not divide.  Each size of subset is counted before its
+    subsets are tried (in full, though a hit ends the round early), and
+    BudgetExceeded is raised when the count would pass
+    _RECOMBINATION_BUDGET: with r factors and no hit the search tries about
+    2^(r-1) subsets.
     """
     factors = []
     remaining = list(range(len(lifted)))
@@ -1577,18 +1627,12 @@ def _recombine(g, lifted, modulus):
                                  f"factors exceed the budget of {_RECOMBINATION_BUDGET}")
         hit = False
         for combo in itertools.combinations(remaining, size):
-            cand = (current[-1],)
-            for i in combo:
-                cand = ZZ.dense_mul(cand, lifted[i])
-            cand = _sym_tuple(tuple(c % modulus for c in cand), modulus)
-            if not cand:
-                continue
-            cand = _int_content_primitive(cand)[1]
-            try:
-                quo, rem = ZZ.dense_divmod(current, cand)
-            except NotInvertible:
-                continue
-            if not rem and quo:
+            product = lifted[combo[0]]
+            for i in combo[1:]:
+                product = ZZ.dense_mul(product, lifted[i])
+            cand = read(current, product)
+            quo = None if cand is None else divide(current, cand)
+            if quo:
                 factors.append(cand)
                 current = quo
                 remaining = [i for i in remaining if i not in combo]
@@ -1597,7 +1641,7 @@ def _recombine(g, lifted, modulus):
         if not hit:
             size += 1
     if up_deg(current) > 0:
-        factors.append(_int_content_primitive(current)[1])
+        factors.append(current)
     return factors
 
 
@@ -1608,7 +1652,7 @@ def _next_prime(p):
     return p
 
 
-_SQUAREFREE_TRIES = 4  # primes 5, 7, 11, 13 searched for a squarefree certificate
+_SQUAREFREE_TRIES = 4  # primes searched for a squarefree certificate: 5, 7, 11, 13 over QQ
 _CERTIFICATE_PRIMES = 3  # good primes given distinct-degree factorization
 
 
@@ -1624,24 +1668,155 @@ def _prime_images(g):
         p = _next_prime(p)
         image = None
         if g[-1] % p:
-            Dp = Zmod(p)
-            gp = Dp.dense_monic(tuple(c % p for c in g))
-            if up_deg(Dp.dense_gcd(gp, Dp.dense_deriv(gp))) == 0:
-                image = gp
+            image = _squarefree_image(tuple(c % p for c in g), p)
         yield p, image
 
 
-def _zassenhaus(g, images):
-    """Factor a primitive squarefree integer polynomial with lc > 0.
+def _squarefree_image(g, p):
+    """g over GF(p), nonzero lc, made monic if it is squarefree, else None."""
+    Dp = Zmod(p)
+    gp = Dp.dense_monic(g)
+    return gp if up_deg(Dp.dense_gcd(gp, Dp.dense_deriv(gp))) == 0 else None
 
-    ``images`` is a ``_prime_images(g)`` search, possibly already begun.
+
+class _Integers:
+    """Zassenhaus over ZZ, for a primitive squarefree g with lc > 0: its
+    images mod p = 5, 7, 11, ..., g itself lifted mod p^(2^j) past twice a
+    Mignotte bound, candidates read as symmetric residues made primitive,
+    and trial division in ZZ[x]."""
+
+    images = staticmethod(_prime_images)
+
+    @staticmethod
+    def lift(g, p, mods):
+        """(lifted factors of g, their reader): ``read(current, product)``
+        takes lc(current) * product to symmetric residues, the true factor
+        times lc(current) when the product lifts one, since its
+        coefficients lie under the bound."""
+        threshold = 2 * _int_poly_bound(g) + 1
+        final = p
+        while final < threshold:
+            final = final * final
+
+        def read(current, product):
+            cand = _sym_tuple([current[-1] * c for c in product], final)
+            return _int_content_primitive(cand)[1] if cand else None
+
+        return _lift_factorization(p, g, mods, final), read
+
+    @staticmethod
+    def divide(a, b):
+        try:
+            quo, rem = ZZ.dense_divmod(a, b)
+        except NotInvertible:
+            return None
+        return None if rem else quo
+
+
+class _SplitPrimes:
+    """Zassenhaus over a quadratic number field K = QQ[t]/(m), at primes
+    of degree one.
+
+    The field's ``_NumberFieldArith`` writes a monic g over K as G/den with
+    G in Z[beta][x], lc(G) = den, for beta = c*t, a root of its integral
+    monic m~(s) = s^2 - r1*s - r0.  A prime p >= 5 that divides neither
+    disc(m~) = r1^2 + 4*r0 nor den, and at which m~ has a root rho mod p,
+    gives the residue map Z[beta] -> GF(p), beta -> rho, of the prime
+    (p, beta - rho) of degree one, and so an image of g over GF(p).  The
+    images, distinct-degree factorization and Cantor-Zassenhaus are those
+    of QQ; lifting, reading and dividing are here, on the trace form T2 of
+    ``_QuadraticOrder``.
+    """
+
+    def __init__(self, dom):
+        self.dom, self.nf = dom, dom._nf
+        self.order = _QuadraticOrder(self.nf.red)
+        # d*O_K lies in Z[beta] for the d with d^2 | disc(m~): the square of
+        # the index of Z[beta] divides disc(m~)
+        self.index = _square_root_part(abs(self.order.disc))
+
+    def _rows(self, g):
+        """([(a_k, b_k)], den): G = den*g has coefficients a_k + b_k*beta."""
+        flat, den = self.nf.ints(g)
+        s = self.nf.s
+        return list(zip(flat[0::s], flat[1::s])), den
+
+    def images(self, g):
+        """Yield (p, image) for the primes p = 5, 7, 11, ... at which m~ has
+        a simple root rho: g at beta = rho over GF(p), monic and squarefree,
+        or None when p divides den or the image is not squarefree."""
+        rows, den = self._rows(g)
+        p = 3
+        while True:
+            p = _next_prime(p)
+            rho = self.order.root(p)
+            if rho is None:
+                continue
+            image = None
+            if den % p:
+                image = _squarefree_image(tuple((a + b * rho) % p for a, b in rows), p)
+            yield p, image
+
+    def lift(self, g, p, mods):
+        """(lifted factors of g, their reader), lifted mod p^K for the
+        least K with p^K > 4*d^2*B^2, where d^2 | disc(m~) with d*O_K in
+        Z[beta] (``index``) and B^2 = 4^n * sum(T2(G_k)) for n = deg g.
+
+        Why K suffices.  A monic factor h of g has den*h in O_K[x] (Gauss's
+        lemma on the content ideals of O_K, as den*g = G is integral), so
+        each coefficient of d*den*h is some a + b*beta with integers a, b.
+        In each embedding s, |s(x)|^2 <= T2(x) bounds ||s(G)||_2^2 by
+        sum(T2(G_k)), and Mignotte's bound gives |s(den*h_j)| <= 2^n *
+        ||s(G)||_2 <= B; so T2(d*den*h_j) <= 2*d^2*B^2.  The product of the
+        lifted factors of h is h at beta = rho_K mod p^K, rho_K the root
+        rho lifted by Newton's method, so (a, b) lies in the class of
+        a + b*rho_K = d*den*r (mod p^K) for its coefficient r: a coset of
+        the lattice L of ``_QuadraticOrder``.  A nonzero v in L lies in the
+        K-th power of the prime (p, beta - rho) (Z[beta] is maximal at p, as
+        p does not divide disc(m~)), so p^K divides N(v), which is not 0, and T2(v) >= 2|N(v)| >= 2*p^K (the mean of |s1(v)|^2 and
+        |s2(v)|^2 is at least their geometric mean).  Two points of one
+        coset with T2 <= 2*d^2*B^2 differ by a v with T2(v) <= 8*d^2*B^2
+        < 2*p^K, so v = 0: the coefficient is the coset's unique shortest
+        point, which ``_QuadraticOrder.shortest`` finds.  A candidate is
+        still kept only on an exact division over K.
+        """
+        rows, den = self._rows(g)
+        order = self.order
+        bound = 4 * self.index ** 2 * 4 ** (len(rows) - 1) * sum(order.dot(w, w) for w in rows)
+        modulus = p
+        while modulus <= bound:
+            modulus *= p
+        rho = order.lift_root(order.root(p), p, modulus)
+        inv = pow(den, -1, modulus)
+        image = tuple([(a + b * rho) * inv % modulus for a, b in rows])
+        basis = order.reduced_basis(modulus, rho)
+        scale, element, one = self.index * den, self.nf.element, self.dom.one()
+
+        def read(current, product):
+            return tuple([element(order.shortest(scale * c % modulus, basis), scale)
+                          for c in product[:-1]]) + (one,)
+
+        return _lift_factorization(p, image, mods, modulus), read
+
+    def divide(self, a, b):
+        quo, rem = self.dom.dense_divmod(a, b)
+        return None if rem else quo
+
+
+def _zassenhaus(g, images, ring):
+    """Factor a squarefree g whose images over GF(p) the search ``images``
+    yields, possibly already begun: ``_Integers`` for a primitive g in
+    ZZ[x] with lc > 0, ``_SplitPrimes`` for a monic g over a quadratic
+    field.
+
     Distinct-degree factorization runs on the images of up to
     _CERTIFICATE_PRIMES good primes.  Irreducibility certificate: if some
-    g mod p is irreducible, g is irreducible over QQ, since a factorization
-    over ZZ would reduce to one mod p with the same degrees (p does not
-    divide lc(g)); then [g] is returned with no lifting.  Otherwise only the
+    image is irreducible, g is irreducible, since a factorization of g would
+    reduce to one of the image with the same degrees (the image keeps the
+    degree of g); then [g] is returned with no lifting.  Otherwise only the
     image with the fewest modular factors is split (Cantor-Zassenhaus),
-    Hensel-lifted and recombined.
+    Hensel-lifted and recombined; ``ring`` lifts, reads candidates and
+    divides.
     """
     n = up_deg(g)
     if n == 1:
@@ -1659,17 +1834,14 @@ def _zassenhaus(g, images):
     Dp = Zmod(p)
     rng = _cz_rng(gp)
     mods = sorted(irr for h, d in by_degree for irr in _equal_degree(h, d, Dp, rng))
-    threshold = 2 * _int_poly_bound(g) + 1
-    final = p
-    while final < threshold:
-        final = final * final
-    return _recombine(g, _lift_factorization(p, g, mods, final), final)
+    lifted, read = ring.lift(g, p, mods)
+    return _recombine(g, lifted, read, ring.divide)
 
 
-def _certified_images(g):
-    """A ``_prime_images(g)`` search that starts at a good prime among the
-    first _SQUAREFREE_TRIES, which certifies g squarefree; None without one."""
-    images = _prime_images(g)
+def _certified_images(images):
+    """The search ``images`` from a good prime among its first
+    _SQUAREFREE_TRIES, which certifies its polynomial squarefree; None
+    without one."""
     first = next(
         (pg for pg in itertools.islice(images, _SQUAREFREE_TRIES) if pg[1] is not None),
         None,
@@ -1677,35 +1849,40 @@ def _certified_images(g):
     return None if first is None else itertools.chain([first], images)
 
 
-def _factor_rationals(f):
-    """(unit in QQ, [(monic factor tuple over QQ, mult)]).
+def _zassenhaus_factors(g, dom, ring):
+    """[(irreducible factor, multiplicity)] of g over QQ (``ring`` is
+    _Integers, g primitive in ZZ[x] with lc > 0, dom = ZZ) or a quadratic
+    field (``ring`` its _SplitPrimes, g monic, dom the field).
 
-    A good prime among the first _SQUAREFREE_TRIES certifies the primitive
-    part squarefree (see ``factor_dense``) and starts the search that
-    ``_zassenhaus`` continues; only without one does Yun run: the same
-    ``_yun`` as over a number field, here on ``ZZ.dense_gcd`` and
-    ``ZZ.dense_divmod``.
+    A good prime among the first _SQUAREFREE_TRIES of ``ring.images(g)``
+    certifies g squarefree (see ``factor_dense``) and starts the search that
+    ``_zassenhaus`` continues; only without one does ``_yun`` run over dom.
     """
+    images = _certified_images(ring.images(g))
+    if images is None:
+        parts = [(h, m, ring.images(h)) for h, m in _yun(g, dom)]
+    else:
+        parts = [(g, 1, images)]
+    return [(h, m) for sqf, m, sqf_images in parts for h in _zassenhaus(sqf, sqf_images, ring)]
+
+
+def _factor_rationals(f):
+    """(unit in QQ, [(monic factor tuple over QQ, mult)]), from the
+    factors of the primitive integer part."""
     nums, den = _common_denominator(f)
     content, prim = _int_content_primitive(nums)
     unit = Fraction(content, den)
-    images = _certified_images(prim)
-    if images is None:
-        parts = [(g, m, _prime_images(g)) for g, m in _yun(prim, ZZ)]
-    else:
-        parts = [(prim, 1, images)]
     out = []
-    for sqf, mult, sqf_images in parts:
-        for fac in _zassenhaus(sqf, sqf_images):
-            fq = tuple(Fraction(c) for c in fac)
-            lc = fq[-1]
-            unit *= lc ** mult
-            out.append((QQ.dense_scale(fq, 1 / lc), mult))
+    for fac, mult in _zassenhaus_factors(prim, ZZ, _Integers):
+        fq = tuple(Fraction(c) for c in fac)
+        lc = fq[-1]
+        unit *= lc ** mult
+        out.append((QQ.dense_scale(fq, 1 / lc), mult))
     return unit, out
 
 
 # ---------------------------------------------------------------------------
-# factorization over number fields: Trager's norm descent
+# factorization over number fields of degree >= 3: Trager's norm descent
 # ---------------------------------------------------------------------------
 
 def _compose_shift(dom, f, c):
@@ -1762,7 +1939,8 @@ def _bareiss_det(dom, rows):
 
 def _trager_squarefree(g, dom):
     """The monic irreducible factors of a squarefree monic g over a number
-    field: g(x + s*alpha) for the first shift s whose norm N is squarefree,
+    field of degree other than 2 (and the oracle of the quadratic path in
+    the tests): g(x + s*alpha) for the first shift s whose norm N is squarefree,
     then one factor gcd(g(x + s*alpha), N_j) per irreducible factor N_j of N
     over QQ, shifted back.  N is tested on its primitive integer part: a
     good prime certifies it squarefree, and only without one does
@@ -1772,14 +1950,14 @@ def _trager_squarefree(g, dom):
         shift = dom.base.dense_scale(alpha, dom.base.from_int(shift_scalar))
         shifted = _compose_shift(dom, g, shift)
         norm = _int_content_primitive(_common_denominator(_norm_to_base(dom, shifted))[0])[1]
-        images = _certified_images(norm)
+        images = _certified_images(_prime_images(norm))
         if images is None and up_deg(ZZ.dense_gcd(norm, ZZ.dense_deriv(norm))) == 0:
             images = _prime_images(norm)
         if images is not None:
             break
     else:
         raise Unsupported("no squarefree norm shift found")
-    norm_factors = _zassenhaus(norm, images)
+    norm_factors = _zassenhaus(norm, images, _Integers)
     out = []
     rest = shifted
     for nf in norm_factors[:-1]:
@@ -1813,6 +1991,15 @@ def factor_dense(f, dom):
       one mod p with the same degrees;
     * otherwise Zassenhaus: Hensel lifting of the modular factors of the
       best good prime, then recombination of subsets.
+
+    Over a quadratic field K the same three steps run on the monic input at
+    good primes of degree one, (p, beta - rho) with p not dividing disc(m~)
+    nor the input's denominator, whose residue field is GF(p)
+    (``_SplitPrimes``): a monic factor over K has coefficients integral at
+    such a prime (O_K is integrally closed), so it reduces mod the prime
+    with its degree, and both certificates hold as over QQ.  Number fields
+    of degree 3 and more factor each squarefree part by Trager's norm
+    descent.
     """
     f = up_norm(dom, tuple(f))
     if not f:
@@ -1824,6 +2011,9 @@ def factor_dense(f, dom):
         return f[0], []
     if isinstance(dom, RationalField):
         unit, fac = _factor_rationals(f)
+    elif kind == "number" and dom.degree == 2:
+        unit = f[-1]
+        fac = _zassenhaus_factors(dom.dense_monic(f), dom, _SplitPrimes(dom))
     else:
         split = (_split_finite_field(f, dom) if kind == "finite"
                  else partial(_trager_squarefree, dom=dom))

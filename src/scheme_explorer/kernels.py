@@ -10,6 +10,9 @@ forms around each call:
     * Fractions over one common denominator, for QQ;
     * ``_NumberFieldArith``: integer coefficient matrices over one
       denominator, for number fields QQ[t]/(m) with any monic m;
+    * ``_QuadraticOrder``: the trace form and the lattices of the primes of
+      degree one of Z[beta], for reading factors over a quadratic field
+      back from a p-adic lift;
     * ``_ZechTables``: logarithms with log, antilog and Zech tables, for
       GF(q) over a prime field.
 """
@@ -316,6 +319,89 @@ class _NumberFieldArith:
             for i in range(s):
                 res[i] += flat[k * s + i] * w
         return self.fractions(res, den * dc ** top)
+
+
+class _QuadraticOrder:
+    """Z[beta] for a root beta of s^2 - r1*s - r0, r1^2 + 4*r0 not a
+    square, with the lattices of its primes of degree one.
+
+    Sizes are measured by the trace form T2(a + b*beta) = |s1|^2 + |s2|^2
+    over the two complex embeddings: the integer quadratic form
+    2a^2 + 2*r1*ab + C*b^2, where C = |s1(beta)|^2 + |s2(beta)|^2 is
+    r1^2 + 2*r0 for a real field and -2*r0 for an imaginary one.  For a
+    prime p not dividing disc = r1^2 + 4*r0 and a root rho_K of the modulus
+    mod p^K, the kernel of Z[beta] -> Z/p^K, beta -> rho_K, is the lattice
+    L = {(a, b) : a + b*rho_K = 0 mod p^K}.
+    """
+
+    def __init__(self, red):
+        r0, r1 = red
+        self.red, self.disc = (r0, r1), r1 * r1 + 4 * r0
+        self.form = (r1, r1 * r1 + 2 * r0 if self.disc > 0 else -2 * r0)
+
+    def dot(self, u, v):
+        """The bilinear form of T2: dot(u, u) = T2(u)."""
+        r1, c = self.form
+        return 2 * u[0] * v[0] + r1 * (u[0] * v[1] + u[1] * v[0]) + c * u[1] * v[1]
+
+    def root(self, p):
+        """The least root of the modulus mod an odd prime p, or None when p
+        divides disc or the modulus has no root mod p."""
+        r0, r1 = self.red
+        if not self.disc % p or pow(self.disc, (p - 1) // 2, p) != 1:
+            return None
+        return next(r for r in range(p) if (r * r - r1 * r - r0) % p == 0)
+
+    def lift_root(self, rho, p, modulus):
+        """The root rho mod p (p not dividing disc) lifted mod the power
+        ``modulus`` of p by Newton's method."""
+        r0, r1 = self.red
+        m = p
+        while m < modulus:
+            m = min(m * m, modulus)
+            rho = (rho - (rho * rho - r1 * rho - r0) * pow(2 * rho - r1, -1, m)) % m
+        return rho
+
+    def reduced_basis(self, modulus, rho):
+        """A Lagrange-Gauss reduced basis (u, v) of L for T2: T2(u) <= T2(v)
+        and |dot(u, v)| <= T2(u)/2."""
+        u, v = (modulus, 0), (-rho, 1)
+        if self.dot(u, u) > self.dot(v, v):
+            u, v = v, u
+        while True:
+            mu = _round_div(self.dot(u, v), self.dot(u, u))
+            v = (v[0] - mu * u[0], v[1] - mu * u[1])
+            if self.dot(v, v) >= self.dot(u, u):
+                return u, v
+            u, v = v, u
+
+    def shortest(self, r, basis):
+        """[a, b] of least T2 in the class of (r, 0) mod L, for a reduced
+        basis of L, when some point of the class has T2 below a quarter of
+        the least T2 on L minus 0.
+
+        Such a point w differs from (r, 0) by x*u + y*v, and Babai's
+        rounding of the coordinates of (r, 0) in the basis is within 1 of
+        (x, y): the coordinates of w itself are below 1/2 + 1/(2*sqrt 3)
+        along u and 1/sqrt 3 along v (Gram-Schmidt, T2(v*) >= 3/4 T2(v)).
+        So the nine points around the rounding hold w, the shortest.
+        """
+        (u0, u1), (v0, v1) = basis
+        det = u0 * v1 - u1 * v0
+        x0, y0 = _round_div(r * v1, det), _round_div(-r * u1, det)
+        best = None
+        for x in (x0 - 1, x0, x0 + 1):
+            for y in (y0 - 1, y0, y0 + 1):
+                w = (r - x * u0 - y * v0, -x * u1 - y * v1)
+                size = self.dot(w, w)
+                if best is None or size < best[0]:
+                    best = (size, w)
+        return list(best[1])
+
+
+def _round_div(n, d):
+    """The integer nearest n/d (halves rounded up), for d != 0."""
+    return (2 * n + d) // (2 * d)
 
 
 class _ZechTables:

@@ -389,11 +389,29 @@ def height_one_point(cat: SpecCatalogue, coeffs):
                                  f"y_(eta,{text})")
 
 
-def _embedded_point(cat: SpecCatalogue, tag, pt):
+class _EmbeddedPoint(SpecPoint):
     """A point of an inner catalogue seen through a quotient, a localization
+    or one side of a product: its residue field and that field's text are
+    the inner point's, read on first access, so printing it builds no
+    residue field."""
+
+    def __init__(self, owner, description, label):
+        self.owner, self.description, self.label = owner, description, label
+
+    @cached_property
+    def residue(self):
+        return self.description[2].residue
+
+    @cached_property
+    def residue_text(self):
+        return self.description[2].residue_text
+
+
+def _embedded_point(cat: SpecCatalogue, tag, pt):
+    """``pt`` of an inner catalogue seen through a quotient, a localization
     or one side ("left"/"right") of a product."""
     label = f"{tag}:{pt.label}" if tag in ("left", "right") else pt.label
-    return SpecPoint(cat, ("embedded", tag, pt), pt.residue, label)
+    return _EmbeddedPoint(cat, ("embedded", tag, pt), label)
 
 
 def enumerate_points(cat: SpecCatalogue, bound=10):

@@ -1,5 +1,6 @@
 """Domain arithmetic and univariate factorization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -541,6 +542,213 @@ def test_number_field_factorization_builds_no_function_field(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# quadratic fields: Zassenhaus at a split prime, Trager's descent as oracle
+# ---------------------------------------------------------------------------
+
+_QUADRATIC_FIELDS = {
+    "i": (1, 0, 1),
+    "sqrt2": (-2, 0, 1),
+    "sqrt-3": (3, 0, 1),  # O_K is not Z[t]
+    "sqrt5": (-5, 0, 1),  # O_K is not Z[t]
+    "half": (Fraction(-1, 2), 0, 1),  # t^2 - 1/2: beta = 2t is a root of s^2 - 2
+}
+
+
+def _quadratic(name):
+    return ExtField(QQ, tuple(Fraction(c) for c in _QUADRATIC_FIELDS[name]))
+
+
+def _monic_factor(K, rng):
+    """A monic factor of degree 1 to 3 over K, with small rational
+    coordinates, sometimes all in QQ."""
+    rational = rng.random() < 0.3
+    coeffs = tuple(
+        up_norm(QQ, (Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))),)
+                + (() if rational else (Fraction(rng.randint(-4, 4), rng.choice((1, 2))),)))
+        for _ in range(rng.choice((1, 1, 2, 2, 3))))
+    return coeffs + (K.one(),)
+
+
+def _product(K, factors):
+    f = (K.one(),)
+    for g in factors:
+        f = up_mul(K, f, g)
+    return f
+
+
+def _ref_factors(K, f):
+    """The monic irreducible factors of a squarefree f by Trager's descent."""
+    from scheme_explorer.arith import _trager_squarefree
+
+    return sorted(_trager_squarefree(K.dense_monic(f), K), key=lambda g: (up_deg(g), g))
+
+
+@pytest.fixture
+def split_prime_calls(monkeypatch):
+    """Counts of the norms, Yun runs, lifts and recombinations that factoring
+    over a number field makes."""
+    from scheme_explorer import arith
+
+    seen = {"norm": 0, "yun": 0, "lift": 0, "recombine": 0}
+    for name, key in (("_norm_to_base", "norm"), ("_yun", "yun"),
+                      ("_lift_factorization", "lift"), ("_recombine", "recombine")):
+        def counted(*args, real=getattr(arith, name), key=key):
+            seen[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(arith, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("name", list(_QUADRATIC_FIELDS))
+def test_split_prime_factors_match_trager_on_seeded_squarefree_inputs(name, split_prime_calls):
+    """40 seeded squarefree products of 1 to 4 factors per field, 200 in
+    all, with the same factors as Trager's norm descent; factoring them
+    takes no norm."""
+    K = _quadratic(name)
+    rng = random.Random(f"split {name}")
+    inputs = []
+    while len(inputs) < 40:
+        f = _product(K, [_monic_factor(K, rng) for _ in range(rng.randint(1, 4))])
+        if up_deg(K.dense_gcd(f, K.dense_deriv(f))) == 0:
+            inputs.append(K.dense_scale(f, up_norm(QQ, (Fraction(rng.randint(1, 5)),))))
+    factored = [factor_dense(f, K) for f in inputs]
+    assert split_prime_calls["norm"] == 0
+    for f, (unit, fac) in zip(inputs, factored):
+        assert unit == f[-1] and all(m == 1 for _, m in fac)
+        assert [g for g, _ in fac] == _ref_factors(K, f), f
+
+
+@pytest.mark.parametrize("name", list(_QUADRATIC_FIELDS))
+def test_the_lifting_modulus_passes_the_bound_in_each_complex_embedding(name, monkeypatch):
+    """p^K > 4*d^2*B^2 for B = 2^n * ||s(den*g)||_2, the largest in the two
+    complex embeddings s (floats, 1e-9 relative slack), and d the root of
+    the largest square dividing the discriminant of beta."""
+    from scheme_explorer import arith
+
+    K = _quadratic(name)
+    moduli = []
+    real = arith._lift_factorization
+
+    def recorded(p, f, leaves, final):
+        moduli.append(final)
+        return real(p, f, leaves, final)
+
+    monkeypatch.setattr(arith, "_lift_factorization", recorded)
+    r0, r1 = K._nf.red  # beta^2 = r0 + r1*beta
+    disc = r1 * r1 + 4 * r0
+    d = max(k for k in range(1, math.isqrt(abs(disc)) + 1) if disc % (k * k) == 0)
+    roots = [(r1 + sign * complex(disc) ** 0.5) / 2 for sign in (1, -1)]
+    rng = random.Random(f"bound {name}")
+    lifted = 0
+    for _ in range(12):
+        g = _product(K, [_monic_factor(K, rng) for _ in range(rng.randint(2, 4))])
+        if up_deg(K.dense_gcd(g, K.dense_deriv(g))) > 0:
+            continue
+        del moduli[:]
+        factor_dense(g, K)
+        if not moduli:
+            continue
+        flat, den = K._nf.ints(g)
+        s = K._nf.s
+        norms = [sum(abs(a + b * beta) ** 2 for a, b in zip(flat[0::s], flat[1::s]))
+                 for beta in roots]
+        bound = 4 * d * d * 4 ** up_deg(g) * max(norms)
+        assert moduli[0] > bound * (1 + 1e-9), (g, moduli[0], bound)
+        lifted += 1
+    assert lifted >= 3
+
+
+def test_hensel_lifting_stops_at_any_power_of_the_prime():
+    """The quadratic field path lifts to the least p^K past its bound, not to
+    a power p^(2^j): the factors multiply to f mod p^K and reduce to the
+    modular factors mod p."""
+    from scheme_explorer.arith import _lift_factorization
+
+    rng = random.Random(4242)
+    dom = Zmod(7)
+    for _ in range(20):
+        leaves = []
+        while len(leaves) < 3:
+            g = tuple(rng.randrange(7) for _ in range(rng.randint(1, 3))) + (1,)
+            if all(up_deg(dom.dense_gcd(g, h)) == 0 for h in leaves):
+                leaves.append(g)
+        f = (1,)
+        for g in leaves:
+            f = up_mul(ZZ, f, tuple(c + 7 * rng.randint(-3, 3) for c in g[:-1]) + (1,))
+        for k in (3, 5, 6, 11):
+            lifted = _lift_factorization(7, f, sorted(leaves), 7 ** k)
+            product = (1,)
+            for g in lifted:
+                product = up_mul(ZZ, product, g)
+            assert all((a - b) % 7 ** k == 0 for a, b in zip(product, f))
+            assert sorted(tuple(c % 7 for c in g) for g in lifted) == sorted(leaves)
+
+
+def test_inputs_whose_first_split_primes_are_all_bad(split_prime_calls):
+    """Over Q(i) the first split primes are 5, 13, 17 and 29.  Here the
+    denominator 65 makes 5 and 13 bad, and the roots i/65 and i/65 + 493,
+    493 = 17*29, meet mod the primes over 17 and 29: no squarefree
+    certificate, so Yun runs, and the split runs at a later prime."""
+    K = _quadratic("i")
+    root = up_norm(QQ, (Fraction(0), Fraction(1, 65)))
+    f = _product(K, [(K.neg(root), K.one()), (K.neg(K.add(root, K.from_int(493))), K.one())])
+    factored = factor_dense(f, K)
+    assert split_prime_calls["yun"] == 1 and split_prime_calls["norm"] == 0
+    assert factored == (K.one(), [(g, 1) for g in _ref_factors(K, f)])
+    split_prime_calls["yun"] = 0
+    factor_dense(_product(K, [(K.neg(root), K.one()), (K.from_int(3), K.one())]), K)
+    assert split_prime_calls["yun"] == 0  # 17 certifies it
+
+
+def test_an_irreducible_image_certifies_irreducibility_over_a_quadratic_field(
+        split_prime_calls):
+    """x^3 - 2 is irreducible mod the primes over 13 in Q(i) (2 is no cube
+    mod 13), so it is irreducible over Q(i) with nothing lifted."""
+    K = _quadratic("i")
+    f = (K.from_int(-2), K.zero(), K.zero(), K.one())
+    assert factor_dense(f, K) == (K.one(), [(f, 1)])
+    assert split_prime_calls["lift"] == split_prime_calls["norm"] == 0
+
+
+def test_twelve_modular_factors_over_a_quadratic_field_meet_the_budget(
+        monkeypatch, split_prime_calls):
+    """The six x^2 - (k^2 + 6409), 6409 = 13*17*29, are irreducible over
+    Q(i) and split into twelve linears mod every prime over 13, 17 and 29:
+    recombination counts 172 subsets, inside the shared budget, and a
+    budget of 171 refuses the input before trying them."""
+    from scheme_explorer import arith
+
+    K = _quadratic("i")
+    factors = [(K.from_int(-(k * k + 6409)), K.zero(), K.one()) for k in range(1, 7)]
+    f = _product(K, factors)
+    assert factor_dense(f, K) == (K.one(), [(g, 1) for g in sorted(factors)])
+    assert split_prime_calls["recombine"] == 1 and split_prime_calls["norm"] == 0
+    monkeypatch.setattr(arith, "_RECOMBINATION_BUDGET", 171)
+    with pytest.raises(BudgetExceeded):
+        factor_dense(f, K)
+    monkeypatch.setattr(arith, "_RECOMBINATION_BUDGET", 172)
+    assert len(factor_dense(f, K)[1]) == 6
+
+
+def test_a_quadratic_field_takes_no_norm_and_a_cubic_field_does(monkeypatch):
+    from scheme_explorer import arith
+
+    def refuse(*args):
+        raise AssertionError("a norm was taken")
+
+    monkeypatch.setattr(arith, "_norm_to_base", refuse)
+    for name in _QUADRATIC_FIELDS:
+        K = _quadratic(name)
+        f = (K.from_int(-2), K.zero(), K.zero(), K.zero(), K.one())
+        assert len(factor_dense(_product(K, [f, (K.gen(), K.one()), (K.gen(), K.one())]),
+                                K)[1]) >= 2
+    cbrt2 = ExtField(QQ, (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))
+    with pytest.raises(AssertionError, match="a norm was taken"):
+        factor_dense((cbrt2.from_int(-2), cbrt2.zero(), cbrt2.one()), cbrt2)
+
+
+# ---------------------------------------------------------------------------
 # Euclidean division by a monic divisor needs no inverse
 # ---------------------------------------------------------------------------
 
@@ -672,6 +880,40 @@ def test_newton_roots_match_the_roots_found_one_bit_at_a_time():
         assert _integer_root(big, ell) == integer_root_by_bits(big, ell), ell
     assert _prime_power(1000003 ** 650) == (1000003, 650)
     assert _prime_power(1000003 ** 650 + 1) is None
+
+
+def test_the_square_root_part_is_the_largest_square_divisor():
+    """Below the cube of the trial budget the cofactor of the trial
+    division is a prime, a product of two or a square; past it the answer
+    is a multiple of the root of the largest square divisor."""
+    from scheme_explorer.arith import _square_root_part
+
+    def largest(n):
+        return max(d for d in range(1, math.isqrt(n) + 1) if n % (d * d) == 0)
+
+    rng = random.Random(3131)
+    for n in list(range(1, 2000)) + [rng.randrange(1, 10 ** 6) * rng.choice((1, 4, 9, 49))
+                                     for _ in range(200)]:
+        assert _square_root_part(n) == largest(n), n
+    p, q, r = 1000003, 1000033, 1000037
+    assert _square_root_part(4 * p * q) == 2 and _square_root_part(7 * p * p) == p
+    assert _square_root_part(p * p * q * q * r) % (p * q) == 0
+
+
+def test_a_large_modulus_with_a_factor_past_37_is_no_field_without_miller_rabin(monkeypatch):
+    """10^3999 + 9 has the least prime factor 103: the sieved primes find it
+    in their first gcd block, and no witness is tried."""
+    from scheme_explorer import arith
+
+    class NoWitnesses:
+        def __iter__(self):
+            raise AssertionError("a Miller-Rabin witness was tried")
+
+    monkeypatch.setattr(arith, "_MR_WITNESSES", NoWitnesses())
+    assert (10 ** 3999 + 9) % 103 == 0
+    assert Zmod(10 ** 3999 + 9).is_field is False
+    with pytest.raises(AssertionError, match="witness"):
+        is_prime(2 ** 89 - 1)  # a prime: its test reaches the witnesses
 
 
 def test_the_least_strong_pseudoprime_to_the_primes_up_to_37_is_composite():

@@ -436,9 +436,9 @@ def _qi_product(field, shape, rng):
 
 @pytest.mark.parametrize("shape", [(1, 1, 2), (1, 1, 1, 1)])
 def test_factoring_over_qi_makes_no_per_coefficient_field_calls(shape, monkeypatch):
-    """A guard by count: Yun, the Trager gcds and shifts run on the integer
-    kernel, with no ExtField product or inverse and no extended gcd over
-    QQ."""
+    """A guard by count: Yun and the trial divisions at a split prime run
+    on the integer kernel, with no ExtField product or inverse and no
+    extended gcd over QQ."""
     field = ExtField(QQ, (1, 0, 1), var="i")
     rng = random.Random(len(shape))
     polys = [_qi_product(field, shape, rng) for _ in range(6)]
@@ -597,3 +597,52 @@ def test_threads_sharing_the_table_cache_get_the_serial_tables(monkeypatch):
     assert len(results) == 4 * 2 * len(fields)
     assert all(got == serial[key] for key, got in results)
     assert len(arith._FIELD_TABLES) == arith._TABLE_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# the lattices of a quadratic order: the residue reader of factoring over a
+# quadratic field at a split prime
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("red", [(-1, 0), (2, 0), (-3, 0), (5, 0), (1, 1), (-7, 3), (-1, -1)],
+                         ids=["i", "sqrt2", "sqrt-3", "sqrt5", "golden", "disc-19", "omega"])
+def test_the_shortest_point_of_a_class_is_the_brute_force_one(red):
+    """For split primes p and small powers P of p: the lifted root is a
+    root mod P, the reduced basis spans L = {(a, b) : a + b*rho = 0 mod P}
+    and is Lagrange-Gauss reduced, and ``shortest`` is the brute-force
+    least point of every class whose least T2 is below a quarter of the
+    least T2 on L minus 0.  Over Z[omega], omega^2 = -1 - omega, L is a
+    hexagonal lattice, where Babai's rounding alone misses some of them."""
+    from scheme_explorer.kernels import _QuadraticOrder
+
+    order = _QuadraticOrder(red)
+    r0, r1 = red
+    checked = 0
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        root = order.root(p)
+        if root is None:
+            continue
+        for P in (p, p * p, p ** 3):
+            if P > 150:
+                break
+            rho = order.lift_root(root, p, P)
+            assert (rho * rho - r1 * rho - r0) % P == 0 and rho % p == root
+            (u0, u1), (v0, v1) = basis = order.reduced_basis(P, rho)
+            assert abs(u0 * v1 - u1 * v0) == P
+            assert (u0 + u1 * rho) % P == (v0 + v1 * rho) % P == 0
+            assert order.dot(basis[0], basis[0]) <= order.dot(basis[1], basis[1])
+            assert 2 * abs(order.dot(*basis)) <= order.dot(basis[0], basis[0])
+            least = {}
+            for a in range(-2 * P, 2 * P + 1):
+                for b in range(-2 * P, 2 * P + 1):
+                    size = order.dot((a, b), (a, b))
+                    key = (a + b * rho) % P
+                    if (a, b) != (0, 0) and (key not in least or size < least[key][0]):
+                        least[key] = (size, [a, b])
+            shortest_nonzero = least[0][0]
+            for r in range(P):
+                size, point = least[r] if r else (0, [0, 0])
+                if 4 * size < shortest_nonzero:
+                    assert order.shortest(r, basis) == point, (p, P, r)
+                    checked += 1
+    assert checked > 20

@@ -150,6 +150,28 @@ def test_describing_zzt_builds_no_poly_and_no_number_field(monkeypatch):
     assert built == []
 
 
+def test_printing_embedded_points_builds_no_residue_field(monkeypatch):
+    """The points of ZZ[T] x GF(2)[X] print the residue-field text of their
+    inner points; a residue field is built only when one is asked for."""
+    built = []
+    ext_init = arith.ExtField.__init__
+
+    def counting_ext_init(self, base, *args, **kwargs):
+        built.append(base)
+        ext_init(self, base, *args, **kwargs)
+
+    monkeypatch.setattr(arith.ExtField, "__init__", counting_ext_init)
+    product = sp.SpecCatalogue.product(catalogue("ZZ[T]"), catalogue("GF(2)[X]"))
+    points = sp.enumerate_points(product, 2)
+    records = [pt.as_record() for pt in points] + [repr(pt) for pt in points]
+    assert built == []
+    quadratic = next(pt for pt in points if pt.label == "left:y_(eta,T^2 + 1)")
+    assert quadratic.as_record()["residue_field"] == "QQ[t]/(t^2 + 1)"
+    assert repr(quadratic.residue) == "QQ[t]/(t^2 + 1)" and built == [QQ]
+    assert quadratic.residue is quadratic.description[2].residue
+    assert records == [pt.as_record() for pt in points] + [repr(pt) for pt in points]
+
+
 # ---------------------------------------------------------------------------
 # equality: the same key on the same ring
 # ---------------------------------------------------------------------------
