@@ -41,14 +41,22 @@ monic over QQ.
 Normal forms keep their remainder sorted and merge in each reducer's
 shifted tail, so no step re-sorts. Everything works on packed terms
 (``multipoly``): a divisibility test, an lcm and a coprimality test are a
-few integer operations, and no intermediate polynomial is decoded. The
-engine produces the unique reduced basis for the ring's term order, so
-normal forms decide equality in the quotient; the tests check the bases
-against Buchberger's criterion, reducing the S-pairs that the
-Gebauer–Möller update keeps. Ideal arithmetic over a non-field base is
-deliberately restricted: over ZZ only the moves the workbench can certify
-are offered, and everything else raises rather than silently answering
-over QQ.
+few integer operations, and no intermediate polynomial is decoded. Which
+leading monomial divides a term is asked once per monomial, not once per
+term: a first-divisor memo (``_Divisors``) keeps, for each monomial met,
+the first element in ratio order whose leading monomial divides it, and
+an element added later replaces only the entries it divides with a
+smaller ratio. A run keeps one for its regular reductions and one for its
+final inter-reduction, a ``GroebnerBasis`` one for its lifetime. A term
+is reduced when that element lies below the term's bound; it is then the
+element that a scan of the usable reducers picks, so every remainder is
+the scan's. The engine produces the unique reduced basis for the ring's
+term order, so normal forms decide equality in the quotient; the tests
+check the bases against Buchberger's criterion, reducing the S-pairs that
+the Gebauer–Möller update keeps. Ideal arithmetic over a non-field base
+is deliberately restricted: over ZZ only the moves the workbench can
+certify are offered, and everything else raises rather than silently
+answering over QQ.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 
 from .arith import QQ, ZZ, Domain, Zmod, factor_dense, poly_to_dense, prime_factors, up_deg
@@ -86,44 +94,92 @@ from .sheaf import LocalizedFiniteRing
 # Gröbner bases
 # ---------------------------------------------------------------------------
 
-def normal_form_list(f: Poly, basis):
+def normal_form_list(f: Poly, basis, divisors=None):
     """Fully reduce f against a list of polynomials (``_reduced``, every
     reducer usable on every term).
 
-    The leading coefficients must be units, except over ZZ, where the
-    result is then a nonzero integer multiple of the normal form over QQ, a
-    positive one when every leading coefficient is positive.
+    ``divisors`` is a first-divisor memo (``_Divisors``) that the caller
+    keeps across calls, made over a list of reducers whose first len(basis)
+    are those of ``basis``; without it a fresh one is made. The leading
+    coefficients must be units, except over ZZ, where the result is then a
+    nonzero integer multiple of the normal form over QQ, a positive one
+    when every leading coefficient is positive.
     """
-    reducers = [g.reducer() for g in basis if not g.is_zero()]
-    return _reduced(f, reducers) if reducers else f
+    if not basis:
+        return f
+    if divisors is None:
+        divisors = _Divisors([g.reducer() for g in basis if not g.is_zero()])
+    return _reduced(f, divisors, len(basis), 0)
 
 
-def _reduced(f, reducers, ratios=None, top=0, width=0):
+_NO_DIVISOR = (math.inf, None)
+
+
+class _Divisors:
+    """A first-divisor memo over ``reducers``, ``Poly.reducer`` tuples in
+    ascending order of ``ratios`` (their positions when no ratios are
+    given): ``first`` maps each monomial met to (ratio, reducer) of the
+    first of them whose leading monomial divides it, or to
+    ``_NO_DIVISOR``.
+
+    ``_reduced`` makes an entry the first time its monomial comes up, by
+    one scan of the list. ``insert`` puts an element after those of equal
+    ratio, as ``bisect_right`` does, so it replaces an entry only when it
+    divides the monomial with a strictly smaller ratio.
+    """
+
+    __slots__ = ("ratios", "reducers", "first")
+
+    def __init__(self, reducers, ratios=None):
+        self.reducers = reducers
+        self.ratios = list(range(len(reducers))) if ratios is None else ratios
+        self.first = {}
+
+    def insert(self, ratio, reducer, guard):
+        pos = bisect_right(self.ratios, ratio)
+        self.ratios.insert(pos, ratio)
+        self.reducers.insert(pos, reducer)
+        lm, first = reducer[0], self.first
+        for m, (r, _) in first.items():  # values change, keys do not
+            if ratio < r and not (m - lm) & guard:
+                first[m] = ratio, reducer
+
+
+def _reduced(f, divisors, top, width):
     """The one remainder loop: pop the leading term of the remainder and
-    cancel it by the first of ``reducers`` (``Poly.reducer`` tuples) whose
-    leading monomial divides it (``_reduce_term``), or move it to the
-    result. The remainder stays sorted (``multipoly._sub_shifted``) and
-    packed, and nothing is re-sorted.
+    cancel it by its first divisor in ``divisors`` (``_reduce_term``) when
+    that element's ratio is below top - k*width, k = m >> shift the key of
+    the term's monomial m, or else move it to the result. The remainder
+    stays sorted (``multipoly._sub_shifted``) and packed, and nothing is
+    re-sorted.
 
-    With ``ratios``, a term whose monomial m has the key k = m >> shift may
-    use only the prefix of reducers whose ratio is below top - k*width
-    (``_regular_reduce``).
+    The memo answers each monomial once; the bound decides for each term
+    whether the answer may be used. Normal forms (``normal_form_list``)
+    pass a position in the list and width 0, regular reductions
+    (``_regular_reduce``) their signature bound. Either way the usable
+    reducers are a prefix of the list, so the first divisor is usable
+    exactly when one of them divides the term, and it is the one a scan of
+    that prefix picks.
     """
     ring = f.ring
     dom, pk = ring.domain, ring.packer
     guard, shift = pk.guard, pk.shift
+    first, ratios, reducers = divisors.first, divisors.ratios, divisors.reducers
     rem = _ascending(f)
     mons, coeffs = rem
     om, oc = [], []
-    usable = reducers
     while mons:
         m, c = mons.pop(), coeffs.pop()
-        if ratios is not None:
-            usable = reducers[:bisect_left(ratios, top - (m >> shift) * width)]
-        for red in usable:
-            if not (m - red[0]) & guard:
-                _reduce_term(rem, oc, m, c, red, dom, pk)
-                break
+        hit = first.get(m)
+        if hit is None:
+            hit = _NO_DIVISOR
+            for k, red in enumerate(reducers):
+                if not (m - red[0]) & guard:
+                    hit = ratios[k], red
+                    break
+            first[m] = hit
+        if hit[0] < top - (m >> shift) * width:
+            _reduce_term(rem, oc, m, c, hit[1], dom, pk)
         else:
             om.append(m)
             oc.append(c)
@@ -153,7 +209,7 @@ def _reduce_term(rem, kept, m, c, reducer, dom, pk):
     _sub_shifted(rem, zip(*tail), m - gm, c, dom, pk)
 
 
-def _regular_reduce(f, skey, sidx, ratios, reducers, width):
+def _regular_reduce(f, skey, sidx, ratios, reducers, width, divisors=None):
     """Reduce f, whose signature has the key ``skey`` and the index
     ``sidx``, by multiples x^u*g of smaller signature only; the remainder
     keeps the signature of f.
@@ -162,11 +218,16 @@ def _regular_reduce(f, skey, sidx, ratios, reducers, width):
     ascending order of ``ratios``: (signature key - leading key) * width +
     index, with ``width`` above every index. x^u*g has the signature key of
     the term it reduces plus the ratio of g, so the regular reducers of a
-    term of key k are the prefix of ratio below (skey - k) * width + sidx.
+    term of key k are the prefix of ratio below (skey - k) * width + sidx,
+    and its first divisor (``_Divisors``) reduces it only when that ratio
+    is below the bound. A Gröbner run passes the memo it keeps over
+    ``reducers`` as ``divisors``; without it a fresh one is made.
     """
     if not reducers:
         return f
-    return _reduced(f, reducers, ratios, skey * width + sidx, width)
+    if divisors is None:
+        divisors = _Divisors(reducers, ratios)
+    return _reduced(f, divisors, skey * width + sidx, width)
 
 
 def groebner_basis(gens, ring=None):
@@ -197,6 +258,7 @@ def groebner_basis(gens, ring=None):
     # index and monomial, and ratio
     polys, els = [], []
     ratios, reducers = [], []  # ascending ratio, for ``_regular_reduce``
+    divisors = _Divisors(reducers, ratios)  # its first-divisor memo
     by_index = [[] for _ in gens]  # (element, signature monomial) per index
     syz = [[] for _ in gens]  # minimal syzygy signature monomials per index
     # a pair is (signature monomial, index, 1 for the generator itself or
@@ -214,7 +276,7 @@ def groebner_basis(gens, ring=None):
             continue
         else:
             f = _shifted(polys[-src], t, one)
-        h = _regular_reduce(f, sig >> shift, i, ratios, reducers, width)
+        h = _regular_reduce(f, sig >> shift, i, ratios, reducers, width, divisors)
         if h.is_zero():
             syz[i] = [z for z in syz[i] if (z - sig) & guard] + [sig]
             continue
@@ -244,9 +306,7 @@ def groebner_basis(gens, ring=None):
         polys.append(h)
         els.append((lm, i, sig, rat))
         by_index[i].append((n, sig))
-        pos = bisect_right(ratios, rat)
-        ratios.insert(pos, rat)
-        reducers.insert(pos, h.reducer())
+        divisors.insert(rat, h.reducer(), guard)
         for e, (src, idx, ls, s) in new:
             # e is the lcm's exponents: the criteria read only the low
             # ``shift`` bits of sm, which do not depend on the keys
@@ -260,13 +320,17 @@ def groebner_basis(gens, ring=None):
             t = keyed(e) - ls
             heapq.heappush(pairs, (t + s, idx, -src, t))
     # a minimal basis: no leading monomial divides another, or equals an
-    # earlier one; reducing each element by the others reduces its tail
+    # earlier one; reducing each element by the others reduces its tail.
+    # Every term of that remainder is at most lm(g), so only the elements
+    # before g, of smaller leading monomial, divide one; the memo's hit on g
+    # itself, at lm(g), lies past that prefix and keeps the term
     minimal = []
     for g in sorted(polys, key=lambda g: g.packed()[0][0]):
         m = g.packed()[0][0]
         if not any(not (m - h.packed()[0][0]) & guard for h in minimal):
             minimal.append(g)
-    basis = [normal_form_list(g, minimal[:k] + minimal[k + 1:]) for k, g in enumerate(minimal)]
+    divisors = _Divisors([g.reducer() for g in minimal])
+    basis = [normal_form_list(g, minimal[:k], divisors) for k, g in enumerate(minimal)]
     if work is not ring:
         basis = [_monic_over_qq(g, ring) for g in basis]
     return basis
@@ -294,9 +358,12 @@ class GroebnerBasis:
     def __init__(self, ring, polys):
         self.ring = ring
         self.polys = list(polys)
+        self._divisors = None  # the first-divisor memo of every normal form
 
     def normal_form(self, f):
-        return normal_form_list(f, self.polys)
+        if self._divisors is None:
+            self._divisors = _Divisors([g.reducer() for g in self.polys if not g.is_zero()])
+        return normal_form_list(f, self.polys, self._divisors)
 
     def contains(self, f):
         return self.normal_form(f).is_zero()

@@ -15,7 +15,9 @@ oracle; the trial division by every odd divisor that preceded the sieved
 gcd blocks of ``arith.prime_factors``, kept as their oracle; and
 ``verify_basis`` with ``gm_update`` and ``s_polynomial``, the
 Buchberger-criterion check of a Gröbner basis, kept as the oracle of the
-engine's bases."""
+engine's bases; and ``scan_reduced``, the remainder loop that scanned the
+reducers for every term before ``algebra._Divisors`` kept each monomial's
+first divisor, kept as the oracle of its remainders."""
 
 import heapq
 import itertools
@@ -29,6 +31,7 @@ from scheme_explorer.errors import BudgetExceeded, ExponentOverflow
 from scheme_explorer.multipoly import (
     LEX,
     BlockOrder,
+    Poly,
     PolyRing,
     _ascending,
     _from_ascending,
@@ -408,6 +411,32 @@ def prime_factors_by_division(n):
                 f"up to {arith._FACTOR_TRIAL_BUDGET} and is no prime power")
         out.append(root)
     return out
+
+
+def scan_reduced(f, reducers, ratios=None, top=0, width=0):
+    """``algebra._reduced`` as it was before the first-divisor memo: for
+    each popped term, cancel it by the first of ``reducers`` whose leading
+    monomial divides it, scanning the list. With ``ratios``, a term of key
+    k = m >> shift may use only the prefix of ratio below top - k*width."""
+    ring = f.ring
+    dom, pk = ring.domain, ring.packer
+    guard, shift = pk.guard, pk.shift
+    rem = _ascending(f)
+    mons, coeffs = rem
+    om, oc = [], []
+    usable = reducers
+    while mons:
+        m, c = mons.pop(), coeffs.pop()
+        if ratios is not None:
+            usable = reducers[:bisect_left(ratios, top - (m >> shift) * width)]
+        for red in usable:
+            if not (m - red[0]) & guard:
+                algebra._reduce_term(rem, oc, m, c, red, dom, pk)
+                break
+        else:
+            om.append(m)
+            oc.append(c)
+    return Poly(ring, (tuple(om), tuple(oc)))
 
 
 def s_polynomial(gi, gj, lcm):
