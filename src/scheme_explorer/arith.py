@@ -13,11 +13,11 @@ equality.  Supported domains:
     FracField(k, S) rational function field k(S)
 
 Univariate polynomials at this level are dense coefficient tuples, low degree
-first, with no trailing zeros.  Their arithmetic is the Domain's ``dense_*``
-methods (add, sub, scale, monic, derivative, product, division with
-remainder, product mod m, gcd), which callers use directly.  The defaults
-are loops with one domain call per coefficient, and the domains override
-them with the kernels of ``kernels``:
+first, with no trailing zeros.  Their arithmetic and printing are the
+Domain's ``dense_*`` methods (add, sub, scale, monic, derivative, product,
+division with remainder, product mod m, gcd, text), which callers use
+directly.  The defaults are loops with one domain call per coefficient, and
+the domains override them with the kernels of ``kernels``:
 
     * Zmod(n), prime or composite n: ints with one reduction per output
       coefficient, products by Kronecker substitution, no inverse for a
@@ -31,6 +31,9 @@ them with the kernels of ``kernels``:
       with lc > 0 by the primitive remainder sequence;
     * QQ: products and divisions on integer numerators over one common
       denominator, one Fraction per output coefficient;
+    * ZZ, Zmod(n) and QQ: text, each coefficient printed by ``str``; over QQ
+      the monic associate printed from the coefficients, c/lc in lowest
+      terms by one gcd of ints;
     * ExtField over QQ, any monic modulus: products, divisions, monic forms
       and gcds (a primitive pseudo-remainder sequence) on integer
       coefficient matrices over one denominator, and element inverses by
@@ -303,7 +306,9 @@ class Domain:
     A subclass defines ``from_int``, ``add``, ``neg`` and ``mul``; a finite
     one also defines ``elements``, which gives it ``order``, ``inv`` and
     ``domain_units`` (lookups in a table of units that the first ``inv``
-    builds from power orbits, see ``_unit_table``).
+    builds from power orbits, see ``_unit_table``).  The ``dense_*``
+    methods, ``dense_add`` to ``dense_gcd`` and ``dense_text``, are generic
+    loops that the domains with kernels override.
     """
 
     is_field = False
@@ -441,6 +446,19 @@ class Domain:
             a, b = b, self.dense_divmod(a, b)[1]
         return self.dense_monic(a)
 
+    def dense_text(self, a, var):
+        """a in ``var``, c*var^k terms joined by " + ": "0" for (), "" for zeros."""
+        parts = []
+        for k in range(len(a) - 1, -1, -1):
+            if not self.is_zero(a[k]):
+                cs = self.format(a[k])
+                cs = f"({cs})" if " + " in cs else cs
+                if k:
+                    mono = var if k == 1 else f"{var}^{k}"
+                    cs = mono if cs == "1" else f"{cs}*{mono}"
+                parts.append(cs)
+        return " + ".join(parts) if a else "0"
+
 
 def _unit_table(dom):
     """{unit: inverse} for a finite domain, one power orbit at a time.
@@ -491,6 +509,25 @@ class _NumberDense:
 
     def dense_deriv(self, a):
         return _trimmed([a[i] * i for i in range(1, len(a))])
+
+    def dense_text(self, a, var, lc=1):
+        """``Domain.dense_text`` of a/lc by str; for lc != 1 (over QQ) each
+        c/lc in lowest terms by one gcd of ints, with no Fraction made."""
+        plain, n, d = lc == 1, lc.numerator, lc.denominator
+        parts = []
+        for k in range(len(a) - 1, -1, -1):
+            if c := a[k]:
+                if plain:
+                    cs = str(c)
+                else:
+                    num, den = c.numerator * d, c.denominator * n
+                    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+                    cs = str(num // g) if den == g else f"{num // g}/{den // g}"
+                if k:
+                    mono = var if k == 1 else f"{var}^{k}"
+                    cs = mono if cs == "1" else f"{cs}*{mono}"
+                parts.append(cs)
+        return " + ".join(parts) if a else "0"
 
 
 class IntegerRing(_NumberDense, Domain):
@@ -731,6 +768,8 @@ class Zmod(Domain):
     def dense_deriv(self, a):
         n = self.n
         return _trimmed([a[i] * i % n for i in range(1, len(a))])
+
+    dense_text = _NumberDense.dense_text
 
     def dense_mul(self, a, b):
         if not a or not b:
@@ -1128,7 +1167,7 @@ class ExtField(Domain):
         return self.from_base(self.base.coerce(other, a))
 
     def format(self, a):
-        return _dense_str(self.base, a, self.var)
+        return self.base.dense_text(a, self.var)
 
     def __eq__(self, other):
         return (
@@ -1212,10 +1251,10 @@ class FracField(Domain):
 
     def format(self, a):
         num, den = a
-        ns = _dense_str(self.base, num, self.var)
+        ns = self.base.dense_text(num, self.var)
         if den == (self.base.one(),):
             return ns
-        ds = _dense_str(self.base, den, self.var)
+        ds = self.base.dense_text(den, self.var)
         return f"({ns})/({ds})"
 
     def __eq__(self, other):
@@ -1233,33 +1272,17 @@ class FracField(Domain):
 
 
 def ext_field_text(base, modulus, var):
-    """The printed form of the field base[var]/(modulus), modulus monic and
-    nonconstant, GF(q,modulus) over a prime field: ``ExtField.__repr__``, and
-    the residue fields that ``spectrum`` prints without building them."""
-    mod = _dense_str(base, modulus, var)
+    """The printed form of the field base[var]/(m), m the monic associate
+    of ``modulus`` (nonconstant, lc a unit), GF(q,m) over a prime field:
+    ``ExtField.__repr__``, and the residue fields that ``spectrum`` prints
+    without building them.  Over QQ, m is printed straight from modulus."""
+    if isinstance(base, RationalField):
+        mod = base.dense_text(modulus, var, modulus[-1])
+    else:
+        mod = base.dense_text(base.dense_monic(modulus), var)
     if isinstance(base, Zmod) and base.is_field:
         return f"GF({base.n ** (len(modulus) - 1)},{mod})"
     return f"{base}[{var}]/({mod})"
-
-
-def _dense_str(dom, coeffs, var):
-    if not coeffs:
-        return "0"
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if dom.is_zero(c):
-            continue
-        cs = dom.format(c)
-        if " + " in cs:
-            cs = f"({cs})"
-        if i == 0:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(var + (f"^{i}" if i > 1 else ""))
-        else:
-            parts.append(f"{cs}*{var}" + (f"^{i}" if i > 1 else ""))
-    return " + ".join(parts)
 
 
 ZZ = IntegerRing()

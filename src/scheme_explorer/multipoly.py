@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, mul, or_
 
-from .arith import QQ, ZZ, Domain, IntegerRing, Zmod, dense_to_poly, poly_to_dense
+from .arith import QQ, ZZ, Domain, IntegerRing, RationalField, Zmod, dense_to_poly, poly_to_dense
 from .errors import ExponentOverflow, InvalidArgument, NotHomogeneous, ZeroPolynomial
 
 
@@ -601,36 +601,54 @@ class Poly:
 def format_terms(names, dom, terms):
     """The printed form of a polynomial from its (exps tuple, coeff) terms,
     leading term first, coefficients nonzero in ``dom``: the one printer of
-    ``Poly.__str__`` and of the point labels of ``spectrum``."""
-    if not terms:
-        return "0"
+    ``Poly.__str__`` and, through ``format_dense``, of the point labels of
+    ``spectrum``.  Over ZZ, ZZ/n and QQ each coefficient is printed by str,
+    its sign read from the text; elsewhere by ``dom.format``, a compound
+    coefficient put in parentheses."""
+    number = isinstance(dom, _NUMBER_DOMAINS)
     parts = []
     for e, c in terms:
-        mono = "*".join([
-            f"{names[i]}^{k}" if k > 1 else names[i]
-            for i, k in enumerate(e)
-            if k
-        ])
-        cs = dom.format(c)
-        neg = cs.startswith("-")
-        body = cs[1:] if neg else cs
-        if mono:
-            if body == "1":
-                text = mono
-            else:
-                body = body if _atomic_coeff(body) else f"({body})"
-                text = f"{body}*{mono}"
-        else:
-            text = body if _atomic_coeff(body) else f"({body})"
-        if not parts:
-            parts.append(f"-{text}" if neg else text)
-        else:
-            parts.append(f"- {text}" if neg else f"+ {text}")
+        mono = "*".join([f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k])
+        cs, sign = str(c) if number else dom.format(c), "+ "
+        if cs[0] == "-":
+            cs, sign = cs[1:], "- "
+        if not number and ("+" in cs or "-" in cs or " " in cs):
+            cs = f"({cs})"
+        parts.append(sign + (cs if not mono else mono if cs == "1" else f"{cs}*{mono}"))
+    return _signed_join(parts)
+
+
+def format_dense(var, dom, coeffs):
+    """``format_terms`` of sum(coeffs[k] * var^k), from the dense
+    coefficients, low degree first; over ZZ, ZZ/n and QQ with no term
+    tuples."""
+    if not isinstance(dom, _NUMBER_DOMAINS):
+        return format_terms([var], dom, [((k,), coeffs[k]) for k in range(len(coeffs) - 1, -1, -1)
+                                         if not dom.is_zero(coeffs[k])])
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c:
+            cs, sign = str(c), "+ "
+            if cs[0] == "-":
+                cs, sign = cs[1:], "- "
+            mono = f"{var}^{k}" if k > 1 else var if k else ""
+            parts.append(sign + (cs if not mono else mono if cs == "1" else f"{cs}*{mono}"))
+    return _signed_join(parts)
+
+
+# Domains whose elements are ints or Fractions, printed by str
+_NUMBER_DOMAINS = (IntegerRing, RationalField, Zmod)
+
+
+def _signed_join(parts):
+    """Terms that each start with "+ " or "- ", joined; the first sign is
+    dropped or kept as "-"."""
+    if not parts:
+        return "0"
+    first = parts[0]
+    parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]
     return " ".join(parts)
-
-
-def _atomic_coeff(body):
-    return "+" not in body and "-" not in body and " " not in body
 
 
 # ---------------------------------------------------------------------------

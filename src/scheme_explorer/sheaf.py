@@ -32,7 +32,7 @@ import itertools
 import math
 from collections.abc import Mapping
 
-from .arith import Domain, Zmod, _dense_str, domain_units
+from .arith import Domain, Zmod, domain_units
 from .errors import (
     BudgetExceeded,
     NonInvertibleUnit,
@@ -436,7 +436,7 @@ class QuotientPolyRing(Domain):
         return tuple(prod[: self.deg])
 
     def format(self, a):
-        return _dense_str(self.k, a, self.var) or "0"
+        return self.k.dense_text(a, self.var) or "0"
 
     def __repr__(self):
         return f"{self.k}[{self.var}]/(deg {self.deg})"

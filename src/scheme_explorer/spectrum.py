@@ -45,7 +45,7 @@ from .errors import (
     Unsupported,
     UnsupportedDomain,
 )
-from .multipoly import Poly, content_primitive, exact_divide, format_terms
+from .multipoly import Poly, content_primitive, exact_divide, format_dense
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +151,8 @@ class SpecPoint:
         pt.owner, pt.label = owner, label
         pt._dense = (head, coeffs, field, var)
         pt._key = head + (text,)
-        pt.generator_texts = tuple(str(x) for x in head[1:]) + (text,)
-        pt.residue_text = repr(field) if var is None else ext_field_text(
-            field, field.dense_monic(coeffs), var)
+        pt.generator_texts = (*map(str, head[1:]), text)
+        pt.residue_text = repr(field) if var is None else ext_field_text(field, coeffs, var)
         return pt
 
     @cached_property
@@ -253,10 +252,7 @@ def _dense_text(cat, coeffs):
     """The printed form of the Poly sum(coeffs[k] * T^k) of the univariate
     ring of ``cat``, without building it."""
     ring = cat.algebra.ring
-    dom = ring.domain
-    terms = [((k,), coeffs[k]) for k in range(len(coeffs) - 1, -1, -1)
-             if not dom.is_zero(coeffs[k])]
-    return format_terms(ring.names, dom, terms)
+    return format_dense(ring.names[0], ring.domain, coeffs)
 
 
 # ---------------------------------------------------------------------------

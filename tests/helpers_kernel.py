@@ -17,7 +17,11 @@ gcd blocks of ``arith.prime_factors``, kept as their oracle; and
 Buchberger-criterion check of a Gröbner basis, kept as the oracle of the
 engine's bases; and ``scan_reduced``, the remainder loop that scanned the
 reducers for every term before ``algebra._Divisors`` kept each monomial's
-first divisor, kept as the oracle of its remainders."""
+first divisor, kept as the oracle of its remainders; and the printers
+with one ``Domain.format`` call per coefficient that preceded the number
+paths of ``multipoly.format_terms`` and ``Domain.dense_text``
+(``ref_format_terms``, ``ref_dense_str``, ``ref_ext_field_text``), kept
+as their oracles."""
 
 import heapq
 import itertools
@@ -26,7 +30,7 @@ from bisect import bisect_left
 from operator import add, itemgetter
 
 from scheme_explorer import algebra, arith
-from scheme_explorer.arith import QQ, ZZ, Domain, up_ext_gcd
+from scheme_explorer.arith import QQ, ZZ, Domain, Zmod, up_ext_gcd
 from scheme_explorer.errors import BudgetExceeded, ExponentOverflow
 from scheme_explorer.multipoly import (
     LEX,
@@ -526,3 +530,65 @@ def verify_basis(gb):
         if not algebra.normal_form_list(s, polys).is_zero():
             return False
     return True
+
+
+def ref_format_terms(names, dom, terms):
+    """The printed form of a polynomial from its (exps tuple, coeff) terms,
+    one ``dom.format`` call per coefficient."""
+    if not terms:
+        return "0"
+    parts = []
+    for e, c in terms:
+        mono = "*".join([
+            f"{names[i]}^{k}" if k > 1 else names[i]
+            for i, k in enumerate(e)
+            if k
+        ])
+        cs = dom.format(c)
+        neg = cs.startswith("-")
+        body = cs[1:] if neg else cs
+        atomic = "+" not in body and "-" not in body and " " not in body
+        if mono:
+            if body == "1":
+                text = mono
+            else:
+                body = body if atomic else f"({body})"
+                text = f"{body}*{mono}"
+        else:
+            text = body if atomic else f"({body})"
+        if not parts:
+            parts.append(f"-{text}" if neg else text)
+        else:
+            parts.append(f"- {text}" if neg else f"+ {text}")
+    return " ".join(parts)
+
+
+def ref_dense_str(dom, coeffs, var):
+    """The printed form of a dense polynomial, one ``dom.is_zero`` and one
+    ``dom.format`` call per coefficient."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if dom.is_zero(c):
+            continue
+        cs = dom.format(c)
+        if " + " in cs:
+            cs = f"({cs})"
+        if i == 0:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(var + (f"^{i}" if i > 1 else ""))
+        else:
+            parts.append(f"{cs}*{var}" + (f"^{i}" if i > 1 else ""))
+    return " + ".join(parts)
+
+
+def ref_ext_field_text(base, modulus, var):
+    """The printed form of base[var]/(modulus) for a monic modulus, through
+    ``ref_dense_str``."""
+    mod = ref_dense_str(base, modulus, var)
+    if isinstance(base, Zmod) and base.is_field:
+        return f"GF({base.n ** (len(modulus) - 1)},{mod})"
+    return f"{base}[{var}]/({mod})"

@@ -128,3 +128,41 @@ def test_cli_computes_no_map_coordinates():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("mul", "sub")]
     assert calls == []
+
+
+_PRINTER_WORDS = ("str", "text", "format", "print", "join")
+
+
+def _private_printer_uses(tree):
+    """Line numbers where a module reaches a private printer of a sibling
+    module: a name that starts with "_" and contains one of _PRINTER_WORDS,
+    imported with ``from .mod import`` or read as ``mod._name`` from a
+    module imported with ``from . import``."""
+    siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level and not node.module
+                for alias in node.names}
+
+    def printer(name):
+        return name.startswith("_") and not name.startswith("__") and any(
+            word in name for word in _PRINTER_WORDS)
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            and any(printer(alias.name) for alias in node.names)
+            or isinstance(node, ast.Attribute) and printer(node.attr)
+            and isinstance(node.value, ast.Name) and node.value.id in siblings]
+
+
+def test_no_module_imports_a_private_printer():
+    """Modules print each other's objects through public printers
+    (``format_terms``, ``format_dense``, ``ext_field_text``, a domain's
+    ``format`` and ``dense_text``): ``sheaf.QuotientPolyRing.format``
+    reaches the dense printer through its coefficient ring's
+    ``dense_text``, not by importing ``arith``'s private one."""
+    assert _private_printer_uses(ast.parse("from .arith import Domain, _dense_str")) == [1]
+    assert _private_printer_uses(ast.parse("from . import arith\narith._dense_join([], 't')")) == [2]
+    uses = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses += [f"{path.name}:{line}" for line in _private_printer_uses(tree)]
+    assert uses == []
