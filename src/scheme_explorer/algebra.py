@@ -39,9 +39,11 @@ inter-reduction also runs on integers; only then is the reduced basis made
 monic over QQ.
 
 Normal forms keep their remainder sorted and merge in each reducer's
-shifted tail, so no step re-sorts. Everything works on packed terms
-(``multipoly``): a divisibility test, an lcm and a coprimality test are a
-few integer operations, and no intermediate polynomial is decoded. Which
+shifted tail through ``multipoly._sub_shifted``, so no step re-sorts;
+over ZZ and ZZ/n a remainder holds unreduced ints, each reduced when its
+term is popped. Everything works on packed terms (``multipoly``): a
+divisibility test, an lcm and a coprimality test are a few integer
+operations, and no intermediate polynomial is decoded. Which
 leading monomial divides a term is asked once per monomial, not once per
 term: a first-divisor memo (``_Divisors``) keeps, for each monomial met,
 the first element in ratio order whose leading monomial divides it, and
@@ -83,6 +85,7 @@ from .multipoly import (
     Poly,
     PolyRing,
     _ascending,
+    _int_modulus,
     _shifted,
     _sub_shifted,
     content_primitive,
@@ -147,11 +150,16 @@ class _Divisors:
 
 def _reduced(f, divisors, top, width):
     """The one remainder loop: pop the leading term of the remainder and
-    cancel it by its first divisor in ``divisors`` (``_reduce_term``) when
-    that element's ratio is below top - k*width, k = m >> shift the key of
-    the term's monomial m, or else move it to the result. The remainder
-    stays sorted (``multipoly._sub_shifted``) and packed, and nothing is
-    re-sorted.
+    cancel it by its first divisor in ``divisors`` when that element's
+    ratio is below top - k*width, k = m >> shift the key of the term's
+    monomial m, or else move it to the result. Over ZZ and ZZ/n the
+    remainder is lazy (``multipoly._sub_shifted``): a popped coefficient is
+    reduced here, and skipped if it is zero.
+
+    A step is rem <- a*rem - b*x^u*g with a*c = b*gc, for the popped term
+    c*x^u*lm(g) and the reducer g of leading coefficient gc: over a field
+    a = 1 and b = c/gc; over ZZ, a and b are gc and c over their gcd, and
+    an a other than 1 also scales the terms moved to the result so far.
 
     The memo answers each monomial once; the bound decides for each term
     whether the answer may be used. Normal forms (``normal_form_list``)
@@ -163,6 +171,7 @@ def _reduced(f, divisors, top, width):
     """
     ring = f.ring
     dom, pk = ring.domain, ring.packer
+    n = _int_modulus(dom)
     guard, shift = pk.guard, pk.shift
     first, ratios, reducers = divisors.first, divisors.ratios, divisors.reducers
     rem = _ascending(f)
@@ -170,6 +179,11 @@ def _reduced(f, divisors, top, width):
     om, oc = [], []
     while mons:
         m, c = mons.pop(), coeffs.pop()
+        if n is not None:
+            if n:
+                c %= n
+            if not c:
+                continue
         hit = first.get(m)
         if hit is None:
             hit = _NO_DIVISOR
@@ -179,34 +193,21 @@ def _reduced(f, divisors, top, width):
                     break
             first[m] = hit
         if hit[0] < top - (m >> shift) * width:
-            _reduce_term(rem, oc, m, c, hit[1], dom, pk)
+            gm, gc, tail = hit[1]
+            if not dom.is_one(gc):
+                if n == 0:  # over ZZ, fraction-free
+                    d = math.gcd(c, gc)
+                    a, c = gc // d, c // d
+                    if a != 1:
+                        coeffs[:] = [a * v for v in coeffs]
+                        oc[:] = [a * v for v in oc]
+                else:
+                    c = dom.div(c, gc)
+            _sub_shifted(rem, tail, m - gm, c, dom, pk, n)
         else:
             om.append(m)
             oc.append(c)
     return Poly(ring, (tuple(om), tuple(oc)))
-
-
-def _reduce_term(rem, kept, m, c, reducer, dom, pk):
-    """One reduction step, rem <- a*rem - b*x^u*g with a*c = b*gc: it
-    cancels the term c*x^u*lm(g), of monomial m, just popped from ``rem``,
-    by g, given as its ``Poly.reducer``, of leading coefficient gc.
-
-    Over a field a = 1 and b = c/gc, so a monic g needs b = c alone. Over
-    ZZ, a and b are gc and c divided by their gcd, and an a other than 1
-    also scales ``kept``, the coefficients of the terms taken out of the
-    remainder so far.
-    """
-    gm, gc, tail = reducer
-    if not dom.is_one(gc):
-        if dom != ZZ:
-            c = dom.div(c, gc)
-        else:
-            d = math.gcd(c, gc)
-            a, c = gc // d, c // d
-            if a != 1:
-                rem[1][:] = [a * v for v in rem[1]]
-                kept[:] = [a * v for v in kept]
-    _sub_shifted(rem, zip(*tail), m - gm, c, dom, pk)
 
 
 def _regular_reduce(f, skey, sidx, ratios, reducers, width, divisors=None):
@@ -266,16 +267,24 @@ def groebner_basis(gens, ring=None):
     # pairs of one signature the one from the later element comes first
     pairs = [(g.packed()[0][0], i, 1, 0) for i, g in enumerate(gens)]
     heapq.heapify(pairs)
-    while pairs:
-        sig, i, src, t = heapq.heappop(pairs)
-        if any(not (sig - z) & guard for z in syz[i]):
-            continue
-        if src > 0:
-            f = gens[i]
-        elif any(l > -src and not (sig - s) & guard for l, s in by_index[i]):
-            continue
-        else:
-            f = _shifted(polys[-src], t, one)
+
+    def survivors():
+        # the pairs in increasing signature that neither criterion drops,
+        # tested against the syzygies and elements of the moment
+        while pairs:
+            sig, i, src, t = heapq.heappop(pairs)
+            for z in syz[i]:
+                if not (sig - z) & guard:
+                    break
+            else:
+                for l, s in by_index[i] if src < 0 else ():
+                    if l > -src and not (sig - s) & guard:
+                        break
+                else:
+                    yield sig, i, src, t
+
+    for sig, i, src, t in survivors():
+        f = gens[i] if src > 0 else _shifted(polys[-src], t, one)
         h = _regular_reduce(f, sig >> shift, i, ratios, reducers, width, divisors)
         if h.is_zero():
             syz[i] = [z for z in syz[i] if (z - sig) & guard] + [sig]
@@ -298,8 +307,12 @@ def groebner_basis(gens, ring=None):
             else:
                 z, source = lm + sj, (j, ij, lj, sj)
             idx = source[1]
-            if not z & guard and not any(not (z - y) & guard for y in syz[idx]):
-                syz[idx] = [y for y in syz[idx] if (y - z) & guard] + [z]
+            if not z & guard:
+                for y in syz[idx]:
+                    if not (z - y) & guard:
+                        break
+                else:
+                    syz[idx] = [y for y in syz[idx] if (y - z) & guard] + [z]
             # coprime leading monomials: that syzygy divides the J-pair
             if not coprime(lm, lj):
                 new.append((lcm_of(lm, lj), source))
@@ -313,12 +326,16 @@ def groebner_basis(gens, ring=None):
             sm = e - ls + s
             if sm & guard:
                 raise ExponentOverflow("a signature has an exponent of 2^31 or more")
-            if any(not (sm - z) & guard for z in syz[idx]):
-                continue
-            if src < n and any(l > src and not (sm - s) & guard for l, s in by_index[idx]):
-                continue
-            t = keyed(e) - ls
-            heapq.heappush(pairs, (t + s, idx, -src, t))
+            for z in syz[idx]:
+                if not (sm - z) & guard:
+                    break
+            else:
+                for l, sl in by_index[idx] if src < n else ():
+                    if l > src and not (sm - sl) & guard:
+                        break
+                else:
+                    t = keyed(e) - ls
+                    heapq.heappush(pairs, (t + s, idx, -src, t))
     # a minimal basis: no leading monomial divides another, or equals an
     # earlier one; reducing each element by the others reduces its tail.
     # Every term of that remainder is at most lm(g), so only the elements

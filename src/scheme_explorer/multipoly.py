@@ -29,6 +29,9 @@ Every sum, difference, product and quotient merges through one kernel,
 ``_sub_shifted``, which subtracts a scaled, shifted copy of a sorted term
 list from a sorted remainder; since multiplying by a monomial keeps every
 term order, nothing is re-sorted, and the binary search runs on plain ints.
+Over ZZ and ZZ/n the remainder is lazy: it holds unreduced ints, and each
+coefficient is reduced mod n, and dropped if zero, once, when its term
+leaves the remainder.
 ``Poly.packed()``, the monomials and the coefficients, is the view the
 arithmetic uses; ``Poly.terms``, the (exps tuple, coeff) pairs, is decoded
 from it on first read and cached.
@@ -330,12 +333,13 @@ class Poly:
         return self._packed
 
     def reducer(self):
-        """(leading monomial, leading coefficient, packed tail), made once
-        for every normal form it reduces."""
+        """(leading monomial, leading coefficient, tail), the tail as
+        (monomial, coefficient) pairs, made once for every normal form it
+        reduces."""
         red = self._reducer
         if red is None:
             mons, coeffs = self.packed()
-            red = self._reducer = (mons[0], coeffs[0], (mons[1:], coeffs[1:]))
+            red = self._reducer = (mons[0], coeffs[0], tuple(zip(mons[1:], coeffs[1:])))
         return red
 
     # -- basic structure ----------------------------------------------------
@@ -441,9 +445,10 @@ class Poly:
     def _sub_scaled(self, other, c):
         """self - c*other, merged by the kernel."""
         ring = self.ring
+        n = _int_modulus(ring.domain)
         rem = _ascending(self)
-        _sub_shifted(rem, zip(*other._packed), 0, c, ring.domain, ring.packer)
-        return _from_ascending(ring, rem)
+        _sub_shifted(rem, zip(*other._packed), 0, c, ring.domain, ring.packer, n)
+        return _from_ascending(ring, rem, n)
 
     def __mul__(self, other):
         """The sum of the longer factor shifted by each term of the shorter."""
@@ -459,10 +464,11 @@ class Poly:
         if len(small[0]) == 1:
             return _shifted(big, small[0][0], small[1][0])
         big = big._packed
+        n = _int_modulus(dom)
         rem = [[], []]
         for m, c in zip(*small):
-            _sub_shifted(rem, zip(*big), m, dom.neg(c), dom, ring.packer)
-        return _from_ascending(ring, rem)
+            _sub_shifted(rem, zip(*big), m, dom.neg(c), dom, ring.packer, n)
+        return _from_ascending(ring, rem, n)
 
     __rmul__ = __mul__
 
@@ -751,19 +757,22 @@ def exact_divide(f: Poly, g: Poly):
     dom = ring.domain
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    gm, gc = g._packed
-    tail = gm[1:], gc[1:]
-    gm, gc = gm[0], gc[0]
+    gm, gc, tail = g.reducer()
     pk = ring.packer
+    n = _int_modulus(dom)
     rem = _ascending(f)
     mons, coeffs = rem
     qm, qc = [], []
     while mons:
-        m = mons.pop() - gm
+        m, lc = mons.pop() - gm, coeffs.pop()
+        if n is not None:  # a lazy remainder (``_sub_shifted``)
+            if n:
+                lc %= n
+            if not lc:
+                continue
         if m & pk.guard:
             raise ValueError(f"{g} does not divide {f}")
-        lc = coeffs.pop()
-        if dom == ZZ:
+        if n == 0:
             c, r = divmod(lc, gc)
             if r:
                 raise ValueError("coefficient division is not exact")
@@ -772,7 +781,7 @@ def exact_divide(f: Poly, g: Poly):
         # quotient terms come out in descending order, like the remainder's
         qm.append(m)
         qc.append(c)
-        _sub_shifted(rem, zip(*tail), m, c, dom, pk)
+        _sub_shifted(rem, tail, m, c, dom, pk, n)
     return Poly(ring, (tuple(qm), tuple(qc)))
 
 
@@ -785,8 +794,17 @@ def _ascending(f):
     return [list(reversed(v)) for v in f._packed]
 
 
-def _from_ascending(ring, rem):
+def _from_ascending(ring, rem, n=None):
+    """The polynomial of a remainder of ``_sub_shifted``; over ZZ and ZZ/n
+    each coefficient is reduced and the zeros are dropped (``n`` as there)."""
     mons, coeffs = rem
+    if n is None:
+        n = _int_modulus(ring.domain)
+    if n:
+        coeffs = [c % n for c in coeffs]
+    if n is not None and 0 in coeffs:
+        keep = [i for i, c in enumerate(coeffs) if c]
+        mons, coeffs = [mons[i] for i in keep], [coeffs[i] for i in keep]
     return Poly(ring, (tuple(reversed(mons)), tuple(reversed(coeffs))))
 
 
@@ -817,7 +835,13 @@ def _nonzero(ring, mons, coeffs):
     return Poly(ring, (mons, coeffs))
 
 
-def _sub_shifted(rem, tail, shift, c, dom, pk):
+def _int_modulus(dom):
+    """n over ZZ/n and 0 over ZZ, whose elements are plain ints; None over
+    every other domain."""
+    return dom.n if isinstance(dom, Zmod) else 0 if isinstance(dom, IntegerRing) else None
+
+
+def _sub_shifted(rem, tail, shift, c, dom, pk, n=None):
     """rem -= c * x^shift * tail, in place and without sorting.
 
     ``rem`` is two lists, the monomials and coefficients of a remainder in
@@ -827,22 +851,30 @@ def _sub_shifted(rem, tail, shift, c, dom, pk):
     each monomial and keeps every term order: each shifted term costs one
     binary search on plain ints below the position of the previous one. A
     monomial already present is valid (``_Packer``), so only a new term is
-    checked against the guard bits. A product c * gc that is zero (ZZ/n
-    has zero divisors) adds no term, and a difference that is zero deletes
-    one.
+    checked against the guard bits.
 
-    Over ZZ and ZZ/n, whose elements are plain ints, each term is one
-    inline int update, v = old - c*gc, reduced mod n over ZZ/n; a zero v
-    deletes the term or adds none. Every other domain (``ExtField``,
-    ``FracField``, the finite rings of ``sheaf``) goes through its
-    ``Domain`` methods. Over QQ the Gröbner engine runs on integer
-    polynomials in a ZZ ring, so its reductions take the int update too:
-    a step rem <- a*rem - b*x^m*g scales rem by a itself and passes b as c.
+    Over ZZ and ZZ/n, whose elements are plain ints, the remainder is lazy:
+    it holds unreduced ints, and a term is one update coeffs[i] -= c*gc,
+    with no reduction mod n, no zero test and no deletion. A coefficient is
+    reduced, and dropped if it is zero, once, when its term leaves the
+    remainder: when ``algebra._reduced`` or ``exact_divide`` pops it, or
+    when ``_from_ascending`` freezes the remainder. A product c * gc that
+    is zero mod n (ZZ/n has zero divisors) still adds no term, so it is
+    reduced on the one path where that matters: a new term that sets a
+    guard bit raises only when its product is nonzero. ``n`` is
+    ``_int_modulus(dom)``, given by a caller that makes many calls.
+
+    Every other domain (``ExtField``, ``FracField``, the finite rings of
+    ``sheaf``) goes through its ``Domain`` methods, and its remainder holds
+    only nonzero terms: a zero product adds no term, and a difference that
+    is zero deletes one. Over QQ the Gröbner engine runs on integer
+    polynomials in a ZZ ring, so its reductions take the int update too.
     """
     mons, coeffs = rem
     guard = pk.guard
     hi = len(mons)
-    n = dom.n if isinstance(dom, Zmod) else 0 if isinstance(dom, IntegerRing) else None
+    if n is None:
+        n = _int_modulus(dom)
     if n is None:
         mul, dsub, is_zero = dom.mul, dom.sub, dom.is_zero
         for m, gc in tail:
@@ -866,20 +898,10 @@ def _sub_shifted(rem, tail, shift, c, dom, pk):
         m += shift
         i = bisect_left(mons, m, 0, hi)
         if i < hi and mons[i] == m:
-            v = coeffs[i] - c * gc
-            if n:
-                v %= n
-            if v:
-                coeffs[i] = v
-            else:
-                del mons[i], coeffs[i]
-        else:
-            v = -c * gc
-            if n:
-                v %= n
-            if v:
-                if m & guard:
-                    raise ExponentOverflow("a product has an exponent of 2^31 or more")
-                mons.insert(i, m)
-                coeffs.insert(i, v)
+            coeffs[i] -= c * gc
+        elif not m & guard:
+            mons.insert(i, m)
+            coeffs.insert(i, -c * gc)
+        elif c * gc % n if n else c * gc:
+            raise ExponentOverflow("a product has an exponent of 2^31 or more")
         hi = i

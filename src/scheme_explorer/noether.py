@@ -3,9 +3,9 @@
 ``noether_normalize`` runs the textbook recursion: pick a nonzero relation
 P, substitute Z_i = X_i + X_1^(r_i) with r_i = p^(i-1) for p exceeding every
 exponent in P, extract a monic equation for X_1, eliminate X_1, and recurse.
-Every step carries a certificate polynomial that is re-verified by exact
-substitution, and p escalates automatically if the weighted degrees of P's
-monomials collide.
+Every step carries a certificate polynomial that is verified once, by
+exact substitution, when the step is made, and p escalates automatically
+if the weighted degrees of P's monomials collide.
 
 ``is_maximal`` decides maximality of an ideal of k[X_1..X_n] through the
 finite-dimensionality of the quotient A plus a field test by linear algebra
@@ -34,8 +34,13 @@ class NormalizationStep:
         self.p = p                            # exponent base
         self.r_exponents = r_exponents        # (r_2 .. r_n) = (p, p^2, ...)
         self.certificate = certificate        # monic in X@, over Z@1..Z@n
+        self.verified = self._check()         # the one check, made here
 
     def verify(self):
+        """Whether the certificate checks, as found when the step was made."""
+        return self.verified
+
+    def _check(self):
         """Substitute Z@1 = P and Z@i = X_i + X_1^(r_i); must vanish."""
         ring = self.chosen.ring
         names = self.level_names
@@ -68,6 +73,7 @@ class NormalizationResult:
         self.trace = trace    # list of NormalizationStep
 
     def verify(self):
+        """Whether every step's certificate checked, read from the steps."""
         return all(step.verify() for step in self.trace)
 
     def as_record(self):

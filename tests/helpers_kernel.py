@@ -17,7 +17,9 @@ gcd blocks of ``arith.prime_factors``, kept as their oracle; and
 Buchberger-criterion check of a Gröbner basis, kept as the oracle of the
 engine's bases; and ``scan_reduced``, the remainder loop that scanned the
 reducers for every term before ``algebra._Divisors`` kept each monomial's
-first divisor, kept as the oracle of its remainders; and the printers
+first divisor, kept as the oracle of its remainders, with its own
+reduction step (``ref_reduce_term``) on ``generic_sub_shifted``, so it
+shares no code with the lazy kernel it checks; and the printers
 with one ``Domain.format`` call per coefficient that preceded the number
 paths of ``multipoly.format_terms`` and ``Domain.dense_text``
 (``ref_format_terms``, ``ref_dense_str``, ``ref_ext_field_text``), kept
@@ -38,7 +40,6 @@ from scheme_explorer.multipoly import (
     Poly,
     PolyRing,
     _ascending,
-    _from_ascending,
     _shifted,
 )
 
@@ -417,11 +418,32 @@ def prime_factors_by_division(n):
     return out
 
 
+def ref_reduce_term(rem, kept, m, c, reducer, dom, pk):
+    """One reduction step of ``scan_reduced`` and ``s_polynomial``, rem <-
+    a*rem - b*x^u*g with a*c = b*gc, through ``generic_sub_shifted``: it
+    cancels the term c*x^u*lm(g), of monomial m, just popped from ``rem``,
+    by g, given as its ``Poly.reducer``. Over a field a = 1 and b = c/gc;
+    over ZZ, a and b are gc and c divided by their gcd, and an a other
+    than 1 also scales ``kept``, the coefficients taken out so far."""
+    gm, gc, tail = reducer
+    if not dom.is_one(gc):
+        if dom != ZZ:
+            c = dom.div(c, gc)
+        else:
+            d = math.gcd(c, gc)
+            a, c = gc // d, c // d
+            if a != 1:
+                rem[1][:] = [a * v for v in rem[1]]
+                kept[:] = [a * v for v in kept]
+    generic_sub_shifted(rem, tail, m - gm, c, dom, pk)
+
+
 def scan_reduced(f, reducers, ratios=None, top=0, width=0):
     """``algebra._reduced`` as it was before the first-divisor memo: for
     each popped term, cancel it by the first of ``reducers`` whose leading
     monomial divides it, scanning the list. With ``ratios``, a term of key
-    k = m >> shift may use only the prefix of ratio below top - k*width."""
+    k = m >> shift may use only the prefix of ratio below top - k*width.
+    Its remainder holds reduced nonzero terms only (``ref_reduce_term``)."""
     ring = f.ring
     dom, pk = ring.domain, ring.packer
     guard, shift = pk.guard, pk.shift
@@ -435,7 +457,7 @@ def scan_reduced(f, reducers, ratios=None, top=0, width=0):
             usable = reducers[:bisect_left(ratios, top - (m >> shift) * width)]
         for red in usable:
             if not (m - red[0]) & guard:
-                algebra._reduce_term(rem, oc, m, c, red, dom, pk)
+                ref_reduce_term(rem, oc, m, c, red, dom, pk)
                 break
         else:
             om.append(m)
@@ -444,15 +466,15 @@ def scan_reduced(f, reducers, ratios=None, top=0, width=0):
 
 
 def s_polynomial(gi, gj, lcm):
-    """x^u*gi with its leading term cancelled by one ``_reduce_term`` step
-    against gj, where x^u*lm(gi) is the monomial ``lcm``: the S-polynomial
-    a*x^u*gi - b*x^v*gj, with a = b = 1 for monic gi and gj, and over ZZ a
-    and b are lc(gj) and lc(gi) divided by their gcd."""
+    """x^u*gi with its leading term cancelled by one ``ref_reduce_term``
+    step against gj, where x^u*lm(gi) is the monomial ``lcm``: the
+    S-polynomial a*x^u*gi - b*x^v*gj, with a = b = 1 for monic gi and gj,
+    and over ZZ a and b are lc(gj) and lc(gi) divided by their gcd."""
     ring = gi.ring
     rem = _ascending(_shifted(gi, lcm - gi.packed()[0][0], ring.domain.one()))
     m, c = (v.pop() for v in rem)
-    algebra._reduce_term(rem, [], m, c, gj.reducer(), ring.domain, ring.packer)
-    return _from_ascending(ring, rem)
+    ref_reduce_term(rem, [], m, c, gj.reducer(), ring.domain, ring.packer)
+    return Poly(ring, tuple(tuple(reversed(v)) for v in rem))
 
 
 def gm_update(pairs, live, lms, new, pk):

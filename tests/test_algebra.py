@@ -938,6 +938,60 @@ def test_memo_remainders_match_the_scan_term_for_term(monkeypatch, domain):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("domain", [GF(65521), Zmod(6), ZZ], ids=["GF65521", "ZZ6", "ZZ"])
+def test_lazy_remainders_match_the_scan_term_for_term(monkeypatch, domain):
+    """Over ZZ and ZZ/n the kernel leaves unreduced ints in the remainder,
+    and ``scan_reduced`` reduces after every update; normal forms and
+    regular reductions must still agree coefficient by coefficient. Each f
+    is a combination of its basis plus a few terms, so remainder entries
+    are updated many times, and some cancel to 0 mod n while they are
+    still in the remainder (counted through the kernel)."""
+    n = domain.n if isinstance(domain, Zmod) else 0
+    lazy = {"zero": 0, "unreduced": 0}
+    real = algebra._sub_shifted
+
+    def counted(rem, *args):
+        real(rem, *args)
+        lazy["zero"] += sum(1 for v in rem[1] if not (v % n if n else v))
+        lazy["unreduced"] += sum(1 for v in rem[1] if n and not 0 <= v < n)
+
+    monkeypatch.setattr(algebra, "_sub_shifted", counted)
+    rng = random.Random(f"lazy-remainders:{domain}")
+    ring = PolyRing(domain, ("x", "y", "z"))
+    pk = ring.packer
+
+    def monomial(degree):
+        e = [0, 0, 0]
+        for _ in range(degree):
+            e[rng.randrange(3)] += 1
+        return tuple(e)
+
+    def poly(degree, size, lead=None):
+        d = {monomial(rng.randrange(degree)): domain.from_int(rng.randint(-9, 9))
+             for _ in range(size)}
+        if lead is not None:
+            d[monomial(degree)] = domain.from_int(lead)
+        return ring.from_dict(d)
+
+    for _ in range(40):
+        # unit leading coefficients, but for the fraction-free steps over ZZ
+        basis = [poly(3, 5, rng.choice((1, 2, -3) if n == 0 else (1, -1)))
+                 for _ in range(rng.randint(2, 3))]
+        f = sum((poly(3, 4) * g for g in basis), poly(4, 3))
+        reducers = [g.reducer() for g in basis]
+        assert normal_form_list(f, basis).packed() == scan_reduced(f, reducers).packed()
+        # the signature bound of a regular reduction allows each reducer on
+        # the terms of small enough key only
+        width = len(basis) + 1
+        ratios = sorted(pk.key(monomial(rng.randrange(3))) * width + k
+                        for k in range(len(basis)))
+        skey = pk.key(f.leading_monomial()) + pk.key(monomial(rng.randrange(3)))
+        got = algebra._regular_reduce(f, skey, len(basis), list(ratios), list(reducers), width)
+        want = scan_reduced(f, reducers, ratios, skey * width + len(basis), width)
+        assert got.packed() == want.packed()
+    assert lazy["zero"] and (lazy["unreduced"] or not n)
+
+
 @pytest.mark.parametrize("domain", [QQ, GF(32003)], ids=["QQ", "GF32003"])
 def test_repeated_normal_forms_match_the_scan(domain):
     """A ``GroebnerBasis`` keeps one memo for its lifetime: normal forms

@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic, grading, homogenization."""
 
+import math
 import random
 
 import pytest
@@ -528,3 +529,66 @@ def test_the_int_update_refuses_an_inserted_term_past_the_exponent_width(domain)
         with pytest.raises(ExponentOverflow):
             kernel(rem, zip(*(x ** (2 ** 30)).packed()), ring.packer.pack((2 ** 30, 0)),
                    domain.one(), domain, ring.packer)
+
+
+# -- the lazy remainder over ZZ and ZZ/n ---------------------------------------
+
+def test_a_zero_product_past_the_exponent_width_adds_no_term_over_zmod6():
+    """2 * 3x^(2^31) is zero mod 6: the product of a new term that sets a
+    guard bit is reduced before it is refused, so it adds no term and
+    raises nothing, and the remainder is still y."""
+    ring = PolyRing(Zmod(6), ("x", "y"))
+    x, y = ring.gens()
+    for kernel in (_sub_shifted, generic_sub_shifted):
+        rem = _ascending(y)
+        kernel(rem, zip(*(3 * x ** (2 ** 30)).packed()), ring.packer.pack((2 ** 30, 0)),
+               2, ring.domain, ring.packer)
+        assert rem == _ascending(y)
+        assert _from_ascending(ring, rem) == y
+
+
+def test_exact_divide_skips_the_terms_that_cancel_mod_6():
+    """(x + 3)(2y + 4) = 2xy + 4x + 6y + 12 = 2xy + 4x over ZZ/6: dividing
+    by x + 3 leaves -6y and -12 in the remainder, which are zero and must
+    be skipped, not refused as terms x + 3 does not divide."""
+    ring = PolyRing(Zmod(6), ("x", "y"))
+    x, y = ring.gens()
+    f = (x + 3) * (2 * y + 4)
+    assert f == 2 * x * y + 4 * x
+    assert exact_divide(f, x + 3) == 2 * y + 4
+    with pytest.raises(ValueError):
+        exact_divide(f + 1, x + 3)
+
+
+LAZY_DOMAINS = pytest.mark.parametrize("domain", [GF(65521), Zmod(6), ZZ],
+                                       ids=["GF65521", "ZZ6", "ZZ"])
+
+
+@LAZY_DOMAINS
+def test_no_result_holds_a_zero_or_unreduced_coefficient(domain):
+    """Every Poly made from a lazy remainder, by +, -, *, ``exact_divide``
+    and the normal forms of ``algebra._reduced``, holds only nonzero
+    coefficients, each reduced into [0, n) over ZZ/n. Over ZZ/6 the seeded
+    coefficients are often zero divisors, so products and differences
+    cancel mod 6, and f*(2x + 2)*(3y + 3) cancels to zero."""
+    from scheme_explorer.algebra import normal_form_list
+
+    n = domain.n if isinstance(domain, Zmod) else 0
+    rng = random.Random(f"lazy-results:{domain}")
+    ring = PolyRing(domain, ("x", "y", "z"))
+
+    def canonical(p):
+        return all(c and (not n or 0 <= c < n) for c in p.packed()[1])
+
+    x, y, _ = ring.gens()
+    for _ in range(150):
+        f, g = (rand_poly(ring, rng, max_deg=4, terms=8) for _ in range(2))
+        made = [f + g, f - g, g - f, f * g, f - f, f * g - g * f,
+                f * (2 * x + 2) * (3 * y + 3), f * (x + 1) - (f * x + f)]
+        # divisors with a unit leading coefficient over ZZ/n
+        basis = [h for h in (g, f + 1)
+                 if not h.is_zero() and (not n or math.gcd(h.leading_coeff(), n) == 1)]
+        if basis:
+            made += [exact_divide(f * basis[0], basis[0]), normal_form_list(f, basis),
+                     normal_form_list(f * g + f, basis)]
+        assert all(canonical(p) for p in made)

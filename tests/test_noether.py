@@ -7,7 +7,7 @@ import pytest
 
 from scheme_explorer.arith import GF, QQ
 from scheme_explorer.algebra import IdealHandle, PresentedAlgebra, groebner_basis
-from scheme_explorer.errors import UnitIdeal
+from scheme_explorer.errors import UnitIdeal, Unsupported
 from scheme_explorer.noether import (
     has_common_zero,
     is_maximal,
@@ -200,6 +200,35 @@ def test_certificate_with_a_nonconstant_leading_coefficient_fails_to_verify():
     bad = NormalizationStep(step.level_names, step.chosen, step.p,
                             step.r_exponents, scaled)
     assert not bad.verify()
+
+
+def test_a_tampered_certificate_verifies_false():
+    """A step checks its certificate once, when it is made: with a
+    coefficient changed the substitution no longer vanishes."""
+    from scheme_explorer.noether import NormalizationStep
+
+    A = PresentedAlgebra(QQ, ("X", "Y", "Z"))
+    X, Y, Z = A.gens()
+    res = noether_normalize(IdealHandle(A, [X * Y - Z ** 2 + 1]))
+    step = res.trace[0]
+    assert step.verify() and res.verify()
+    tampered = NormalizationStep(step.level_names, step.chosen, step.p,
+                                 step.r_exponents, step.certificate + 1)
+    assert not tampered.verify()
+    res.trace.append(tampered)
+    assert not res.verify()
+
+
+def test_normalize_refuses_a_certificate_that_does_not_verify(monkeypatch):
+    from scheme_explorer import noether
+
+    real = noether._build_certificate
+    monkeypatch.setattr(noether, "_build_certificate",
+                        lambda ring, moved_P, n: real(ring, moved_P, n) + 1)
+    A = PresentedAlgebra(QQ, ("X", "Y"))
+    X, Y = A.gens()
+    with pytest.raises(Unsupported):
+        noether_normalize(IdealHandle(A, [X * Y - 1]))
 
 
 def _is_field_by_brute_force(handle, field, p):
