@@ -410,6 +410,8 @@ def _sheaf_twist(cmd, env):
             raise InvalidCover(f"bad cover member {part!r}")
     if len(cover) != 2:
         raise InvalidCover("twist covers use exactly two opens")
+    if cover[0] | cover[1] != frozenset(report.space.points):
+        raise InvalidCover(f"cover {cover_text!r} does not cover the space")
     unit = report.local_rings[cover[0] & cover[1]].from_int(unit_val)
     cocycle = sh.two_open_cocycle(report, cover, unit)
     twisted = sh.twist_structure_sheaf(cocycle)

@@ -39,11 +39,12 @@ from .errors import (
     NotInvertible,
     Unsupported,
 )
+from .kernels import _int_product, _int_rem_monic
 
 # Sizes of the exhaustive enumerations, checked before each one starts.  The
-# shipped scripts and the benchmark decks localize rings of at most 36
-# elements and search at most 42 germ, 1,156 section and 576 unit
-# families in one ``_glued`` call; the test suite goes up to 60
+# shipped scripts and the benchmark decks localize rings of at most 42
+# elements (ZZ/42) and search products of at most 42 germ, 1,156 section
+# and 576 unit families in one ``_glued`` call; the test suite goes up to 60
 # elements and 314,928 germ families.  A structure sheaf lists its ring
 # once per open, so it takes rings of at most 4,000 elements.
 _RING_BUDGET = 100_000
@@ -385,6 +386,7 @@ class QuotientPolyRing(Domain):
     """k[T]/(f) for a finite coefficient ring k, f monic.
 
     Elements are coefficient tuples of length deg(f), low degree first.
+    Over Z/n, ``mul`` runs on ints, with one reduction mod n per output.
     """
 
     _elements = None
@@ -396,6 +398,9 @@ class QuotientPolyRing(Domain):
             raise Unsupported("modulus must be monic")
         self.deg = len(self.modulus) - 1
         self.var = var
+        # (n, f without its leading 1) over Z/n, else None
+        self._int_tail = ((coeff_ring.n, self.modulus[:-1])
+                          if isinstance(coeff_ring, Zmod) else None)
 
     def elements(self):
         if self._elements is None:
@@ -419,6 +424,11 @@ class QuotientPolyRing(Domain):
         return tuple(self.k.neg(x) for x in a)
 
     def mul(self, a, b):
+        if self._int_tail is not None:
+            n, tail = self._int_tail
+            r = _int_product(a, b)
+            _int_rem_monic(r, tail, n)
+            return tuple([x % n for x in r])
         size = 2 * self.deg - 1 if self.deg else 0
         prod = [self.k.zero()] * size
         for i, x in enumerate(a):
@@ -656,20 +666,19 @@ def zariski_space(ring: Domain):
     return discrete_space(range(len(primes))), primes
 
 
-def _nowhere_vanishing(ring, primes, u):
-    """S(U), the elements outside every prime of U, sorted by str.  As the
-    complement of a union of primes it is multiplicatively closed."""
-    return sorted(
-        (f for f in ring.elements() if not any(f in primes[x] for x in u)),
-        key=str,
-    )
-
-
 def _localized_presheaf(ring, space, primes, localize):
     """U -> localize(S(U)), restricting a fraction by the ``make`` of the
     smaller open; returns the presheaf and the localization on each open,
-    both made per open on first read."""
-    local = OnRead(space, lambda u: localize(_nowhere_vanishing(ring, primes, u)))
+    both made per open on first read.  S(U) is the ring's elements, sorted
+    by str once, outside the union of U's primes, so it is multiplicatively
+    closed."""
+    elements = sorted(ring.elements(), key=str)
+
+    def nowhere_vanishing(u):
+        vanishing = frozenset().union(*(primes[x] for x in u))
+        return [f for f in elements if f not in vanishing]
+
+    local = OnRead(space, lambda u: localize(nowhere_vanishing(u)))
     sections = OnRead(space, lambda u: tuple(local[u].elements()))
     presheaf = _presheaf(space, sections, lambda u, v: lambda x: local[v].make(*x))
     return presheaf, local

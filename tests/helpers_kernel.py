@@ -23,7 +23,9 @@ shares no code with the lazy kernel it checks; and the printers
 with one ``Domain.format`` call per coefficient that preceded the number
 paths of ``multipoly.format_terms`` and ``Domain.dense_text``
 (``ref_format_terms``, ``ref_dense_str``, ``ref_ext_field_text``), kept
-as their oracles."""
+as their oracles; and ``ref_quotient_mul``, the product of
+``sheaf.QuotientPolyRing`` with a ``Domain`` call per coefficient
+operation, kept as the oracle of its products on ints over Z/n."""
 
 import heapq
 import itertools
@@ -614,3 +616,23 @@ def ref_ext_field_text(base, modulus, var):
     if isinstance(base, Zmod) and base.is_field:
         return f"GF({base.n ** (len(modulus) - 1)},{mod})"
     return f"{base}[{var}]/({mod})"
+
+
+def ref_quotient_mul(ring, a, b):
+    """a*b in ``ring`` = k[T]/(f), a ``sheaf.QuotientPolyRing``, with a
+    ``Domain`` call per coefficient operation: the schoolbook product, then
+    each coefficient above deg(f) cancelled by a multiple of f, top first."""
+    k, deg, modulus = ring.k, ring.deg, ring.modulus
+    size = 2 * deg - 1 if deg else 0
+    prod = [k.zero()] * size
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = k.add(prod[i + j], k.mul(x, y))
+    for top in range(size - 1, deg - 1, -1):
+        c = prod[top]
+        if c == k.zero():
+            continue
+        prod[top] = k.zero()
+        for i in range(deg):
+            prod[top - deg + i] = k.sub(prod[top - deg + i], k.mul(c, modulus[i]))
+    return tuple(prod[:deg])

@@ -23,7 +23,8 @@ def run_cli(args):
         capture_output=True,
         text=True,
         cwd=REPO,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
     return proc
 
@@ -233,15 +234,23 @@ def test_sheaf_integers_map_into_quotient_rings():
 
 
 def test_sheaf_twist_cover_reads_integers_mod_n():
+    """D(14), D(-9), D(-10) and D(15) are D(2), D(3), D(2) and D(3) on
+    spec(ZZ/12); the twist of a cover has |A| = 12 global sections, and two
+    opens that miss a point are refused."""
     records, had_error = run_script(dsl.parse(
-        'sheaf twist --space "spec(ZZ/12)" --cover "D(2),D(2)";'
+        'sheaf twist --space "spec(ZZ/12)" --cover "D(14),D(-9)";'
+        'sheaf twist --space "spec(ZZ/12)" --cover "D(-10),D(15)";'
         'sheaf twist --space "spec(ZZ/12)" --cover "D(14),D(-10)";'
         'sheaf twist --space "spec(ZZ/12)" --cover "X,D(x)";'
     ))
     assert had_error
     sections = [r["data"]["sections_global"] for r in records[:2]]
-    assert sections == [3, 3]
-    assert records[2]["error"]["message"] == "bad cover member 'D(x)'"
+    assert sections == [12, 12]
+    assert records[2]["error"] == {
+        "code": "invalid-cover",
+        "message": "cover 'D(14),D(-10)' does not cover the space",
+    }
+    assert records[3]["error"]["message"] == "bad cover member 'D(x)'"
 
 
 def test_sheaf_on_zz0_is_a_typed_error():
@@ -505,7 +514,7 @@ def test_sheaf_script_output_does_not_depend_on_the_hash_seed():
             capture_output=True,
             cwd=REPO,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
-                 "PYTHONHASHSEED": hash_seed},
+                 "PYTHONHASHSEED": hash_seed, "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == golden
@@ -528,7 +537,7 @@ def test_spec_zzt_output_does_not_depend_on_the_hash_seed():
             capture_output=True,
             cwd=REPO,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
-                 "PYTHONHASHSEED": hash_seed},
+                 "PYTHONHASHSEED": hash_seed, "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
@@ -678,7 +687,8 @@ def _run_cli_within(args, seconds):
     return subprocess.run(
         [sys.executable, "-m", "scheme_explorer.cli", *args],
         capture_output=True, text=True, cwd=REPO, timeout=seconds,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
 
 

@@ -1242,3 +1242,135 @@ def test_cocycles_that_break_the_cocycle_identity_are_not_cohomologous(monkeypat
     assert not sh.is_coboundary(report, cover, broken)
     assert not sh.cocycles_equal_mod_coboundary(report, cover, true, broken)
     assert not _reference_equal_mod_coboundary(report, cover, true, broken)
+
+
+# ---------------------------------------------------------------------------
+# the gluing search, S(U) and quotient products against oracles
+# ---------------------------------------------------------------------------
+
+def _random_gluing_search(rng):
+    """Seeded choices and key functions: up to five levels of up to four
+    small ints, repeats allowed and now and then none, and 0 to 3 tests per
+    level, each a pair of table lookups into three values, so keys repeat."""
+    levels = rng.randrange(6)
+    sizes = [0 if rng.random() < 0.1 else rng.randrange(1, 5) for _ in range(levels)]
+    choices = [[rng.randrange(5) for _ in range(size)] for size in sizes]
+    tests = {}
+    for i in range(levels):
+        for j in rng.sample(range(i), min(i, rng.randrange(4))):
+            tests[j, i] = tuple({s: rng.randrange(3) for s in range(5)}.__getitem__
+                                for _ in range(2))
+    return choices, tests
+
+
+def _filtered_product(choices, tests):
+    return [t for t in itertools.product(*choices)
+            if all(kj(t[j]) == ki(t[i]) for (j, i), (kj, ki) in tests.items())]
+
+
+def _pair_tests(tests):
+    """``_glued``'s ``pair``: the equality of the two keys of a test."""
+    def pair(j, i):
+        if (j, i) in tests:
+            kj, ki = tests[j, i]
+            return lambda sj, si: kj(sj) == ki(si)
+    return pair
+
+
+def test_glued_lists_the_filtered_product_in_order():
+    """On seeded searches the search lists exactly the product's tuples that
+    pass every test, in the product's order, and its first family, as
+    ``next`` reads it, is the first of them."""
+    rng = random.Random(36)
+    seen = Counter()
+    for _ in range(500):
+        choices, tests = _random_gluing_search(rng)
+        expected = _filtered_product(choices, tests)
+        assert list(sh._glued(choices, _pair_tests(tests), "families")) == expected
+        first = next(sh._glued(choices, _pair_tests(tests), "families"), None)
+        assert first == (expected[0] if expected else None)
+        per_level = Counter(i for _, i in tests)
+        seen["three tests"] += 3 in per_level.values()
+        seen["empty level"] += [] in choices
+        seen["found", bool(expected)] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+
+def test_glued_refuses_an_oversized_product_before_the_first_family(monkeypatch):
+    """The budget counts the whole product and is checked when the search is
+    made, before any test runs; at the budget the search runs."""
+    from scheme_explorer.errors import BudgetExceeded
+
+    reads = []
+
+    def pair(j, i):
+        return lambda sj, si: reads.append((sj, si)) or True
+
+    choices = [range(2), range(3), range(4)]
+    monkeypatch.setattr(sh, "_FAMILY_BUDGET", 23)
+    with pytest.raises(BudgetExceeded, match=r"^24 unit families exceed the budget of 23$"):
+        sh._glued(choices, pair, "unit families")
+    assert reads == []
+    monkeypatch.setattr(sh, "_FAMILY_BUDGET", 24)
+    assert list(sh._glued(choices, pair, "unit families")) == list(itertools.product(*choices))
+
+
+def _nowhere_vanishing_rings():
+    yield from (Zmod(n) for n in range(2, 61))
+    for r0, r1 in itertools.product(range(5), repeat=2):
+        yield sh.QuotientPolyRing(Zmod(5), (r0, r1, 1))
+
+
+def test_each_open_localizes_at_the_elements_outside_its_primes():
+    for ring in _nowhere_vanishing_rings():
+        _, space, primes, local_rings = sh.structure_presheaf(ring)
+        for u in space.opens_sorted():
+            expected = sorted((f for f in ring.elements()
+                               if not any(f in primes[x] for x in u)), key=str)
+            assert local_rings[u].family == expected, (ring, u)
+
+
+def _quotient_moduli(n, rng):
+    """Monic moduli of degree 1 to 3 over Z/n: x^d, one with a zero
+    coefficient under the leading one, and a seeded one of each degree."""
+    yield from ((0, 1), (0, 0, 1), (0, 0, 0, 1), (n - 1, 0, 1), (1, 0, n - 1, 1))
+    for d in (1, 2, 3):
+        yield tuple(rng.randrange(n) for _ in range(d)) + (1,)
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 9])
+def test_quotient_products_on_ints_match_the_domain_loop(n):
+    """Every pair of elements, except on the rings of 9^3 elements, where
+    every element meets a seeded sample of 30."""
+    from helpers_kernel import ref_quotient_mul
+
+    rng = random.Random(n)
+    for modulus in _quotient_moduli(n, rng):
+        ring = sh.QuotientPolyRing(Zmod(n), modulus)
+        elems = ring.elements()
+        others = rng.sample(elems, 30) if len(elems) > 300 else elems
+        for a in elems:
+            for b in others:
+                assert ring.mul(a, b) == ref_quotient_mul(ring, a, b), (modulus, a, b)
+
+
+def test_quotients_over_other_rings_multiply_through_the_domain(monkeypatch):
+    """Over GF(4) and over another quotient each product calls the
+    coefficient ring's ``mul``; over Z/3 none does."""
+    from helpers_kernel import ref_quotient_mul
+    from scheme_explorer import arith
+
+    F4 = arith.GFq(4, (1, 1, 1))
+    E = sh.QuotientPolyRing(Zmod(3), (0, 0, 1))
+    cases = [(sh.QuotientPolyRing(F4, (F4.one(), F4.zero(), F4.one())), True),
+             (sh.QuotientPolyRing(E, ((1, 0), (0, 1), (1, 0)), var="f"), True),
+             (sh.QuotientPolyRing(Zmod(3), (0, 0, 1)), False)]
+    for ring, through_domain in cases:
+        calls = []
+        mul = ring.k.mul
+        monkeypatch.setattr(ring.k, "mul", lambda x, y, mul=mul: calls.append(1) or mul(x, y))
+        for a, b in itertools.product(ring.elements(), repeat=2):
+            expected = ref_quotient_mul(ring, a, b)
+            before = len(calls)
+            assert ring.mul(a, b) == expected
+            assert (len(calls) > before) == through_domain, (ring, a, b)
