@@ -73,7 +73,6 @@ from .arith import QQ, ZZ, Domain, Zmod, factor_dense, poly_to_dense, prime_fact
 from .errors import (
     BudgetExceeded,
     ExponentOverflow,
-    InvalidArgument,
     NoCanonicalMap,
     NonFieldBase,
     Undecidable,
@@ -90,7 +89,6 @@ from .multipoly import (
     _sub_shifted,
     content_primitive,
 )
-from .sheaf import LocalizedFiniteRing
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +474,7 @@ class PresentedAlgebra:
         return True
 
     def classify_univariate(self):
-        """Shape of base[X]/(f) over a field: the five possible verdicts."""
+        """Shape of base[X]/(f) over a field: the six possible verdicts."""
         if len(self.names) != 1 or len(self.relations) > 1 or not self.base.is_field:
             raise UndecidableContext("classification needs one variable, one relation")
         if not self.relations:
@@ -521,44 +519,6 @@ def _reduce_by_monic(f, relations):
     if len(set(names)) != len(names):
         return None
     return normal_form_list(f, relations)
-
-
-def unit_partition_zz(values):
-    """Integers a_i with sum(a_i * v_i) = 1, or None when gcd(v) != 1.
-
-    Iterated extended gcd: after step i the coefficients combine
-    v_0, ..., v_i into their gcd g.
-    """
-    coeffs, g = [], 0
-    for v in values:
-        g, u, w = _ext_gcd_int(g, v)
-        coeffs = [u * c for c in coeffs] + [w]
-    return coeffs if g == 1 else None
-
-
-def unit_partition_zmod(n, elems):
-    """Coefficients a_i in ZZ/n with sum(a_i * f_i) = 1, or None.
-
-    The Bezout combination of (f_1, ..., f_r, n) over ZZ, reduced mod n.
-    """
-    coeffs = unit_partition_zz(list(elems) + [n])
-    if coeffs is None:
-        return None
-    return [c % n for c in coeffs[: len(elems)]]
-
-
-def _ext_gcd_int(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 class _Span:
@@ -869,113 +829,4 @@ def localize(A: PresentedAlgebra, f: Poly):
     rels.append(f_up * ring.gen(fresh) - ring.one())
     return PresentedAlgebra(
         A.base, names, rels, A.ring.order, localized_from=(A, f)
-    )
-
-
-def verify_isomorphism(A: PresentedAlgebra, B: PresentedAlgebra,
-                       images_ab, images_ba):
-    """Check a proposed pair of mutually inverse maps by normal forms.
-
-    ``images_ab`` sends each variable of A to a Poly over B's ring (and
-    symmetrically).  Relations must map to zero and round trips must be the
-    identity modulo relations.
-    """
-    sub_ab = dict(zip(A.names, images_ab))
-    sub_ba = dict(zip(B.names, images_ba))
-    for rel in A.relations:
-        if not B.nf(rel.substitute(sub_ab, B.ring)).is_zero():
-            return False
-    for rel in B.relations:
-        if not A.nf(rel.substitute(sub_ba, A.ring)).is_zero():
-            return False
-    for n in A.names:
-        round_trip = sub_ab[n].substitute(sub_ba, A.ring)
-        if not A.nf(round_trip - A.ring.gen(n)).is_zero():
-            return False
-    for n in B.names:
-        round_trip = sub_ba[n].substitute(sub_ab, B.ring)
-        if not B.nf(round_trip - B.ring.gen(n)).is_zero():
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# localized fractions a/s with the quantified equality rule
-# ---------------------------------------------------------------------------
-
-class LocalizationContext:
-    """S^{-1}R for R one of: ZZ, ZZ/n, or an integral domain with a
-    zero-divisor-free family.
-
-    The multiplicative family is generated by the given elements.  Equality
-    of fractions is the quantified rule: a/s = b/t iff r*(a*t - b*s) = 0 for
-    some r in the family.
-    """
-
-    def __init__(self, kind, data, family_gens):
-        self.kind = kind  # "zz" | "zmod" | "domain"
-        self.data = data
-        self.family_gens = tuple(family_gens)
-
-    @classmethod
-    def over_zz(cls, gens):
-        return cls("zz", ZZ, tuple(int(g) for g in gens))
-
-    @classmethod
-    def over_zmod(cls, n, gens):
-        gens = tuple(g % n for g in gens)
-        return cls("zmod", LocalizedFiniteRing(Zmod(n), gens), gens)
-
-    @classmethod
-    def over_integral_poly_ring(cls, ring, gens):
-        if not (ring.domain.is_field or ring.domain == ZZ):
-            raise UndecidableContext("integral-domain rule needs a domain base")
-        return cls("domain", ring, tuple(gens))
-
-    def family(self):
-        """The multiplicative family, enumerated (finite for zmod)."""
-        if self.kind == "zmod":
-            return sorted(self.data.family)
-        raise UndecidableContext("only ZZ/n families are enumerated")
-
-    def fraction_equal(self, a, s, b, t):
-        """a/s = b/t in the localization.
-
-        Over ZZ/n the canonical keys of ``sheaf.LocalizedFiniteRing`` are
-        compared, so both denominators must lie in the family.
-        """
-        if self.kind == "zmod":
-            loc, n = self.data, self.data.ring.n
-            if s % n not in loc.family or t % n not in loc.family:
-                raise InvalidArgument("denominator outside the multiplicative family")
-            return loc.make(a % n, s % n) == loc.make(b % n, t % n)
-        # ZZ or a domain: r*(a*t - b*s) = 0 for some r in the family iff the
-        # family holds 0 (the zero ring) or a*t - b*s = 0; ints and Polys alike
-        if any(g == 0 for g in self.family_gens):
-            return True
-        return a * t - b * s == 0
-
-
-class LocalizedElement:
-    def __init__(self, context, numerator, denominator):
-        self.context = context
-        self.numerator = numerator
-        self.denominator = denominator
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalizedElement) or other.context is not self.context:
-            return NotImplemented
-        return self.context.fraction_equal(
-            self.numerator, self.denominator, other.numerator, other.denominator
-        )
-
-    def __repr__(self):
-        return f"{self.numerator}/{self.denominator}"
-
-
-def fraction_equal(x: LocalizedElement, y: LocalizedElement):
-    if x.context is not y.context:
-        raise UndecidableContext("fractions from different localizations")
-    return x.context.fraction_equal(
-        x.numerator, x.denominator, y.numerator, y.denominator
     )

@@ -2071,12 +2071,6 @@ class UniFactorization:
         self.factors = list(factors)  # [(Poly, mult)]
         self.ring = poly_ring
 
-    def reassemble(self):
-        out = self.ring.const(self.unit)
-        for f, m in self.factors:
-            out = out * f ** m
-        return out
-
     def __repr__(self):
         ps = ", ".join(f"({f})^{m}" for f, m in self.factors)
         return f"UniFactorization(unit={self.ring.domain.format(self.unit)}, {ps})"

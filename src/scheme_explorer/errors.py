@@ -76,10 +76,6 @@ class NilpotentCoordinate(SchemeError):
     code = "nilpotent-coordinate"
 
 
-class DenominatorVanishes(SchemeError):
-    code = "denominator-vanishes"
-
-
 class AllZero(SchemeError):
     code = "all-zero"
 

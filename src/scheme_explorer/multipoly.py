@@ -279,9 +279,6 @@ class PolyRing:
         mons, terms = zip(*sorted(rows, key=itemgetter(0), reverse=True))
         return Poly(self, (mons, tuple([c for _, c in terms])), terms)
 
-    def with_order(self, order):
-        return PolyRing(self.domain, self.names, order)
-
     def monomial(self, exps, c=None):
         c = self.domain.one() if c is None else c
         if self.domain.is_zero(c):
@@ -576,10 +573,6 @@ class Poly:
                 exps[j] = e[i]
             d[tuple(exps)] = dom.coerce(src, c)
         return target_ring.from_dict(d)
-
-    def resort(self, order):
-        ring = self.ring.with_order(order)
-        return ring._from_terms(self.terms)
 
     def evaluate(self, values):
         """Full evaluation: values is a name -> domain element map."""

@@ -8,8 +8,7 @@ computed here and nowhere else: each returns the raw image of a point,
 which ``point_normalize`` scales.  Their image ideals are computed by one
 elimination and certified by mutual radical membership; ``kernel_values``
 evaluates a kernel's generators at a raw image, so a wrong map or a wrong
-kernel shows as a nonzero value.  The zero locus of a section in P^n of a
-finite field is taken after mapping the section's coefficients into it.
+kernel shows as a nonzero value.
 """
 
 from __future__ import annotations
@@ -22,12 +21,10 @@ from .arith import ZZ, Domain
 from .errors import (
     AllZero,
     BudgetExceeded,
-    DenominatorVanishes,
     NilpotentCoordinate,
-    NonFieldBase,
     NotHomogeneous,
 )
-from .multipoly import Poly, PolyRing, dehomogenize, exact_divide, format_terms, homogenize
+from .multipoly import PolyRing, dehomogenize, format_terms
 
 
 class GradedAlgebra:
@@ -57,26 +54,6 @@ class GradedAlgebra:
         return f"Proj {self.presented()!r}"
 
 
-def projective_space(base, n, var_stem="T"):
-    """P^n over the base, coordinates T0..Tn."""
-    return GradedAlgebra(base, tuple(f"{var_stem}{i}" for i in range(n + 1)))
-
-
-def proj_is_empty(B: GradedAlgebra):
-    """Proj B is empty iff every coordinate is nilpotent in B."""
-    if not B.base.is_field:
-        raise NonFieldBase("emptiness test needs a field base")
-    free = presented_free(B)
-    handle = alg.IdealHandle(free, list(B.relations))
-    return all(
-        alg.radical_membership(free.ring.gen(n), handle) for n in B.names
-    )
-
-
-def presented_free(B: GradedAlgebra):
-    return alg.PresentedAlgebra(B.base, B.names)
-
-
 def chart_names(B: GradedAlgebra, i):
     """Affine coordinate names t_j (j != i) for chart i."""
     return tuple(f"t{j}" for j in range(len(B.names)) if j != i)
@@ -98,7 +75,7 @@ class ProjChart:
 def proj_chart(B: GradedAlgebra, i):
     """Chart i with dehomogenized generators; fails for nilpotent T_i."""
     if B.base.is_field and B.relations:
-        free = presented_free(B)
+        free = alg.PresentedAlgebra(B.base, B.names)
         handle = alg.IdealHandle(free, list(B.relations))
         if alg.radical_membership(free.ring.gen(B.names[i]), handle):
             raise NilpotentCoordinate(f"{B.names[i]} is nilpotent in {B}")
@@ -118,108 +95,6 @@ def proj_chart(B: GradedAlgebra, i):
 
 
 # ---------------------------------------------------------------------------
-# chart transitions through homogeneous fraction lifts
-# ---------------------------------------------------------------------------
-
-class ChartFraction:
-    """num/den with den a monomial in the chart coordinates."""
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise DenominatorVanishes("zero denominator")
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChartFraction)
-            and (self.num * other.den - other.num * self.den).is_zero()
-        )
-
-    def __repr__(self):
-        if self.den.is_constant() and self.den.ring.domain.is_one(
-            self.den.constant_value()
-        ):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-
-def chart_transition(B: GradedAlgebra, i, j, fraction):
-    """Move a chart-i fraction to chart j through the homogeneous lift.
-
-    A chart-i element num/den lifts to a degree-zero homogeneous fraction
-    F/T^e; re-expressing over chart j divides by the appropriate T_j power.
-    Raises DenominatorVanishes when the result needs coordinates outside
-    D(t_i) of chart j.
-    """
-    if isinstance(fraction, Poly):
-        fraction = ChartFraction(fraction, fraction.ring.one())
-    num_h, den_h = _lift_to_homogeneous(B, i, fraction)
-    return _express_on_chart(B, j, num_h, den_h)
-
-
-def _lift_to_homogeneous(B, i, fraction):
-    """Lift num/den on chart i to homogeneous (F, G) of equal degree."""
-    names = B.names
-    rename_back = {f"t{j}": names[j] for j in range(len(names)) if j != i}
-    ti = names[i]
-
-    def lift(p):
-        if p.is_constant():
-            ring = B.ring
-            return ring.const(ring.domain.coerce(p.ring.domain, p.constant_value()))
-        return homogenize(p, ti, position=min(i, len(p.ring.names)), rename=rename_back)
-
-    fnum = lift(fraction.num).relabel(B.ring)
-    fden = lift(fraction.den).relabel(B.ring)
-    # equalize degrees with powers of T_i
-    dn = fnum.total_degree() if not fnum.is_zero() else 0
-    dd = fden.total_degree()
-    t = B.ring.gen(ti)
-    if dn < dd:
-        fnum = fnum * t ** (dd - dn)
-    elif dd < dn:
-        fden = fden * t ** (dn - dd)
-    return fnum, fden
-
-
-def _express_on_chart(B, j, num_h, den_h):
-    """Write a degree-zero homogeneous fraction in chart-j coordinates.
-
-    The denominator dehomogenizes to a monomial in the chart coordinates, so
-    the result is defined on the complement of its vanishing locus.
-    """
-    names = B.names
-    tj = names[j]
-    rename = {n: f"t{idx}" for idx, n in enumerate(names) if idx != j}
-    num_h, den_h = _cancel_monomials(num_h, den_h)
-    if len(den_h.terms) != 1:
-        raise DenominatorVanishes(f"denominator {den_h} is not a monomial")
-    exps, coeff = den_h.terms[0]
-    ring = B.ring
-    dehom_num = dehomogenize(num_h, tj, rename=rename) if not num_h.is_zero() else None
-    dehom_den = dehomogenize(ring.monomial(exps, coeff), tj, rename=rename)
-    chart_ring = PolyRing(B.base, tuple(rename[n] for n in names if n != tj))
-    if dehom_num is None:
-        dehom_num = chart_ring.zero()
-    return ChartFraction(
-        dehom_num.relabel(chart_ring), dehom_den.relabel(chart_ring)
-    )
-
-
-def _cancel_monomials(num, den):
-    """Cancel the common monomial factor of two homogeneous polynomials."""
-    ring = num.ring
-    if num.is_zero():
-        return num, den
-    mins = [min(col) for col in zip(*(e for e, _ in num.terms + den.terms))]
-    if not any(mins):
-        return num, den
-    mono = ring.monomial(mins)
-    return exact_divide(num, mono), exact_divide(den, mono)
-
-
-# ---------------------------------------------------------------------------
 # points over a field
 # ---------------------------------------------------------------------------
 
@@ -229,9 +104,6 @@ class ProjPoint:
     def __init__(self, field, coords):
         self.field = field
         self.coords = tuple(coords)
-
-    def chart_memberships(self):
-        return [i for i, c in enumerate(self.coords) if not self.field.is_zero(c)]
 
     def __eq__(self, other):
         return (
@@ -392,93 +264,3 @@ def twist_sections(n, d, base):
     if d >= 0:
         assert sections.rank == math.comb(n + d, d)
     return sections
-
-
-class TwistCocycle:
-    """Transition data (T_i/T_j)^d on the standard chart cover, symbolically.
-
-    A transition is an integer exponent vector e with sum zero: the Laurent
-    monomial prod T_k^(e_k)."""
-
-    def __init__(self, n, d):
-        self.n = n
-        self.d = d
-
-    def transition(self, i, j):
-        e = [0] * (self.n + 1)
-        e[i] += self.d
-        e[j] -= self.d
-        return tuple(e)
-
-    def check_identities(self):
-        n = self.n
-        for i in range(n + 1):
-            if any(self.transition(i, i)):
-                return False
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if tuple(-x for x in self.transition(i, j)) != self.transition(j, i):
-                    return False
-                for k in range(n + 1):
-                    combined = tuple(
-                        a + b
-                        for a, b in zip(self.transition(i, j), self.transition(j, k))
-                    )
-                    if combined != self.transition(i, k):
-                        return False
-        return True
-
-    def __mul__(self, other):
-        if self.n != other.n:
-            raise ValueError("cocycles on different spaces")
-        return TwistCocycle(self.n, self.d + other.d)
-
-    def __repr__(self):
-        return f"O({self.d})-cocycle on P^{self.n}"
-
-
-def twist_cocycle(n, d):
-    return TwistCocycle(n, d)
-
-
-# ---------------------------------------------------------------------------
-# zero loci of sections
-# ---------------------------------------------------------------------------
-
-class ProjZeroLocus:
-    """V(f) of a degree-d global section, chart by chart."""
-
-    def __init__(self, graded: GradedAlgebra, section: Poly):
-        if not section.is_homogeneous():
-            raise NotHomogeneous(f"{section} is not homogeneous")
-        self.graded = graded
-        self.section = section
-
-    def chart_ideal(self, i):
-        """The dehomogenized equation on chart i ("unit" when invertible)."""
-        B = self.graded
-        rename = {n: f"t{j}" for j, n in enumerate(B.names) if j != i}
-        if self.section.is_zero():
-            return None
-        if self.section.is_constant():
-            return "unit"
-        return dehomogenize(self.section, B.names[i], rename=rename)
-
-    def field_points(self, field):
-        """Zero locus inside P^n(field) for a finite field, exhaustively.
-
-        The section is first mapped into field[T0..Tn] along the canonical
-        map of coefficients (NoCanonicalMap where there is none, as from QQ
-        to GF(p)), so a section over ZZ has its zeros mod p.
-        """
-        names = self.graded.names
-        section = self.section.map_coefficients(PolyRing(field, names))
-        return [pt for pt in enumerate_points(field, len(names) - 1)
-                if field.is_zero(section.evaluate(dict(zip(names, pt.coords))))]
-
-    def __repr__(self):
-        return f"V({self.section}) in {self.graded}"
-
-
-def section_zero_locus(graded, section):
-    return ProjZeroLocus(graded, section)

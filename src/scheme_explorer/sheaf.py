@@ -1,9 +1,9 @@
 """Presheaves and sheaves on finite topological spaces.
 
 Everything here is exhaustively checkable: spaces are finite, section
-objects are finite sets (or finite rings / modules), and restriction maps
-are dictionaries.  A presheaf may be given them up front; the derived ones
-(structure presheaves, sheafifications, twists, images) build each map on
+objects are finite sets (or finite rings), and restriction maps are
+dictionaries.  A presheaf may be given them up front; the derived ones
+(structure presheaves, sheafifications, twists) build each map on
 its first read from a restriction function, so a statement builds only the
 maps it reads.  The per-open data of the structure sheaf (local rings,
 section lists, germ families, the comparison map and twisted section
@@ -235,10 +235,10 @@ class FinitePresheaf:
         return sheaf_axiom_holds(self, *sheafify(self))
 
 
-def _presheaf(space, sections, restriction, check=False):
+def _presheaf(space, sections, restriction):
     """The presheaf with ``sections`` whose map from U to an open V < U is
     the function ``restriction(u, v)`` on sections, built on first read."""
-    return FinitePresheaf(space, sections, {}, check, restriction)
+    return FinitePresheaf(space, sections, {}, False, restriction)
 
 
 def sheafify(F: FinitePresheaf):
@@ -311,68 +311,6 @@ def sheaf_axiom_holds(F: FinitePresheaf, sheaf, pi):
 def stalks_preserved(F: FinitePresheaf, sheaf, pi):
     """pi induces a bijection on every stalk (minimal-open comparison)."""
     return all(_bijective_on(F, sheaf, pi, F.space.minimal_open(x)) for x in F.space.points)
-
-
-# ---------------------------------------------------------------------------
-# morphisms and images
-# ---------------------------------------------------------------------------
-
-class PresheafMorphism:
-    def __init__(self, source, target, maps):
-        self.source = source
-        self.target = target
-        self.maps = {frozenset(u): dict(m) for u, m in maps.items()}
-        for u in source.space.opens:
-            for v in source.space.opens:
-                if not v < u:
-                    continue
-                for s in source.sections[u]:
-                    left = self.maps[v][source.restrict(s, u, v)]
-                    right = target.restrict(self.maps[u][s], u, v)
-                    if left != right:
-                        raise ValueError("morphism does not commute with restrictions")
-
-    def is_injective(self):
-        return all(
-            len(set(self.maps[u].values())) == len(self.source.sections[u])
-            for u in self.source.space.opens
-        )
-
-
-def presheaf_image(phi: PresheafMorphism):
-    """The naive open-by-open image, as a presheaf."""
-    src, tgt = phi.source, phi.target
-    space = tgt.space
-    sections = {
-        u: sorted({phi.maps[u][s] for s in src.sections[u]}, key=str)
-        for u in space.opens
-    }
-    return _presheaf(
-        space, sections, lambda u, v: tgt.restrict_map(u, v).__getitem__, check=True
-    )
-
-
-def sheaf_image(phi: PresheafMorphism):
-    """Sections of the target that locally admit preimages."""
-    src, tgt = phi.source, phi.target
-    space = tgt.space
-    sections = {}
-    for u in space.opens:
-        out = []
-        for t in tgt.sections[u]:
-            ok = True
-            for x in u:
-                ux = space.minimal_open(x)
-                local = tgt.restrict(t, u, ux)
-                if local not in {phi.maps[ux][s] for s in src.sections[ux]}:
-                    ok = False
-                    break
-            if ok:
-                out.append(t)
-        sections[u] = out
-    return _presheaf(
-        space, sections, lambda u, v: tgt.restrict_map(u, v).__getitem__, check=True
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,26 +453,38 @@ def _orbit_inverse(ring, e, u):
     raise NotInvertible(f"{ring.format(u)} is not a unit of eA")
 
 
-class _Fractions:
-    """Fraction classes (x, s) for x in ``elements``, s in a multiplicative
-    family S that is closed and sorted by str, with ``scale(r, x)`` the
-    action of the ring.
+class LocalizedFiniteRing(Domain):
+    """S^{-1}A for a finite ring A, S the family generated by given elems.
 
-    Some power e of the product of S is idempotent, every s in S divides
-    it, and S^{-1}A = eA (Atiyah-Macdonald, ch. 3): r x = 0 for some r in
-    S iff e x = 0, and e s has an inverse e t_s in eA.  So x/s = y/t iff
-    e t_s x = e t_t y, and ``scale(e t_s, x)`` is a canonical key.  A class
-    is represented by its first pair when pairs are visited in the order of
-    S, then ``elements`` in order.  As e t_s is a unit of eA, the pairs over
-    the first s0 of S already meet every key, so one pass over ``elements``
-    lists the classes, each as some (x, s0).  ``make`` finds e t_s from the
-    powers of e s the first time it meets s, and remembers each pair's class.
+    Fraction equality is the quantified rule r(at - bs) = 0 for some r in
+    S.  Some power e of the product of S is idempotent, every s in S
+    divides it, and S^{-1}A = eA (Atiyah-Macdonald, ch. 3): the kernel
+    K = {a : ra = 0 for some r in S} is Ann(e), and e s has an inverse e t_s
+    in eA.  So a/s = b/t iff e t_s a = e t_t b, and e t_s a is a canonical
+    key.  A class is represented by its first pair when pairs are visited
+    in the order of S, then the ring's elements in order.  As e t_s is a unit
+    of eA, the pairs over the first s0 of S already meet every key, so one
+    pass over the elements lists the classes, each as some (a, s0).
+    ``make`` finds e t_s from the powers of e s the first time it meets s,
+    and remembers each pair's class.  Every operation returns a canonical
+    class; ``inv`` looks its argument up in the unit table of ``Domain``
+    after canonicalizing it.
     """
 
-    def __init__(self, ring, family, elements, scale):
+    def __init__(self, ring: Domain, gens):
+        _check_budget(ring.order(), _RING_BUDGET, f"elements of {ring} to localize")
+        self._localize(ring, multiplicative_closure(ring, gens))
+
+    @classmethod
+    def of_family(cls, ring: Domain, family):
+        """S^{-1}A for a family S that is already closed and sorted by str."""
+        loc = cls.__new__(cls)
+        loc._localize(ring, family)
+        return loc
+
+    def _localize(self, ring, family):
         self.ring = ring
         self.family = family
-        self._scale = scale
         prod = ring.one()
         for s in family:
             prod = ring.mul(prod, s)
@@ -546,8 +496,8 @@ class _Fractions:
         s0 = family[0]
         unit = self._unit(s0)
         reps = {}
-        for x in elements:
-            reps.setdefault(scale(unit, x), (x, s0))
+        for x in ring.elements():
+            reps.setdefault(ring.mul(unit, x), (x, s0))
         self._reps = reps
         self._class_list = list(reps.values())
         self._canon = {}
@@ -564,37 +514,12 @@ class _Fractions:
         pair = (x, self.ring.one() if s is None else s)
         rep = self._canon.get(pair)
         if rep is None:
-            rep = self._reps[self._scale(self._unit(pair[1]), x)]
+            rep = self._reps[self.ring.mul(self._unit(pair[1]), x)]
             self._canon[pair] = rep
         return rep
 
     def elements(self):
         return self._class_list
-
-
-class LocalizedFiniteRing(_Fractions, Domain):
-    """S^{-1}A for a finite ring A, S the family generated by given elems.
-
-    Fraction equality is the quantified rule r(at - bs) = 0 for some r in
-    S.  With e the idempotent power of the product of S, S^{-1}A = eA: the
-    kernel K = {a : ra = 0 for some r in S} is Ann(e), and a/s has the
-    canonical key e t_s a, where e s t_s = e (see ``_Fractions``).  Every
-    operation returns a canonical class; ``inv`` looks its argument up in
-    the unit table of ``Domain`` after canonicalizing it.
-    """
-
-    def __init__(self, ring: Domain, gens):
-        _check_budget(ring.order(), _RING_BUDGET, f"elements of {ring} to localize")
-        super().__init__(
-            ring, multiplicative_closure(ring, gens), ring.elements(), ring.mul
-        )
-
-    @classmethod
-    def of_family(cls, ring: Domain, family):
-        """S^{-1}A for a family S that is already closed and sorted by str."""
-        loc = cls.__new__(cls)
-        _Fractions.__init__(loc, ring, family, ring.elements(), ring.mul)
-        return loc
 
     @property
     def kernel(self):
@@ -666,30 +591,23 @@ def zariski_space(ring: Domain):
     return discrete_space(range(len(primes))), primes
 
 
-def _localized_presheaf(ring, space, primes, localize):
-    """U -> localize(S(U)), restricting a fraction by the ``make`` of the
-    smaller open; returns the presheaf and the localization on each open,
-    both made per open on first read.  S(U) is the ring's elements, sorted
-    by str once, outside the union of U's primes, so it is multiplicatively
-    closed."""
+def structure_presheaf(ring: Domain):
+    """U -> S(U)^{-1}A with S(U) the elements vanishing nowhere on U,
+    restricting a fraction by the ``make`` of the smaller open; returns the
+    presheaf and the localization on each open, both made per open on first
+    read.  S(U) is the ring's elements, sorted by str once, outside the union
+    of U's primes, so it is multiplicatively closed."""
+    space, primes = zariski_space(ring)
     elements = sorted(ring.elements(), key=str)
 
     def nowhere_vanishing(u):
         vanishing = frozenset().union(*(primes[x] for x in u))
         return [f for f in elements if f not in vanishing]
 
-    local = OnRead(space, lambda u: localize(nowhere_vanishing(u)))
-    sections = OnRead(space, lambda u: tuple(local[u].elements()))
-    presheaf = _presheaf(space, sections, lambda u, v: lambda x: local[v].make(*x))
-    return presheaf, local
-
-
-def structure_presheaf(ring: Domain):
-    """U -> S(U)^{-1}A with S(U) the elements vanishing nowhere on U."""
-    space, primes = zariski_space(ring)
-    presheaf, local_rings = _localized_presheaf(
-        ring, space, primes, lambda fam: LocalizedFiniteRing.of_family(ring, fam)
-    )
+    local_rings = OnRead(space, lambda u: LocalizedFiniteRing.of_family(
+        ring, nowhere_vanishing(u)))
+    sections = OnRead(space, lambda u: tuple(local_rings[u].elements()))
+    presheaf = _presheaf(space, sections, lambda u, v: lambda x: local_rings[v].make(*x))
     return presheaf, space, primes, local_rings
 
 
@@ -711,9 +629,6 @@ class StructureSheafReport:
 
     def localization(self, f):
         return LocalizedFiniteRing(self.ring, [f])
-
-    def stalk_ring(self, x):
-        return self.local_rings[self.space.minimal_open(x)]
 
     def compare_gamma_with_localization(self, f):
         """Bijectivity of A_f -> Gamma(D(f)) through germ families."""
@@ -814,12 +729,6 @@ def trivial_cocycle(report, cover):
     return _cocycle(report, cover, lambda i, j, w, rw: rw.one())
 
 
-def coboundary_cocycle(report, cover, unit_choices):
-    """The coboundary (a_i / a_j) of a family of units on the cover opens."""
-    return _cocycle(report, cover, lambda i, j, w, rw: rw.mul(
-        rw.make(*unit_choices[i]), rw.inv(rw.make(*unit_choices[j]))))
-
-
 def twist_structure_sheaf(cocycle: UnitCocycle):
     """Twist the structure sheaf by a unit cocycle on the given cover.
 
@@ -912,42 +821,3 @@ def cocycles_on_cover(report, cover):
         raise Unsupported("exhaustive cocycles only for 2-element covers")
     rw = report.local_rings[frozenset(cover[0]) & frozenset(cover[1])]
     return [two_open_cocycle(report, cover, a) for a in rw.elements() if rw.is_unit(a)]
-
-
-# ---------------------------------------------------------------------------
-# finite modules and module sheaves (for exactness statements)
-# ---------------------------------------------------------------------------
-
-class FiniteModule:
-    """A finite module over a finite ring: explicit elements and actions."""
-
-    def __init__(self, ring, elements, add, smul, zero):
-        self.ring = ring
-        self._elems = list(elements)
-        self._add = add
-        self._smul = smul
-        self._zero = zero
-
-    def elements(self):
-        return list(self._elems)
-
-    def add(self, a, b):
-        return self._add(a, b)
-
-    def smul(self, r, a):
-        return self._smul(r, a)
-
-    def zero(self):
-        return self._zero
-
-
-def module_presheaf(ring, module, report=None):
-    """U -> S(U)^{-1}M over the spectrum of the ring.
-
-    Fractions m/s with m/s = m'/s' iff r(s'm - sm') = 0 for some r in S.
-    """
-    report = report or structure_sheaf(ring)
-    return _localized_presheaf(
-        ring, report.space, report.primes,
-        lambda fam: _Fractions(ring, fam, module.elements(), module.smul),
-    )

@@ -877,25 +877,6 @@ def closure_fiber_points(P0: Poly, p: int):
     return [(mixed_point(cat, p, g), mult) for g, mult in fac]
 
 
-def partition_of_unity(algebra: alg.PresentedAlgebra, elems):
-    """Witness quasi-compactness: coefficients a_i with sum(a_i f_i) = 1.
-
-    Dispatches on the catalogued base: Bezout over ZZ, lifted Bezout over
-    ZZ/n, and ``algebra.unit_partition`` over field-based polynomial rings
-    (BudgetExceeded past its budget of multiples).  Returns None exactly
-    when the elements do not generate the unit ideal.
-    """
-    base = algebra.base
-    if base == ZZ and not algebra.names:
-        return alg.unit_partition_zz([f.constant_value() for f in elems])
-    if isinstance(base, Zmod) and not algebra.names:
-        values = [f.constant_value() for f in elems]
-        return alg.unit_partition_zmod(base.n, values)
-    if base.is_field:
-        return alg.unit_partition(list(elems))
-    raise Undecidable(f"no partition-of-unity route for {algebra}")
-
-
 def nilpotents_by_scan(n):
     """Nilpotent elements of ZZ/n by bounded power iteration (oracle path)."""
     k = n.bit_length()

@@ -25,7 +25,10 @@ paths of ``multipoly.format_terms`` and ``Domain.dense_text``
 (``ref_format_terms``, ``ref_dense_str``, ``ref_ext_field_text``), kept
 as their oracles; and ``ref_quotient_mul``, the product of
 ``sheaf.QuotientPolyRing`` with a ``Domain`` call per coefficient
-operation, kept as the oracle of its products on ints over Z/n."""
+operation, kept as the oracle of its products on ints over Z/n; and
+``verify_isomorphism``, which checks a pair of mutually inverse maps of
+presented algebras by normal forms, the oracle of the tensor and
+localization isomorphisms."""
 
 import heapq
 import itertools
@@ -636,3 +639,29 @@ def ref_quotient_mul(ring, a, b):
         for i in range(deg):
             prod[top - deg + i] = k.sub(prod[top - deg + i], k.mul(c, modulus[i]))
     return tuple(prod[:deg])
+
+
+def verify_isomorphism(A, B, images_ab, images_ba):
+    """Check a proposed pair of mutually inverse maps by normal forms.
+
+    ``images_ab`` sends each variable of A to a Poly over B's ring (and
+    symmetrically).  Relations must map to zero and round trips must be the
+    identity modulo relations.
+    """
+    sub_ab = dict(zip(A.names, images_ab))
+    sub_ba = dict(zip(B.names, images_ba))
+    for rel in A.relations:
+        if not B.nf(rel.substitute(sub_ab, B.ring)).is_zero():
+            return False
+    for rel in B.relations:
+        if not A.nf(rel.substitute(sub_ba, A.ring)).is_zero():
+            return False
+    for n in A.names:
+        round_trip = sub_ab[n].substitute(sub_ba, A.ring)
+        if not A.nf(round_trip - A.ring.gen(n)).is_zero():
+            return False
+    for n in B.names:
+        round_trip = sub_ba[n].substitute(sub_ab, B.ring)
+        if not B.nf(round_trip - B.ring.gen(n)).is_zero():
+            return False
+    return True

@@ -1,7 +1,7 @@
 """Shared generators for randomized finite-space presheaf tests, the cover
 enumeration of the exhaustive gluing oracle, and the up-front sections,
 restriction maps and per-open data that the derived presheaves and
-structure sheaves once built."""
+structure sheaves once built, and coboundary cocycles."""
 
 import itertools
 
@@ -156,3 +156,9 @@ def eager_structure_sheaf(ring):
     pi = {u: rep.pi[u] for u in opens}
     return sh.StructureSheafReport(ring, rep.space, rep.primes, eager_presheaf(rep.presheaf),
                                    eager_presheaf(rep.sheaf), pi, local_rings)
+
+
+def coboundary_cocycle(report, cover, unit_choices):
+    """The coboundary (a_i / a_j) of a family of units on the cover opens."""
+    return sh._cocycle(report, cover, lambda i, j, w, rw: rw.mul(
+        rw.make(*unit_choices[i]), rw.inv(rw.make(*unit_choices[j]))))

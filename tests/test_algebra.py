@@ -1,6 +1,7 @@
 """Presented algebras: Groebner engine, quotients, tensors, localization."""
 
 import heapq
+import itertools
 import math
 import random
 import time
@@ -10,15 +11,12 @@ from operator import le, sub
 import pytest
 
 from scheme_explorer.arith import GF, QQ, ZZ, FracField, RationalField, Zmod
-from scheme_explorer import algebra
+from scheme_explorer import algebra, sheaf
 from scheme_explorer.algebra import (
     GroebnerBasis,
     IdealHandle,
-    LocalizationContext,
-    LocalizedElement,
     PresentedAlgebra,
     elimination_ideal,
-    fraction_equal,
     groebner_basis,
     localize,
     morphism_kernel,
@@ -27,13 +25,11 @@ from scheme_explorer.algebra import (
     specialize,
     tensor_product,
     unit_partition,
-    verify_isomorphism,
 )
 from scheme_explorer.errors import (
     ExponentOverflow,
     InvalidArgument,
     NonFieldBase,
-    UndecidableContext,
 )
 from scheme_explorer.multipoly import GREVLEX, LEX, BlockOrder, Poly, PolyRing
 
@@ -46,6 +42,7 @@ from helpers_kernel import (
     scan_reduced,
     tuple_key,
     verify_basis,
+    verify_isomorphism,
 )
 
 
@@ -249,6 +246,56 @@ def test_specialize_zx_modp_table():
     }
 
 
+def _brute_verdict(p, modulus):
+    """The verdict of GF(p)[X]/(f), f the monic ``modulus`` (low degree
+    first), read off the finite ring ``sheaf.QuotientPolyRing``: its primes
+    from ``finite_spectrum_points``, its nilpotents by powers, and "field"
+    when every nonzero element is a unit."""
+    ring = sheaf.QuotientPolyRing(GF(p), modulus)
+    elems, zero = ring.elements(), ring.zero()
+    if len(elems) == 1:
+        return {"kind": "zero-ring"}
+    primes = sheaf.finite_spectrum_points(ring)
+    nilpotents = [a for a in elems if ring.pow(a, len(elems)) == zero]
+    if all(ring.is_unit(a) for a in elems if a != zero):
+        return {"kind": "field", "degree": ring.deg}
+    if len(nilpotents) == 1:
+        return {"kind": "product-of-fields", "count": len(primes)}
+    if len(primes) == 1:
+        order = max(next(k for k in range(1, len(elems) + 1) if ring.pow(a, k) == zero)
+                    for a in nilpotents)
+        residue = len(elems) // len(nilpotents)  # A/N, N the one prime
+        return {"kind": "local-non-reduced", "nilpotent_order": order,
+                "radical_degree": round(math.log(residue, p))}
+    return {"kind": "non-reduced", "factors": len(primes)}
+
+
+def test_univariate_verdicts_match_the_finite_ring():
+    """Every monic f of degree 1 to 3 over GF(2), GF(3) and GF(5), of degree
+    4 over GF(2) and GF(3) (so a nilpotent radical of degree 2 and three
+    factors of a non-reduced ring occur), and f = 1: ``classify_univariate``
+    of GF(p)[X]/(f) against the ring itself.  All six verdicts occur,
+    X^3 - X^2 over GF(5) giving "non-reduced"."""
+    seen = set()
+    for p, top in ((2, 4), (3, 4), (5, 3)):
+        R = PolyRing(GF(p), ("X",))
+        assert PresentedAlgebra(GF(p), ("X",)).classify_univariate() == {
+            "kind": "polynomial-ring"}
+        seen.add("polynomial-ring")
+        for deg in range(top + 1):
+            for low in itertools.product(range(p), repeat=deg):
+                modulus = low + (1,)
+                f = R.from_dict({(i,): c for i, c in enumerate(modulus)})
+                verdict = PresentedAlgebra(GF(p), ("X",), [f]).classify_univariate()
+                assert verdict == _brute_verdict(p, modulus), (p, modulus)
+                seen.add(verdict["kind"])
+    assert seen == {"polynomial-ring", "zero-ring", "field", "product-of-fields",
+                    "local-non-reduced", "non-reduced"}
+    X = PolyRing(GF(5), ("X",)).gen("X")
+    assert PresentedAlgebra(GF(5), ("X",), [X ** 3 - X ** 2]).classify_univariate() == {
+        "kind": "non-reduced", "factors": 2}
+
+
 def test_specialize_commutes_with_tensor():
     rng = random.Random(23)
     for _ in range(10):
@@ -348,48 +395,6 @@ def test_segre_kernel_p1_p1():
     R = g.ring
     Z00, Z01, Z10, Z11 = (R.gen(n) for n in ("Z00", "Z01", "Z10", "Z11"))
     assert g.monic() == (Z00 * Z11 - Z01 * Z10).monic()
-
-
-def test_fraction_equality_rules():
-    # (Z/12)_2: 3/1 = 0/1 because 4 * 3 = 0
-    ctx = LocalizationContext.over_zmod(12, [2])
-    assert ctx.family() == [1, 2, 4, 8]
-    assert ctx.fraction_equal(3, 1, 0, 1)
-    assert not ctx.fraction_equal(1, 1, 0, 1)
-    # ZZ_6: 1/6 = 2/12
-    zz_ctx = LocalizationContext.over_zz([6])
-    assert zz_ctx.fraction_equal(1, 6, 2, 12)
-    assert not zz_ctx.fraction_equal(1, 6, 1, 12)
-    # integral domain: cross products
-    R = PolyRing(QQ, ("x",))
-    x, = R.gens()
-    dom_ctx = LocalizationContext.over_integral_poly_ring(R, [x])
-    a = LocalizedElement(dom_ctx, x ** 2, x)
-    b = LocalizedElement(dom_ctx, x ** 3, x ** 2)
-    assert fraction_equal(a, b)
-
-
-def test_zmod_fraction_equality_matches_the_quantified_rule():
-    rng = random.Random(12)
-    for n in range(1, 37):
-        gens = rng.sample(range(n), min(n, rng.randrange(3)))
-        ctx = LocalizationContext.over_zmod(n, gens)
-        family = ctx.family()
-        for _ in range(40):
-            a, b = rng.randrange(n), rng.randrange(n)
-            s, t = rng.choice(family), rng.choice(family)
-            rule = any(r * (a * t - b * s) % n == 0 for r in family)
-            assert ctx.fraction_equal(a, s, b, t) == rule, (n, gens, a, s, b, t)
-    ctx = LocalizationContext.over_zmod(12, [2])
-    with pytest.raises(InvalidArgument):
-        ctx.fraction_equal(1, 3, 0, 1)
-
-
-def test_fraction_contexts_do_not_mix():
-    c1 = LocalizationContext.over_zmod(12, [2])
-    c2 = LocalizationContext.over_zmod(12, [3])
-    with pytest.raises(UndecidableContext):
-        fraction_equal(LocalizedElement(c1, 1, 1), LocalizedElement(c2, 1, 1))
 
 
 def _katsura(ring, n):
@@ -498,20 +503,6 @@ def test_specialize_without_canonical_map_raises():
     B = PresentedAlgebra(QQ, ("X",), [X ** 2 - X - 1])
     with pytest.raises(NoCanonicalMap):
         specialize(B, GF(7))
-
-
-def test_unit_partition_zmod():
-    from scheme_explorer.algebra import unit_partition_zmod
-
-    coeffs = unit_partition_zmod(12, [8, 9])
-    assert coeffs is not None
-    assert (coeffs[0] * 8 + coeffs[1] * 9) % 12 == 1
-    assert unit_partition_zmod(12, [8, 10]) is None
-    for n in (6, 30, 36):
-        coeffs = unit_partition_zmod(n, [n // 2 + 1, 2])
-        if coeffs is not None:
-            total = sum(c * f for c, f in zip(coeffs, [n // 2 + 1, 2]))
-            assert total % n == 1
 
 
 def test_frobenius_tensor_nilpotency_order_p3():

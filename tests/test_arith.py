@@ -155,12 +155,20 @@ def test_reassembly_is_exact():
         assert prod == f
 
 
+def _reassembled(fac):
+    """The unit times each factor to its multiplicity."""
+    out = fac.ring.const(fac.unit)
+    for g, m in fac.factors:
+        out = out * g ** m
+    return out
+
+
 def test_reassembly_over_qq():
     R = PolyRing(QQ, ("X",))
     X, = R.gens()
     f = (2 * X ** 2 - 2) * (X ** 2 + X + 1) * (3 * X - 5)
     fac = factor_univariate(f)
-    assert fac.reassemble() == f
+    assert _reassembled(fac) == f
 
 
 def test_irreducibility_matches_trial_division():
@@ -241,7 +249,7 @@ def test_zassenhaus_versus_structured_products():
     fac = factor_univariate(f)
     degrees = sorted((g.total_degree(), m) for g, m in fac.factors)
     assert degrees == [(1, 2), (2, 1), (3, 1)]
-    assert fac.reassemble() == f
+    assert _reassembled(fac) == f
 
 
 def test_number_field_factorization_qq_i():

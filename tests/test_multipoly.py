@@ -181,7 +181,7 @@ def test_term_orders_disagree_properly():
     x, y = R_g.gens()
     f = x + y ** 2
     assert f.leading_monomial() == (0, 2)     # grevlex: higher total degree
-    fl = f.resort(LEX)
+    fl = f.relabel(R_l)
     assert fl.leading_monomial() == (1, 0)    # lex: x beats y^2
 
 

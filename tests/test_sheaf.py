@@ -23,6 +23,7 @@ def constant_presheaf(space, values):
 
 
 from helpers_sheaf import (
+    coboundary_cocycle,
     covers_of,
     eager_presheaf,
     eager_structure_sheaf,
@@ -167,68 +168,6 @@ def test_sheafified_output_satisfies_gluing_exhaustively():
         assert G.is_sheaf()
 
 
-def test_injective_morphism_image_is_presheaf_image():
-    """For injective maps between sheaves, the naive image is already a
-    sheaf, so no closure happens."""
-    space = sh.discrete_space(["a", "b"])
-    F, _ = sh.sheafify(constant_presheaf(space, [0, 1]))
-    G, _ = sh.sheafify(constant_presheaf(space, [0, 1, 2]))
-    maps = {}
-    for u in space.opens:
-        maps[u] = {s: s for s in F.sections[u]}
-    phi = sh.PresheafMorphism(F, G, maps)
-    assert phi.is_injective()
-    naive = sh.presheaf_image(phi)
-    closed = sh.sheaf_image(phi)
-    for u in space.opens:
-        assert set(naive.sections[u]) == set(closed.sections[u])
-
-
-def test_surjective_on_stalks_but_not_on_sections():
-    """Locally-constant sheaf morphism on a disconnected space: the sum map
-    hits everything locally, yet a global section is missed naively."""
-    space = sh.discrete_space(["a", "b"])
-    # F: pairs with equal coordinates only over the whole space (constant)
-    whole = frozenset(["a", "b"])
-    Fa = frozenset(["a"])
-    Fb = frozenset(["b"])
-    F_sections = {frozenset(): [()], Fa: [0, 1], Fb: [0, 1], whole: [0, 1]}
-    F_restr = {
-        (whole, Fa): {0: 0, 1: 1},
-        (whole, Fb): {0: 0, 1: 1},
-        (whole, frozenset()): {0: (), 1: ()},
-        (Fa, frozenset()): {0: (), 1: ()},
-        (Fb, frozenset()): {0: (), 1: ()},
-    }
-    F = sh.FinitePresheaf(space, F_sections, F_restr)
-    # G: the locally-constant sheaf with values {0,1}
-    G_sections = {
-        frozenset(): [()],
-        Fa: [0, 1],
-        Fb: [0, 1],
-        whole: [(0, 0), (0, 1), (1, 0), (1, 1)],
-    }
-    G_restr = {
-        (whole, Fa): {p: p[0] for p in G_sections[whole]},
-        (whole, Fb): {p: p[1] for p in G_sections[whole]},
-        (whole, frozenset()): {p: () for p in G_sections[whole]},
-        (Fa, frozenset()): {0: (), 1: ()},
-        (Fb, frozenset()): {0: (), 1: ()},
-    }
-    G = sh.FinitePresheaf(space, G_sections, G_restr)
-    maps = {
-        frozenset(): {(): ()},
-        Fa: {0: 0, 1: 1},
-        Fb: {0: 0, 1: 1},
-        whole: {0: (0, 0), 1: (1, 1)},
-    }
-    phi = sh.PresheafMorphism(F, G, maps)
-    naive = sh.presheaf_image(phi)
-    closed = sh.sheaf_image(phi)
-    assert len(naive.sections[whole]) == 2
-    assert len(closed.sections[whole]) == 4  # locally hit: the full target
-
-
 def test_structure_sheaf_z12():
     R = Zmod(12)
     rep = sh.structure_sheaf(R)
@@ -277,48 +216,9 @@ def test_structure_sheaf_product_splits():
 def test_stalks_are_local_rings():
     R = Zmod(12)
     rep = sh.structure_sheaf(R)
-    sizes = sorted(len(rep.stalk_ring(x).elements()) for x in rep.space.points)
+    sizes = sorted(len(rep.local_rings[rep.space.minimal_open(x)].elements())
+                   for x in rep.space.points)
     assert sizes == [3, 4]  # Z/12 localized at (3) and at (2)
-
-
-def z12_modules(ring):
-    """2*Z/12, Z/12 and Z/12 / (2) = Z/2 as modules over ``ring`` = Z/12."""
-
-    def module_from_subset(elements):
-        return sh.FiniteModule(
-            ring, elements,
-            add=lambda a, b: (a + b) % 12,
-            smul=lambda r, a: (r * a) % 12,
-            zero=0,
-        )
-
-    sub = module_from_subset([0, 2, 4, 6, 8, 10])
-    total = module_from_subset(list(range(12)))
-    quot = sh.FiniteModule(
-        ring, [0, 1],
-        add=lambda a, b: (a + b) % 2,
-        smul=lambda r, a: (r * a) % 2,
-        zero=0,
-    )
-    return sub, total, quot
-
-
-def test_module_sheaf_exactness_matches_stalks():
-    """0 -> 2*Z/12 -> Z/12 -> Z/12 / (2) -> 0 is exact on stalks and on the
-    sheaf level; dropping the kernel breaks exactness in the same places."""
-    ring = Zmod(12)
-    rep = sh.structure_sheaf(ring)
-    sub, total, quot = z12_modules(ring)
-    F_sub, loc_sub = sh.module_presheaf(ring, sub, rep)
-    F_tot, loc_tot = sh.module_presheaf(ring, total, rep)
-    F_quot, loc_quot = sh.module_presheaf(ring, quot, rep)
-    for x in rep.space.points:
-        u = rep.space.minimal_open(x)
-        ls = len(F_sub.sections[u])
-        lt = len(F_tot.sections[u])
-        lq = len(F_quot.sections[u])
-        # short exactness of localized modules: |sub| * |quot| = |total|
-        assert ls * lq == lt, (sorted(rep.primes[x]), ls, lt, lq)
 
 
 def test_trivial_cocycle_twist_is_identity():
@@ -339,7 +239,7 @@ def test_coboundary_is_trivial_class():
     cover = [X, rep.basic_open(2)]
     ring_x = rep.local_rings[X]
     ring_d2 = rep.local_rings[cover[1]]
-    cob = sh.coboundary_cocycle(
+    cob = coboundary_cocycle(
         rep, cover, [ring_x.neg(ring_x.one()), ring_d2.one()]
     )
     assert sh.is_coboundary(rep, cover, cob)
@@ -431,20 +331,22 @@ def _brute_family(ring, gens):
         family = grown
 
 
-def assert_fraction_classes(loc, ring, gens, elements, scale, cross, zero):
+def assert_fraction_classes(loc, ring, gens):
     """Oracle for a localization built from ``gens``: the classes are those
-    of the rule r * cross(p, q) = 0 for some r in S, and each class is
-    represented by its first pair (S sorted by str, then ``elements``)."""
+    of the rule r(at - bs) = 0 for some r in S, and each class is
+    represented by its first pair (S sorted by str, then the ring's
+    elements)."""
     family = _brute_family(ring, gens)
     assert loc.family == sorted(family, key=str)
+    zero = ring.zero()
 
     def equiv(p, q):
-        d = cross(p, q)
-        return any(scale(r, d) == zero for r in family)
+        d = ring.sub(ring.mul(p[0], q[1]), ring.mul(q[0], p[1]))
+        return any(ring.mul(r, d) == zero for r in family)
 
     firsts = []
     for s in loc.family:
-        for x in elements:
+        for x in ring.elements():
             pair = (x, s)
             rep = loc.make(x, s)
             assert equiv(pair, rep), (pair, rep)
@@ -489,32 +391,18 @@ def test_localization_matches_brute_force_oracle():
             assert loc.kernel == {
                 a for a in elems if any(ring.mul(r, a) == zero for r in family)
             }
-            assert_fraction_classes(
-                loc, ring, gens, elems, ring.mul,
-                lambda p, q: ring.sub(ring.mul(p[0], q[1]), ring.mul(q[0], p[1])),
-                zero,
-            )
+            assert_fraction_classes(loc, ring, gens)
 
 
-def test_module_localization_matches_brute_force_oracle():
+def test_structure_presheaf_localizations_match_brute_force_oracle():
+    """The local ring on every open U of spec(ZZ/12), made by
+    ``LocalizedFiniteRing.of_family`` from S(U), against the quantified
+    rule."""
     ring = Zmod(12)
     rep = sh.structure_sheaf(ring)
-    for module in z12_modules(ring):
-
-        def cross(p, q, module=module):
-            (m, s), (m2, s2) = p, q
-            return module.add(module.smul(s2, m), module.smul(ring.neg(s), m2))
-
-        _, localized = sh.module_presheaf(ring, module, rep)
-        for u, loc in localized.items():
-            gens = [
-                f for f in ring.elements()
-                if all(f not in rep.primes[x] for x in u)
-            ]
-            assert_fraction_classes(
-                loc, ring, gens, module.elements(), module.smul, cross,
-                module.zero(),
-            )
+    for u, loc in rep.local_rings.items():
+        gens = [f for f in ring.elements() if all(f not in rep.primes[x] for x in u)]
+        assert_fraction_classes(loc, ring, gens)
 
 
 def _brute_ideals(ring):
@@ -619,7 +507,7 @@ def test_structure_sheaf_refuses_a_large_ring_before_listing_it(ring):
 # one-pass localizations and the unit table against the earlier algorithms
 # ---------------------------------------------------------------------------
 
-def _reference_fractions(ring, family, elements, scale):
+def _reference_fractions(ring, family):
     """The |A|·|S| construction: t_s by a search of the ring for each s in
     S, then a key for every pair; returns the class list and every pair's
     class."""
@@ -633,8 +521,8 @@ def _reference_fractions(ring, family, elements, scale):
     for s in family:
         es = ring.mul(e, s)
         et = ring.mul(e, next(t for t in ring.elements() if ring.mul(es, t) == e))
-        for x in elements:
-            canon[(x, s)] = reps.setdefault(scale(et, x), (x, s))
+        for x in ring.elements():
+            canon[(x, s)] = reps.setdefault(ring.mul(et, x), (x, s))
     return list(reps.values()), canon
 
 
@@ -649,8 +537,8 @@ def _reference_units(dom):
     return units
 
 
-def _assert_matches_reference(loc, ring, elements, scale):
-    classes, canon = _reference_fractions(ring, loc.family, elements, scale)
+def _assert_matches_reference(loc, ring):
+    classes, canon = _reference_fractions(ring, loc.family)
     assert loc.elements() == classes
     for (x, s), rep in canon.items():
         assert loc.make(x, s) == rep, (x, s)
@@ -667,18 +555,16 @@ def test_one_pass_localization_matches_the_reference():
         for gens in gen_sets:
             loc = sh.LocalizedFiniteRing(ring, gens)
             units = domain_units(loc)  # on a fresh instance, before any make
-            _assert_matches_reference(loc, ring, elems, ring.mul)
+            _assert_matches_reference(loc, ring)
             assert units == _reference_units(loc), (ring, gens)
         assert domain_units(ring) == _reference_units(ring), ring
 
 
-def test_one_pass_module_localization_matches_the_reference():
+def test_one_pass_structure_localizations_match_the_reference():
     ring = Zmod(12)
     rep = sh.structure_sheaf(ring)
-    for module in z12_modules(ring):
-        _, localized = sh.module_presheaf(ring, module, rep)
-        for loc in localized.values():
-            _assert_matches_reference(loc, ring, module.elements(), module.smul)
+    for loc in rep.local_rings.values():
+        _assert_matches_reference(loc, ring)
 
 
 def test_localization_lists_the_ring_once():
@@ -738,6 +624,24 @@ def test_unit_table_needs_a_finite_domain():
         Integers().inv(3)
 
 
+def test_zmod_fraction_equality_matches_the_quantified_rule():
+    """Over ZZ/n, a/s = b/t in the localization iff r(at - bs) = 0 for some
+    r in the family; in (ZZ/12)_2, 3/1 = 0/1 as 4 * 3 = 0."""
+    loc = sh.LocalizedFiniteRing(Zmod(12), [2])
+    assert loc.family == [1, 2, 4, 8]
+    assert loc.make(3) == loc.make(0) and loc.make(1) != loc.make(0)
+    rng = random.Random(12)
+    for n in range(1, 37):
+        gens = rng.sample(range(n), min(n, rng.randrange(3)))
+        loc = sh.LocalizedFiniteRing(Zmod(n), gens)
+        family = loc.family
+        for _ in range(40):
+            a, b = rng.randrange(n), rng.randrange(n)
+            s, t = rng.choice(family), rng.choice(family)
+            rule = any(r * (a * t - b * s) % n == 0 for r in family)
+            assert (loc.make(a, s) == loc.make(b, t)) == rule, (n, gens, a, s, b, t)
+
+
 def test_localized_inverse_canonicalizes_its_argument():
     from scheme_explorer.errors import NotInvertible
 
@@ -757,15 +661,12 @@ def test_localized_inverse_canonicalizes_its_argument():
 # ---------------------------------------------------------------------------
 
 def test_localization_refuses_a_large_ring_before_listing_it():
-    from scheme_explorer.algebra import LocalizationContext
     from scheme_explorer.errors import BudgetExceeded
 
     ring = sh.QuotientPolyRing(Zmod(5), (0,) * 8 + (1,))  # 5^8 elements
     with pytest.raises(BudgetExceeded, match="390625 elements"):
         sh.LocalizedFiniteRing(ring, [(1,) + (0,) * 7])
     assert ring._elements is None
-    with pytest.raises(BudgetExceeded):
-        LocalizationContext.over_zmod(10 ** 12, [2])
 
 
 def test_sheafify_refuses_too_many_germ_families():

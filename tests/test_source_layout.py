@@ -1,7 +1,9 @@
 """Checks on the source of the ``scheme_explorer`` package itself."""
 
 import ast
+import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import scheme_explorer
@@ -166,3 +168,55 @@ def test_no_module_imports_a_private_printer():
         tree = ast.parse(path.read_text(), filename=str(path))
         uses += [f"{path.name}:{line}" for line in _private_printer_uses(tree)]
     assert uses == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unread_public_names(source, readers):
+    """The public top-level functions and classes of ``source`` that no
+    text names outside their own definition: the other lines of the
+    package, and ``readers``, the documents and programs that use it."""
+    words = Counter()
+    for path in readers:
+        words.update(re.findall(r"\w+", path.read_text()))
+    defined = []
+    for path in sorted(source.glob("*.py")):
+        text = path.read_text()
+        words.update(re.findall(r"\w+", text))
+        lines = text.splitlines()
+        for node in ast.parse(text, filename=str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                own = "\n".join(lines[node.lineno - 1:node.end_lineno])
+                defined.append((f"{path.stem}.{node.name}", node.name,
+                                len(re.findall(rf"\b{node.name}\b", own))))
+    return sorted(label for label, name, own in defined if words[name] == own)
+
+
+def test_every_public_name_has_a_reader():
+    """Each public top-level ``def`` or ``class`` of the package is named
+    somewhere besides its own definition: in the package, README.md, the
+    acceptance checklist or the benchmark.  A name that only its unit tests
+    reach is surface with no user."""
+    readers = [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py",
+               *sorted((ROOT / "perfbench").glob("*.py"))]
+    assert all(path.exists() for path in readers)
+    assert _unread_public_names(SOURCE, readers) == []
+
+
+def test_the_core_layers_import_no_consumer():
+    """``errors``, ``kernels``, ``arith``, ``multipoly`` and ``algebra`` are
+    the layers every answer runs through; they import none of the modules
+    built on them, so the import graph points one way."""
+    core = ("errors", "kernels", "arith", "multipoly", "algebra")
+    consumers = {"spectrum", "morphism", "noether", "proj", "sheaf", "dsl", "cli"}
+    imports = []
+    for name in core:
+        tree = ast.parse((SOURCE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = ({node.module.split(".")[0]} if node.module
+                           else {alias.name for alias in node.names})
+                imports += [f"{name} -> {t}" for t in sorted(targets & consumers)]
+    assert imports == []

@@ -16,7 +16,7 @@ from scheme_explorer.arith import (
     up_deg,
     up_norm,
 )
-from scheme_explorer.algebra import PresentedAlgebra, localize
+from scheme_explorer.algebra import PresentedAlgebra, localize, unit_partition
 from scheme_explorer.errors import BudgetExceeded, FactorizationUnavailable, NotCatalogued
 from scheme_explorer.multipoly import PolyRing
 from scheme_explorer import spectrum as sp
@@ -335,8 +335,6 @@ def test_krull_dimensions():
 
 
 def test_quasicompactness_partition_of_unity():
-    from scheme_explorer.algebra import unit_partition
-
     # ZZ: Bezout for coprime integers
     import math
 
@@ -371,22 +369,11 @@ def test_uncatalogued_rings_rejected():
         sp.SpecCatalogue.recognize(PresentedAlgebra(ZZ, ("X", "Y", "Z")))
 
 
-def test_partition_of_unity_dispatcher():
-    # over ZZ
-    Az = PresentedAlgebra(ZZ, ())
-    elems = [Az.ring.from_int(6), Az.ring.from_int(35)]
-    coeffs = sp.partition_of_unity(Az, elems)
-    assert sum(c * v for c, v in zip(coeffs, (6, 35))) == 1
-    assert sp.partition_of_unity(Az, [Az.ring.from_int(6), Az.ring.from_int(10)]) is None
-    assert sp.partition_of_unity(Az, [Az.ring.from_int(-1)]) == [-1]
-    # over ZZ/n
-    A12 = PresentedAlgebra(Zmod(12), ())
-    coeffs = sp.partition_of_unity(A12, [A12.ring.from_int(8), A12.ring.from_int(9)])
-    assert (coeffs[0] * 8 + coeffs[1] * 9) % 12 == 1
+def test_partition_of_unity_over_field_polynomial_rings():
     # over k[T]
     Ak = PresentedAlgebra(GF(7), ("T",))
     T, = Ak.gens()
-    coeffs = sp.partition_of_unity(Ak, [T, T - 1])
+    coeffs = unit_partition([T, T - 1])
     total = Ak.ring.zero()
     for c, f in zip(coeffs, (T, T - 1)):
         total = total + c * f
@@ -394,7 +381,7 @@ def test_partition_of_unity_dispatcher():
     # over k[X,Y]
     Axy = PresentedAlgebra(GF(5), ("X", "Y"))
     X, Y = Axy.gens()
-    coeffs = sp.partition_of_unity(Axy, [X, 1 - X * Y])
+    coeffs = unit_partition([X, 1 - X * Y])
     total = Axy.ring.zero()
     for c, f in zip(coeffs, (X, 1 - X * Y)):
         total = total + c * f
@@ -448,7 +435,7 @@ def test_points_lie_on_their_closure_with_canonical_values(name):
 
 def test_partition_of_unity_of_the_empty_family_is_none():
     """The empty family generates the zero ideal, so no partition exists."""
-    assert sp.partition_of_unity(PresentedAlgebra(GF(7), ("T",)), []) is None
+    assert unit_partition([]) is None
 
 
 def test_residue_field_over_an_extension_gets_a_fresh_generator():
@@ -735,6 +722,6 @@ def test_partition_of_unity_past_cofactor_degree_8(field):
     A = PresentedAlgebra(field, ("x", "y"))
     x, y = A.gens()
     elems = [x ** 9 * y - 1, y]
-    coeffs = sp.partition_of_unity(A, elems)
+    coeffs = unit_partition(elems)
     assert coeffs is not None
     assert sum((a * f for a, f in zip(coeffs, elems)), A.ring.zero()) == A.ring.one()
