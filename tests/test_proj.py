@@ -1,5 +1,6 @@
 """Projective charts, points, twisting sheaves, and classical maps."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -76,6 +77,68 @@ def test_point_counts_exhaustive():
             pts = pj.enumerate_points(field, n)
             assert len(pts) == (q ** (n + 1) - 1) // (q - 1)
             assert len(set(pts)) == len(pts)
+
+
+# (name, relations) over GF(p)[T0, T1, T2]: the plane, a smooth conic and
+# the triangle of the three coordinate lines
+_PLANE_CURVES = [
+    ("plane", lambda T0, T1, T2: []),
+    ("conic", lambda T0, T1, T2: [T0 * T2 - T1 ** 2]),
+    ("triangle", lambda T0, T1, T2: [T0 * T1 * T2]),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name, relations", _PLANE_CURVES, ids=[c[0] for c in _PLANE_CURVES])
+def test_chart_points_are_the_points_off_the_hyperplane(p, name, relations):
+    """The GF(p)-points of chart i are the points of Proj B with T_i != 0,
+    read in the ratios T_j/T_i: both sides counted by brute force."""
+    field = GF(p)
+    R = PolyRing(field, ("T0", "T1", "T2"))
+    B = pj.GradedAlgebra(field, R.names, relations(*R.gens()))
+    on_b = [x for x in pj.enumerate_points(field, 2)
+            if all(r.evaluate(dict(zip(R.names, x.coords))) == field.zero()
+                   for r in B.relations)]
+    for i in range(3):
+        chart = pj.proj_chart(B, i).algebra
+        affine = {t for t in itertools.product(field.elements(), repeat=2)
+                  if all(r.evaluate(dict(zip(chart.names, t))) == field.zero()
+                         for r in chart.relations)}
+        ratios = {tuple(field.mul(c, field.inv(x.coords[i]))
+                        for j, c in enumerate(x.coords) if j != i)
+                  for x in on_b if x.coords[i] != field.zero()}
+        assert ratios == affine
+
+
+_MAPS = {
+    "segre": (lambda k: pj.segre_kernel(k, 1, 1), 1,
+              lambda x, y: pj.segre(x, y), 3),
+    "veronese": (lambda k: pj.veronese_kernel(k, 1), 0,
+                 lambda x, y: pj.veronese(x), 3),
+    "conic": (pj.conic_kernel, 0, lambda x, y: pj.conic_map(x), 2),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("which", sorted(_MAPS))
+def test_kernel_vanishes_exactly_on_the_image(which, p):
+    """Over GF(p) the values ``kernel_values`` reads are all zero exactly at
+    the normalized images of the map, among all points of the target."""
+    kernel_of, second, image_of, target = _MAPS[which]
+    field = GF(p)
+    kernel = kernel_of(field)
+    line = pj.enumerate_points(field, 1)
+    pairs = list(itertools.product(line, line) if second else zip(line, line))
+    raw = [image_of(x, y) for x, y in pairs]
+    for r in raw:
+        assert set(pj.kernel_values(kernel, r).values()) == {field.zero()}
+    # the maps are injective on points
+    image = {pj.point_normalize(field, r.coords) for r in raw}
+    assert len(image) == len(pairs)
+    zeros = {x for x in pj.enumerate_points(field, target)
+             if set(pj.kernel_values(kernel, x).values()) == {field.zero()}}
+    assert zeros == image
+    assert len(pj.kernel_values(kernel, next(iter(image)))) == len(kernel.generators)
 
 
 def test_segre_example_and_quadric():
