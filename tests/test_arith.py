@@ -400,7 +400,7 @@ def test_cantor_zassenhaus_draws_do_not_depend_on_the_hash_seed():
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert int(outputs[0].rsplit("draws ", 1)[1]) == 51
+    assert int(outputs[0].rsplit("draws ", 1)[1]) == 27
 
 
 @pytest.fixture
@@ -429,8 +429,9 @@ def test_an_irreducible_part_makes_no_splitting_generator(cz_generators):
 
 def test_parts_that_split_share_one_generator_seeded_from_the_input(cz_generators):
     """(x-1)^2 (x-2)(x-3) (x^2+1)(x^2+2) over GF(7): the square is no draw,
-    the linears and the quadratics are split on one generator, seeded from
-    the whole input, made when the first of them is split."""
+    the linears are the roots found by scanning the residues, and the
+    quadratics are split on one generator, seeded from the whole input,
+    made when they are split."""
     dom = GF(7)
     f = (1,)
     for g in ((6, 1), (6, 1), (5, 1), (4, 1), (1, 0, 1), (2, 0, 1)):
@@ -438,6 +439,22 @@ def test_parts_that_split_share_one_generator_seeded_from_the_input(cz_generator
     _, fac = factor_dense(f, dom)
     assert fac == [((4, 1), 1), ((5, 1), 1), ((6, 1), 2), ((1, 0, 1), 1), ((2, 0, 1), 1)]
     assert cz_generators == [f]
+
+
+def test_distinct_linears_make_a_generator_only_past_the_root_scan(cz_generators):
+    """Five distinct linears over the largest prime the residue scan serves
+    are its roots, with no draw; over the next prime they are split by
+    Cantor-Zassenhaus on one generator."""
+    from scheme_explorer.arith import _ROOT_SCAN_ORDER, _next_prime
+
+    below = max(p for p in range(2, _ROOT_SCAN_ORDER + 1) if is_prime(p))
+    for p in (below, _next_prime(_ROOT_SCAN_ORDER)):
+        dom, f = GF(p), (1,)
+        for r in (1, 2, 3, 5, 8):
+            f = up_mul(dom, f, (p - r, 1))
+        _, fac = factor_dense(f, dom)
+        assert fac == [((p - r, 1), 1) for r in (8, 5, 3, 2, 1)]
+        assert len(cz_generators) == (p > _ROOT_SCAN_ORDER)
 
 
 def test_prime_factors_match_trial_division_by_every_divisor():

@@ -310,14 +310,9 @@ def test_dense_products_over_a_tabulated_field_match_the_generic_loops():
     _check_divisions(field, polys, [a for a in polys if a])
 
 
-def test_factoring_over_gf32003_makes_no_generic_coefficient_calls(monkeypatch):
-    """A guard by count, not by time: squarefree decomposition, distinct- and
-    equal-degree factorization run on the integer kernels of ``Zmod``."""
-    dom = GF(32003)
-    rng = random.Random(8)
-    f = (5,)
-    for d in (1, 2, 2, 3):
-        f = ref_mul(dom, f, _zmod_poly(rng, 32003, d)[:-1] + (1,))
+def _generic_calls(monkeypatch):
+    """The names of the ``Zmod.mul``, ``add`` and ``sub`` calls made from
+    now on, until ``monkeypatch.undo()``."""
     calls = []
     for name in ("mul", "add", "sub"):
         real = getattr(Zmod, name)
@@ -327,6 +322,18 @@ def test_factoring_over_gf32003_makes_no_generic_coefficient_calls(monkeypatch):
             return real(self, a, b)
 
         monkeypatch.setattr(Zmod, name, counted)
+    return calls
+
+
+def test_factoring_over_gf32003_makes_no_generic_coefficient_calls(monkeypatch):
+    """A guard by count, not by time: squarefree decomposition, distinct- and
+    equal-degree factorization run on the integer kernels of ``Zmod``."""
+    dom = GF(32003)
+    rng = random.Random(8)
+    f = (5,)
+    for d in (1, 2, 2, 3):
+        f = ref_mul(dom, f, _zmod_poly(rng, 32003, d)[:-1] + (1,))
+    calls = _generic_calls(monkeypatch)
     unit, fac = factor_dense(f, dom)
     assert calls == []
     monkeypatch.undo()
@@ -335,6 +342,30 @@ def test_factoring_over_gf32003_makes_no_generic_coefficient_calls(monkeypatch):
         for _ in range(m):
             product = ref_mul(dom, product, g)
     assert product == f and len(f) == 9 and len(fac) >= 3
+
+
+def test_factoring_over_gf31_makes_no_generic_coefficient_calls(monkeypatch):
+    """The same guard where the linear factors come from scanning the
+    residues: a square and a cube of linears, two more linears and the
+    root-free quartic (x^2 + 1)(x^2 - 3) over GF(31), split by
+    Cantor-Zassenhaus."""
+    dom = GF(31)
+    assert 31 <= arith._ROOT_SCAN_ORDER
+    f = (3,)
+    for g in ((1, 1), (1, 1), (4, 1), (4, 1), (4, 1), (9, 1), (30, 1), (1, 0, 1), (28, 0, 1)):
+        f = ref_mul(dom, f, g)
+    calls = _generic_calls(monkeypatch)
+    unit, fac = factor_dense(f, dom)
+    assert calls == []
+    monkeypatch.undo()
+    assert unit == 3
+    assert fac == [((1, 1), 2), ((4, 1), 3), ((9, 1), 1), ((30, 1), 1),
+                   ((1, 0, 1), 1), ((28, 0, 1), 1)]
+    product = (unit,)
+    for g, m in fac:
+        for _ in range(m):
+            product = ref_mul(dom, product, g)
+    assert product == f
 
 
 # ---------------------------------------------------------------------------

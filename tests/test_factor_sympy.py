@@ -154,3 +154,75 @@ def primitive_ints(poly):
     """Dense integer primitive part of a sympy polynomial, lc > 0."""
     prim = [int(c) for c in reversed(poly.primitive()[1].all_coeffs())]
     return tuple(-c for c in prim) if prim[-1] < 0 else tuple(prim)
+
+
+def test_every_monic_quartic_over_gf2_and_gf3():
+    """Every monic polynomial of degree at most 4 over GF(2) and GF(3), all
+    of whose linear factors come from scanning the residues."""
+    assert 3 <= arith._ROOT_SCAN_ORDER
+    for p in (2, 3):
+        for d in range(5):
+            for tail in itertools.product(range(p), repeat=d):
+                coeffs = tail + (1,)
+                unit, fac = factor_dense(coeffs, GF(p))
+                assert (unit, sorted(fac)) == (1, sympy_factors_gf(coeffs, p)), coeffs
+
+
+def _root_free(rng, p, degree):
+    """A seeded monic polynomial of the given degree with no root in GF(p)."""
+    while True:
+        g = tuple(rng.randrange(p) for _ in range(degree)) + (1,)
+        if all(sum(c * pow(r, i, p) for i, c in enumerate(g)) % p for r in range(p)):
+            return g
+
+
+def test_repeated_linears_times_a_root_free_cofactor_on_both_sides_of_the_scan_cutoff():
+    """Seeded products of linear factors, some repeated, and a root-free
+    cofactor of degree 4 to 10, over the largest prime the residue scan
+    serves and the smallest one past it."""
+    cutoff = arith._ROOT_SCAN_ORDER
+    below = max(p for p in range(2, cutoff + 1) if arith.is_prime(p))
+    rng = random.Random(6461)
+    for p in (below, arith._next_prime(cutoff)):
+        dom = GF(p)
+        for _ in range(6):
+            f = _root_free(rng, p, rng.randint(4, 10))
+            for _ in range(rng.randint(1, 4)):
+                linear = (rng.randrange(p), 1)
+                for _ in range(rng.randint(1, 3)):
+                    f = arith.up_mul(dom, f, linear)
+            unit, fac = factor_dense(f, dom)
+            assert unit == 1
+            assert sorted(fac) == sympy_factors_gf(f, p), (p, f)
+
+
+def test_zassenhaus_images_split_by_the_residue_scan(monkeypatch, path_calls):
+    """Products over QQ and Q(i) that need Hensel lifting: the modular
+    images at 5, 7, 11, ... (over Q(i) the split primes 5, 13, 17, ...)
+    have their roots found by the scan, and the factors match sympy."""
+    from test_number_field_sympy import to_sympy
+
+    primes, real = [], arith._linear_factors
+
+    def counted(f, p):
+        primes.append(p)
+        return real(f, p)
+
+    monkeypatch.setattr(arith, "_linear_factors", counted)
+    check_qq((X - 1) * (2 * X + 3) * (X + 5) ** 2 * (X ** 2 - 2))
+    check_qq((3 * X - 1) * (X + 4) * (X - 7) * (X ** 3 - X - 1))
+    assert primes and max(primes) <= arith._ROOT_SCAN_ORDER
+    primes.clear()
+    K = arith.ExtField(QQ, (Fraction(1), Fraction(0), Fraction(1)))
+    i = K.gen()
+    f = (K.one(),)
+    for a, b in ((1, 2), (-3, 1), (0, 1), (2, 0), (1, 2)):
+        f = arith.up_mul(K, f, (K.neg(K.add(K.from_int(a), K.mul(K.from_int(b), i))), K.one()))
+    _, fac = factor_dense(f, K)
+    assert primes and max(primes) <= arith._ROOT_SCAN_ORDER
+    _, expected = sympy.factor_list(to_sympy(f, sympy.I), X, extension=sympy.I)
+    ours = sorted((str(sympy.expand(to_sympy(g, sympy.I))), m) for g, m in fac)
+    theirs = sorted((str(sympy.expand(sympy.Poly(g, X, extension=sympy.I).monic().as_expr())), m)
+                    for g, m in expected)
+    assert ours == theirs
+    assert path_calls["lift"] == 3
