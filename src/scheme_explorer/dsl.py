@@ -36,11 +36,13 @@ than ``int`` reads, and a polynomial that nests parentheses and signs past
 
 Tokens are tuples (``Token``, a NamedTuple) read from one ``findall`` of
 the token pattern; the syntax nodes of polynomials are slotted dataclasses
-that compare and hash by value.  ``eval_poly`` expands a polynomial's syntax
+that compare and hash by value.  ``eval_poly`` walks a polynomial's syntax
 on packed terms, one int per monomial (the order key above the packed
-exponents of ``multipoly``), and builds one Poly from one sort; a counted
-budget of term products and coefficient bits refuses a runaway power with
-BudgetExceeded.
+exponents of ``multipoly``): it multiplies atoms and merges sums itself, and
+takes every other product and power from ``multipoly._product`` and
+``multipoly._power``, the kernels of Poly arithmetic, building one Poly at
+the end; a counted budget of term products and coefficient bits refuses a
+runaway power with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -49,11 +51,11 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from operator import add, mul, neg, not_, or_, sub
+from functools import partial
+from operator import add, mul, neg, not_, sub
 from typing import NamedTuple
 
-from . import arith
+from . import arith, multipoly
 from .algebra import PresentedAlgebra
 from .errors import (BudgetExceeded, DslSyntaxError, ExponentOverflow, InvalidArgument,
                      UnsupportedDomain)
@@ -705,68 +707,60 @@ def build_domain(expr: DomainExpr):
     return arith.GFq(expr.modulus, modulus, var=names[0])
 
 
-# The work that one eval_poly may do, counted rather than timed: the term
-# products of its products of polynomials, and over ZZ and QQ the bits of a
-# coefficient product, estimated as the sum of the factors' bit lengths.
-# The scripts and benchmark decks take no term products and at most 6 bits;
-# the largest test input, a sixth power of a product of sums over QQ, takes
-# 5,549 term products and 493 bits.  At the bounds a refusal comes within
-# about 0.5 s.
+# The work that one eval_poly may do, counted rather than timed, before each
+# product that ``multipoly._product`` makes: its term products, len(a) *
+# len(b), and over ZZ and QQ the bits of a coefficient product, estimated as
+# the sum of the factors' largest bit lengths; a product of two terms counts
+# its bits alone.  The scripts and benchmark decks take no term products and
+# at most 6 bits; the largest test input, a sixth power of a product of sums
+# over QQ, takes 5,549 term products and 493 bits.  At the bounds a refusal
+# comes within about 0.5 s.
 TERM_PRODUCTS = 1 << 20
 COEFF_BITS = 1 << 20
 _OVERFLOW = "a product has an exponent of 2^31 or more"
+_TOO_MANY_BITS = f"expanding the polynomial makes a coefficient of more than {COEFF_BITS} bits"
 
 
 def eval_poly(node, ring):
-    """Evaluate a polynomial AST inside a PolyRing.
-
-    The AST is expanded on packed terms (``_Expansion``) into one Poly,
-    sorted once by the order key.  Raises DslSyntaxError for an unknown
-    variable, ExponentOverflow for an exponent of 2^31 or more, and
-    BudgetExceeded past TERM_PRODUCTS term products or COEFF_BITS bits.
+    """Evaluate a polynomial AST inside a PolyRing (``_Walk``), building one
+    Poly.  Raises DslSyntaxError for an unknown variable, ExponentOverflow
+    for an exponent of 2^31 or more, and BudgetExceeded past TERM_PRODUCTS
+    term products or COEFF_BITS bits.
     """
-    expansion = _Expansion(ring)
-    return expansion.poly(expansion.value(node))
+    v = _Walk(ring).value(node)
+    if v is None:
+        return ring.zero()
+    mons, coeffs = _packed(v)
+    if isinstance(ring.domain, arith.RationalField):
+        coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
+    return Poly(ring, (mons, coeffs))
 
 
-def _bits(c):
-    """The bit length of an int or a Fraction."""
-    if type(c) is int:
-        return c.bit_length()
-    return c.numerator.bit_length() + c.denominator.bit_length()
+def _packed(v):
+    """The packed terms of a nonzero value of ``_Walk``."""
+    return ((v[0],), (v[1],)) if type(v) is tuple else v
 
 
-def _no_bits(c):
-    """The bits counted for an element of a finite domain: none."""
-    return 0
+class _Walk:
+    """The walk over a polynomial's syntax, on the packed terms of one
+    PolyRing: a monomial is one int of ``multipoly._Packer``, the order key
+    above the packed exponents.  A value is None (zero), one term, a tuple
+    (m, c, bits), or a list [monomials, coefficients] of two terms or more,
+    leading term first; bits is the bit length of c over ZZ and QQ
+    (``_bits``) and 0 elsewhere.
 
-
-class _Expansion:
-    """Polynomial ASTs expanded into packed terms of one PolyRing.
-
-    A monomial is one int of ``multipoly._Packer``, the order key above the
-    packed exponents: a product of monomials adds their ints, sorting on
-    them sorts by the order key, and an exponent of 2^31 or more sets a
-    guard bit.  A value is None (zero), one term (m, c, bits), or a dict
-    {m: c} of two terms or more; bits is the bit length of c over ZZ and QQ
-    (``_bits``) and 0 elsewhere.  A product of atoms is one term, a sum
-    merges into one dict, and only a product or power of sums multiplies
-    dicts.
-
-    Products keep the checks of Poly arithmetic, so the same inputs raise
-    ExponentOverflow, over ZZ/n too: a zero factor absorbs the other
-    unchecked; a one-term factor checks every exponent before zero
-    coefficients drop out (``multipoly._shifted``); two longer factors drop
-    a zero term product and check the terms they add (``_sub_shifted``);
-    powers square as ``Poly.__pow__`` does.  Over ZZ and QQ coefficients
-    are ints and Fractions under the operators, and become Fractions over
-    QQ at the end.
+    A product of atoms is made here, one term from two, and a sum merges
+    into one dict, sorted once.  Every other product and power is
+    ``multipoly._product`` and ``multipoly._power``, the kernels of Poly
+    arithmetic, so the same inputs raise ExponentOverflow; the budget is
+    counted before each product.  Over ZZ and QQ coefficients are ints and
+    Fractions under the operators, and become Fractions over QQ at the end.
     """
 
     def __init__(self, ring):
         dom = ring.domain
         pk = ring.packer
-        self.ring = ring
+        self.ring, self.dom, self.pk = ring, dom, pk
         self.gens, self.guard = pk.gens, pk.guard
         self.work = 0
         if isinstance(dom, (arith.IntegerRing, arith.RationalField)):
@@ -775,7 +769,6 @@ class _Expansion:
         else:
             self.add, self.sub, self.mul, self.neg = dom.add, dom.sub, dom.mul, dom.neg
             self.is_zero, self.from_int, self.bits = dom.is_zero, dom.from_int, _no_bits
-        self.fractions = isinstance(dom, arith.RationalField)
         self.one = self.term(0, self.from_int(1))
 
     def term(self, m, c):
@@ -796,25 +789,26 @@ class _Expansion:
             if i is None:
                 raise DslSyntaxError(f"unknown variable {node.name!r} in {self.ring}")
             one = self.one
-            return one and (self.gens[i], one[1], one[2])
+            return (self.gens[i], one[1], one[2])
         if t is IntLit:
             return self.term(0, self.from_int(node.value))
         if t is Pow:
-            return self.power(self.value(node.base), node.exponent)
+            return multipoly._power(self.value(node.base), node.exponent, self.one, self.times)
         if t is Neg:
             v = self.value(node.body)
             if type(v) is tuple:
                 return (v[0], self.neg(v[1]), v[2])
-            return v and {m: self.neg(c) for m, c in v.items()}
+            return v and [v[0], tuple(map(self.neg, v[1]))]
         if t is FracLit:
-            dom = self.ring.domain
+            dom = self.dom
             num = dom.from_int(node.numerator)
             return self.term(0, dom.mul(num, dom.inv(dom.from_int(node.denominator))))
         raise DslSyntaxError(f"bad polynomial node {node!r}")
 
     def sum(self, node):
-        """The terms of a sum, merged into one dict, left operands first."""
-        add, sub, neg = self.add, self.sub, self.neg
+        """The terms of a sum, merged into one dict, left operands first;
+        the zeros dropped, and sorted once."""
+        add, sub, neg, is_zero = self.add, self.sub, self.neg, self.is_zero
         d = {}
         stack = [(node, False)]
         while stack:
@@ -826,101 +820,53 @@ class _Expansion:
             elif t is Neg:
                 stack.append((node.body, not negate))
             elif (v := self.value(node)) is not None:
-                for m, c in (v[:2],) if type(v) is tuple else v.items():
+                for m, c in (v[:2],) if type(v) is tuple else zip(*v):
                     if m in d:
                         d[m] = sub(d[m], c) if negate else add(d[m], c)
                     else:
                         d[m] = neg(c) if negate else c
-        return self.normal(d)
-
-    def normal(self, d):
-        """The value of the terms d, zero coefficients dropped."""
-        is_zero = self.is_zero
         for m in [m for m, c in d.items() if is_zero(c)]:
             del d[m]
         if len(d) > 1:
-            return d
-        return self.term(*next(iter(d.items()))) if d else None
+            mons = sorted(d, reverse=True)
+            return [tuple(mons), tuple([d[m] for m in mons])]
+        return self.term(*d.popitem()) if d else None
 
     def times(self, a, b):
         if a is None or b is None:
             return None
-        if type(a) is tuple:
-            if type(b) is tuple:
-                m = a[0] + b[0]
-                if m & self.guard:
-                    raise ExponentOverflow(_OVERFLOW)
-                if a[2] + b[2] > COEFF_BITS:
-                    self.spend(0, a[2] + b[2])
-                return self.term(m, self.mul(a[1], b[1]))
-            a, b = b, a
-        elif type(b) is not tuple:
-            return self.product(a, b)
-        # a dict times a term: every exponent checked, then the coefficients
-        m, c, bits = b
-        self.spend(len(a), self.max_bits_of(a) + bits)
-        keys = [k + m for k in a]
-        if reduce(or_, keys) & self.guard:
-            raise ExponentOverflow(_OVERFLOW)
-        mul = self.mul
-        return self.normal(dict(zip(keys, [mul(x, c) for x in a.values()])))
-
-    def product(self, a, b):
-        """The product of two dicts; a zero term product adds no term."""
-        self.spend(len(a) * len(b), self.max_bits_of(a) + self.max_bits_of(b))
-        add, mul, is_zero, guard = self.add, self.mul, self.is_zero, self.guard
-        out = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                p = mul(ca, cb)
-                if is_zero(p):
-                    continue
-                k = ka + kb
-                if k in out:
-                    out[k] = add(out[k], p)
-                elif k & guard:
-                    raise ExponentOverflow(_OVERFLOW)
-                else:
-                    out[k] = p
-        return self.normal(out)
-
-    def power(self, a, n):
-        """a^n by the squarings of ``Poly.__pow__``."""
-        r = one = self.one
-        while n:
-            if n & 1:
-                r = a if r is one else self.times(r, a)
-            n >>= 1
-            if n:
-                a = self.times(a, a)
-        return r
-
-    def spend(self, products, bits):
-        """Count the term products of one product, and bound the bits of
-        its coefficients."""
-        self.work += products
+        if type(a) is tuple and type(b) is tuple:
+            m = a[0] + b[0]
+            if m & self.guard:
+                raise ExponentOverflow(_OVERFLOW)
+            if a[2] + b[2] > COEFF_BITS:
+                raise BudgetExceeded(_TOO_MANY_BITS)
+            return self.term(m, self.mul(a[1], b[1]))
+        a, b = _packed(a), _packed(b)
+        bits = self.bits
+        self.work += len(a[0]) * len(b[0])
         if self.work > TERM_PRODUCTS:
             raise BudgetExceeded(f"expanding the polynomial takes more than "
                                  f"{TERM_PRODUCTS} term products")
-        if bits > COEFF_BITS:
-            raise BudgetExceeded(f"expanding the polynomial makes a coefficient of "
-                                 f"more than {COEFF_BITS} bits")
+        if max(map(bits, a[1])) + max(map(bits, b[1])) > COEFF_BITS:
+            raise BudgetExceeded(_TOO_MANY_BITS)
+        dom = self.dom
+        mons, coeffs = multipoly._product(a, b, dom, self.pk, multipoly._int_modulus(dom))
+        if len(mons) > 1:
+            return [mons, coeffs]
+        return self.term(mons[0], coeffs[0]) if mons else None
 
-    def max_bits_of(self, d):
-        return max(map(self.bits, d.values()))
 
-    def poly(self, v):
-        """The Poly of a value, its terms sorted once by the order key."""
-        ring = self.ring
-        if v is None:
-            return ring.zero()
-        if type(v) is tuple:
-            v = {v[0]: v[1]}
-        ms = sorted(v, reverse=True)
-        coeffs = tuple([v[m] for m in ms])
-        if self.fractions:
-            coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
-        return Poly(ring, (tuple(ms), coeffs))
+def _bits(c):
+    """The bit length of an int or a Fraction."""
+    if type(c) is int:
+        return c.bit_length()
+    return c.numerator.bit_length() + c.denominator.bit_length()
+
+
+def _no_bits(c):
+    """The bits counted for an element of a finite domain: none."""
+    return 0
 
 
 def build_ring(expr: RingExpr):

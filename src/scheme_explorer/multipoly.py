@@ -32,6 +32,9 @@ term order, nothing is re-sorted, and the binary search runs on plain ints.
 Over ZZ and ZZ/n the remainder is lazy: it holds unreduced ints, and each
 coefficient is reduced mod n, and dropped if zero, once, when its term
 leaves the remainder.
+Products and powers are made on packed terms, with no Poly built, by
+``_product`` (a product by one term is ``_shift``) and ``_power``, the one
+product and power of both ``Poly``'s operators and ``dsl.eval_poly``.
 ``Poly.packed()``, the monomials and the coefficients, is the view the
 arithmetic uses; ``Poly.terms``, the (exps tuple, coeff) pairs, is decoded
 from it on first read and cached.
@@ -113,32 +116,28 @@ class BlockOrder(TermOrder):
 
     ``sizes`` splits the exponent tuple; earlier blocks dominate, so placing
     the variables to eliminate in the first block yields an elimination
-    order for the remaining ones. The weight matrix is block-diagonal.
+    order for the remaining ones. Each block is ordered by grevlex, so the
+    weight matrix is block-diagonal with grevlex blocks.
     """
 
-    def __init__(self, sizes, inner=None):
+    def __init__(self, sizes):
         super().__init__()
         self.sizes = tuple(sizes)
-        self.inner = tuple(inner) if inner else tuple(GrevlexOrder() for _ in sizes)
         self.name = f"block{self.sizes}"
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and other.sizes == self.sizes
-            and other.inner == self.inner
-        )
+        return type(other) is type(self) and other.sizes == self.sizes
 
     def __hash__(self):
-        return hash((type(self), self.sizes, self.inner))
+        return hash((type(self), self.sizes))
 
     def rows(self, n):
         if sum(self.sizes) != n:
             raise InvalidArgument(f"{self} orders {sum(self.sizes)} variables, not {n}")
         out = []
         pos = 0
-        for size, order in zip(self.sizes, self.inner):
-            out += [(0,) * pos + r + (0,) * (n - pos - size) for r in order.rows(size)]
+        for size in self.sizes:
+            out += [(0,) * pos + r + (0,) * (n - pos - size) for r in GREVLEX.rows(size)]
             pos += size
         return out
 
@@ -448,44 +447,28 @@ class Poly:
         return _from_ascending(ring, rem, n)
 
     def __mul__(self, other):
-        """The sum of the longer factor shifted by each term of the shorter."""
+        """The product by ``_product``; a factor 1 returns the other."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
         dom = ring.domain
-        big, small = self, other
-        if len(other._packed[0]) > len(self._packed[0]):
-            big, small = other, self
-        small = small._packed
-        if len(small[0]) == 1:
-            return _shifted(big, small[0][0], small[1][0])
-        big = big._packed
-        n = _int_modulus(dom)
-        rem = [[], []]
-        for m, c in zip(*small):
-            _sub_shifted(rem, zip(*big), m, dom.neg(c), dom, ring.packer, n)
-        return _from_ascending(ring, rem, n)
+        packed = _product(self._packed, other._packed, dom, ring.packer, _int_modulus(dom))
+        if packed is self._packed:
+            return self
+        return other if packed is other._packed else Poly(ring, packed)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        r = self.ring.one()
-        a = self
-        while n:
-            if n & 1:
-                r = r * a
-            n >>= 1
-            if n:
-                a = a * a
-        return r
+        return _power(self, n, self.ring.one(), mul)
 
     def _map_coeffs(self, fn):
         """The terms with coefficients fn(c), zeros dropped."""
         mons, coeffs = self._packed
-        return _nonzero(self.ring, mons, tuple(map(fn, coeffs)))
+        return Poly(self.ring, _nonzero(mons, tuple(map(fn, coeffs)), self.ring.domain.is_zero))
 
     def scale(self, c):
         mul = self.ring.domain.mul
@@ -788,44 +771,85 @@ def _ascending(f):
 
 
 def _from_ascending(ring, rem, n=None):
-    """The polynomial of a remainder of ``_sub_shifted``; over ZZ and ZZ/n
-    each coefficient is reduced and the zeros are dropped (``n`` as there)."""
+    """The polynomial of a remainder of ``_sub_shifted`` (``_descending``)."""
+    return Poly(ring, _descending(rem, _int_modulus(ring.domain) if n is None else n))
+
+
+def _descending(rem, n):
+    """The packed terms of a remainder of ``_sub_shifted``, leading term
+    first; over ZZ and ZZ/n each coefficient is reduced and the zeros are
+    dropped (``n`` as there)."""
     mons, coeffs = rem
-    if n is None:
-        n = _int_modulus(ring.domain)
     if n:
         coeffs = [c % n for c in coeffs]
     if n is not None and 0 in coeffs:
         keep = [i for i, c in enumerate(coeffs) if c]
         mons, coeffs = [mons[i] for i in keep], [coeffs[i] for i in keep]
-    return Poly(ring, (tuple(reversed(mons)), tuple(reversed(coeffs))))
+    return tuple(reversed(mons)), tuple(reversed(coeffs))
+
+
+def _product(a, b, dom, pk, n):
+    """The packed terms of the product of the packed terms a and b, no Poly
+    built: the longer factor shifted by each term of the shorter and merged
+    by ``_sub_shifted``, or by ``_shift`` when the shorter has one term.
+    So a zero factor absorbs the other unchecked, a one-term factor checks
+    every exponent, and two longer factors check only the nonzero term
+    products they add.  ``n`` is ``_int_modulus(dom)``."""
+    if len(b[0]) > len(a[0]):
+        a, b = b, a
+    if len(b[0]) == 1:
+        return _shift(a, b[0][0], b[1][0], dom, pk.guard)
+    rem = [[], []]
+    for m, c in zip(*b):
+        _sub_shifted(rem, zip(*a), m, dom.neg(c), dom, pk, n)
+    return _descending(rem, n)
+
+
+def _power(a, n, one, times):
+    """a^n by repeated squaring, ``times`` the product and ``one`` the
+    empty product: the one power loop of ``Poly`` and ``dsl.eval_poly``."""
+    r = one
+    while n:
+        if n & 1:
+            r = a if r is one else times(r, a)
+        n >>= 1
+        if n:
+            a = times(a, a)
+    return r
 
 
 def _shifted(f, shift, c):
-    """c * x^shift * f, the monomial x^shift given as one int: the product
-    by a monomial keeps the term order, so the terms stay where they are."""
+    """c * x^shift * f (``_shift``); f itself when that is f."""
     ring = f.ring
-    one = ring.domain.is_one(c)
+    packed = _shift(f._packed, shift, c, ring.domain, ring.packer.guard)
+    return f if packed is f._packed else Poly(ring, packed)
+
+
+def _shift(a, shift, c, dom, guard):
+    """The packed terms of c * x^shift * a, the monomial x^shift given as one
+    int: the product by a monomial keeps the term order, so the terms stay
+    where they are.  Every exponent is checked before the zero products
+    drop out."""
+    one = dom.is_one(c)
     if not shift and one:
-        return f
-    mons, coeffs = f._packed
+        return a
+    mons, coeffs = a
     mons = tuple([m + shift for m in mons])
-    if reduce(or_, mons, 0) & ring.packer.guard:
+    if reduce(or_, mons, 0) & guard:
         raise ExponentOverflow("a product has an exponent of 2^31 or more")
     if one:
-        return Poly(ring, (mons, coeffs))
-    mul = ring.domain.mul
-    return _nonzero(ring, mons, tuple([mul(c, x) for x in coeffs]))
+        return mons, coeffs
+    mul = dom.mul
+    return _nonzero(mons, tuple([mul(c, x) for x in coeffs]), dom.is_zero)
 
 
-def _nonzero(ring, mons, coeffs):
-    """The polynomial of packed terms, those with a zero coefficient (ZZ/n
-    has zero divisors) dropped."""
-    is_zero = ring.domain.is_zero
+def _nonzero(mons, coeffs, is_zero):
+    """Packed terms without those of a zero coefficient (ZZ/n has zero
+    divisors)."""
     if any(map(is_zero, coeffs)):
         keep = [i for i, c in enumerate(coeffs) if not is_zero(c)]
         mons, coeffs = (tuple([v[i] for i in keep]) for v in (mons, coeffs))
-    return Poly(ring, (mons, coeffs))
+    return mons, coeffs
 
 
 def _int_modulus(dom):

@@ -22,6 +22,7 @@ from .errors import (
     AllZero,
     BudgetExceeded,
     NilpotentCoordinate,
+    NonFieldBase,
     NotHomogeneous,
 )
 from .multipoly import PolyRing, dehomogenize, format_terms
@@ -136,9 +137,11 @@ _TUPLE_BUDGET = 150_000
 
 def enumerate_points(field, n):
     """All points of P^n over a finite field, by exhaustive normalization;
-    raises BudgetExceeded, before listing any, when there are too many
-    coordinate tuples."""
+    raises NonFieldBase off a field and BudgetExceeded when there are too
+    many coordinate tuples, both before listing any."""
     q, size = field.order(), 1
+    if not field.is_field:
+        raise NonFieldBase(f"projective points need a field, got {field}")
     for _ in range(n + 1):
         size *= q
         if size > _TUPLE_BUDGET:

@@ -40,6 +40,7 @@ from scheme_explorer import algebra, arith
 from scheme_explorer.arith import QQ, ZZ, Domain, Zmod, up_ext_gcd
 from scheme_explorer.errors import BudgetExceeded, ExponentOverflow
 from scheme_explorer.multipoly import (
+    GREVLEX,
     LEX,
     BlockOrder,
     Poly,
@@ -52,14 +53,14 @@ from scheme_explorer.multipoly import (
 def tuple_key(order):
     """The tuple sort keys that preceded the packed ones: grevlex compares
     the degree and then the negated exponents from the last, lex the
-    exponents, a block order the keys of its blocks in turn."""
+    exponents, a block order the grevlex keys of its blocks in turn."""
     if isinstance(order, BlockOrder):
-        inner = [tuple_key(o) for o in order.inner]
+        inner = tuple_key(GREVLEX)
 
         def key(exps):
             parts, pos = [], 0
-            for size, k in zip(order.sizes, inner):
-                parts.append(k(tuple(exps[pos:pos + size])))
+            for size in order.sizes:
+                parts.append(inner(tuple(exps[pos:pos + size])))
                 pos += size
             return tuple(parts)
         return key

@@ -379,6 +379,9 @@ def test_sheaf_space_relation_is_made_monic_over_the_prime_field():
     ('proj segre --field ZZ --p "[1:2]" --q "[1:5]";', "non-field-base"),
     ('proj conic --field "ZZ/12" --p "[2:3]";', "non-field-base"),
     ('proj veronese --field ZZ --p "[1/2:3]";', "non-field-base"),
+    # points are listed by normalization, which needs a field too
+    ('proj points --space "P^1(ZZ/4)";', "non-field-base"),
+    ('proj points --space "P^2(ZZ/6)";', "non-field-base"),
 ])
 def test_cli_input_errors_carry_specific_codes(statement, code):
     records, had_error = run_script(dsl.parse(statement))
