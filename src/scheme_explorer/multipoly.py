@@ -25,7 +25,7 @@ monomial and a coefficient.
   monomials, and an exponent field never carries into the key, so a term
   that overflows never matches an existing monomial.
 
-Every sum, difference, product and quotient merges through one kernel,
+Every sum, difference and quotient merges through one kernel,
 ``_sub_shifted``, which subtracts a scaled, shifted copy of a sorted term
 list from a sorted remainder; since multiplying by a monomial keeps every
 term order, nothing is re-sorted, and the binary search runs on plain ints.
@@ -33,8 +33,11 @@ Over ZZ and ZZ/n the remainder is lazy: it holds unreduced ints, and each
 coefficient is reduced mod n, and dropped if zero, once, when its term
 leaves the remainder.
 Products and powers are made on packed terms, with no Poly built, by
-``_product`` (a product by one term is ``_shift``) and ``_power``, the one
-product and power of both ``Poly``'s operators and ``dsl.eval_poly``.
+``_product`` and ``_power``, the one product and power of both ``Poly``'s
+operators and ``dsl.eval_poly``.  A product by one term is ``_shift``,
+which keeps the term order; any other sums its term products in one dict
+and sorts once, since a merge inserts each new term into a list and a
+product of n terms each way makes up to n^2 of them.
 ``Poly.packed()``, the monomials and the coefficients, is the view the
 arithmetic uses; ``Poly.terms``, the (exps tuple, coeff) pairs, is decoded
 from it on first read and cached.
@@ -50,7 +53,7 @@ import struct
 from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
-from operator import itemgetter, mul, or_
+from operator import add, itemgetter, mul, or_
 
 from .arith import QQ, ZZ, Domain, IntegerRing, RationalField, Zmod, dense_to_poly, poly_to_dense
 from .errors import ExponentOverflow, InvalidArgument, NotHomogeneous, ZeroPolynomial
@@ -789,20 +792,30 @@ def _descending(rem, n):
 
 
 def _product(a, b, dom, pk, n):
-    """The packed terms of the product of the packed terms a and b, no Poly
-    built: the longer factor shifted by each term of the shorter and merged
-    by ``_sub_shifted``, or by ``_shift`` when the shorter has one term.
-    So a zero factor absorbs the other unchecked, a one-term factor checks
-    every exponent, and two longer factors check only the nonzero term
-    products they add.  ``n`` is ``_int_modulus(dom)``."""
+    """The packed terms of a * b, no Poly built.  A product by one term is
+    ``_shift``; any other sums its term products in one dict and sorts once,
+    over ZZ and ZZ/n on ints reduced at the end (``n`` is
+    ``_int_modulus(dom)``).  A zero factor absorbs the other unchecked, a
+    one-term factor checks every exponent, and two longer factors raise
+    ExponentOverflow only for a nonzero term product past 2^31."""
     if len(b[0]) > len(a[0]):
         a, b = b, a
     if len(b[0]) == 1:
         return _shift(a, b[0][0], b[1][0], dom, pk.guard)
-    rem = [[], []]
+    times, plus = (mul, add) if n is not None else (dom.mul, dom.add)
+    d = {}
     for m, c in zip(*b):
-        _sub_shifted(rem, zip(*a), m, dom.neg(c), dom, pk, n)
-    return _descending(rem, n)
+        for k, x in zip(*a):
+            k += m
+            p = times(c, x)
+            d[k] = plus(d[k], p) if k in d else p
+    guard, is_zero = pk.guard, dom.is_zero
+    if reduce(or_, d, 0) & guard and any((k + m) & guard and not is_zero(dom.mul(c, x))
+                                         for m, c in zip(*b) for k, x in zip(*a)):
+        raise ExponentOverflow("a product has an exponent of 2^31 or more")
+    mons = sorted(d, reverse=True)
+    coeffs = [d[k] % n for k in mons] if n else [d[k] for k in mons]
+    return _nonzero(tuple(mons), tuple(coeffs), is_zero)
 
 
 def _power(a, n, one, times):

@@ -374,6 +374,9 @@ def test_sheaf_space_relation_is_made_monic_over_the_prime_field():
     ('proj conic --p "2:3]]]";', "invalid-argument"),
     ('proj conic --field "GF(5)[X]/(X)";', "syntax-error"),
     ('proj points --space "P^1(GF(2)[Y])";', "syntax-error"),
+    # GF(q, pi) reads pi over ZZ/q before GFq checks q: ZZ/1 is the zero ring
+    ("ring A = GF(1, t^2+1)[X];", "unsupported-domain"),
+    ('proj points --space "P^1(GF(1, t))";', "unsupported-domain"),
     # the check fields of a point map evaluate a kernel found by
     # elimination, which needs a field: others are refused before the points
     ('proj segre --field ZZ --p "[1:2]" --q "[1:5]";', "non-field-base"),
