@@ -59,22 +59,17 @@ Factorization:
       certificate (Yun over ZZ only without one), a modular irreducibility
       certificate, else Zassenhaus (quadratic Hensel lifting, subset
       recombination);
-    * quadratic fields at a split prime, Trager's norm for degree >= 3.
-      A quadratic field runs the certificates and the Zassenhaus skeleton
-      of QQ at primes (p, beta - rho) of degree one (``_SplitPrimes``):
-      Yun over the field only without a squarefree certificate, lifting
-      mod p^K, and each coefficient read back as the trace-form shortest
-      point of its class in a 2-D lattice (``kernels._QuadraticOrder``),
-      a candidate kept only on an exact division over the field;
-    * number fields over QQ of degree >= 3: Trager norm descent to QQ, the
-      norm Res_t(modulus, f) taken as the determinant of multiplication by
-      f on QQ[x][t]/(modulus), by fraction-free (Bareiss) elimination over
-      ZZ[x] on the integer kernel; its squarefree test is the modular
-      certificate of QQ, and ``ZZ.dense_gcd`` with its derivative only
-      without one.  Yun, the shifts and the gcds run on the integer kernel.
+    * number fields over QQ, any degree, at split primes: the certificates
+      and the Zassenhaus skeleton of QQ run on the monic input at primes
+      (p, beta - rho) of degree one (``_SplitPrimes``): Yun over the field
+      only without a squarefree certificate, lifting mod p^K, and each
+      coefficient read back as the Babai point of its class in the
+      LLL-reduced n-dimensional lattice of the prime's K-th power
+      (``kernels._ReducedLattice``), a candidate kept only on an exact
+      division over the field.
 
 One Yun (``_yun``) serves ZZ, with primitive gcds and exact quotients, and
-the fields of characteristic 0, with monic gcds.
+the number fields, with monic gcds.
 
 Primes: ``is_prime`` by trial division (past _TRIAL_LIMIT by the sieved
 primes in gcd blocks, as far as one witness would cost) and Miller-Rabin;
@@ -96,7 +91,6 @@ import random
 import threading
 import zlib
 from fractions import Fraction
-from functools import partial
 
 from .errors import (
     BudgetExceeded,
@@ -104,7 +98,6 @@ from .errors import (
     InfiniteDomain,
     NoCanonicalMap,
     NotInvertible,
-    Unsupported,
     UnsupportedDomain,
     ZeroPolynomial,
 )
@@ -117,8 +110,8 @@ from .kernels import (
     _kronecker_product,
     _NumberFieldArith,
     _qq_divmod,
-    _QuadraticOrder,
     _qq_product,
+    _ReducedLattice,
     _trimmed,
     _ZechTables,
 )
@@ -1324,12 +1317,11 @@ def _pth_root_dense(f, dom):
 
 
 def squarefree_decomposition(f, dom):
-    """List of (squarefree monic factor, multiplicity), unit dropped."""
+    """List of (squarefree monic factor, multiplicity) of f over a finite
+    field, unit dropped."""
     f = dom.dense_monic(f)
     if up_deg(f) < 1:
         return []
-    if dom.char == 0:
-        return _yun(f, dom)
     return sorted(_sqf_char_p(f, dom, 1), key=lambda gm: (gm[1], gm[0]))
 
 
@@ -1564,7 +1556,7 @@ def _split_finite_field(f, dom):
 
 
 # ---------------------------------------------------------------------------
-# factorization over QQ and quadratic fields: Zassenhaus with quadratic
+# factorization over QQ and number fields: Zassenhaus with quadratic
 # Hensel lifting
 # ---------------------------------------------------------------------------
 
@@ -1796,33 +1788,73 @@ class _Integers:
         return None if rem else quo
 
 
+def _residue(coeffs, x, m):
+    """sum(coeffs[j] * x^j) mod m for ints, by Horner's rule."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v * x + c) % m
+    return v
+
+
 class _SplitPrimes:
-    """Zassenhaus over a quadratic number field K = QQ[t]/(m), at primes
-    of degree one.
+    """Zassenhaus over a number field K = QQ[t]/(m), at primes of degree
+    one.
 
     The field's ``_NumberFieldArith`` writes a monic g over K as G/den with
     G in Z[beta][x], lc(G) = den, for beta = c*t, a root of its integral
-    monic m~(s) = s^2 - r1*s - r0.  A prime p >= 5 that divides neither
-    disc(m~) = r1^2 + 4*r0 nor den, and at which m~ has a root rho mod p,
-    gives the residue map Z[beta] -> GF(p), beta -> rho, of the prime
-    (p, beta - rho) of degree one, and so an image of g over GF(p).  The
-    images, distinct-degree factorization and Cantor-Zassenhaus are those
-    of QQ; lifting, reading and dividing are here, on the trace form T2 of
-    ``_QuadraticOrder``.
+    monic m~(s) = s^n - sum(red[j] * s^j) of degree n.  A prime p >= 5 that
+    divides neither disc(m~) nor den, and at which m~ has a root mod p (rho,
+    the least, found by scanning the residues), gives the residue map
+    Z[beta] -> GF(p), beta -> rho, of the prime (p, beta - rho) of degree
+    one, and so an image of g over GF(p).  The images, distinct-degree
+    factorization and Cantor-Zassenhaus are those of QQ; lifting, reading
+    and dividing are here, on the lattices of ``kernels._ReducedLattice``.
     """
 
     def __init__(self, dom):
         self.dom, self.nf = dom, dom._nf
-        self.order = _QuadraticOrder(self.nf.red)
-        # d*O_K lies in Z[beta] for the d with d^2 | disc(m~): the square of
-        # the index of Z[beta] divides disc(m~)
-        self.index = _square_root_part(abs(self.order.disc))
+        n, red = self.nf.n, self.nf.red
+        self.poly = [-r for r in red] + [1]  # m~, low degree first
+        # |disc(m~)| = |N(m~'(beta))|, the determinant of multiplication by
+        # m~'(beta); d*O_K lies in Z[beta] for the d with d^2 | disc(m~), as
+        # the square of the index of Z[beta] divides disc(m~)
+        deriv = [-(j + 1) * r for j, r in enumerate(red[1:])] + [n]
+        self.disc = abs(self.nf._adjugate(deriv)[1])
+        self.index = _square_root_part(self.disc)
 
     def _rows(self, g):
-        """([(a_k, b_k)], den): G = den*g has coefficients a_k + b_k*beta."""
+        """([G_k], den): G = den*g has the coefficients G_k, each a list of
+        n beta-coordinates."""
         flat, den = self.nf.ints(g)
-        s = self.nf.s
-        return list(zip(flat[0::s], flat[1::s])), den
+        n, s = self.nf.n, self.nf.s
+        return [flat[i:i + n] for i in range(0, len(flat), s)], den
+
+    def root(self, p):
+        """The least root of m~ mod p, or None when p divides disc(m~) or
+        m~ has no root mod p."""
+        if not self.disc % p:
+            return None
+        return next((r for r in range(p) if not _residue(self.poly, r, p)), None)
+
+    def lattice(self, p, modulus):
+        """(rho_K, L): the root rho of m~ mod p lifted mod the power
+        ``modulus`` of p by Newton's method, and the LLL-reduced lattice
+        L = {v in Z^n : sum(v_j * rho_K^j) = 0 mod p^K}, the kernel of
+        Z[beta] -> Z/p^K, beta -> rho_K, from its rows p^K*e_0 and
+        e_j - (rho_K^j mod p^K)*e_0."""
+        rho, m, poly = self.root(p), p, self.poly
+        while m < modulus:
+            m = min(m * m, modulus)
+            f = df = 0
+            for c in reversed(poly):
+                df = (df * rho + f) % m
+                f = (f * rho + c) % m
+            rho = (rho - f * pow(df, -1, m)) % m
+        n = self.nf.n
+        rows = [[modulus] + [0] * (n - 1)]
+        for j in range(1, n):
+            rows.append([-pow(rho, j, modulus)] + [0] * (j - 1) + [1] + [0] * (n - 1 - j))
+        return rho, _ReducedLattice(rows)
 
     def images(self, g):
         """Yield (p, image) for the primes p = 5, 7, 11, ... at which m~ has
@@ -1832,52 +1864,64 @@ class _SplitPrimes:
         p = 3
         while True:
             p = _next_prime(p)
-            rho = self.order.root(p)
+            rho = self.root(p)
             if rho is None:
                 continue
             image = None
             if den % p:
-                image = _squarefree_image(tuple((a + b * rho) % p for a, b in rows), p)
+                image = _squarefree_image(tuple([_residue(row, rho, p) for row in rows]), p)
             yield p, image
 
     def lift(self, g, p, mods):
         """(lifted factors of g, their reader), lifted mod p^K for the
-        least K with p^K > 4*d^2*B^2, where d^2 | disc(m~) with d*O_K in
-        Z[beta] (``index``) and B^2 = 4^n * sum(T2(G_k)) for n = deg g.
+        least K with p^(2K) > (2^(n+2) * C * W)^n, where, for deg g = e,
+        M = 1 + max|red[j]|, W = sum(M^(2j) for j < n), d the ``index``
+        (d^2 | disc(m~), d*O_K in Z[beta]),
+        A = d^2 * 4^e * sum_k(sum_j |G_kj| * M^j)^2 and
+        C = ceil(n^(n+1) * A * M^(n(n-1)) / |disc(m~)|).
 
         Why K suffices.  A monic factor h of g has den*h in O_K[x] (Gauss's
         lemma on the content ideals of O_K, as den*g = G is integral), so
-        each coefficient of d*den*h is some a + b*beta with integers a, b.
-        In each embedding s, |s(x)|^2 <= T2(x) bounds ||s(G)||_2^2 by
-        sum(T2(G_k)), and Mignotte's bound gives |s(den*h_j)| <= 2^n *
-        ||s(G)||_2 <= B; so T2(d*den*h_j) <= 2*d^2*B^2.  The product of the
-        lifted factors of h is h at beta = rho_K mod p^K, rho_K the root
-        rho lifted by Newton's method, so (a, b) lies in the class of
-        a + b*rho_K = d*den*r (mod p^K) for its coefficient r: a coset of
-        the lattice L of ``_QuadraticOrder``.  A nonzero v in L lies in the
-        K-th power of the prime (p, beta - rho) (Z[beta] is maximal at p, as
-        p does not divide disc(m~)), so p^K divides N(v), which is not 0, and T2(v) >= 2|N(v)| >= 2*p^K (the mean of |s1(v)|^2 and
-        |s2(v)|^2 is at least their geometric mean).  Two points of one
-        coset with T2 <= 2*d^2*B^2 differ by a v with T2(v) <= 8*d^2*B^2
-        < 2*p^K, so v = 0: the coefficient is the coset's unique shortest
-        point, which ``_QuadraticOrder.shortest`` finds.  A candidate is
-        still kept only on an exact division over K.
+        each coefficient of d*den*h is some y = sum(y_j * beta^j) with an
+        integer vector y.  In each complex embedding s, |s(beta)| < M
+        (Cauchy's bound), so |s(G_k)| <= sum_j |G_kj| * M^j, and Mignotte's
+        bound |s(den*h_j)| <= 2^e * ||s(G)||_2 gives |s(y)|^2 <= A.  The
+        vector y solves V*y = (s(y))_s for the Vandermonde matrix V of the
+        embeddings of beta, |det V|^2 = |disc(m~)|; by Cramer's rule and
+        Hadamard's bound, the columns of V having norms at most
+        sqrt(n) * M^j, y_j^2 <= n^n * A * M^(n(n-1)) / |disc(m~)|, so
+        |y|^2 <= C.  The product of the lifted factors of h is h at
+        beta = rho_K mod p^K, so y lies in the class of
+        (d*den*r mod p^K, 0, ..., 0) mod L for its coefficient r there (L
+        of ``lattice``).  A nonzero v in L gives an element of the K-th
+        power of the prime (p, beta - rho) (Z[beta] is maximal at p, as p
+        does not divide disc(m~)), so p^K divides its norm, which is not 0,
+        and p^K <= prod_s |s(v)| <= (|v|^2 * W)^(n/2) by Cauchy-Schwarz.
+        Babai's nearest plane in the LLL-reduced L leaves a point w of the
+        class with |w| <= 2^(n/2) * |y| (Babai 1986), so v = y - w has
+        |v|^2 <= (1 + 2^(n/2))^2 * C <= 2^(n+2) * C, and
+        (|v|^2 * W)^n < p^(2K) makes v = 0: the reader returns y.  A
+        candidate is still kept only on an exact division over K.
         """
         rows, den = self._rows(g)
-        order = self.order
-        bound = 4 * self.index ** 2 * 4 ** (len(rows) - 1) * sum(order.dot(w, w) for w in rows)
+        n = self.nf.n
+        m = 1 + max(map(abs, self.nf.red))  # M, A, C and W of the bound
+        a = self.index ** 2 * 4 ** (len(rows) - 1) * sum(
+            sum(abs(x) * m ** j for j, x in enumerate(row)) ** 2 for row in rows)
+        c = -(-n ** (n + 1) * a * m ** (n * (n - 1)) // self.disc)
+        w = sum(m ** (2 * j) for j in range(n))
+        bound = (2 ** (n + 2) * c * w) ** n
         modulus = p
-        while modulus <= bound:
+        while modulus * modulus <= bound:
             modulus *= p
-        rho = order.lift_root(order.root(p), p, modulus)
+        rho, lattice = self.lattice(p, modulus)
         inv = pow(den, -1, modulus)
-        image = tuple([(a + b * rho) * inv % modulus for a, b in rows])
-        basis = order.reduced_basis(modulus, rho)
-        scale, element, one = self.index * den, self.nf.element, self.dom.one()
+        image = tuple([_residue(row, rho, modulus) * inv % modulus for row in rows])
+        scale, element, one, zeros = self.index * den, self.nf.element, self.dom.one(), [0] * (n - 1)
 
         def read(current, product):
-            return tuple([element(order.shortest(scale * c % modulus, basis), scale)
-                          for c in product[:-1]]) + (one,)
+            return tuple([element(lattice.reduce([scale * x % modulus] + zeros), scale)
+                          for x in product[:-1]]) + (one,)
 
         return _lift_factorization(p, image, mods, modulus), read
 
@@ -1889,7 +1933,7 @@ class _SplitPrimes:
 def _zassenhaus(g, images, ring):
     """Factor a squarefree g whose images over GF(p) the search ``images``
     yields, possibly already begun: ``_Integers`` for a primitive g in
-    ZZ[x] with lc > 0, ``_SplitPrimes`` for a monic g over a quadratic
+    ZZ[x] with lc > 0, ``_SplitPrimes`` for a monic g over a number
     field.
 
     Distinct-degree factorization runs on the images of up to
@@ -1934,7 +1978,7 @@ def _certified_images(images):
 
 def _zassenhaus_factors(g, dom, ring):
     """[(irreducible factor, multiplicity)] of g over QQ (``ring`` is
-    _Integers, g primitive in ZZ[x] with lc > 0, dom = ZZ) or a quadratic
+    _Integers, g primitive in ZZ[x] with lc > 0, dom = ZZ) or a number
     field (``ring`` its _SplitPrimes, g monic, dom the field).
 
     A good prime among the first _SQUAREFREE_TRIES of ``ring.images(g)``
@@ -1965,93 +2009,6 @@ def _factor_rationals(f):
 
 
 # ---------------------------------------------------------------------------
-# factorization over number fields of degree >= 3: Trager's norm descent
-# ---------------------------------------------------------------------------
-
-def _compose_shift(dom, f, c):
-    """f(x + c) over a number field over QQ, on its integer kernel."""
-    return dom._nf.shift(f, c)
-
-
-def _norm_to_base(dom, f):
-    """Norm Res_t(modulus(t), f) of f in K[x], K a number field over QQ,
-    down to QQ[x].
-
-    The modulus is monic of degree n, so the resultant is the determinant of
-    multiplication by f on the free QQ[x]-module K[x].  It is taken for the
-    integer polynomial F = den*f of the field's kernel, whose basis is the
-    powers of beta (see ``_NumberFieldArith``): row k holds the coordinates
-    of beta^k * F in ZZ[x], the determinant comes from Bareiss elimination
-    over ZZ[x], and the norm of f is that over den^n.
-    """
-    nf = dom._nf
-    row, den = nf.coordinates(f)
-    rows = []
-    for _ in range(nf.n):
-        rows.append(row)
-        top = row[-1]  # beta^n = sum(red[j] * beta^j)
-        row = [ZZ.dense_add(row[j - 1] if j else (), ZZ.dense_scale(top, nf.red[j]))
-               for j in range(nf.n)]
-    den = den ** nf.n
-    return tuple([Fraction(c, den) for c in _bareiss_det(ZZ, rows)])
-
-
-def _bareiss_det(dom, rows):
-    """Determinant of a square matrix over dom[x], dom a field or ZZ, by
-    Bareiss's fraction-free elimination (Bareiss 1968, Math. Comp. 22):
-    step k divides exactly by the pivot of step k - 1; a zero pivot swaps
-    in a lower row and flips the sign."""
-    m = [list(r) for r in rows]
-    n, sign, prev = len(m), 1, None
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return ()
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                cross = dom.dense_sub(
-                    dom.dense_mul(m[i][j], pivot), dom.dense_mul(m[i][k], m[k][j]))
-                m[i][j] = cross if prev is None else dom.dense_divmod(cross, prev)[0]
-        prev = pivot
-    return m[-1][-1] if sign > 0 else up_neg(dom, m[-1][-1])
-
-
-def _trager_squarefree(g, dom):
-    """The monic irreducible factors of a squarefree monic g over a number
-    field of degree other than 2 (and the oracle of the quadratic path in
-    the tests): g(x + s*alpha) for the first shift s whose norm N is squarefree,
-    then one factor gcd(g(x + s*alpha), N_j) per irreducible factor N_j of N
-    over QQ, shifted back.  N is tested on its primitive integer part: a
-    good prime certifies it squarefree, and only without one does
-    ``ZZ.dense_gcd`` with its derivative decide."""
-    alpha = dom.gen()
-    for shift_scalar in range(41):
-        shift = dom.base.dense_scale(alpha, dom.base.from_int(shift_scalar))
-        shifted = _compose_shift(dom, g, shift)
-        norm = _int_content_primitive(_common_denominator(_norm_to_base(dom, shifted))[0])[1]
-        images = _certified_images(_prime_images(norm))
-        if images is None and up_deg(ZZ.dense_gcd(norm, ZZ.dense_deriv(norm))) == 0:
-            images = _prime_images(norm)
-        if images is not None:
-            break
-    else:
-        raise Unsupported("no squarefree norm shift found")
-    norm_factors = _zassenhaus(norm, images, _Integers)
-    out = []
-    rest = shifted
-    for nf in norm_factors[:-1]:
-        h = dom.dense_gcd(rest, tuple(dom.from_base(Fraction(c)) for c in nf))
-        rest = dom.dense_divmod(rest, h)[0]
-        out.append(h)
-    out.append(rest)  # what is left of g(x + s*alpha) is the factor of the last N_j
-    return [_compose_shift(dom, h, dom.neg(shift)) for h in out]
-
-
-# ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
@@ -2075,14 +2032,12 @@ def factor_dense(f, dom):
     * otherwise Zassenhaus: Hensel lifting of the modular factors of the
       best good prime, then recombination of subsets.
 
-    Over a quadratic field K the same three steps run on the monic input at
-    good primes of degree one, (p, beta - rho) with p not dividing disc(m~)
-    nor the input's denominator, whose residue field is GF(p)
-    (``_SplitPrimes``): a monic factor over K has coefficients integral at
-    such a prime (O_K is integrally closed), so it reduces mod the prime
-    with its degree, and both certificates hold as over QQ.  Number fields
-    of degree 3 and more factor each squarefree part by Trager's norm
-    descent.
+    Over a number field K, of any degree, the same three steps run on the
+    monic input at good primes of degree one, (p, beta - rho) with p not
+    dividing disc(m~) nor the input's denominator, whose residue field is
+    GF(p) (``_SplitPrimes``): a monic factor over K has coefficients
+    integral at such a prime (O_K is integrally closed), so it reduces mod
+    the prime with its degree, and both certificates hold as over QQ.
 
     Over a finite field each squarefree part is split by distinct-degree
     factorization, then Cantor-Zassenhaus.  Over GF(p) with p <=
@@ -2100,12 +2055,11 @@ def factor_dense(f, dom):
         return f[0], []
     if isinstance(dom, RationalField):
         unit, fac = _factor_rationals(f)
-    elif kind == "number" and dom.degree == 2:
+    elif kind == "number":
         unit = f[-1]
         fac = _zassenhaus_factors(dom.dense_monic(f), dom, _SplitPrimes(dom))
     else:
-        split = (_split_finite_field(f, dom) if kind == "finite"
-                 else partial(_trager_squarefree, dom=dom))
+        split = _split_finite_field(f, dom)
         unit = f[-1]
         fac = [(h, mult) for g, mult in squarefree_decomposition(f, dom) for h in split(g)]
     fac.sort(key=lambda fm: (up_deg(fm[0]), fm[0]))

@@ -10,9 +10,9 @@ forms around each call:
     * Fractions over one common denominator, for QQ;
     * ``_NumberFieldArith``: integer coefficient matrices over one
       denominator, for number fields QQ[t]/(m) with any monic m;
-    * ``_QuadraticOrder``: the trace form and the lattices of the primes of
-      degree one of Z[beta], for reading factors over a quadratic field
-      back from a p-adic lift;
+    * ``_ReducedLattice``: an LLL-reduced lattice in Z^n on exact integer
+      Gram-Schmidt data, and Babai's nearest plane in it, for reading
+      factors over a number field back from a p-adic lift;
     * ``_ZechTables``: logarithms with log, antilog and Zech tables, for
       GF(q) over a prime field.
 """
@@ -160,12 +160,6 @@ class _NumberFieldArith:
             flat += [0] * (s - len(e))
         return flat, den
 
-    def coordinates(self, a):
-        """([A_0, ..., A_(n-1)], den): a = sum(A_j * beta^j) / den with each
-        A_j a trimmed integer polynomial in x."""
-        flat, den = self.ints(a)
-        return [_trimmed(flat[j::self.s]) for j in range(self.n)], den
-
     def element(self, row, den):
         """The field element of the beta-coordinates row over den."""
         row = _trimmed(row[:self.n])
@@ -303,105 +297,90 @@ class _NumberFieldArith:
         y, d = self._adjugate(flat[:self.n])
         return self.element([x * den for x in y], d)
 
-    def shift(self, f, c):
-        """f(x + c) by Horner's rule: for c = C/dc, the integer polynomial
-        sum(F_k * dc^(deg f - k) * (dc*x + C)^k) over den * dc^deg(f)."""
-        if not c or not f:
-            return tuple(f)
-        flat, den = self.ints(f)
-        row, dc = self.ints((c,))
-        step = row + [dc] + [0] * (self.s - 1)
-        s, top = self.s, len(flat) // self.s - 1
-        res = []
-        for k in range(top, -1, -1):
-            res = self._product(res, step) or [0] * s
-            w = dc ** (top - k)
-            for i in range(s):
-                res[i] += flat[k * s + i] * w
-        return self.fractions(res, den * dc ** top)
 
+class _ReducedLattice:
+    """A lattice of Z^n from a basis of integer rows, made LLL-reduced for
+    the Euclidean form by Cohen's integral LLL (Cohen 1993, A Course in
+    Computational Algebraic Number Theory, Algorithm 2.6.7, delta = 3/4),
+    and the Babai point of a class mod the lattice.
 
-class _QuadraticOrder:
-    """Z[beta] for a root beta of s^2 - r1*s - r0, r1^2 + 4*r0 not a
-    square, with the lattices of its primes of degree one.
-
-    Sizes are measured by the trace form T2(a + b*beta) = |s1|^2 + |s2|^2
-    over the two complex embeddings: the integer quadratic form
-    2a^2 + 2*r1*ab + C*b^2, where C = |s1(beta)|^2 + |s2(beta)|^2 is
-    r1^2 + 2*r0 for a real field and -2*r0 for an imaginary one.  For a
-    prime p not dividing disc = r1^2 + 4*r0 and a root rho_K of the modulus
-    mod p^K, the kernel of Z[beta] -> Z/p^K, beta -> rho_K, is the lattice
-    L = {(a, b) : a + b*rho_K = 0 mod p^K}.
+    The Gram-Schmidt data are exact integers: d[i] is the Gram determinant
+    of rows 0..i-1 (d[0] = 1, so |b*_i|^2 = d[i+1]/d[i]), and lam[k][j] =
+    d[j+1] * mu[k][j] for j < k, mu the Gram-Schmidt coefficients; every
+    division of the updates is exact.  After reduction each row is size
+    reduced, 2|lam[k][j]| <= d[j+1], and each pair of neighbours meets
+    Lovasz's condition 4*d[k+1]*d[k-1] >= 3*d[k]^2 - 4*lam[k][k-1]^2.
     """
 
-    def __init__(self, red):
-        r0, r1 = red
-        self.red, self.disc = (r0, r1), r1 * r1 + 4 * r0
-        self.form = (r1, r1 * r1 + 2 * r0 if self.disc > 0 else -2 * r0)
+    def __init__(self, rows):
+        b = self.rows = [list(r) for r in rows]
+        n = len(b)
+        d = self.d = [1] + [0] * n
+        lam = self.lam = [[0] * n for _ in range(n)]
+        k, top = 1, 0
+        self._gram(b[0], lam[0], 1)
+        d[1] = lam[0][0]
+        while k < n:
+            if k > top:
+                top = k
+                self._gram(b[k], lam[k], k + 1)
+                d[k + 1] = lam[k][k]
+            self._size_reduce(b[k], lam[k], k - 1)
+            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+                self._swap(k, top)
+                k = max(1, k - 1)
+            else:
+                for j in range(k - 2, -1, -1):
+                    self._size_reduce(b[k], lam[k], j)
+                k += 1
 
-    def dot(self, u, v):
-        """The bilinear form of T2: dot(u, u) = T2(u)."""
-        r1, c = self.form
-        return 2 * u[0] * v[0] + r1 * (u[0] * v[1] + u[1] * v[0]) + c * u[1] * v[1]
+    def _gram(self, v, lv, count):
+        """lv[j] = d[j] * <v, b*_j> = d[j+1] * mu_j for j < count, from the
+        data of the rows below count - 1; for v the row count - 1 itself (lv
+        its lam row) the last, d[count - 1] * |b*_(count-1)|^2, is d[count]."""
+        b, d, lam = self.rows, self.d, self.lam
+        for j in range(count):
+            u = sum(x * y for x, y in zip(v, b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lv[i] * lam[j][i]) // d[i]
+            lv[j] = u
 
-    def root(self, p):
-        """The least root of the modulus mod an odd prime p, or None when p
-        divides disc or the modulus has no root mod p."""
-        r0, r1 = self.red
-        if not self.disc % p or pow(self.disc, (p - 1) // 2, p) != 1:
-            return None
-        return next(r for r in range(p) if (r * r - r1 * r - r0) % p == 0)
+    def _size_reduce(self, v, lv, j):
+        """Subtract from v, whose Gram-Schmidt data are lv, the multiple of
+        row j nearest to mu_j = lv[j] / d[j+1], when |mu_j| > 1/2."""
+        dj = self.d[j + 1]
+        if 2 * abs(lv[j]) > dj:
+            q = (2 * lv[j] + dj) // (2 * dj)
+            for i, y in enumerate(self.rows[j]):
+                v[i] -= q * y
+            lv[j] -= q * dj
+            for i in range(j):
+                lv[i] -= q * self.lam[j][i]
 
-    def lift_root(self, rho, p, modulus):
-        """The root rho mod p (p not dividing disc) lifted mod the power
-        ``modulus`` of p by Newton's method."""
-        r0, r1 = self.red
-        m = p
-        while m < modulus:
-            m = min(m * m, modulus)
-            rho = (rho - (rho * rho - r1 * rho - r0) * pow(2 * rho - r1, -1, m)) % m
-        return rho
+    def _swap(self, k, top):
+        """Exchange rows k - 1 and k, updating d and lam (Cohen's SWAPI)."""
+        b, d, lam = self.rows, self.d, self.lam
+        b[k - 1], b[k] = b[k], b[k - 1]
+        lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+        m = lam[k][k - 1]
+        new = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, top + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
+        d[k] = new
 
-    def reduced_basis(self, modulus, rho):
-        """A Lagrange-Gauss reduced basis (u, v) of L for T2: T2(u) <= T2(v)
-        and |dot(u, v)| <= T2(u)/2."""
-        u, v = (modulus, 0), (-rho, 1)
-        if self.dot(u, u) > self.dot(v, v):
-            u, v = v, u
-        while True:
-            mu = _round_div(self.dot(u, v), self.dot(u, u))
-            v = (v[0] - mu * u[0], v[1] - mu * u[1])
-            if self.dot(v, v) >= self.dot(u, u):
-                return u, v
-            u, v = v, u
-
-    def shortest(self, r, basis):
-        """[a, b] of least T2 in the class of (r, 0) mod L, for a reduced
-        basis of L, when some point of the class has T2 below a quarter of
-        the least T2 on L minus 0.
-
-        Such a point w differs from (r, 0) by x*u + y*v, and Babai's
-        rounding of the coordinates of (r, 0) in the basis is within 1 of
-        (x, y): the coordinates of w itself are below 1/2 + 1/(2*sqrt 3)
-        along u and 1/sqrt 3 along v (Gram-Schmidt, T2(v*) >= 3/4 T2(v)).
-        So the nine points around the rounding hold w, the shortest.
-        """
-        (u0, u1), (v0, v1) = basis
-        det = u0 * v1 - u1 * v0
-        x0, y0 = _round_div(r * v1, det), _round_div(-r * u1, det)
-        best = None
-        for x in (x0 - 1, x0, x0 + 1):
-            for y in (y0 - 1, y0, y0 + 1):
-                w = (r - x * u0 - y * v0, -x * u1 - y * v1)
-                size = self.dot(w, w)
-                if best is None or size < best[0]:
-                    best = (size, w)
-        return list(best[1])
-
-
-def _round_div(n, d):
-    """The integer nearest n/d (halves rounded up), for d != 0."""
-    return (2 * n + d) // (2 * d)
+    def reduce(self, t):
+        """The point t - u of the class of the integer vector t, for the
+        lattice point u of Babai's nearest plane (Babai 1986, Combinatorica
+        6): t size reduced against the rows from the last to the first, so
+        |<t - u, b*_j>| <= |b*_j|^2 / 2 for every j."""
+        n = len(self.rows)
+        w, lw = list(t), [0] * n
+        self._gram(w, lw, n)
+        for j in range(n - 1, -1, -1):
+            self._size_reduce(w, lw, j)
+        return w
 
 
 class _ZechTables:

@@ -487,67 +487,8 @@ def test_prime_factors_match_trial_division_by_every_divisor():
 
 
 # ---------------------------------------------------------------------------
-# Trager norms: the Bareiss determinant against a resultant over QQ(x)
+# number fields: no function field is built
 # ---------------------------------------------------------------------------
-
-def _reference_resultant(dom, a, b):
-    """Resultant of a and b via the Euclidean remainder sequence."""
-    if not a or not b:
-        return dom.zero()
-    res = dom.one()
-    while True:
-        if up_deg(b) == 0:
-            return dom.mul(res, dom.pow(b[0], up_deg(a)))
-        r = dom.dense_divmod(a, b)[1]
-        if not r:
-            return dom.zero() if up_deg(b) > 0 else res
-        if (up_deg(a) * up_deg(b)) % 2 == 1:
-            res = dom.neg(res)
-        res = dom.mul(res, dom.pow(b[-1], up_deg(a) - up_deg(r)))
-        a, b = b, r
-
-
-def _reference_norm_to_base(dom, f):
-    """Res_t(modulus(t), f) taken over the rational function field base(x)."""
-    base = dom.base
-    K = FracField(base, var="@x")
-    modulus = up_norm(K, tuple(K.from_poly((c,)) for c in dom.modulus))
-    max_t = max((len(cf) for cf in f if cf), default=0)
-    poly_t = []
-    for k in range(max_t):
-        coeffs_x = tuple(
-            (f[j][k] if k < len(f[j]) else base.zero()) for j in range(len(f))
-        )
-        poly_t.append(K.from_poly(coeffs_x))
-    num, den = _reference_resultant(K, modulus, up_norm(K, tuple(poly_t)))
-    assert up_deg(den) == 0
-    inv = base.inv(den[0])
-    return up_norm(base, tuple(base.mul(c, inv) for c in num))
-
-
-@pytest.mark.parametrize("modulus, max_degree", [
-    ((1, 0, 1), 4),          # QQ(i)
-    ((-2, 0, 1), 4),         # QQ(sqrt 2)
-    ((-2, 0, 0, 1), 3),      # QQ(cbrt 2)
-    ((1, 0, -10, 0, 1), 1),  # QQ(sqrt 2 + sqrt 3)
-], ids=["i", "sqrt2", "cbrt2", "quartic"])
-def test_norm_determinant_matches_the_resultant_over_qq_x(modulus, max_degree):
-    from scheme_explorer.arith import _compose_shift, _norm_to_base
-
-    K = ExtField(QQ, tuple(Fraction(c) for c in modulus))
-    rng = random.Random(sum(modulus) + 31 * len(modulus))
-    samples = [(K.gen(), K.gen())]  # alpha*x + alpha: the first pivot is zero
-    for _ in range(3):
-        samples.append(tuple(
-            up_norm(QQ, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                               for _ in range(K.degree)))
-            for _ in range(rng.randint(1, max_degree))
-        ) + (K.one(),))
-    for f in samples:
-        for shift in range(3):
-            g = _compose_shift(K, f, K.mul(K.from_int(shift), K.gen()))
-            assert _norm_to_base(K, g) == _reference_norm_to_base(K, g), (f, shift)
-
 
 def test_number_field_factorization_builds_no_function_field(monkeypatch):
     def refuse(self, *args, **kwargs):
@@ -567,7 +508,7 @@ def test_number_field_factorization_builds_no_function_field(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# quadratic fields: Zassenhaus at a split prime, Trager's descent as oracle
+# quadratic fields: Zassenhaus at a split prime, sympy as oracle
 # ---------------------------------------------------------------------------
 
 _QUADRATIC_FIELDS = {
@@ -602,21 +543,23 @@ def _product(K, factors):
 
 
 def _ref_factors(K, f):
-    """The monic irreducible factors of a squarefree f by Trager's descent."""
-    from scheme_explorer.arith import _trager_squarefree
+    """The monic irreducible factors of a squarefree f by sympy's
+    ``factor_list`` over QQ<alpha>, alpha a root of the modulus."""
+    pytest.importorskip("sympy")
+    from test_number_field_sympy import sympy_factors
 
-    return sorted(_trager_squarefree(K.dense_monic(f), K), key=lambda g: (up_deg(g), g))
+    return [g for g, _ in sympy_factors(K, f)]
 
 
 @pytest.fixture
 def split_prime_calls(monkeypatch):
-    """Counts of the norms, Yun runs, lifts and recombinations that factoring
-    over a number field makes."""
+    """Counts of the Yun runs, lifts and recombinations that factoring over
+    a number field makes."""
     from scheme_explorer import arith
 
-    seen = {"norm": 0, "yun": 0, "lift": 0, "recombine": 0}
-    for name, key in (("_norm_to_base", "norm"), ("_yun", "yun"),
-                      ("_lift_factorization", "lift"), ("_recombine", "recombine")):
+    seen = {"yun": 0, "lift": 0, "recombine": 0}
+    for name, key in (("_yun", "yun"), ("_lift_factorization", "lift"),
+                      ("_recombine", "recombine")):
         def counted(*args, real=getattr(arith, name), key=key):
             seen[key] += 1
             return real(*args)
@@ -626,10 +569,9 @@ def split_prime_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(_QUADRATIC_FIELDS))
-def test_split_prime_factors_match_trager_on_seeded_squarefree_inputs(name, split_prime_calls):
+def test_split_prime_factors_match_sympy_on_seeded_squarefree_inputs(name, split_prime_calls):
     """40 seeded squarefree products of 1 to 4 factors per field, 200 in
-    all, with the same factors as Trager's norm descent; factoring them
-    takes no norm."""
+    all, with the same factors as sympy's factorization."""
     K = _quadratic(name)
     rng = random.Random(f"split {name}")
     inputs = []
@@ -638,7 +580,6 @@ def test_split_prime_factors_match_trager_on_seeded_squarefree_inputs(name, spli
         if up_deg(K.dense_gcd(f, K.dense_deriv(f))) == 0:
             inputs.append(K.dense_scale(f, up_norm(QQ, (Fraction(rng.randint(1, 5)),))))
     factored = [factor_dense(f, K) for f in inputs]
-    assert split_prime_calls["norm"] == 0
     for f, (unit, fac) in zip(inputs, factored):
         assert unit == f[-1] and all(m == 1 for _, m in fac)
         assert [g for g, _ in fac] == _ref_factors(K, f), f
@@ -719,7 +660,7 @@ def test_inputs_whose_first_split_primes_are_all_bad(split_prime_calls):
     root = up_norm(QQ, (Fraction(0), Fraction(1, 65)))
     f = _product(K, [(K.neg(root), K.one()), (K.neg(K.add(root, K.from_int(493))), K.one())])
     factored = factor_dense(f, K)
-    assert split_prime_calls["yun"] == 1 and split_prime_calls["norm"] == 0
+    assert split_prime_calls["yun"] == 1
     assert factored == (K.one(), [(g, 1) for g in _ref_factors(K, f)])
     split_prime_calls["yun"] = 0
     factor_dense(_product(K, [(K.neg(root), K.one()), (K.from_int(3), K.one())]), K)
@@ -733,7 +674,7 @@ def test_an_irreducible_image_certifies_irreducibility_over_a_quadratic_field(
     K = _quadratic("i")
     f = (K.from_int(-2), K.zero(), K.zero(), K.one())
     assert factor_dense(f, K) == (K.one(), [(f, 1)])
-    assert split_prime_calls["lift"] == split_prime_calls["norm"] == 0
+    assert split_prime_calls["lift"] == 0
 
 
 def test_twelve_modular_factors_over_a_quadratic_field_meet_the_budget(
@@ -748,7 +689,7 @@ def test_twelve_modular_factors_over_a_quadratic_field_meet_the_budget(
     factors = [(K.from_int(-(k * k + 6409)), K.zero(), K.one()) for k in range(1, 7)]
     f = _product(K, factors)
     assert factor_dense(f, K) == (K.one(), [(g, 1) for g in sorted(factors)])
-    assert split_prime_calls["recombine"] == 1 and split_prime_calls["norm"] == 0
+    assert split_prime_calls["recombine"] == 1
     monkeypatch.setattr(arith, "_RECOMBINATION_BUDGET", 171)
     with pytest.raises(BudgetExceeded):
         factor_dense(f, K)
@@ -756,21 +697,37 @@ def test_twelve_modular_factors_over_a_quadratic_field_meet_the_budget(
     assert len(factor_dense(f, K)[1]) == 6
 
 
-def test_a_quadratic_field_takes_no_norm_and_a_cubic_field_does(monkeypatch):
+@pytest.mark.parametrize("modulus", [(-3, 1), (1, 0, 1), (-2, 0, 0, 1), (-2, 0, 0, 0, 0, 1)],
+                         ids=["deg1", "i", "cbrt2", "x5-2"])
+def test_every_number_field_factors_at_split_primes(modulus, monkeypatch):
+    """Over fields of degree 1, 2, 3 and 5 a reducible input is lifted by
+    ``_SplitPrimes.lift``, an irreducible one is certified with nothing
+    lifted, and ``squarefree_decomposition`` is never called."""
     from scheme_explorer import arith
 
     def refuse(*args):
-        raise AssertionError("a norm was taken")
+        raise AssertionError("squarefree_decomposition was called")
 
-    monkeypatch.setattr(arith, "_norm_to_base", refuse)
-    for name in _QUADRATIC_FIELDS:
-        K = _quadratic(name)
-        f = (K.from_int(-2), K.zero(), K.zero(), K.zero(), K.one())
-        assert len(factor_dense(_product(K, [f, (K.gen(), K.one()), (K.gen(), K.one())]),
-                                K)[1]) >= 2
-    cbrt2 = ExtField(QQ, (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))
-    with pytest.raises(AssertionError, match="a norm was taken"):
-        factor_dense((cbrt2.from_int(-2), cbrt2.zero(), cbrt2.one()), cbrt2)
+    lifts = []
+    real = arith._SplitPrimes.lift
+
+    def counted(self, g, p, mods):
+        lifts.append(len(mods))
+        return real(self, g, p, mods)
+
+    monkeypatch.setattr(arith, "squarefree_decomposition", refuse)
+    monkeypatch.setattr(arith._SplitPrimes, "lift", counted)
+    K = ExtField(QQ, tuple(Fraction(c) for c in modulus))
+    x_minus_t = (K.neg(K.gen()), K.one())
+    quadratic = (K.from_int(-7), K.zero(), K.one())  # x^2 - 7, irreducible over each K
+    factors = [x_minus_t, x_minus_t, (K.one(), K.one()), quadratic]
+    unit, fac = factor_dense(K.dense_scale(_product(K, factors), K.from_int(3)), K)
+    assert unit == K.from_int(3) and lifts
+    assert fac == sorted([(x_minus_t, 2), ((K.one(), K.one()), 1), (quadratic, 1)],
+                         key=lambda gm: (up_deg(gm[0]), gm[0]))
+    del lifts[:]
+    assert factor_dense(quadratic, K) == (K.one(), [(quadratic, 1)])
+    assert lifts == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ primitive gcd decides ``ZZ.dense_gcd``.
 """
 
 import itertools
+import math
 import random
 import threading
 import time
@@ -423,16 +424,6 @@ def test_number_field_kernels_match_the_generic_loops(name):
     polys = _ext_operands(
         rng, field, lambda r: Fraction(r.randint(-6, 6), r.choice((1, 1, 2, 3, 10))))
     _check_field_kernels(field, polys)
-    ref = RefExtField(field)
-    for f in polys:
-        for c in (field.gen(), polys[2][0] if polys[2] else field.one()):
-            shifted = ()
-            for coeff in reversed(f):
-                shifted = ref_add(ref, ref_mul(ref, shifted, (c, field.one())), (coeff,))
-            assert arith._compose_shift(field, f, c) == shifted
-    # the norm of x - t is the modulus, also where it is not integral
-    x_minus_t = (field.neg(field.gen()), field.one())
-    assert arith._norm_to_base(field, x_minus_t) == field.modulus
 
 
 @pytest.mark.parametrize("q, modulus", [
@@ -631,49 +622,74 @@ def test_threads_sharing_the_table_cache_get_the_serial_tables(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the lattices of a quadratic order: the residue reader of factoring over a
-# quadratic field at a split prime
+# the lattices of the primes of degree one of Z[beta]: the residue reader of
+# factoring over a number field at a split prime
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("red", [(-1, 0), (2, 0), (-3, 0), (5, 0), (1, 1), (-7, 3), (-1, -1)],
-                         ids=["i", "sqrt2", "sqrt-3", "sqrt5", "golden", "disc-19", "omega"])
-def test_the_shortest_point_of_a_class_is_the_brute_force_one(red):
-    """For split primes p and small powers P of p: the lifted root is a
-    root mod P, the reduced basis spans L = {(a, b) : a + b*rho = 0 mod P}
-    and is Lagrange-Gauss reduced, and ``shortest`` is the brute-force
-    least point of every class whose least T2 is below a quarter of the
-    least T2 on L minus 0.  Over Z[omega], omega^2 = -1 - omega, L is a
-    hexagonal lattice, where Babai's rounding alone misses some of them."""
-    from scheme_explorer.kernels import _QuadraticOrder
+def _gram_schmidt(rows):
+    """([|b*_j|^2], mu, [b*_j]) of the rows by Fractions."""
+    stars, sizes, mu = [], [], []
+    for b in rows:
+        coeffs = [sum(x * y for x, y in zip(b, s)) / size for s, size in zip(stars, sizes)]
+        star = [Fraction(x) for x in b]
+        for c, s in zip(coeffs, stars):
+            star = [x - c * y for x, y in zip(star, s)]
+        stars.append(star)
+        sizes.append(sum(x * x for x in star))
+        mu.append(coeffs)
+    return sizes, mu, stars
 
-    order = _QuadraticOrder(red)
-    r0, r1 = red
+
+@pytest.mark.parametrize("red", [
+    (-1, 0), (2, 0), (-3, 0), (5, 0), (1, 1), (-7, 3), (-1, -1), (2, 0, 0), (1, 2, -1),
+], ids=["i", "sqrt2", "sqrt-3", "sqrt5", "golden", "disc-19", "omega", "cbrt2", "cyc7real"])
+def test_the_babai_point_of_a_class_is_the_brute_force_shortest_one(red):
+    """Z[beta] for beta^n = sum(red[j] * beta^j), at split primes p and
+    small powers P of p: the lifted root is a root mod P, the rows of the
+    reduced lattice lie in L = {v : sum(v_j * rho^j) = 0 mod P} with
+    |det| = P and meet the size and Lovasz conditions of integral LLL
+    (delta = 3/4), recomputed by Fractions.  ``reduce`` leaves in every
+    class a point of it in the box |<w, b*_j>| <= |b*_j|^2 / 2, and the
+    brute-force shortest point of every class whose shortest point is below
+    the uniqueness radius min |b*_j| / 2.  Over Z[omega], omega^2 = -1 -
+    omega, L is a hexagonal lattice."""
+    n = len(red)
+    poly = tuple(-r for r in red) + (1,)
+    primes = arith._SplitPrimes(ExtField(QQ, tuple(Fraction(c) for c in poly)))
     checked = 0
-    for p in (5, 7, 11, 13, 17, 19, 23):
-        root = order.root(p)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        root = primes.root(p)
         if root is None:
             continue
         for P in (p, p * p, p ** 3):
-            if P > 150:
+            if P > 1500:
                 break
-            rho = order.lift_root(root, p, P)
-            assert (rho * rho - r1 * rho - r0) % P == 0 and rho % p == root
-            (u0, u1), (v0, v1) = basis = order.reduced_basis(P, rho)
-            assert abs(u0 * v1 - u1 * v0) == P
-            assert (u0 + u1 * rho) % P == (v0 + v1 * rho) % P == 0
-            assert order.dot(basis[0], basis[0]) <= order.dot(basis[1], basis[1])
-            assert 2 * abs(order.dot(*basis)) <= order.dot(basis[0], basis[0])
-            least = {}
-            for a in range(-2 * P, 2 * P + 1):
-                for b in range(-2 * P, 2 * P + 1):
-                    size = order.dot((a, b), (a, b))
-                    key = (a + b * rho) % P
-                    if (a, b) != (0, 0) and (key not in least or size < least[key][0]):
-                        least[key] = (size, [a, b])
-            shortest_nonzero = least[0][0]
+            rho, lattice = primes.lattice(p, P)
+
+            def residue(v):
+                return sum(c * rho ** j for j, c in enumerate(v)) % P
+
+            assert residue(poly) == 0 and rho % p == root
+            assert all(residue(b) == 0 for b in lattice.rows)
+            sizes, mu, stars = _gram_schmidt(lattice.rows)
+            assert math.prod(sizes) == P * P
+            assert all(2 * abs(m) <= 1 for row in mu for m in row)
+            assert all(sizes[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * sizes[k - 1]
+                       for k in range(1, n))
             for r in range(P):
-                size, point = least[r] if r else (0, [0, 0])
-                if 4 * size < shortest_nonzero:
-                    assert order.shortest(r, basis) == point, (p, P, r)
+                w = lattice.reduce([r] + [0] * (n - 1))
+                assert residue(w) == r
+                assert all(2 * abs(sum(x * y for x, y in zip(w, s))) <= size
+                           for s, size in zip(stars, sizes))
+            radius_sq = min(sizes) / 4
+            least = {}
+            reach = math.isqrt(math.ceil(radius_sq)) + 1
+            for v in itertools.product(range(-reach, reach + 1), repeat=n):
+                size, key = sum(x * x for x in v), residue(v)
+                if key not in least or size < least[key][0]:
+                    least[key] = (size, list(v))
+            for key, (size, point) in least.items():
+                if size < radius_sq:
+                    assert lattice.reduce([key] + [0] * (n - 1)) == point, (p, P, key)
                     checked += 1
-    assert checked > 20
+    assert checked > 200
