@@ -157,17 +157,16 @@ def _spec_closure(cmd, env):
         "closure": f"V({P0})",
     }
     if fibers:
-        table = []
-        for p in arith._primes_upto(fibers):
-            pts = sp.closure_fiber_points(P0, p)
-            table.append({
+        record["fibers"] = [
+            {
                 "p": p,
                 "points": [
                     {"point": pt.label, "multiplicity": m, "residue": pt.residue_text}
                     for pt, m in pts
                 ],
-            })
-        record["fibers"] = table
+            }
+            for p, pts in sp.closure_fibers(P0, arith._primes_upto(fibers))
+        ]
     return record
 
 
@@ -455,40 +454,51 @@ _COMMANDS = {
 
 def render_json(records):
     """The report as JSON: the bytes of json.dumps(..., indent=2,
-    sort_keys=True), which with an indent runs json's pure-Python encoder."""
+    sort_keys=True), which with an indent runs json's pure-Python encoder;
+    ``_json`` writes them with one branch per exact type of a report."""
     return _json({"schema": SCHEMA_VERSION, "results": records}, "\n") + "\n"
 
 
 def _json(value, newline):
-    """One value at the indentation that ``newline`` ends with; dispatches on
-    type as json's encoder does."""
-    if isinstance(value, str):
+    """One value at the indentation that ``newline`` ends with.  Exact str,
+    int, dict, list and tuple values, nearly all of a report, branch on
+    ``type(value)``; bool, None, float and subclasses take the isinstance
+    order of json's encoder."""
+    kind = type(value)
+    if kind is str:
         return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
+    if kind is int:
         return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
+    if kind not in (dict, list, tuple):
+        if isinstance(value, str):
+            return _quote(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return _json_float(value)
+        if isinstance(value, (list, tuple)):
+            kind = list
+        elif isinstance(value, dict):
+            kind = dict
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "{}" if kind is dict else "[]"
     inner = newline + "  "
     # strings, most of a report, are quoted without a call of their own
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_quote(v) if isinstance(v, str) else _json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+    if kind is dict:
         items = [_quote(k if isinstance(k, str) else _json_key(k)) + ": "
                  + (_quote(v) if isinstance(v, str) else _json(v, inner))
                  for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    items = [_quote(v) if isinstance(v, str) else _json(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _json_float(x):

@@ -856,25 +856,37 @@ def krull_dimension(algebra: alg.PresentedAlgebra):
 # fibers of V(P0) in Spec ZZ[T] over closed points of Spec ZZ
 # ---------------------------------------------------------------------------
 
-def closure_fiber_points(P0: Poly, p: int):
-    """Points of V(P0) inside the fiber over x_p, with multiplicities.
+def closure_fibers(P0: Poly, primes):
+    """[(p, [(point, mult)])] for each p of ``primes``: the points of V(P0)
+    in the fiber over x_p, with multiplicities.
 
-    Reduces P0 modulo p and factors over GF(p); empty iff the reduction is a
-    nonzero constant.  Returns a list of (SpecPoint-like record, mult).
+    One pass: P0's integer coefficients and the catalogue of ZZ[T] are read
+    once, before the first prime, so a P0 outside ZZ[T] is refused even when
+    ``primes`` is empty; each prime only reduces the coefficients mod p and
+    factors over GF(p).  A fiber is empty iff the reduction is a nonzero
+    constant; a reduction to zero raises Undecidable at its prime.
     """
     if P0.ring.domain != ZZ:
         raise UnsupportedDomain(f"closure fibers need a point of ZZ[T], got {P0.ring}")
-    k = Zmod(p)
-    dense = poly_to_dense(P0, k)
-    if not dense:
-        raise Undecidable(f"{P0} vanishes mod {p}: the whole fiber")
-    if up_deg(dense) == 0:
-        return []
-    _, fac = factor_dense(dense, k)
+    coeffs = poly_to_dense(P0)
     cat = SpecCatalogue.recognize(
         alg.PresentedAlgebra(ZZ, P0.ring.names, (), P0.ring.order)
     )
-    return [(mixed_point(cat, p, g), mult) for g, mult in fac]
+    fibers = []
+    for p in primes:
+        k = Zmod(p)
+        dense = up_norm(k, [c % p for c in coeffs])
+        if not dense:
+            raise Undecidable(f"{P0} vanishes mod {p}: the whole fiber")
+        fac = factor_dense(dense, k)[1] if len(dense) > 1 else ()
+        fibers.append((p, [(mixed_point(cat, p, g), mult) for g, mult in fac]))
+    return fibers
+
+
+def closure_fiber_points(P0: Poly, p: int):
+    """Points of V(P0) inside the fiber over x_p, with multiplicities: the
+    one-prime case of ``closure_fibers``."""
+    return closure_fibers(P0, (p,))[0][1]
 
 
 def nilpotents_by_scan(n):

@@ -193,6 +193,33 @@ def test_the_json_writer_raises_type_error_where_json_dumps_does(value):
         render_json(value)
 
 
+def test_the_json_writer_matches_json_dumps_on_generated_values():
+    """Nested dicts, lists and tuples, their subclasses, and leaves and keys
+    of every JSON kind; the keys of one dict are all strings, all numbers
+    or None, so that they sort."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    strings = st.one_of(st.text(), st.text().map(Text))
+    numbers = st.one_of(st.integers(), st.booleans(), floats,
+                        st.integers().map(Count), floats.map(Ratio))
+    leaves = st.one_of(strings, numbers, st.none())
+
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+            st.lists(children, max_size=4).map(Rows),
+            *(st.dictionaries(keys, children, max_size=4).map(kind)
+              for keys in (strings, numbers, st.none()) for kind in (dict, Table)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.recursive(leaves, containers, max_leaves=24))
+    def check(value):
+        assert render_json(value) == dumps_oracle(value)
+
+    check()
+
+
 def test_juxtaposition_multiplication_in_polynomials():
     for text, expected in [
         ("2T-1", "2*T - 1"),
@@ -472,6 +499,18 @@ def test_closure_fibers_need_a_base_of_integers():
     assert "Traceback" not in proc.stdout + proc.stderr
     error = json.loads(proc.stdout)["results"][0]["error"]
     assert error["code"] == "unsupported-domain"
+
+
+@pytest.mark.parametrize("ring", ["GF(5)[T]", "ZZ[T,S]"])
+def test_closure_fibers_check_the_ring_below_the_first_prime(ring):
+    """--fibers 1 lists no prime, so no per-prime step ever saw the ring and
+    the statement exited 0 with an empty table; --fibers 0 asks for no
+    fibers and stays valid."""
+    point = f'--ring "{ring}" --point "eta,(T^2+1)"'
+    records, had_error = run_script(dsl.parse(f"spec closure {point} --fibers 1;"))
+    assert had_error and records[0]["error"]["code"] == "unsupported-domain"
+    records, had_error = run_script(dsl.parse(f"spec closure {point} --fibers 0;"))
+    assert not had_error and "fibers" not in records[0]["data"]
 
 
 @pytest.mark.parametrize("statement", [

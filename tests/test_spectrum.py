@@ -17,7 +17,7 @@ from scheme_explorer.arith import (
     up_norm,
 )
 from scheme_explorer.algebra import PresentedAlgebra, localize, unit_partition
-from scheme_explorer.errors import BudgetExceeded, FactorizationUnavailable, NotCatalogued
+from scheme_explorer.errors import BudgetExceeded, FactorizationUnavailable, NotCatalogued, Undecidable
 from scheme_explorer.multipoly import PolyRing
 from scheme_explorer import spectrum as sp
 
@@ -202,6 +202,72 @@ def test_closure_fiber_points_t2_plus_1_oracle():
         assert len(pts) == (2 if minus_one_square else 1)
     at2 = sp.closure_fiber_points(P0, 2)
     assert len(at2) == 1 and at2[0][1] == 2  # (T+1)^2 over GF(2)
+
+
+def _closure_polys():
+    """Seeded P0 of degree 1 to 4, the leading coefficient 1 or a multiple
+    of small primes, then three with a known shape mod small primes."""
+    T = PresentedAlgebra(ZZ, ("T",)).ring.gen("T")
+    rng = random.Random(41)
+    polys = [sum((rng.randint(-12, 12) * T ** k for k in range(degree)), lead * T ** degree)
+             for degree in (1, 2, 3, 4) for lead in (1, 2, 6, 30, rng.randint(-40, 40) or 1)]
+    return polys + [
+        6 * T ** 2 + 1,              # the constant 1 mod 2 and mod 3
+        3 * T ** 3 + 9,              # T^3 + 1 mod 2, zero mod 3
+        35 * T ** 4 - 7 * T + 14,    # zero mod 7
+    ]
+
+
+def _fiber_by_itself(P0, p):
+    """The fiber over x_p computed from scratch for this prime alone: P0
+    read into GF(p), a catalogue of its own; None when P0 vanishes mod p."""
+    k = Zmod(p)
+    dense = poly_to_dense(P0, k)
+    if not dense:
+        return None
+    cat = sp.SpecCatalogue.recognize(PresentedAlgebra(ZZ, P0.ring.names))
+    fac = factor_dense(dense, k)[1] if up_deg(dense) > 0 else []
+    return [(sp.mixed_point(cat, p, g), m) for g, m in fac]
+
+
+def _records(points):
+    return [(pt, pt.label, pt.residue_text, m) for pt, m in points]
+
+
+@pytest.mark.parametrize("P0", _closure_polys(), ids=str)
+def test_closure_fibers_in_one_pass_match_the_per_prime_calls(P0):
+    primes = sp._primes_upto(30)
+    alone = []
+    for p in primes:
+        fiber = _fiber_by_itself(P0, p)
+        if fiber is None:
+            break
+        alone.append((p, fiber))
+    passed = sp.closure_fibers(P0, primes[:len(alone)])
+    assert [p for p, _ in passed] == [p for p, _ in alone]
+    for (p, points), (_, reference) in zip(passed, alone):
+        assert _records(points) == _records(reference)
+        assert _records(points) == _records(sp.closure_fiber_points(P0, p))
+        if up_deg(up_norm(Zmod(p), [c % p for c in poly_to_dense(P0)])) == 0:
+            assert points == []
+    if len(alone) < len(primes):
+        p = primes[len(alone)]
+        with pytest.raises(Undecidable) as whole:
+            sp.closure_fibers(P0, primes)
+        with pytest.raises(Undecidable) as one:
+            sp.closure_fiber_points(P0, p)
+        assert str(whole.value) == str(one.value) == f"{P0} vanishes mod {p}: the whole fiber"
+
+
+def test_closure_fibers_shapes_of_the_known_polynomials():
+    *_, constant, zero_mod_3, zero_mod_7 = _closure_polys()
+    assert [pts for _, pts in sp.closure_fibers(constant, (2, 3))] == [[], []]
+    [(_, at2)] = sp.closure_fibers(zero_mod_3, (2,))
+    assert [m for _, m in at2] == [1, 1]  # T^3 + 1 = (T + 1)(T^2 + T + 1)
+    with pytest.raises(Undecidable, match="mod 3"):
+        sp.closure_fibers(zero_mod_3, (2, 3))
+    with pytest.raises(Undecidable, match="mod 7"):
+        sp.closure_fibers(zero_mod_7, sp._primes_upto(30))
 
 
 def test_irreducible_components_univariate():
