@@ -47,14 +47,18 @@ the domains override them with the kernels of ``kernels``:
 
 Factorization:
 
-    * finite fields: squarefree split (f itself at once when
-      gcd(f, f') = 1) + distinct degree + Cantor-Zassenhaus equal-degree
-      splitting, only of the parts with more than one irreducible, on a
-      generator seeded from the coefficients alone and made on the first
-      draw.  Over GF(p) with p <= _ROOT_SCAN_ORDER (64) the degree-1 step
-      evaluates f at every residue and divides out x - r at each root r,
-      and the cofactor left goes on at degree 2; otherwise it starts
-      from the first Frobenius x^q mod f, by squaring and shifting;
+    * finite fields: over GF(p) with p <= _ROOT_SCAN_ORDER (64) first the
+      residue scan, which evaluates f at every residue and divides out
+      x - r at each root r as often as it divides, so every linear factor
+      comes with its multiplicity.  A root-free cofactor of degree 2 or 3
+      is irreducible: over a field, a polynomial of degree 2 or 3 with no
+      root there has no proper factor.  Only one of degree >= 4 goes on,
+      as any input does over a larger field: squarefree split (f itself at
+      once when gcd(f, f') = 1), distinct degree (from degree 2 after the
+      scan, else from the first Frobenius x^q mod f, by squaring and
+      shifting), then Cantor-Zassenhaus equal-degree splitting, only of
+      the parts with more than one irreducible, on a generator seeded from
+      the coefficients alone and made on the first draw;
     * QQ: content/primitive, then integer-only: a modular squarefree
       certificate (Yun over ZZ only without one), a modular irreducibility
       certificate, else Zassenhaus (quadratic Hensel lifting, subset
@@ -1403,24 +1407,24 @@ def _x_pow_mod(dom, e, f):
     return r
 
 
-def _distinct_degree(f, dom):
-    """Split squarefree monic f into (product of irreducibles of degree d, d).
+def _distinct_degree(f, dom, d=0):
+    """Split squarefree monic f, with no irreducible factor of degree <= d,
+    into (product of its irreducibles of degree e, e) for e > d.
 
-    Over GF(p) with p <= _ROOT_SCAN_ORDER the degree-1 step is a scan of
-    the residues (``_linear_factors``) and gives each linear factor as a
+    At d = 0 over GF(p) with p <= _ROOT_SCAN_ORDER the degree-1 step is the
+    residue scan (``_linear_factors``), which gives each linear factor as a
     part of its own, so equal-degree splitting never sees degree 1 there;
     the cofactor, linear or root-free, goes on at degree 2.  The first
-    Frobenius image taken, x^(q^d) mod f at d = 1 (or 2 after a scan), is
-    ``_x_pow_mod``; each later one is the previous image raised to the q-th
-    power mod the cofactor left (von zur Gathen & Gerhard, Modern Computer
-    Algebra, Alg. 14.3)."""
+    Frobenius image taken, x^(q^(d+1)) mod f, is ``_x_pow_mod``; each later
+    one is the previous image raised to the q-th power mod the cofactor left
+    (von zur Gathen & Gerhard, Modern Computer Algebra, Alg. 14.3)."""
     q = dom.order()
     out = []
     x = (dom.zero(), dom.one())
-    h, d = None, 0
-    if isinstance(dom, Zmod) and q <= _ROOT_SCAN_ORDER:
+    h = None
+    if not d and isinstance(dom, Zmod) and q <= _ROOT_SCAN_ORDER:
         linears, f = _linear_factors(f, q)
-        out = [(g, 1) for g in linears]
+        out = [(g, 1) for g, _ in linears]
         d = 1
     while up_deg(f) > 0:
         d += 1
@@ -1436,11 +1440,12 @@ def _distinct_degree(f, dom):
     return out
 
 
-# Prime order up to which the degree-1 step of ``_distinct_degree`` scans
-# the residues for roots instead of taking gcd(x^p - x, f) and splitting the
-# linears by Cantor-Zassenhaus.  Paired timings of factor_dense on 40 random
-# monic polynomials per cell, primes 2-257 and degrees 2-10; scan time over
-# gcd time, the median of 11 alternating pairs:
+# Prime order up to which the linear factors are found by the residue scan
+# (``_linear_factors``, the first step of ``factor_dense`` and the degree-1
+# step of ``_distinct_degree``) instead of taking gcd(x^p - x, f) and
+# splitting the linears by Cantor-Zassenhaus.  Paired timings of
+# factor_dense on 40 random monic polynomials per cell, primes 2-257 and
+# degrees 2-10; scan time over gcd time, the median of 11 alternating pairs:
 #
 #     p \ degree   2     3     4     6     8     10
 #     2          0.48  0.81  0.66  0.78  0.85  0.88
@@ -1462,24 +1467,32 @@ _ROOT_SCAN_ORDER = 64
 
 
 def _linear_factors(f, p):
-    """([x - r for the roots r found], the cofactor) of monic squarefree f
-    on ints in [0, p): f is evaluated at each residue of GF(p) in turn by
-    Horner's rule, and x - r divided out of it at each root, until the
-    cofactor is linear or has no root."""
-    linears = []
+    """([(x - r, multiplicity) for the roots r found], the cofactor) of
+    monic f on ints in [0, p).  At each residue r in turn f(r) is Horner's
+    rule on exact ints, reduced mod p once; at a root, x - r is divided out
+    (synthetic division, high degree first, the last entry the remainder)
+    for as long as the remainder is 0.  The scan stops when the cofactor is
+    linear (its root not reached yet) or every residue has been tried, when
+    the cofactor has no root."""
+    linears, rev = [], f[::-1]
     for r in range(p):
-        if len(f) < 3:
+        if len(rev) < 3:
             break
         v = 0
-        for c in reversed(f):
-            v = (v * r + c) % p
-        if not v:
-            linears.append((-r % p, 1))
-            quo = [f[-1]]
-            for c in f[-2:0:-1]:
+        for c in rev:
+            v = v * r + c
+        if v % p:
+            continue
+        mult = 0
+        while True:
+            quo = [rev[0]]
+            for c in rev[1:]:
                 quo.append((quo[-1] * r + c) % p)
-            f = tuple(reversed(quo))
-    return linears, f
+            if quo[-1]:
+                break
+            rev, mult = tuple(quo[:-1]), mult + 1
+        linears.append(((-r % p, 1), mult))
+    return linears, rev[::-1]
 
 
 def _equal_degree(f, d, dom, rng):
@@ -1531,28 +1544,33 @@ def _cz_rng(f):
     return random.Random(zlib.crc32(repr(tuple(f)).encode()))
 
 
-def _split_finite_field(f, dom):
-    """The split of a squarefree monic factor of f over a finite field:
-    distinct-degree, then Cantor-Zassenhaus on the draws of ``_cz_rng(f)``.
-    A distinct-degree part of one irreducible is kept as it is, and the
-    generator is made on the first part that needs draws, so the draws
-    and their order are those of a generator made up front."""
+def _factor_finite_field(f, dom):
+    """[(monic irreducible, multiplicity)] of f of degree >= 1 over a finite
+    field (see ``factor_dense``): over GF(p) with p <= _ROOT_SCAN_ORDER the
+    residue scan, and a root-free cofactor of degree <= 3 is irreducible;
+    a larger cofactor, or f over a larger field, is split into squarefree
+    parts, each by distinct degree (from degree 2 after the scan), then
+    Cantor-Zassenhaus on the draws of ``_cz_rng(f)``.  A distinct-degree
+    part of one irreducible is kept as it is, and the generator is made on
+    the first part that needs draws, so the draws and their order are those
+    of a generator made up front."""
+    g, out, done = dom.dense_monic(f), [], 0
+    if isinstance(dom, Zmod) and dom.n <= _ROOT_SCAN_ORDER:
+        out, g = _linear_factors(g, dom.n)
+        if up_deg(g) < 4:  # linear, or root-free of degree 2 or 3: irreducible
+            return out + [(g, 1)] if up_deg(g) else out
+        done = 1
     rng = None
-
-    def split(g):
-        nonlocal rng
-        out = []
-        for h, d in _distinct_degree(g, dom):
+    for s, mult in squarefree_decomposition(g, dom):
+        for h, d in _distinct_degree(s, dom, done):
             if up_deg(h) == d:
                 parts = [h]
             else:
                 if rng is None:
                     rng = _cz_rng(f)
                 parts = _equal_degree(h, d, dom, rng)
-            out += [dom.dense_monic(irr) for irr in parts]
-        return out
-
-    return split
+            out += [(dom.dense_monic(irr), mult) for irr in parts]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -2039,11 +2057,16 @@ def factor_dense(f, dom):
     integral at such a prime (O_K is integrally closed), so it reduces mod
     the prime with its degree, and both certificates hold as over QQ.
 
-    Over a finite field each squarefree part is split by distinct-degree
-    factorization, then Cantor-Zassenhaus.  Over GF(p) with p <=
-    _ROOT_SCAN_ORDER the linear factors are the roots found by evaluating
-    at every residue, so no random draw splits them; the modular images of
-    the Zassenhaus steps above split the same way.
+    Over GF(p) with p <= _ROOT_SCAN_ORDER the first step is the residue
+    scan: the linear factors are the roots found by evaluating at every
+    residue, each divided out as often as it divides, so no random draw
+    splits them.  Certificate: over a field, a polynomial of degree 2 or 3
+    with no root there is irreducible, as a proper factor would be linear;
+    so a root-free cofactor of degree <= 3 ends the work, with no
+    squarefree split or distinct-degree pass.  Otherwise each squarefree
+    part is split by distinct-degree factorization (from degree 2 after the
+    scan), then Cantor-Zassenhaus; the squarefree modular images of the
+    Zassenhaus steps above start their distinct-degree step with the scan.
     """
     f = up_norm(dom, tuple(f))
     if not f:
@@ -2059,9 +2082,8 @@ def factor_dense(f, dom):
         unit = f[-1]
         fac = _zassenhaus_factors(dom.dense_monic(f), dom, _SplitPrimes(dom))
     else:
-        split = _split_finite_field(f, dom)
         unit = f[-1]
-        fac = [(h, mult) for g, mult in squarefree_decomposition(f, dom) for h in split(g)]
+        fac = _factor_finite_field(f, dom)
     fac.sort(key=lambda fm: (up_deg(fm[0]), fm[0]))
     return unit, fac
 

@@ -457,6 +457,94 @@ def test_distinct_linears_make_a_generator_only_past_the_root_scan(cz_generators
         assert len(cz_generators) == (p > _ROOT_SCAN_ORDER)
 
 
+def _seeded_gf_product(rng, p):
+    """A constant times seeded factors over GF(p): linears and root-free
+    quadratics, cubics and quartics, each to a power 1-3, and sometimes two
+    linears at the ends of the scan, x - 1 and x + 1, so that the cofactor
+    turns linear after the first root and the other is never scanned."""
+    from test_factor_sympy import _root_free
+
+    dom, f = GF(p), (rng.randrange(1, p),)
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.choice((1, 1, 2, 2, 3, 4))
+        g = (rng.randrange(p), 1) if degree == 1 else _root_free(rng, p, degree)
+        factors += [g] * rng.choice((1, 1, 2, 3))
+    if rng.random() < 0.25:
+        factors += [(p - 1, 1)] * rng.randint(1, 2) + [(1, 1)] * rng.randint(1, 2)
+    for g in factors:
+        f = up_mul(dom, f, g)
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 61, 67, 101])
+def test_finite_field_factors_match_sympy_on_both_sides_of_the_root_scan(p):
+    """Seeded products with repeated linear and quadratic factors, root-free
+    quadratics, cubics and quartics, and cofactors that turn linear partway
+    through the scan, over GF(p) at and past _ROOT_SCAN_ORDER, against
+    sympy's factorization; the unit is the leading coefficient."""
+    pytest.importorskip("sympy")
+    from test_factor_sympy import sympy_factors_gf
+
+    from scheme_explorer.arith import _ROOT_SCAN_ORDER
+
+    assert 61 <= _ROOT_SCAN_ORDER < 67
+    rng = random.Random(4200 + p)
+    for _ in range(25):
+        f = _seeded_gf_product(rng, p)
+        unit, fac = factor_dense(f, GF(p))
+        assert unit == f[-1]
+        assert fac == sorted(fac, key=lambda gm: (len(gm[0]), gm[0]))
+        assert sorted(fac) == sympy_factors_gf(f, p), f
+
+
+@pytest.fixture
+def finite_field_steps(monkeypatch):
+    """The calls of the residue scan, the squarefree split and distinct-degree
+    factorization that ``factor_dense`` makes, by name, with their
+    arguments."""
+    from scheme_explorer import arith
+
+    calls = []
+    for name in ("_linear_factors", "squarefree_decomposition", "_distinct_degree"):
+
+        def counted(*args, real=getattr(arith, name), name=name):
+            calls.append((name,) + args)
+            return real(*args)
+
+        monkeypatch.setattr(arith, name, counted)
+    return calls
+
+
+def test_roots_and_a_root_free_cofactor_of_degree_at_most_3_finish_at_the_scan(
+    finite_field_steps,
+):
+    """A root-free cubic over GF(31) is irreducible, and (x - 3)^2 (x^2 + 1)
+    over GF(7) splits into its roots with multiplicity and an irreducible
+    quadratic, both with one scan and no squarefree split or
+    distinct-degree factorization."""
+    assert factor_dense((10, 6, 14, 2), GF(31)) == (2, [((5, 3, 7, 1), 1)])
+    dom, f = GF(7), (1, 0, 1)
+    for _ in range(2):
+        f = up_mul(dom, f, (4, 1))
+    assert factor_dense(f, dom) == (1, [((4, 1), 2), ((1, 0, 1), 1)])
+    assert [call[0] for call in finite_field_steps] == ["_linear_factors"] * 2
+
+
+def test_a_root_free_quartic_is_scanned_once_and_split_from_degree_2(finite_field_steps):
+    """(x^2 + 1)(x^2 - 3) over GF(31) has no root: after the one scan it goes
+    through the squarefree split and distinct-degree factorization, which
+    start at degree 2 and scan no residue again."""
+    dom = GF(31)
+    f = up_mul(dom, (1, 0, 1), (28, 0, 1))
+    assert factor_dense(f, dom) == (1, [((1, 0, 1), 1), ((28, 0, 1), 1)])
+    assert finite_field_steps == [
+        ("_linear_factors", f, 31),
+        ("squarefree_decomposition", f, dom),
+        ("_distinct_degree", f, dom, 1),
+    ]
+
+
 def test_prime_factors_match_trial_division_by_every_divisor():
     """The sieved primes in gcd blocks give the list, and the refusal, of
     one division per odd divisor: on 1, primes, prime powers, products of
