@@ -122,8 +122,8 @@ def _preimage_in_poly_ring(phi, q, src_cat):
                 return sp.generic_point(src_cat)
             return sp.prime_point(src_cat, char)
         if char > 0:
-            minpoly = _min_poly_of_value(value, kappa, Zmod(char))
-            return sp.mixed_point(src_cat, char, minpoly)
+            k = Zmod(char)
+            return sp.mixed_point(src_cat, char, _min_poly_of_value(value, kappa, k), k)
         # the kernel is generated by the primitive integer multiple of minpoly
         minpoly = _min_poly_of_value(value, kappa, QQ)
         d = math.lcm(*(c.denominator for c in minpoly))

@@ -32,7 +32,7 @@ import itertools
 import math
 from collections.abc import Mapping
 
-from .arith import Domain, Zmod, domain_units
+from .arith import Domain, Zmod, _unit_table
 from .errors import (
     BudgetExceeded,
     NonInvertibleUnit,
@@ -43,10 +43,10 @@ from .kernels import _int_product, _int_rem_monic
 
 # Sizes of the exhaustive enumerations, checked before each one starts.  The
 # shipped scripts and the benchmark decks localize rings of at most 42
-# elements (ZZ/42) and search products of at most 42 germ, 1,156 section
-# and 576 unit families in one ``_glued`` call; the test suite goes up to 60
-# elements and 314,928 germ families.  A structure sheaf lists its ring
-# once per open, so it takes rings of at most 4,000 elements.
+# elements (ZZ/42), search at most 42 germ families and join at most 36
+# section and 24 unit families in one call; the test suite goes up to 2,401
+# elements, 314,928 germ, 2,401 section and 2,304 unit families.  A structure
+# sheaf lists its ring once per open, so it takes rings of at most 4,000 elements.
 _RING_BUDGET = 100_000
 _SHEAF_RING_BUDGET = 4_000
 _FAMILY_BUDGET = 1_000_000
@@ -57,23 +57,51 @@ def _check_budget(size, budget, what):
         raise BudgetExceeded(f"{size} {what} exceed the budget of {budget}")
 
 
+def _joined(choices, keys, what):
+    """``_glued`` for tests kj(s_j) == ki(s_i), one for each (kj, ki) in
+    ``keys(j, i)``, on at least one list of choices.  A hash join on the first
+    keys of each (0, i): s_i is filed once under its key and s_0 reads its
+    partners there, so the search runs only the tests left.  The budget counts
+    the families the partners make, before one is built."""
+    files = [({}, keys(0, i)[0]) for i in range(1, len(choices))]
+    for (filed, (_, ki)), here in zip(files, choices[1:]):
+        for s in here:
+            filed.setdefault(ki(s), []).append(s)
+    partners = {s0: [filed.get(k0(s0), ()) for filed, (k0, _) in files] for s0 in choices[0]}
+    _check_budget(sum(math.prod(map(len, partners[s0])) for s0 in choices[0]),
+                  _FAMILY_BUDGET, what)
+
+    def test(j, i):
+        pairs = keys(j, i)[1:] if j == 0 else keys(j, i)  # the join tested the first of (0, i)
+        if pairs:
+            return lambda sj, si: all(kj(sj) == ki(si) for kj, ki in pairs)
+
+    levels = [lambda family, i=i: partners[family[0]][i] for i in range(len(files))]
+    return _search([lambda _: choices[0], *levels], test)
+
+
 def _glued(choices, pair, what):
     """The tuples of ``itertools.product(*choices)`` whose entries pass every
     pairwise test, lazily and in the product's order.  ``pair(j, i)`` for
     j < i is None or a test (s_j, s_i) -> bool; it runs as soon as s_i is
     chosen, so a prefix that fails it is never extended."""
     _check_budget(math.prod(map(len, choices)), _FAMILY_BUDGET, what)
+    return _search([lambda _, here=here: here for here in choices], pair)
+
+
+def _search(levels, pair):
+    # levels[i](family) lists the choices that extend a family of length i
     families = iter([()])
-    for i, here in enumerate(choices):
+    for i, choices_of in enumerate(levels):
         tests = [(j, t) for j in range(i) if (t := pair(j, i)) is not None]
-        families = _extend(families, here, tests)
+        families = _extend(families, choices_of, tests)
     return families
 
 
-def _extend(families, here, tests):
-    # a function of its own, so that each level binds its own here and tests
+def _extend(families, choices_of, tests):
+    # a function of its own, so that each level binds its own choices and tests
     for family in families:
-        for s in here:
+        for s in choices_of(family):
             for j, test in tests:
                 if not test(family[j], s):
                     break
@@ -94,15 +122,9 @@ class FiniteSpace:
             for v in self.opens:
                 if u | v not in self.opens or u & v not in self.opens:
                     raise ValueError("opens must be closed under union and meet")
-        self._minimal = {}
-        for x in self.points:
-            m = frozenset(self.points)
-            for u in self.opens:
-                if x in u:
-                    m = m & u
-            if m not in self.opens:
-                raise ValueError(f"minimal neighborhood of {x} is not open")
-            self._minimal[x] = m
+        # an intersection of opens, so open
+        self._minimal = {x: pointset.intersection(*(u for u in self.opens if x in u))
+                         for x in self.points}
         self._sorted = tuple(sorted(self.opens, key=lambda u: (len(u), sorted(map(str, u)))))
 
     def minimal_open(self, x):
@@ -118,12 +140,16 @@ class FiniteSpace:
 
 
 def discrete_space(points):
-    pts = list(points)
-    opens = []
-    for r in range(len(pts) + 1):
-        for combo in itertools.combinations(pts, r):
-            opens.append(frozenset(combo))
-    return FiniteSpace(pts, opens)
+    """The power set of ``points``, with nothing to check: each point is its own
+    minimal open, and the subsets in ``opens_sorted`` order are combinations."""
+    space = FiniteSpace.__new__(FiniteSpace)
+    space.points = tuple(points)
+    names = sorted(space.points, key=str)
+    space._sorted = tuple(frozenset(c) for r in range(len(names) + 1)
+                          for c in itertools.combinations(names, r))
+    space.opens = frozenset(space._sorted)
+    space._minimal = {x: frozenset((x,)) for x in space.points}
+    return space
 
 
 class OnRead(Mapping):
@@ -183,25 +209,15 @@ class FinitePresheaf:
         for u in self.space.opens:
             if u not in self.sections:
                 raise ValueError(f"missing sections over {set(u)}")
-        opens = self.space.opens_sorted()
+        opens = self.space.opens_sorted()  # restrict_map(u, u) is the identity
+        below = {u: [v for v in opens if v < u] for u in opens}
         for u in opens:
-            ru = self.restrict_map(u, u)
-            for s in self.sections[u]:
-                if ru[s] != s:
-                    raise ValueError("restriction U->U must be the identity")
-        for u in opens:
-            for v in opens:
-                if not v < u:
-                    continue
-                for w in opens:
-                    if not w < v:
-                        continue
-                    uv = self.restrict_map(u, v)
-                    vw = self.restrict_map(v, w)
-                    uw = self.restrict_map(u, w)
-                    for s in self.sections[u]:
-                        if vw[uv[s]] != uw[s]:
-                            raise ValueError("restrictions fail to compose")
+            for v in below[u]:
+                uv = self.restrict_map(u, v)
+                for w in below[v]:
+                    vw, uw = self.restrict_map(v, w), self.restrict_map(u, w)
+                    if any(vw[uv[s]] != uw[s] for s in self.sections[u]):
+                        raise ValueError("restrictions fail to compose")
 
     def restrict_map(self, u, v):
         """The map from sections on u to sections on v; a KeyError unless
@@ -546,6 +562,11 @@ class LocalizedFiniteRing(Domain):
     def inv(self, x):
         return super().inv(self.make(*x))
 
+    def is_unit(self, x):
+        if self._inverses is None:  # Domain.inv's table, read with no raise for a non-unit
+            self._inverses = _unit_table(self)
+        return self.make(*x) in self._inverses
+
     def format(self, x):
         a, s = x
         if s == self.ring.one():
@@ -567,11 +588,15 @@ def finite_spectrum_points(ring: Domain):
     idempotents e, the nonzero idempotents with no other nonzero idempotent
     f where ef = f (Atiyah-Macdonald, Thm 8.7).  So its primes are the
     p_e = {a : a*e nilpotent}, one for each primitive e, all maximal.
+
+    A nilpotent a gives a chain A > aA > a^2A > ... of additive subgroups
+    that falls strictly until it is 0: a^iA = a^(i+1)A makes a^i = a^(i+1)b,
+    so a^i = a^(i+m)b^m = 0 for large m.  Each has at most half the order of
+    the last, so a^k = 0 once 2^k > |A|, at k the bit length of |A|.
     """
     elems = ring.elements()
     zero = ring.zero()
-    # the nonzero powers of a nilpotent element are distinct, so a^|A| = 0
-    nilradical = frozenset(a for a in elems if ring.pow(a, len(elems)) == zero)
+    nilradical = frozenset(a for a in elems if ring.pow(a, len(elems).bit_length()) == zero)
     idempotents = [a for a in elems if a != zero and ring.mul(a, a) == a]
     primes = [
         frozenset(a for a in elems if ring.mul(a, e) in nilradical)
@@ -634,13 +659,8 @@ class StructureSheafReport:
         """Bijectivity of A_f -> Gamma(D(f)) through germ families."""
         d = self.basic_open(f)
         loc = self.localization(f)
-        pts = sorted(d, key=str)
-        images = set()
-        for a, s in loc.elements():
-            germs = tuple(
-                self.local_rings[self.space.minimal_open(x)].make(a, s) for x in pts
-            )
-            images.add(germs)
+        stalks = [self.local_rings[self.space.minimal_open(x)] for x in sorted(d, key=str)]
+        images = {tuple(r.make(a, s) for r in stalks) for a, s in loc.elements()}
         gamma = set(self.sheaf.sections[d])
         return len(images) == len(loc.elements()) and images == gamma
 
@@ -676,31 +696,20 @@ class UnitCocycle:
 
     def restricted(self, i, j, w):
         """The unit f_ij seen in the ring of the smaller open w."""
-        val = self.units[(i, j)]
-        return self.ring_on(w).make(val[0], val[1])
+        return self.ring_on(w).make(*self.units[i, j])
 
     def _check(self):
+        """f_ii = 1, and f_ij f_jk = f_ik on each triple overlap: f_ij f_ji = 1."""
         n = len(self.cover)
         for i in range(n):
             if self.units[(i, i)] != self.ring_on(self.cover[i]).one():
                 raise NonInvertibleUnit("f_ii must be 1")
-        for i in range(n):
-            for j in range(n):
-                w = self.cover[i] & self.cover[j]
-                rw = self.ring_on(w)
-                fij = self.restricted(i, j, w)
-                if not rw.is_unit(fij):
-                    raise NonInvertibleUnit(f"f_{i}{j} is not a unit")
-                if rw.mul(fij, self.restricted(j, i, w)) != rw.one():
-                    raise NonInvertibleUnit("f_ij * f_ji must be 1")
-                for k in range(n):
-                    t = w & self.cover[k]
-                    rt = self.ring_on(t)
-                    lhs = rt.mul(
-                        self.restricted(i, j, t), self.restricted(j, k, t)
-                    )
-                    if lhs != self.restricted(i, k, t):
-                        raise NonInvertibleUnit("cocycle identity fails")
+        for i, j, k in itertools.product(range(n), repeat=3):
+            t = self.cover[i] & self.cover[j] & self.cover[k]
+            lhs = self.ring_on(t).mul(self.restricted(i, j, t), self.restricted(j, k, t))
+            if lhs != self.restricted(i, k, t):
+                raise NonInvertibleUnit("f_ij * f_ji must be 1" if k == i
+                                        else "cocycle identity fails")
 
     def multiply(self, other):
         """Pointwise product cocycle on the same cover."""
@@ -734,25 +743,21 @@ def twist_structure_sheaf(cocycle: UnitCocycle):
 
     Sections over U are families (s_i in O(U cap U_i)) with s_i = f_ij s_j
     on U cap U_i cap U_j, made per open on first read (and the budget of an
-    open checked then).
+    open checked then) by a join on the values f_0i s_i.
     """
     report = cocycle.report
     space = report.space
     cover = cocycle.cover
 
-    def transition_test(u, pieces, j, i):
-        # s_j = f_ji s_i on u & U_j & U_i, each side computed once
+    def transition_keys(u, j, i):
+        # s_j = f_ji s_i on u & U_j & U_i
         w = u & cover[j] & cover[i]
-        rw = report.local_rings[w]
-        fji = cocycle.restricted(j, i, w)
-        left = {s: rw.make(*s) for s in pieces[j]}
-        right = {s: rw.mul(fji, rw.make(*s)) for s in pieces[i]}
-        return lambda sj, si: left[sj] == right[si]
+        rw, fji = report.local_rings[w], cocycle.restricted(j, i, w)
+        return [(lambda s: rw.make(*s), lambda s: rw.mul(fji, rw.make(*s)))]
 
     def families(u):
         pieces = [report.local_rings[u & c].elements() for c in cover]
-        return tuple(_glued(pieces, lambda j, i: transition_test(u, pieces, j, i),
-                            "section families"))
+        return tuple(_joined(pieces, functools.partial(transition_keys, u), "section families"))
 
     def restriction(u, v):
         makes = [report.local_rings[v & c].make for c in cover]
@@ -769,9 +774,8 @@ def recover_cocycle(twisted: FinitePresheaf, report, cover):
     recovered unit f_ij.
     """
     def unit(i, j, w, rw):
-        if not w:
-            return rw.one()
-        candidates = [fam for fam in twisted.sections[w] if rw.make(*fam[j]) == rw.one()]
+        one = rw.one()
+        candidates = [fam for fam in twisted.sections[w] if rw.make(*fam[j]) == one]
         if len(candidates) != 1:
             raise Unsupported("trivializing section is not unique")
         return rw.make(*candidates[0][i])
@@ -780,29 +784,26 @@ def recover_cocycle(twisted: FinitePresheaf, report, cover):
 
 
 def cocycles_equal_mod_coboundary(report, cover, c1: UnitCocycle, c2: UnitCocycle):
-    """Whether c1 and c2 differ by a coboundary (a_i / a_j), by a search for
-    units with c1_ij a_j = c2_ij a_i; f_ii = 1 settles the diagonal."""
+    """Whether c1 and c2 differ by a coboundary (a_i / a_j), by a join for
+    units with c1_ij a_j = c2_ij a_i on the values c2_i0 a_i; f_ii = 1
+    settles the diagonal."""
     cover = [frozenset(u) for u in cover]
-    unit_lists = [[a for a, _ in domain_units(report.local_rings[u])] for u in cover]
+    rings = [report.local_rings[u] for u in cover]
+    unit_lists = [[a for a in rw.elements() if rw.is_unit(a)] for rw in rings]
 
     def scaled(c, i, j):
-        # a -> c_ij a on U_i & U_j, each product formed once
         rw = report.local_rings[cover[i] & cover[j]]
         cij = rw.make(*c.units[(i, j)])
-        return functools.cache(lambda a: rw.mul(cij, rw.make(*a)))
+        return lambda a: rw.mul(cij, rw.make(*a))
 
-    def pair(j, i):
-        lij, rij, lji, rji = (scaled(c1, i, j), scaled(c2, i, j),
-                              scaled(c1, j, i), scaled(c2, j, i))
-        return lambda aj, ai: lij(aj) == rij(ai) and lji(ai) == rji(aj)
+    def keys(j, i):
+        return [(scaled(c1, i, j), scaled(c2, i, j)), (scaled(c2, j, i), scaled(c1, j, i))]
 
-    return next(_glued(unit_lists, pair, "unit families"), None) is not None
+    return next(_joined(unit_lists, keys, "unit families"), None) is not None
 
 
 def is_coboundary(report, cover, cocycle: UnitCocycle):
-    return cocycles_equal_mod_coboundary(
-        report, cover, cocycle, trivial_cocycle(report, cover)
-    )
+    return cocycles_equal_mod_coboundary(report, cover, cocycle, trivial_cocycle(report, cover))
 
 
 def two_open_cocycle(report, cover, unit):

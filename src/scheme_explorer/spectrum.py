@@ -363,14 +363,12 @@ def closed_point(cat: SpecCatalogue, g):
     return SpecPoint._from_dense(cat, ("principal",), g, text, k, var, f"x_({text})")
 
 
-def mixed_point(cat: SpecCatalogue, p, g):
-    """The closed point (p, g) of ZZ[T], g monic irreducible dense over GF(p);
-    the lift keeps g's coefficients in [0, p)."""
-    lift = tuple(int(c) for c in g)
-    text = _dense_text(cat, lift)
+def mixed_point(cat: SpecCatalogue, p, g, k):
+    """The closed point (p, g) of ZZ[T], g monic irreducible dense over
+    k = GF(p), whose residues are the ints in [0, p) that lift them."""
+    text = _dense_text(cat, g)
     var = "t" if up_deg(g) > 1 else None
-    return SpecPoint._from_dense(cat, ("mixed", p), lift, text, Zmod(p), var,
-                                 f"y_({p},{text})")
+    return SpecPoint._from_dense(cat, ("mixed", p), g, text, k, var, f"y_({p},{text})")
 
 
 def height_one_point(cat: SpecCatalogue, coeffs):
@@ -486,7 +484,8 @@ def _enumerate_zzt(cat, bound):
     pts = [generic_point(cat)]
     for p in _primes_upto(bound):
         pts.append(prime_point(cat, p))
-        pts.extend(mixed_point(cat, p, g) for g in _monic_irreducibles(Zmod(p), 2))
+        k = Zmod(p)
+        pts.extend(mixed_point(cat, p, g, k) for g in _monic_irreducibles(k, 2))
     box = range(-bound, bound + 1)
     linears = [c for c in itertools.product(box, repeat=2) if c[1] > 0 and math.gcd(*c) == 1]
     reducible = {
@@ -879,7 +878,7 @@ def closure_fibers(P0: Poly, primes):
         if not dense:
             raise Undecidable(f"{P0} vanishes mod {p}: the whole fiber")
         fac = factor_dense(dense, k)[1] if len(dense) > 1 else ()
-        fibers.append((p, [(mixed_point(cat, p, g), mult) for g, mult in fac]))
+        fibers.append((p, [(mixed_point(cat, p, g, k), mult) for g, mult in fac]))
     return fibers
 
 

@@ -34,7 +34,7 @@ def eager_closed_point(cat, g):
     return sp.SpecPoint(cat, ("principal", P), kappa, label=f"x_({P})")
 
 
-def eager_mixed_point(cat, p, g):
+def eager_mixed_point(cat, p, g, _k):
     k = Zmod(p)
     lift = dense_to_poly(cat.algebra.ring, [int(c) for c in g])
     kappa = k if up_deg(g) == 1 else ExtField(k, g, check=False)

@@ -677,16 +677,49 @@ def test_sheafify_refuses_too_many_germ_families():
         sh.sheafify(F)
 
 
-def test_twist_refuses_too_many_section_families():
+@pytest.mark.parametrize("space, size", [
+    ("spec(ZZ/1009)", 1009), ("spec(GF(7)[e]/(e^4+1))", 7 ** 4),
+], ids=["ZZ/1009", "GF(7)[e]/(e^4+1)"])
+def test_twists_of_large_rings_answer_through_the_join(space, size):
+    """The whole products of local choices, 1,018,081 and 5,764,801
+    families, exceeded the family budget; the join makes one family per
+    element of A, which is every global section on the cover X, X."""
     from scheme_explorer import dsl
     from scheme_explorer.cli import run_script
 
     records, had_error = run_script(dsl.parse(
-        'sheaf twist --space "spec(ZZ/1009)" --cover "X,X" --cocycle 1;'
+        f'sheaf twist --space "{space}" --cover "X,X" --cocycle 1;'
     ))
-    assert had_error
-    assert records[0]["error"]["code"] == "budget-exceeded"
-    assert "1018081 section families" in records[0]["error"]["message"]
+    assert not had_error
+    data = records[0]["data"]
+    assert data["sections_global"] == size
+    assert data["is_coboundary"] is True and data["round_trip_class_ok"] is True
+
+
+def _search_calls(monkeypatch):
+    """The calls that ``_joined`` makes to ``_search``, the only code that
+    builds a family tuple."""
+    calls = []
+    search = sh._search
+    monkeypatch.setattr(sh, "_search", lambda *a: calls.append(a) or search(*a))
+    return calls
+
+
+def test_twist_refuses_too_many_section_families(monkeypatch):
+    """The budget counts the families the join makes, one per element of
+    ZZ/1009 on the cover X, X, before any of them is built."""
+    from scheme_explorer.errors import BudgetExceeded
+
+    rep = sh.structure_sheaf(Zmod(1009))
+    X = frozenset(rep.space.points)
+    twisted = sh.twist_structure_sheaf(sh.trivial_cocycle(rep, [X, X]))
+    calls = _search_calls(monkeypatch)
+    monkeypatch.setattr(sh, "_FAMILY_BUDGET", 1008)
+    with pytest.raises(BudgetExceeded, match=r"^1009 section families exceed the budget of 1008$"):
+        twisted.sections[X]
+    assert calls == [] and twisted.sections.made == {}
+    monkeypatch.setattr(sh, "_FAMILY_BUDGET", 1009)
+    assert len(twisted.sections[X]) == 1009
 
 
 # ---------------------------------------------------------------------------
@@ -841,14 +874,108 @@ def test_coboundary_search_matches_the_reference():
                 ), (ring, cover)
 
 
-def test_coboundary_search_refuses_too_many_unit_families():
+def _three_open_covers(rep, rng, count):
+    """A seeded sample of the covers by three nonempty opens, repeats
+    allowed."""
+    whole = frozenset(rep.space.points)
+    opens = [u for u in rep.space.opens_sorted() if u]
+    covers = [list(c) for c in itertools.product(opens, repeat=3)
+              if frozenset().union(*c) == whole]
+    return rng.sample(covers, min(count, len(covers)))
+
+
+_THREE_OPEN_RINGS = (Zmod(6), Zmod(12), Zmod(30), sh.ProductRing(Zmod(4), Zmod(6)),
+                     sh.QuotientPolyRing(Zmod(2), (0, 1, 0, 1)))
+
+
+def _random_units(rep, cover, rng):
+    return [rng.choice(domain_units(rep.local_rings[u]))[0] for u in cover]
+
+
+def test_twist_on_three_opens_lists_the_reference_families_in_order():
+    """The join files each later chart under f_0i s_i and tests the pair
+    (1, 2) on the partners: on three opens the trivial twist and twists by
+    coboundaries list the families of the whole product's filter."""
+    rng = random.Random(43)
+    for ring in _THREE_OPEN_RINGS:
+        rep = sh.structure_sheaf(ring)
+        for cover in _three_open_covers(rep, rng, 4):
+            for c in (sh.trivial_cocycle(rep, cover),
+                      coboundary_cocycle(rep, cover, _random_units(rep, cover, rng))):
+                assert sh.twist_structure_sheaf(c).sections == {
+                    u: tuple(fams) for u, fams in _reference_twist_sections(c).items()
+                }, (ring, cover)
+
+
+def _broken_cocycle(rep, cover, rng):
+    """A coboundary on ``cover`` whose f_01 and f_10 are replaced by two
+    seeded units of the overlap: f_01 f_10 = 1 may fail, and so may the
+    identity through the third open."""
+    c = coboundary_cocycle(rep, cover, _random_units(rep, cover, rng))
+    rw = rep.local_rings[cover[0] & cover[1]]
+    units = dict(c.units)
+    units[0, 1], units[1, 0] = (rng.choice(domain_units(rw))[0] for _ in range(2))
+    return sh.UnitCocycle(rep, cover, units)
+
+
+def test_coboundary_search_on_three_opens_matches_the_reference(monkeypatch):
+    """Trivial cocycles, coboundaries and, with the cocycle check switched
+    off, broken cocycles on three opens: the join and the scan of every
+    unit family agree, and both verdicts occur."""
+    rng = random.Random(43)
+    verdicts = Counter()
+    for ring in _THREE_OPEN_RINGS:
+        rep = sh.structure_sheaf(ring)
+        for cover in _three_open_covers(rep, rng, 4):
+            cocycles = [sh.trivial_cocycle(rep, cover),
+                        coboundary_cocycle(rep, cover, _random_units(rep, cover, rng))]
+            with monkeypatch.context() as m:
+                m.setattr(sh.UnitCocycle, "_check", lambda self: None)
+                cocycles += [_broken_cocycle(rep, cover, rng) for _ in range(2)]
+            for c1, c2 in itertools.product(cocycles, repeat=2):
+                expected = _reference_equal_mod_coboundary(rep, cover, c1, c2)
+                assert sh.cocycles_equal_mod_coboundary(rep, cover, c1, c2) == expected, (
+                    ring, cover)
+                verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_coboundary_search_refuses_too_many_unit_families(monkeypatch):
+    """On the cover X, X of spec(ZZ/1009) the trivial cocycle pairs each of
+    the 1,008 units a_0 with a_1 = a_0 alone: that count meets the budget
+    before any family is built, and under the budget the search answers."""
     from scheme_explorer.errors import BudgetExceeded
 
     rep = sh.structure_sheaf(Zmod(1009))
     X = frozenset(rep.space.points)
     c = sh.trivial_cocycle(rep, [X, X])
-    with pytest.raises(BudgetExceeded, match="1016064 unit families"):
+    calls = _search_calls(monkeypatch)
+    monkeypatch.setattr(sh, "_FAMILY_BUDGET", 1007)
+    with pytest.raises(BudgetExceeded, match=r"^1008 unit families exceed the budget of 1007$"):
         sh.cocycles_equal_mod_coboundary(rep, [X, X], c, c)
+    assert calls == []
+    monkeypatch.setattr(sh, "_FAMILY_BUDGET", 1008)
+    assert sh.is_coboundary(rep, [X, X], c)
+    assert len(calls) == 1
+
+
+def test_join_refuses_the_families_it_would_make_before_the_first(monkeypatch):
+    """Constant keys make every tuple of the product a family: 24 of them,
+    refused at a budget of 23 before ``_search`` builds one, and listed in
+    the product's order at 24."""
+    from scheme_explorer.errors import BudgetExceeded
+
+    def keys(j, i):
+        return [(lambda s: 0, lambda s: 0)]
+
+    choices = [range(2), range(3), range(4)]
+    calls = _search_calls(monkeypatch)
+    monkeypatch.setattr(sh, "_FAMILY_BUDGET", 23)
+    with pytest.raises(BudgetExceeded, match=r"^24 unit families exceed the budget of 23$"):
+        sh._joined(choices, keys, "unit families")
+    assert calls == []
+    monkeypatch.setattr(sh, "_FAMILY_BUDGET", 24)
+    assert list(sh._joined(choices, keys, "unit families")) == list(itertools.product(*choices))
 
 
 def test_gluing_check_refuses_too_many_gluing_families():
@@ -1216,6 +1343,36 @@ def test_glued_refuses_an_oversized_product_before_the_first_family(monkeypatch)
     assert list(sh._glued(choices, pair, "unit families")) == list(itertools.product(*choices))
 
 
+def test_join_lists_the_filtered_product_in_order():
+    """On the seeded searches of ``_glued``'s oracle, with a second key on
+    some pairs and a constant key on each pair (0, i) that has none, the
+    join lists exactly the product's tuples that pass every key, in the
+    product's order."""
+    rng = random.Random(43)
+    seen = Counter()
+    for _ in range(500):
+        choices, tests = _random_gluing_search(rng)
+        if not choices:
+            continue
+        more = {pair: tuple({s: rng.randrange(3) for s in range(5)}.__getitem__
+                            for _ in range(2))
+                for pair in tests if rng.random() < 0.3}
+        expected = [t for t in _filtered_product(choices, tests)
+                    if all(kj(t[j]) == ki(t[i]) for (j, i), (kj, ki) in more.items())]
+
+        def keys(j, i):
+            first = [tests[j, i]] if (j, i) in tests else []
+            if j == 0 and not first:
+                first = [(lambda s: 0, lambda s: 0)]
+            return first + ([more[j, i]] if (j, i) in more else [])
+
+        assert list(sh._joined(choices, keys, "families")) == expected
+        seen["two keys on (0, i)"] += any(j == 0 for j, _ in more)
+        seen["later tests"] += any(j > 0 for j, _ in tests)
+        seen["found", bool(expected)] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+
 def _nowhere_vanishing_rings():
     yield from (Zmod(n) for n in range(2, 61))
     for r0, r1 in itertools.product(range(5), repeat=2):
@@ -1229,6 +1386,56 @@ def test_each_open_localizes_at_the_elements_outside_its_primes():
             expected = sorted((f for f in ring.elements()
                                if not any(f in primes[x] for x in u)), key=str)
             assert local_rings[u].family == expected, (ring, u)
+
+
+def _reference_spectrum_points(ring):
+    """``finite_spectrum_points`` with nilpotency tested at a^|A| = 0: the
+    nonzero powers of a nilpotent are distinct."""
+    elems, zero = ring.elements(), ring.zero()
+    nilradical = frozenset(a for a in elems if ring.pow(a, len(elems)) == zero)
+    idempotents = [a for a in elems if a != zero and ring.mul(a, a) == a]
+    primes = [frozenset(a for a in elems if ring.mul(a, e) in nilradical)
+              for e in idempotents
+              if not any(f != e and ring.mul(e, f) == f for f in idempotents)]
+    return sorted(primes, key=lambda p: sorted(map(str, p)))
+
+
+def _spectrum_rings():
+    """The rings of ``_nowhere_vanishing_rings``, then every quotient and
+    product ring of this file small enough to list."""
+    yield from _nowhere_vanishing_rings()
+    yield from (r for r in _oracle_rings() if not isinstance(r, Zmod))
+    E = sh.QuotientPolyRing(Zmod(5), (0, 0, 1))
+    yield sh.QuotientPolyRing(E, ((0, 0), (0, 0), (1, 0)), var="f")
+    yield sh.QuotientPolyRing(Zmod(3), (1, 0, 0, 1))
+    yield sh.QuotientPolyRing(Zmod(2), (0, 1, 0, 1))
+    yield sh.ProductRing(Zmod(70), Zmod(70))
+    for d in (2, 3):
+        yield from (sh.QuotientPolyRing(Zmod(5), r + (1,))
+                    for r in itertools.product(range(5), repeat=d))
+    yield from (sh.ProductRing(Zmod(a), Zmod(b))
+                for a, b in itertools.product(range(2, 9), repeat=2))
+
+
+def test_nilpotents_at_the_bit_length_give_the_primes_of_the_full_power():
+    for ring in _spectrum_rings():
+        assert sh.finite_spectrum_points(ring) == _reference_spectrum_points(ring), ring
+
+
+@pytest.mark.parametrize("points", [range(k) for k in range(6)] + [[12, 3, 100, "b", 2]],
+                         ids=[f"range({k})" for k in range(6)] + ["names-out-of-order"])
+def test_discrete_space_is_the_checked_power_set(points):
+    """The power set built with nothing checked, against ``FiniteSpace``
+    checking it, finding the minimal opens and sorting the opens itself;
+    the last points are not in the order of their names."""
+    pts = list(points)
+    space = sh.discrete_space(pts)
+    checked = sh.FiniteSpace(pts, [c for r in range(len(pts) + 1)
+                                   for c in itertools.combinations(pts, r)])
+    assert space.points == checked.points == tuple(pts)
+    assert space.opens == checked.opens and len(space.opens) == 2 ** len(pts)
+    assert all(space.minimal_open(x) == checked.minimal_open(x) == {x} for x in pts)
+    assert space.opens_sorted() == checked.opens_sorted()
 
 
 def _quotient_moduli(n, rng):

@@ -227,7 +227,7 @@ def _fiber_by_itself(P0, p):
         return None
     cat = sp.SpecCatalogue.recognize(PresentedAlgebra(ZZ, P0.ring.names))
     fac = factor_dense(dense, k)[1] if up_deg(dense) > 0 else []
-    return [(sp.mixed_point(cat, p, g), m) for g, m in fac]
+    return [(sp.mixed_point(cat, p, g, k), m) for g, m in fac]
 
 
 def _records(points):
@@ -631,7 +631,7 @@ def _reference_enumerate_zzt(cat, bound):
     for p in sp._primes_upto(bound):
         pts.append(sp.prime_point(cat, p))
         for g in sp._monic_irreducibles(Zmod(p), 2):
-            pts.append(sp.mixed_point(cat, p, g))
+            pts.append(sp.mixed_point(cat, p, g, Zmod(p)))
     for deg in (1, 2):
         for coeffs in itertools.product(range(-bound, bound + 1), repeat=deg + 1):
             if coeffs[-1] <= 0:
