@@ -59,21 +59,19 @@ Factorization:
       shifting), then Cantor-Zassenhaus equal-degree splitting, only of
       the parts with more than one irreducible, on a generator seeded from
       the coefficients alone and made on the first draw;
-    * QQ: content/primitive, then integer-only: a modular squarefree
-      certificate (Yun over ZZ only without one), a modular irreducibility
-      certificate, else Zassenhaus (quadratic Hensel lifting, subset
-      recombination);
-    * number fields over QQ, any degree, at split primes: the certificates
-      and the Zassenhaus skeleton of QQ run on the monic input at primes
-      (p, beta - rho) of degree one (``_SplitPrimes``): Yun over the field
-      only without a squarefree certificate, lifting mod p^K, and each
-      coefficient read back as the Babai point of its class in the
-      LLL-reduced n-dimensional lattice of the prime's K-th power
-      (``kernels._ReducedLattice``), a candidate kept only on an exact
-      division over the field.
+    * number fields over QQ of any degree n, QQ the one of degree 1, at
+      split primes (``_SplitPrimes``): the monic input's images at primes
+      (p, beta - rho) of degree one give a squarefree certificate (Yun
+      only without one), an irreducibility certificate, else Zassenhaus:
+      quadratic Hensel lifting mod p^K, each coefficient read back as the
+      Babai point of its class in the LLL-reduced n-dimensional lattice of
+      the prime's K-th power (``kernels._ReducedLattice``; over QQ the
+      symmetric residue), and subset recombination with exact trial
+      divisions, on integral forms over Z[beta] (over QQ primitive ints).
 
-One Yun (``_yun``) serves ZZ, with primitive gcds and exact quotients, and
-the number fields, with monic gcds.
+One Yun (``_yun``) serves QQ and fields of degree 1 on the primitive
+integral form over ZZ, with primitive gcds and exact quotients, and the
+larger number fields, with monic gcds.
 
 Primes: ``is_prime`` by trial division (past _TRIAL_LIMIT by the sieved
 primes in gcd blocks, as far as one witness would cost) and Miller-Rabin;
@@ -89,6 +87,7 @@ the sieve (_SIEVE_BUDGET) and the trial division of prime_factors
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -108,6 +107,7 @@ from .errors import (
 from .kernels import (
     _QQ_ZERO,
     _common_denominator,
+    _int_divmod,
     _int_prem,
     _int_product,
     _int_rem_monic,
@@ -115,6 +115,7 @@ from .kernels import (
     _NumberFieldArith,
     _qq_divmod,
     _qq_product,
+    _RationalArith,
     _ReducedLattice,
     _trimmed,
     _ZechTables,
@@ -304,11 +305,11 @@ class Domain:
     """Base class for exact rings; elements are opaque hashable values.
 
     A subclass defines ``from_int``, ``add``, ``neg`` and ``mul``; a finite
-    one also defines ``elements``, which gives it ``order``, ``inv`` and
-    ``domain_units`` (lookups in a table of units that the first ``inv``
-    builds from power orbits, see ``_unit_table``).  The ``dense_*``
-    methods, ``dense_add`` to ``dense_gcd`` and ``dense_text``, are generic
-    loops that the domains with kernels override.
+    one also defines ``elements``, which gives it ``order``, ``inv``,
+    ``is_unit`` and ``domain_units`` (lookups in a table of units that the
+    first of them builds from power orbits, see ``_unit_table``).  The
+    ``dense_*`` methods, ``dense_add`` to ``dense_gcd`` and ``dense_text``,
+    are generic loops that the domains with kernels override.
     """
 
     is_field = False
@@ -353,11 +354,9 @@ class Domain:
     def is_unit(self, a):
         if self.is_field:
             return not self.is_zero(a)
-        try:
-            self.inv(a)
-            return True
-        except NotInvertible:
-            return False
+        if self._inverses is None:
+            self._inverses = _unit_table(self)
+        return a in self._inverses
 
     def elements(self):
         raise InfiniteDomain(f"{self} is not finite")
@@ -562,31 +561,22 @@ class IntegerRing(_NumberDense, Domain):
             return a
         raise NotInvertible(f"{a} is not a unit in ZZ")
 
+    def is_unit(self, a):
+        return a in (1, -1)
+
     def dense_mul(self, a, b):
         return _trimmed(_int_product(a, b)) if a and b else ()
 
     def dense_divmod(self, a, b):
-        """Division with remainder by exact integer quotients: each quotient
-        coefficient is a step's leading coefficient over lc(b), and
-        NotInvertible is raised at the first step that lc(b) does not
-        divide."""
+        """Division with remainder by exact integer quotients
+        (``kernels._int_divmod``); NotInvertible at the first step that
+        lc(b) does not divide."""
         if not b:
             raise ZeroDivisionError("division by zero polynomial")
-        db, lead = len(b) - 1, b[-1]
-        if len(a) <= db:
-            return (), tuple(a)
-        r, q, tail = list(a), [], b[:-1]
-        for k in range(len(r) - db - 1, -1, -1):
-            top = r.pop()
-            c, rem = divmod(top, lead)
-            if rem:
-                raise NotInvertible(f"{lead} does not divide {top} in ZZ")
-            q.append(c)
-            if c:
-                for i, y in enumerate(tail, k):
-                    r[i] -= c * y
-        q.reverse()
-        return tuple(q), _trimmed(r)
+        qr = _int_divmod(a, b)
+        if qr is None:
+            raise NotInvertible(f"{b[-1]} does not divide a quotient step in ZZ")
+        return qr
 
     def dense_gcd(self, a, b):
         """Primitive gcd with lc > 0, by the primitive remainder sequence;
@@ -617,6 +607,8 @@ _QQ_ONE = Fraction(1)
 class RationalField(_NumberDense, Domain):
     is_field = True
     char = 0
+    _nf = _RationalArith()  # QQ as the number field of degree 1, for _SplitPrimes
+    _split_primes = None  # made by the first factor_dense over the field
 
     def zero(self):
         return _QQ_ZERO
@@ -742,6 +734,9 @@ class Zmod(Domain):
         if math.gcd(a, self.n) != 1:
             raise NotInvertible(f"{a} is not a unit mod {self.n}")
         return pow(a, -1, self.n)
+
+    def is_unit(self, a):
+        return math.gcd(a, self.n) == 1
 
     # dense arithmetic on ints in [0, n): one reduction per output
     # coefficient, for prime and composite n alike
@@ -1007,6 +1002,7 @@ class ExtField(Domain):
 
     is_field = True
     _nf = None  # the _NumberFieldArith of a number field over QQ
+    _split_primes = None  # made by the first factor_dense over a number field
     _tables = None  # see _kernel
 
     def __init__(self, base, modulus, var="t", check=True):
@@ -1592,11 +1588,6 @@ def _int_content_primitive(coeffs):
     return g, prim
 
 
-def _int_poly_bound(g):
-    norm = math.isqrt(sum(c * c for c in g)) + 1
-    return 2 ** (len(g) - 1) * norm * abs(g[-1])
-
-
 def _sym_tuple(c, m):
     out = []
     for x in c:
@@ -1635,12 +1626,11 @@ def _hensel_step(m, m2, f, g, h, s, t):
     )
 
 
-def _hensel_lift_pair(p, f, g0, h0, final):
-    """Lift f = g0*h0 (mod p), h0 monic, to modulus ``final``, a power of
-    p: squaring the modulus, the last step only up to ``final``."""
+def _hensel_lift_pair(p, f, gp, hp, final):
+    """Lift f = gp*hp (mod p), gp and hp over GF(p), hp monic, to modulus
+    ``final``, a power of p: squaring the modulus, the last step only up to
+    ``final``."""
     Dp = Zmod(p)
-    gp = up_norm(Dp, tuple(c % p for c in g0))
-    hp = up_norm(Dp, tuple(c % p for c in h0))
     _, s_raw, _ = up_ext_gcd(Dp, gp, hp)
     s = Dp.dense_divmod(s_raw, hp)[1]
     # t = (1 - s*g)/h exactly over GF(p)
@@ -1658,37 +1648,22 @@ def _hensel_lift_pair(p, f, g0, h0, final):
 
 
 def _lift_factorization(p, f, leaves, final):
-    """Lift pairwise-coprime monic factors of f mod p to modulus ``final``.
+    """Lift the pairwise-coprime monic factors ``leaves`` (at least two) of
+    the monic f mod p to monic factors mod ``final``, symmetric residues,
+    by a tree of pair lifts: each half of the leaves lifts to one monic
+    factor of its node, as f is monic."""
+    Dp = Zmod(p)
 
-    The leading coefficient of f rides along on the left branch; returned
-    factors are re-normalized to monic mod ``final``.
-    """
-
-    def rec(f_node,node_leaves):
+    def rec(f_node, node_leaves):
         if len(node_leaves) == 1:
             return [f_node]
         half = len(node_leaves) // 2
         left, right = node_leaves[:half], node_leaves[half:]
-        Dp = Zmod(p)
-        prod_left = (Dp.one(),)
-        for leaf in left:
-            prod_left = Dp.dense_mul(prod_left, up_norm(Dp, tuple(c % p for c in leaf)))
-        prod_right = (Dp.one(),)
-        for leaf in right:
-            prod_right = Dp.dense_mul(prod_right, up_norm(Dp, tuple(c % p for c in leaf)))
-        lc = f_node[-1] % p
-        g0 = Dp.dense_scale(prod_left, lc)
-        G, H = _hensel_lift_pair(p, f_node, g0, prod_right, final)
+        G, H = _hensel_lift_pair(p, f_node, functools.reduce(Dp.dense_mul, left),
+                                 functools.reduce(Dp.dense_mul, right), final)
         return rec(G, left) + rec(H, right)
 
-    lifted = rec(f, leaves)
-    Dm = Zmod(final)
-    out = []
-    for fac in lifted:
-        fm = up_norm(Dm, tuple(c % final for c in fac))
-        fm = Dm.dense_scale(fm, Dm.inv(fm[-1]))
-        out.append(_sym_tuple(fm, final))
-    return out
+    return rec(f, leaves)
 
 
 # Subsets _recombine may try.  A degree-24 input that stays irreducible with
@@ -1700,14 +1675,15 @@ _RECOMBINATION_BUDGET = 1 << 16
 def _recombine(g, lifted, read, divide):
     """Search subsets of the lifted modular factors for true factors of g.
 
-    ``read(current, product)`` makes a candidate factor of what is left of
-    g from the product of a subset's lifted factors, or None, and
-    ``divide(current, candidate)`` is the exact quotient, or None when the
-    candidate does not divide.  Each size of subset is counted before its
-    subsets are tried (in full, though a hit ends the round early), and
-    BudgetExceeded is raised when the count would pass
-    _RECOMBINATION_BUDGET: with r factors and no hit the search tries about
-    2^(r-1) subsets.
+    ``read(product)`` makes a candidate factor from the product of a
+    subset's lifted factors, and ``divide(current, candidate)`` is the
+    exact quotient of what is left of g, or None when the candidate does
+    not divide.  Each size of subset is counted before its subsets are
+    tried (in full, though a hit ends the round early), and BudgetExceeded
+    is raised when the count would pass _RECOMBINATION_BUDGET: with r
+    factors and no hit the search tries about 2^(r-1) subsets.  A hit
+    takes at most half of the factors left, so what is left at the end is
+    a factor too.
     """
     factors = []
     remaining = list(range(len(lifted)))
@@ -1720,11 +1696,8 @@ def _recombine(g, lifted, read, divide):
                                  f"factors exceed the budget of {_RECOMBINATION_BUDGET}")
         hit = False
         for combo in itertools.combinations(remaining, size):
-            product = lifted[combo[0]]
-            for i in combo[1:]:
-                product = ZZ.dense_mul(product, lifted[i])
-            cand = read(current, product)
-            quo = None if cand is None else divide(current, cand)
+            cand = read(functools.reduce(ZZ.dense_mul, [lifted[i] for i in combo]))
+            quo = divide(current, cand)
             if quo:
                 factors.append(cand)
                 current = quo
@@ -1733,8 +1706,7 @@ def _recombine(g, lifted, read, divide):
                 break
         if not hit:
             size += 1
-    if up_deg(current) > 0:
-        factors.append(current)
+    factors.append(current)
     return factors
 
 
@@ -1745,24 +1717,8 @@ def _next_prime(p):
     return p
 
 
-_SQUAREFREE_TRIES = 4  # primes searched for a squarefree certificate: 5, 7, 11, 13 over QQ
+_SQUAREFREE_TRIES = 4  # split primes tried for a squarefree certificate: 5, 7, 11, 13 over QQ
 _CERTIFICATE_PRIMES = 3  # good primes given distinct-degree factorization
-
-
-def _prime_images(g):
-    """Yield (p, image) for p = 5, 7, 11, ... in turn.
-
-    ``image`` is g mod p made monic when p is a good prime for g (p does not
-    divide lc(g) and g mod p is squarefree), else None.  A squarefree g has
-    finitely many bad primes: those dividing lc(g) * disc(g).
-    """
-    p = 3
-    while True:
-        p = _next_prime(p)
-        image = None
-        if g[-1] % p:
-            image = _squarefree_image(tuple(c % p for c in g), p)
-        yield p, image
 
 
 def _squarefree_image(g, p):
@@ -1770,40 +1726,6 @@ def _squarefree_image(g, p):
     Dp = Zmod(p)
     gp = Dp.dense_monic(g)
     return gp if up_deg(Dp.dense_gcd(gp, Dp.dense_deriv(gp))) == 0 else None
-
-
-class _Integers:
-    """Zassenhaus over ZZ, for a primitive squarefree g with lc > 0: its
-    images mod p = 5, 7, 11, ..., g itself lifted mod p^(2^j) past twice a
-    Mignotte bound, candidates read as symmetric residues made primitive,
-    and trial division in ZZ[x]."""
-
-    images = staticmethod(_prime_images)
-
-    @staticmethod
-    def lift(g, p, mods):
-        """(lifted factors of g, their reader): ``read(current, product)``
-        takes lc(current) * product to symmetric residues, the true factor
-        times lc(current) when the product lifts one, since its
-        coefficients lie under the bound."""
-        threshold = 2 * _int_poly_bound(g) + 1
-        final = p
-        while final < threshold:
-            final = final * final
-
-        def read(current, product):
-            cand = _sym_tuple([current[-1] * c for c in product], final)
-            return _int_content_primitive(cand)[1] if cand else None
-
-        return _lift_factorization(p, g, mods, final), read
-
-    @staticmethod
-    def divide(a, b):
-        try:
-            quo, rem = ZZ.dense_divmod(a, b)
-        except NotInvertible:
-            return None
-        return None if rem else quo
 
 
 def _residue(coeffs, x, m):
@@ -1815,18 +1737,20 @@ def _residue(coeffs, x, m):
 
 
 class _SplitPrimes:
-    """Zassenhaus over a number field K = QQ[t]/(m), at primes of degree
-    one.
+    """Zassenhaus over a number field K = QQ[t]/(m) of any degree n >= 1,
+    QQ itself the field of degree 1, at primes of degree one.
 
-    The field's ``_NumberFieldArith`` writes a monic g over K as G/den with
-    G in Z[beta][x], lc(G) = den, for beta = c*t, a root of its integral
-    monic m~(s) = s^n - sum(red[j] * s^j) of degree n.  A prime p >= 5 that
-    divides neither disc(m~) nor den, and at which m~ has a root mod p (rho,
-    the least, found by scanning the residues), gives the residue map
-    Z[beta] -> GF(p), beta -> rho, of the prime (p, beta - rho) of degree
-    one, and so an image of g over GF(p).  The images, distinct-degree
-    factorization and Cantor-Zassenhaus are those of QQ; lifting, reading
-    and dividing are here, on the lattices of ``kernels._ReducedLattice``.
+    The field's ``_NumberFieldArith`` (for QQ its ``_RationalArith``) writes
+    a monic g over K as G/den with G in Z[beta][x], lc(G) = den, for
+    beta = c*t, a root of its integral monic m~(s) = s^n - sum(red[j] * s^j)
+    of degree n.  A prime p >= 5 that divides neither disc(m~) nor den, and
+    at which m~ has a root mod p (rho, the least, found by scanning the
+    residues), gives the residue map Z[beta] -> GF(p), beta -> rho, of the
+    prime (p, beta - rho) of degree one, and so an image of g over GF(p).
+    Over QQ (m~ = s, rho = 0, disc = 1) every p >= 5 is such a prime, and G
+    is the primitive integer form of g.  Lifting and reading are here, on
+    the lattices of ``kernels._ReducedLattice``; the field's arithmetic
+    reads candidates and divides them on integral forms.
     """
 
     def __init__(self, dom):
@@ -1839,20 +1763,15 @@ class _SplitPrimes:
         deriv = [-(j + 1) * r for j, r in enumerate(red[1:])] + [n]
         self.disc = abs(self.nf._adjugate(deriv)[1])
         self.index = _square_root_part(self.disc)
-
-    def _rows(self, g):
-        """([G_k], den): G = den*g has the coefficients G_k, each a list of
-        n beta-coordinates."""
-        flat, den = self.nf.ints(g)
-        n, s = self.nf.n, self.nf.s
-        return [flat[i:i + n] for i in range(0, len(flat), s)], den
+        self.roots = {}
 
     def root(self, p):
         """The least root of m~ mod p, or None when p divides disc(m~) or
-        m~ has no root mod p."""
-        if not self.disc % p:
-            return None
-        return next((r for r in range(p) if not _residue(self.poly, r, p)), None)
+        m~ has no root mod p; each p scanned once per field."""
+        if p not in self.roots:
+            self.roots[p] = next((r for r in range(p) if not _residue(self.poly, r, p)),
+                                 None) if self.disc % p else None
+        return self.roots[p]
 
     def lattice(self, p, modulus):
         """(rho_K, L): the root rho of m~ mod p lifted mod the power
@@ -1878,7 +1797,7 @@ class _SplitPrimes:
         """Yield (p, image) for the primes p = 5, 7, 11, ... at which m~ has
         a simple root rho: g at beta = rho over GF(p), monic and squarefree,
         or None when p divides den or the image is not squarefree."""
-        rows, den = self._rows(g)
+        flat, den = self.nf.ints(g)
         p = 3
         while True:
             p = _next_prime(p)
@@ -1887,7 +1806,7 @@ class _SplitPrimes:
                 continue
             image = None
             if den % p:
-                image = _squarefree_image(tuple([_residue(row, rho, p) for row in rows]), p)
+                image = _squarefree_image(tuple(self.nf.residues(flat, rho, p)), p)
             yield p, image
 
     def lift(self, g, p, mods):
@@ -1921,8 +1840,9 @@ class _SplitPrimes:
         (|v|^2 * W)^n < p^(2K) makes v = 0: the reader returns y.  A
         candidate is still kept only on an exact division over K.
         """
-        rows, den = self._rows(g)
-        n = self.nf.n
+        flat, den = self.nf.ints(g)
+        n, s = self.nf.n, self.nf.s
+        rows = [flat[i:i + n] for i in range(0, len(flat), s)]
         m = 1 + max(map(abs, self.nf.red))  # M, A, C and W of the bound
         a = self.index ** 2 * 4 ** (len(rows) - 1) * sum(
             sum(abs(x) * m ** j for j, x in enumerate(row)) ** 2 for row in rows)
@@ -1934,25 +1854,23 @@ class _SplitPrimes:
             modulus *= p
         rho, lattice = self.lattice(p, modulus)
         inv = pow(den, -1, modulus)
-        image = tuple([_residue(row, rho, modulus) * inv % modulus for row in rows])
-        scale, element, one, zeros = self.index * den, self.nf.element, self.dom.one(), [0] * (n - 1)
-
-        def read(current, product):
-            return tuple([element(lattice.reduce([scale * x % modulus] + zeros), scale)
-                          for x in product[:-1]]) + (one,)
-
+        image = tuple([x * inv % modulus for x in self.nf.residues(flat, rho, modulus)])
+        read = self.nf.reader(lattice, modulus, self.index * den)
         return _lift_factorization(p, image, mods, modulus), read
 
-    def divide(self, a, b):
-        quo, rem = self.dom.dense_divmod(a, b)
-        return None if rem else quo
+    def squarefree(self, g):
+        """Yun's [(monic squarefree part, multiplicity)] of the monic g: at
+        n = 1, Z[beta] = ZZ, over ZZ on the primitive integral form of g
+        (Gauss's lemma); over a larger K on g, with monic gcds."""
+        if self.nf.n > 1:
+            return _yun(g, self.dom)
+        return [(self.nf.monic_of(h), m) for h, m in _yun(self.nf.ints(g)[0], ZZ)]
 
 
 def _zassenhaus(g, images, ring):
-    """Factor a squarefree g whose images over GF(p) the search ``images``
-    yields, possibly already begun: ``_Integers`` for a primitive g in
-    ZZ[x] with lc > 0, ``_SplitPrimes`` for a monic g over a number
-    field.
+    """Factor a squarefree monic g over a number field, QQ the one of degree
+    1, whose images over GF(p) the search ``images`` of its
+    ``_SplitPrimes`` ``ring`` yields, possibly already begun.
 
     Distinct-degree factorization runs on the images of up to
     _CERTIFICATE_PRIMES good primes.  Irreducibility certificate: if some
@@ -1960,8 +1878,10 @@ def _zassenhaus(g, images, ring):
     reduce to one of the image with the same degrees (the image keeps the
     degree of g); then [g] is returned with no lifting.  Otherwise only the
     image with the fewest modular factors is split (Cantor-Zassenhaus),
-    Hensel-lifted and recombined; ``ring`` lifts, reads candidates and
-    divides.
+    Hensel-lifted and recombined: the candidates, their trial divisions and
+    the quotients stay integral forms of the field's arithmetic
+    (``kernels._NumberFieldArith``), and only the factors found are made
+    monic.
     """
     n = up_deg(g)
     if n == 1:
@@ -1980,50 +1900,26 @@ def _zassenhaus(g, images, ring):
     rng = _cz_rng(gp)
     mods = sorted(irr for h, d in by_degree for irr in _equal_degree(h, d, Dp, rng))
     lifted, read = ring.lift(g, p, mods)
-    return _recombine(g, lifted, read, ring.divide)
+    nf = ring.nf
+    return [nf.monic_of(h) for h in _recombine(nf.ints(g)[0], lifted, read, nf.exact_quotient)]
 
 
-def _certified_images(images):
-    """The search ``images`` from a good prime among its first
-    _SQUAREFREE_TRIES, which certifies its polynomial squarefree; None
-    without one."""
-    first = next(
-        (pg for pg in itertools.islice(images, _SQUAREFREE_TRIES) if pg[1] is not None),
-        None,
-    )
-    return None if first is None else itertools.chain([first], images)
-
-
-def _zassenhaus_factors(g, dom, ring):
-    """[(irreducible factor, multiplicity)] of g over QQ (``ring`` is
-    _Integers, g primitive in ZZ[x] with lc > 0, dom = ZZ) or a number
-    field (``ring`` its _SplitPrimes, g monic, dom the field).
+def _zassenhaus_factors(g, ring):
+    """[(irreducible factor, multiplicity)] of the monic g over QQ or a
+    number field, whose ``_SplitPrimes`` is ``ring``.
 
     A good prime among the first _SQUAREFREE_TRIES of ``ring.images(g)``
     certifies g squarefree (see ``factor_dense``) and starts the search that
-    ``_zassenhaus`` continues; only without one does ``_yun`` run over dom.
+    ``_zassenhaus`` continues; only without one does Yun run
+    (``ring.squarefree``).
     """
-    images = _certified_images(ring.images(g))
-    if images is None:
-        parts = [(h, m, ring.images(h)) for h, m in _yun(g, dom)]
+    images = ring.images(g)
+    first = next((pg for pg in itertools.islice(images, _SQUAREFREE_TRIES) if pg[1]), None)
+    if first is None:
+        parts = [(h, m, ring.images(h)) for h, m in ring.squarefree(g)]
     else:
-        parts = [(g, 1, images)]
+        parts = [(g, 1, itertools.chain([first], images))]
     return [(h, m) for sqf, m, sqf_images in parts for h in _zassenhaus(sqf, sqf_images, ring)]
-
-
-def _factor_rationals(f):
-    """(unit in QQ, [(monic factor tuple over QQ, mult)]), from the
-    factors of the primitive integer part."""
-    nums, den = _common_denominator(f)
-    content, prim = _int_content_primitive(nums)
-    unit = Fraction(content, den)
-    out = []
-    for fac, mult in _zassenhaus_factors(prim, ZZ, _Integers):
-        fq = tuple(Fraction(c) for c in fac)
-        lc = fq[-1]
-        unit *= lc ** mult
-        out.append((QQ.dense_scale(fq, 1 / lc), mult))
-    return unit, out
 
 
 # ---------------------------------------------------------------------------
@@ -2036,26 +1932,25 @@ def factor_dense(f, dom):
     Returns (unit, [(monic irreducible tuple, multiplicity)]) with factors
     sorted by (degree, printed form), so the output order is deterministic.
 
-    Over QQ the work runs on the primitive integer part, and a good prime p
-    (p does not divide the leading coefficient, the image mod p is
-    squarefree) decides as much as it can:
+    Over a number field K of any degree, QQ the one of degree 1, the work
+    runs on the monic input at good primes of degree one, (p, beta - rho)
+    with p not dividing disc(m~) nor the input's denominator, whose residue
+    field is GF(p) (``_SplitPrimes``; over QQ every p >= 5 not dividing
+    the denominator, at which the image is squarefree).  A monic factor
+    over K has coefficients integral at such a prime (O_K is integrally
+    closed), so it reduces mod the prime with its degree, and a good prime
+    decides as much as it can:
 
     * squarefree certificate: a good prime proves the input squarefree, as
-      a square factor over ZZ keeps its degree mod p and stays a square
-      there; only without one does Yun run over ZZ, the same ``_yun`` as
-      over a number field, on ``ZZ.dense_gcd`` and ``ZZ.dense_divmod``;
+      a square factor keeps its degree mod the prime and stays a square
+      there; only without one does Yun run, over QQ on the primitive
+      integer form with ``ZZ.dense_gcd`` and ``ZZ.dense_divmod``, over a
+      larger field with its monic gcds;
     * irreducibility certificate: an image irreducible mod a good prime
-      proves the factor irreducible, as a factorization over ZZ reduces to
-      one mod p with the same degrees;
+      proves the factor irreducible, as a factorization reduces to one mod
+      the prime with the same degrees;
     * otherwise Zassenhaus: Hensel lifting of the modular factors of the
-      best good prime, then recombination of subsets.
-
-    Over a number field K, of any degree, the same three steps run on the
-    monic input at good primes of degree one, (p, beta - rho) with p not
-    dividing disc(m~) nor the input's denominator, whose residue field is
-    GF(p) (``_SplitPrimes``): a monic factor over K has coefficients
-    integral at such a prime (O_K is integrally closed), so it reduces mod
-    the prime with its degree, and both certificates hold as over QQ.
+      best good prime, then recombination of subsets on integral forms.
 
     Over GF(p) with p <= _ROOT_SCAN_ORDER the first step is the residue
     scan: the linear factors are the roots found by evaluating at every
@@ -2076,13 +1971,12 @@ def factor_dense(f, dom):
         raise UnsupportedDomain(f"factorization over {dom} is not supported")
     if up_deg(f) == 0:
         return f[0], []
-    if isinstance(dom, RationalField):
-        unit, fac = _factor_rationals(f)
-    elif kind == "number":
-        unit = f[-1]
-        fac = _zassenhaus_factors(dom.dense_monic(f), dom, _SplitPrimes(dom))
+    unit = f[-1]
+    if kind == "number":
+        if dom._split_primes is None:
+            dom._split_primes = _SplitPrimes(dom)
+        fac = _zassenhaus_factors(dom.dense_monic(f), dom._split_primes)
     else:
-        unit = f[-1]
         fac = _factor_finite_field(f, dom)
     fac.sort(key=lambda fm: (up_deg(fm[0]), fm[0]))
     return unit, fac

@@ -9,7 +9,8 @@ forms around each call:
       and Z/n;
     * Fractions over one common denominator, for QQ;
     * ``_NumberFieldArith``: integer coefficient matrices over one
-      denominator, for number fields QQ[t]/(m) with any monic m;
+      denominator, for number fields QQ[t]/(m) with any monic m, and
+      ``_RationalArith``, QQ as the one of degree 1, for factoring;
     * ``_ReducedLattice``: an LLL-reduced lattice in Z^n on exact integer
       Gram-Schmidt data, and Babai's nearest plane in it, for reading
       factors over a number field back from a p-adic lift;
@@ -52,6 +53,26 @@ def _int_rem_monic(r, tail, n):
         if c:
             for i, y in enumerate(tail, k):
                 r[i] -= c * y
+
+
+def _int_divmod(a, b):
+    """(q, r) of int sequences a by nonzero b over ZZ by exact integer
+    quotients: each quotient coefficient is a step's leading coefficient
+    over lc(b).  None at the first step that lc(b) does not divide."""
+    db, lead = len(b) - 1, b[-1]
+    if len(a) <= db:
+        return (), tuple(a)
+    r, q, tail = list(a), [], b[:-1]
+    for k in range(len(r) - db - 1, -1, -1):
+        c, rem = divmod(r.pop(), lead)
+        if rem:
+            return None
+        q.append(c)
+        if c:
+            for i, y in enumerate(tail, k):
+                r[i] -= c * y
+    q.reverse()
+    return tuple(q), _trimmed(r)
 
 
 def _int_prem(a, b):
@@ -296,6 +317,89 @@ class _NumberFieldArith:
         flat, den = self.ints((a,))
         y, d = self._adjugate(flat[:self.n])
         return self.element([x * den for x in y], d)
+
+    # Zassenhaus (``arith._SplitPrimes``) on integral forms: a monic h over
+    # the field as the flat rows of D*h in Z[beta][x] for an int D > 0, its
+    # leading row (D, 0, ..., 0); ``ints(g)[0]`` is one for a monic g.
+
+    def residues(self, flat, rho, m):
+        """Each coefficient of the flat polynomial at beta = rho, mod m."""
+        n = self.n
+        powers = [pow(rho, j, m) for j in range(n)]
+        return [sum([x * y for x, y in zip(flat[i:i + n], powers)]) % m
+                for i in range(0, len(flat), self.s)]
+
+    def monic_of(self, h):
+        """The monic polynomial over the field of the integral form h."""
+        return self.fractions(list(h), h[-self.s])
+
+    def reader(self, lattice, modulus, scale):
+        """read(product): the integral form, led by ``scale``, of the factor
+        lifted to the monic ``product``, each lower coefficient times scale
+        read as the Babai point of its class mod ``lattice``."""
+        zeros, pad = [0] * (self.n - 1), [0] * (self.s - self.n)
+        lead = [scale] + [0] * (self.s - 1)
+
+        def read(product):
+            out = []
+            for x in product[:-1]:
+                out += lattice.reduce([scale * x % modulus] + zeros)
+                out += pad
+            return out + lead
+
+        return read
+
+    def exact_quotient(self, a, b):
+        """The integral form of a/b (deg b < deg a), or None when b does not
+        divide a: pseudo-division by the leading int of b, the quotient rows
+        over the last step's denominator, divided by their content."""
+        q, r, _ = self._pseudo_divide(list(a), b, b[-self.s], 1, True)
+        if r:
+            return None
+        last = q[0][1]
+        flat = [x * (last // den) for top, den in q for x in top]
+        g = math.gcd(*flat)
+        return [x // g for x in flat]
+
+
+class _RationalArith(_NumberFieldArith):
+    """QQ as the number field QQ[t]/(t) of degree 1, for
+    ``arith._SplitPrimes``: red = [0], so beta = 0 is the root at every
+    prime, and a polynomial is its int numerators over one denominator.
+    The integral form den*g of a monic g is primitive (a prime dividing it
+    would divide lc = den and leave den/p a common denominator).  The
+    lattice of p^K is p^K*Z, whose Babai point of a class is the symmetric
+    residue, and a candidate made primitive divides by exact integer
+    quotients (Gauss's lemma), stopping at the first step that its leading
+    coefficient does not divide."""
+
+    def __init__(self):
+        super().__init__((_QQ_ZERO, Fraction(1)))
+
+    def ints(self, a):
+        return _common_denominator(a)
+
+    def residues(self, flat, rho, m):
+        return [x % m for x in flat]
+
+    def monic_of(self, h):
+        lead = h[-1]
+        return tuple([Fraction(c, lead) for c in h])
+
+    def reader(self, lattice, modulus, scale):
+        half = modulus // 2
+
+        def read(product):
+            cand = [scale * x % modulus for x in product[:-1]]
+            cand = [x - modulus if x > half else x for x in cand] + [scale]
+            g = math.gcd(*cand)
+            return [x // g for x in cand]
+
+        return read
+
+    def exact_quotient(self, a, b):
+        qr = _int_divmod(a, b)
+        return None if qr is None or qr[1] else qr[0]
 
 
 class _ReducedLattice:

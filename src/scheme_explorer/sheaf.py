@@ -32,7 +32,7 @@ import itertools
 import math
 from collections.abc import Mapping
 
-from .arith import Domain, Zmod, _unit_table
+from .arith import Domain, Zmod
 from .errors import (
     BudgetExceeded,
     NonInvertibleUnit,
@@ -563,9 +563,7 @@ class LocalizedFiniteRing(Domain):
         return super().inv(self.make(*x))
 
     def is_unit(self, x):
-        if self._inverses is None:  # Domain.inv's table, read with no raise for a non-unit
-            self._inverses = _unit_table(self)
-        return self.make(*x) in self._inverses
+        return Domain.is_unit(self, self.make(*x))
 
     def format(self, x):
         a, s = x

@@ -785,12 +785,14 @@ def test_twelve_modular_factors_over_a_quadratic_field_meet_the_budget(
     assert len(factor_dense(f, K)[1]) == 6
 
 
-@pytest.mark.parametrize("modulus", [(-3, 1), (1, 0, 1), (-2, 0, 0, 1), (-2, 0, 0, 0, 0, 1)],
-                         ids=["deg1", "i", "cbrt2", "x5-2"])
+@pytest.mark.parametrize("modulus",
+                         [None, (-3, 1), (1, 0, 1), (-2, 0, 0, 1), (-2, 0, 0, 0, 0, 1)],
+                         ids=["QQ", "deg1", "i", "cbrt2", "x5-2"])
 def test_every_number_field_factors_at_split_primes(modulus, monkeypatch):
-    """Over fields of degree 1, 2, 3 and 5 a reducible input is lifted by
-    ``_SplitPrimes.lift``, an irreducible one is certified with nothing
-    lifted, and ``squarefree_decomposition`` is never called."""
+    """Over QQ itself (t = 3) and fields of degree 1, 2, 3 and 5 a reducible
+    input is lifted by ``_SplitPrimes.lift``, an irreducible one is
+    certified with nothing lifted, and ``squarefree_decomposition`` is never
+    called."""
     from scheme_explorer import arith
 
     def refuse(*args):
@@ -805,8 +807,8 @@ def test_every_number_field_factors_at_split_primes(modulus, monkeypatch):
 
     monkeypatch.setattr(arith, "squarefree_decomposition", refuse)
     monkeypatch.setattr(arith._SplitPrimes, "lift", counted)
-    K = ExtField(QQ, tuple(Fraction(c) for c in modulus))
-    x_minus_t = (K.neg(K.gen()), K.one())
+    K = QQ if modulus is None else ExtField(QQ, tuple(Fraction(c) for c in modulus))
+    x_minus_t = (K.neg(K.from_int(3) if modulus is None else K.gen()), K.one())
     quadratic = (K.from_int(-7), K.zero(), K.one())  # x^2 - 7, irreducible over each K
     factors = [x_minus_t, x_minus_t, (K.one(), K.one()), quadratic]
     unit, fac = factor_dense(K.dense_scale(_product(K, factors), K.from_int(3)), K)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from scheme_explorer import arith
-from scheme_explorer.arith import GF, QQ, ZZ, factor_dense
+from scheme_explorer.arith import GF, QQ, ZZ, factor_dense, up_deg
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -77,6 +77,77 @@ def test_degrees_above_24_factor_over_qq():
     """No degree cap: x^48 - 1 splits into its 10 cyclotomic factors."""
     _, fac = check_qq(X ** 48 - 1)
     assert len(fac) == 10
+
+
+def swinnerton_dyer(*primes):
+    """The minimal polynomial of the sum of the square roots of ``primes``:
+    irreducible of degree 2^k, with factors of degree <= 2 mod every
+    prime."""
+    return sympy.minimal_polynomial(sum(sympy.sqrt(p) for p in primes), X)
+
+
+@pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 5, 7)], ids=["sd8", "sd16"])
+def test_swinnerton_dyer_polynomials_over_qq(primes):
+    """Every modular image splits into 2^(k-1) quadratics or finer, so
+    recombination tries every subset up to half of them before it proves
+    the input irreducible."""
+    _, fac = check_qq(swinnerton_dyer(*primes))
+    assert len(fac) == 1 and up_deg(fac[0][0]) == 2 ** len(primes)
+
+
+def test_recombination_over_qq_divides_on_integers(monkeypatch):
+    """On the Swinnerton-Dyer polynomial of degree 16 (8 modular
+    quadratics) ``_recombine`` trial-divides each of the 8 + 28 + 56 + 70
+    subsets of up to 4 factors, and no division runs over QQ's Fractions:
+    neither ``RationalField.dense_divmod`` nor ``kernels._qq_divmod``."""
+    from scheme_explorer import kernels
+
+    calls = {"recombine": 0, "divide": 0, "qq": 0}
+    inside = []
+    real = arith._recombine
+
+    def recombine(g, lifted, read, divide):
+        def counted(current, cand):
+            calls["divide"] += 1
+            return divide(current, cand)
+
+        calls["recombine"] += 1
+        inside.append(True)
+        try:
+            return real(g, lifted, read, counted)
+        finally:
+            inside.pop()
+
+    def watched(fn):
+        def wrapper(*args, **kwargs):
+            calls["qq"] += bool(inside)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(arith, "_recombine", recombine)
+    monkeypatch.setattr(arith.RationalField, "dense_divmod",
+                        watched(arith.RationalField.dense_divmod))
+    monkeypatch.setattr(arith, "_qq_divmod", watched(arith._qq_divmod))
+    monkeypatch.setattr(kernels, "_qq_divmod", watched(kernels._qq_divmod))
+    poly = sympy.Poly(swinnerton_dyer(2, 3, 5, 7), X, domain="QQ")
+    _, fac = factor_dense(to_dense_qq(poly), QQ)
+    assert len(fac) == 1
+    assert calls == {"recombine": 1, "divide": 162, "qq": 0}
+
+
+def test_x48_minus_1_times_a_non_monic_linear_over_qq():
+    _, fac = check_qq((X ** 48 - 1) * (3 * X + 2))
+    assert len(fac) == 11
+
+
+def test_six_non_monic_linears_over_qq():
+    """A seeded product of six linears with leading coefficients 2 to 6:
+    recombination reads each one back from the lifted monic factors."""
+    rng = random.Random(606)
+    linears = [rng.randint(2, 6) * X + rng.choice((-1, 1)) * rng.randint(1, 9)
+               for _ in range(6)]
+    _, fac = check_qq(sympy.prod(linears))
+    assert sum(m for _, m in fac) == 6 and all(up_deg(g) == 1 for g, _ in fac)
 
 
 def test_random_polynomials_over_gf_p():

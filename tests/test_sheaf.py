@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from scheme_explorer import sheaf as sh
-from scheme_explorer.arith import Zmod, domain_units
+from scheme_explorer.arith import GF, Zmod, domain_units
 
 
 def constant_presheaf(space, values):
@@ -622,6 +622,43 @@ def test_unit_table_needs_a_finite_domain():
 
     with pytest.raises(InfiniteDomain):
         Integers().inv(3)
+
+
+_UNIT_RINGS = {
+    "zero-ring": lambda: Zmod(1),
+    "z42": lambda: Zmod(42),
+    "gf7": lambda: GF(7),
+    "quotient": lambda: sh.QuotientPolyRing(Zmod(6), (0, 0, 1)),
+    "product": lambda: sh.ProductRing(Zmod(4), Zmod(6)),
+    "localized": lambda: sh.LocalizedFiniteRing(Zmod(12), [2]),
+}
+
+
+@pytest.mark.parametrize("make", list(_UNIT_RINGS.values()), ids=list(_UNIT_RINGS))
+def test_is_unit_is_inv_succeeding_and_raises_nothing(make, monkeypatch):
+    """On every element, ``is_unit`` is True exactly where ``inv`` returns;
+    on a fresh ring it builds no NotInvertible, even for a non-unit."""
+    from scheme_explorer.errors import NotInvertible, SchemeError
+
+    ring = make()
+    expected = {}
+    for a in ring.elements():
+        try:
+            ring.inv(a)
+            expected[a] = True
+        except NotInvertible:
+            expected[a] = False
+    made = []
+
+    def refuse(self, message=""):
+        made.append(message)
+
+    fresh = make()
+    monkeypatch.setattr(SchemeError, "__init__", refuse)
+    found = {a: fresh.is_unit(a) for a in fresh.elements()}
+    monkeypatch.undo()
+    assert found == expected and made == []
+    assert False in found.values() or len(found) == 1  # only Zmod(1) has no non-unit
 
 
 def test_zmod_fraction_equality_matches_the_quantified_rule():
