@@ -12,16 +12,14 @@ is the compatible-germ-family construction, which on a finite space only
 needs the minimal open neighborhood of each point; the stalk at x is the
 value on that minimal open.  Its comparison pi also decides the sheaf
 axiom, in ``sheaf_axiom_holds``: F is a sheaf iff F(empty) is one point
-and pi maps each F(U) one-to-one onto the germ families on U.  A
-structure sheaf report carries its presheaf, sheafification and pi, so
-the axiom of the structure presheaf is read from them, with no second
-sheafification.
+and pi maps each F(U) one-to-one onto the germ families on U.  A structure
+sheaf report carries its presheaf, sheafification and pi, so the axiom of the
+structure presheaf is read from them, with no second sheafification.
 
 A finite ring A is the product of the local rings eA over its primitive
-idempotents e (Atiyah-Macdonald, Thm 8.7).  So its primes are the
-p_e = {a : ae nilpotent}, all of them maximal, and Spec A is discrete.  The
-structure sheaf takes each open U to the localization at S(U), the elements
-vanishing nowhere on U, so the classical comparison Gamma(D(f)) = A_f can be
+idempotents e (Atiyah-Macdonald, Thm 8.7), so its primes are all maximal and
+Spec A is discrete.  The structure sheaf takes each open U to the localization
+at S(U), the elements vanishing nowhere on U, so Gamma(D(f)) = A_f can be
 checked element by element.
 """
 
@@ -565,6 +563,12 @@ class LocalizedFiniteRing(Domain):
     def is_unit(self, x):
         return Domain.is_unit(self, self.make(*x))
 
+    @functools.cached_property
+    def units(self):
+        """The units in element order, read off the unit table once."""
+        Domain.is_unit(self, self.one())  # makes the table if it is not made
+        return tuple([x for x in self._class_list if x in self._inverses])
+
     def format(self, x):
         a, s = x
         if s == self.ring.one():
@@ -590,17 +594,17 @@ def finite_spectrum_points(ring: Domain):
     A nilpotent a gives a chain A > aA > a^2A > ... of additive subgroups
     that falls strictly until it is 0: a^iA = a^(i+1)A makes a^i = a^(i+1)b,
     so a^i = a^(i+m)b^m = 0 for large m.  Each has at most half the order of
-    the last, so a^k = 0 once 2^k > |A|, at k the bit length of |A|.
+    the last, so a^k = 0 at k the bit length of |A|, and a^(2^s) = 0 at 2^s >= k.
     """
     elems = ring.elements()
     zero = ring.zero()
-    nilradical = frozenset(a for a in elems if ring.pow(a, len(elems).bit_length()) == zero)
-    idempotents = [a for a in elems if a != zero and ring.mul(a, a) == a]
-    primes = [
-        frozenset(a for a in elems if ring.mul(a, e) in nilradical)
-        for e in idempotents
-        if not any(f != e and ring.mul(e, f) == f for f in idempotents)
-    ]
+    squares = {a: ring.mul(a, a) for a in elems}
+    nilradical = {zero}  # after m passes, the a with a^(2^m) = 0
+    for _ in range((len(elems).bit_length() - 1).bit_length()):  # s passes, 2^s >= k
+        nilradical = {a for a, square in squares.items() if square in nilradical}
+    idempotents = [a for a, square in squares.items() if square == a != zero]
+    primes = [frozenset(a for a in elems if ring.mul(a, e) in nilradical) for e in idempotents
+              if not any(f != e and ring.mul(e, f) == f for f in idempotents)]
     return sorted(primes, key=lambda p: sorted(map(str, p)))
 
 
@@ -681,7 +685,7 @@ def structure_sheaf(ring: Domain):
 
 class UnitCocycle:
     """Units f[i][j] on overlaps of a finite open cover, with the cocycle
-    identities verified at construction."""
+    identities verified at construction (``_check`` skips those f_ii = 1 implies)."""
 
     def __init__(self, report: StructureSheafReport, cover, units):
         self.report = report
@@ -689,25 +693,24 @@ class UnitCocycle:
         self.units = {k: v for k, v in units.items()}
         self._check()
 
-    def ring_on(self, u):
-        return self.report.local_rings[frozenset(u)]
-
     def restricted(self, i, j, w):
         """The unit f_ij seen in the ring of the smaller open w."""
-        return self.ring_on(w).make(*self.units[i, j])
+        return self.report.local_rings[w].make(*self.units[i, j])
 
     def _check(self):
-        """f_ii = 1, and f_ij f_jk = f_ik on each triple overlap: f_ij f_ji = 1."""
-        n = len(self.cover)
-        for i in range(n):
-            if self.units[(i, i)] != self.ring_on(self.cover[i]).one():
-                raise NonInvertibleUnit("f_ii must be 1")
+        """f_ii = 1, then f_ij f_jk = f_ik on the triple overlaps t with i != j
+        and j != k (f_ij f_ji = 1 if k = i).  The rest hold, as restriction is
+        a ring map: f_ii is 1 on t, so f_ii f_ik = f_ik and f_ij f_jj = f_ij."""
+        rings, n = self.report.local_rings, len(self.cover)
+        if any(self.units[i, i] != rings[u].one() for i, u in enumerate(self.cover)):
+            raise NonInvertibleUnit("f_ii must be 1")
         for i, j, k in itertools.product(range(n), repeat=3):
-            t = self.cover[i] & self.cover[j] & self.cover[k]
-            lhs = self.ring_on(t).mul(self.restricted(i, j, t), self.restricted(j, k, t))
-            if lhs != self.restricted(i, k, t):
-                raise NonInvertibleUnit("f_ij * f_ji must be 1" if k == i
-                                        else "cocycle identity fails")
+            if i != j != k:
+                t = self.cover[i] & self.cover[j] & self.cover[k]
+                lhs = rings[t].mul(self.restricted(i, j, t), self.restricted(j, k, t))
+                if lhs != self.restricted(i, k, t):
+                    raise NonInvertibleUnit("f_ij * f_ji must be 1" if k == i
+                                            else "cocycle identity fails")
 
     def multiply(self, other):
         """Pointwise product cocycle on the same cover."""
@@ -725,15 +728,10 @@ def _cocycle(report, cover, unit):
     overlap U_i & U_j and rw its local ring."""
     cover = [frozenset(u) for u in cover]
     units = {}
-    for i in range(len(cover)):
-        for j in range(len(cover)):
-            w = cover[i] & cover[j]
-            units[(i, j)] = unit(i, j, w, report.local_rings[w])
+    for i, j in itertools.product(range(len(cover)), repeat=2):
+        w = cover[i] & cover[j]
+        units[(i, j)] = unit(i, j, w, report.local_rings[w])
     return UnitCocycle(report, cover, units)
-
-
-def trivial_cocycle(report, cover):
-    return _cocycle(report, cover, lambda i, j, w, rw: rw.one())
 
 
 def twist_structure_sheaf(cocycle: UnitCocycle):
@@ -781,16 +779,17 @@ def recover_cocycle(twisted: FinitePresheaf, report, cover):
     return _cocycle(report, cover, unit)
 
 
-def cocycles_equal_mod_coboundary(report, cover, c1: UnitCocycle, c2: UnitCocycle):
+def cocycles_equal_mod_coboundary(report, cover, c1: UnitCocycle, c2: UnitCocycle | None):
     """Whether c1 and c2 differ by a coboundary (a_i / a_j), by a join for
     units with c1_ij a_j = c2_ij a_i on the values c2_i0 a_i; f_ii = 1
-    settles the diagonal."""
+    settles the diagonal.  c2 None is 1, whose keys are the overlap's ``make``."""
     cover = [frozenset(u) for u in cover]
-    rings = [report.local_rings[u] for u in cover]
-    unit_lists = [[a for a in rw.elements() if rw.is_unit(a)] for rw in rings]
+    unit_lists = [report.local_rings[u].units for u in cover]
 
     def scaled(c, i, j):
         rw = report.local_rings[cover[i] & cover[j]]
+        if c is None:
+            return lambda a: rw.make(*a)
         cij = rw.make(*c.units[(i, j)])
         return lambda a: rw.mul(cij, rw.make(*a))
 
@@ -801,7 +800,8 @@ def cocycles_equal_mod_coboundary(report, cover, c1: UnitCocycle, c2: UnitCocycl
 
 
 def is_coboundary(report, cover, cocycle: UnitCocycle):
-    return cocycles_equal_mod_coboundary(report, cover, cocycle, trivial_cocycle(report, cover))
+    """The coboundary join against 1, with no trivial cocycle built."""
+    return cocycles_equal_mod_coboundary(report, cover, cocycle, None)
 
 
 def two_open_cocycle(report, cover, unit):
@@ -819,4 +819,4 @@ def cocycles_on_cover(report, cover):
     if len(cover) != 2:
         raise Unsupported("exhaustive cocycles only for 2-element covers")
     rw = report.local_rings[frozenset(cover[0]) & frozenset(cover[1])]
-    return [two_open_cocycle(report, cover, a) for a in rw.elements() if rw.is_unit(a)]
+    return [two_open_cocycle(report, cover, a) for a in rw.units]

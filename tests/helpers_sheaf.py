@@ -1,7 +1,8 @@
 """Shared generators for randomized finite-space presheaf tests, the cover
 enumeration of the exhaustive gluing oracle, and the up-front sections,
 restriction maps and per-open data that the derived presheaves and
-structure sheaves once built, and coboundary cocycles."""
+structure sheaves once built, coboundary cocycles, the units 1 that make
+the trivial one, and the cocycle check over every triple of opens."""
 
 import itertools
 
@@ -162,3 +163,25 @@ def coboundary_cocycle(report, cover, unit_choices):
     """The coboundary (a_i / a_j) of a family of units on the cover opens."""
     return sh._cocycle(report, cover, lambda i, j, w, rw: rw.mul(
         rw.make(*unit_choices[i]), rw.inv(rw.make(*unit_choices[j]))))
+
+
+def ones(report, cover):
+    """The unit 1 on each cover open: its coboundary is the trivial cocycle."""
+    return [report.local_rings[frozenset(u)].one() for u in cover]
+
+
+def reference_cocycle_failure(report, cover, units):
+    """The message ``UnitCocycle`` raises for ``units`` on ``cover``, by the
+    check it made before skipping the triples that f_ii = 1 settles: f_ii = 1
+    on every open, then f_ij f_jk = f_ik on the overlap of every one of the
+    n^3 triples, in ``itertools.product`` order.  None if every identity
+    holds."""
+    cover = [frozenset(u) for u in cover]
+    rings = report.local_rings
+    if any(units[i, i] != rings[u].one() for i, u in enumerate(cover)):
+        return "f_ii must be 1"
+    for i, j, k in itertools.product(range(len(cover)), repeat=3):
+        rt = rings[cover[i] & cover[j] & cover[k]]
+        if rt.mul(rt.make(*units[i, j]), rt.make(*units[j, k])) != rt.make(*units[i, k]):
+            return "f_ij * f_ji must be 1" if k == i else "cocycle identity fails"
+    return None

@@ -27,8 +27,10 @@ from helpers_sheaf import (
     covers_of,
     eager_presheaf,
     eager_structure_sheaf,
+    ones,
     random_projection_presheaf,
     random_space,
+    reference_cocycle_failure,
     sub_presheaf,
     tagged_presheaf,
 )
@@ -226,7 +228,7 @@ def test_trivial_cocycle_twist_is_identity():
     rep = sh.structure_sheaf(R)
     X = frozenset(rep.space.points)
     cover = [X, rep.basic_open(2)]
-    triv = sh.trivial_cocycle(rep, cover)
+    triv = coboundary_cocycle(rep, cover, ones(rep, cover))
     L = sh.twist_structure_sheaf(triv)
     for u in rep.space.opens:
         assert len(L.sections[u]) == len(rep.sheaf.sections[u])
@@ -749,7 +751,7 @@ def test_twist_refuses_too_many_section_families(monkeypatch):
 
     rep = sh.structure_sheaf(Zmod(1009))
     X = frozenset(rep.space.points)
-    twisted = sh.twist_structure_sheaf(sh.trivial_cocycle(rep, [X, X]))
+    twisted = sh.twist_structure_sheaf(coboundary_cocycle(rep, [X, X], ones(rep, [X, X])))
     calls = _search_calls(monkeypatch)
     monkeypatch.setattr(sh, "_FAMILY_BUDGET", 1008)
     with pytest.raises(BudgetExceeded, match=r"^1009 section families exceed the budget of 1008$"):
@@ -937,7 +939,7 @@ def test_twist_on_three_opens_lists_the_reference_families_in_order():
     for ring in _THREE_OPEN_RINGS:
         rep = sh.structure_sheaf(ring)
         for cover in _three_open_covers(rep, rng, 4):
-            for c in (sh.trivial_cocycle(rep, cover),
+            for c in (coboundary_cocycle(rep, cover, ones(rep, cover)),
                       coboundary_cocycle(rep, cover, _random_units(rep, cover, rng))):
                 assert sh.twist_structure_sheaf(c).sections == {
                     u: tuple(fams) for u, fams in _reference_twist_sections(c).items()
@@ -964,7 +966,7 @@ def test_coboundary_search_on_three_opens_matches_the_reference(monkeypatch):
     for ring in _THREE_OPEN_RINGS:
         rep = sh.structure_sheaf(ring)
         for cover in _three_open_covers(rep, rng, 4):
-            cocycles = [sh.trivial_cocycle(rep, cover),
+            cocycles = [coboundary_cocycle(rep, cover, ones(rep, cover)),
                         coboundary_cocycle(rep, cover, _random_units(rep, cover, rng))]
             with monkeypatch.context() as m:
                 m.setattr(sh.UnitCocycle, "_check", lambda self: None)
@@ -977,6 +979,98 @@ def test_coboundary_search_on_three_opens_matches_the_reference(monkeypatch):
     assert verdicts[True] and verdicts[False], verdicts
 
 
+def _seeded_units(rep, cover, rng):
+    """The units of a seeded coboundary on ``cover``, then by a seeded
+    choice left so, or with one f_ii, one f_ij (i != j), or one f_ij and
+    f_ji = f_ij^-1 replaced by seeded units of their opens; the last keeps
+    f_ij f_ji = 1, so on three opens an identity through the third may fail."""
+    units = dict(coboundary_cocycle(rep, cover, _random_units(rep, cover, rng)).units)
+    kind = rng.choice(("none", "diagonal", "pair", "inverse-pair"))
+    i, j = rng.sample(range(len(cover)), 2)
+    rw = rep.local_rings[cover[i] & cover[j]]
+    if kind == "diagonal":
+        units[i, i] = rng.choice(domain_units(rep.local_rings[cover[i]]))[0]
+    elif kind == "pair":
+        units[i, j] = rng.choice(domain_units(rw))[0]
+    elif kind == "inverse-pair":
+        units[i, j], units[j, i] = rng.choice(domain_units(rw))
+    return units
+
+
+def test_the_cocycle_check_fails_where_the_check_of_every_triple_fails():
+    """``UnitCocycle`` skips the triples with i = j or j = k; on seeded
+    units over two and three opens it raises exactly when the check of all
+    n^3 triples fails, with the message of that check's first failure, and
+    every message occurs."""
+    from scheme_explorer.errors import NonInvertibleUnit
+
+    rng = random.Random(45)
+    outcomes = Counter()
+    for ring in _THREE_OPEN_RINGS:
+        rep = sh.structure_sheaf(ring)
+        covers = rng.sample(_two_open_covers(rep), 4) + _three_open_covers(rep, rng, 8)
+        for cover in covers:
+            for _ in range(6):
+                units = _seeded_units(rep, cover, rng)
+                expected = reference_cocycle_failure(rep, cover, units)
+                if expected is None:
+                    sh.UnitCocycle(rep, cover, units)
+                else:
+                    with pytest.raises(NonInvertibleUnit, match=rf"^{re.escape(expected)}$"):
+                        sh.UnitCocycle(rep, cover, units)
+                outcomes[len(cover), expected] += 1
+    assert {message for _, message in outcomes} == {
+        None, "f_ii must be 1", "f_ij * f_ji must be 1", "cocycle identity fails"}, outcomes
+    assert outcomes[2, "f_ij * f_ji must be 1"] and outcomes[3, "cocycle identity fails"]
+
+
+def test_is_coboundary_matches_the_reference_against_the_trivial_cocycle(monkeypatch):
+    """``is_coboundary`` joins against 1 with no trivial cocycle built; on two
+    and three opens, over coboundaries, the cocycles of a two-open cover and,
+    with the cocycle check switched off, broken cocycles, it agrees with the
+    scan of every unit family against the coboundary of 1, and both verdicts
+    occur."""
+    rng = random.Random(45)
+    verdicts = Counter()
+    for ring in _THREE_OPEN_RINGS:
+        rep = sh.structure_sheaf(ring)
+        for cover in rng.sample(_two_open_covers(rep), 4) + _three_open_covers(rep, rng, 4):
+            trivial = coboundary_cocycle(rep, cover, ones(rep, cover))
+            cocycles = [trivial, coboundary_cocycle(rep, cover, _random_units(rep, cover, rng))]
+            if len(cover) == 2:
+                cocycles += sh.cocycles_on_cover(rep, cover)[-3:]
+            with monkeypatch.context() as m:
+                m.setattr(sh.UnitCocycle, "_check", lambda self: None)
+                cocycles += [_broken_cocycle(rep, cover, rng) for _ in range(2)]
+            for c in cocycles:
+                expected = _reference_equal_mod_coboundary(rep, cover, c, trivial)
+                assert sh.is_coboundary(rep, cover, c) == expected, (ring, cover)
+                verdicts[len(cover), expected] += 1
+    assert all(verdicts[n, v] for n in (2, 3) for v in (True, False)), verdicts
+
+
+@pytest.mark.parametrize("text", [
+    'sheaf twist --space "spec(ZZ/36)" --cover "X,D(2)" --cocycle -1;',
+    'sheaf twist --space "spec(ZZ/30)" --cover "D(2),D(3)" --cocycle 7;',
+    'sheaf twist --space "spec(GF(5)[e]/(e^2+3*e+2))" --cover "X,X" --cocycle -1;',
+], ids=["X-D(2)", "D(2)-D(3)", "quotient-X-X"])
+def test_a_twist_statement_builds_two_cocycles_and_each_unit_table_once(monkeypatch, text):
+    """A twist builds the given cocycle and the one it recovers, and no
+    trivial cocycle for the coboundary test; the inverse of the given unit
+    and both joins' unit lists read one unit table per ring."""
+    from scheme_explorer import arith
+
+    cocycles, tables = [], []
+    init = sh.UnitCocycle.__init__
+    monkeypatch.setattr(sh.UnitCocycle, "__init__",
+                        lambda self, *a: cocycles.append(self) or init(self, *a))
+    real = arith._unit_table
+    monkeypatch.setattr(arith, "_unit_table", lambda dom: tables.append(dom) or real(dom))
+    _statement_sheaves(monkeypatch, text)
+    assert len(cocycles) == 2
+    assert tables and len({id(t) for t in tables}) == len(tables), tables
+
+
 def test_coboundary_search_refuses_too_many_unit_families(monkeypatch):
     """On the cover X, X of spec(ZZ/1009) the trivial cocycle pairs each of
     the 1,008 units a_0 with a_1 = a_0 alone: that count meets the budget
@@ -985,7 +1079,7 @@ def test_coboundary_search_refuses_too_many_unit_families(monkeypatch):
 
     rep = sh.structure_sheaf(Zmod(1009))
     X = frozenset(rep.space.points)
-    c = sh.trivial_cocycle(rep, [X, X])
+    c = coboundary_cocycle(rep, [X, X], ones(rep, [X, X]))
     calls = _search_calls(monkeypatch)
     monkeypatch.setattr(sh, "_FAMILY_BUDGET", 1007)
     with pytest.raises(BudgetExceeded, match=r"^1008 unit families exceed the budget of 1007$"):
@@ -1457,6 +1551,37 @@ def _spectrum_rings():
 def test_nilpotents_at_the_bit_length_give_the_primes_of_the_full_power():
     for ring in _spectrum_rings():
         assert sh.finite_spectrum_points(ring) == _reference_spectrum_points(ring), ring
+
+
+def _seeded_finite_rings(rng, count):
+    """Seeded rings of at most 400 elements: Z/n, (Z/m)[e]/(f) for a monic f
+    and products of two of those."""
+    def small():
+        if rng.random() < 0.5:
+            return Zmod(rng.randrange(1, 65))
+        m = rng.choice((2, 3, 4, 5, 6, 8, 9))
+        deg = rng.randrange(1, 3 if m > 3 else 5)
+        return sh.QuotientPolyRing(Zmod(m), tuple(rng.randrange(m) for _ in range(deg)) + (1,))
+    rings = []
+    while len(rings) < count:
+        ring = sh.ProductRing(small(), small()) if rng.random() < 0.3 else small()
+        if ring.order() <= 400:
+            rings.append(ring)
+    return rings
+
+
+@pytest.mark.parametrize("ring", [
+    Zmod(1), sh.QuotientPolyRing(Zmod(2), (1,)), Zmod(2), sh.QuotientPolyRing(Zmod(2), (0, 1)),
+    sh.ProductRing(Zmod(1), Zmod(2)), Zmod(64), sh.QuotientPolyRing(Zmod(2), (0,) * 8 + (1,)),
+    sh.QuotientPolyRing(Zmod(3), (0,) * 5 + (1,)), sh.ProductRing(Zmod(64), Zmod(3)),
+    *_seeded_finite_rings(random.Random(45), 60),
+], ids=str)
+def test_squarings_find_the_primes_of_the_full_power(ring):
+    """The nilradical by the squarings a^2, a^4, ..., a^(2^s) with 2^s at
+    least the bit length of |A|, against the scan at a^|A|: on rings of one
+    and two elements, on 2 in ZZ/64 and e in Z/2[e]/(e^8) and Z/3[e]/(e^5),
+    nilpotent of index 6, 8 and 5, and on seeded rings."""
+    assert sh.finite_spectrum_points(ring) == _reference_spectrum_points(ring)
 
 
 @pytest.mark.parametrize("points", [range(k) for k in range(6)] + [[12, 3, 100, "b", 2]],
